@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Verbs: ``check``, ``measures``, ``elim``, ``search``, ``fixpoint``, ``liar``.
-Exit status: 0 on success/valid, 1 on violations/exhausted/bound failures,
-2 on usage or parse errors.  ``--json`` switches every verb to structured
-output on stdout.
+Exit status: 0 on success/valid, 1 on violations/exhausted/bound failures
+and on inputs too deep or too large to process, 2 on usage or parse errors.
+``--json`` switches every verb to structured output on stdout.
 """
 
 from __future__ import annotations
@@ -164,9 +164,10 @@ def _cmd_elim(args) -> int:
     lines.append(f"  output (n, m, k) = {tuple(cert['output_measures'])}")
     for c in cert["checks"]:
         verdict = "ok" if c["ok"] else "VIOLATED"
-        lines.append(
-            f"  check {c['name']}: {c['actual']} <= {c['bound']} {verdict}"
-        )
+        bound = c["bound"]
+        if isinstance(bound, dict):  # symbolic: too large to print
+            bound = "hyperexp({}, {})".format(*bound["hyperexp"])
+        lines.append(f"  check {c['name']}: {c['actual']} <= {bound} {verdict}")
     if args.out:
         lines.append(f"written to {args.out}")
     else:
@@ -183,8 +184,8 @@ def _cmd_search(args) -> int:
     )
     result = search_cut_free(ante, succ, budget, system)
     if result.found:
-        text = print_script(result.derivation)
         m = compute_measures(result.derivation)
+        text = print_script(result.derivation)
         _emit(args, {
             "verb": "search", "system": system, "found": True,
             "length": m.length, "script": text,
@@ -371,6 +372,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         sys.stderr.write(f"file error: {e}\n")
         return EXIT_USAGE
+    except RecursionError:
+        sys.stderr.write("input too deeply nested: Python recursion limit reached\n")
+        return EXIT_FAIL
+    except MemoryError:
+        sys.stderr.write("out of memory\n")
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .syntax import Formula, Term, Tr, SynApp
+from .syntax import Formula, Term, formula_facts
 
 
 _ids = itertools.count(1)
@@ -27,7 +27,7 @@ def fresh_id() -> int:
     return next(_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occurrence:
     formula: Formula
     id: int
@@ -41,7 +41,7 @@ def copy_occ(o: Occurrence) -> Occurrence:
     return Occurrence(o.formula, fresh_id())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     ante: tuple[Occurrence, ...]
     succ: tuple[Occurrence, ...]
@@ -101,7 +101,7 @@ ALL_RULES = LOGICAL_RULES + GEOMETRIC_RULES + ("comp",)
 LEAF_RULES = ("init", "top", "bot", "qg1")
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(eq=False, frozen=True, slots=True)
 class Derivation:
     """One rule application; premises are the direct subderivations.
 
@@ -200,16 +200,6 @@ class MeasureError(Exception):
     """The derivation's lineage bookkeeping is broken."""
 
 
-def _has_truth_atom(phi: Formula) -> bool:
-    if isinstance(phi, Tr):
-        return True
-    from .syntax import _children
-
-    return any(
-        _has_truth_atom(c) for c in _children(phi) if isinstance(c, Formula)
-    )
-
-
 def compute_measures(d: Derivation) -> Measures:
     """Length, cut rank, proof T-complexity, and the per-occurrence tau map.
 
@@ -249,7 +239,7 @@ def compute_measures(d: Derivation) -> Measures:
                         f"occurrence {o.id} at rule {node.rule} has no lineage"
                     )
                 tau[o.id] = 0
-            if not _has_truth_atom(o.formula):
+            if not formula_facts(o.formula)[2]:
                 tau[o.id] = 0
         if node.rule == "cut":
             cut_formula = node.premises[0].conclusion.find(node.actives[0][1])

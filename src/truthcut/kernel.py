@@ -37,10 +37,8 @@ from .syntax import (
     Tr,
     Var,
     Zero,
-    bound_vars,
-    free_vars,
+    formula_facts,
     is_base_atom,
-    is_sentence,
     numeral_value,
     substitute,
 )
@@ -138,6 +136,10 @@ class _Checker:
         prem_occ: list[dict[int, Occurrence]] = [
             {o.id: o for o in p.conclusion.all_occurrences()} for p in node.premises
         ]
+        prem_ante: list[set[int]] = [
+            {o.id for o in p.conclusion.ante} for p in node.premises
+        ]
+        concl_ante = {o.id for o in node.conclusion.ante}
         used: list[set[int]] = [set() for _ in node.premises]
 
         def consume(pi, oid) -> Occurrence | None:
@@ -182,7 +184,7 @@ class _Checker:
                 self.bad(path, LINEAGE_BROKEN,
                          f"occurrence {o.id} must have one parent per premise")
                 ok = False
-            side = node.conclusion.side_of(o.id)
+            in_ante = o.id in concl_ante
             for pi, oid in parents:
                 parent = consume(pi, oid)
                 if parent is None:
@@ -191,7 +193,7 @@ class _Checker:
                     self.bad(path, LINEAGE_BROKEN,
                              f"context occurrence {o.id} changes formula")
                     ok = False
-                if node.premises[pi].conclusion.side_of(oid) != side:
+                if (oid in prem_ante[pi]) != in_ante:
                     self.bad(path, LINEAGE_BROKEN,
                              f"context occurrence {o.id} changes side")
                     ok = False
@@ -330,7 +332,7 @@ class _Checker:
             self.bad(path, MALFORMED_RULE,
                      f"truth-rule principal must be a T atom in the {side}cedent")
             return
-        if not is_sentence(a.formula):
+        if formula_facts(a.formula)[0]:
             self.bad(path, NOT_A_SENTENCE,
                      f"truth rule disquotes a non-sentence: {a.formula!r}")
             return
@@ -368,7 +370,7 @@ class _Checker:
                      "compositional principal must be a T atom in the succedent")
             return
         for a in acts:
-            if not is_sentence(a.formula):
+            if formula_facts(a.formula)[0]:
                 self.bad(path, NOT_A_SENTENCE,
                          f"compositional rule combines a non-sentence: {a.formula!r}")
                 return
@@ -500,7 +502,7 @@ class _Checker:
                      f"expected {want!r}")
             return
         for o in node.conclusion.all_occurrences():
-            if y in free_vars(o.formula):
+            if y in formula_facts(o.formula)[0]:
                 self.bad(path, EIGENVAR_CLASH,
                          f"eigenvariable {y} occurs free in the conclusion")
                 return
@@ -603,12 +605,12 @@ class _Checker:
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"qg3 successor-case active must be {y}=S({x!r}), got {f1!r}")
             return
-        if y in free_vars(f0):
+        if y in formula_facts(f0)[0]:
             self.bad(path, EIGENVAR_CLASH,
                      f"qg3 eigenvariable {y} occurs in the zero case")
             return
         for o in node.conclusion.all_occurrences():
-            if y in free_vars(o.formula):
+            if y in formula_facts(o.formula)[0]:
                 self.bad(path, EIGENVAR_CLASH,
                          f"qg3 eigenvariable {y} occurs free in the conclusion")
                 return
@@ -661,25 +663,26 @@ class _Checker:
                          f"{'/'.join(map(str, seen[y])) or 'root'})")
             else:
                 seen[y] = path
-        for path, y in self.eigen_nodes:
-            for other_path, node in d.iter_nodes():
-                if other_path[: len(path)] == path:
-                    continue  # inside the eigenvariable's subtree
-                for o in node.conclusion.all_occurrences():
-                    if y in free_vars(o.formula):
-                        self.bad(path, PURE_VARIABLE_CLASH,
-                                 f"eigenvariable {y} occurs outside its subtree "
-                                 f"(node {'/'.join(map(str, other_path)) or 'root'})")
-                        break
-                else:
-                    continue
-                break
+        # (path, free variables, bound variables) of every sequent
+        sequent_vars = []
         for path, node in d.iter_nodes():
             frees: set[str] = set()
             bounds: set[str] = set()
             for o in node.conclusion.all_occurrences():
-                frees |= free_vars(o.formula)
-                bounds |= bound_vars(o.formula)
+                f, b, _ = formula_facts(o.formula)
+                frees |= f
+                bounds |= b
+            sequent_vars.append((path, frees, bounds))
+        for path, y in self.eigen_nodes:
+            for other_path, frees, _ in sequent_vars:
+                if other_path[: len(path)] == path:
+                    continue  # inside the eigenvariable's subtree
+                if y in frees:
+                    self.bad(path, PURE_VARIABLE_CLASH,
+                             f"eigenvariable {y} occurs outside its subtree "
+                             f"(node {'/'.join(map(str, other_path)) or 'root'})")
+                    break
+        for path, frees, bounds in sequent_vars:
             clash = frees & bounds
             if clash:
                 self.bad(path, PURE_VARIABLE_CLASH,

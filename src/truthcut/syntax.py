@@ -13,7 +13,7 @@ not atomic; equations and truth ascriptions are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class SyntaxError_(Exception):
@@ -28,39 +28,39 @@ class CaptureError(SyntaxError_):
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Suc(Term):
     child: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plus(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Times(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num(Term):
     """Numeral literal: the canonical name of the natural number ``value``."""
 
@@ -85,7 +85,7 @@ SYNTAX_FN_ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynApp(Term):
     symbol: str
     args: tuple[Term, ...]
@@ -129,44 +129,47 @@ def is_numeral(t: Term) -> bool:
 # Formulas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
-    pass
+    #: (free_vars, bound_vars, has_T), filled on first use by formula_facts
+    _facts: tuple[frozenset[str], frozenset[str], bool] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tr(Formula):
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     var: str
     body: Formula
@@ -267,6 +270,17 @@ def bound_vars(phi: Formula) -> frozenset[str]:
         if isinstance(c, Formula):
             out |= bound_vars(c)
     return out
+
+
+def formula_facts(phi: Formula) -> tuple[frozenset[str], frozenset[str], bool]:
+    """``(free_vars(phi), bound_vars(phi), not is_base_formula(phi))``,
+    computed on first use and cached on ``phi`` (formulas are immutable, so
+    the facts never go stale)."""
+    facts = phi._facts
+    if facts is None:
+        facts = (free_vars(phi), bound_vars(phi), not is_base_formula(phi))
+        object.__setattr__(phi, "_facts", facts)
+    return facts
 
 
 def is_closed(x: Term | Formula) -> bool:

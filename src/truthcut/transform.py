@@ -18,6 +18,13 @@ Conventions:
 * ``reduce_cut`` output may contain cuts of strictly smaller rank (the
   compound-connective cases build them deliberately); only the truth-rule
   case recurses, driven by the decrease of T-complexity.
+* Each formula's free variables, bound variables and T-occurrence are
+  computed once and cached on the formula (:func:`~.syntax.formula_facts`),
+  so the kernel and measure re-checks of every intermediate ``weaken`` read
+  them instead of walking the formula again.
+* The ``eliminate_cuts`` length bound hyperexp(m, n) is an int below 2**64
+  and the symbolic ``{"hyperexp": [m, n]}`` above; either way it is checked
+  against the actual length without building a number larger than that.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .syntax import (
     Tr,
     Var,
     bound_vars,
+    formula_facts,
     free_vars,
     fresh_name,
     logical_complexity,
@@ -75,7 +83,9 @@ class Certificate:
     description: str
     input_measures: tuple[tuple[int, int, int], ...]
     output_measures: tuple[int, int, int]
-    checks: tuple[tuple[str, int, int], ...]  # (name, bound, actual)
+    #: (name, bound, actual); a bound is an int or a symbolic
+    #: ``{"hyperexp": [m, n]}`` (see :func:`_length_bound`)
+    checks: tuple[tuple[str, int | dict, int], ...]
 
     def as_dict(self) -> dict:
         return {
@@ -83,7 +93,7 @@ class Certificate:
             "input_measures": [list(t) for t in self.input_measures],
             "output_measures": list(self.output_measures),
             "checks": [
-                {"name": n, "bound": b, "actual": a, "ok": a <= b}
+                {"name": n, "bound": b, "actual": a, "ok": _within(a, b)}
                 for n, b, a in self.checks
             ],
         }
@@ -104,7 +114,7 @@ def _certify(
     description: str,
     inputs: tuple[Measures, ...],
     *,
-    length: int,
+    length: int | dict,
     cut_rank: int,
     proof_tau: int,
     pointwise=(),
@@ -128,7 +138,7 @@ def _certify(
     for label, oid, bound in pointwise:
         checks.append((f"tau[{label}]", bound, m.tau[oid]))
     for name, bound, actual in checks:
-        if actual > bound:
+        if not _within(actual, bound):
             raise CertificateError(
                 f"{description}: {name} bound violated: {actual} > {bound}"
             )
@@ -180,8 +190,9 @@ def all_var_names(d: Derivation) -> set[str]:
     names: set[str] = set(collect_eigenvars(d))
     for _, node in d.iter_nodes():
         for o in node.conclusion.all_occurrences():
-            names |= free_vars(o.formula)
-            names |= bound_vars(o.formula)
+            f, b, _ = formula_facts(o.formula)
+            names |= f
+            names |= b
     return names
 
 
@@ -354,7 +365,7 @@ def weaken(d: Derivation, theta, lam, system: str) -> TransformResult:
     lam = list(lam)
     new_free: set[str] = set()
     for f in theta + lam:
-        new_free |= free_vars(f)
+        new_free |= formula_facts(f)[0]
     clash = new_free & collect_eigenvars(d)
     if clash:
         d = freshen_eigenvariables(d, clash)
@@ -1152,6 +1163,39 @@ def hyperexp(m: int, n: int) -> int:
     return n
 
 
+def _hyperexp_exceeds(m: int, n: int, x: int) -> bool:
+    """hyperexp(m, n) > x, building no level of the tower above x.
+
+    Levels only grow, and 2**level > x exactly when level >= x.bit_length(),
+    so the tower can stop there without building 2**level."""
+    for _ in range(m):
+        if n >= x.bit_length():
+            return True
+        n = 2 ** n
+    return n > x
+
+
+#: largest bound a certificate carries as an int
+_INT_BOUND_MAX = 2 ** 64 - 1
+
+
+def _length_bound(m: int, n: int) -> int | dict:
+    """The cut-elimination length bound hyperexp(m, n): an int while it is
+    below 2**64, otherwise the symbolic ``{"hyperexp": [m, n]}``."""
+    if _hyperexp_exceeds(m, n, _INT_BOUND_MAX):
+        return {"hyperexp": [m, n]}
+    return hyperexp(m, n)
+
+
+def _within(actual: int, bound: int | dict) -> bool:
+    """actual <= bound, for an int or a symbolic hyperexp bound."""
+    if isinstance(bound, dict):
+        m, n = bound["hyperexp"]
+        # actual <= hyperexp(m, n) iff hyperexp(m, n) > actual - 1
+        return _hyperexp_exceeds(m, n, actual - 1)
+    return actual <= bound
+
+
 def _cut_rank_of(node: Derivation) -> int:
     pi, oid = node.actives[0]
     return logical_complexity(
@@ -1213,7 +1257,7 @@ def eliminate_cuts(d: Derivation, system: str) -> TransformResult:
         r = r2
     return _certify(
         out, system, "eliminateCuts", (im,),
-        length=hyperexp(im.cut_rank, im.length),
+        length=_length_bound(im.cut_rank, im.length),
         cut_rank=0,
         proof_tau=im.proof_tau,
         expect=(d.conclusion.ante_formulas(), d.conclusion.succ_formulas()),

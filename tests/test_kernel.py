@@ -130,3 +130,39 @@ def test_unknown_system_raises():
     # [TRIVIAL]
     with pytest.raises(ValueError):
         check_derivation(B.init_leaf([], PHI, []), "nope")
+
+
+def _sharing_proofs(forall_xx, x_is_0):
+    """A valid qg proof of ``=> forall x (x = x)`` and a
+    ``bad_pure_variables``-style leaf, built over the given formula objects."""
+    ev = Var("ev1")
+    leaf = B.init_leaf([], Eq(ev, ev), [])
+    refl = B.eq1(leaf, leaf.conclusion.ante[0].id)
+    ok = B.forall_right(refl, refl.conclusion.succ[0].id, forall_xx, "ev1")
+    bad = B.init_leaf([forall_xx], x_is_0, [])
+    return ok, bad
+
+
+def test_shared_formula_objects_keep_reason_codes():
+    # [DERIVED] facts cached on a formula object shared by two proofs do not
+    # leak from one check into the other: each proof gets the codes it gets
+    # when built from objects of its own, whichever is checked first
+    def fresh():
+        return Forall("x", Eq(Var("x"), Var("x"))), Eq(Var("x"), Zero())
+
+    systems = ("qg", "lptn")
+    want_ok = [check_derivation(_sharing_proofs(*fresh())[0], s).codes()
+               for s in systems]
+    want_bad = [check_derivation(_sharing_proofs(*fresh())[1], s).codes()
+                for s in systems]
+    assert want_ok == [set(), set()]
+    assert want_bad == [{"PURE_VARIABLE_CLASH"}] * 2
+    for ok_first in (True, False):
+        ok, bad = _sharing_proofs(*fresh())
+        for s, w_ok, w_bad in zip(systems, want_ok, want_bad):
+            if ok_first:
+                assert check_derivation(ok, s).codes() == w_ok
+                assert check_derivation(bad, s).codes() == w_bad
+            else:
+                assert check_derivation(bad, s).codes() == w_bad
+                assert check_derivation(ok, s).codes() == w_ok

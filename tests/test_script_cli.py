@@ -15,6 +15,7 @@ from truthcut.script import (
     parse_script,
     print_script,
 )
+from truthcut.sexpr import format_formula
 from truthcut.syntax import Eq, Plus, Times, Zero
 
 from proofgen import nested_cuts, random_derivation
@@ -180,3 +181,36 @@ def test_cli_compositional_flag(tmp_path, capsys):
     p.write_text(print_script(comp))
     assert main(["check", str(p), "--system", "lptn"]) == 1
     assert main(["check", str(p), "--system", "lptn", "--compositional"]) == 0
+
+
+def test_cli_deep_proof_exits_cleanly(capsys):
+    # [DERIVED] a proof too tall for the recursive measures (the 391-node
+    # refutation of 8*8=65) ends in exit 1 and one line, not a traceback
+    eq = Eq(Times(chain_numeral(8), chain_numeral(8)), chain_numeral(65))
+    seq = f"{format_formula(eq)} =>"
+    assert main(["search", seq, "--system", "qg"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "recursion" in err
+
+
+def test_cli_deep_seed_exits_cleanly(tmp_path, capsys):
+    # [DERIVED] a 1500-deep formula overflows the s-expression reader; the
+    # CLI reports it in one line with exit 1
+    seeds = tmp_path / "deep.txt"
+    seeds.write_text("(not " * 1500 + "(= 0 0)" + ")" * 1500 + "\n")
+    assert main(["fixpoint", "--seed", str(seeds)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "recursion" in err
+
+
+def test_cli_elim_rank5_cut(tmp_path, capsys):
+    # [DERIVED] the rank-5 cut whose hyperexp(5, 2) bound used to hang `elim`
+    neg4 = "(not (not (not (not (= 0 0)))))"
+    p = tmp_path / "rank5.gp"
+    p.write_text(f"1: init [] (= 0 0) => (= 0 0), {neg4}\n"
+                 f"2: eq1 [1] => (= 0 0), {neg4}\n"
+                 f"3: init [] {neg4}, (= 0 0) => (= 0 0)\n"
+                 f"4: eq1 [3] {neg4} => (= 0 0)\n"
+                 "5: cut [2, 4] => (= 0 0)\n")
+    assert main(["elim", str(p), "--system", "qg"]) == 0
+    assert "check length: 1 <= hyperexp(5, 2) ok" in capsys.readouterr().out

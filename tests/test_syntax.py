@@ -1,7 +1,10 @@
 """Syntax trees, substitution, and complexity measures."""
 
+import random
+
 import pytest
 
+from truthcut.coding import quote
 from truthcut.syntax import (
     And,
     Bot,
@@ -17,7 +20,9 @@ from truthcut.syntax import (
     Tr,
     Var,
     Zero,
+    SynApp,
     bound_vars,
+    formula_facts,
     free_vars,
     is_base_atom,
     is_base_formula,
@@ -140,3 +145,64 @@ def test_formula_kinds_disjoint():
              And(Top(), Top()), Forall("x", Eq(x, x))]
     assert len({type(k) for k in kinds}) == 7
     assert Times(ZERO, ZERO) != Plus(ZERO, ZERO)
+
+
+def _random_formula(rng, depth):
+    """Formulas over x, y, z with shadowed binders and truth ascriptions of
+    quoted, possibly truth-iterated, formulas."""
+    def term():
+        return rng.choice([x, y, z, ZERO, Suc(x), Plus(y, ZERO), Num(2),
+                           SynApp("tdot", (z,))])
+
+    kind = rng.randrange(8) if depth > 0 else rng.randrange(3)
+    if kind == 0:
+        return Eq(term(), term())
+    if kind == 1:
+        return Tr(term())
+    if kind == 2:
+        return rng.choice([Top(), Bot()])
+    if kind == 3:
+        return Not(_random_formula(rng, depth - 1))
+    if kind == 4:
+        return And(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+    if kind == 5:
+        # truth iteration: T of the code of a sentence
+        inner = _random_formula(rng, depth - 1)
+        return Tr(quote(inner if is_sentence(inner) else Eq(ZERO, ZERO)))
+    # forall, often shadowing a binder of the same variable below it
+    v = rng.choice(["x", "y"])
+    return Forall(v, Forall(v, _random_formula(rng, depth - 1))
+                  if rng.random() < 0.4 else _random_formula(rng, depth - 1))
+
+
+def test_formula_facts_match_the_walkers():
+    # [DERIVED] the cached facts equal the uncached walkers, before and after
+    # the cache is filled, for shadowed binders and truth-iterated formulas
+    rng = random.Random(23)
+    shadowed = Forall("x", And(Eq(x, y), Forall("x", Tr(x))))
+    iterated = Tr(Num(0))
+    for _ in range(3):
+        iterated = Tr(quote(Not(iterated)))
+    cases = [shadowed, iterated] + [_random_formula(rng, 4) for _ in range(300)]
+    for phi in cases:
+        want = (free_vars(phi), bound_vars(phi), not is_base_formula(phi))
+        assert formula_facts(phi) == want
+        assert formula_facts(phi) == want
+    assert formula_facts(shadowed) == (frozenset({"y"}), frozenset({"x"}), True)
+
+
+def test_facts_slot_is_invisible():
+    # [DERIVED] filling the cache changes neither equality, hash nor repr;
+    # slotted syntax and derivation objects carry no instance dict
+    from truthcut.build import init_leaf
+
+    phi = Forall("x", And(Eq(x, y), Not(Tr(z))))
+    twin = Forall("x", And(Eq(x, y), Not(Tr(z))))
+    before = (hash(phi), repr(phi))
+    formula_facts(phi)
+    assert (hash(phi), repr(phi)) == before
+    assert phi == twin and hash(phi) == hash(twin)
+    assert twin._facts is None and phi._facts is not None
+    d = init_leaf([phi], Eq(x, ZERO), [])
+    for obj in (phi, x, ZERO, Top(), d, d.conclusion, d.conclusion.ante[0]):
+        assert not hasattr(obj, "__dict__")

@@ -9,6 +9,7 @@ from truthcut.arith import prove_equation
 from truthcut.coding import quote
 from truthcut.deriv import compute_measures
 from truthcut.kernel import check_derivation
+from truthcut.search import SearchBudget, search_cut_free
 from truthcut.syntax import (
     And,
     Eq,
@@ -21,6 +22,8 @@ from truthcut.syntax import (
 )
 from truthcut.transform import (
     TransformError,
+    _length_bound,
+    _within,
     contract,
     eliminate_cuts,
     hyperexp,
@@ -351,3 +354,33 @@ def test_hyperexp_values():
     assert hyperexp(1, 3) == 8
     assert hyperexp(2, 2) == 16
     assert hyperexp(3, 1) == 16
+
+
+def test_length_bound_int_below_2_64():
+    # [DERIVED] the bound stays an int below 2**64 and turns symbolic above;
+    # a symbolic bound compares exactly, without building the tower
+    assert _length_bound(2, 5) == 2 ** 32
+    assert _length_bound(3, 2) == 2 ** 16
+    assert _length_bound(2, 6) == {"hyperexp": [2, 6]}
+    assert _length_bound(5, 2) == {"hyperexp": [5, 2]}
+    assert _within(2 ** 64, {"hyperexp": [2, 6]})
+    assert not _within(2 ** 64 + 1, {"hyperexp": [2, 6]})
+    assert _within(0, {"hyperexp": [0, 0]})
+    assert not _within(1, {"hyperexp": [0, 0]})
+    assert _within(10 ** 30, {"hyperexp": [9, 3]})
+
+
+def test_eliminate_cuts_rank5_bound_is_symbolic():
+    # [DERIVED] hyperexp(5, 2) = 2^2^65536 is never built: the rank-5 cut on
+    # not^4(0=0) is eliminated at once, and the certificate carries the bound
+    # symbolically (it used to hang computing the bound as an int)
+    phi = Not(Not(Not(Not(PHI))))
+    budget = SearchBudget(max_depth=8, max_term_index=2, max_tau_unfold=2)
+    d0 = search_cut_free([], [PHI, phi], budget, "qg").derivation
+    d1 = search_cut_free([phi], [PHI], budget, "qg").derivation
+    d = B.cut(d0, _succ_id(d0, phi), d1, _ante_id(d1, phi))
+    assert compute_measures(d).triple()[:2] == (2, 5)
+    cert = eliminate_cuts(d, "qg").certificate.as_dict()
+    length = cert["checks"][0]
+    assert length["name"] == "length"
+    assert length["bound"] == {"hyperexp": [5, 2]} and length["ok"]
