@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .coding import decode_sentence, encode, liar
+from .coding import encode, liar
 from .deriv import compute_measures
 from .kernel import SYSTEMS, check_derivation
 from .script import ScriptError, parse_script, print_script
@@ -227,19 +227,18 @@ def _fixpoint_lines(fp):
     ]
     for i, s in enumerate(fp.stages):
         lines.append(f"stage {i}: {len(s)} members")
+    sentences = fp.universe.sentences
     lines.append("norms:")
     for c in sorted(fp.members):
-        lines.append(
-            f"  {fp.norms[c]:3d}  #{c}  {format_formula(decode_sentence(c))}"
-        )
+        lines.append(f"  {fp.norms[c]:3d}  #{c}  {format_formula(sentences[c])}")
     ungrounded = sorted(
         c for c in fp.universe.codes
-        if c not in fp.members and encode(Not(decode_sentence(c))) not in fp.members
+        if c not in fp.members and encode(Not(sentences[c])) not in fp.members
     )
     if ungrounded:
         lines.append("ungrounded:")
         for c in ungrounded:
-            lines.append(f"       #{c}  {format_formula(decode_sentence(c))}")
+            lines.append(f"       #{c}  {format_formula(sentences[c])}")
     return lines
 
 

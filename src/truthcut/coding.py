@@ -35,6 +35,7 @@ from .syntax import (
     Tr,
     Var,
     Zero,
+    _children,
     free_vars,
     is_closed,
     is_sentence,
@@ -61,6 +62,16 @@ class OpenTermError(EvalError):
 
 class NonCodeArgumentError(EvalError):
     """A syntax-function argument does not code an expression of the right kind."""
+
+
+class CodeSizeError(EvalError):
+    """A syntax function's value would exceed :data:`MAX_CODE_BITS` bits."""
+
+
+#: Largest bit length a syntax function may produce during evaluation.  Each
+#: ``T`` wrapper multiplies a code's bit length by about four, so without a
+#: cap ``(tr n m)`` would run for ever on modest ``m``.
+MAX_CODE_BITS = 2**20
 
 
 class DiagonalizationError(Exception):
@@ -130,7 +141,15 @@ def _tagged(tag: int, payload: int) -> int:
 
 def encode(e: Term | Formula) -> int:
     """Injective Goedel code of a term or formula."""
+    cands: set[int] = set()
     if isinstance(e, Formula):
+        _diag_candidates(e, cands)
+    # Without a DIAG numeral anywhere in ``e`` no subformula can match one.
+    return _encode(e, bool(cands))
+
+
+def _encode(e: Term | Formula, diag: bool) -> int:
+    if diag and isinstance(e, Formula):
         d = _diag_match(e)
         if d is not None:
             return d
@@ -139,30 +158,30 @@ def encode(e: Term | Formula) -> int:
     if isinstance(e, Zero):
         return _tagged(_ZERO, 0)
     if isinstance(e, Suc):
-        return _tagged(_SUC, encode(e.child))
+        return _tagged(_SUC, _encode(e.child, False))
     if isinstance(e, Plus):
-        return _tagged(_PLUS, pair(encode(e.left), encode(e.right)))
+        return _tagged(_PLUS, pair(_encode(e.left, False), _encode(e.right, False)))
     if isinstance(e, Times):
-        return _tagged(_TIMES, pair(encode(e.left), encode(e.right)))
+        return _tagged(_TIMES, pair(_encode(e.left, False), _encode(e.right, False)))
     if isinstance(e, Num):
         return _tagged(_NUM, e.value)
     if isinstance(e, SynApp):
         tag = _SYN_BASE + _SYN_ORDER.index(e.symbol)
-        return _tagged(tag, _fold([encode(a) for a in e.args]))
+        return _tagged(tag, _fold([_encode(a, False) for a in e.args]))
     if isinstance(e, Eq):
-        return _tagged(_EQ, pair(encode(e.left), encode(e.right)))
+        return _tagged(_EQ, pair(_encode(e.left, False), _encode(e.right, False)))
     if isinstance(e, Tr):
-        return _tagged(_TR, encode(e.term))
+        return _tagged(_TR, _encode(e.term, False))
     if isinstance(e, Top):
         return _tagged(_TOP, 0)
     if isinstance(e, Bot):
         return _tagged(_BOT, 0)
     if isinstance(e, Not):
-        return _tagged(_NEG, encode(e.body))
+        return _tagged(_NEG, _encode(e.body, diag))
     if isinstance(e, And):
-        return _tagged(_AND, pair(encode(e.left), encode(e.right)))
+        return _tagged(_AND, pair(_encode(e.left, diag), _encode(e.right, diag)))
     if isinstance(e, Forall):
-        return _tagged(_FORALL, pair(_str_code(e.var), encode(e.body)))
+        return _tagged(_FORALL, pair(_str_code(e.var), _encode(e.body, diag)))
     raise TypeError(f"not a term or formula: {e!r}")
 
 
@@ -171,8 +190,6 @@ def _diag_candidates(e: Term | Formula, out: set[int]) -> None:
         tag, _ = unpair(e.value - 1)
         if tag == _DIAG:
             out.add(e.value)
-    from .syntax import _children
-
     for c in _children(e):
         _diag_candidates(c, out)
 
@@ -310,8 +327,16 @@ def eval_term(t: Term) -> int:
         return eval_term(t.left) * eval_term(t.right)
     if isinstance(t, SynApp):
         args = [eval_term(a) for a in t.args]
-        return _eval_syn(t.symbol, args)
+        return _capped(_eval_syn(t.symbol, args))
     raise TypeError(f"not a term: {t!r}")
+
+
+def _capped(c: int) -> int:
+    if c.bit_length() > MAX_CODE_BITS:
+        raise CodeSizeError(
+            f"a syntax-function value exceeds {MAX_CODE_BITS} bits"
+        )
+    return c
 
 
 def _eval_syn(symbol: str, args: list[int]) -> int:
@@ -337,7 +362,7 @@ def _eval_syn(symbol: str, args: list[int]) -> int:
             n, m = args
             c = n
             for _ in range(m):
-                c = encode(Tr(Num(c)))
+                c = _capped(encode(Tr(Num(c))))
             return c
         if symbol == "sub":
             phi = decode_formula(args[0])

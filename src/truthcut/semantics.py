@@ -14,6 +14,19 @@ containing it.  Ungrounded sentences (liar, truth-teller) never enter.
 Top and bot are not covered by the operator's printed clauses; they are
 treated like the true and the false identity respectively (top and
 not-bot enter at the first stage; bot and not-top never enter).
+
+All thirteen cases are stated once, in :func:`_clause`, as a *clause*
+``(any_, deps)``: the sentence enters S when any (``any_``) or all (not
+``any_``) of the dependency codes ``deps`` are in S, so the constant clauses
+are ``TRUE = (False, ())`` and ``FALSE = (True, ())``.  ``build_universe``
+decodes each reachable code once and keeps its sentence and clause, so the
+dependency graph is built once.  ``least_fixed_point`` iterates
+semi-naively (Bancilhon & Ramakrishnan, 1986): after the first stage it
+re-decides only the sentences that depend on a code that entered at the
+previous stage, which gives the same stages as applying :func:`kripke_step`
+from the empty set.  A term whose evaluation would build a code longer than
+``coding.MAX_CODE_BITS`` bits raises ``CodeSizeError``, an ``EvalError``, and
+an ``EvalError`` makes a clause false.
 """
 
 from __future__ import annotations
@@ -24,7 +37,6 @@ from .arith import chain_numeral
 from .coding import (
     DecodeError,
     EvalError,
-    codes_sentence,
     decode_sentence,
     encode,
     eval_term,
@@ -52,17 +64,24 @@ class CoverageError(Exception):
     """A formula needed by a check is not in the universe."""
 
 
+#: ``(any_, deps)``: holds of S when any (``any_``) or all of ``deps`` are in S
+Clause = tuple[bool, tuple[int, ...]]
+TRUE: Clause = (False, ())
+FALSE: Clause = (True, ())
+
+
 @dataclass(frozen=True)
 class SentenceUniverse:
     codes: frozenset[int]
     seeds: tuple[Formula, ...]
     term_bound: int
+    #: code -> the sentence it decodes to
+    sentences: dict[int, Formula] = field(compare=False, repr=False)
+    #: code -> the clause under which its sentence enters the fixed point
+    clauses: dict[int, Clause] = field(compare=False, repr=False)
 
     def __contains__(self, code: int) -> bool:
         return code in self.codes
-
-    def decoded(self) -> dict[int, Formula]:
-        return {c: decode_sentence(c) for c in self.codes}
 
 
 def _instances(phi: Forall, bound: int) -> list[Formula]:
@@ -84,112 +103,98 @@ def _neg_code_of_ascribed(t) -> int | None:
         return None
 
 
-def _dependencies(phi: Formula, bound: int) -> list[int]:
-    if isinstance(phi, (Eq, Top, Bot)):
-        return []
+def _identity(phi: Eq, holds_if_equal: bool) -> Clause:
+    try:
+        equal = eval_term(phi.left) == eval_term(phi.right)
+    except EvalError:
+        return FALSE
+    return TRUE if equal == holds_if_equal else FALSE
+
+
+def _clause(phi: Formula, bound: int) -> Clause:
+    """When ``phi`` enters a stage; dependencies are listed in the order the
+    universe closure visits them."""
+    if isinstance(phi, Eq):
+        return _identity(phi, True)
+    if isinstance(phi, Top):
+        return TRUE
     if isinstance(phi, Tr):
         try:
-            c = eval_term(phi.term)
+            return (False, (eval_term(phi.term),))
         except EvalError:
-            return []
-        return [c] if codes_sentence(c) else []
+            return FALSE
     if isinstance(phi, And):
-        return [encode(phi.left), encode(phi.right)]
+        return (False, (encode(phi.left), encode(phi.right)))
     if isinstance(phi, Forall):
-        return [encode(inst) for inst in _instances(phi, bound)]
+        insts = _instances(phi, bound)
+        return (False, tuple(encode(i) for i in insts)) if insts else FALSE
     if isinstance(phi, Not):
         inner = phi.body
-        if isinstance(inner, (Eq, Top, Bot)):
-            return []
+        if isinstance(inner, Eq):
+            return _identity(inner, False)
+        if isinstance(inner, Bot):
+            return TRUE
         if isinstance(inner, Tr):
             c = _neg_code_of_ascribed(inner.term)
-            return [c] if c is not None else []
+            return FALSE if c is None else (False, (c,))
         if isinstance(inner, Not):
-            return [encode(inner.body)]
+            return (False, (encode(inner.body),))
         if isinstance(inner, And):
-            return [encode(Not(inner.left)), encode(Not(inner.right))]
+            return (True, (encode(Not(inner.left)), encode(Not(inner.right))))
         if isinstance(inner, Forall):
-            return [encode(Not(inst)) for inst in _instances(inner, bound)]
-    return []
+            return (True, tuple(encode(Not(i)) for i in _instances(inner, bound)))
+    return FALSE  # bot, not-top
+
+
+def _holds(clause: Clause, S) -> bool:
+    any_, deps = clause
+    if any_:
+        return any(d in S for d in deps)
+    return all(d in S for d in deps)
 
 
 def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniverse:
-    """Dependency-closed finite universe of sentence codes."""
+    """Dependency-closed finite universe of sentence codes, with each code's
+    sentence and clause."""
     seeds = tuple(seeds)
     for s in seeds:
         if not is_sentence(s):
             raise UniverseError(f"seed is not a sentence: {s!r}")
+    # A set of its own rather than the keys of ``sentences``: a frozenset
+    # built from either holds the same codes but may iterate them in another
+    # order, and the correspondence checks report in ``codes`` order.
     codes: set[int] = set()
+    sentences: dict[int, Formula] = {}
+    clauses: dict[int, Clause] = {}
     work = [encode(s) for s in seeds]
     while work:
         c = work.pop()
         if c in codes:
             continue
-        if not codes_sentence(c):
-            continue
+        try:
+            phi = decode_sentence(c)
+        except DecodeError:
+            continue  # e.g. a truth ascription naming a non-sentence
         codes.add(c)
         if len(codes) > max_size:
             raise UniverseError(
                 f"universe closure exceeded the size cap {max_size}"
             )
-        work.extend(_dependencies(decode_sentence(c), term_bound))
-    return SentenceUniverse(frozenset(codes), seeds, term_bound)
+        sentences[c] = phi
+        clauses[c] = _clause(phi, term_bound)
+        work.extend(clauses[c][1])
+    return SentenceUniverse(frozenset(codes), seeds, term_bound, sentences, clauses)
 
 
 # ---------------------------------------------------------------------------
 # Step operator and fixed point
 
 
-def _clause_holds(phi: Formula, S: frozenset, bound: int) -> bool:
-    if isinstance(phi, Eq):
-        try:
-            return eval_term(phi.left) == eval_term(phi.right)
-        except EvalError:
-            return False
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bot):
-        return False
-    if isinstance(phi, Tr):
-        try:
-            return eval_term(phi.term) in S
-        except EvalError:
-            return False
-    if isinstance(phi, And):
-        return encode(phi.left) in S and encode(phi.right) in S
-    if isinstance(phi, Forall):
-        insts = _instances(phi, bound)
-        return bool(insts) and all(encode(i) in S for i in insts)
-    if isinstance(phi, Not):
-        inner = phi.body
-        if isinstance(inner, Eq):
-            try:
-                return eval_term(inner.left) != eval_term(inner.right)
-            except EvalError:
-                return False
-        if isinstance(inner, Top):
-            return False
-        if isinstance(inner, Bot):
-            return True
-        if isinstance(inner, Tr):
-            c = _neg_code_of_ascribed(inner.term)
-            return c is not None and c in S
-        if isinstance(inner, Not):
-            return encode(inner.body) in S
-        if isinstance(inner, And):
-            return encode(Not(inner.left)) in S or encode(Not(inner.right)) in S
-        if isinstance(inner, Forall):
-            return any(encode(Not(i)) in S for i in _instances(inner, bound))
-    return False
-
-
 def kripke_step(S, universe: SentenceUniverse) -> frozenset:
     """One application of the positive step operator; monotone in S."""
     S = frozenset(S)
-    return frozenset(
-        c for c in universe.codes
-        if _clause_holds(decode_sentence(c), S, universe.term_bound)
-    )
+    clauses = universe.clauses
+    return frozenset(c for c in universe.codes if _holds(clauses[c], S))
 
 
 @dataclass(frozen=True)
@@ -211,20 +216,28 @@ def least_fixed_point(universe: SentenceUniverse) -> FixedPoint:
     """Iterate the step operator from the empty set to saturation.
 
     Stage 0 is the first application (so true identities have norm 0);
-    norms record each member's first stage."""
+    norms record each member's first stage; the last stage repeats the one
+    before it.  A sentence outside S_i can enter S_{i+1} only if a
+    dependency of it entered at stage i, so after stage 0 only those
+    sentences are re-decided."""
+    clauses = universe.clauses
+    users: dict[int, list[int]] = {}
+    for c, (_, deps) in clauses.items():
+        for d in deps:
+            users.setdefault(d, []).append(c)
     stages: list[frozenset] = []
     norms: dict[int, int] = {}
     S: frozenset = frozenset()
-    i = 0
+    todo = universe.codes
     while True:
-        S2 = kripke_step(S, universe)
-        for c in S2:
-            norms.setdefault(c, i)
-        stages.append(S2)
-        if S2 == S:
+        entered = {c for c in todo if c not in S and _holds(clauses[c], S)}
+        for c in entered:
+            norms[c] = len(stages)
+        stages.append(S | entered)
+        if not entered:
             break
-        S = S2
-        i += 1
+        S = stages[-1]
+        todo = {u for d in entered for u in users.get(d, ())}
     return FixedPoint(universe, tuple(stages), S, len(stages) - 1, norms)
 
 
@@ -318,7 +331,7 @@ def check_transparency(fp: FixedPoint) -> list[tuple[int, int]]:
     empty means the fixed point is transparent on in-universe pairs."""
     bad = []
     for c in fp.universe.codes:
-        phi = decode_sentence(c)
+        phi = fp.universe.sentences[c]
         if isinstance(phi, Tr):
             try:
                 inner = eval_term(phi.term)
@@ -333,9 +346,8 @@ def check_transparency(fp: FixedPoint) -> list[tuple[int, int]]:
 def check_consistency(fp: FixedPoint) -> list[int]:
     """Codes whose sentence and negated sentence are both in the fixed point
     (must be empty)."""
-    bad = []
-    for c in fp.universe.codes:
-        cn = encode(Not(decode_sentence(c)))
-        if c in fp.members and cn in fp.members:
-            bad.append(c)
-    return bad
+    sentences = fp.universe.sentences
+    return [
+        c for c in fp.universe.codes
+        if c in fp.members and encode(Not(sentences[c])) in fp.members
+    ]

@@ -1,5 +1,6 @@
 """Coding of expressions as naturals, evaluation, and diagonalization."""
 
+import hashlib
 import itertools
 import random
 
@@ -171,3 +172,26 @@ def test_distinct_diagonal_sentences():
     b = diagonalize(Tr(Var("v")), "v")
     c = diagonalize(And(Tr(Var("v")), Eq(Zero(), Zero())), "v")
     assert len({encode(a), encode(b), encode(c)}) == 3
+
+
+def test_diagonal_codes_pinned():
+    # [DERIVED] encode looks for diagonal numerals once per call; the codes
+    # of diagonal sentences alone, negated and nested are those of the
+    # level-by-level scan (first 32 hex digits of sha256 of the decimal code)
+    lam, tt, x = liar(), truth_teller(), Var("x")
+    pinned = {
+        "197dea252e68a74fdcffc5ade2e3ab7d": lam,
+        "4f60b5b2ccacbc633ec31202723792ba": tt,
+        "aef659cf17b8015943a5a0e9dc389907": Not(lam),
+        "09cc13df42c297063c0346f923d3cda1": Not(tt),
+        "81c3763c646f70d46255e021f55cca4e": And(lam, Not(tt)),
+        "4fa7ab47860b5150b59f9dcbbb9fc194": And(Not(lam), tt),
+        "8a7f89c212cf2fa25c9c0a570dd0d908": Forall("x", And(Eq(x, x), lam)),
+        "3c78064e6cf30ce6964d1695f8b0a3f5": Forall("x", Not(And(tt, Eq(x, Zero())))),
+        "2fc5981f5075e079c9b77059d0a82ba6": truth_of(lam),
+        "5f00c5fba7af1e4b1715a870fd98def5": truth_of(Not(tt)),
+        "5f06289d2cf92939f663b08b9f2292a3": truth_of(truth_of(lam)),
+    }
+    for digest, phi in pinned.items():
+        code = str(encode(phi)).encode()
+        assert hashlib.sha256(code).hexdigest()[:32] == digest, phi

@@ -1,6 +1,7 @@
 """Proof-script round-trips and the command-line interface."""
 
 import json
+import pathlib
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from truthcut.sexpr import format_formula
 from truthcut.syntax import Eq, Plus, Times, Zero
 
 from proofgen import nested_cuts, random_derivation
+
+PINS = pathlib.Path(__file__).parent / "fixpoint_pins"
 
 
 def _roundtrip(d, system):
@@ -148,14 +151,26 @@ def test_cli_search_exhausted(capsys):
     assert "EXHAUSTED" in capsys.readouterr().out
 
 
-def test_cli_fixpoint(tmp_path, capsys):
-    seeds = tmp_path / "seeds.txt"
-    seeds.write_text("(T (quote (= 0 0)))\n(not (T (quote (= 0 (S 0)))))\n")
-    assert main(["--json", "fixpoint", "--seed", str(seeds),
-                 "--term-bound", "2"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["saturation_index"] >= 1
-    assert payload["members"]
+def test_cli_fixpoint(capsys):
+    # [DERIVED] human and --json output are pinned byte for byte: truth
+    # ascriptions, a syntax-function term, the liar and a quantified sentence
+    for name in ("truth", "liar"):
+        seeds = PINS / f"{name}.seeds"
+        for flags, suffix in (([], "out"), (["--json"], "json")):
+            assert main([*flags, "fixpoint", "--seed", str(seeds),
+                         "--term-bound", "2"]) == 0
+            expected = (PINS / f"{name}.{suffix}").read_text(encoding="utf-8")
+            assert capsys.readouterr().out == expected
+
+
+def test_cli_fixpoint_code_size_cap(tmp_path, capsys):
+    # [DERIVED] a truth tower built by `tr` used to run for ever; the capped
+    # evaluation leaves the seed ungrounded and the verb exits 0
+    seeds = tmp_path / "tower.txt"
+    seeds.write_text("(T (tr (quote (= 0 0)) 30))\n")
+    assert main(["fixpoint", "--seed", str(seeds)]) == 0
+    out = capsys.readouterr().out
+    assert "stage 0: 0 members" in out and "ungrounded:" in out
 
 
 def test_cli_liar(capsys):

@@ -2,7 +2,15 @@
 
 import pytest
 
-from truthcut.coding import encode, liar, quote, truth_of, truth_teller
+from truthcut.coding import (
+    CodeSizeError,
+    encode,
+    eval_term,
+    liar,
+    quote,
+    truth_of,
+    truth_teller,
+)
 from truthcut.search import SearchBudget, search_cut_free
 from truthcut.semantics import (
     UniverseError,
@@ -14,7 +22,8 @@ from truthcut.semantics import (
     kripke_step,
     least_fixed_point,
 )
-from truthcut.syntax import And, Eq, Forall, Not, Suc, Tr, Var, Zero
+from truthcut.sexpr import parse_formula
+from truthcut.syntax import And, Eq, Forall, Not, Plus, Suc, Times, Tr, Var, Zero
 
 PHI = Eq(Zero(), Zero())
 BAD = Eq(Zero(), Suc(Zero()))
@@ -137,3 +146,78 @@ def test_completeness_vacuous_for_ungrounded():
     fp = least_fixed_point(u)
     v = check_completeness(lam, fp, SearchBudget(4, 2, 2))
     assert v.status == "vacuous"
+
+
+def _towers(base, depth):
+    """Every T / not-T wrapping of ``base`` ``depth`` levels deep."""
+    out = []
+    for pattern in range(2**depth):
+        phi = base
+        for i in range(depth):
+            phi = truth_of(phi)
+            if pattern >> i & 1:
+                phi = Not(phi)
+        out.append(phi)
+    return out
+
+
+def _seed_sets():
+    lam, tt = liar(), truth_teller()
+    x = Var("x")
+    terms = [x, Suc(x), Plus(x, Zero()), Times(x, x), Zero()]
+    identities = [Eq(s, t) for s in terms for t in terms[:3]]
+    return [
+        [lam, tt, Not(lam), Not(tt)],
+        *([*_towers(PHI, d), *_towers(BAD, d)] for d in range(4)),
+        [Forall("x", e) for e in identities],
+        [Forall("x", Not(e)) for e in identities],
+        [truth_of(PHI), Not(truth_of(BAD)), And(PHI, Not(BAD))],
+        [Forall("x", Not(Eq(Suc(Var("x")), Zero())))],
+        [truth_of(truth_of(PHI)), Not(truth_of(BAD)), lam, tt],
+    ]
+
+
+def test_semi_naive_iteration_matches_naive():
+    # [DERIVED] re-deciding only the users of the codes that just entered
+    # gives the stages of the step operator iterated from the empty set
+    for seeds in _seed_sets():
+        for bound in range(2, 11):
+            u = build_universe(seeds, bound)
+            stages, norms, S = [], {}, frozenset()
+            while True:
+                S2 = kripke_step(S, u)
+                for c in S2:
+                    norms.setdefault(c, len(stages))
+                stages.append(S2)
+                if S2 == S:
+                    break
+                S = S2
+            fp = least_fixed_point(u)
+            assert fp.stages == tuple(stages)
+            assert fp.norms == norms
+            assert fp.members == S
+            assert fp.saturation_index == len(stages) - 1
+            n = len(u.codes)
+            assert build_universe(seeds, bound, max_size=n) == u
+            with pytest.raises(
+                UniverseError, match=f"exceeded the size cap {n - 1}$"
+            ):
+                build_universe(seeds, bound, max_size=n - 1)
+
+
+def test_universe_keeps_sentences_out_of_equality():
+    # [TRIVIAL] the stored sentences and clauses do not take part in == or repr
+    u = build_universe([truth_of(PHI)], 2)
+    assert u.sentences[encode(PHI)] == PHI
+    assert "sentences" not in repr(u) and "clauses" not in repr(u)
+
+
+def test_code_size_cap_leaves_tower_ungrounded():
+    # [DERIVED] `tr` multiplies a code's bit length at each turn; evaluation
+    # stops with CodeSizeError and the ascription does not enter
+    phi = parse_formula("(T (tr (quote (= 0 0)) 30))")
+    with pytest.raises(CodeSizeError):
+        eval_term(phi.term)
+    fp = least_fixed_point(build_universe([phi], 2))
+    assert fp.members == frozenset()
+    assert not fp.grounded(phi)
