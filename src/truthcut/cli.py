@@ -9,6 +9,7 @@ and on inputs too deep or too large to process, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -209,6 +210,21 @@ def _read_seed_file(path: str):
     return out
 
 
+@contextlib.contextmanager
+def _full_codes():
+    """Lift CPython's int-to-str digit limit, where it has one, while codes
+    are written out, so codes past 4300 digits print in full."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fixpoint_payload(fp):
     stages = [sorted(s) for s in fp.stages]
     return {
@@ -250,8 +266,9 @@ def _cmd_fixpoint(args) -> int:
         _emit(args, {"verb": "fixpoint", "error": str(e)}, f"UNIVERSE ERROR: {e}")
         return EXIT_FAIL
     fp = least_fixed_point(universe)
-    payload = {"verb": "fixpoint", **_fixpoint_payload(fp)}
-    _emit(args, payload, "\n".join(_fixpoint_lines(fp)))
+    with _full_codes():
+        payload = {"verb": "fixpoint", **_fixpoint_payload(fp)}
+        _emit(args, payload, "\n".join(_fixpoint_lines(fp)))
     return EXIT_OK
 
 

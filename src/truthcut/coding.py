@@ -78,6 +78,12 @@ class DiagonalizationError(Exception):
     pass
 
 
+def code_label(c: int) -> str:
+    """``c`` for a message: in decimal while short, else by bit length (codes
+    soon pass CPython's int-to-str digit limit)."""
+    return str(c) if c.bit_length() <= 256 else f"<{c.bit_length()}-bit number>"
+
+
 # ---------------------------------------------------------------------------
 # Cantor pairing
 
@@ -103,11 +109,11 @@ def _str_code(s: str) -> int:
 def _str_decode(c: int) -> str:
     raw = c.to_bytes((c.bit_length() + 7) // 8, "big")
     if not raw or raw[0] != 1:
-        raise DecodeError(f"{c} is not a variable-name code")
+        raise DecodeError(f"{code_label(c)} is not a variable-name code")
     try:
         return raw[1:].decode("utf-8")
     except UnicodeDecodeError as e:
-        raise DecodeError(f"{c} is not a variable-name code") from e
+        raise DecodeError(f"{code_label(c)} is not a variable-name code") from e
 
 
 # tags
@@ -212,13 +218,13 @@ def _diag_match(phi: Formula) -> int | None:
 def decode(c: int) -> Term | Formula:
     """Inverse of :func:`encode` on its image; raises DecodeError elsewhere."""
     if c < 1:
-        raise DecodeError(f"{c} is not a code")
+        raise DecodeError(f"{code_label(c)} is not a code")
     tag, payload = unpair(c - 1)
     if tag == _VAR:
         return Var(_str_decode(payload))
     if tag == _ZERO:
         if payload != 0:
-            raise DecodeError(f"{c} is not a code")
+            raise DecodeError(f"{code_label(c)} is not a code")
         return Zero()
     if tag == _SUC:
         return Suc(_decode_term(payload))
@@ -258,20 +264,20 @@ def decode(c: int) -> Term | Formula:
         phi = _decode_formula(f)
         name = _str_decode(v)
         return substitute(phi, name, Num(c))
-    raise DecodeError(f"{c} is not a code (unknown tag {tag})")
+    raise DecodeError(f"{code_label(c)} is not a code (unknown tag {code_label(tag)})")
 
 
 def _decode_term(c: int) -> Term:
     e = decode(c)
     if not isinstance(e, Term):
-        raise DecodeError(f"{c} codes a formula where a term was expected")
+        raise DecodeError(f"{code_label(c)} codes a formula where a term was expected")
     return e
 
 
 def _decode_formula(c: int) -> Formula:
     e = decode(c)
     if not isinstance(e, Formula):
-        raise DecodeError(f"{c} codes a term where a formula was expected")
+        raise DecodeError(f"{code_label(c)} codes a term where a formula was expected")
     return e
 
 
@@ -286,7 +292,7 @@ def decode_formula(c: int) -> Formula:
 def decode_sentence(c: int) -> Formula:
     phi = _decode_formula(c)
     if not is_sentence(phi):
-        raise DecodeError(f"{c} does not code a sentence")
+        raise DecodeError(f"{code_label(c)} does not code a sentence")
     return phi
 
 

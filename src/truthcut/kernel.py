@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coding import DecodeError, decode_sentence
+from .coding import DecodeError, code_label, decode_sentence
 from .deriv import Derivation, Occurrence
 from .syntax import (
     And,
@@ -348,7 +348,7 @@ class _Checker:
             return
         if decoded != a.formula:
             self.bad(path, NUMERAL_DECODE_MISMATCH,
-                     f"numeral {n} codes {decoded!r}, not the premise active "
+                     f"numeral {code_label(n)} codes {decoded!r}, not the premise active "
                      f"{a.formula!r}")
 
     def rule_Tl(self, path, node) -> None:

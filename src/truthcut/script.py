@@ -17,7 +17,7 @@ import re
 
 from . import build as B
 from .deriv import Derivation, same_multiset
-from .sexpr import ParseError, format_sequent, parse_sequent
+from .sexpr import ParseError, format_formula, format_sequent, parse_sequent
 from .syntax import (
     And,
     Bot,
@@ -28,13 +28,14 @@ from .syntax import (
     Num,
     Plus,
     Suc,
+    SynApp,
     Term,
     Times,
     Top,
     Tr,
     Var,
     Zero,
-    free_vars,
+    formula_facts,
 )
 
 
@@ -52,20 +53,35 @@ _LINE = re.compile(r"^\s*(\d+)\s*:\s*([A-Za-z0-9_]+)\s*\[([^\]]*)\]\s*(.*)$")
 
 
 def print_script(d: Derivation) -> str:
+    """Nodes in post-order, numbered from 1.  Each distinct formula object is
+    formatted once per call (the tree keeps every object alive, so ``id`` is
+    a sound key while the call runs)."""
     lines: list[str] = []
-    counter = [0]
+    texts: dict[int, str] = {}
 
-    def go(node: Derivation) -> int:
-        pids = [go(p) for p in node.premises]
-        counter[0] += 1
-        nid = counter[0]
+    def fmt(f: Formula) -> str:
+        s = texts.get(id(f))
+        if s is None:
+            s = texts[id(f)] = format_formula(f)
+        return s
+
+    ids: list[int] = []  # numbers of the finished nodes whose parent is open
+    stack: list[tuple[Derivation, bool]] = [(d, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+            continue
+        k = len(node.premises)
+        pids = ids[len(ids) - k:]
+        del ids[len(ids) - k:]
+        nid = len(lines) + 1
         seq = format_sequent(
-            node.conclusion.ante_formulas(), node.conclusion.succ_formulas()
+            node.conclusion.ante_formulas(), node.conclusion.succ_formulas(), fmt
         )
         lines.append(f"{nid}: {node.rule} [{', '.join(map(str, pids))}] {seq}")
-        return nid
-
-    go(d)
+        ids.append(nid)
     return "\n".join(lines) + "\n"
 
 
@@ -120,8 +136,6 @@ def _match_term(pattern: Term, var: str, inst: Term, binding):
     if isinstance(pattern, (Plus, Times)):
         return _match_term(pattern.left, var, inst.left, binding) and \
             _match_term(pattern.right, var, inst.right, binding)
-    from .syntax import SynApp
-
     if isinstance(pattern, SynApp):
         return pattern.symbol == inst.symbol and all(
             _match_term(a, var, b, binding)
@@ -186,6 +200,62 @@ def _generalize_eq(d: Eq, k: Eq, s: Term, t: Term, var: str) -> Eq | None:
     if l is None or r is None:
         return None
     return Eq(l, r)
+
+
+def _positions(eq: Eq) -> dict:
+    """Each subterm ``_generalize_term`` can reach in ``eq`` (through
+    ``S``, ``+`` and ``*``), mapped to the paths of child indices from the
+    equation where it occurs."""
+    at: dict = {}
+    stack = [(eq.left, (0,)), (eq.right, (1,))]
+    while stack:
+        t, path = stack.pop()
+        at.setdefault(t, []).append(path)
+        if isinstance(t, Suc):
+            stack.append((t.child, path + (0,)))
+        elif isinstance(t, (Plus, Times)):
+            stack += ((t.left, path + (0,)), (t.right, path + (1,)))
+    return at
+
+
+def _subterm_at(eq: Eq, path) -> Term | None:
+    """The subterm of ``eq`` at a path of ``_positions``, if ``eq`` has one."""
+    t = eq.right if path[0] else eq.left
+    for i in path[1:]:
+        if isinstance(t, Suc) and not i:
+            t = t.child
+        elif isinstance(t, (Plus, Times)):
+            t = t.right if i else t.left
+        else:
+            return None
+    return t
+
+
+def _eq2_template(d: Eq, ante):
+    """(template, trigger) of the first (trigger, kept) pair, in ante × ante
+    order, whose generalization of ``d`` against ``kept`` mentions ``w_``.
+
+    Unless ``w_`` is already free in ``d``, the template can mention it only
+    at a position where ``d`` holds the trigger's left side and ``kept`` its
+    right side, so only those pairs are generalized."""
+    eqs = [f for f in ante if isinstance(f, Eq)]
+    where = None if "w_" in formula_facts(d)[0] else _positions(d)
+    for trig in eqs:
+        if trig.left == trig.right:
+            continue
+        if where is not None:
+            paths = where.get(trig.left)
+            if paths is None:
+                continue
+        for kept in eqs:
+            if where is not None and not any(
+                _subterm_at(kept, path) == trig.right for path in paths
+            ):
+                continue
+            chi = _generalize_eq(d, kept, trig.left, trig.right, "w_")
+            if chi is not None and "w_" in formula_facts(chi)[0]:
+                return chi, trig
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +376,11 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
             d = ra[0]
             if not isinstance(d, Eq):
                 err("discharged formula must be an equation")
-            for trig in ante:
-                if not isinstance(trig, Eq) or trig.left == trig.right:
-                    continue
-                for kept in ante:
-                    if not isinstance(kept, Eq):
-                        continue
-                    chi = _generalize_eq(d, kept, trig.left, trig.right, "w_")
-                    if chi is not None and Var("w_") in _vars_of(chi):
-                        return B.eq2(
-                            p, _ante_id(p, d), "w_", chi, trig.left, trig.right
-                        )
-            err("no trigger equation and kept instance fit the discharge")
+            hit = _eq2_template(d, ante)
+            if hit is None:
+                err("no trigger equation and kept instance fit the discharge")
+            chi, trig = hit
+            return B.eq2(p, _ante_id(p, d), "w_", chi, trig.left, trig.right)
         if rule in ("qg4", "qg5", "qg6", "qg7"):
             if len(ra) != 1 or rs:
                 err("discharges exactly one antecedent formula")
@@ -404,10 +467,6 @@ def _removed(premise_formulas, conclusion_formulas):
     return out
 
 
-def _vars_of(phi: Formula):
-    return {Var(v) for v in free_vars(phi)}
-
-
 def _force_side(stated, built):
     """Pair the stated formulas of one side with the built occurrences.
 
@@ -456,10 +515,26 @@ def _force_conclusion(node: Derivation, ante, succ) -> Derivation:
 # Parsing
 
 
+def _read_id(text: str, what: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) > 40:
+            raise ScriptError(f"{what} of {len(text)} digits is too long", line) from None
+        raise ScriptError(f"bad {what} {text!r}", line) from None
+
+
 def parse_script(text: str) -> Derivation:
+    """The root of the script's derivation.
+
+    Lines restate their premises' contexts, so one memo, kept for this call
+    only, reads each distinct formula text once; repeated formulas share one
+    object, which also lets the multiset bookkeeping in ``_rebuild`` compare
+    them by identity."""
     nodes: dict[int, Derivation] = {}
     used: set[int] = set()
     order: list[int] = []
+    memo: dict[str, Formula] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split(";", 1)[0].strip()
         if not stripped:
@@ -467,7 +542,7 @@ def parse_script(text: str) -> Derivation:
         m = _LINE.match(stripped)
         if m is None:
             raise ScriptError(f"malformed line: {raw!r}", lineno)
-        nid = int(m.group(1))
+        nid = _read_id(m.group(1), "node id", lineno)
         rule = m.group(2)
         pid_text = m.group(3).strip()
         pids = []
@@ -478,7 +553,7 @@ def parse_script(text: str) -> Derivation:
                         raise ScriptError(
                             f"bad premise id {part!r}", lineno
                         )
-                    pids.append(int(part))
+                    pids.append(_read_id(part, "premise id", lineno))
         if nid in nodes:
             raise ScriptError(f"duplicate node id {nid}", lineno)
         for pid in pids:
@@ -489,11 +564,14 @@ def parse_script(text: str) -> Derivation:
             if pid in used:
                 raise ScriptError(f"premise {pid} used twice", lineno)
         try:
-            ante, succ = parse_sequent(m.group(4))
+            ante, succ = parse_sequent(m.group(4), memo)
         except ParseError as e:
             raise ScriptError(str(e), lineno) from e
         premises = [nodes[pid] for pid in pids]
-        node = _rebuild(rule, premises, ante, succ, lineno)
+        try:
+            node = _rebuild(rule, premises, ante, succ, lineno)
+        except B.BuildError as e:
+            raise ScriptError(f"{rule}: {e}", lineno) from e
         if not (
             same_multiset(node.conclusion.ante_formulas(), ante)
             and same_multiset(node.conclusion.succ_formulas(), succ)
@@ -517,8 +595,6 @@ def parse_script(text: str) -> Derivation:
 
 
 def fingerprint(d: Derivation):
-    from .sexpr import format_formula
-
     return (
         d.rule,
         tuple(sorted(format_formula(f) for f in d.conclusion.ante_formulas())),

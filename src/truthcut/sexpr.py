@@ -91,7 +91,10 @@ def _read_term(r: _Reader) -> Term:
     if tok == "0":
         return Zero()
     if tok.isdigit():
-        return Num(int(tok))
+        try:
+            return Num(int(tok))
+        except ValueError:
+            raise ParseError(_bad_numeral(tok), r.i - 1) from None
     if tok == "(":
         head = r.next()
         if head == "S":
@@ -161,8 +164,20 @@ def parse_formula(text: str) -> Formula:
     return phi
 
 
-def parse_sequent(text: str) -> tuple[list[Formula], list[Formula]]:
-    """Parse ``gamma => delta`` into (antecedent, succedent) formula lists."""
+def parse_sequent(
+    text: str, memo: dict[str, Formula] | None = None
+) -> tuple[list[Formula], list[Formula]]:
+    """Parse ``gamma => delta`` into (antecedent, succedent) formula lists.
+
+    A sequent that splits cleanly at ``=>`` and ``,`` is read piece by piece
+    through ``memo``, which maps formula source texts to the formulas already
+    read from them (a caller reading many sequents passes one memo to all,
+    so equal texts are read once and share one ``Formula`` object).  Any
+    other text is tokenized whole, so what is returned or raised does not
+    depend on the memo."""
+    split = _split_sequent(text, {} if memo is None else memo)
+    if split is not None:
+        return split
     r = _Reader(tokenize(text))
     ante: list[Formula] = []
     succ: list[Formula] = []
@@ -184,6 +199,47 @@ def parse_sequent(text: str) -> tuple[list[Formula], list[Formula]]:
     if not seen_arrow:
         raise ParseError("sequent is missing '=>'")
     return ante, succ
+
+
+def _split_sequent(text: str, memo: dict[str, Formula]):
+    """(ante, succ) read piecewise, or None when the text does not split
+    into one whole formula per ``,``-separated piece around one ``=>``.
+
+    Formulas contain no ``,`` and no ``=>`` token, so on a clean split the
+    pieces' tokens, joined by the separators, are exactly the tokens of the
+    whole text.  ``=>`` is a token of its own only when no name character
+    precedes it (``a=>b`` is one name token)."""
+    left, arrow, right = text.partition("=>")
+    if not arrow or "=>" in right or ";" in text:
+        return None
+    if left and not (left[-1].isspace() or left[-1] in "(),"):
+        return None
+    sides: tuple[list[Formula], list[Formula]] = ([], [])
+    for side, part in zip(sides, (left, right)):
+        for piece in part.split(","):
+            piece = piece.strip()
+            if not piece:
+                continue
+            phi = memo.get(piece)
+            if phi is None:
+                r = _Reader(_TOKEN.findall(piece))
+                try:
+                    phi = _read_formula(r)
+                except ParseError:
+                    return None
+                if not r.done():
+                    return None
+                memo[piece] = phi
+            side.append(phi)
+    return sides
+
+
+def _bad_numeral(tok: str) -> str:
+    """Why ``int`` refused a token of digits: CPython's int-to-str digit
+    limit, or digits ``int`` does not read (superscripts and the like)."""
+    if tok.isdecimal():
+        return f"numeral literal of {len(tok)} digits is too long to read"
+    return f"bad numeral literal {tok!r}"
 
 
 def format_term(t: Term) -> str:
@@ -223,7 +279,7 @@ def format_formula(phi: Formula) -> str:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def format_sequent(ante, succ) -> str:
-    left = ", ".join(format_formula(f) for f in ante)
-    right = ", ".join(format_formula(f) for f in succ)
+def format_sequent(ante, succ, fmt=format_formula) -> str:
+    left = ", ".join(map(fmt, ante))
+    right = ", ".join(map(fmt, succ))
     return f"{left} => {right}".strip()

@@ -112,6 +112,19 @@ def test_decode_rejects_garbage():
     assert bad > 0
 
 
+def test_decode_errors_name_large_codes_by_bit_length():
+    # [DERIVED] a code past CPython's int-to-str limit used to make the
+    # message itself raise ValueError; short codes keep their decimal form
+    small = encode(Zero())
+    with pytest.raises(DecodeError, match=f"^{small} codes a term where"):
+        decode_sentence(small)
+    big = encode(Num(2**20000))
+    with pytest.raises(DecodeError) as e:
+        decode_sentence(big)
+    assert str(e.value) == (f"<{big.bit_length()}-bit number> codes a term "
+                            "where a formula was expected")
+
+
 def test_quote_and_decode_sentence():
     # [TRIVIAL]
     phi = Not(Eq(Zero(), Suc(Zero())))

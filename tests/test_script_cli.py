@@ -1,14 +1,17 @@
 """Proof-script round-trips and the command-line interface."""
 
 import json
+import os
 import pathlib
 import random
+import sys
 
 import pytest
 
 from truthcut import build as B
 from truthcut.arith import chain_numeral, prove_equation, refute_equation
 from truthcut.cli import main
+from truthcut.coding import encode
 from truthcut.kernel import check_derivation
 from truthcut.script import (
     ScriptError,
@@ -16,7 +19,7 @@ from truthcut.script import (
     parse_script,
     print_script,
 )
-from truthcut.sexpr import format_formula
+from truthcut.sexpr import format_formula, parse_formula
 from truthcut.syntax import Eq, Plus, Times, Zero
 
 from proofgen import nested_cuts, random_derivation
@@ -229,3 +232,73 @@ def test_cli_elim_rank5_cut(tmp_path, capsys):
                  "5: cut [2, 4] => (= 0 0)\n")
     assert main(["elim", str(p), "--system", "qg"]) == 0
     assert "check length: 1 <= hyperexp(5, 2) ok" in capsys.readouterr().out
+
+
+def _nested_truth_seed(depth):
+    seed = "(= 0 0)"
+    for _ in range(depth):
+        seed = f"(T (quote {seed}))"
+    return seed
+
+
+def test_cli_fixpoint_prints_codes_past_digit_limit(tmp_path, capsys):
+    # [DERIVED] six nested truth ascriptions have a 31274-bit code, past
+    # CPython's 4300-digit int-to-str limit; both outputs print it in full
+    seeds = tmp_path / "tower.txt"
+    seeds.write_text(_nested_truth_seed(6) + "\n")
+    code = encode(parse_formula(_nested_truth_seed(6)))
+    assert code.bit_length() == 31274
+    limit = sys.get_int_max_str_digits()
+    assert main(["fixpoint", "--seed", str(seeds)]) == 0
+    out = capsys.readouterr().out
+    assert "stage 6: 7 members" in out
+    assert main(["--json", "fixpoint", "--seed", str(seeds)]) == 0
+    text = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert f"#{code}  " in out
+        payload = json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code in payload["members"] and len(payload["members"]) == 7
+
+
+def test_cli_fixpoint_large_non_code_argument(tmp_path, capsys):
+    # [DERIVED] negdot of a 62k-bit term code used to crash while formatting
+    # the DecodeError message; the sentence is now reported ungrounded
+    seeds = tmp_path / "negdot.txt"
+    seeds.write_text("(T (negdot (num (tr (quote (= 0 0)) 5))))\n")
+    assert main(["fixpoint", "--seed", str(seeds)]) == 0
+    out = capsys.readouterr().out
+    assert "stage 0: 0 members" in out and "ungrounded:" in out
+
+
+def test_cli_check_oversized_numeral(tmp_path, capsys):
+    # [DERIVED] a 5000-digit literal is a parse error (exit 2, one line)
+    p = tmp_path / "big.gp"
+    big = "9" * 5000
+    p.write_text(f"1: init [] (= 0 {big}) => (= 0 {big})\n")
+    assert main(["check", str(p), "--system", "qg"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("parse error: line 1: at token 3: numeral literal of 5000 "
+                   "digits is too long to read\n")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # [DERIVED] `python -m truthcut` is the `truthcut` command
+    import subprocess
+
+    import truthcut
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(truthcut.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    p = tmp_path / "proof.gp"
+    p.write_text("1: init [] (= 0 0) => (= 0 0)\n")
+    run = subprocess.run([sys.executable, "-m", "truthcut", "check", str(p), "--system", "lgt"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0 and run.stdout.startswith("VALID")
+    run = subprocess.run([sys.executable, "-m", "truthcut", "check"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2 and run.stderr.startswith("usage error:")
