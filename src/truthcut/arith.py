@@ -25,9 +25,6 @@ from .syntax import (
     Times,
     Var,
     Zero,
-    free_vars,
-    is_closed,
-    substitute,
 )
 from .coding import eval_term
 
@@ -170,14 +167,6 @@ def _apply_axiom(d: Derivation, step) -> Derivation:
         "qg6": B.qg6_axiom, "qg7": B.qg7_axiom,
     }[kind](*args)
     return builder(d, _find_ante(d, axiom), *args)
-
-
-def _axiom_formula(step) -> Eq:
-    kind, args = step
-    return {
-        "qg4": B.qg4_axiom, "qg5": B.qg5_axiom,
-        "qg6": B.qg6_axiom, "qg7": B.qg7_axiom,
-    }[kind](*args)
 
 
 def prove_equation(gamma, s: Term, t: Term, delta) -> Derivation:

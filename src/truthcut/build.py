@@ -27,9 +27,7 @@ from .syntax import (
     SynApp,
     Term,
     Tr,
-    Var,
     Zero,
-    substitute,
 )
 
 

@@ -89,15 +89,7 @@ def same_multiset(xs: list[Formula], ys: list[Formula]) -> bool:
     return True
 
 
-#: rule tags of the finitary systems
-LOGICAL_RULES = (
-    "init", "top", "bot", "cut",
-    "Tl", "Tr",
-    "negl", "negr", "andl", "andr", "foralll", "forallr",
-)
-GEOMETRIC_RULES = ("eq1", "eq2", "qg1", "qg2", "qg3", "qg4", "qg5", "qg6", "qg7")
-ALL_RULES = LOGICAL_RULES + GEOMETRIC_RULES + ("comp",)
-
+#: rule tags of the axioms (the rule sets live in :data:`.kernel.SYSTEM_RULES`)
 LEAF_RULES = ("init", "top", "bot", "qg1")
 
 
@@ -134,13 +126,6 @@ class Derivation:
         for i in path:
             node = node.premises[i]
         return node
-
-
-def derivation_ids(d: Derivation) -> list[int]:
-    out = []
-    for _, node in d.iter_nodes():
-        out.extend(o.id for o in node.conclusion.all_occurrences())
-    return out
 
 
 def refresh_ids(d: Derivation) -> Derivation:
@@ -261,30 +246,3 @@ def compute_measures(d: Derivation) -> Measures:
         proof_tau=proof_tau,
         tau=tau,
     )
-
-
-# ---------------------------------------------------------------------------
-# Ancestry
-
-
-@dataclass(frozen=True)
-class Ancestry:
-    occurrence: Occurrence
-    rule: str
-    parents: tuple["Ancestry", ...]
-
-
-def occurrence_lineage(d: Derivation, occ_id: int) -> Ancestry:
-    """Ancestry tree of a conclusion occurrence, as used by the tau clauses."""
-    hit = d.conclusion.find(occ_id)
-    if hit is None:
-        raise KeyError(f"occurrence {occ_id} not in conclusion")
-    o = hit[2]
-    if occ_id in d.principal:
-        parent_refs = d.actives
-    else:
-        parent_refs = d.lineage.get(occ_id, ())
-    parents = tuple(
-        occurrence_lineage(d.premises[pi], oid) for pi, oid in parent_refs
-    )
-    return Ancestry(o, d.rule, parents)

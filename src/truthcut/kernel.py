@@ -27,7 +27,6 @@ from .syntax import (
     CaptureError,
     Eq,
     Forall,
-    Formula,
     Not,
     Num,
     Plus,
@@ -96,12 +95,6 @@ class ValidationReport:
 
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
-
-
-class InvalidDerivation(Exception):
-    def __init__(self, report: ValidationReport):
-        super().__init__("; ".join(str(v) for v in report.violations))
-        self.report = report
 
 
 def _is_zero_term(t) -> bool:
@@ -700,22 +693,3 @@ def check_derivation(d: Derivation, system: str) -> ValidationReport:
     if system != "lgt":
         ck.check_pure_variables(d)
     return ValidationReport(system, tuple(ck.violations))
-
-
-def check_lgt(d: Derivation) -> ValidationReport:
-    return check_derivation(d, "lgt")
-
-
-def check_qg(d: Derivation) -> ValidationReport:
-    return check_derivation(d, "qg")
-
-
-def check_lptn(d: Derivation, compositional: bool = False) -> ValidationReport:
-    return check_derivation(d, "lptn_comp" if compositional else "lptn")
-
-
-def validate(d: Derivation, system: str) -> None:
-    """Raise :class:`InvalidDerivation` unless ``d`` checks out."""
-    report = check_derivation(d, system)
-    if not report.ok:
-        raise InvalidDerivation(report)

@@ -330,9 +330,7 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
             if len(ra) != 2 or rs:
                 err("discharges exactly two antecedent formulas")
             for g in ante:
-                if isinstance(g, And) and sorted(map(repr, ra)) == sorted(
-                    map(repr, (g.left, g.right))
-                ):
+                if isinstance(g, And) and same_multiset(ra, [g.left, g.right]):
                     i0 = _ante_id(p, g.left)
                     i1 = _ante_id(p, g.right, skip=(i0,))
                     if i0 is not None and i1 is not None:
@@ -474,7 +472,7 @@ def _force_side(stated, built):
     paired positionally with leftover built occurrences (keeping the built
     occurrence id so rule wiring survives), and any remainder gets fresh,
     lineage-less occurrences.  The kernel then reports the discrepancy."""
-    from .deriv import Occurrence, fresh_id, occ as mk_occ
+    from .deriv import Occurrence, occ as mk_occ
 
     remaining = list(built)
     out: list = [None] * len(stated)

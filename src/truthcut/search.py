@@ -22,6 +22,7 @@ from . import build as B
 from .arith import can_prove, can_refute, chain_numeral, prove_equation, refute_equation
 from .coding import DecodeError, decode_sentence
 from .deriv import Derivation
+from .kernel import SYSTEM_RULES
 from .syntax import (
     And,
     Bot,
@@ -37,14 +38,13 @@ from .syntax import (
     Tr,
     Var,
     Zero,
-    free_vars,
     is_closed,
     numeral_value,
     substitute,
 )
 
-_GEOMETRIC_SYSTEMS = ("qg", "lptn", "lptn_comp")
-_TRUTH_SYSTEMS = ("lgt", "lptn", "lptn_comp")
+_GEOMETRIC_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "qg1" in r)
+_TRUTH_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "Tr" in r)
 
 
 @dataclass(frozen=True)

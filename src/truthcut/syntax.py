@@ -70,6 +70,22 @@ class Num(Term):
         if self.value < 0:
             raise SyntaxError_(f"numeral value must be a natural: {self.value}")
 
+    def __repr__(self) -> str:
+        # dataclass keeps this over its generated repr: a message that shows
+        # a formula never hits the int-to-str digit limit
+        return f"Num(value={numeral_text(self.value)})"
+
+
+def numeral_text(value: int) -> str:
+    """``value`` in decimal, or by :func:`~.coding.code_label` past CPython's
+    int-to-str digit limit; every message that shows a numeral uses this."""
+    try:
+        return str(value)
+    except ValueError:
+        from .coding import code_label
+
+        return code_label(value)
+
 
 #: symbol -> arity for the syntax-function fragment
 SYNTAX_FN_ARITY = {
@@ -201,13 +217,6 @@ def is_truth_free(x: Term | Formula) -> bool:
     if isinstance(x, SynApp) and x.symbol in ("tdot", "tr"):
         return False
     return all(is_truth_free(c) for c in _children(x))
-
-
-def is_arithmetical(t: Term) -> bool:
-    """True iff ``t`` is built from {0, S, +, x}, numerals, and variables only."""
-    if isinstance(t, SynApp):
-        return False
-    return all(is_arithmetical(c) for c in _children(t))
 
 
 def is_base_atom(phi: Formula) -> bool:

@@ -8,6 +8,11 @@ trusted bookkeeping.
 
 Conventions:
 
+* The internal steps (``_weaken``, ``_invert``, ``_contract``, ``_reduce``,
+  ``_push``, ...) build proofs uncertified; each public entry point
+  certifies its output once, in :func:`_certify`, which is the only trust
+  boundary.  An intermediate proof reaches no output unchecked, since every
+  output is re-checked whole.
 * ``weaken`` and ``substitute_proof`` reuse occurrence ids, so their
   occurrence maps are identities.
 * ``invert`` and ``contract`` thread exact occurrence maps so per-occurrence
@@ -20,8 +25,8 @@ Conventions:
   case recurses, driven by the decrease of T-complexity.
 * Each formula's free variables, bound variables and T-occurrence are
   computed once and cached on the formula (:func:`~.syntax.formula_facts`),
-  so the kernel and measure re-checks of every intermediate ``weaken`` read
-  them instead of walking the formula again.
+  so the kernel and measure passes of the final certification read them
+  instead of walking the formula again.
 * The ``eliminate_cuts`` length bound hyperexp(m, n) is an int below 2**64
   and the symbolic ``{"hyperexp": [m, n]}`` above; either way it is checked
   against the actual length without building a number larger than that.
@@ -30,7 +35,7 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coding import DecodeError, decode_sentence
 from .deriv import (
@@ -41,7 +46,6 @@ from .deriv import (
     Sequent,
     compute_measures,
     copy_occ,
-    fresh_id,
     occ,
     refresh_ids,
     same_multiset,
@@ -49,14 +53,11 @@ from .deriv import (
 from .kernel import check_derivation
 from .syntax import (
     And,
-    Bot,
     CaptureError,
-    Eq,
     Forall,
     Formula,
     Not,
     Term,
-    Top,
     Tr,
     Var,
     bound_vars,
@@ -200,22 +201,19 @@ def _replace_premise(node: Derivation, idx: int, new_premise: Derivation) -> Der
     premises = tuple(
         new_premise if i == idx else p for i, p in enumerate(node.premises)
     )
-    return Derivation(
-        node.rule, node.conclusion, premises,
-        principal=node.principal, actives=node.actives, lineage=dict(node.lineage),
-        term=node.term, term2=node.term2, var=node.var, template=node.template,
+    return replace(node, premises=premises)
+
+
+def _minus(seq: Sequent, occ_id: int) -> Sequent:
+    """``seq`` without the occurrence ``occ_id``."""
+    return Sequent(
+        tuple(o for o in seq.ante if o.id != occ_id),
+        tuple(o for o in seq.succ if o.id != occ_id),
     )
 
 
-def _with(node: Derivation, **kw) -> Derivation:
-    base = dict(
-        rule=node.rule, conclusion=node.conclusion, premises=node.premises,
-        principal=node.principal, actives=node.actives,
-        lineage=dict(node.lineage), term=node.term, term2=node.term2,
-        var=node.var, template=node.template,
-    )
-    base.update(kw)
-    return Derivation(**base)
+def _leaf_minus(leaf: Derivation, occ_id: int) -> Derivation:
+    return replace(leaf, conclusion=_minus(leaf.conclusion, occ_id))
 
 
 def _find_occ(d: Derivation, occ_id: int) -> tuple[str, Occurrence]:
@@ -267,12 +265,10 @@ def _subst_tree(node: Derivation, x: str, t: Term) -> Derivation:
                 chi = substitute(chi, v, Var(v2))
                 v = v2
             template = (v, substitute(chi, x, t))
-    return Derivation(
-        node.rule, concl, premises,
-        principal=node.principal, actives=node.actives, lineage=dict(node.lineage),
+    return replace(
+        node, conclusion=concl, premises=premises, template=template,
         term=None if node.term is None else subst_term(node.term, x, t),
         term2=None if node.term2 is None else subst_term(node.term2, x, t),
-        var=node.var, template=template,
     )
 
 
@@ -284,7 +280,7 @@ def freshen_eigenvariables(d: Derivation, avoid) -> Derivation:
     used = all_var_names(d) | avoid
 
     def go(node: Derivation) -> Derivation:
-        node = _with(node, premises=tuple(go(p) for p in node.premises))
+        node = replace(node, premises=tuple(go(p) for p in node.premises))
         if node.rule in ("forallr", "qg3") and node.var in avoid:
             y2 = fresh_name(node.var, used)
             used.add(y2)
@@ -293,7 +289,7 @@ def freshen_eigenvariables(d: Derivation, avoid) -> Derivation:
             if node.var in collect_eigenvars(sub):
                 sub = freshen_eigenvariables(sub, {node.var})
             sub = _subst_tree(sub, node.var, Var(y2))
-            node = _with(_replace_premise(node, idx, sub), var=y2)
+            node = replace(_replace_premise(node, idx, sub), var=y2)
         return node
 
     return go(d)
@@ -349,12 +345,22 @@ def _weaken_rec(node: Derivation, theta, lam):
                 (pi, subs[pi][2][j].id) for pi in range(len(subs))
             )
     concl = Sequent(node.conclusion.ante + add_a, node.conclusion.succ + add_s)
-    new = Derivation(
-        node.rule, concl, tuple(s[0] for s in subs),
-        principal=node.principal, actives=node.actives, lineage=lineage,
-        term=node.term, term2=node.term2, var=node.var, template=node.template,
-    )
+    new = replace(node, conclusion=concl, premises=tuple(s[0] for s in subs),
+                  lineage=lineage)
     return new, add_a, add_s
+
+
+def _weaken(d: Derivation, theta, lam):
+    """Uncertified core of :func:`weaken`: rename the eigenvariables that
+    collide with the new formulas, then add Theta and Lambda everywhere.
+    Returns (derivation, added antecedent occs, added succedent occs)."""
+    new_free: set[str] = set()
+    for f in (*theta, *lam):
+        new_free |= formula_facts(f)[0]
+    clash = new_free & collect_eigenvars(d)
+    if clash:
+        d = freshen_eigenvariables(d, clash)
+    return _weaken_rec(d, tuple(theta), tuple(lam))
 
 
 def weaken(d: Derivation, theta, lam, system: str) -> TransformResult:
@@ -363,14 +369,8 @@ def weaken(d: Derivation, theta, lam, system: str) -> TransformResult:
     Eigenvariables colliding with the new formulas are renamed first."""
     theta = list(theta)
     lam = list(lam)
-    new_free: set[str] = set()
-    for f in theta + lam:
-        new_free |= formula_facts(f)[0]
-    clash = new_free & collect_eigenvars(d)
-    if clash:
-        d = freshen_eigenvariables(d, clash)
     im = compute_measures(d)
-    out, add_a, add_s = _weaken_rec(d, tuple(theta), tuple(lam))
+    out, add_a, add_s = _weaken(d, theta, lam)
     pointwise = [
         (f"{o.id}", o.id, im.tau[o.id]) for o in d.conclusion.all_occurrences()
     ] + [(f"new:{o.id}", o.id, 0) for o in add_a + add_s]
@@ -458,12 +458,7 @@ def _invert(node: Derivation, tid: int, rule: str, repl, selector, fresh_var):
     base_map[tid] = tuple(o.id for o in new_occs)
 
     if not node.premises:
-        leaf = Derivation(
-            node.rule, rebuilt_sequent(), (),
-            principal=node.principal, term=node.term, term2=node.term2,
-            var=node.var, template=node.template,
-        )
-        return leaf, base_map
+        return replace(node, conclusion=rebuilt_sequent()), base_map
 
     parents = _parents_by_premise(node, tid)
     subs: dict[int, Derivation] = {}
@@ -483,12 +478,11 @@ def _invert(node: Derivation, tid: int, rule: str, repl, selector, fresh_var):
         lineage[no.id] = tuple(
             (pi, maps[pi][parents[pi]][j]) for pi in range(len(node.premises))
         )
-    actives = tuple((pi, maps[pi][oid][0]) for pi, oid in node.actives)
-    new = Derivation(
-        node.rule, rebuilt_sequent(),
-        tuple(subs[pi] for pi in range(len(node.premises))),
-        principal=node.principal, actives=actives, lineage=lineage,
-        term=node.term, term2=node.term2, var=node.var, template=node.template,
+    new = replace(
+        node, conclusion=rebuilt_sequent(),
+        premises=tuple(subs[pi] for pi in range(len(node.premises))),
+        actives=tuple((pi, maps[pi][oid][0]) for pi, oid in node.actives),
+        lineage=lineage,
     )
     return new, base_map
 
@@ -594,10 +588,7 @@ def _remap_node(node, new_premises, pms, drop_id, active_override=None):
     """Rebuild ``node`` over transformed premises.  ``pms[i]`` maps premise
     ``i``'s old conclusion occurrence ids to their new ids; ``drop_id`` is
     removed from the conclusion."""
-    concl = Sequent(
-        tuple(o for o in node.conclusion.ante if o.id != drop_id),
-        tuple(o for o in node.conclusion.succ if o.id != drop_id),
-    )
+    concl = _minus(node.conclusion, drop_id)
     lineage = {}
     for o in concl.all_occurrences():
         if o.id in node.principal:
@@ -610,11 +601,8 @@ def _remap_node(node, new_premises, pms, drop_id, active_override=None):
     actives = active_override
     if actives is None:
         actives = tuple((pi, pms[pi][oid]) for pi, oid in node.actives)
-    return Derivation(
-        node.rule, concl, tuple(new_premises),
-        principal=node.principal, actives=actives, lineage=lineage,
-        term=node.term, term2=node.term2, var=node.var, template=node.template,
-    )
+    return replace(node, conclusion=concl, premises=tuple(new_premises),
+                   actives=actives, lineage=lineage)
 
 
 def _ident_minus(node, drop_id, keep_id):
@@ -627,7 +615,7 @@ def _ident_minus(node, drop_id, keep_id):
     return m
 
 
-def _contract(node: Derivation, ida: int, idb: int, system: str):
+def _contract(node: Derivation, ida: int, idb: int):
     """Merge two same-side occurrences of one formula.  Returns
     (derivation, map old-conclusion-id -> new id)."""
     side_a, oa = _find_occ(node, ida)
@@ -637,21 +625,11 @@ def _contract(node: Derivation, ida: int, idb: int, system: str):
                              "on the same side")
     if not node.premises:
         keep, drop = (idb, ida) if idb in node.principal else (ida, idb)
-        leaf = Derivation(
-            node.rule,
-            Sequent(
-                tuple(o for o in node.conclusion.ante if o.id != drop),
-                tuple(o for o in node.conclusion.succ if o.id != drop),
-            ),
-            (),
-            principal=node.principal, term=node.term, term2=node.term2,
-            var=node.var, template=node.template,
-        )
-        return leaf, _ident_minus(node, drop, keep)
+        return _leaf_minus(node, drop), _ident_minus(node, drop, keep)
 
     if ida in node.principal or idb in node.principal:
         pid, cid = (ida, idb) if ida in node.principal else (idb, ida)
-        return _contract_principal(node, pid, cid, system)
+        return _contract_principal(node, pid, cid)
 
     # both copies are context occurrences: contract in every premise
     pa = _parents_by_premise(node, ida)
@@ -659,14 +637,14 @@ def _contract(node: Derivation, ida: int, idb: int, system: str):
     subs = []
     pms = []
     for pi, premise in enumerate(node.premises):
-        sub, m = _contract(premise, pa[pi], pb[pi], system)
+        sub, m = _contract(premise, pa[pi], pb[pi])
         subs.append(sub)
         pms.append(m)
     new = _remap_node(node, subs, pms, idb)
     return new, _ident_minus(node, idb, ida)
 
 
-def _contract_principal(node: Derivation, pid: int, cid: int, system: str):
+def _contract_principal(node: Derivation, pid: int, cid: int):
     rule = node.rule
     premise = node.premises[0] if node.premises else None
     _, po = _find_occ(node, pid)
@@ -684,7 +662,7 @@ def _contract_principal(node: Derivation, pid: int, cid: int, system: str):
         side = "ante" if rule == "Tl" else "succ"
         sub, minv = _invert(premise, parent, rule, ((psi, side),), None, None)
         new_copy = minv[parent][0]
-        sub2, mc = _contract(sub, minv[act_id][0], new_copy, system)
+        sub2, mc = _contract(sub, minv[act_id][0], new_copy)
         pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parent}
         merged = mc[minv[act_id][0]]
         return finish(sub2, pm | {parent: merged}, ((0, merged),))
@@ -694,7 +672,7 @@ def _contract_principal(node: Derivation, pid: int, cid: int, system: str):
         parent = _parents_by_premise(node, cid)[0]
         flip = "succ" if rule == "negl" else "ante"
         sub, minv = _invert(premise, parent, rule, ((f.body, flip),), None, None)
-        sub2, mc = _contract(sub, minv[act_id][0], minv[parent][0], system)
+        sub2, mc = _contract(sub, minv[act_id][0], minv[parent][0])
         pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parent}
         merged = mc[minv[act_id][0]]
         return finish(sub2, pm | {parent: merged}, ((0, merged),))
@@ -706,8 +684,8 @@ def _contract_principal(node: Derivation, pid: int, cid: int, system: str):
             premise, parent, "andl",
             ((f.left, "ante"), (f.right, "ante")), None, None,
         )
-        s2, m1 = _contract(sub, minv[a0][0], minv[parent][0], system)
-        s3, m2 = _contract(s2, m1[minv[a1][0]], m1[minv[parent][1]], system)
+        s2, m1 = _contract(sub, minv[a0][0], minv[parent][0])
+        s3, m2 = _contract(s2, m1[minv[a1][0]], m1[minv[parent][1]])
         pm = {oid: m2[m1[minv[oid][0]]] for oid in minv if oid != parent}
         merged0 = m2[m1[minv[a0][0]]]
         merged1 = m2[m1[minv[a1][0]]]
@@ -725,8 +703,7 @@ def _contract_principal(node: Derivation, pid: int, cid: int, system: str):
             sub, minv = _invert(
                 p, parents[selector], "andr", ((conj, "succ"),), selector, None
             )
-            sub2, mc = _contract(sub, minv[act_id][0], minv[parents[selector]][0],
-                                 system)
+            sub2, mc = _contract(sub, minv[act_id][0], minv[parents[selector]][0])
             merged = mc[minv[act_id][0]]
             pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parents[selector]}
             pm[parents[selector]] = merged
@@ -740,7 +717,7 @@ def _contract_principal(node: Derivation, pid: int, cid: int, system: str):
     if rule == "foralll":
         kept_id, inst_id = node.actives[0][1], node.actives[1][1]
         parent = _parents_by_premise(node, cid)[0]
-        sub, mc = _contract(premise, kept_id, parent, system)
+        sub, mc = _contract(premise, kept_id, parent)
         return finish(sub, mc, ((0, mc[kept_id]), (0, mc[inst_id])))
 
     if rule == "forallr":
@@ -754,7 +731,7 @@ def _contract_principal(node: Derivation, pid: int, cid: int, system: str):
         if z in collect_eigenvars(sub):
             sub = freshen_eigenvariables(sub, {z})
         sub = _subst_tree(sub, y, Var(z))
-        sub2, mc = _contract(sub, minv[act_id][0], minv[parent][0], system)
+        sub2, mc = _contract(sub, minv[act_id][0], minv[parent][0])
         pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parent}
         merged = mc[minv[act_id][0]]
         return finish(sub2, pm | {parent: merged}, ((0, merged),))
@@ -772,7 +749,7 @@ def contract(d: Derivation, ida: int, idb: int, system: str) -> TransformResult:
     sequent.  Length, cut rank, and proof T-complexity do not increase, and
     the merged occurrence's T-complexity is at most the maximum of the two."""
     im = compute_measures(d)
-    out, m = _contract(d, ida, idb, system)
+    out, m = _contract(d, ida, idb)
     merged = m[ida]
     pointwise = [("merged", merged, max(im.tau[ida], im.tau[idb]))]
     for o in d.conclusion.all_occurrences():
@@ -793,7 +770,7 @@ def contract(d: Derivation, ida: int, idb: int, system: str) -> TransformResult:
     )
 
 
-def _contract_to(d: Derivation, target_ante, target_succ, system: str) -> Derivation:
+def _contract_to(d: Derivation, target_ante, target_succ) -> Derivation:
     """Contract duplicate occurrences until the end sequent equals the target
     multiset pair."""
     while True:
@@ -804,7 +781,7 @@ def _contract_to(d: Derivation, target_ante, target_succ, system: str) -> Deriva
             excess = next((f for f in have if have[f] > want[f]), None)
             if excess is not None:
                 ids = [o.id for o in occs if o.formula == excess]
-                d, _ = _contract(d, ids[0], ids[1], system)
+                d, _ = _contract(d, ids[0], ids[1])
                 break
         else:
             break
@@ -826,48 +803,18 @@ def drop_context(d: Derivation, occ_id: int) -> Derivation:
     if occ_id in d.principal:
         raise TransformError("cannot drop a principal occurrence")
     if not d.premises:
-        return Derivation(
-            d.rule,
-            Sequent(
-                tuple(o for o in d.conclusion.ante if o.id != occ_id),
-                tuple(o for o in d.conclusion.succ if o.id != occ_id),
-            ),
-            (),
-            principal=d.principal, term=d.term, term2=d.term2,
-            var=d.var, template=d.template,
-        )
+        return _leaf_minus(d, occ_id)
     parents = _parents_by_premise(d, occ_id)
     premises = tuple(
         drop_context(p, parents[pi]) for pi, p in enumerate(d.premises)
     )
     lineage = {k: v for k, v in d.lineage.items() if k != occ_id}
-    return Derivation(
-        d.rule,
-        Sequent(
-            tuple(o for o in d.conclusion.ante if o.id != occ_id),
-            tuple(o for o in d.conclusion.succ if o.id != occ_id),
-        ),
-        premises,
-        principal=d.principal, actives=d.actives, lineage=lineage,
-        term=d.term, term2=d.term2, var=d.var, template=d.template,
-    )
+    return replace(d, conclusion=_minus(d.conclusion, occ_id),
+                   premises=premises, lineage=lineage)
 
 
 # ---------------------------------------------------------------------------
 # Cut reduction
-
-
-def _leaf_minus(leaf: Derivation, occ_id: int) -> Derivation:
-    return Derivation(
-        leaf.rule,
-        Sequent(
-            tuple(o for o in leaf.conclusion.ante if o.id != occ_id),
-            tuple(o for o in leaf.conclusion.succ if o.id != occ_id),
-        ),
-        (),
-        principal=leaf.principal, term=leaf.term, term2=leaf.term2,
-        var=leaf.var, template=leaf.template,
-    )
 
 
 def _build_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
@@ -895,7 +842,7 @@ class _Fuel:
             )
 
 
-def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
+def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
     fuel.burn()
     phi = d0.conclusion.find(aid)[2].formula
 
@@ -905,7 +852,7 @@ def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
             if d0.rule == "init":
                 others = [o.id for o in d1.conclusion.ante
                           if o.formula == phi and o.id != bid]
-                out, _ = _contract(d1, bid, others[0], system)
+                out, _ = _contract(d1, bid, others[0])
                 return out
             if d0.rule == "top":
                 return drop_context(d1, bid)
@@ -918,7 +865,7 @@ def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
             if d1.rule == "init":
                 others = [o.id for o in d0.conclusion.succ
                           if o.formula == phi and o.id != aid]
-                out, _ = _contract(d0, aid, others[0], system)
+                out, _ = _contract(d0, aid, others[0])
                 return out
             if d1.rule == "bot":
                 return drop_context(d0, aid)
@@ -929,9 +876,9 @@ def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
 
     # --- cut formula parametric (non-principal) in one premise ------------
     if aid not in d0.principal:
-        return _push(d0, aid, d1, bid, True, system, m_allow, fuel)
+        return _push(d0, aid, d1, bid, True, m_allow, fuel)
     if bid not in d1.principal:
-        return _push(d1, bid, d0, aid, False, system, m_allow, fuel)
+        return _push(d1, bid, d0, aid, False, m_allow, fuel)
 
     # --- principal on both sides ------------------------------------------
     gamma = d0.conclusion.ante_formulas()
@@ -941,7 +888,7 @@ def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
         p0 = d0.premises[0]
         p1 = d1.premises[0]
         return _reduce(
-            p0, d0.actives[0][1], p1, d1.actives[0][1], system, m_allow, fuel
+            p0, d0.actives[0][1], p1, d1.actives[0][1], m_allow, fuel
         )
     if isinstance(phi, Not) and d0.rule == "negr" and d1.rule == "negl":
         p0 = d0.premises[0]  # psi, Gamma => Delta
@@ -951,7 +898,7 @@ def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
         p0a = d0.premises[0]  # Gamma => psi, Delta
         p0b = d0.premises[1]  # Gamma => chi, Delta
         p1 = d1.premises[0]   # psi, chi, Gamma => Delta
-        w = weaken(p0b, [phi.left], [], system).derivation
+        w = _weaken(p0b, [phi.left], [])[0]
         chi_id = next(o.id for o in w.conclusion.succ
                       if o.formula == phi.right)
         chi_in_p1 = d1.actives[1][1]
@@ -960,7 +907,7 @@ def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
         psi_in_inner = next(o.id for o in inner.conclusion.ante
                             if o.formula == phi.left)
         outer = _build_cut(p0a, psi_id0, inner, psi_in_inner, m_allow)
-        return _contract_to(outer, gamma, delta, system)
+        return _contract_to(outer, gamma, delta)
     if isinstance(phi, Forall) and d0.rule == "forallr" and d1.rule == "foralll":
         p0 = d0.premises[0]   # Gamma => psi(y), Delta
         p1 = d1.premises[0]   # forall x psi, psi(t), Gamma' => Delta
@@ -973,21 +920,20 @@ def _reduce(d0, aid, d1, bid, system, m_allow, fuel) -> Derivation:
             s0 = freshen_eigenvariables(s0, tvars & collect_eigenvars(s0))
         s0 = _subst_tree(s0, y, t)  # Gamma => psi(t), Delta
         # chase the universal into d1's premise: Gamma, psi(t) => Delta
-        d0w = weaken(d0, [inst], [], system).derivation
-        aid_w = aid  # weaken reuses ids
+        d0w = _weaken(d0, [inst], [])[0]  # reuses d0's ids
         kept_id = d1.actives[0][1]
-        rec = _reduce(d0w, aid_w, p1, kept_id, system, m_allow, fuel)
-        rec = _contract_to(rec, gamma + [inst], delta, system)
+        rec = _reduce(d0w, aid, p1, kept_id, m_allow, fuel)
+        rec = _contract_to(rec, gamma + [inst], delta)
         inst_in_s0 = next(o.id for o in s0.conclusion.succ if o.formula == inst)
         inst_in_rec = next(o.id for o in rec.conclusion.ante if o.formula == inst)
         outer = _build_cut(s0, inst_in_s0, rec, inst_in_rec, m_allow)
-        return _contract_to(outer, gamma, delta, system)
+        return _contract_to(outer, gamma, delta)
     raise TransformError(
         f"no reduction for principal pair ({d0.rule}, {d1.rule}) on {phi!r}"
     )
 
 
-def _push(main, main_id, other, other_id, main_is_left, system, m_allow, fuel):
+def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
     """The cut formula is a side formula of ``main``'s last rule: push the cut
     into each premise (after weakening both sides to a common context),
     reapply the rule, and contract the duplicated context away.
@@ -1022,7 +968,7 @@ def _push(main, main_id, other, other_id, main_is_left, system, m_allow, fuel):
                   if o.id != parent]
         theta = list((Counter(o_ante) - Counter(p_ante)).elements())
         lam = list((Counter(o_succ) - Counter(p_succ)).elements())
-        piw = weaken(premise, theta, lam, system).derivation
+        piw = _weaken(premise, theta, lam)[0]
 
         oth = other if pi == 0 else refresh_ids(other)
         if pi == 0:
@@ -1033,17 +979,13 @@ def _push(main, main_id, other, other_id, main_is_left, system, m_allow, fuel):
             oth_phi = next(o.id for o in side if o.formula == phi)
         th_o = list((Counter(p_ante) - Counter(o_ante)).elements())
         la_o = list((Counter(p_succ) - Counter(o_succ)).elements())
-        othw = weaken(oth, th_o, la_o, system).derivation
+        othw = _weaken(oth, th_o, la_o)[0]
 
         if main_is_left:
-            ci = _reduce(piw, parent, othw, oth_phi, system, m_allow, fuel)
+            ci = _reduce(piw, parent, othw, oth_phi, m_allow, fuel)
         else:
-            ci = _reduce(othw, oth_phi, piw, parent, system, m_allow, fuel)
-        reduced_premise = Sequent(
-            tuple(o for o in premise.conclusion.ante if o.id != parent),
-            tuple(o for o in premise.conclusion.succ if o.id != parent),
-        )
-        pm = _fallback_map(reduced_premise, ci.conclusion)
+            ci = _reduce(othw, oth_phi, piw, parent, m_allow, fuel)
+        pm = _fallback_map(_minus(premise.conclusion, parent), ci.conclusion)
         new_premises.append(ci)
         pms.append(pm)
         used_by_premise.append(set(pm.values()))
@@ -1098,15 +1040,13 @@ def _push(main, main_id, other, other_id, main_is_left, system, m_allow, fuel):
                 f"{node.rule} after cut reduction"
             )
 
-    reapplied = Derivation(
-        node.rule, Sequent(tuple(concl_ante), tuple(concl_succ)),
-        tuple(new_premises),
-        principal=node.principal,
+    reapplied = replace(
+        node, conclusion=Sequent(tuple(concl_ante), tuple(concl_succ)),
+        premises=tuple(new_premises),
         actives=tuple((pi, pms[pi][oid]) for pi, oid in node.actives),
         lineage=lineage,
-        term=node.term, term2=node.term2, var=node.var, template=node.template,
     )
-    return _contract_to(reapplied, target_ante, target_succ, system)
+    return _contract_to(reapplied, target_ante, target_succ)
 
 
 def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
@@ -1143,7 +1083,7 @@ def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
     if max(m0.cut_rank, m1.cut_rank) > max_rank:
         raise TransformError("input proofs exceed the allowed cut rank")
     fuel = _Fuel(200_000)
-    out = _reduce(d0, aid, d1, bid, system, max_rank, fuel)
+    out = _reduce(d0, aid, d1, bid, max_rank, fuel)
     return _certify(
         out, system, "reduceCut", (m0, m1),
         length=m0.length + m1.length,
@@ -1210,8 +1150,8 @@ def _max_cut_rank(d: Derivation) -> int:
     )
 
 
-def _elim_rank(node: Derivation, r: int, system: str, fuel) -> Derivation:
-    new_premises = [_elim_rank(p, r, system, fuel) for p in node.premises]
+def _elim_rank(node: Derivation, r: int, fuel) -> Derivation:
+    new_premises = [_elim_rank(p, r, fuel) for p in node.premises]
     pms = [
         _fallback_map(old.conclusion, new.conclusion)
         for old, new in zip(node.premises, new_premises)
@@ -1221,7 +1161,7 @@ def _elim_rank(node: Derivation, r: int, system: str, fuel) -> Derivation:
         return _reduce(
             new_premises[p0i], pms[p0i][a_old],
             new_premises[p1i], pms[p1i][b_old],
-            system, r - 1, fuel,
+            r - 1, fuel,
         )
     if not node.premises:
         return node
@@ -1229,12 +1169,10 @@ def _elim_rank(node: Derivation, r: int, system: str, fuel) -> Derivation:
         cid: tuple((pi, pms[pi][oid]) for pi, oid in parents)
         for cid, parents in node.lineage.items()
     }
-    return Derivation(
-        node.rule, node.conclusion, tuple(new_premises),
-        principal=node.principal,
+    return replace(
+        node, premises=tuple(new_premises),
         actives=tuple((pi, pms[pi][oid]) for pi, oid in node.actives),
         lineage=lineage,
-        term=node.term, term2=node.term2, var=node.var, template=node.template,
     )
 
 
@@ -1248,7 +1186,7 @@ def eliminate_cuts(d: Derivation, system: str) -> TransformResult:
     fuel = _Fuel(500_000)
     r = _max_cut_rank(out)
     while r > 0:
-        out = _elim_rank(out, r, system, fuel)
+        out = _elim_rank(out, r, fuel)
         r2 = _max_cut_rank(out)
         if r2 >= r:
             raise TransformError(

@@ -5,6 +5,7 @@ import os
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 
@@ -283,6 +284,35 @@ def test_cli_check_oversized_numeral(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("parse error: line 1: at token 3: numeral literal of 5000 "
                    "digits is too long to read\n")
+
+
+def test_cli_kernel_messages_past_digit_limit(tmp_path, capsys):
+    # [DERIVED] eight nested truth ascriptions carry a 125092-bit code, past
+    # CPython's 4300-digit int-to-str limit: an init on it is refused with
+    # its reason code and the numeral named by bit length (it used to end in
+    # a traceback), and andl matching never formats the formulas at all
+    phi = _nested_truth_seed(8)
+    bad = tmp_path / "init.gp"
+    bad.write_text(f"1: init [] {phi} => {phi}\n")
+    ok = tmp_path / "andl.gp"
+    ok.write_text(f"1: init [] (= 0 0), {phi} => (= 0 0)\n"
+                  f"2: andl [1] (and (= 0 0) {phi}) => (= 0 0)\n")
+    start = time.perf_counter()
+    for argv in (["check", str(bad), "--system", "lgt"],
+                 ["check", str(bad), "--system", "lptn"],
+                 ["measures", str(bad)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "INVALID",
+            "[REF_MINUS_T_PRINCIPAL] at root: initial sequent principal must "
+            "be an atomic T-free equation, got "
+            "Tr(term=Num(value=<125092-bit number>))",
+        ]
+        assert err == ""
+    assert main(["check", str(ok), "--system", "lptn"]) == 0
+    assert capsys.readouterr().out.startswith("VALID")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

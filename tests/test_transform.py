@@ -1,10 +1,12 @@
 """Certificate-producing structural transformations."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from truthcut import build as B
+from truthcut import transform
 from truthcut.arith import prove_equation
 from truthcut.coding import quote
 from truthcut.deriv import compute_measures
@@ -21,6 +23,7 @@ from truthcut.syntax import (
     Zero,
 )
 from truthcut.transform import (
+    CertificateError,
     TransformError,
     _length_bound,
     _within,
@@ -384,3 +387,145 @@ def test_eliminate_cuts_rank5_bound_is_symbolic():
     length = cert["checks"][0]
     assert length["name"] == "length"
     assert length["bound"] == {"hyperexp": [5, 2]} and length["ok"]
+
+
+# ---------------------------------------------------------------------------
+# The trust boundary: internal steps are uncertified, each public entry
+# certifies its output once
+
+
+def _conjunction_cut():
+    """A cut on 0=0 & 1=1, principal on both sides; its reduction weakens
+    the right conjunct's proof (a non-leaf) by the left conjunct."""
+    conj = And(PHI, PSI)
+    a0 = prove_equation([], Zero(), Zero(), [PHI])              # => PHI, PHI
+    a1 = prove_equation([], Suc(Zero()), Suc(Zero()), [PHI])    # => PSI, PHI
+    d0 = B.and_right(a0, _succ_id(a0, PHI, 0), a1, _succ_id(a1, PSI))
+    b = prove_equation([PHI, PSI], Zero(), Zero(), [])          # PHI, PSI => PHI
+    d1 = B.and_left(b, _ante_id(b, PHI, 0), _ante_id(b, PSI))
+    return d0, _succ_id(d0, conj), d1, _ante_id(d1, conj)
+
+
+def _universal_cut():
+    fa = Forall("x", Eq(Var("x"), Var("x")))
+    inst = Eq(Zero(), Zero())
+    p0 = prove_equation([], Var("y"), Var("y"), [inst])
+    d0 = B.forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
+    p1 = B.init_leaf([fa], inst, [])
+    d1 = B.forall_left(p1, _ante_id(p1, fa), _ante_id(p1, inst), Zero())
+    return d0, _succ_id(d0, fa), d1, _ante_id(d1, fa)
+
+
+def _count_kernel_checks(monkeypatch):
+    calls = []
+
+    def counted(d, system):
+        calls.append(system)
+        return check_derivation(d, system)
+
+    monkeypatch.setattr(transform, "check_derivation", counted)
+    return calls
+
+
+def test_cut_elimination_runs_the_kernel_once(monkeypatch):
+    # [DERIVED] reduce_cut and eliminate_cuts build every intermediate proof
+    # uncertified (the conjunction and universal cases weaken internally)
+    # and run the kernel once, on their output
+    rng = random.Random(43)
+    d = None
+    while d is None:
+        d = nested_cuts(rng, 3)
+    cases = [
+        ((d.premises[0], d.actives[0][1], d.premises[1], d.actives[1][1]),
+         "lptn"),
+        (_conjunction_cut(), "qg"),
+        (_universal_cut(), "qg"),
+    ]
+    calls = _count_kernel_checks(monkeypatch)
+    for (d0, aid, d1, bid), system in cases:
+        del calls[:]
+        reduce_cut(d0, aid, d1, bid, system)
+        assert calls == [system]
+        del calls[:]
+        eliminate_cuts(B.cut(d0, aid, d1, bid), system)
+        assert calls == [system]
+
+
+def _drop_one_lineage_entry(monkeypatch):
+    """Make ``_weaken_rec`` forget the lineage of the first added antecedent
+    occurrence at every node with premises: a bookkeeping bug the kernel
+    reports as LINEAGE_BROKEN."""
+    weaken_rec = transform._weaken_rec
+
+    def broken(node, theta, lam):
+        new, add_a, add_s = weaken_rec(node, theta, lam)
+        if new.premises and add_a:
+            lineage = dict(new.lineage)
+            del lineage[add_a[0].id]
+            new = replace(new, lineage=lineage)
+        return new, add_a, add_s
+
+    monkeypatch.setattr(transform, "_weaken_rec", broken)
+
+
+def test_broken_construction_never_reaches_an_output(monkeypatch):
+    # [DERIVED] with a lineage entry dropped inside the uncertified
+    # weakening, reduce_cut's one kernel check refuses the output; in
+    # eliminate_cuts the later reduction steps trip over the missing entry
+    # first.  Either way no result is returned.
+    d0, aid, d1, bid = _conjunction_cut()
+    _drop_one_lineage_entry(monkeypatch)
+    with pytest.raises(CertificateError, match="LINEAGE_BROKEN"):
+        reduce_cut(d0, aid, d1, bid, "qg")
+    with pytest.raises(KeyError):
+        eliminate_cuts(B.cut(d0, aid, d1, bid), "qg")
+
+
+def test_eliminate_cuts_certifies_what_the_construction_returns(monkeypatch):
+    # [DERIVED] the final certification is the only check on the rebuilt
+    # proof: a rank pass that returns a proof with broken lineage is refused
+    d0, aid, d1, bid = _conjunction_cut()
+    d = B.cut(d0, aid, d1, bid)
+    elim_rank = transform._elim_rank
+    depth = []
+
+    def broken(node, r, fuel):
+        depth.append(node)
+        try:
+            out = elim_rank(node, r, fuel)
+        finally:
+            depth.pop()
+        if depth or r != 1:
+            return out
+        # the last rank pass forgets the lineage of one root occurrence
+        cid = next(iter(out.lineage))
+        return replace(out, lineage={k: v for k, v in out.lineage.items()
+                                     if k != cid})
+
+    monkeypatch.setattr(transform, "_elim_rank", broken)
+    with pytest.raises(CertificateError, match="LINEAGE_BROKEN"):
+        eliminate_cuts(d, "qg")
+
+
+def test_weaken_keeps_its_exact_and_pointwise_certificate():
+    # [DERIVED] the public weaken still certifies the unchanged triple, every
+    # old occurrence's tau and tau = 0 for every new occurrence
+    lf = B.init_leaf([PHI], PHI, [])
+    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    m0 = compute_measures(d)
+    r = weaken(d, [Not(PSI)], [TPHI], "lptn")
+    old = [o.id for o in d.conclusion.all_occurrences()]
+    new = [o.id for o in r.derivation.conclusion.all_occurrences()
+           if o.id not in old]
+    assert len(new) == 2
+    checks = {name: (bound, actual) for name, bound, actual in r.certificate.checks}
+    assert checks == {
+        "length": (m0.length, m0.length),
+        "cutRank": (m0.cut_rank, m0.cut_rank),
+        "proofTau": (m0.proof_tau, m0.proof_tau),
+        **{f"tau[{i}]": (m0.tau[i], m0.tau[i]) for i in old},
+        **{f"tau[new:{i}]": (0, 0) for i in new},
+    }
+    assert r.certificate.input_measures == (m0.triple(),)
+    assert r.certificate.output_measures == m0.triple()
+    assert r.occ_map == {i: i for i in old}
