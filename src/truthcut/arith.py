@@ -25,6 +25,7 @@ from .syntax import (
     Times,
     Var,
     Zero,
+    _children,
 )
 from .coding import eval_term
 
@@ -59,14 +60,6 @@ def is_chain_closed(t: Term) -> bool:
 # Innermost rewriting with the recursion axioms
 
 
-def _children(t: Term):
-    if isinstance(t, Suc):
-        return (t.child,)
-    if isinstance(t, (Plus, Times)):
-        return (t.left, t.right)
-    return ()
-
-
 def _rebuild(t: Term, kids) -> Term:
     if isinstance(t, Suc):
         return Suc(kids[0])
@@ -77,23 +70,24 @@ def _rebuild(t: Term, kids) -> Term:
     return t
 
 
+#: (operator, right operand) of a redex -> the axiom that contracts it
+_REDEX_RULE = {(Plus, Zero): "qg4", (Plus, Suc): "qg5",
+               (Times, Zero): "qg6", (Times, Suc): "qg7"}
+
+
 def _find_redex(t: Term, path=()):
     """Innermost-leftmost redex: (path, redex, contractum, axiom_step)."""
     for i, c in enumerate(_children(t)):
         r = _find_redex(c, path + (i,))
         if r is not None:
             return r
-    if isinstance(t, Plus) and isinstance(t.right, Zero):
-        return (path, t, t.left, ("qg4", (t.left,)))
-    if isinstance(t, Plus) and isinstance(t.right, Suc):
-        x, y = t.left, t.right.child
-        return (path, t, Suc(Plus(x, y)), ("qg5", (x, y)))
-    if isinstance(t, Times) and isinstance(t.right, Zero):
-        return (path, t, Zero(), ("qg6", (t.left,)))
-    if isinstance(t, Times) and isinstance(t.right, Suc):
-        x, y = t.left, t.right.child
-        return (path, t, Plus(Times(x, y), x), ("qg7", (x, y)))
-    return None
+    if not isinstance(t, (Plus, Times)):
+        return None
+    kind = _REDEX_RULE.get((type(t), type(t.right)))
+    if kind is None:
+        return None
+    args = (t.left,) if isinstance(t.right, Zero) else (t.left, t.right.child)
+    return (path, t, B.AXIOMS[kind](*args).right, (kind, args))
 
 
 def _replace_at(t: Term, path, new: Term) -> Term:
@@ -156,17 +150,10 @@ def _find_ante(d: Derivation, f: Formula) -> int:
     raise ArithError(f"planned hypothesis {f!r} missing from the antecedent")
 
 
-_AX_BUILDER = {"qg4": B.qg4, "qg5": B.qg5, "qg6": B.qg6, "qg7": B.qg7}
-
-
 def _apply_axiom(d: Derivation, step) -> Derivation:
     kind, args = step
-    builder = _AX_BUILDER[kind]
-    axiom = {
-        "qg4": B.qg4_axiom, "qg5": B.qg5_axiom,
-        "qg6": B.qg6_axiom, "qg7": B.qg7_axiom,
-    }[kind](*args)
-    return builder(d, _find_ante(d, axiom), *args)
+    axiom = B.AXIOMS[kind](*args)
+    return B.discharge_axiom(kind, d, _find_ante(d, axiom), *args)
 
 
 def prove_equation(gamma, s: Term, t: Term, delta) -> Derivation:

@@ -8,6 +8,9 @@ kernel re-checks every side condition from scratch.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import Callable
+
 from .coding import encode, quote
 from .deriv import (
     Derivation,
@@ -23,10 +26,13 @@ from .syntax import (
     Formula,
     Not,
     Num,
+    Plus,
     Suc,
     SynApp,
     Term,
+    Times,
     Tr,
+    Var,
     Zero,
 )
 
@@ -342,39 +348,45 @@ def qg3(
     )
 
 
-def qg4(premise: Derivation, active_id: int, x: Term) -> Derivation:
-    return _discharge("qg4", premise, (active_id,), term=x)
-
-
-def qg5(premise: Derivation, active_id: int, x: Term, y: Term) -> Derivation:
-    return _discharge("qg5", premise, (active_id,), term=x, term2=y)
-
-
-def qg6(premise: Derivation, active_id: int, x: Term) -> Derivation:
-    return _discharge("qg6", premise, (active_id,), term=x)
-
-
-def qg7(premise: Derivation, active_id: int, x: Term, y: Term) -> Derivation:
-    return _discharge("qg7", premise, (active_id,), term=x, term2=y)
-
-
 # ---------------------------------------------------------------------------
-# Axiom-instance formulas discharged by the geometric rules
-
-from .syntax import Plus, Times
+# The recursion axioms discharged by qg4..qg7, each stated once
 
 
-def qg4_axiom(x: Term) -> Formula:
-    return Eq(Plus(x, Zero()), x)
+#: rule -> the axiom instance it discharges, as a function of the rule's
+#: instantiating terms x (and y), which the node carries as ``term`` (and
+#: ``term2``).  The kernel checks against it and ``arith`` rewrites with it.
+AXIOMS: dict[str, Callable[..., Formula]] = {
+    "qg4": lambda x: Eq(Plus(x, Zero()), x),
+    "qg5": lambda x, y: Eq(Plus(x, Suc(y)), Suc(Plus(x, y))),
+    "qg6": lambda x: Eq(Times(x, Zero()), Zero()),
+    "qg7": lambda x, y: Eq(Times(x, Suc(y)), Plus(Times(x, y), x)),
+}
 
 
-def qg5_axiom(x: Term, y: Term) -> Formula:
-    return Eq(Plus(x, Suc(y)), Suc(Plus(x, y)))
+def _term_paths(shape) -> list[tuple[str, ...]]:
+    """The field names leading to the first pre-order occurrence of each of
+    ``shape``'s parameters in the formula it builds."""
+    holes = [Var(f"?{i}") for i in range(shape.__code__.co_argcount)]
+    found: dict[Term, tuple[str, ...]] = {}
+    stack = [(shape(*holes), ())]
+    while stack:
+        t, path = stack.pop()
+        if t in holes:
+            found.setdefault(t, path)
+        else:
+            stack += reversed([(getattr(t, f.name), path + (f.name,))
+                               for f in fields(t) if f.init])
+    return [found[h] for h in holes]
 
 
-def qg6_axiom(x: Term) -> Formula:
-    return Eq(Times(x, Zero()), Zero())
+#: rule -> where a discharged formula holds each instantiating term, so a
+#: script reads them back as ``reduce(getattr, path, formula)``
+AXIOM_TERMS = {rule: _term_paths(shape) for rule, shape in AXIOMS.items()}
 
 
-def qg7_axiom(x: Term, y: Term) -> Formula:
-    return Eq(Times(x, Suc(y)), Plus(Times(x, y), x))
+def discharge_axiom(rule: str, premise: Derivation, active_id: int,
+                    *terms: Term) -> Derivation:
+    """``rule`` (qg4..qg7) discharging the axiom instance ``active_id``
+    for the instantiating terms ``terms``."""
+    return _discharge(rule, premise, (active_id,),
+                      **dict(zip(("term", "term2"), terms)))

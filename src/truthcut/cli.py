@@ -13,7 +13,7 @@ import contextlib
 import json
 import sys
 
-from .coding import encode, liar
+from .coding import LABEL_END, encode, liar
 from .deriv import compute_measures
 from .kernel import SYSTEMS, check_derivation
 from .script import ScriptError, parse_script, print_script
@@ -149,6 +149,10 @@ def _cmd_elim(args) -> int:
         return EXIT_FAIL
     out_text = print_script(result.derivation)
     if args.out:
+        if LABEL_END in out_text:  # a numeral the reader would refuse
+            sys.stderr.write(f"cannot write {args.out}: a numeral is too "
+                             "long to print in decimal\n")
+            return EXIT_FAIL
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out_text)
     cert = result.certificate.as_dict()

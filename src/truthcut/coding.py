@@ -78,10 +78,15 @@ class DiagonalizationError(Exception):
     pass
 
 
+#: ends every label :func:`code_label` gives a long code; no formula text
+#: the script reader accepts contains it
+LABEL_END = "-bit number>"
+
+
 def code_label(c: int) -> str:
     """``c`` for a message: in decimal while short, else by bit length (codes
     soon pass CPython's int-to-str digit limit)."""
-    return str(c) if c.bit_length() <= 256 else f"<{c.bit_length()}-bit number>"
+    return str(c) if c.bit_length() <= 256 else f"<{c.bit_length()}{LABEL_END}"
 
 
 # ---------------------------------------------------------------------------

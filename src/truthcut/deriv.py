@@ -9,13 +9,20 @@ The T-complexity of an occurrence is computed from this lineage structure:
 truth rules add one to their principal, one-premise logical rules transfer or
 take maxima over their actives, and two-premise rules take maxima over
 corresponding context occurrences.
+
+Every whole-tree walk goes through one explicit-stack traversal, so no
+derivation is too tall to walk: :func:`fold` is the post-order walk (the
+measures, :func:`refresh_ids`, script printing and the transform rebuilds)
+and :meth:`Derivation.iter_nodes` the pre-order one (the kernel, searches
+over nodes).  Only the transforms that follow one occurrence's ancestry up
+the tree still recurse (see :mod:`.transform`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, TypeVar
 
 from .syntax import Formula, Term, formula_facts
 
@@ -116,28 +123,45 @@ class Derivation:
     var: str | None = None
     template: tuple[str, Formula] | None = None
 
-    def iter_nodes(self, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
-        yield path, self
-        for i, p in enumerate(self.premises):
-            yield from p.iter_nodes(path + (i,))
+    def iter_nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
+        """Every node with its path of premise indices from this one, in
+        pre-order (a node before its premises, premises left to right)."""
+        stack: list[tuple[tuple[int, ...], Derivation]] = [((), self)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            for i in range(len(node.premises) - 1, -1, -1):
+                stack.append((path + (i,), node.premises[i]))
 
-    def subtree(self, path: tuple[int, ...]) -> "Derivation":
-        node = self
-        for i in path:
-            node = node.premises[i]
-        return node
+
+R = TypeVar("R")
+
+
+def fold(d: Derivation, step: Callable[[Derivation, list], R]) -> R:
+    """Post-order walk with an explicit stack: ``step(node, results)`` runs on
+    every node after all of its premises, ``results`` holding the premises'
+    own results left to right.  Returns the root's result."""
+    results: list = []
+    stack: list = [d]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node below has all its premise results
+            node = stack.pop()
+            k = len(node.premises)
+            done = results[-k:]
+            del results[-k:]
+            results.append(step(node, done))
+        elif node.premises:
+            stack += (node, None, *reversed(node.premises))
+        else:
+            results.append(step(node, []))
+    return results[0]
 
 
 def refresh_ids(d: Derivation) -> Derivation:
     """Structurally identical derivation with all-new occurrence ids."""
 
-    def go(node: Derivation) -> tuple[Derivation, dict[int, int]]:
-        new_premises = []
-        prem_maps = []
-        for p in node.premises:
-            np, m = go(p)
-            new_premises.append(np)
-            prem_maps.append(m)
+    def step(node: Derivation, done) -> tuple[Derivation, dict[int, int]]:
         idmap = {
             o.id: fresh_id() for o in node.conclusion.all_occurrences()
         }
@@ -145,25 +169,20 @@ def refresh_ids(d: Derivation) -> Derivation:
             tuple(Occurrence(o.formula, idmap[o.id]) for o in node.conclusion.ante),
             tuple(Occurrence(o.formula, idmap[o.id]) for o in node.conclusion.succ),
         )
+        prem_maps = [m for _, m in done]
         lineage = {
             idmap[cid]: tuple((pi, prem_maps[pi][oid]) for pi, oid in parents)
             for cid, parents in node.lineage.items()
         }
-        new = Derivation(
-            rule=node.rule,
-            conclusion=concl,
-            premises=tuple(new_premises),
+        new = replace(
+            node, conclusion=concl, premises=tuple(p for p, _ in done),
             principal=tuple(idmap[i] for i in node.principal),
             actives=tuple((pi, prem_maps[pi][oid]) for pi, oid in node.actives),
             lineage=lineage,
-            term=node.term,
-            term2=node.term2,
-            var=node.var,
-            template=node.template,
         )
         return new, idmap
 
-    return go(d)[0]
+    return fold(d, step)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +207,16 @@ class MeasureError(Exception):
 def compute_measures(d: Derivation) -> Measures:
     """Length, cut rank, proof T-complexity, and the per-occurrence tau map.
 
-    Assumes the derivation is structurally well-formed (kernel-validated);
-    raises :class:`MeasureError` on broken lineage.
+    One post-order :func:`fold` yields all of them.  Assumes the derivation
+    is structurally well-formed (kernel-validated); raises
+    :class:`MeasureError` on broken lineage.
     """
     from .syntax import logical_complexity
 
     tau: dict[int, int] = {}
     cut_ranks: list[int] = []
 
-    def node_tau(node: Derivation) -> None:
-        for p in node.premises:
-            node_tau(p)
+    def step(node: Derivation, heights: list[int]) -> int:
         actives_tau = [tau[oid] for _, oid in node.actives]
         for cid, parents in node.lineage.items():
             try:
@@ -232,17 +250,12 @@ def compute_measures(d: Derivation) -> Measures:
                 cut_formula = node.premises[0].conclusion.find(node.actives[1][1])
             assert cut_formula is not None
             cut_ranks.append(logical_complexity(cut_formula[2].formula) + 1)
+        return 1 + max(heights) if heights else 0
 
-    def length(node: Derivation) -> int:
-        if not node.premises:
-            return 0
-        return 1 + max(length(p) for p in node.premises)
-
-    node_tau(d)
-    proof_tau = max(tau.values(), default=0)
+    length = fold(d, step)
     return Measures(
-        length=length(d),
+        length=length,
         cut_rank=max(cut_ranks, default=0),
-        proof_tau=proof_tau,
+        proof_tau=max(tau.values(), default=0),
         tau=tau,
     )

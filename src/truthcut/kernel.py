@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .build import AXIOM_TERMS, AXIOMS
 from .coding import DecodeError, code_label, decode_sentence
 from .deriv import Derivation, Occurrence
 from .syntax import (
@@ -29,9 +30,7 @@ from .syntax import (
     Forall,
     Not,
     Num,
-    Plus,
     Suc,
-    Times,
     Top,
     Tr,
     Var,
@@ -609,38 +608,27 @@ class _Checker:
                 return
         self.eigen_nodes.append((tuple(path), y))
 
-    def _axiom_discharge(self, path, node, build_axiom, nargs) -> None:
+    def _axiom_discharge(self, path, node) -> None:
+        """qg4..qg7: the one antecedent active is the rule's axiom
+        (:data:`.build.AXIOMS`) instantiated with the node's terms."""
         if not self._expect_premises(path, node, 1):
             return
         acts = self._actives(path, node, [(0, "ante")])
         if acts is None:
             return
+        nargs = len(AXIOM_TERMS[node.rule])
         args = (node.term, node.term2)[:nargs]
         if any(a is None for a in args):
             self.bad(path, MALFORMED_RULE,
                      f"{node.rule} needs {nargs} instantiating term(s)")
             return
-        want = build_axiom(*args)
+        want = AXIOMS[node.rule](*args)
         if acts[0].formula != want:
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"{node.rule} discharges {acts[0].formula!r}, "
                      f"expected {want!r}")
 
-    def rule_qg4(self, path, node) -> None:
-        self._axiom_discharge(path, node, lambda x: Eq(Plus(x, Zero()), x), 1)
-
-    def rule_qg5(self, path, node) -> None:
-        self._axiom_discharge(
-            path, node, lambda x, y: Eq(Plus(x, Suc(y)), Suc(Plus(x, y))), 2
-        )
-
-    def rule_qg6(self, path, node) -> None:
-        self._axiom_discharge(path, node, lambda x: Eq(Times(x, Zero()), Zero()), 1)
-
-    def rule_qg7(self, path, node) -> None:
-        self._axiom_discharge(
-            path, node, lambda x, y: Eq(Times(x, Suc(y)), Plus(Times(x, y), x)), 2
-        )
+    rule_qg4 = rule_qg5 = rule_qg6 = rule_qg7 = _axiom_discharge
 
     # global conventions ---------------------------------------------------
 

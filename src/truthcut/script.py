@@ -14,9 +14,10 @@ kernel re-validates the result, so scripts cannot smuggle in bad wiring.
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from . import build as B
-from .deriv import Derivation, same_multiset
+from .deriv import Derivation, fold, same_multiset
 from .sexpr import ParseError, format_formula, format_sequent, parse_sequent
 from .syntax import (
     And,
@@ -65,23 +66,16 @@ def print_script(d: Derivation) -> str:
             s = texts[id(f)] = format_formula(f)
         return s
 
-    ids: list[int] = []  # numbers of the finished nodes whose parent is open
-    stack: list[tuple[Derivation, bool]] = [(d, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((p, False) for p in reversed(node.premises))
-            continue
-        k = len(node.premises)
-        pids = ids[len(ids) - k:]
-        del ids[len(ids) - k:]
-        nid = len(lines) + 1
+    def step(node: Derivation, pids: list[int]) -> int:
         seq = format_sequent(
             node.conclusion.ante_formulas(), node.conclusion.succ_formulas(), fmt
         )
-        lines.append(f"{nid}: {node.rule} [{', '.join(map(str, pids))}] {seq}")
-        ids.append(nid)
+        lines.append(
+            f"{len(lines) + 1}: {node.rule} [{', '.join(map(str, pids))}] {seq}"
+        )
+        return len(lines)
+
+    fold(d, step)
     return "\n".join(lines) + "\n"
 
 
@@ -266,11 +260,6 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
     def err(msg):
         raise ScriptError(f"{rule}: {msg}", line)
 
-    def diff_one(p):
-        removed_a = _multiset_minus(p.conclusion.ante_formulas(), ante)
-        removed_s = _multiset_minus(p.conclusion.succ_formulas(), succ)
-        return removed_a, removed_s
-
     if rule == "init":
         for f in succ:
             if f in ante and isinstance(f, Eq):
@@ -298,7 +287,7 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
         err("needs S(t)=0 in the antecedent")
 
     if rule in ("Tl", "Tr", "negl", "negr", "andl", "foralll", "forallr",
-                "eq1", "eq2", "qg2", "qg4", "qg5", "qg6", "qg7"):
+                "eq1", "eq2", "qg2", *B.AXIOMS):
         if len(premises) != 1:
             err("needs exactly one premise")
         p = premises[0]
@@ -379,21 +368,15 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                 err("no trigger equation and kept instance fit the discharge")
             chi, trig = hit
             return B.eq2(p, _ante_id(p, d), "w_", chi, trig.left, trig.right)
-        if rule in ("qg4", "qg5", "qg6", "qg7"):
+        if rule in B.AXIOMS:
             if len(ra) != 1 or rs:
                 err("discharges exactly one antecedent formula")
-            f = ra[0]
-            aid = _ante_id(p, f)
             try:
-                if rule == "qg4":
-                    return B.qg4(p, aid, f.left.left)
-                if rule == "qg5":
-                    return B.qg5(p, aid, f.left.left, f.left.right.child)
-                if rule == "qg6":
-                    return B.qg6(p, aid, f.left.left)
-                return B.qg7(p, aid, f.left.left, f.left.right.child)
+                terms = [reduce(getattr, path, ra[0])
+                         for path in B.AXIOM_TERMS[rule]]
             except AttributeError:
                 err("discharged formula does not instantiate the axiom")
+            return B.discharge_axiom(rule, p, _ante_id(p, ra[0]), *terms)
 
     if rule == "andr":
         if len(premises) != 2:
@@ -592,10 +575,19 @@ def parse_script(text: str) -> Derivation:
 # Structural fingerprint (round-trip comparison ignores occurrence ids)
 
 
-def fingerprint(d: Derivation):
-    return (
-        d.rule,
-        tuple(sorted(format_formula(f) for f in d.conclusion.ante_formulas())),
-        tuple(sorted(format_formula(f) for f in d.conclusion.succ_formulas())),
-        tuple(fingerprint(p) for p in d.premises),
-    )
+def fingerprint(d: Derivation) -> tuple:
+    """Per node in post-order: rule, number of premises and the sorted
+    formula texts of each side.  A flat tuple, so comparing two of them
+    needs no recursion."""
+    out: list[tuple] = []
+
+    def step(node: Derivation, _) -> None:
+        out.append((
+            node.rule,
+            len(node.premises),
+            tuple(sorted(map(format_formula, node.conclusion.ante_formulas()))),
+            tuple(sorted(map(format_formula, node.conclusion.succ_formulas()))),
+        ))
+
+    fold(d, step)
+    return tuple(out)

@@ -41,6 +41,7 @@ from .syntax import (
     Zero,
     lexists,
     lor,
+    numeral_text,
 )
 
 
@@ -248,7 +249,7 @@ def format_term(t: Term) -> str:
     if isinstance(t, Zero):
         return "0"
     if isinstance(t, Num):
-        return str(t.value)
+        return numeral_text(t.value)
     if isinstance(t, Suc):
         return f"(S {format_term(t.child)})"
     if isinstance(t, Plus):

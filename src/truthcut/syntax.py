@@ -210,15 +210,6 @@ def is_atomic(phi: Formula) -> bool:
     return isinstance(phi, (Eq, Tr))
 
 
-def is_truth_free(x: Term | Formula) -> bool:
-    """True iff no T predicate and no tdot/tr syntax-function symbol occurs."""
-    if isinstance(x, Tr):
-        return False
-    if isinstance(x, SynApp) and x.symbol in ("tdot", "tr"):
-        return False
-    return all(is_truth_free(c) for c in _children(x))
-
-
 def is_base_atom(phi: Formula) -> bool:
     """Atomic formula of the T-free base language: an equation.  All terms
     (including syntax-function applications) belong to the base language; only

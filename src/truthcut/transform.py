@@ -12,7 +12,15 @@ Conventions:
   ``_push``, ...) build proofs uncertified; each public entry point
   certifies its output once, in :func:`_certify`, which is the only trust
   boundary.  An intermediate proof reaches no output unchecked, since every
-  output is re-checked whole.
+  output is re-checked whole.  A lineage entry missing inside them is a
+  :class:`TransformError` naming the rule and the occurrence (raised in
+  :func:`_ancestors`).
+* Whole-tree rebuilds (substitution, eigenvariable freshening, weakening and
+  each rank pass of ``eliminate_cuts``) are steps of the one explicit-stack
+  walk :func:`~.deriv.fold`, so proof height is not limited by Python's
+  recursion limit there.  Only the steps that follow one occurrence's
+  ancestry up the tree recurse: ``_invert``, ``_contract`` /
+  ``_contract_principal``, ``drop_context`` and ``_reduce`` / ``_push``.
 * ``weaken`` and ``substitute_proof`` reuse occurrence ids, so their
   occurrence maps are identities.
 * ``invert`` and ``contract`` thread exact occurrence maps so per-occurrence
@@ -46,6 +54,7 @@ from .deriv import (
     Sequent,
     compute_measures,
     copy_occ,
+    fold,
     occ,
     refresh_ids,
     same_multiset,
@@ -246,53 +255,55 @@ def _fallback_map(old: Sequent, new: Sequent) -> dict[int, int]:
 # Substitution
 
 
-def _subst_tree(node: Derivation, x: str, t: Term) -> Derivation:
-    premises = tuple(_subst_tree(p, x, t) for p in node.premises)
+def _subst_tree(d: Derivation, x: str, t: Term) -> Derivation:
+    """``d`` with ``t`` for the free variable ``x`` in every formula, term
+    and template; occurrence ids are kept."""
 
     def sf(phi: Formula) -> Formula:
         return substitute(phi, x, t)
 
-    concl = Sequent(
-        tuple(Occurrence(sf(o.formula), o.id) for o in node.conclusion.ante),
-        tuple(Occurrence(sf(o.formula), o.id) for o in node.conclusion.succ),
-    )
-    template = node.template
-    if template is not None:
-        v, chi = template
-        if v != x:
-            if v in free_vars(t):
-                v2 = fresh_name(v, free_vars(t) | free_vars(chi) | bound_vars(chi) | {x})
-                chi = substitute(chi, v, Var(v2))
-                v = v2
-            template = (v, substitute(chi, x, t))
-    return replace(
-        node, conclusion=concl, premises=premises, template=template,
-        term=None if node.term is None else subst_term(node.term, x, t),
-        term2=None if node.term2 is None else subst_term(node.term2, x, t),
-    )
+    def step(node: Derivation, premises) -> Derivation:
+        concl = Sequent(
+            tuple(Occurrence(sf(o.formula), o.id) for o in node.conclusion.ante),
+            tuple(Occurrence(sf(o.formula), o.id) for o in node.conclusion.succ),
+        )
+        template = node.template
+        if template is not None:
+            v, chi = template
+            if v != x:
+                if v in free_vars(t):
+                    v2 = fresh_name(v, free_vars(t) | free_vars(chi) | bound_vars(chi) | {x})
+                    chi = substitute(chi, v, Var(v2))
+                    v = v2
+                template = (v, substitute(chi, x, t))
+        return replace(
+            node, conclusion=concl, premises=tuple(premises), template=template,
+            term=None if node.term is None else subst_term(node.term, x, t),
+            term2=None if node.term2 is None else subst_term(node.term2, x, t),
+        )
+
+    return fold(d, step)
 
 
 def freshen_eigenvariables(d: Derivation, avoid) -> Derivation:
     """Rename every eigenvariable in ``avoid`` to a fresh name.  Occurrence
     ids and all measures are untouched (only formulas inside the renamed
-    subtrees change)."""
+    subtrees change).  Premises are renamed before their conclusion, so no
+    eigenvariable in ``avoid`` is left above a node when it renames its own."""
     avoid = set(avoid)
     used = all_var_names(d) | avoid
 
-    def go(node: Derivation) -> Derivation:
-        node = replace(node, premises=tuple(go(p) for p in node.premises))
+    def step(node: Derivation, premises) -> Derivation:
+        node = replace(node, premises=tuple(premises))
         if node.rule in ("forallr", "qg3") and node.var in avoid:
             y2 = fresh_name(node.var, used)
             used.add(y2)
             idx = 0 if node.rule == "forallr" else 1
-            sub = node.premises[idx]
-            if node.var in collect_eigenvars(sub):
-                sub = freshen_eigenvariables(sub, {node.var})
-            sub = _subst_tree(sub, node.var, Var(y2))
+            sub = _subst_tree(node.premises[idx], node.var, Var(y2))
             node = replace(_replace_premise(node, idx, sub), var=y2)
         return node
 
-    return go(d)
+    return fold(d, step)
 
 
 def substitute_proof(d: Derivation, x: str, t: Term, system: str) -> TransformResult:
@@ -330,8 +341,10 @@ def substitute_proof(d: Derivation, x: str, t: Term, system: str) -> TransformRe
 # Weakening
 
 
-def _weaken_rec(node: Derivation, theta, lam):
-    subs = [_weaken_rec(p, theta, lam) for p in node.premises]
+def _weaken_node(node: Derivation, subs, theta, lam):
+    """Fold step of :func:`_weaken`: ``node`` over its weakened premises
+    ``subs`` ((derivation, added antecedent occs, added succedent occs) each),
+    with fresh occurrences of Theta and Lambda added to its conclusion."""
     add_a = tuple(occ(f) for f in theta)
     add_s = tuple(occ(f) for f in lam)
     lineage = dict(node.lineage)
@@ -360,7 +373,8 @@ def _weaken(d: Derivation, theta, lam):
     clash = new_free & collect_eigenvars(d)
     if clash:
         d = freshen_eigenvariables(d, clash)
-    return _weaken_rec(d, tuple(theta), tuple(lam))
+    theta, lam = tuple(theta), tuple(lam)
+    return fold(d, lambda node, subs: _weaken_node(node, subs, theta, lam))
 
 
 def weaken(d: Derivation, theta, lam, system: str) -> TransformResult:
@@ -389,8 +403,21 @@ def weaken(d: Derivation, theta, lam, system: str) -> TransformResult:
 # Inversion
 
 
+def _ancestors(node: Derivation, oid: int) -> tuple[tuple[int, int], ...]:
+    """``node``'s lineage entry for the conclusion occurrence ``oid``.  Every
+    uncertified step reads lineage through here, so a bookkeeping fault in a
+    construction is reported with the node that lacks the entry."""
+    try:
+        return node.lineage[oid]
+    except KeyError:
+        raise TransformError(
+            f"lineage fault: occurrence {oid} has no ancestry at rule "
+            f"{node.rule!r}"
+        ) from None
+
+
 def _parents_by_premise(node: Derivation, oid: int) -> dict[int, int]:
-    return {pi: poid for pi, poid in node.lineage[oid]}
+    return dict(_ancestors(node, oid))
 
 
 def _invert(node: Derivation, tid: int, rule: str, repl, selector, fresh_var):
@@ -399,49 +426,29 @@ def _invert(node: Derivation, tid: int, rule: str, repl, selector, fresh_var):
     splicing out the introducing ``rule`` node when the target is principal.
 
     Returns (derivation, map old-conclusion-occ-id -> tuple of new ids)."""
-    side_t, _idx, target = (node.conclusion.find(tid)[0],
-                            node.conclusion.find(tid)[1],
-                            node.conclusion.find(tid)[2])
+    _find_occ(node, tid)
     if tid in node.principal:
         if node.rule != rule:
             raise TransformError(
                 f"target introduced by {node.rule!r}, cannot invert as {rule!r}"
             )
-        if rule in ("Tl", "Tr", "negl", "negr"):
-            premise = node.premises[0]
-            m = {tid: (node.actives[0][1],)}
-            for o in node.conclusion.all_occurrences():
-                if o.id != tid:
-                    m[o.id] = tuple(oid for _, oid in node.lineage[o.id])
-            return premise, m
-        if rule == "andl":
-            premise = node.premises[0]
-            m = {tid: (node.actives[0][1], node.actives[1][1])}
-            for o in node.conclusion.all_occurrences():
-                if o.id != tid:
-                    m[o.id] = tuple(oid for _, oid in node.lineage[o.id])
-            return premise, m
-        if rule == "andr":
-            premise = node.premises[selector]
-            m = {tid: (node.actives[selector][1],)}
-            for o in node.conclusion.all_occurrences():
-                if o.id != tid:
-                    parents = _parents_by_premise(node, o.id)
-                    m[o.id] = (parents[selector],)
-            return premise, m
-        if rule == "forallr":
-            premise = node.premises[0]
+        if rule not in ("Tl", "Tr", "negl", "negr", "andl", "andr", "forallr"):
+            raise TransformError(f"no inversion for rule {rule!r}")
+        # splice the node out: the premise it keeps (the selected one for
+        # andr) proves the target's components and every context occurrence
+        pi = selector if rule == "andr" else 0
+        premise = node.premises[pi]
+        if rule == "forallr" and fresh_var != node.var:
             z = node.var
-            if fresh_var != z:
-                if z in collect_eigenvars(premise):
-                    premise = freshen_eigenvariables(premise, {z})
-                premise = _subst_tree(premise, z, Var(fresh_var))
-            m = {tid: (node.actives[0][1],)}
-            for o in node.conclusion.all_occurrences():
-                if o.id != tid:
-                    m[o.id] = tuple(oid for _, oid in node.lineage[o.id])
-            return premise, m
-        raise TransformError(f"no inversion for rule {rule!r}")
+            if z in collect_eigenvars(premise):
+                premise = freshen_eigenvariables(premise, {z})
+            premise = _subst_tree(premise, z, Var(fresh_var))
+        m = {tid: tuple(oid for i, oid in node.actives if i == pi)}
+        for o in node.conclusion.all_occurrences():
+            if o.id != tid:
+                m[o.id] = tuple(oid for i, oid in _ancestors(node, o.id)
+                                if i == pi)
+        return premise, m
 
     new_occs = tuple(occ(f) for f, _ in repl)
 
@@ -472,7 +479,7 @@ def _invert(node: Derivation, tid: int, rule: str, repl, selector, fresh_var):
         if o.id == tid or o.id in node.principal:
             continue
         lineage[o.id] = tuple(
-            (pi, maps[pi][oid][0]) for pi, oid in node.lineage[o.id]
+            (pi, maps[pi][oid][0]) for pi, oid in _ancestors(node, o.id)
         )
     for j, no in enumerate(new_occs):
         lineage[no.id] = tuple(
@@ -593,9 +600,8 @@ def _remap_node(node, new_premises, pms, drop_id, active_override=None):
     for o in concl.all_occurrences():
         if o.id in node.principal:
             continue
-        parents = node.lineage[o.id]
         seen = {}
-        for pi, oid in parents:
+        for pi, oid in _ancestors(node, o.id):
             seen.setdefault(pi, pms[pi][oid])
         lineage[o.id] = tuple(sorted(seen.items()))
     actives = active_override
@@ -999,10 +1005,9 @@ def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
     for o in concl_ante + concl_succ:
         if o.id in node.principal:
             continue
-        lineage[o.id] = tuple(
-            (pi, pms[pi][oid]) for pi, oid in node.lineage[o.id]
-        )
-        for pi, oid in node.lineage[o.id]:
+        parents = _ancestors(node, o.id)
+        lineage[o.id] = tuple((pi, pms[pi][oid]) for pi, oid in parents)
+        for pi, oid in parents:
             used_by_premise[pi].add(pms[pi][oid])
 
     extras = []
@@ -1150,8 +1155,9 @@ def _max_cut_rank(d: Derivation) -> int:
     )
 
 
-def _elim_rank(node: Derivation, r: int, fuel) -> Derivation:
-    new_premises = [_elim_rank(p, r, fuel) for p in node.premises]
+def _elim_node(node: Derivation, new_premises, r: int, fuel) -> Derivation:
+    """Fold step of one rank pass of :func:`eliminate_cuts`: ``node`` over its
+    rebuilt premises, with a cut of rank ``r`` reduced to lower rank."""
     pms = [
         _fallback_map(old.conclusion, new.conclusion)
         for old, new in zip(node.premises, new_premises)
@@ -1186,7 +1192,7 @@ def eliminate_cuts(d: Derivation, system: str) -> TransformResult:
     fuel = _Fuel(500_000)
     r = _max_cut_rank(out)
     while r > 0:
-        out = _elim_rank(out, r, fuel)
+        out = fold(out, lambda node, done: _elim_node(node, done, r, fuel))
         r2 = _max_cut_rank(out)
         if r2 >= r:
             raise TransformError(

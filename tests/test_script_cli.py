@@ -203,13 +203,13 @@ def test_cli_compositional_flag(tmp_path, capsys):
 
 
 def test_cli_deep_proof_exits_cleanly(capsys):
-    # [DERIVED] a proof too tall for the recursive measures (the 391-node
-    # refutation of 8*8=65) ends in exit 1 and one line, not a traceback
+    # [DERIVED] the 391-node refutation of 8*8=65, taller than the recursion
+    # limit, is measured and printed by the explicit-stack walks
     eq = Eq(Times(chain_numeral(8), chain_numeral(8)), chain_numeral(65))
     seq = f"{format_formula(eq)} =>"
-    assert main(["search", seq, "--system", "qg"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "recursion" in err
+    assert main(["search", seq, "--system", "qg"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PROVED\n") and out.count("\n") == 392
 
 
 def test_cli_deep_seed_exits_cleanly(tmp_path, capsys):
@@ -312,6 +312,49 @@ def test_cli_kernel_messages_past_digit_limit(tmp_path, capsys):
         assert err == ""
     assert main(["check", str(ok), "--system", "lptn"]) == 0
     assert capsys.readouterr().out.startswith("VALID")
+    assert time.perf_counter() - start < 1.0
+
+
+def _andl_past_digit_limit(tmp_path):
+    """A valid script whose formulas hold a 125092-bit numeral."""
+    phi = _nested_truth_seed(8)
+    p = tmp_path / "andl.gp"
+    p.write_text(f"1: init [] (= 0 0), {phi} => (= 0 0)\n"
+                 f"2: andl [1] (and (= 0 0) {phi}) => (= 0 0)\n")
+    return str(p)
+
+
+def test_cli_measures_past_digit_limit(tmp_path, capsys):
+    # [DERIVED] printing such a formula used to end in a ValueError
+    # traceback; both outputs now name the numeral by its bit length
+    path = _andl_past_digit_limit(tmp_path)
+    start = time.perf_counter()
+    assert main(["measures", path]) == 0
+    out = capsys.readouterr().out
+    assert "root [andl] (and (= 0 0) (T <125092-bit number>)) => (= 0 0)" in out
+    assert main(["--json", "measures", path]) == 0
+    nodes = json.loads(capsys.readouterr().out)["nodes"]
+    assert nodes[1]["sequent"] == "(T <125092-bit number>), (= 0 0) => (= 0 0)"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_elim_past_digit_limit(tmp_path, capsys):
+    # [DERIVED] elim prints the labelled script, but refuses to write one
+    # the reader would not read back: exit 1, one line, no file
+    path = _andl_past_digit_limit(tmp_path)
+    out_file = tmp_path / "out.gp"
+    start = time.perf_counter()
+    assert main(["elim", path]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("2: andl [1] (and (= 0 0) (T <125092-bit number>)) "
+                        "=> (= 0 0)\n")
+    assert main(["--json", "elim", path]) == 0
+    assert "<125092-bit number>" in json.loads(capsys.readouterr().out)["script"]
+    assert main(["elim", path, "--out", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"cannot write {out_file}: a numeral is too "
+                                 "long to print in decimal\n")
+    assert not out_file.exists()
     assert time.perf_counter() - start < 1.0
 
 

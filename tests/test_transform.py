@@ -452,32 +452,33 @@ def test_cut_elimination_runs_the_kernel_once(monkeypatch):
 
 
 def _drop_one_lineage_entry(monkeypatch):
-    """Make ``_weaken_rec`` forget the lineage of the first added antecedent
-    occurrence at every node with premises: a bookkeeping bug the kernel
-    reports as LINEAGE_BROKEN."""
-    weaken_rec = transform._weaken_rec
+    """Make the weakening fold step forget the lineage of the first added
+    antecedent occurrence at every node with premises: a bookkeeping bug the
+    kernel reports as LINEAGE_BROKEN."""
+    weaken_node = transform._weaken_node
 
-    def broken(node, theta, lam):
-        new, add_a, add_s = weaken_rec(node, theta, lam)
+    def broken(node, subs, theta, lam):
+        new, add_a, add_s = weaken_node(node, subs, theta, lam)
         if new.premises and add_a:
             lineage = dict(new.lineage)
             del lineage[add_a[0].id]
             new = replace(new, lineage=lineage)
         return new, add_a, add_s
 
-    monkeypatch.setattr(transform, "_weaken_rec", broken)
+    monkeypatch.setattr(transform, "_weaken_node", broken)
 
 
 def test_broken_construction_never_reaches_an_output(monkeypatch):
     # [DERIVED] with a lineage entry dropped inside the uncertified
     # weakening, reduce_cut's one kernel check refuses the output; in
     # eliminate_cuts the later reduction steps trip over the missing entry
-    # first.  Either way no result is returned.
+    # first and name it.  Either way no result is returned.
     d0, aid, d1, bid = _conjunction_cut()
     _drop_one_lineage_entry(monkeypatch)
     with pytest.raises(CertificateError, match="LINEAGE_BROKEN"):
         reduce_cut(d0, aid, d1, bid, "qg")
-    with pytest.raises(KeyError):
+    with pytest.raises(TransformError, match="lineage fault: occurrence "
+                       r"\d+ has no ancestry at rule 'eq1'"):
         eliminate_cuts(B.cut(d0, aid, d1, bid), "qg")
 
 
@@ -486,23 +487,24 @@ def test_eliminate_cuts_certifies_what_the_construction_returns(monkeypatch):
     # proof: a rank pass that returns a proof with broken lineage is refused
     d0, aid, d1, bid = _conjunction_cut()
     d = B.cut(d0, aid, d1, bid)
-    elim_rank = transform._elim_rank
-    depth = []
+    elim_node, max_cut_rank = transform._elim_node, transform._max_cut_rank
+    passes = []  # the input of each rank pass, read before the pass runs
 
-    def broken(node, r, fuel):
-        depth.append(node)
-        try:
-            out = elim_rank(node, r, fuel)
-        finally:
-            depth.pop()
-        if depth or r != 1:
+    def spy(out):
+        passes.append(out)
+        return max_cut_rank(out)
+
+    def broken(node, new_premises, r, fuel):
+        out = elim_node(node, new_premises, r, fuel)
+        if node is not passes[-1] or r != 1:
             return out
         # the last rank pass forgets the lineage of one root occurrence
         cid = next(iter(out.lineage))
         return replace(out, lineage={k: v for k, v in out.lineage.items()
                                      if k != cid})
 
-    monkeypatch.setattr(transform, "_elim_rank", broken)
+    monkeypatch.setattr(transform, "_max_cut_rank", spy)
+    monkeypatch.setattr(transform, "_elim_node", broken)
     with pytest.raises(CertificateError, match="LINEAGE_BROKEN"):
         eliminate_cuts(d, "qg")
 

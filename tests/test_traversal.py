@@ -1,0 +1,118 @@
+"""Whole-derivation walks: the post-order fold, the pre-order node iterator,
+and every walk on a proof far taller than Python's recursion limit."""
+
+import random
+import sys
+
+import pytest
+
+from truthcut import build as B
+from truthcut.coding import truth_teller
+from truthcut.deriv import compute_measures, fold, refresh_ids
+from truthcut.kernel import check_derivation
+from truthcut.script import fingerprint, print_script
+from truthcut.syntax import Eq, Var, Zero
+from truthcut.transform import eliminate_cuts, substitute_proof, weaken
+
+from proofgen import nested_cuts
+
+X = Var("x")
+E = Eq(X, X)
+TAU = truth_teller()
+TR_STEPS = 1500
+
+
+def _tall_proof():
+    """E => E, tau: a rank-1 cut of two init leaves on E, then TR_STEPS
+    applications of Tr to the truth-teller tau = T<tau>, each of which
+    keeps the sequent as it is."""
+    d0 = B.init_leaf([], E, [E, TAU])      # E => E, E, tau
+    d1 = B.init_leaf([E], E, [TAU])        # E, E => E, tau
+    d = B.cut(d0, d0.conclusion.succ[0].id, d1, d1.conclusion.ante[1].id)
+    for _ in range(TR_STEPS):
+        d = B.truth_right(d, d.conclusion.succ[-1].id)
+    return d
+
+
+TALL = _tall_proof()
+
+
+def _shallow(run):
+    """Run ``run()`` with the recursion limit 50 frames above this call."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _recursive_pre_order(d, path=()):
+    yield path, d
+    for i, p in enumerate(d.premises):
+        yield from _recursive_pre_order(p, path + (i,))
+
+
+def _recursive_post_order(d):
+    for p in d.premises:
+        yield from _recursive_post_order(p)
+    yield d
+
+
+def test_walk_orders():
+    # [DERIVED] iter_nodes keeps the recursive pre-order (path, node)
+    # sequence; fold visits in recursive post-order and hands each node its
+    # premises' results left to right
+    rng = random.Random(11)
+    for _ in range(20):
+        d = None
+        while d is None:
+            d = nested_cuts(rng, 3)
+        assert list(d.iter_nodes()) == list(_recursive_pre_order(d))
+        seen = []
+
+        def step(node, done):
+            assert done == list(node.premises)
+            seen.append(node)
+            return node
+
+        assert fold(d, step) is d
+        assert seen == list(_recursive_post_order(d))
+
+
+WALKS = {
+    "iter_nodes": (lambda: [len(n.conclusion.all_occurrences())
+                            for _, n in TALL.iter_nodes()],
+                   lambda widths: len(widths) == TR_STEPS + 3
+                   and set(widths) == {3, 4}),
+    "check_derivation": (lambda: check_derivation(TALL, "lptn"),
+                         lambda r: r.ok),
+    "compute_measures": (lambda: compute_measures(TALL),
+                         lambda m: m.triple() == (TR_STEPS + 1, 1, TR_STEPS)),
+    "refresh_ids": (lambda: refresh_ids(TALL),
+                    lambda d: check_derivation(d, "lptn").ok),
+    "print_script": (lambda: print_script(TALL),
+                     lambda text: text.count("\n") == TR_STEPS + 3),
+    "fingerprint": (lambda: fingerprint(TALL),
+                    lambda fp: fp == fingerprint(refresh_ids(TALL))),
+    "weaken": (lambda: weaken(TALL, [Eq(Zero(), Zero())], [], "lptn"),
+               lambda r: r.certificate.output_measures
+               == (TR_STEPS + 1, 1, TR_STEPS)),
+    "substitute_proof": (lambda: substitute_proof(TALL, "x", Zero(), "lptn"),
+                         lambda r: r.derivation.conclusion.ante[0].formula
+                         == Eq(Zero(), Zero())),
+    "eliminate_cuts": (lambda: eliminate_cuts(TALL, "lptn"),
+                       lambda r: r.certificate.output_measures
+                       == (TR_STEPS, 0, TR_STEPS)),
+}
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_walks_need_no_recursion(name):
+    # [DERIVED] every whole-derivation walk runs on a 1503-node proof with
+    # the recursion limit 50 frames above the caller
+    run, check = WALKS[name]
+    assert check(_shallow(run))
