@@ -10,12 +10,13 @@ truth rules add one to their principal, one-premise logical rules transfer or
 take maxima over their actives, and two-premise rules take maxima over
 corresponding context occurrences.
 
-Every whole-tree walk goes through one explicit-stack traversal, so no
-derivation is too tall to walk: :func:`fold` is the post-order walk (the
+Every walk over a derivation goes through one explicit-stack traversal, so
+no derivation is too tall to walk: :func:`fold` is the post-order walk (the
 measures, :func:`refresh_ids`, script printing and the transform rebuilds)
 and :meth:`Derivation.iter_nodes` the pre-order one (the kernel, searches
-over nodes).  Only the transforms that follow one occurrence's ancestry up
-the tree still recurse (see :mod:`.transform`).
+over nodes).  Given a children function, :func:`fold` also walks the
+ancestry of chosen occurrences, for the transforms that follow them up the
+tree (see :mod:`.transform`).
 """
 
 from __future__ import annotations
@@ -137,24 +138,29 @@ class Derivation:
 R = TypeVar("R")
 
 
-def fold(d: Derivation, step: Callable[[Derivation, list], R]) -> R:
-    """Post-order walk with an explicit stack: ``step(node, results)`` runs on
-    every node after all of its premises, ``results`` holding the premises'
-    own results left to right.  Returns the root's result."""
+def fold(d, step: Callable[[object, list], R], children=None) -> R:
+    """Post-order walk with an explicit stack: ``step(item, results)`` runs on
+    every item after all of its children, ``results`` holding the children's
+    own results left to right.  The items are ``d`` and what
+    ``children(item)`` lists below it; by default an item is a derivation
+    and its children are its premises.  ``children`` runs on an item before
+    any item below it.  Returns the root's result."""
     results: list = []
     stack: list = [d]
     while stack:
-        node = stack.pop()
-        if node is None:  # the node below has all its premise results
-            node = stack.pop()
-            k = len(node.premises)
+        item = stack.pop()
+        if item is None:  # the item below has all its children's results
+            k = stack.pop()
+            item = stack.pop()
             done = results[-k:]
             del results[-k:]
-            results.append(step(node, done))
-        elif node.premises:
-            stack += (node, None, *reversed(node.premises))
+            results.append(step(item, done))
+            continue
+        below = item.premises if children is None else children(item)
+        if below:
+            stack += (item, len(below), None, *reversed(below))
         else:
-            results.append(step(node, []))
+            results.append(step(item, []))
     return results[0]
 
 

@@ -15,12 +15,20 @@ Conventions:
   output is re-checked whole.  A lineage entry missing inside them is a
   :class:`TransformError` naming the rule and the occurrence (raised in
   :func:`_ancestors`).
-* Whole-tree rebuilds (substitution, eigenvariable freshening, weakening and
-  each rank pass of ``eliminate_cuts``) are steps of the one explicit-stack
-  walk :func:`~.deriv.fold`, so proof height is not limited by Python's
-  recursion limit there.  Only the steps that follow one occurrence's
-  ancestry up the tree recurse: ``_invert``, ``_contract`` /
-  ``_contract_principal``, ``drop_context`` and ``_reduce`` / ``_push``.
+* Walks run on the one explicit-stack traversal :func:`~.deriv.fold`, so
+  proof height is not limited by Python's recursion limit there.  The
+  whole-tree rebuilds (substitution, eigenvariable freshening, weakening and
+  each rank pass of ``eliminate_cuts``) fold over premises; ``_invert``,
+  ``_contract`` and ``drop_context`` fold over the ancestry of the
+  occurrences they follow (:func:`_ancestry`).  ``_reduce`` descends through
+  truth-rule principal pairs in a loop.  Only ``_push`` still recurses
+  (with ``_reduce``), once per rule at which the cut formula is a side
+  formula.
+* Every rebuilt node is re-linked to its new premises by :func:`_relink`.
+* Contraction into a principal occurrence inverts the other copy into the
+  formulas of the rule's actives, which is the invertibility the
+  cut-elimination argument rests on; only ``foralll``, whose premise keeps
+  the universal, contracts directly.
 * ``weaken`` and ``substitute_proof`` reuse occurrence ids, so their
   occurrence maps are identities.
 * ``invert`` and ``contract`` thread exact occurrence maps so per-occurrence
@@ -30,7 +38,7 @@ Conventions:
   and side, which is sound because all rule side conditions are formula-level.
 * ``reduce_cut`` output may contain cuts of strictly smaller rank (the
   compound-connective cases build them deliberately); only the truth-rule
-  case recurses, driven by the decrease of T-complexity.
+  case reduces again, driven by the decrease of T-complexity.
 * Each formula's free variables, bound variables and T-occurrence are
   computed once and cached on the formula (:func:`~.syntax.formula_facts`),
   so the kernel and measure passes of the final certification read them
@@ -45,6 +53,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
+from .build import BuildError, match_contexts
+from .build import cut as build_cut
 from .coding import DecodeError, decode_sentence
 from .deriv import (
     LEAF_RULES,
@@ -219,10 +229,6 @@ def _minus(seq: Sequent, occ_id: int) -> Sequent:
         tuple(o for o in seq.ante if o.id != occ_id),
         tuple(o for o in seq.succ if o.id != occ_id),
     )
-
-
-def _leaf_minus(leaf: Derivation, occ_id: int) -> Derivation:
-    return replace(leaf, conclusion=_minus(leaf.conclusion, occ_id))
 
 
 def _find_occ(d: Derivation, occ_id: int) -> tuple[str, Occurrence]:
@@ -416,23 +422,79 @@ def _ancestors(node: Derivation, oid: int) -> tuple[tuple[int, int], ...]:
         ) from None
 
 
-def _parents_by_premise(node: Derivation, oid: int) -> dict[int, int]:
-    return dict(_ancestors(node, oid))
+def _ancestry(d: Derivation, ids: tuple[int, ...], step):
+    """Fold ``step`` over the ancestry of the conclusion occurrences ``ids``
+    on :func:`~.deriv.fold`'s explicit stack.  Each item is a node with the
+    ids followed into it.  Its children are its premises, each with the
+    ancestors of those ids; an item has none at a leaf or where one of its
+    ids is principal."""
+
+    def children(item):
+        node, oids = item
+        if not node.premises or any(i in node.principal for i in oids):
+            return ()
+        parents = [dict(_ancestors(node, i)) for i in oids]
+        return [(p, tuple(ps[pi] for ps in parents))
+                for pi, p in enumerate(node.premises)]
+
+    return fold((d, ids), step, children)
 
 
-def _invert(node: Derivation, tid: int, rule: str, repl, selector, fresh_var):
+def _relink(node: Derivation, premises, premise_maps, drop=None, add=()):
+    """``node`` over new ``premises``; ``premise_maps[i]`` sends each
+    conclusion id of the old premise ``i`` to its id in the new one, and the
+    actives and lineage are re-pointed through it.  The conclusion loses the
+    occurrence ``drop`` and gains each ``(occurrence, side, ancestors)`` of
+    ``add`` at the end of its side.  A leaf gets no lineage."""
+    concl = node.conclusion
+    if drop is not None:
+        concl = _minus(concl, drop)
+    if add:
+        concl = Sequent(
+            concl.ante + tuple(o for o, side, _ in add if side == "ante"),
+            concl.succ + tuple(o for o, side, _ in add if side == "succ"),
+        )
+    lineage = {}
+    if premises:
+        lineage = {
+            cid: tuple((pi, premise_maps[pi][oid]) for pi, oid in parents)
+            for cid, parents in node.lineage.items() if cid != drop
+        }
+        lineage.update((o.id, ancestors) for o, _, ancestors in add)
+    return replace(
+        node, conclusion=concl, premises=tuple(premises), lineage=lineage,
+        actives=tuple((pi, premise_maps[pi][oid]) for pi, oid in node.actives),
+    )
+
+
+#: the rules whose principal :func:`_invert` can splice out
+_INVERTIBLE = ("Tl", "Tr", "negl", "negr", "andl", "andr", "forallr")
+
+
+def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
     """Core inversion: replace the target occurrence (and its whole ancestry)
     by the replacement occurrences in ``repl`` ([(formula, side), ...]),
     splicing out the introducing ``rule`` node when the target is principal.
 
-    Returns (derivation, map old-conclusion-occ-id -> tuple of new ids)."""
-    _find_occ(node, tid)
-    if tid in node.principal:
+    Returns (derivation, map old-conclusion-occ-id -> new id for every other
+    occurrence, ids of the replacement occurrences)."""
+
+    def step(item, done):
+        node, (t,) = item
+        if t not in node.principal:
+            new_occs = tuple(occ(f) for f, _ in repl)
+            add = [
+                (no, side, tuple((pi, r[2][j]) for pi, r in enumerate(done)))
+                for j, (no, (_, side)) in enumerate(zip(new_occs, repl))
+            ]
+            new = _relink(node, [r[0] for r in done], [r[1] for r in done],
+                          t, add)
+            return new, _same_ids(node, t), tuple(o.id for o in new_occs)
         if node.rule != rule:
             raise TransformError(
                 f"target introduced by {node.rule!r}, cannot invert as {rule!r}"
             )
-        if rule not in ("Tl", "Tr", "negl", "negr", "andl", "andr", "forallr"):
+        if rule not in _INVERTIBLE:
             raise TransformError(f"no inversion for rule {rule!r}")
         # splice the node out: the premise it keeps (the selected one for
         # andr) proves the target's components and every context occurrence
@@ -443,55 +505,44 @@ def _invert(node: Derivation, tid: int, rule: str, repl, selector, fresh_var):
             if z in collect_eigenvars(premise):
                 premise = freshen_eigenvariables(premise, {z})
             premise = _subst_tree(premise, z, Var(fresh_var))
-        m = {tid: tuple(oid for i, oid in node.actives if i == pi)}
-        for o in node.conclusion.all_occurrences():
-            if o.id != tid:
-                m[o.id] = tuple(oid for i, oid in _ancestors(node, o.id)
-                                if i == pi)
-        return premise, m
+        ctx = {o.id: oid for o in node.conclusion.all_occurrences()
+               if o.id != t for i, oid in _ancestors(node, o.id) if i == pi}
+        return premise, ctx, tuple(oid for i, oid in node.actives if i == pi)
 
-    new_occs = tuple(occ(f) for f, _ in repl)
+    return _ancestry(d, (tid,), step)
 
-    def rebuilt_sequent():
-        ante = tuple(o for o in node.conclusion.ante if o.id != tid)
-        succ = tuple(o for o in node.conclusion.succ if o.id != tid)
-        ante += tuple(no for no, (_, sd) in zip(new_occs, repl) if sd == "ante")
-        succ += tuple(no for no, (_, sd) in zip(new_occs, repl) if sd == "succ")
-        return Sequent(ante, succ)
 
-    base_map = {
-        o.id: (o.id,) for o in node.conclusion.all_occurrences() if o.id != tid
-    }
-    base_map[tid] = tuple(o.id for o in new_occs)
-
-    if not node.premises:
-        return replace(node, conclusion=rebuilt_sequent()), base_map
-
-    parents = _parents_by_premise(node, tid)
-    subs: dict[int, Derivation] = {}
-    maps: dict[int, dict] = {}
-    for pi, premise in enumerate(node.premises):
-        subs[pi], maps[pi] = _invert(
-            premise, parents[pi], rule, repl, selector, fresh_var
-        )
-    lineage = {}
-    for o in node.conclusion.all_occurrences():
-        if o.id == tid or o.id in node.principal:
-            continue
-        lineage[o.id] = tuple(
-            (pi, maps[pi][oid][0]) for pi, oid in _ancestors(node, o.id)
-        )
-    for j, no in enumerate(new_occs):
-        lineage[no.id] = tuple(
-            (pi, maps[pi][parents[pi]][j]) for pi in range(len(node.premises))
-        )
-    new = replace(
-        node, conclusion=rebuilt_sequent(),
-        premises=tuple(subs[pi] for pi in range(len(node.premises))),
-        actives=tuple((pi, maps[pi][oid][0]) for pi, oid in node.actives),
-        lineage=lineage,
+def _inversions(d: Derivation, f: Formula, side: str):
+    """How :func:`invert` inverts ``f`` on ``side``: one (rule, selector,
+    replacement formulas with their sides, fresh variable) per output."""
+    if isinstance(f, Tr):
+        n = numeral_value(f.term)
+        if n is None:
+            raise TransformError(
+                "truth inversion requires a numeral term (pointwise "
+                "compositional principals cannot be inverted)"
+            )
+        try:
+            phi = decode_sentence(n)
+        except DecodeError as e:
+            raise TransformError(f"target numeral decodes to nothing: {e}") from e
+        return [("Tl" if side == "ante" else "Tr", None, ((phi, side),), None)]
+    if isinstance(f, Not):
+        flip = "succ" if side == "ante" else "ante"
+        return [("negl" if side == "ante" else "negr", None,
+                 ((f.body, flip),), None)]
+    if isinstance(f, And) and side == "ante":
+        return [("andl", None, ((f.left, "ante"), (f.right, "ante")), None)]
+    if isinstance(f, And):
+        return [("andr", i, ((conj, "succ"),), None)
+                for i, conj in enumerate((f.left, f.right))]
+    if isinstance(f, Forall) and side == "succ":
+        y = fresh_name("y", all_var_names(d))
+        return [("forallr", None,
+                 ((substitute(f.body, f.var, Var(y)), "succ"),), y)]
+    raise TransformError(
+        f"target mismatch: cannot invert {f!r} in the {side}cedent"
     )
-    return new, base_map
 
 
 def invert(d: Derivation, target_id: int, system: str):
@@ -508,246 +559,110 @@ def invert(d: Derivation, target_id: int, system: str):
     initial sequents it would fail at T-principal axioms.
     """
     side, o = _find_occ(d, target_id)
-    f = o.formula
     im = compute_measures(d)
     tau_t = im.tau[target_id]
-
-    def run(rule, repl, selector=None, fresh_var=None):
-        out, m = _invert(d, target_id, rule, repl, selector, fresh_var)
-        pointwise = []
-        for old in d.conclusion.all_occurrences():
-            if old.id == target_id:
-                continue
-            for nid in m[old.id]:
-                pointwise.append((f"{old.id}", nid, im.tau[old.id]))
-        return out, m, pointwise
-
-    if isinstance(f, Tr):
-        n = numeral_value(f.term)
-        if n is None:
-            raise TransformError(
-                "truth inversion requires a numeral term (pointwise "
-                "compositional principals cannot be inverted)"
-            )
-        try:
-            phi = decode_sentence(n)
-        except DecodeError as e:
-            raise TransformError(f"target numeral decodes to nothing: {e}") from e
-        rule = "Tl" if side == "ante" else "Tr"
-        out, m, pointwise = run(rule, ((phi, side),))
-        bound = tau_t - 1 if tau_t > 0 else 0
-        pointwise.append(("target", m[target_id][0], bound))
-        return _certify(
-            out, system, f"invert {rule}", (im,),
+    results = []
+    for rule, selector, repl, fresh_var in _inversions(d, o.formula, side):
+        out, ctx, new = _invert(d, target_id, rule, repl, selector, fresh_var)
+        pointwise = [
+            (f"{old.id}", ctx[old.id], im.tau[old.id])
+            for old in d.conclusion.all_occurrences() if old.id != target_id
+        ]
+        bound = max(tau_t - 1, 0) if rule in ("Tl", "Tr") else tau_t
+        labels = ("target.left", "target.right") if rule == "andl" else ("target",)
+        pointwise += [(label, nid, bound) for label, nid in zip(labels, new)]
+        name = rule if selector is None else f"{rule}[{selector}]"
+        results.append(_certify(
+            out, system, f"invert {name}", (im,),
             length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
-            pointwise=pointwise, occ_map=m,
-        )
-    if isinstance(f, Not):
-        rule = "negl" if side == "ante" else "negr"
-        flip = "succ" if side == "ante" else "ante"
-        out, m, pointwise = run(rule, ((f.body, flip),))
-        pointwise.append(("target", m[target_id][0], tau_t))
-        return _certify(
-            out, system, f"invert {rule}", (im,),
-            length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
-            pointwise=pointwise, occ_map=m,
-        )
-    if isinstance(f, And) and side == "ante":
-        out, m, pointwise = run("andl", ((f.left, "ante"), (f.right, "ante")))
-        pointwise.append(("target.left", m[target_id][0], tau_t))
-        pointwise.append(("target.right", m[target_id][1], tau_t))
-        return _certify(
-            out, system, "invert andl", (im,),
-            length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
-            pointwise=pointwise, occ_map=m,
-        )
-    if isinstance(f, And) and side == "succ":
-        results = []
-        for selector, conj in ((0, f.left), (1, f.right)):
-            out, m, pointwise = run("andr", ((conj, "succ"),), selector=selector)
-            pointwise.append(("target", m[target_id][0], tau_t))
-            results.append(_certify(
-                out, system, f"invert andr[{selector}]", (im,),
-                length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
-                pointwise=pointwise, occ_map=m,
-            ))
-        return tuple(results)
-    if isinstance(f, Forall) and side == "succ":
-        y = fresh_name("y", all_var_names(d))
-        inst = substitute(f.body, f.var, Var(y))
-        out, m, pointwise = run("forallr", ((inst, "succ"),), fresh_var=y)
-        pointwise.append(("target", m[target_id][0], tau_t))
-        return _certify(
-            out, system, "invert forallr", (im,),
-            length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
-            pointwise=pointwise, occ_map=m,
-        )
-    raise TransformError(
-        f"target mismatch: cannot invert {f!r} in the {side}cedent"
-    )
+            pointwise=pointwise,
+            occ_map={k: (v,) for k, v in ctx.items()} | {target_id: new},
+        ))
+    return tuple(results) if len(results) > 1 else results[0]
 
 
 # ---------------------------------------------------------------------------
 # Contraction
 
 
-def _remap_node(node, new_premises, pms, drop_id, active_override=None):
-    """Rebuild ``node`` over transformed premises.  ``pms[i]`` maps premise
-    ``i``'s old conclusion occurrence ids to their new ids; ``drop_id`` is
-    removed from the conclusion."""
-    concl = _minus(node.conclusion, drop_id)
-    lineage = {}
-    for o in concl.all_occurrences():
-        if o.id in node.principal:
-            continue
-        seen = {}
-        for pi, oid in _ancestors(node, o.id):
-            seen.setdefault(pi, pms[pi][oid])
-        lineage[o.id] = tuple(sorted(seen.items()))
-    actives = active_override
-    if actives is None:
-        actives = tuple((pi, pms[pi][oid]) for pi, oid in node.actives)
-    return replace(node, conclusion=concl, premises=tuple(new_premises),
-                   actives=actives, lineage=lineage)
-
-
-def _ident_minus(node, drop_id, keep_id):
+def _same_ids(node, drop_id=None, keep_id=None):
+    """The identity on ``node``'s conclusion ids, except that ``drop_id``
+    goes to ``keep_id`` (or nowhere, without one)."""
     m = {
         o.id: o.id
         for o in node.conclusion.all_occurrences()
         if o.id != drop_id
     }
-    m[drop_id] = keep_id
+    if keep_id is not None:
+        m[drop_id] = keep_id
     return m
 
 
-def _contract(node: Derivation, ida: int, idb: int):
+def _contract(d: Derivation, ida: int, idb: int):
     """Merge two same-side occurrences of one formula.  Returns
     (derivation, map old-conclusion-id -> new id)."""
-    side_a, oa = _find_occ(node, ida)
-    side_b, ob = _find_occ(node, idb)
+    side_a, oa = _find_occ(d, ida)
+    side_b, ob = _find_occ(d, idb)
+    if ida == idb:
+        raise TransformError("contraction needs two distinct occurrences")
     if side_a != side_b or oa.formula != ob.formula:
         raise TransformError("contraction needs two copies of one formula "
                              "on the same side")
-    if not node.premises:
-        keep, drop = (idb, ida) if idb in node.principal else (ida, idb)
-        return _leaf_minus(node, drop), _ident_minus(node, drop, keep)
 
-    if ida in node.principal or idb in node.principal:
-        pid, cid = (ida, idb) if ida in node.principal else (idb, ida)
-        return _contract_principal(node, pid, cid)
+    def step(item, done):
+        node, (a, b) = item
+        if not node.premises:
+            keep, drop = (b, a) if b in node.principal else (a, b)
+        elif a in node.principal or b in node.principal:
+            pid, cid = (a, b) if a in node.principal else (b, a)
+            return _contract_principal(node, pid, cid)
+        else:
+            keep, drop = a, b
+        new = _relink(node, [r[0] for r in done], [r[1] for r in done], drop)
+        return new, _same_ids(node, drop, keep)
 
-    # both copies are context occurrences: contract in every premise
-    pa = _parents_by_premise(node, ida)
-    pb = _parents_by_premise(node, idb)
-    subs = []
-    pms = []
-    for pi, premise in enumerate(node.premises):
-        sub, m = _contract(premise, pa[pi], pb[pi])
-        subs.append(sub)
-        pms.append(m)
-    new = _remap_node(node, subs, pms, idb)
-    return new, _ident_minus(node, idb, ida)
+    return _ancestry(d, (ida, idb), step)
 
 
 def _contract_principal(node: Derivation, pid: int, cid: int):
+    """Merge the context occurrence ``cid`` into the principal ``pid``.  In
+    each premise, invert the copy's ancestor into the formulas of the
+    node's actives there, then contract each active with its new copy."""
     rule = node.rule
-    premise = node.premises[0] if node.premises else None
-    _, po = _find_occ(node, pid)
-    f = po.formula
-
-    def finish(new_premise, pm, active_override):
-        new = _remap_node(node, [new_premise], [pm], cid,
-                          active_override=active_override)
-        return new, _ident_minus(node, cid, pid)
-
-    if rule in ("Tl", "Tr"):
-        act_id = node.actives[0][1]
-        psi = premise.conclusion.find(act_id)[2].formula
-        parent = _parents_by_premise(node, cid)[0]
-        side = "ante" if rule == "Tl" else "succ"
-        sub, minv = _invert(premise, parent, rule, ((psi, side),), None, None)
-        new_copy = minv[parent][0]
-        sub2, mc = _contract(sub, minv[act_id][0], new_copy)
-        pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parent}
-        merged = mc[minv[act_id][0]]
-        return finish(sub2, pm | {parent: merged}, ((0, merged),))
-
-    if rule in ("negl", "negr"):
-        act_id = node.actives[0][1]
-        parent = _parents_by_premise(node, cid)[0]
-        flip = "succ" if rule == "negl" else "ante"
-        sub, minv = _invert(premise, parent, rule, ((f.body, flip),), None, None)
-        sub2, mc = _contract(sub, minv[act_id][0], minv[parent][0])
-        pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parent}
-        merged = mc[minv[act_id][0]]
-        return finish(sub2, pm | {parent: merged}, ((0, merged),))
-
-    if rule == "andl":
-        a0, a1 = node.actives[0][1], node.actives[1][1]
-        parent = _parents_by_premise(node, cid)[0]
-        sub, minv = _invert(
-            premise, parent, "andl",
-            ((f.left, "ante"), (f.right, "ante")), None, None,
-        )
-        s2, m1 = _contract(sub, minv[a0][0], minv[parent][0])
-        s3, m2 = _contract(s2, m1[minv[a1][0]], m1[minv[parent][1]])
-        pm = {oid: m2[m1[minv[oid][0]]] for oid in minv if oid != parent}
-        merged0 = m2[m1[minv[a0][0]]]
-        merged1 = m2[m1[minv[a1][0]]]
-        return finish(s3, pm | {parent: merged0},
-                      ((0, merged0), (0, merged1)))
-
-    if rule == "andr":
-        parents = _parents_by_premise(node, cid)
-        subs = []
-        pms = []
-        merged_actives = []
-        for selector, conj in ((0, f.left), (1, f.right)):
-            p = node.premises[selector]
-            act_id = node.actives[selector][1]
-            sub, minv = _invert(
-                p, parents[selector], "andr", ((conj, "succ"),), selector, None
-            )
-            sub2, mc = _contract(sub, minv[act_id][0], minv[parents[selector]][0])
-            merged = mc[minv[act_id][0]]
-            pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parents[selector]}
-            pm[parents[selector]] = merged
-            subs.append(sub2)
-            pms.append(pm)
-            merged_actives.append((selector, merged))
-        new = _remap_node(node, subs, pms, cid,
-                          active_override=tuple(merged_actives))
-        return new, _ident_minus(node, cid, pid)
-
+    parents = dict(_ancestors(node, cid))
     if rule == "foralll":
-        kept_id, inst_id = node.actives[0][1], node.actives[1][1]
-        parent = _parents_by_premise(node, cid)[0]
-        sub, mc = _contract(premise, kept_id, parent)
-        return finish(sub, mc, ((0, mc[kept_id]), (0, mc[inst_id])))
-
-    if rule == "forallr":
-        act_id = node.actives[0][1]
-        z = node.var
-        parent = _parents_by_premise(node, cid)[0]
-        y = fresh_name("y", all_var_names(node))
-        inst = substitute(f.body, f.var, Var(y))
-        sub, minv = _invert(premise, parent, "forallr", ((inst, "succ"),),
-                            None, y)
-        if z in collect_eigenvars(sub):
-            sub = freshen_eigenvariables(sub, {z})
-        sub = _subst_tree(sub, y, Var(z))
-        sub2, mc = _contract(sub, minv[act_id][0], minv[parent][0])
-        pm = {oid: mc[minv[oid][0]] for oid in minv if oid != parent}
-        merged = mc[minv[act_id][0]]
-        return finish(sub2, pm | {parent: merged}, ((0, merged),))
-
+        # the premise still holds the universal: contract the copy into it
+        sub, m = _contract(node.premises[0], node.actives[0][1], parents[0])
+        return _relink(node, [sub], [m], cid), _same_ids(node, cid, pid)
     if rule == "comp":
         raise TransformError(
             "contraction through a pointwise compositional principal is not "
             "supported"
         )
-    raise TransformError(f"cannot contract principal of rule {rule!r}")
+    if rule not in _INVERTIBLE:
+        raise TransformError(f"cannot contract principal of rule {rule!r}")
+    subs, maps = [], []
+    for pi, premise in enumerate(node.premises):
+        actives = [oid for i, oid in node.actives if i == pi]
+        repl = [(hit[2].formula, hit[0])
+                for hit in map(premise.conclusion.find, actives)]
+        y = None
+        if rule == "forallr":
+            # invert on a fresh instance, then rename it to the eigenvariable
+            f = _find_occ(node, pid)[1].formula
+            y = fresh_name("y", all_var_names(node))
+            repl = [(substitute(f.body, f.var, Var(y)), "succ")]
+        sub, m, copies = _invert(premise, parents[pi], rule, repl, pi, y)
+        if rule == "forallr":
+            if node.var in collect_eigenvars(sub):
+                sub = freshen_eigenvariables(sub, {node.var})
+            sub = _subst_tree(sub, y, Var(node.var))
+        for a, c in zip(actives, copies):
+            sub, mc = _contract(sub, m[a], c)
+            m = {k: mc[v] for k, v in m.items()}
+        subs.append(sub)
+        maps.append(m)
+    return _relink(node, subs, maps, cid), _same_ids(node, cid, pid)
 
 
 def contract(d: Derivation, ida: int, idb: int, system: str) -> TransformResult:
@@ -806,17 +721,16 @@ def _contract_to(d: Derivation, target_ante, target_succ) -> Derivation:
 def drop_context(d: Derivation, occ_id: int) -> Derivation:
     """Remove an occurrence whose entire ancestry consists of side formulas
     (as is always the case for top in antecedents and bot in succedents)."""
-    if occ_id in d.principal:
-        raise TransformError("cannot drop a principal occurrence")
-    if not d.premises:
-        return _leaf_minus(d, occ_id)
-    parents = _parents_by_premise(d, occ_id)
-    premises = tuple(
-        drop_context(p, parents[pi]) for pi, p in enumerate(d.premises)
-    )
-    lineage = {k: v for k, v in d.lineage.items() if k != occ_id}
-    return replace(d, conclusion=_minus(d.conclusion, occ_id),
-                   premises=premises, lineage=lineage)
+    _find_occ(d, occ_id)
+
+    def step(item, done):
+        node, (oid,) = item
+        if oid in node.principal:
+            raise TransformError("cannot drop a principal occurrence")
+        same = [_same_ids(p) for p in node.premises]
+        return _relink(node, done, same, oid)
+
+    return _ancestry(d, (occ_id,), step)
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +739,6 @@ def drop_context(d: Derivation, occ_id: int) -> Derivation:
 
 def _build_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
                m_allow: int) -> Derivation:
-    from .build import cut as build_cut
-
     phi = d0.conclusion.find(aid)[2].formula
     if logical_complexity(phi) + 1 > m_allow:
         raise TransformError(
@@ -850,6 +762,12 @@ class _Fuel:
 
 def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
     fuel.burn()
+    # truth rules principal on both sides: cut their actives instead
+    while (d0.rule == "Tr" and aid in d0.principal
+           and d1.rule == "Tl" and bid in d1.principal):
+        d0, aid = d0.premises[0], d0.actives[0][1]
+        d1, bid = d1.premises[0], d1.actives[0][1]
+        fuel.burn()
     phi = d0.conclusion.find(aid)[2].formula
 
     # --- axiom cases ------------------------------------------------------
@@ -865,7 +783,7 @@ def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
             raise TransformError(
                 f"unexpected succedent principal in leaf {d0.rule}"
             )
-        return _leaf_minus(d0, aid)
+        return _relink(d0, (), (), aid)
     if d1.rule in LEAF_RULES:
         if bid in d1.principal:
             if d1.rule == "init":
@@ -878,7 +796,7 @@ def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
             # qg1: the cut formula S(t)=0 must be chased into d0, whose last
             # rule cannot have it principal (it is not a leaf here)
         else:
-            return _leaf_minus(d1, bid)
+            return _relink(d1, (), (), bid)
 
     # --- cut formula parametric (non-principal) in one premise ------------
     if aid not in d0.principal:
@@ -890,12 +808,6 @@ def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
     gamma = d0.conclusion.ante_formulas()
     delta = [o.formula for o in d0.conclusion.succ if o.id != aid]
 
-    if isinstance(phi, Tr) and d0.rule == "Tr" and d1.rule == "Tl":
-        p0 = d0.premises[0]
-        p1 = d1.premises[0]
-        return _reduce(
-            p0, d0.actives[0][1], p1, d1.actives[0][1], m_allow, fuel
-        )
     if isinstance(phi, Not) and d0.rule == "negr" and d1.rule == "negl":
         p0 = d0.premises[0]  # psi, Gamma => Delta
         p1 = d1.premises[0]  # Gamma => psi, Delta
@@ -947,8 +859,7 @@ def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
     ``main_is_left`` says whether ``main`` proves the sequent with the cut
     formula on the right (i.e. plays the left role of the cut)."""
     node = main
-    parents = _parents_by_premise(node, main_id)
-    phi_side = "succ" if main_is_left else "ante"
+    parents = dict(_ancestors(node, main_id))
 
     if main_is_left:
         o_ante = [o.formula for o in other.conclusion.ante if o.id != other_id]
@@ -996,61 +907,27 @@ def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
         pms.append(pm)
         used_by_premise.append(set(pm.values()))
 
-    # reapply the rule, carrying unmatched (other-context) occurrences along
-    for pi, oid in node.actives:
-        used_by_premise[pi].add(pms[pi][oid])
-    concl_ante = [o for o in node.conclusion.ante if o.id != main_id]
-    concl_succ = [o for o in node.conclusion.succ if o.id != main_id]
-    lineage = {}
-    for o in concl_ante + concl_succ:
-        if o.id in node.principal:
-            continue
-        parents = _ancestors(node, o.id)
-        lineage[o.id] = tuple((pi, pms[pi][oid]) for pi, oid in parents)
-        for pi, oid in parents:
-            used_by_premise[pi].add(pms[pi][oid])
-
-    extras = []
-    for pi, ci in enumerate(new_premises):
-        extras.append([
-            o for o in ci.conclusion.all_occurrences()
-            if o.id not in used_by_premise[pi]
-        ])
-    if len(new_premises) == 1:
-        for e in extras[0]:
-            side = new_premises[0].conclusion.side_of(e.id)
-            no = copy_occ(e)
-            lineage[no.id] = ((0, e.id),)
-            (concl_ante if side == "ante" else concl_succ).append(no)
-    else:
-        pool = list(extras[1])
-        for e0 in extras[0]:
-            side = new_premises[0].conclusion.side_of(e0.id)
-            for j, e1 in enumerate(pool):
-                if (e1.formula == e0.formula
-                        and new_premises[1].conclusion.side_of(e1.id) == side):
-                    pool.pop(j)
-                    no = copy_occ(e0)
-                    lineage[no.id] = ((0, e0.id), (1, e1.id))
-                    (concl_ante if side == "ante" else concl_succ).append(no)
-                    break
-            else:
+    # reapply the rule; occurrences of a new premise that no old one maps
+    # to came from the other cut premise's context and are carried along
+    add = []
+    for side in ("ante", "succ"):
+        extras = [
+            [o for o in getattr(ci.conclusion, side)
+             if o.id not in used_by_premise[pi]]
+            for pi, ci in enumerate(new_premises)
+        ]
+        pairs = [(e,) for e in extras[0]]
+        if len(extras) == 2:
+            try:
+                pairs = match_contexts(*extras)
+            except BuildError:
                 raise TransformError(
                     "unpaired context occurrence while reapplying "
                     f"{node.rule} after cut reduction"
-                )
-        if pool:
-            raise TransformError(
-                "unpaired context occurrence while reapplying "
-                f"{node.rule} after cut reduction"
-            )
-
-    reapplied = replace(
-        node, conclusion=Sequent(tuple(concl_ante), tuple(concl_succ)),
-        premises=tuple(new_premises),
-        actives=tuple((pi, pms[pi][oid]) for pi, oid in node.actives),
-        lineage=lineage,
-    )
+                ) from None
+        add += [(copy_occ(es[0]), side, tuple(enumerate(o.id for o in es)))
+                for es in pairs]
+    reapplied = _relink(node, new_premises, pms, main_id, add)
     return _contract_to(reapplied, target_ante, target_succ)
 
 
@@ -1171,15 +1048,7 @@ def _elim_node(node: Derivation, new_premises, r: int, fuel) -> Derivation:
         )
     if not node.premises:
         return node
-    lineage = {
-        cid: tuple((pi, pms[pi][oid]) for pi, oid in parents)
-        for cid, parents in node.lineage.items()
-    }
-    return replace(
-        node, premises=tuple(new_premises),
-        actives=tuple((pi, pms[pi][oid]) for pi, oid in node.actives),
-        lineage=lineage,
-    )
+    return _relink(node, new_premises, pms)
 
 
 def eliminate_cuts(d: Derivation, system: str) -> TransformResult:

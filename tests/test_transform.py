@@ -1,23 +1,27 @@
 """Certificate-producing structural transformations."""
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
 from truthcut import build as B
-from truthcut import transform
+from truthcut import deriv, transform
 from truthcut.arith import prove_equation
-from truthcut.coding import quote
+from truthcut.coding import encode, quote
 from truthcut.deriv import compute_measures
 from truthcut.kernel import check_derivation
+from truthcut.script import print_script
 from truthcut.search import SearchBudget, search_cut_free
 from truthcut.syntax import (
     And,
     Eq,
     Forall,
     Not,
+    Num,
     Suc,
+    SynApp,
     Tr,
     Var,
     Zero,
@@ -28,6 +32,7 @@ from truthcut.transform import (
     _length_bound,
     _within,
     contract,
+    drop_context,
     eliminate_cuts,
     hyperexp,
     invert,
@@ -217,6 +222,184 @@ def test_contract_rejects_mismatched_occurrences():
     lf = B.init_leaf([PHI, PSI], PHI, [])
     with pytest.raises(TransformError):
         contract(lf, _ante_id(lf, PHI, 0), _ante_id(lf, PSI), "lptn")
+
+
+def test_contract_refuses_one_occurrence_twice():
+    # [DERIVED] two equal ids name one occurrence, not two copies; this was
+    # a bare KeyError
+    lf = B.init_leaf([], PHI, [])
+    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    for proof in (lf, d):
+        oid = proof.conclusion.ante[0].id
+        with pytest.raises(TransformError, match="two distinct occurrences"):
+            contract(proof, oid, oid, "lptn")
+
+
+def test_drop_context_checks_its_occurrence():
+    # [DERIVED] an id outside the end sequent is refused before any walk; a
+    # leaf came back unchanged and a larger proof raised a lineage fault
+    lf = B.init_leaf([PSI], PHI, [])
+    d = B.truth_left(lf, _ante_id(lf, PHI))
+    missing = 1 + max(o.id for _, n in d.iter_nodes()
+                      for o in n.conclusion.all_occurrences())
+    for proof in (lf, d):
+        with pytest.raises(TransformError,
+                           match=f"occurrence {missing} not in the conclusion"):
+            drop_context(proof, missing)
+
+
+# ---------------------------------------------------------------------------
+# Principal contraction: a context copy merged into each rule's principal
+
+
+def _contract_tl():
+    lf = B.init_leaf([PHI], PHI, [])          # PHI, PHI => PHI
+    d1 = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = B.truth_left(d1, _ante_id(d1, PHI))   # TPHI, TPHI => PHI
+    return d, "lptn"
+
+
+def _contract_tr():
+    lf = B.init_leaf([], PHI, [PHI])          # PHI => PHI, PHI
+    d1 = B.truth_right(lf, lf.conclusion.succ[1].id)
+    d = B.truth_right(d1, _succ_id(d1, PHI))  # PHI => TPHI, TPHI
+    return d, "lptn"
+
+
+def _contract_negl():
+    lf = B.init_leaf([Not(PHI)], PHI, [])     # ~PHI, PHI => PHI
+    d = B.neg_left(lf, lf.conclusion.succ[0].id)
+    return d, "lptn"
+
+
+def _contract_negr():
+    lf = B.init_leaf([PHI], PHI, [])          # PHI, PHI => PHI
+    d1 = B.neg_right(lf, lf.conclusion.ante[0].id)
+    d = B.neg_right(d1, _ante_id(d1, PHI))    # => PHI, ~PHI, ~PHI
+    return d, "lptn"
+
+
+def _contract_andl(right):
+    conj = And(PHI, right)
+    lf = B.init_leaf([PHI, conj], right, [])  # PHI, conj, right => right
+    d = B.and_left(lf, lf.conclusion.ante[0].id, lf.conclusion.ante[2].id)
+    return d, "lptn"
+
+
+def _contract_andr():
+    conj = And(PHI, PSI)
+    a = B.init_leaf([PSI], PHI, [conj])       # PSI, PHI => PHI, conj
+    b = B.init_leaf([PHI], PSI, [conj])       # PHI, PSI => PSI, conj
+    d = B.and_right(a, a.conclusion.succ[0].id, b, b.conclusion.succ[0].id)
+    return d, "lptn"
+
+
+FA = Forall("x", Eq(Var("x"), Var("x")))
+
+
+def _contract_foralll():
+    lf = B.init_leaf([FA, FA], PHI, [])       # FA, FA, PHI => PHI
+    d = B.forall_left(lf, lf.conclusion.ante[0].id, lf.conclusion.ante[2].id,
+                      Zero())
+    return d, "qg"
+
+
+def _contract_forallr():
+    y, z = Var("y"), Var("z")
+    p = prove_equation([], y, y, [Eq(z, z)])  # => y=y, z=z
+    d1 = B.forall_right(p, _succ_id(p, Eq(z, z)), FA, "z")
+    d = B.forall_right(d1, _succ_id(d1, Eq(y, y)), FA, "y")  # => FA, FA
+    return d, "qg"
+
+
+PRINCIPAL_CASES = {
+    "Tl": _contract_tl,
+    "Tr": _contract_tr,
+    "negl": _contract_negl,
+    "negr": _contract_negr,
+    "andl": lambda: _contract_andl(PSI),
+    "andl A&A": lambda: _contract_andl(PHI),
+    "andr": _contract_andr,
+    "foralll": _contract_foralll,
+    "forallr": _contract_forallr,
+}
+
+#: print_script output and certificate checks of each contraction above,
+#: with the occurrence-id counter reset before the input is built
+PRINCIPAL_PINS = {
+    "Tl": ("1: init [] (= 0 0) => (= 0 0)\n2: Tl [1] (T 391) => (= 0 0)\n",
+           (("length", 2, 1), ("cutRank", 0, 0), ("proofTau", 1, 1),
+            ("tau[merged]", 1, 1), ("tau[8]", 0, 0))),
+    "Tr": ("1: init [] (= 0 0) => (= 0 0)\n2: Tr [1] (= 0 0) => (T 391)\n",
+           (("length", 2, 1), ("cutRank", 0, 0), ("proofTau", 1, 1),
+            ("tau[merged]", 1, 1), ("tau[7]", 0, 0))),
+    "negl": ("1: init [] (= 0 0) => (= 0 0)\n"
+             "2: negl [1] (= 0 0), (not (= 0 0)) =>\n",
+             (("length", 1, 1), ("cutRank", 0, 0), ("proofTau", 0, 0),
+              ("tau[merged]", 0, 0), ("tau[5]", 0, 0))),
+    "negr": ("1: init [] (= 0 0) => (= 0 0)\n"
+             "2: negr [1] => (= 0 0), (not (= 0 0))\n",
+             (("length", 2, 1), ("cutRank", 0, 0), ("proofTau", 0, 0),
+              ("tau[merged]", 0, 0), ("tau[7]", 0, 0))),
+    "andl": ("1: init [] (= 0 0), (= (S 0) (S 0)) => (= (S 0) (S 0))\n"
+             "2: andl [1] (and (= 0 0) (= (S 0) (S 0))) => (= (S 0) (S 0))\n",
+             (("length", 1, 1), ("cutRank", 0, 0), ("proofTau", 0, 0),
+              ("tau[merged]", 0, 0), ("tau[6]", 0, 0))),
+    "andl A&A": ("1: init [] (= 0 0), (= 0 0) => (= 0 0)\n"
+                 "2: andl [1] (and (= 0 0) (= 0 0)) => (= 0 0)\n",
+                 (("length", 1, 1), ("cutRank", 0, 0), ("proofTau", 0, 0),
+                  ("tau[merged]", 0, 0), ("tau[6]", 0, 0))),
+    "andr": ("1: init [] (= (S 0) (S 0)), (= 0 0) => (= 0 0)\n"
+             "2: init [] (= 0 0), (= (S 0) (S 0)) => (= (S 0) (S 0))\n"
+             "3: andr [1, 2] (= (S 0) (S 0)), (= 0 0) => "
+             "(and (= 0 0) (= (S 0) (S 0)))\n",
+             (("length", 1, 1), ("cutRank", 0, 0), ("proofTau", 0, 0),
+              ("tau[merged]", 0, 0), ("tau[9]", 0, 0), ("tau[10]", 0, 0))),
+    "foralll": ("1: init [] (forall x (= x x)), (= 0 0) => (= 0 0)\n"
+                "2: foralll [1] (forall x (= x x)) => (= 0 0)\n",
+                (("length", 1, 1), ("cutRank", 0, 0), ("proofTau", 0, 0),
+                 ("tau[merged]", 0, 0), ("tau[6]", 0, 0))),
+    "forallr": ("1: init [] (= y y) => (= y y)\n"
+                "2: eq1 [1] => (= y y)\n"
+                "3: forallr [2] => (forall x (= x x))\n",
+                (("length", 3, 2), ("cutRank", 0, 0), ("proofTau", 0, 0),
+                 ("tau[merged]", 0, 0))),
+}
+
+
+def _principal_and_copy(d):
+    """The root's principal and the other occurrence of its formula on its
+    side."""
+    side, _, p = d.conclusion.find(d.principal[0])
+    copy = next(o.id for o in getattr(d.conclusion, side)
+                if o.formula == p.formula and o.id != p.id)
+    return p.id, copy
+
+
+@pytest.mark.parametrize("name", PRINCIPAL_CASES)
+def test_contract_into_principal_pinned(name, monkeypatch):
+    # [DERIVED] merging a context copy into the principal of each rule gives
+    # the pinned proof and certificate, in either argument order
+    for swap in (False, True):
+        monkeypatch.setattr(deriv, "_ids", itertools.count(1))
+        d, system = PRINCIPAL_CASES[name]()
+        assert d.rule == name.split()[0]
+        pid, cid = _principal_and_copy(d)
+        r = contract(d, *((cid, pid) if swap else (pid, cid)), system)
+        assert (print_script(r.derivation),
+                r.certificate.checks) == PRINCIPAL_PINS[name]
+
+
+def test_contract_refuses_a_compositional_principal():
+    # [DERIVED] no contraction through comp: its premises prove the parts of
+    # a pointwise conjunction, which inversion cannot reach
+    term = SynApp("anddot", (Num(encode(PHI)), Num(encode(PSI))))
+    a = B.init_leaf([PSI], PHI, [Tr(term)])   # PSI, PHI => PHI, T(term)
+    b = B.init_leaf([PHI], PSI, [Tr(term)])   # PHI, PSI => PSI, T(term)
+    d = B.comp_node(a, a.conclusion.succ[0].id, b, b.conclusion.succ[0].id)
+    assert check_derivation(d, "lptn_comp").ok
+    with pytest.raises(TransformError, match="compositional principal"):
+        contract(d, *_principal_and_copy(d), "lptn_comp")
 
 
 # ---------------------------------------------------------------------------

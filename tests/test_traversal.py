@@ -1,5 +1,6 @@
 """Whole-derivation walks: the post-order fold, the pre-order node iterator,
-and every walk on a proof far taller than Python's recursion limit."""
+and every walk on a proof far taller than Python's recursion limit,
+including the transforms that follow occurrences up their ancestry."""
 
 import random
 import sys
@@ -11,8 +12,15 @@ from truthcut.coding import truth_teller
 from truthcut.deriv import compute_measures, fold, refresh_ids
 from truthcut.kernel import check_derivation
 from truthcut.script import fingerprint, print_script
-from truthcut.syntax import Eq, Var, Zero
-from truthcut.transform import eliminate_cuts, substitute_proof, weaken
+from truthcut.syntax import Eq, Not, Var, Zero
+from truthcut.transform import (
+    contract,
+    drop_context,
+    eliminate_cuts,
+    invert,
+    substitute_proof,
+    weaken,
+)
 
 from proofgen import nested_cuts
 
@@ -115,4 +123,75 @@ def test_walks_need_no_recursion(name):
     # [DERIVED] every whole-derivation walk runs on a 1503-node proof with
     # the recursion limit 50 frames above the caller
     run, check = WALKS[name]
+    assert check(_shallow(run))
+
+
+def _tower(d, left=False):
+    """``d`` under TR_STEPS applications of Tr (Tl with ``left``) to the
+    truth-teller, as in :func:`_tall_proof`."""
+    for _ in range(TR_STEPS):
+        if left:
+            tau = next(o for o in d.conclusion.ante if o.formula == TAU)
+            d = B.truth_left(d, tau.id)
+        else:
+            tau = next(o for o in d.conclusion.succ if o.formula == TAU)
+            d = B.truth_right(d, tau.id)
+    return d
+
+
+def _side_formula_cut():
+    """E => E, tau: a rank-1 cut on E whose left premise carries it as a side
+    formula under the tower; the right premise is an init leaf."""
+    d0 = _tower(B.init_leaf([], E, [E, TAU]))    # E => E, E, tau
+    d1 = B.init_leaf([E], E, [TAU])              # E, E => E, tau
+    return B.cut(d0, d0.conclusion.succ[1].id, d1, d1.conclusion.ante[1].id)
+
+
+def _truth_teller_cut():
+    """E => E: a cut on tau between E => E, tau under Tr steps and
+    E, tau => E under Tl steps, principal on both sides at every level."""
+    d0 = _tower(B.init_leaf([], E, [TAU]))              # E => E, tau
+    d1 = _tower(B.init_leaf([TAU], E, []), left=True)   # tau, E => E
+    return B.cut(d0, d0.conclusion.succ[-1].id, d1, d1.conclusion.ante[0].id)
+
+
+NEG_E = Not(E)
+#: ~E, E, E, E => E, tau under the tower; the first three are pure context
+CONTEXT = _tower(B.init_leaf([NEG_E, E, E], E, [TAU]))
+SIDE_CUT = _side_formula_cut()
+TRUTH_CUT = _truth_teller_cut()
+
+
+def _ante(f, nth=0):
+    return [o.id for o in CONTEXT.conclusion.ante if o.formula == f][nth]
+
+
+ANCESTRY_WALKS = {
+    "eliminate_cuts side formula": (
+        lambda: eliminate_cuts(SIDE_CUT, "lptn"),
+        lambda r: r.certificate.output_measures
+        == (TR_STEPS, 0, TR_STEPS)),
+    "eliminate_cuts truth-teller": (
+        lambda: eliminate_cuts(TRUTH_CUT, "lptn"),
+        lambda r: r.certificate.output_measures == (0, 0, 0)),
+    "invert": (
+        lambda: invert(CONTEXT, _ante(NEG_E), "lptn"),
+        lambda r: r.derivation.conclusion.succ_formulas() == [E, TAU, E]
+        and r.certificate.output_measures == (TR_STEPS, 0, TR_STEPS)),
+    "contract": (
+        lambda: contract(CONTEXT, _ante(E, 0), _ante(E, 1), "lptn"),
+        lambda r: r.derivation.conclusion.ante_formulas() == [NEG_E, E, E]
+        and r.certificate.output_measures == (TR_STEPS, 0, TR_STEPS)),
+    "drop_context": (
+        lambda: drop_context(CONTEXT, _ante(NEG_E)),
+        lambda d: d.conclusion.ante_formulas() == [E, E, E]
+        and check_derivation(d, "lptn").ok),
+}
+
+
+@pytest.mark.parametrize("name", ANCESTRY_WALKS)
+def test_ancestry_walks_need_no_recursion(name):
+    # [DERIVED] the transforms that follow occurrences up a 1500-node
+    # ancestry run with the recursion limit 50 frames above the caller
+    run, check = ANCESTRY_WALKS[name]
     assert check(_shallow(run))
