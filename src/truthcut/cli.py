@@ -325,6 +325,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit2(message)
 
 
+def _count(text: str) -> int:
+    """Type of the budget and bound options: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _make_parser() -> _Parser:
     p = _Parser(prog="truthcut", description=__doc__)
     p.add_argument("--json", action="store_true", help="structured output")
@@ -338,9 +350,9 @@ def _make_parser() -> _Parser:
         )
 
     def add_budget(sp):
-        sp.add_argument("--depth", type=int, default=12)
-        sp.add_argument("--terms", type=int, default=8)
-        sp.add_argument("--tau", type=int, default=6)
+        sp.add_argument("--depth", type=_count, default=12)
+        sp.add_argument("--terms", type=_count, default=8)
+        sp.add_argument("--tau", type=_count, default=6)
 
     sp = sub.add_parser("check", help="validate a proof script")
     sp.add_argument("file")
@@ -366,13 +378,13 @@ def _make_parser() -> _Parser:
 
     sp = sub.add_parser("fixpoint", help="finite-stage fixed point of truth")
     sp.add_argument("--seed", required=True, help="file with one sentence per line")
-    sp.add_argument("--term-bound", type=int, default=4)
-    sp.add_argument("--max-size", type=int, default=5000)
+    sp.add_argument("--term-bound", type=_count, default=4)
+    sp.add_argument("--max-size", type=_count, default=5000)
     sp.set_defaults(func=_cmd_fixpoint)
 
     sp = sub.add_parser("liar", help="diagonal sentence demo")
     add_budget(sp)
-    sp.add_argument("--term-bound", type=int, default=2)
+    sp.add_argument("--term-bound", type=_count, default=2)
     sp.set_defaults(func=_cmd_liar)
 
     return p

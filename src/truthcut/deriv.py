@@ -72,10 +72,6 @@ class Sequent:
                 return ("succ", i, o)
         return None
 
-    def side_of(self, occ_id: int) -> str | None:
-        hit = self.find(occ_id)
-        return hit[0] if hit else None
-
 
 def sequent(ante_formulas, succ_formulas) -> Sequent:
     """Fresh-occurrence sequent from plain formula iterables."""

@@ -34,9 +34,9 @@ from .syntax import (
     Top,
     Tr,
     Var,
-    Zero,
     formula_facts,
     is_base_atom,
+    is_zero,
     numeral_value,
     substitute,
 )
@@ -94,10 +94,6 @@ class ValidationReport:
 
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
-
-
-def _is_zero_term(t) -> bool:
-    return isinstance(t, Zero) or (isinstance(t, Num) and t.value == 0)
 
 
 class _Checker:
@@ -557,7 +553,7 @@ class _Checker:
             side != "ante"
             or not isinstance(f, Eq)
             or not isinstance(f.left, Suc)
-            or not _is_zero_term(f.right)
+            or not is_zero(f.right)
         ):
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"qg1 axiom needs S(t)=0 in the antecedent, got {f!r}")
@@ -589,7 +585,7 @@ class _Checker:
                      "qg3 needs its case term and eigenvariable")
             return
         f0, f1 = acts[0].formula, acts[1].formula
-        if not (isinstance(f0, Eq) and f0.left == x and _is_zero_term(f0.right)):
+        if not (isinstance(f0, Eq) and f0.left == x and is_zero(f0.right)):
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"qg3 zero-case active must be {x!r}=0, got {f0!r}")
             return

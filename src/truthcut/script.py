@@ -37,6 +37,7 @@ from .syntax import (
     Var,
     Zero,
     formula_facts,
+    is_zero,
 )
 
 
@@ -280,9 +281,7 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
         return B.bot_leaf(_minus(ante, [Bot()]), list(succ))
     if rule == "qg1":
         for f in ante:
-            if (isinstance(f, Eq) and isinstance(f.left, Suc)
-                    and isinstance(f.right, (Zero, Num))
-                    and (isinstance(f.right, Zero) or f.right.value == 0)):
+            if isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right):
                 return B.qg1_leaf(_minus(ante, [f]), f.left.child, list(succ))
         err("needs S(t)=0 in the antecedent")
 

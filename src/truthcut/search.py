@@ -37,8 +37,8 @@ from .syntax import (
     Top,
     Tr,
     Var,
-    Zero,
     is_closed,
+    is_zero,
     numeral_value,
     substitute,
 )
@@ -81,12 +81,6 @@ def _minus_one(fs, f):
     out = list(fs)
     out.remove(f)
     return tuple(out)
-
-
-def _is_zero(t: Term) -> bool:
-    from .syntax import Num
-
-    return isinstance(t, Zero) or (isinstance(t, Num) and t.value == 0)
 
 
 def _find_succ_id(d: Derivation, f: Formula) -> int:
@@ -170,7 +164,7 @@ class _Searcher:
                 )
         if self.system in _GEOMETRIC_SYSTEMS:
             for f in ante:
-                if isinstance(f, Eq) and isinstance(f.left, Suc) and _is_zero(f.right):
+                if isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right):
                     return B.qg1_leaf(
                         list(_minus_one(ante, f)), f.left.child, list(succ)
                     )

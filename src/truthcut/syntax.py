@@ -141,6 +141,11 @@ def is_numeral(t: Term) -> bool:
     return numeral_value(t) is not None
 
 
+def is_zero(t: Term) -> bool:
+    """``t`` is the numeral 0: ``0`` or the literal ``Num(0)``."""
+    return isinstance(t, Zero) or (isinstance(t, Num) and t.value == 0)
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 

@@ -21,9 +21,9 @@ Conventions:
   each rank pass of ``eliminate_cuts``) fold over premises; ``_invert``,
   ``_contract`` and ``drop_context`` fold over the ancestry of the
   occurrences they follow (:func:`_ancestry`).  ``_reduce`` descends through
-  truth-rule principal pairs in a loop.  Only ``_push`` still recurses
-  (with ``_reduce``), once per rule at which the cut formula is a side
-  formula.
+  truth-rule principal pairs in a loop, and ``_push`` is a step of the
+  ancestry walk of a cut formula that is a side formula: it reduces the cut
+  at each top of that ancestry and re-links the nodes below.
 * Every rebuilt node is re-linked to its new premises by :func:`_relink`.
 * Contraction into a principal occurrence inverts the other copy into the
   formulas of the rule's actives, which is the invertibility the
@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .build import BuildError, match_contexts
+from .build import match_contexts
 from .build import cut as build_cut
 from .coding import DecodeError, decode_sentence
 from .deriv import (
@@ -223,11 +223,12 @@ def _replace_premise(node: Derivation, idx: int, new_premise: Derivation) -> Der
     return replace(node, premises=premises)
 
 
-def _minus(seq: Sequent, occ_id: int) -> Sequent:
-    """``seq`` without the occurrence ``occ_id``."""
+def _minus(seq: Sequent, *occ_ids: int) -> Sequent:
+    """``seq`` without the occurrences ``occ_ids``."""
+    drop = set(occ_ids)
     return Sequent(
-        tuple(o for o in seq.ante if o.id != occ_id),
-        tuple(o for o in seq.succ if o.id != occ_id),
+        tuple(o for o in seq.ante if o.id not in drop),
+        tuple(o for o in seq.succ if o.id not in drop),
     )
 
 
@@ -373,6 +374,8 @@ def _weaken(d: Derivation, theta, lam):
     """Uncertified core of :func:`weaken`: rename the eigenvariables that
     collide with the new formulas, then add Theta and Lambda everywhere.
     Returns (derivation, added antecedent occs, added succedent occs)."""
+    if not theta and not lam:
+        return d, (), ()
     new_free: set[str] = set()
     for f in (*theta, *lam):
         new_free |= formula_facts(f)[0]
@@ -851,84 +854,63 @@ def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
     )
 
 
+def _missing(have: Sequent, want: Sequent):
+    """The formulas ``want`` holds more often than ``have``: the antecedent
+    and succedent lists that weaken ``have`` up to ``want``."""
+    return tuple(
+        list((Counter(o.formula for o in w)
+              - Counter(o.formula for o in h)).elements())
+        for h, w in ((have.ante, want.ante), (have.succ, want.succ))
+    )
+
+
 def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
-    """The cut formula is a side formula of ``main``'s last rule: push the cut
-    into each premise (after weakening both sides to a common context),
-    reapply the rule, and contract the duplicated context away.
+    """The cut formula is a side formula of ``main``'s last rule: one walk up
+    its ancestry.  At each top (where it is principal, or at a leaf) the node
+    and a copy of ``other`` are weakened once to one context and the cut is
+    reduced there; each node below is re-linked without the cut formula,
+    carrying the occurrences that came from ``other``; the duplicated
+    context is contracted away once, at the end.
 
     ``main_is_left`` says whether ``main`` proves the sequent with the cut
     formula on the right (i.e. plays the left role of the cut)."""
-    node = main
-    parents = dict(_ancestors(node, main_id))
+    o_ctx = _minus(other.conclusion, other_id)
+    phi = _find_occ(other, other_id)[1].formula
+    unused = [other]  # the first top cuts ``other`` itself, later ones a copy
 
-    if main_is_left:
-        o_ante = [o.formula for o in other.conclusion.ante if o.id != other_id]
-        o_succ = other.conclusion.succ_formulas()
-    else:
-        o_ante = other.conclusion.ante_formulas()
-        o_succ = [o.formula for o in other.conclusion.succ if o.id != other_id]
+    def step(item, done):
+        node, (a,) = item
+        if not done:
+            p_ctx = _minus(node.conclusion, a)
+            oth = unused.pop() if unused else refresh_ids(other)
+            b = next(o.id for o in (oth.conclusion.ante if main_is_left
+                                    else oth.conclusion.succ)
+                     if o.formula == phi)
+            tw = _weaken(node, *_missing(p_ctx, o_ctx))[0]
+            ow = _weaken(oth, *_missing(o_ctx, p_ctx))[0]
+            pair = (tw, a, ow, b) if main_is_left else (ow, b, tw, a)
+            new = _reduce(*pair, m_allow, fuel)
+            return new, _fallback_map(p_ctx, new.conclusion)
+        # below a top: what a premise carries is what no old id maps to
+        subs, maps = [d for d, _ in done], [m for _, m in done]
+        carried = [_minus(d.conclusion, *m.values()) for d, m in done]
+        if len(done) == 2:
+            # each branch first gets what only the other one carries
+            subs = [_weaken(d, *_missing(c, c2))[0]
+                    for d, c, c2 in zip(subs, carried, carried[::-1])]
+            carried = [_minus(d.conclusion, *m.values())
+                       for d, m in zip(subs, maps)]
+        add = []
+        for side in ("ante", "succ"):
+            extras = [getattr(c, side) for c in carried]
+            pairs = match_contexts(*extras) if len(extras) == 2 else zip(*extras)
+            add += [(copy_occ(es[0]), side, tuple(enumerate(o.id for o in es)))
+                    for es in pairs]
+        return _relink(node, subs, maps, a, add), _same_ids(node, a)
 
-    target_ante = node.conclusion.ante_formulas()
-    target_succ = node.conclusion.succ_formulas()
-    (target_succ if main_is_left else target_ante).remove(
-        node.conclusion.find(main_id)[2].formula
-    )
-
-    new_premises = []
-    pms = []
-    used_by_premise: list[set[int]] = []
-    for pi, premise in enumerate(node.premises):
-        parent = parents[pi]
-        p_ante = [o.formula for o in premise.conclusion.ante
-                  if o.id != parent]
-        p_succ = [o.formula for o in premise.conclusion.succ
-                  if o.id != parent]
-        theta = list((Counter(o_ante) - Counter(p_ante)).elements())
-        lam = list((Counter(o_succ) - Counter(p_succ)).elements())
-        piw = _weaken(premise, theta, lam)[0]
-
-        oth = other if pi == 0 else refresh_ids(other)
-        if pi == 0:
-            oth_phi = other_id
-        else:
-            side = oth.conclusion.ante if main_is_left else oth.conclusion.succ
-            phi = node.conclusion.find(main_id)[2].formula
-            oth_phi = next(o.id for o in side if o.formula == phi)
-        th_o = list((Counter(p_ante) - Counter(o_ante)).elements())
-        la_o = list((Counter(p_succ) - Counter(o_succ)).elements())
-        othw = _weaken(oth, th_o, la_o)[0]
-
-        if main_is_left:
-            ci = _reduce(piw, parent, othw, oth_phi, m_allow, fuel)
-        else:
-            ci = _reduce(othw, oth_phi, piw, parent, m_allow, fuel)
-        pm = _fallback_map(_minus(premise.conclusion, parent), ci.conclusion)
-        new_premises.append(ci)
-        pms.append(pm)
-        used_by_premise.append(set(pm.values()))
-
-    # reapply the rule; occurrences of a new premise that no old one maps
-    # to came from the other cut premise's context and are carried along
-    add = []
-    for side in ("ante", "succ"):
-        extras = [
-            [o for o in getattr(ci.conclusion, side)
-             if o.id not in used_by_premise[pi]]
-            for pi, ci in enumerate(new_premises)
-        ]
-        pairs = [(e,) for e in extras[0]]
-        if len(extras) == 2:
-            try:
-                pairs = match_contexts(*extras)
-            except BuildError:
-                raise TransformError(
-                    "unpaired context occurrence while reapplying "
-                    f"{node.rule} after cut reduction"
-                ) from None
-        add += [(copy_occ(es[0]), side, tuple(enumerate(o.id for o in es)))
-                for es in pairs]
-    reapplied = _relink(node, new_premises, pms, main_id, add)
-    return _contract_to(reapplied, target_ante, target_succ)
+    target = _minus(main.conclusion, main_id)
+    out = _ancestry(main, (main_id,), step)[0]
+    return _contract_to(out, target.ante_formulas(), target.succ_formulas())
 
 
 def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,

@@ -191,6 +191,24 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["check", str(bad), "--system", "lgt"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "=> (= 0 0)", "--depth", "-1"],
+    ["search", "=> (= 0 0)", "--terms", "-1"],
+    ["search", "=> (= 0 0)", "--tau", "-1"],
+    ["liar", "--depth", "-1"],
+    ["liar", "--term-bound", "-3"],
+    ["fixpoint", "--seed", "SEEDS", "--term-bound", "-3"],
+    ["fixpoint", "--seed", "SEEDS", "--max-size", "many"],
+])
+def test_cli_budgets_must_be_non_negative(argv, capsys):
+    # [DERIVED] a negative search budget ended in a ValueError traceback and
+    # a negative term bound was accepted; each is now one usage line
+    argv = [str(PINS / "truth.seeds") if a == "SEEDS" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --") and err.count("\n") == 1
+
+
 def test_cli_compositional_flag(tmp_path, capsys):
     d0 = prove_equation([], Zero(), Zero(), [])
     d1 = prove_equation([], chain_numeral(1), chain_numeral(1), [])

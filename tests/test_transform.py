@@ -483,6 +483,42 @@ def test_reduce_cut_context_mismatch_rejected():
         reduce_cut(d0, _succ_id(d0, PHI, 0), d1, _ante_id(d1, PHI), "lptn")
 
 
+def _branches_carry_different_contexts():
+    """A cut on T<0=0> that is a side formula of an andr whose branches
+    differ in what the right premise's context adds at their tops: the
+    left top lacks ~C (a negl below it adds it), the right top has it."""
+    c = Eq(Suc(Suc(Zero())), Suc(Suc(Zero())))
+    r = PSI
+    a = B.init_leaf([], PHI, [c, r])                   # PHI => PHI, C, R
+    a = B.eq1(a, _ante_id(a, PHI))                     # => PHI, C, R
+    a = B.truth_right(a, _succ_id(a, PHI))             # => T<PHI>, C, R
+    a = B.neg_left(a, _succ_id(a, c))                  # ~C => T<PHI>, R
+    b = B.init_leaf([Not(c)], PHI, [r])                # ~C, PHI => PHI, R
+    b = B.eq1(b, _ante_id(b, PHI))                     # ~C => PHI, R
+    b = B.truth_right(b, _succ_id(b, PHI))             # ~C => T<PHI>, R
+    d0 = B.and_right(a, _succ_id(a, r), b, _succ_id(b, r))  # ~C => T<PHI>, R&R
+    e = []
+    for _ in range(2):
+        x = B.init_leaf([PHI, Not(c)], r, [])          # PHI, ~C, R => R
+        e.append(B.eq1(x, _ante_id(x, r)))             # PHI, ~C => R
+    d1 = B.and_right(e[0], _succ_id(e[0], r), e[1], _succ_id(e[1], r))
+    d1 = B.truth_left(d1, _ante_id(d1, PHI))           # T<PHI>, ~C => R&R
+    return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
+
+
+def test_push_through_branches_that_carry_different_contexts():
+    # [DERIVED] pushing the cut up both branches of the andr carries ~C down
+    # from the right top only; the left branch is weakened by it before the
+    # andr is re-linked, and the duplicate is contracted away at the end
+    d0, aid, d1, bid = _branches_carry_different_contexts()
+    d = B.cut(d0, aid, d1, bid)
+    assert sum(1 for _ in d.iter_nodes()) == 15
+    r = reduce_cut(d0, aid, d1, bid, "lptn")
+    assert r.certificate.output_measures == (4, 0, 0)
+    r = eliminate_cuts(d, "lptn")
+    assert r.certificate.output_measures == (4, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Full cut elimination
 

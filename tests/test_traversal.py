@@ -18,6 +18,7 @@ from truthcut.transform import (
     drop_context,
     eliminate_cuts,
     invert,
+    reduce_cut,
     substitute_proof,
     weaken,
 )
@@ -147,6 +148,16 @@ def _side_formula_cut():
     return B.cut(d0, d0.conclusion.succ[1].id, d1, d1.conclusion.ante[1].id)
 
 
+def _tall_push():
+    """(d0, id, d1, id) of a cut on E whose left premise carries it as a side
+    formula under the tower, against E, E => E, tau under one Tr step, so
+    that the right premise is not an axiom."""
+    d0 = _tower(B.init_leaf([], E, [E, TAU]))    # E => E, E, tau
+    d1 = B.init_leaf([E], E, [TAU])              # E, E => E, tau
+    d1 = B.truth_right(d1, d1.conclusion.succ[-1].id)
+    return d0, d0.conclusion.succ[1].id, d1, d1.conclusion.ante[1].id
+
+
 def _truth_teller_cut():
     """E => E: a cut on tau between E => E, tau under Tr steps and
     E, tau => E under Tl steps, principal on both sides at every level."""
@@ -160,6 +171,7 @@ NEG_E = Not(E)
 CONTEXT = _tower(B.init_leaf([NEG_E, E, E], E, [TAU]))
 SIDE_CUT = _side_formula_cut()
 TRUTH_CUT = _truth_teller_cut()
+TALL_PUSH = _tall_push()
 
 
 def _ante(f, nth=0):
@@ -169,6 +181,14 @@ def _ante(f, nth=0):
 ANCESTRY_WALKS = {
     "eliminate_cuts side formula": (
         lambda: eliminate_cuts(SIDE_CUT, "lptn"),
+        lambda r: r.certificate.output_measures
+        == (TR_STEPS, 0, TR_STEPS)),
+    "eliminate_cuts tall push": (
+        lambda: eliminate_cuts(B.cut(*TALL_PUSH), "lptn"),
+        lambda r: r.certificate.output_measures
+        == (TR_STEPS, 0, TR_STEPS)),
+    "reduce_cut tall push": (
+        lambda: reduce_cut(*TALL_PUSH, "lptn"),
         lambda r: r.certificate.output_measures
         == (TR_STEPS, 0, TR_STEPS)),
     "eliminate_cuts truth-teller": (

@@ -13,7 +13,10 @@ duplicated-formula and nested-cut proofs.  Run from the repository root::
 
 It prints the number of calls, the digest of the recorded outputs, and a
 second digest that also covers the output occurrence ids and occurrence
-maps, which moves when ids are allocated in another order.
+maps, which moves when ids are allocated in another order.  Then it prints
+the number of calls and the output digest of each call kind (``invert``,
+``drop``, ``contract``, ``reduce``, ``elim``), so a change shows which kinds
+moved.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ def main() -> int:
     start = 1 + max(o.id for d, _ in corpus for _, n in d.iter_nodes()
                     for o in n.conclusion.all_occurrences())
     out, ids = hashlib.sha256(), hashlib.sha256()
+    kinds: dict[str, list] = {}
     calls = 0
     for k, (d, system) in enumerate(corpus):
         for label, call in _calls(d, system):
@@ -100,8 +104,13 @@ def main() -> int:
             record = f"{k} {label}\n{text}\n".encode()
             out.update(record)
             ids.update(record + id_text.encode())
+            kind = kinds.setdefault(label.split()[0], [0, hashlib.sha256()])
+            kind[0] += 1
+            kind[1].update(record)
             calls += 1
     print(f"calls {calls}\noutput {out.hexdigest()}\nids    {ids.hexdigest()}")
+    for name, (n, digest) in kinds.items():
+        print(f"{name:<8} {n:>5} {digest.hexdigest()}")
     return 0
 
 
