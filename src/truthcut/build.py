@@ -2,8 +2,9 @@
 
 Each builder takes premise derivations plus the ids of the occurrences the
 rule consumes, and produces a new node whose conclusion occurrences are fresh
-and whose lineage is wired positionally.  Builders only do bookkeeping; the
-kernel re-checks every side condition from scratch.
+and whose lineage is wired positionally.  An active must sit on the side its
+rule's shape (:data:`.deriv.RULE_SHAPES`) gives it.  Builders only do
+bookkeeping; the kernel re-checks every side condition from scratch.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable
 
 from .coding import encode, quote
 from .deriv import (
+    RULE_SHAPES,
     Derivation,
     Occurrence,
     Sequent,
@@ -46,6 +48,20 @@ def _find(premise: Derivation, occ_id: int) -> tuple[str, int, Occurrence]:
     if hit is None:
         raise BuildError(f"occurrence {occ_id} not in premise conclusion")
     return hit
+
+
+def _actives(rule: str, *consumed) -> list[tuple[str, int, Occurrence]]:
+    """Where each (premise, occurrence id) a ``rule`` node consumes sits,
+    checked against the side its rule's shape (:data:`.deriv.RULE_SHAPES`)
+    gives it."""
+    hits = []
+    for (premise, occ_id), (_, side) in zip(consumed, RULE_SHAPES[rule].actives):
+        hit = _find(premise, occ_id)
+        if hit[0] != side:
+            raise BuildError(f"{rule} active must be in the "
+                             + ("antecedent" if side == "ante" else "succedent"))
+        hits.append(hit)
+    return hits
 
 
 def _fresh_ctx(
@@ -147,9 +163,7 @@ def qg1_leaf(gamma, s: Term, delta) -> Derivation:
 
 
 def truth_left(premise: Derivation, active_id: int) -> Derivation:
-    side, i, a = _find(premise, active_id)
-    if side != "ante":
-        raise BuildError("truth-left active must be in the antecedent")
+    [(_, i, a)] = _actives("Tl", (premise, active_id))
     ante, succ, lineage = _fresh_ctx(premise, {active_id})
     p = occ(Tr(quote(a.formula)))
     ante = ante[:i] + (p,) + ante[i:]
@@ -160,9 +174,7 @@ def truth_left(premise: Derivation, active_id: int) -> Derivation:
 
 
 def truth_right(premise: Derivation, active_id: int) -> Derivation:
-    side, i, a = _find(premise, active_id)
-    if side != "succ":
-        raise BuildError("truth-right active must be in the succedent")
+    [(_, i, a)] = _actives("Tr", (premise, active_id))
     ante, succ, lineage = _fresh_ctx(premise, {active_id})
     p = occ(Tr(quote(a.formula)))
     succ = succ[:i] + (p,) + succ[i:]
@@ -173,10 +185,7 @@ def truth_right(premise: Derivation, active_id: int) -> Derivation:
 
 
 def comp_node(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
-    s0, _, a0 = _find(p0, id_phi)
-    s1, _, a1 = _find(p1, id_psi)
-    if s0 != "succ" or s1 != "succ":
-        raise BuildError("compositional actives must be in the succedents")
+    (_, _, a0), (_, _, a1) = _actives("comp", (p0, id_phi), (p1, id_psi))
     ante, succ, lineage = _merge_ctx(p0, {id_phi}, p1, {id_psi})
     term = SynApp("anddot", (Num(encode(a0.formula)), Num(encode(a1.formula))))
     p = occ(Tr(term))
@@ -191,9 +200,7 @@ def comp_node(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Deriv
 
 
 def neg_left(premise: Derivation, active_id: int) -> Derivation:
-    side, _, a = _find(premise, active_id)
-    if side != "succ":
-        raise BuildError("neg-left active must be in the succedent")
+    [(_, _, a)] = _actives("negl", (premise, active_id))
     ante, succ, lineage = _fresh_ctx(premise, {active_id})
     p = occ(Not(a.formula))
     return Derivation(
@@ -203,9 +210,7 @@ def neg_left(premise: Derivation, active_id: int) -> Derivation:
 
 
 def neg_right(premise: Derivation, active_id: int) -> Derivation:
-    side, _, a = _find(premise, active_id)
-    if side != "ante":
-        raise BuildError("neg-right active must be in the antecedent")
+    [(_, _, a)] = _actives("negr", (premise, active_id))
     ante, succ, lineage = _fresh_ctx(premise, {active_id})
     p = occ(Not(a.formula))
     return Derivation(
@@ -215,10 +220,7 @@ def neg_right(premise: Derivation, active_id: int) -> Derivation:
 
 
 def and_left(premise: Derivation, id_phi: int, id_psi: int) -> Derivation:
-    s0, i, a0 = _find(premise, id_phi)
-    s1, _, a1 = _find(premise, id_psi)
-    if s0 != "ante" or s1 != "ante":
-        raise BuildError("and-left actives must be in the antecedent")
+    (_, _, a0), (_, _, a1) = _actives("andl", (premise, id_phi), (premise, id_psi))
     ante, succ, lineage = _fresh_ctx(premise, {id_phi, id_psi})
     p = occ(And(a0.formula, a1.formula))
     return Derivation(
@@ -228,10 +230,7 @@ def and_left(premise: Derivation, id_phi: int, id_psi: int) -> Derivation:
 
 
 def and_right(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
-    s0, _, a0 = _find(p0, id_phi)
-    s1, _, a1 = _find(p1, id_psi)
-    if s0 != "succ" or s1 != "succ":
-        raise BuildError("and-right actives must be in the succedents")
+    (_, _, a0), (_, _, a1) = _actives("andr", (p0, id_phi), (p1, id_psi))
     ante, succ, lineage = _merge_ctx(p0, {id_phi}, p1, {id_psi})
     p = occ(And(a0.formula, a1.formula))
     return Derivation(
@@ -243,10 +242,7 @@ def and_right(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Deriv
 def forall_left(
     premise: Derivation, kept_id: int, inst_id: int, term: Term
 ) -> Derivation:
-    sk, i, kept = _find(premise, kept_id)
-    si, _, inst = _find(premise, inst_id)
-    if sk != "ante" or si != "ante":
-        raise BuildError("forall-left actives must be in the antecedent")
+    (_, i, kept), _ = _actives("foralll", (premise, kept_id), (premise, inst_id))
     if not isinstance(kept.formula, Forall):
         raise BuildError("forall-left kept occurrence must be universal")
     ante, succ, lineage = _fresh_ctx(premise, {kept_id, inst_id})
@@ -262,9 +258,7 @@ def forall_left(
 def forall_right(
     premise: Derivation, active_id: int, forall_formula: Forall, eigen: str
 ) -> Derivation:
-    side, _, a = _find(premise, active_id)
-    if side != "succ":
-        raise BuildError("forall-right active must be in the succedent")
+    _actives("forallr", (premise, active_id))
     ante, succ, lineage = _fresh_ctx(premise, {active_id})
     p = occ(forall_formula)
     return Derivation(
@@ -275,10 +269,7 @@ def forall_right(
 
 
 def cut(p0: Derivation, right_id: int, p1: Derivation, left_id: int) -> Derivation:
-    s0, _, a0 = _find(p0, right_id)
-    s1, _, a1 = _find(p1, left_id)
-    if s0 != "succ" or s1 != "ante":
-        raise BuildError("cut formula must be right in premise 0, left in premise 1")
+    (_, _, a0), (_, _, a1) = _actives("cut", (p0, right_id), (p1, left_id))
     if a0.formula != a1.formula:
         raise BuildError("cut formulas differ")
     ante, succ, lineage = _merge_ctx(p0, {right_id}, p1, {left_id})
@@ -293,10 +284,7 @@ def cut(p0: Derivation, right_id: int, p1: Derivation, left_id: int) -> Derivati
 
 
 def _discharge(rule: str, premise: Derivation, active_ids: tuple[int, ...], **kw) -> Derivation:
-    for aid in active_ids:
-        side, _, _ = _find(premise, aid)
-        if side != "ante":
-            raise BuildError(f"{rule} active must be in the antecedent")
+    _actives(rule, *((premise, aid) for aid in active_ids))
     ante, succ, lineage = _fresh_ctx(premise, set(active_ids))
     return Derivation(
         rule, Sequent(ante, succ), (premise,),
@@ -336,10 +324,7 @@ def qg3(
     p0: Derivation, active0_id: int, p1: Derivation, active1_id: int,
     x: Term, eigen: str,
 ) -> Derivation:
-    s0, _, _ = _find(p0, active0_id)
-    s1, _, _ = _find(p1, active1_id)
-    if s0 != "ante" or s1 != "ante":
-        raise BuildError("qg3 actives must be in the antecedents")
+    _actives("qg3", (p0, active0_id), (p1, active1_id))
     ante, succ, lineage = _merge_ctx(p0, {active0_id}, p1, {active1_id})
     return Derivation(
         "qg3", Sequent(ante, succ), (p0, p1),

@@ -10,6 +10,11 @@ truth rules add one to their principal, one-premise logical rules transfer or
 take maxima over their actives, and two-premise rules take maxima over
 corresponding context occurrences.
 
+Each rule's shape (premise count, principal sides, active premises and
+sides) is stated once, in :data:`RULE_SHAPES`, which the kernel, the
+builders, the script reader and cut reduction read.  It lives here because
+every one of them imports this module and this module imports none of them.
+
 Every walk over a derivation goes through one explicit-stack traversal, so
 no derivation is too tall to walk: :func:`fold` is the post-order walk (the
 measures, :func:`refresh_ids`, script printing and the transform rebuilds)
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .syntax import Formula, Term, formula_facts
 
@@ -93,8 +98,38 @@ def same_multiset(xs: list[Formula], ys: list[Formula]) -> bool:
     return True
 
 
-#: rule tags of the axioms (the rule sets live in :data:`.kernel.SYSTEM_RULES`)
-LEAF_RULES = ("init", "top", "bot", "qg1")
+class RuleShape(NamedTuple):
+    premises: int
+    #: the side of each principal occurrence, in ``Derivation.principal`` order
+    principals: tuple[str, ...]
+    #: the (premise index, side) of each active, in ``Derivation.actives`` order
+    actives: tuple[tuple[int, str], ...]
+
+
+_A, _S = "ante", "succ"
+
+#: rule -> its shape (the rule sets live in :data:`.kernel.SYSTEM_RULES`)
+RULE_SHAPES: dict[str, RuleShape] = {
+    "init": RuleShape(0, (_A, _S), ()),
+    "top": RuleShape(0, (_S,), ()),
+    "bot": RuleShape(0, (_A,), ()),
+    "qg1": RuleShape(0, (_A,), ()),
+    "cut": RuleShape(2, (), ((0, _S), (1, _A))),
+    "Tl": RuleShape(1, (_A,), ((0, _A),)),
+    "Tr": RuleShape(1, (_S,), ((0, _S),)),
+    "comp": RuleShape(2, (_S,), ((0, _S), (1, _S))),
+    "negl": RuleShape(1, (_A,), ((0, _S),)),
+    "negr": RuleShape(1, (_S,), ((0, _A),)),
+    "andl": RuleShape(1, (_A,), ((0, _A), (0, _A))),
+    "andr": RuleShape(2, (_S,), ((0, _S), (1, _S))),
+    "foralll": RuleShape(1, (_A,), ((0, _A), (0, _A))),
+    "forallr": RuleShape(1, (_S,), ((0, _S),)),
+    "eq1": RuleShape(1, (), ((0, _A),)),
+    "eq2": RuleShape(1, (), ((0, _A),)),
+    "qg2": RuleShape(1, (), ((0, _A),)),
+    "qg3": RuleShape(2, (), ((0, _A), (1, _A))),
+    **{r: RuleShape(1, (), ((0, _A),)) for r in ("qg4", "qg5", "qg6", "qg7")},
+}
 
 
 @dataclass(eq=False, frozen=True, slots=True)

@@ -13,6 +13,14 @@ Systems:
 
 Validation never raises on bad derivations: every problem becomes a
 :class:`Violation` with a node path and a stable reason code.
+
+Each node is checked in three steps: its rule against the system
+(:data:`SYSTEM_RULES`), its wiring (:meth:`_Checker.check_wiring`), and its
+shape against the rule's entry in :data:`.deriv.RULE_SHAPES` (premise count,
+then the side of each principal, then the premise and side of each active),
+where each rule's shape is stated once.  Only then does the rule's own
+``rule_*`` method run, on the principal and active occurrences, and it checks
+formulas alone.
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .build import AXIOM_TERMS, AXIOMS
-from .coding import DecodeError, code_label, decode_sentence
-from .deriv import Derivation, Occurrence
+from .coding import DecodeError, code_label, decode_sentence, encode
+from .deriv import RULE_SHAPES, Derivation, Occurrence, RuleShape
 from .syntax import (
     And,
     Bot,
@@ -31,6 +39,7 @@ from .syntax import (
     Not,
     Num,
     Suc,
+    SynApp,
     Top,
     Tr,
     Var,
@@ -194,53 +203,7 @@ class _Checker:
                 ok = False
         return ok
 
-    # -- helpers for rule bodies -------------------------------------------
-
-    def _principals(self, path, node, n) -> list[tuple[str, Occurrence]] | None:
-        if len(node.principal) != n:
-            self.bad(path, MALFORMED_RULE,
-                     f"{node.rule} needs {n} principal occurrence(s), "
-                     f"got {len(node.principal)}")
-            return None
-        out = []
-        for pid in node.principal:
-            hit = node.conclusion.find(pid)
-            if hit is None:
-                return None  # already reported by wiring
-            out.append((hit[0], hit[2]))
-        return out
-
-    def _actives(self, path, node, spec) -> list[Occurrence] | None:
-        """spec: list of (premise_index, side). Returns active occurrences."""
-        if len(node.actives) != len(spec):
-            self.bad(path, MALFORMED_RULE,
-                     f"{node.rule} needs {len(spec)} active occurrence(s), "
-                     f"got {len(node.actives)}")
-            return None
-        out = []
-        for (want_pi, want_side), (pi, oid) in zip(spec, node.actives):
-            if pi != want_pi:
-                self.bad(path, MALFORMED_RULE,
-                         f"{node.rule} active in wrong premise ({pi})")
-                return None
-            hit = node.premises[pi].conclusion.find(oid)
-            if hit is None:
-                return None
-            if hit[0] != want_side:
-                self.bad(path, MALFORMED_RULE,
-                         f"{node.rule} active on wrong side ({hit[0]})")
-                return None
-            out.append(hit[2])
-        return out
-
-    def _expect_premises(self, path, node, n) -> bool:
-        if len(node.premises) != n:
-            self.bad(path, MALFORMED_RULE,
-                     f"{node.rule} takes {n} premise(s), got {len(node.premises)}")
-            return False
-        return True
-
-    # -- per-rule checks ---------------------------------------------------
+    # -- the shape check, then the per-rule formula conditions -------------
 
     def check_node(self, path, node: Derivation) -> None:
         rule = node.rule
@@ -251,19 +214,56 @@ class _Checker:
             return
         if not self.check_wiring(path, node):
             return
-        getattr(self, f"rule_{rule}")(path, node)
+        occs = self.check_shape(path, node, RULE_SHAPES[rule])
+        if occs is not None:
+            getattr(self, f"rule_{rule}")(path, node, *occs)
 
-    def rule_init(self, path, node) -> None:
-        if not self._expect_premises(path, node, 0):
-            return
-        ps = self._principals(path, node, 2)
-        if ps is None:
-            return
-        (side_l, left), (side_r, right) = ps
-        if side_l != "ante" or side_r != "succ":
+    def check_shape(self, path, node, shape: RuleShape):
+        """``node`` against its rule's shape: premise count, then the side of
+        each principal, then the premise and side of each active.  Returns
+        (principal occurrences, active occurrences), or None once one is
+        wrong.  Wiring is checked, so every id is found."""
+        rule = node.rule
+        if len(node.premises) != shape.premises:
+            self.bad(path, MALFORMED_RULE, f"{rule} takes {shape.premises} "
+                     f"premise(s), got {len(node.premises)}")
+            return None
+        n = len(shape.principals)
+        if len(node.principal) != n:
             self.bad(path, MALFORMED_RULE,
-                     "initial sequent principals must be one per side")
-            return
+                     f"{rule} needs {n} principal occurrence(s), got "
+                     f"{len(node.principal)}" if n else
+                     f"{rule} has no principal formula")
+            return None
+        ps = []
+        for pid, want in zip(node.principal, shape.principals):
+            side, _, o = node.conclusion.find(pid)
+            if side != want:
+                self.bad(path, MALFORMED_RULE,
+                         f"{rule} principal must be in the {want}cedent")
+                return None
+            ps.append(o)
+        if len(node.actives) != len(shape.actives):
+            self.bad(path, MALFORMED_RULE,
+                     f"{rule} needs {len(shape.actives)} active occurrence(s), "
+                     f"got {len(node.actives)}")
+            return None
+        acts = []
+        for (want_pi, want), (pi, oid) in zip(shape.actives, node.actives):
+            if pi != want_pi:
+                self.bad(path, MALFORMED_RULE,
+                         f"{rule} active in wrong premise ({pi})")
+                return None
+            side, _, o = node.premises[pi].conclusion.find(oid)
+            if side != want:
+                self.bad(path, MALFORMED_RULE,
+                         f"{rule} active on wrong side ({side})")
+                return None
+            acts.append(o)
+        return ps, acts
+
+    def rule_init(self, path, node, ps, acts) -> None:
+        left, right = ps
         if left.formula != right.formula:
             self.bad(path, PRINCIPAL_MISMATCH,
                      "initial sequent principal formulas differ")
@@ -273,50 +273,24 @@ class _Checker:
                      "initial sequent principal must be an atomic T-free "
                      f"equation, got {left.formula!r}")
 
-    def rule_top(self, path, node) -> None:
-        if not self._expect_premises(path, node, 0):
-            return
-        ps = self._principals(path, node, 1)
-        if ps is None:
-            return
-        side, p = ps[0]
-        if side != "succ" or not isinstance(p.formula, Top):
+    def rule_top(self, path, node, ps, acts) -> None:
+        if not isinstance(ps[0].formula, Top):
             self.bad(path, MALFORMED_RULE, "top axiom principal must be top "
                      "in the succedent")
 
-    def rule_bot(self, path, node) -> None:
-        if not self._expect_premises(path, node, 0):
-            return
-        ps = self._principals(path, node, 1)
-        if ps is None:
-            return
-        side, p = ps[0]
-        if side != "ante" or not isinstance(p.formula, Bot):
+    def rule_bot(self, path, node, ps, acts) -> None:
+        if not isinstance(ps[0].formula, Bot):
             self.bad(path, MALFORMED_RULE, "bot axiom principal must be bot "
                      "in the antecedent")
 
-    def rule_cut(self, path, node) -> None:
-        if not self._expect_premises(path, node, 2):
-            return
-        if node.principal:
-            self.bad(path, MALFORMED_RULE, "cut has no principal formula")
-            return
-        acts = self._actives(path, node, [(0, "succ"), (1, "ante")])
-        if acts is None:
-            return
+    def rule_cut(self, path, node, ps, acts) -> None:
         if acts[0].formula != acts[1].formula:
             self.bad(path, PRINCIPAL_MISMATCH, "cut formulas differ")
 
-    def _truth_rule(self, path, node, side) -> None:
-        if not self._expect_premises(path, node, 1):
-            return
-        ps = self._principals(path, node, 1)
-        acts = self._actives(path, node, [(0, side)])
-        if ps is None or acts is None:
-            return
-        pside, p = ps[0]
-        a = acts[0]
-        if pside != side or not isinstance(p.formula, Tr):
+    def _truth_rule(self, path, node, ps, acts) -> None:
+        p, a = ps[0], acts[0]
+        if not isinstance(p.formula, Tr):
+            side = RULE_SHAPES[node.rule].principals[0]
             self.bad(path, MALFORMED_RULE,
                      f"truth-rule principal must be a T atom in the {side}cedent")
             return
@@ -339,21 +313,11 @@ class _Checker:
                      f"numeral {code_label(n)} codes {decoded!r}, not the premise active "
                      f"{a.formula!r}")
 
-    def rule_Tl(self, path, node) -> None:
-        self._truth_rule(path, node, "ante")
+    rule_Tl = rule_Tr = _truth_rule
 
-    def rule_Tr(self, path, node) -> None:
-        self._truth_rule(path, node, "succ")
-
-    def rule_comp(self, path, node) -> None:
-        if not self._expect_premises(path, node, 2):
-            return
-        ps = self._principals(path, node, 1)
-        acts = self._actives(path, node, [(0, "succ"), (1, "succ")])
-        if ps is None or acts is None:
-            return
-        pside, p = ps[0]
-        if pside != "succ" or not isinstance(p.formula, Tr):
+    def rule_comp(self, path, node, ps, acts) -> None:
+        p = ps[0]
+        if not isinstance(p.formula, Tr):
             self.bad(path, MALFORMED_RULE,
                      "compositional principal must be a T atom in the succedent")
             return
@@ -362,9 +326,6 @@ class _Checker:
                 self.bad(path, NOT_A_SENTENCE,
                          f"compositional rule combines a non-sentence: {a.formula!r}")
                 return
-        from .coding import encode
-        from .syntax import SynApp
-
         want = SynApp(
             "anddot",
             (Num(encode(acts[0].formula)), Num(encode(acts[1].formula))),
@@ -373,46 +334,21 @@ class _Checker:
             self.bad(path, COMP_TERM_MISMATCH,
                      f"compositional term must be {want!r}, got {p.formula.term!r}")
 
-    def _one_sided(self, path, node, pside, aside):
-        if not self._expect_premises(path, node, 1):
-            return None
-        ps = self._principals(path, node, 1)
-        acts = self._actives(path, node, [(0, aside)])
-        if ps is None or acts is None:
-            return None
-        if ps[0][0] != pside:
-            self.bad(path, MALFORMED_RULE,
-                     f"{node.rule} principal must be in the {pside}cedent")
-            return None
-        return ps[0][1], acts[0]
-
-    def rule_negl(self, path, node) -> None:
-        got = self._one_sided(path, node, "ante", "succ")
-        if got is None:
-            return
-        p, a = got
+    def rule_negl(self, path, node, ps, acts) -> None:
+        p, a = ps[0], acts[0]
         if not (isinstance(p.formula, Not) and p.formula.body == a.formula):
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"neg-left principal {p.formula!r} does not negate the active")
 
-    def rule_negr(self, path, node) -> None:
-        got = self._one_sided(path, node, "succ", "ante")
-        if got is None:
-            return
-        p, a = got
+    def rule_negr(self, path, node, ps, acts) -> None:
+        p, a = ps[0], acts[0]
         if not (isinstance(p.formula, Not) and p.formula.body == a.formula):
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"neg-right principal {p.formula!r} does not negate the active")
 
-    def rule_andl(self, path, node) -> None:
-        if not self._expect_premises(path, node, 1):
-            return
-        ps = self._principals(path, node, 1)
-        acts = self._actives(path, node, [(0, "ante"), (0, "ante")])
-        if ps is None or acts is None:
-            return
-        pside, p = ps[0]
-        if pside != "ante" or not isinstance(p.formula, And):
+    def rule_andl(self, path, node, ps, acts) -> None:
+        p = ps[0]
+        if not isinstance(p.formula, And):
             self.bad(path, MALFORMED_RULE,
                      "and-left principal must be a conjunction in the antecedent")
             return
@@ -420,15 +356,9 @@ class _Checker:
             self.bad(path, PRINCIPAL_MISMATCH,
                      "and-left actives do not match the conjuncts")
 
-    def rule_andr(self, path, node) -> None:
-        if not self._expect_premises(path, node, 2):
-            return
-        ps = self._principals(path, node, 1)
-        acts = self._actives(path, node, [(0, "succ"), (1, "succ")])
-        if ps is None or acts is None:
-            return
-        pside, p = ps[0]
-        if pside != "succ" or not isinstance(p.formula, And):
+    def rule_andr(self, path, node, ps, acts) -> None:
+        p = ps[0]
+        if not isinstance(p.formula, And):
             self.bad(path, MALFORMED_RULE,
                      "and-right principal must be a conjunction in the succedent")
             return
@@ -436,15 +366,9 @@ class _Checker:
             self.bad(path, PRINCIPAL_MISMATCH,
                      "and-right actives do not match the conjuncts")
 
-    def rule_foralll(self, path, node) -> None:
-        if not self._expect_premises(path, node, 1):
-            return
-        ps = self._principals(path, node, 1)
-        acts = self._actives(path, node, [(0, "ante"), (0, "ante")])
-        if ps is None or acts is None:
-            return
-        pside, p = ps[0]
-        if pside != "ante" or not isinstance(p.formula, Forall):
+    def rule_foralll(self, path, node, ps, acts) -> None:
+        p = ps[0]
+        if not isinstance(p.formula, Forall):
             self.bad(path, MALFORMED_RULE,
                      "forall-left principal must be universal in the antecedent")
             return
@@ -466,11 +390,8 @@ class _Checker:
                      f"forall-left instance is {inst.formula!r}, "
                      f"expected {want!r}")
 
-    def rule_forallr(self, path, node) -> None:
-        got = self._one_sided(path, node, "succ", "succ")
-        if got is None:
-            return
-        p, a = got
+    def rule_forallr(self, path, node, ps, acts) -> None:
+        p, a = ps[0], acts[0]
         if not isinstance(p.formula, Forall):
             self.bad(path, MALFORMED_RULE,
                      "forall-right principal must be a universal formula")
@@ -498,25 +419,13 @@ class _Checker:
 
     # geometric rules ------------------------------------------------------
 
-    def rule_eq1(self, path, node) -> None:
-        if not self._expect_premises(path, node, 1):
-            return
-        acts = self._actives(path, node, [(0, "ante")])
-        if acts is None or node.principal:
-            if node.principal:
-                self.bad(path, MALFORMED_RULE, "eq1 has no principal formula")
-            return
+    def rule_eq1(self, path, node, ps, acts) -> None:
         f = acts[0].formula
         if not (isinstance(f, Eq) and f.left == f.right):
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"eq1 discharges a reflexive equation, got {f!r}")
 
-    def rule_eq2(self, path, node) -> None:
-        if not self._expect_premises(path, node, 1):
-            return
-        acts = self._actives(path, node, [(0, "ante")])
-        if acts is None:
-            return
+    def rule_eq2(self, path, node, ps, acts) -> None:
         if node.template is None or node.term is None or node.term2 is None:
             self.bad(path, TEMPLATE_MISMATCH,
                      "eq2 needs a replacement template and both equation sides")
@@ -541,29 +450,13 @@ class _Checker:
             self.bad(path, TEMPLATE_MISMATCH,
                      "eq2 requires the replaced instance in the antecedent")
 
-    def rule_qg1(self, path, node) -> None:
-        if not self._expect_premises(path, node, 0):
-            return
-        ps = self._principals(path, node, 1)
-        if ps is None:
-            return
-        side, p = ps[0]
-        f = p.formula
-        if (
-            side != "ante"
-            or not isinstance(f, Eq)
-            or not isinstance(f.left, Suc)
-            or not is_zero(f.right)
-        ):
+    def rule_qg1(self, path, node, ps, acts) -> None:
+        f = ps[0].formula
+        if not (isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right)):
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"qg1 axiom needs S(t)=0 in the antecedent, got {f!r}")
 
-    def rule_qg2(self, path, node) -> None:
-        if not self._expect_premises(path, node, 1):
-            return
-        acts = self._actives(path, node, [(0, "ante")])
-        if acts is None:
-            return
+    def rule_qg2(self, path, node, ps, acts) -> None:
         f = acts[0].formula
         if not isinstance(f, Eq):
             self.bad(path, PRINCIPAL_MISMATCH, "qg2 discharges an equation")
@@ -573,12 +466,7 @@ class _Checker:
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"qg2 requires {succ_eq!r} in the conclusion antecedent")
 
-    def rule_qg3(self, path, node) -> None:
-        if not self._expect_premises(path, node, 2):
-            return
-        acts = self._actives(path, node, [(0, "ante"), (1, "ante")])
-        if acts is None:
-            return
+    def rule_qg3(self, path, node, ps, acts) -> None:
         x, y = node.term, node.var
         if x is None or y is None:
             self.bad(path, MALFORMED_RULE,
@@ -604,14 +492,9 @@ class _Checker:
                 return
         self.eigen_nodes.append((tuple(path), y))
 
-    def _axiom_discharge(self, path, node) -> None:
+    def _axiom_discharge(self, path, node, ps, acts) -> None:
         """qg4..qg7: the one antecedent active is the rule's axiom
         (:data:`.build.AXIOMS`) instantiated with the node's terms."""
-        if not self._expect_premises(path, node, 1):
-            return
-        acts = self._actives(path, node, [(0, "ante")])
-        if acts is None:
-            return
         nargs = len(AXIOM_TERMS[node.rule])
         args = (node.term, node.term2)[:nargs]
         if any(a is None for a in args):

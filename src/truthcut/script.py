@@ -17,7 +17,7 @@ import re
 from functools import reduce
 
 from . import build as B
-from .deriv import Derivation, fold, same_multiset
+from .deriv import RULE_SHAPES, Derivation, fold, same_multiset
 from .sexpr import ParseError, format_formula, format_sequent, parse_sequent
 from .syntax import (
     And,
@@ -82,16 +82,6 @@ def print_script(d: Derivation) -> str:
 
 # ---------------------------------------------------------------------------
 # Multiset helpers
-
-
-def _multiset_minus(xs, ys):
-    out = list(xs)
-    for y in ys:
-        try:
-            out.remove(y)
-        except ValueError:
-            return None
-    return out
 
 
 def _ante_id(p: Derivation, f: Formula, skip=()):
@@ -285,18 +275,17 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                 return B.qg1_leaf(_minus(ante, [f]), f.left.child, list(succ))
         err("needs S(t)=0 in the antecedent")
 
-    if rule in ("Tl", "Tr", "negl", "negr", "andl", "foralll", "forallr",
-                "eq1", "eq2", "qg2", *B.AXIOMS):
-        if len(premises) != 1:
-            err("needs exactly one premise")
+    shape = RULE_SHAPES.get(rule)
+    if shape is None:
+        raise ScriptError(f"unknown rule tag {rule!r}", line)
+    if len(premises) != shape.premises:
+        err("needs exactly one premise" if shape.premises == 1
+            else "needs exactly two premises")
+
+    if shape.premises == 1:
         p = premises[0]
-        ra = _multiset_minus(p.conclusion.ante_formulas(), ante)
-        rs = _multiset_minus(p.conclusion.succ_formulas(), succ)
-        if ra is None or rs is None:
-            # the conclusion adds formulas the premise lacks; only the
-            # principal may be new, so recompute against the overlap
-            ra = _removed(p.conclusion.ante_formulas(), ante)
-            rs = _removed(p.conclusion.succ_formulas(), succ)
+        ra = _removed(p.conclusion.ante_formulas(), ante)
+        rs = _removed(p.conclusion.succ_formulas(), succ)
 
         if rule == "Tl":
             if len(ra) != 1 or rs:
@@ -377,10 +366,8 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                 err("discharged formula does not instantiate the axiom")
             return B.discharge_axiom(rule, p, _ante_id(p, ra[0]), *terms)
 
+    p0, p1 = premises
     if rule == "andr":
-        if len(premises) != 2:
-            err("needs exactly two premises")
-        p0, p1 = premises
         for g in succ:
             if isinstance(g, And):
                 i0 = _succ_id(p0, g.left)
@@ -389,9 +376,6 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                     return B.and_right(p0, i0, p1, i1)
         err("no conjunction in the succedent matches the premises")
     if rule == "cut":
-        if len(premises) != 2:
-            err("needs exactly two premises")
-        p0, p1 = premises
         rs = _removed(p0.conclusion.succ_formulas(), succ)
         if len(rs) != 1:
             err("cannot identify the cut formula")
@@ -402,18 +386,12 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
             err("cut formula missing from the right premise")
         return B.cut(p0, i0, p1, i1)
     if rule == "comp":
-        if len(premises) != 2:
-            err("needs exactly two premises")
-        p0, p1 = premises
         rs0 = _removed(p0.conclusion.succ_formulas(), succ)
         rs1 = _removed(p1.conclusion.succ_formulas(), succ)
         if len(rs0) != 1 or len(rs1) != 1:
             err("each premise discharges one succedent sentence")
         return B.comp_node(p0, _succ_id(p0, rs0[0]), p1, _succ_id(p1, rs1[0]))
     if rule == "qg3":
-        if len(premises) != 2:
-            err("needs exactly two premises")
-        p0, p1 = premises
         ra0 = _removed(p0.conclusion.ante_formulas(), ante)
         ra1 = _removed(p1.conclusion.ante_formulas(), ante)
         if len(ra0) != 1 or len(ra1) != 1:
@@ -425,13 +403,15 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
         except AttributeError:
             err("case equations are malformed")
         return B.qg3(p0, _ante_id(p0, f0), p1, _ante_id(p1, f1), x, y)
-    raise ScriptError(f"unknown rule tag {rule!r}", line)
 
 
 def _minus(xs, ys):
-    out = _multiset_minus(xs, ys)
-    if out is None:
-        raise ScriptError("sequent bookkeeping mismatch")
+    out = list(xs)
+    for y in ys:
+        try:
+            out.remove(y)
+        except ValueError:
+            raise ScriptError("sequent bookkeeping mismatch") from None
     return out
 
 

@@ -44,6 +44,7 @@ from .syntax import (
 )
 
 _GEOMETRIC_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "qg1" in r)
+_TOP_BOT_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "top" in r)
 _TRUTH_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "Tr" in r)
 
 
@@ -150,7 +151,7 @@ class _Searcher:
     # -- closures ----------------------------------------------------------
 
     def close(self, ante, succ) -> Derivation | None:
-        if self.system == "lgt":
+        if self.system in _TOP_BOT_SYSTEMS:
             for f in succ:
                 if isinstance(f, Top):
                     return B.top_leaf(list(ante), list(_minus_one(succ, f)))

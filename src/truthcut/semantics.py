@@ -51,6 +51,7 @@ from .syntax import (
     Not,
     Top,
     Tr,
+    formula_facts,
     is_sentence,
     substitute,
 )
@@ -290,22 +291,12 @@ class CompletenessVerdict:
     proof_length: int | None = None
 
 
-def _has_quantifier(phi: Formula) -> bool:
-    if isinstance(phi, Forall):
-        return True
-    if isinstance(phi, Not):
-        return _has_quantifier(phi.body)
-    if isinstance(phi, And):
-        return _has_quantifier(phi.left) or _has_quantifier(phi.right)
-    return False
-
-
 def check_completeness(phi: Formula, fp: FixedPoint, budget) -> CompletenessVerdict:
     """Grounded quantifier-free sentences are provable (their negations
     refutable) by bounded cut-free search."""
     from .search import search_cut_free
 
-    if _has_quantifier(phi):
+    if formula_facts(phi)[1]:  # a bound variable, so a quantifier
         return CompletenessVerdict("vacuous")
     c = encode(phi)
     cn = encode(Not(phi))

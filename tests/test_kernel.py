@@ -1,17 +1,22 @@
 """Kernel validation: rule admissibility per system and reason codes."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from truthcut.arith import chain_numeral, prove_equation, refute_equation
 from truthcut import build as B
 from truthcut.coding import quote
+from truthcut.deriv import RULE_SHAPES, Sequent, occ
 from truthcut.kernel import (
+    SYSTEM_RULES,
     SYSTEMS,
+    Violation,
     check_derivation,
 )
 from truthcut.script import parse_script
-from truthcut.syntax import Eq, Forall, Not, Suc, Tr, Var, Zero
+from truthcut.syntax import Eq, Forall, Not, Plus, Suc, Times, Tr, Var, Zero
 
 from proofgen import random_derivation
 
@@ -166,3 +171,141 @@ def test_shared_formula_objects_keep_reason_codes():
             else:
                 assert check_derivation(bad, s).codes() == w_bad
                 assert check_derivation(ok, s).codes() == w_ok
+
+
+# ---------------------------------------------------------------------------
+# Rule shapes: every node is checked against its rule's entry in RULE_SHAPES
+
+QG3_SCRIPT = ("1: init [] (= x 0), (= 0 0) => (= 0 0)\n"
+              "2: init [] (= y (S x)), (= 0 0) => (= 0 0)\n"
+              "3: qg3 [1, 2] (= 0 0) => (= 0 0)\n")
+
+
+def _samples():
+    """rule -> a valid derivation whose last rule it is."""
+    leaf = B.init_leaf([], PHI, [])
+    other = B.init_leaf([], PHI, [])
+    wide = B.init_leaf([], PHI, [PHI])  # PHI => PHI, PHI
+    deep = B.init_leaf([PHI], PHI, [])  # PHI, PHI => PHI
+    pair = B.init_leaf([Not(PHI)], PHI, [])
+    fa = Forall("x", Eq(Var("x"), Var("x")))
+    inst = B.init_leaf([fa], PHI, [])
+    ev = B.init_leaf([], Eq(Var("ev1"), Var("ev1")), [])
+    refl = B.eq1(ev, ev.conclusion.ante[0].id)
+    out = {
+        "init": leaf,
+        "top": B.top_leaf([], []),
+        "bot": B.bot_leaf([], []),
+        "qg1": B.qg1_leaf([], Zero(), []),
+        "cut": B.cut(wide, wide.conclusion.succ[0].id,
+                     deep, deep.conclusion.ante[0].id),
+        "Tl": B.truth_left(leaf, leaf.conclusion.ante[0].id),
+        "Tr": B.truth_right(leaf, leaf.conclusion.succ[0].id),
+        "comp": B.comp_node(leaf, leaf.conclusion.succ[0].id,
+                            other, other.conclusion.succ[0].id),
+        "negl": B.neg_left(leaf, leaf.conclusion.succ[0].id),
+        "negr": B.neg_right(leaf, leaf.conclusion.ante[0].id),
+        "andl": B.and_left(pair, *(o.id for o in pair.conclusion.ante)),
+        "andr": B.and_right(leaf, leaf.conclusion.succ[0].id,
+                            other, other.conclusion.succ[0].id),
+        "foralll": B.forall_left(inst, *(o.id for o in inst.conclusion.ante),
+                                 Zero()),
+        "forallr": B.forall_right(refl, refl.conclusion.succ[0].id, fa, "ev1"),
+        "eq1": refl,
+        "qg3": parse_script(QG3_SCRIPT),
+    }
+    one, three = chain_numeral(1), chain_numeral(3)
+    for d in (prove_equation([], Times(one, one), one, []),
+              refute_equation([], one, three, [])):
+        for _, node in d.iter_nodes():
+            out.setdefault(node.rule, node)
+    return out
+
+
+SAMPLES = _samples()
+
+
+def _system_of(rule):
+    """The first system with every rule of the sample for ``rule``."""
+    used = {node.rule for _, node in SAMPLES[rule].iter_nodes()}
+    return next(s for s in SYSTEMS if used <= set(SYSTEM_RULES[s]))
+
+
+def _moved(seq, oid):
+    """``seq`` with occurrence ``oid`` moved to the other side."""
+    side, _, o = seq.find(oid)
+    ante = tuple(x for x in seq.ante if x.id != oid)
+    succ = tuple(x for x in seq.succ if x.id != oid)
+    return Sequent(ante + (o,), succ) if side == "succ" else Sequent(ante, succ + (o,))
+
+
+def _root_report(d, rule):
+    return [(v.code, v.message)
+            for v in check_derivation(d, _system_of(rule)).violations
+            if v.path == ()]
+
+
+def test_every_rule_has_one_shape_and_a_valid_sample():
+    # [DERIVED] the shape table covers exactly the rules of the systems, and
+    # every sample below passes the kernel as built
+    rules = {r for rs in SYSTEM_RULES.values() for r in rs}
+    assert set(RULE_SHAPES) == rules == set(SAMPLES)
+    for rule, d in SAMPLES.items():
+        assert d.rule == rule
+        assert len(d.premises) == RULE_SHAPES[rule].premises
+        assert check_derivation(d, _system_of(rule)).ok, rule
+
+
+@pytest.mark.parametrize("rule", ["eq2", "qg2", "qg3", "qg4", "qg5", "qg6", "qg7"])
+def test_rule_without_principal_refuses_a_smuggled_one(rule):
+    # [DERIVED] a rule whose shape has no principal may not add a formula to
+    # its conclusion; these seven rules used to accept one and report VALID
+    d = SAMPLES[rule]
+    extra = occ(Tr(quote(Eq(Zero(), Suc(Zero())))))
+    c = d.conclusion
+    bad = replace(d, conclusion=Sequent(c.ante, c.succ + (extra,)),
+                  principal=(extra.id,))
+    assert check_derivation(bad, _system_of(rule)).violations == (
+        Violation((), "MALFORMED_RULE", f"{rule} has no principal formula"),)
+
+
+@pytest.mark.parametrize(
+    "rule", [r for r in RULE_SHAPES if RULE_SHAPES[r].premises])
+def test_wrong_premise_count(rule):
+    # [DERIVED] dropping the last premise (and what refers to it) leaves a
+    # node with one premise fewer than its shape states
+    d = SAMPLES[rule]
+    n = RULE_SHAPES[rule].premises
+    bad = replace(d, premises=d.premises[:-1],
+                  actives=tuple(a for a in d.actives if a[0] != n - 1),
+                  lineage={c: tuple(p for p in ps if p[0] != n - 1)
+                           for c, ps in d.lineage.items()})
+    assert _root_report(bad, rule) == [
+        ("MALFORMED_RULE", f"{rule} takes {n} premise(s), got {n - 1}")]
+
+
+@pytest.mark.parametrize(
+    "rule", [r for r in RULE_SHAPES if RULE_SHAPES[r].principals])
+def test_principal_on_the_wrong_side(rule):
+    # [DERIVED] the first principal moved across the sequent arrow
+    d = SAMPLES[rule]
+    side = RULE_SHAPES[rule].principals[0]
+    bad = replace(d, conclusion=_moved(d.conclusion, d.principal[0]))
+    assert _root_report(bad, rule) == [
+        ("MALFORMED_RULE", f"{rule} principal must be in the {side}cedent")]
+
+
+@pytest.mark.parametrize(
+    "rule", [r for r in RULE_SHAPES if RULE_SHAPES[r].actives])
+def test_active_on_the_wrong_side(rule):
+    # [DERIVED] the first active moved across its premise's sequent arrow;
+    # the premise may report its own fault, the node reports the side
+    d = SAMPLES[rule]
+    pi, aid = d.actives[0]
+    other = "succ" if RULE_SHAPES[rule].actives[0][1] == "ante" else "ante"
+    premises = list(d.premises)
+    premises[pi] = replace(premises[pi],
+                           conclusion=_moved(premises[pi].conclusion, aid))
+    bad = replace(d, premises=tuple(premises))
+    assert _root_report(bad, rule) == [
+        ("MALFORMED_RULE", f"{rule} active on wrong side ({other})")]
