@@ -15,6 +15,7 @@ from typing import Callable
 from .coding import encode, quote
 from .deriv import (
     RULE_SHAPES,
+    SIDE_NAMES,
     Derivation,
     Occurrence,
     Sequent,
@@ -58,8 +59,7 @@ def _actives(rule: str, *consumed) -> list[tuple[str, int, Occurrence]]:
     for (premise, occ_id), (_, side) in zip(consumed, RULE_SHAPES[rule].actives):
         hit = _find(premise, occ_id)
         if hit[0] != side:
-            raise BuildError(f"{rule} active must be in the "
-                             + ("antecedent" if side == "ante" else "succedent"))
+            raise BuildError(f"{rule} active must be in the {SIDE_NAMES[side]}")
         hits.append(hit)
     return hits
 

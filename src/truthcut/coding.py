@@ -11,6 +11,13 @@ the sentence obtained by plugging its *own* numeral into the formula coded by
 decoded fixed point is literal: ``decode(#lam) == substitute(phi, v,
 numeral(#lam))``.  A plain monotone structural coding cannot deliver that
 equation, which is why the tag exists.
+
+Codes are computed once per node: :func:`encode` works bottom-up and keeps
+each node's code in the node's ``_code`` slot, which is sound because a
+node's code depends on that node alone.  A numeral made by :func:`quote`
+keeps the formula it names in its ``_quoted`` slot, so a caller holding one
+need not decode its value.  Syntax functions build codes under
+:data:`MAX_CODE_BITS`, and ``encode`` stops at the first node past it.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from .syntax import (
     free_vars,
     is_closed,
     is_sentence,
-    numeral,
     substitute,
 )
 
@@ -146,78 +152,119 @@ def _unfold(c: int, n: int) -> list[int]:
     return out
 
 
-def _tagged(tag: int, payload: int) -> int:
-    return pair(tag, payload) + 1
+def _oversize(cap: int) -> CodeSizeError:
+    return CodeSizeError(f"a syntax-function value exceeds {cap} bits")
 
 
-def encode(e: Term | Formula) -> int:
-    """Injective Goedel code of a term or formula."""
-    cands: set[int] = set()
-    if isinstance(e, Formula):
+_keep = object.__setattr__  # fills a cache slot of a frozen node
+
+
+def encode(e: Term | Formula, max_bits: int | None = None) -> int:
+    """Injective Goedel code of a term or formula.
+
+    Every node keeps its code once it is computed, so a later call on it, or
+    on a tree holding it, reuses it; a node's code depends on that node
+    alone.  With ``max_bits``, raises :class:`CodeSizeError` exactly when the
+    code passes ``max_bits`` bits, and stops building as soon as it knows."""
+    code = e._code
+    if code is None:
+        code = _encode(e, max_bits, [])
+    elif max_bits is not None and code.bit_length() > max_bits:
+        raise _oversize(max_bits)
+    return code
+
+
+def _encode(e: Term | Formula, cap: int | None, cands: list[int]) -> int:
+    """The code of ``e``, built bottom-up; appends the DIAG numerals in ``e``
+    to ``cands``, since a formula holding one may be the diagonal sentence
+    it codes.  A node whose code passes ``cap`` raises and keeps no code,
+    unless it is such a sentence with a code under ``cap``."""
+    code = e._code
+    if code is not None:
         _diag_candidates(e, cands)
-    # Without a DIAG numeral anywhere in ``e`` no subformula can match one.
-    return _encode(e, bool(cands))
+        if cap is not None and code.bit_length() > cap:
+            raise _oversize(cap)
+        return code
+    mark = len(cands)
+    try:
+        # most frequent kinds first
+        if isinstance(e, Suc):
+            tag, payload = _SUC, _encode(e.child, cap, cands)
+        elif isinstance(e, Zero):
+            tag, payload = _ZERO, 0
+        elif isinstance(e, Eq):
+            tag, payload = _EQ, pair(_encode(e.left, cap, cands),
+                                     _encode(e.right, cap, cands))
+        elif isinstance(e, Num):
+            tag, payload = _NUM, e.value
+            if _is_diag(payload):
+                cands.append(payload)
+        elif isinstance(e, Not):
+            tag, payload = _NEG, _encode(e.body, cap, cands)
+        elif isinstance(e, Tr):
+            tag, payload = _TR, _encode(e.term, cap, cands)
+        elif isinstance(e, And):
+            tag, payload = _AND, pair(_encode(e.left, cap, cands),
+                                      _encode(e.right, cap, cands))
+        elif isinstance(e, Plus):
+            tag, payload = _PLUS, pair(_encode(e.left, cap, cands),
+                                       _encode(e.right, cap, cands))
+        elif isinstance(e, Times):
+            tag, payload = _TIMES, pair(_encode(e.left, cap, cands),
+                                        _encode(e.right, cap, cands))
+        elif isinstance(e, Forall):
+            tag, payload = _FORALL, pair(_str_code(e.var),
+                                         _encode(e.body, cap, cands))
+        elif isinstance(e, Var):
+            tag, payload = _VAR, _str_code(e.name)
+        elif isinstance(e, SynApp):
+            tag = _SYN_BASE + _SYN_ORDER.index(e.symbol)
+            payload = _fold([_encode(a, cap, cands) for a in e.args])
+        elif isinstance(e, Top):
+            tag, payload = _TOP, 0
+        elif isinstance(e, Bot):
+            tag, payload = _BOT, 0
+        else:
+            raise TypeError(f"not a term or formula: {e!r}")
+        if cap is not None and payload.bit_length() > cap:
+            raise _oversize(cap)
+        code = pair(tag, payload) + 1  # see the module docstring
+        if cap is not None and code.bit_length() > cap:
+            raise _oversize(cap)
+    except CodeSizeError:
+        # a diagonal sentence's code is shorter than its numeral's
+        code = _diag_match(e, _diag_candidates(e, [])) if isinstance(e, Formula) else None
+        if code is None or code.bit_length() > cap:
+            raise
+    else:
+        if len(cands) > mark and isinstance(e, Formula):
+            code = _diag_match(e, cands[mark:]) or code
+    _keep(e, "_code", code)
+    return code
 
 
-def _encode(e: Term | Formula, diag: bool) -> int:
-    if diag and isinstance(e, Formula):
-        d = _diag_match(e)
-        if d is not None:
-            return d
-    if isinstance(e, Var):
-        return _tagged(_VAR, _str_code(e.name))
-    if isinstance(e, Zero):
-        return _tagged(_ZERO, 0)
-    if isinstance(e, Suc):
-        return _tagged(_SUC, _encode(e.child, False))
-    if isinstance(e, Plus):
-        return _tagged(_PLUS, pair(_encode(e.left, False), _encode(e.right, False)))
-    if isinstance(e, Times):
-        return _tagged(_TIMES, pair(_encode(e.left, False), _encode(e.right, False)))
-    if isinstance(e, Num):
-        return _tagged(_NUM, e.value)
-    if isinstance(e, SynApp):
-        tag = _SYN_BASE + _SYN_ORDER.index(e.symbol)
-        return _tagged(tag, _fold([_encode(a, False) for a in e.args]))
-    if isinstance(e, Eq):
-        return _tagged(_EQ, pair(_encode(e.left, False), _encode(e.right, False)))
-    if isinstance(e, Tr):
-        return _tagged(_TR, _encode(e.term, False))
-    if isinstance(e, Top):
-        return _tagged(_TOP, 0)
-    if isinstance(e, Bot):
-        return _tagged(_BOT, 0)
-    if isinstance(e, Not):
-        return _tagged(_NEG, _encode(e.body, diag))
-    if isinstance(e, And):
-        return _tagged(_AND, pair(_encode(e.left, diag), _encode(e.right, diag)))
-    if isinstance(e, Forall):
-        return _tagged(_FORALL, pair(_str_code(e.var), _encode(e.body, diag)))
-    raise TypeError(f"not a term or formula: {e!r}")
+def _is_diag(n: int) -> bool:
+    return n >= 1 and unpair(n - 1)[0] == _DIAG
 
 
-def _diag_candidates(e: Term | Formula, out: set[int]) -> None:
-    if isinstance(e, Num) and e.value >= 1:
-        tag, _ = unpair(e.value - 1)
-        if tag == _DIAG:
-            out.add(e.value)
+def _diag_candidates(e: Term | Formula, out: list[int]) -> list[int]:
+    """``out`` with the DIAG numerals in ``e`` appended."""
+    if isinstance(e, Num) and _is_diag(e.value):
+        out.append(e.value)
     for c in _children(e):
         _diag_candidates(c, out)
+    return out
 
 
-def _diag_match(phi: Formula) -> int | None:
-    """Smallest DIAG code whose decoding is exactly ``phi``, if any."""
-    cands: set[int] = set()
-    _diag_candidates(phi, cands)
-    best = None
-    for c in sorted(cands):
+def _diag_match(phi: Formula, cands: list[int]) -> int | None:
+    """Smallest DIAG code in ``cands`` whose decoding is exactly ``phi``."""
+    for c in sorted(set(cands)):
         try:
             if decode(c) == phi:
-                best = c
-                break
+                return c
         except (DecodeError, CaptureError):
             continue
-    return best
+    return None
 
 
 def decode(c: int) -> Term | Formula:
@@ -310,8 +357,19 @@ def codes_sentence(c: int) -> bool:
 
 
 def quote(phi: Formula) -> Term:
-    """The canonical name of ``phi``: the numeral of its code."""
-    return numeral(encode(phi))
+    """The canonical name of ``phi``: the numeral of its code, which
+    remembers ``phi`` (``decode`` of the code gives back an equal formula)."""
+    name = Num(encode(phi))
+    _keep(name, "_quoted", phi)
+    return name
+
+
+def quoted_sentence(t: Term) -> Formula | None:
+    """The sentence ``t`` names, if ``t`` is a numeral :func:`quote` made of
+    a sentence."""
+    if isinstance(t, Num) and t._quoted is not None and is_sentence(t._quoted):
+        return t._quoted
+    return None
 
 
 def truth_of(phi: Formula) -> Formula:
@@ -338,42 +396,37 @@ def eval_term(t: Term) -> int:
         return eval_term(t.left) * eval_term(t.right)
     if isinstance(t, SynApp):
         args = [eval_term(a) for a in t.args]
-        return _capped(_eval_syn(t.symbol, args))
+        return _eval_syn(t.symbol, args)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _capped(c: int) -> int:
-    if c.bit_length() > MAX_CODE_BITS:
-        raise CodeSizeError(
-            f"a syntax-function value exceeds {MAX_CODE_BITS} bits"
-        )
-    return c
-
-
 def _eval_syn(symbol: str, args: list[int]) -> int:
+    """The value of a syntax function; every code it builds stops at
+    :data:`MAX_CODE_BITS` bits."""
+    cap = MAX_CODE_BITS
     try:
         if symbol == "num":
-            return encode(Num(args[0]))
+            return encode(Num(args[0]), cap)
         if symbol == "negdot":
-            return encode(Not(decode_formula(args[0])))
+            return encode(Not(decode_formula(args[0])), cap)
         if symbol == "anddot":
-            return encode(And(decode_formula(args[0]), decode_formula(args[1])))
+            return encode(And(decode_formula(args[0]), decode_formula(args[1])), cap)
         if symbol == "eqdot":
-            return encode(Eq(decode_term(args[0]), decode_term(args[1])))
+            return encode(Eq(decode_term(args[0]), decode_term(args[1])), cap)
         if symbol == "alldot":
             v = decode_term(args[0])
             if not isinstance(v, Var):
                 raise NonCodeArgumentError(
                     f"alldot expects a variable code, got {v!r}"
                 )
-            return encode(Forall(v.name, decode_formula(args[1])))
+            return encode(Forall(v.name, decode_formula(args[1])), cap)
         if symbol == "tdot":
-            return encode(Tr(Num(args[0])))
+            return encode(Tr(Num(args[0])), cap)
         if symbol == "tr":
             n, m = args
             c = n
             for _ in range(m):
-                c = _capped(encode(Tr(Num(c))))
+                c = encode(Tr(Num(c)), cap)
             return c
         if symbol == "sub":
             phi = decode_formula(args[0])
@@ -381,12 +434,15 @@ def _eval_syn(symbol: str, args: list[int]) -> int:
             if not isinstance(v, Var):
                 raise NonCodeArgumentError(f"sub expects a variable code, got {v!r}")
             s = decode_term(args[2])
-            return encode(substitute(phi, v.name, s))
+            return encode(substitute(phi, v.name, s), cap)
         if symbol == "val":
             inner = decode_term(args[0])
             if not is_closed(inner):
                 raise NonCodeArgumentError("val applied to the code of an open term")
-            return eval_term(inner)
+            value = eval_term(inner)
+            if value.bit_length() > cap:
+                raise _oversize(cap)
+            return value
     except DecodeError as e:
         raise NonCodeArgumentError(str(e)) from e
     raise TypeError(f"unknown syntax function: {symbol}")
@@ -397,7 +453,7 @@ def _eval_syn(symbol: str, args: list[int]) -> int:
 
 
 def diag_code(phi: Formula, var: str) -> int:
-    return _tagged(_DIAG, pair(encode(phi), _str_code(var)))
+    return pair(_DIAG, pair(encode(phi), _str_code(var))) + 1
 
 
 def diagonalize(phi: Formula, var: str | None = None) -> Formula:

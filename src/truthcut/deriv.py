@@ -107,6 +107,8 @@ class RuleShape(NamedTuple):
 
 
 _A, _S = "ante", "succ"
+#: side -> its name in messages
+SIDE_NAMES = {_A: "antecedent", _S: "succedent"}
 
 #: rule -> its shape (the rule sets live in :data:`.kernel.SYSTEM_RULES`)
 RULE_SHAPES: dict[str, RuleShape] = {

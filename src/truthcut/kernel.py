@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .build import AXIOM_TERMS, AXIOMS
 from .coding import DecodeError, code_label, decode_sentence, encode
-from .deriv import RULE_SHAPES, Derivation, Occurrence, RuleShape
+from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, Occurrence, RuleShape
 from .syntax import (
     And,
     Bot,
@@ -240,7 +240,7 @@ class _Checker:
             side, _, o = node.conclusion.find(pid)
             if side != want:
                 self.bad(path, MALFORMED_RULE,
-                         f"{rule} principal must be in the {want}cedent")
+                         f"{rule} principal must be in the {SIDE_NAMES[want]}")
                 return None
             ps.append(o)
         if len(node.actives) != len(shape.actives):
@@ -292,7 +292,7 @@ class _Checker:
         if not isinstance(p.formula, Tr):
             side = RULE_SHAPES[node.rule].principals[0]
             self.bad(path, MALFORMED_RULE,
-                     f"truth-rule principal must be a T atom in the {side}cedent")
+                     f"truth-rule principal must be a T atom in the {SIDE_NAMES[side]}")
             return
         if formula_facts(a.formula)[0]:
             self.bad(path, NOT_A_SENTENCE,

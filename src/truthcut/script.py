@@ -251,6 +251,13 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
     def err(msg):
         raise ScriptError(f"{rule}: {msg}", line)
 
+    shape = RULE_SHAPES.get(rule)
+    if shape is None:
+        raise ScriptError(f"unknown rule tag {rule!r}", line)
+    if len(premises) != shape.premises:
+        err(("needs no premises", "needs exactly one premise",
+             "needs exactly two premises")[shape.premises])
+
     if rule == "init":
         for f in succ:
             if f in ante and isinstance(f, Eq):
@@ -274,13 +281,6 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
             if isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right):
                 return B.qg1_leaf(_minus(ante, [f]), f.left.child, list(succ))
         err("needs S(t)=0 in the antecedent")
-
-    shape = RULE_SHAPES.get(rule)
-    if shape is None:
-        raise ScriptError(f"unknown rule tag {rule!r}", line)
-    if len(premises) != shape.premises:
-        err("needs exactly one premise" if shape.premises == 1
-            else "needs exactly two premises")
 
     if shape.premises == 1:
         p = premises[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import build as B
 from .arith import can_prove, can_refute, chain_numeral, prove_equation, refute_equation
-from .coding import DecodeError, decode_sentence
+from .coding import DecodeError, decode_sentence, quoted_sentence
 from .deriv import Derivation
 from .kernel import SYSTEM_RULES
 from .syntax import (
@@ -301,6 +301,9 @@ class _Searcher:
         return None
 
     def _unquote(self, f: Tr) -> Formula | None:
+        phi = quoted_sentence(f.term)
+        if phi is not None:
+            return phi
         n = numeral_value(f.term)
         if n is None:
             return None

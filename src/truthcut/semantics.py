@@ -18,8 +18,12 @@ not-bot enter at the first stage; bot and not-top never enter).
 All thirteen cases are stated once, in :func:`_clause`, as a *clause*
 ``(any_, deps)``: the sentence enters S when any (``any_``) or all (not
 ``any_``) of the dependency codes ``deps`` are in S, so the constant clauses
-are ``TRUE = (False, ())`` and ``FALSE = (True, ())``.  ``build_universe``
-decodes each reachable code once and keeps its sentence and clause, so the
+are ``TRUE = (False, ())`` and ``FALSE = (True, ())``.  ``_clause`` gives
+each dependency with its sentence wherever that is at hand: conjuncts,
+instances, their negations, the body of a double negation, and the sentence
+a ``quote`` numeral remembers.  ``build_universe`` decodes only codes that
+arrive as bare integers (values of syntax-function terms, numerals written
+out, such as the liar's) and keeps each code's sentence and clause, so the
 dependency graph is built once.  ``least_fixed_point`` iterates
 semi-naively (Bancilhon & Ramakrishnan, 1986): after the first stage it
 re-decides only the sentences that depend on a code that entered at the
@@ -40,6 +44,7 @@ from .coding import (
     decode_sentence,
     encode,
     eval_term,
+    quoted_sentence,
 )
 from .deriv import Derivation, compute_measures
 from .syntax import (
@@ -67,6 +72,8 @@ class CoverageError(Exception):
 
 #: ``(any_, deps)``: holds of S when any (``any_``) or all of ``deps`` are in S
 Clause = tuple[bool, tuple[int, ...]]
+#: a dependency's code, with its sentence where that is at hand (else None)
+Dep = tuple[int, Formula | None]
 TRUE: Clause = (False, ())
 FALSE: Clause = (True, ())
 
@@ -95,13 +102,25 @@ def _instances(phi: Forall, bound: int) -> list[Formula]:
     return out
 
 
-def _neg_code_of_ascribed(t) -> int | None:
-    """Code of the negation of the sentence named by ``t``, if any."""
+def _dep(phi: Formula) -> Dep:
+    return encode(phi), phi
+
+
+def _ascribed(t) -> Dep:
+    """The value of ``t`` and the sentence it names, if it remembers one;
+    raises ``EvalError``."""
+    return eval_term(t), quoted_sentence(t)
+
+
+def _negated_ascribed(t) -> Dep | None:
+    """The negation of the sentence named by ``t``, if any."""
     try:
-        c = eval_term(t)
-        return encode(Not(decode_sentence(c)))
+        c, phi = _ascribed(t)
+        if phi is None:
+            phi = decode_sentence(c)
     except (EvalError, DecodeError):
         return None
+    return _dep(Not(phi))
 
 
 def _identity(phi: Eq, holds_if_equal: bool) -> Clause:
@@ -112,23 +131,23 @@ def _identity(phi: Eq, holds_if_equal: bool) -> Clause:
     return TRUE if equal == holds_if_equal else FALSE
 
 
-def _clause(phi: Formula, bound: int) -> Clause:
-    """When ``phi`` enters a stage; dependencies are listed in the order the
-    universe closure visits them."""
+def _clause(phi: Formula, bound: int) -> tuple[bool, tuple[Dep, ...]]:
+    """When ``phi`` enters a stage, with each dependency as a ``(code,
+    sentence)`` pair; listed in the order the universe closure visits them."""
     if isinstance(phi, Eq):
         return _identity(phi, True)
     if isinstance(phi, Top):
         return TRUE
     if isinstance(phi, Tr):
         try:
-            return (False, (eval_term(phi.term),))
+            return (False, (_ascribed(phi.term),))
         except EvalError:
             return FALSE
     if isinstance(phi, And):
-        return (False, (encode(phi.left), encode(phi.right)))
+        return (False, (_dep(phi.left), _dep(phi.right)))
     if isinstance(phi, Forall):
         insts = _instances(phi, bound)
-        return (False, tuple(encode(i) for i in insts)) if insts else FALSE
+        return (False, tuple(_dep(i) for i in insts)) if insts else FALSE
     if isinstance(phi, Not):
         inner = phi.body
         if isinstance(inner, Eq):
@@ -136,14 +155,14 @@ def _clause(phi: Formula, bound: int) -> Clause:
         if isinstance(inner, Bot):
             return TRUE
         if isinstance(inner, Tr):
-            c = _neg_code_of_ascribed(inner.term)
-            return FALSE if c is None else (False, (c,))
+            dep = _negated_ascribed(inner.term)
+            return FALSE if dep is None else (False, (dep,))
         if isinstance(inner, Not):
-            return (False, (encode(inner.body),))
+            return (False, (_dep(inner.body),))
         if isinstance(inner, And):
-            return (True, (encode(Not(inner.left)), encode(Not(inner.right))))
+            return (True, (_dep(Not(inner.left)), _dep(Not(inner.right))))
         if isinstance(inner, Forall):
-            return (True, tuple(encode(Not(i)) for i in _instances(inner, bound)))
+            return (True, tuple(_dep(Not(i)) for i in _instances(inner, bound)))
     return FALSE  # bot, not-top
 
 
@@ -167,23 +186,25 @@ def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniv
     codes: set[int] = set()
     sentences: dict[int, Formula] = {}
     clauses: dict[int, Clause] = {}
-    work = [encode(s) for s in seeds]
+    work = [_dep(s) for s in seeds]
     while work:
-        c = work.pop()
+        c, phi = work.pop()
         if c in codes:
             continue
-        try:
-            phi = decode_sentence(c)
-        except DecodeError:
-            continue  # e.g. a truth ascription naming a non-sentence
+        if phi is None:  # a bare code: a term's value, not a quoted sentence
+            try:
+                phi = decode_sentence(c)
+            except DecodeError:
+                continue  # e.g. a truth ascription naming a non-sentence
         codes.add(c)
         if len(codes) > max_size:
             raise UniverseError(
                 f"universe closure exceeded the size cap {max_size}"
             )
         sentences[c] = phi
-        clauses[c] = _clause(phi, term_bound)
-        work.extend(clauses[c][1])
+        any_, deps = _clause(phi, term_bound)
+        clauses[c] = (any_, tuple(d for d, _ in deps))
+        work.extend(deps)
     return SentenceUniverse(frozenset(codes), seeds, term_bound, sentences, clauses)
 
 

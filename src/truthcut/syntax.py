@@ -30,7 +30,8 @@ class CaptureError(SyntaxError_):
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    pass
+    #: Goedel code, filled on first use by :func:`~.coding.encode`
+    _code: int | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +66,10 @@ class Num(Term):
     """Numeral literal: the canonical name of the natural number ``value``."""
 
     value: int
+    #: the formula this numeral names, set by :func:`~.coding.quote`
+    _quoted: Formula | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.value < 0:
@@ -156,6 +161,8 @@ class Formula:
     _facts: tuple[frozenset[str], frozenset[str], bool] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    #: Goedel code, filled on first use by :func:`~.coding.encode`
+    _code: int | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)

@@ -95,7 +95,10 @@ def _script_lines(d: Derivation):
 def _script_variants(text: str):
     """(label, script text): ``text`` and one-line edits of it."""
     yield "as written", text
-    lines = _script_lines(parse_script(text))
+    try:
+        lines = _script_lines(parse_script(text))
+    except ScriptError:
+        return  # a refused script has no lines to edit
 
     def render(k, pids, ante, succ):
         out = []

@@ -12,12 +12,14 @@ import pathlib
 import random
 import time
 
+import pytest
+
 from truthcut import build as B
 from truthcut.arith import chain_numeral
 from truthcut.coding import decode_sentence, encode, liar, quote, truth_teller
 from truthcut.deriv import compute_measures
 from truthcut.kernel import check_derivation
-from truthcut.script import parse_script
+from truthcut.script import ScriptError, parse_script
 from truthcut.search import SearchBudget, check_conservativity, search_cut_free
 from truthcut.semantics import (
     build_universe,
@@ -64,12 +66,19 @@ def _record(d):
 
 def test_golden_corpus_verdicts():
     # [DERIVED] every golden file reproduces its recorded verdict and exact
-    # reason-code set, all twenty in under a second
+    # reason-code set, or the reader's recorded refusal, all twenty-one in
+    # under a second
     manifest = json.loads((GOLDEN / "manifest.json").read_text())
-    assert len(manifest) == 20
+    assert len(manifest) == 21
     start = time.monotonic()
     for entry in manifest:
-        d = parse_script((GOLDEN / entry["file"]).read_text())
+        text = (GOLDEN / entry["file"]).read_text()
+        if "refused" in entry:
+            with pytest.raises(ScriptError) as refusal:
+                parse_script(text)
+            assert str(refusal.value) == entry["refused"], entry["file"]
+            continue
+        d = parse_script(text)
         report = check_derivation(d, entry["system"])
         assert report.ok == entry["valid"], entry["file"]
         assert sorted(set(report.codes())) == sorted(set(entry["codes"])), \

@@ -27,18 +27,21 @@ MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
 def _run(verb, entry, as_json):
-    """(exit status, stdout) of one verb on one golden file."""
+    """Exit status, stdout and any stderr of one verb on one golden file."""
     saved = deriv._ids
     deriv._ids = itertools.count(1)
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main([*(["--json"] if as_json else []), verb,
                            str(GOLDEN / entry["file"]),
                            "--system", entry["system"]])
     finally:
         deriv._ids = saved
-    return {"exit": status, "out": out.getvalue()}
+    result = {"exit": status, "out": out.getvalue()}
+    if err.getvalue():
+        result["err"] = err.getvalue()
+    return result
 
 
 def _outputs(entry):

@@ -289,10 +289,10 @@ def test_wrong_premise_count(rule):
 def test_principal_on_the_wrong_side(rule):
     # [DERIVED] the first principal moved across the sequent arrow
     d = SAMPLES[rule]
-    side = RULE_SHAPES[rule].principals[0]
+    side = {"ante": "antecedent", "succ": "succedent"}[RULE_SHAPES[rule].principals[0]]
     bad = replace(d, conclusion=_moved(d.conclusion, d.principal[0]))
     assert _root_report(bad, rule) == [
-        ("MALFORMED_RULE", f"{rule} principal must be in the {side}cedent")]
+        ("MALFORMED_RULE", f"{rule} principal must be in the {side}")]
 
 
 @pytest.mark.parametrize(

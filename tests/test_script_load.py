@@ -2,6 +2,7 @@
 choice, error texts, and inputs that used to end in a traceback."""
 
 import hashlib
+import json
 import pathlib
 import random
 import sys
@@ -156,10 +157,28 @@ def test_repeated_formula_texts_share_one_object():
     assert set(memo) == {"(= 0 0)", "(not (= 0 0))"}
 
 
+LEAF_SEQUENTS = {"init": "(= 0 0) => (= 0 0)", "top": "=> top", "bot": "bot =>",
+                 "qg1": "(= (S 0) 0) =>"}
+
+
+@pytest.mark.parametrize("rule", LEAF_SEQUENTS)
+def test_leaf_lines_list_no_premises(rule):
+    # [DERIVED] a leaf line that lists a premise used to drop it unchecked
+    text = ("1: init [] (= 0 (S 0)) => (= 0 (S 0))\n"
+            f"2: {rule} [1] {LEAF_SEQUENTS[rule]}\n")
+    with pytest.raises(ScriptError, match=f"^line 2: {rule}: needs no premises$"):
+        parse_script(text)
+
+
 def test_golden_round_trips():
-    # [DERIVED] every golden script survives print -> parse with the same
-    # fingerprint, and printing is a fixed point after one round
+    # [DERIVED] every golden script the reader accepts survives print ->
+    # parse with the same fingerprint, and printing is a fixed point after
+    # one round
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    refused = {entry["file"] for entry in manifest if "refused" in entry}
     for path in sorted(GOLDEN.glob("*.gp")):
+        if path.name in refused:
+            continue
         d = parse_script(path.read_text(encoding="utf-8"))
         text = print_script(d)
         d2 = parse_script(text)
