@@ -31,11 +31,15 @@ Conventions:
   the universal, contracts directly.
 * ``weaken`` and ``substitute_proof`` reuse occurrence ids, so their
   occurrence maps are identities.
-* ``invert`` and ``contract`` thread exact occurrence maps so per-occurrence
-  T-complexity bounds can be certified pointwise.
-* ``reduce_cut`` and ``eliminate_cuts`` certify the measure triple only; where
-  they must relocate occurrences across rebuilt subtrees they match by formula
-  and side, which is sound because all rule side conditions are formula-level.
+* Every step returns the exact map from its input's conclusion occurrence
+  ids to its output's, read from actives and lineage; no occurrence is
+  relocated by its formula.  Formulas are compared only to pair equal ones:
+  the contexts of a new two-premise node (``build.match_contexts``), the
+  formulas a weakening adds (:func:`_missing`), and the named occurrence a
+  duplicate is contracted into (:func:`_contract_to`).
+* ``invert`` and ``contract`` certify per-occurrence T-complexity bounds
+  through their maps pointwise; ``reduce_cut`` and ``eliminate_cuts`` return
+  their maps and certify the measure triple only.
 * ``reduce_cut`` output may contain cuts of strictly smaller rank (the
   compound-connective cases build them deliberately); only the truth-rule
   case reduces again, driven by the decrease of T-complexity.
@@ -123,9 +127,8 @@ class Certificate:
 class TransformResult:
     derivation: Derivation
     certificate: Certificate
-    #: map from input conclusion occurrence ids to output occurrence id(s);
-    #: None when only formula-level correspondence is meaningful
-    occ_map: dict | None = None
+    #: map from input conclusion occurrence ids to output occurrence id(s)
+    occ_map: dict
 
 
 def _certify(
@@ -140,7 +143,7 @@ def _certify(
     pointwise=(),
     expect: tuple[list[Formula], list[Formula]] | None = None,
     exact_triple: bool = False,
-    occ_map=None,
+    occ_map: dict,
 ) -> TransformResult:
     report = check_derivation(out, system)
     if not report.ok:
@@ -230,25 +233,6 @@ def _find_occ(d: Derivation, occ_id: int) -> tuple[str, Occurrence]:
     if hit is None:
         raise TransformError(f"occurrence {occ_id} not in the conclusion")
     return hit[0], hit[2]
-
-
-def _fallback_map(old: Sequent, new: Sequent) -> dict[int, int]:
-    """Match occurrences of two sequents by side and formula (first fit).
-    Every old occurrence must find a partner; extras in ``new`` are ignored."""
-    out: dict[int, int] = {}
-    for old_side, new_side in ((old.ante, new.ante), (old.succ, new.succ)):
-        pool = list(new_side)
-        for o in old_side:
-            for j, cand in enumerate(pool):
-                if cand.formula == o.formula:
-                    out[o.id] = pool.pop(j).id
-                    break
-            else:
-                raise TransformError(
-                    f"no matching occurrence for {o.formula!r} while "
-                    "relocating occurrences"
-                )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -687,27 +671,25 @@ def contract(d: Derivation, ida: int, idb: int, system: str) -> TransformResult:
     )
 
 
-def _contract_to(d: Derivation, target_ante, target_succ) -> Derivation:
-    """Contract duplicate occurrences until the end sequent equals the target
-    multiset pair."""
-    while True:
-        for side_name, target in (("ante", target_ante), ("succ", target_succ)):
-            occs = getattr(d.conclusion, side_name)
-            have = Counter(o.formula for o in occs)
-            want = Counter(target)
-            excess = next((f for f in have if have[f] > want[f]), None)
-            if excess is not None:
-                ids = [o.id for o in occs if o.formula == excess]
-                d, _ = _contract(d, ids[0], ids[1])
-                break
-        else:
-            break
-    if not (
-        same_multiset(d.conclusion.ante_formulas(), list(target_ante))
-        and same_multiset(d.conclusion.succ_formulas(), list(target_succ))
-    ):
-        raise TransformError("contraction could not reach the target sequent")
-    return d
+def _contract_to(d: Derivation, m: dict[int, int]):
+    """Contract every end-sequent occurrence of ``d`` that no value of ``m``
+    names into the first named occurrence of its formula on its side; two
+    named occurrences are never merged.  Returns (derivation, ``m``
+    re-pointed to the new ids)."""
+    key_of = {v: k for k, v in m.items()}
+    merges = []
+    for occs in (d.conclusion.ante, d.conclusion.succ):
+        first: dict[Formula, int] = {}
+        for o in occs:
+            if o.id in key_of:
+                first.setdefault(o.formula, key_of[o.id])
+        merges += [(first[o.formula], o.id) for o in occs
+                   if o.id not in key_of]
+    for k, extra in merges:
+        # a contraction moves only the ids it merges, so ``extra`` is intact
+        d, mc = _contract(d, m[k], extra)
+        m = {j: mc[v] for j, v in m.items()}
+    return d, m
 
 
 # ---------------------------------------------------------------------------
@@ -756,73 +738,94 @@ class _Fuel:
             )
 
 
-def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
+def _parents(node: Derivation, pi: int) -> dict[int, int]:
+    """``node``'s conclusion ids -> their ancestors in premise ``pi``."""
+    return {cid: oid for cid, parents in node.lineage.items()
+            for i, oid in parents if i == pi}
+
+
+def _children(node: Derivation, pi: int) -> dict[int, int]:
+    """Premise ``pi``'s ids -> ``node``'s conclusion ids descending from
+    them (one each, as in a cut)."""
+    return {oid: cid for cid, oid in _parents(node, pi).items()}
+
+
+def _reduce(cut: Derivation, m_allow, fuel):
+    """Reduce the cut ``cut`` to cuts of rank at most ``m_allow``.  Returns
+    (derivation of the cut's conclusion, map from the cut's conclusion ids
+    to the output's).  Each case reads which occurrence is which from the
+    actives and the lineage of the nodes it takes apart."""
     fuel.burn()
     # truth rules principal on both sides: cut their actives instead
-    while (d0.rule == "Tr" and aid in d0.principal
-           and d1.rule == "Tl" and bid in d1.principal):
-        d0, aid = d0.premises[0], d0.actives[0][1]
-        d1, bid = d1.premises[0], d1.actives[0][1]
+    while True:
+        d0, d1 = cut.premises
+        (_, aid), (_, bid) = cut.actives
+        if not (d0.rule == "Tr" and aid in d0.principal
+                and d1.rule == "Tl" and bid in d1.principal):
+            break
+        cut = _relink(cut, [d0.premises[0], d1.premises[0]], [
+            _parents(d, 0) | {i: d.actives[0][1]}
+            for d, i in ((d0, aid), (d1, bid))
+        ])
         fuel.burn()
     phi = d0.conclusion.find(aid)[2].formula
+    via0, via1 = _parents(cut, 0), _parents(cut, 1)
 
     # --- axiom cases ------------------------------------------------------
     if not RULE_SHAPES[d0.rule].premises:
         if aid in d0.principal:
             if d0.rule == "init":
-                others = [o.id for o in d1.conclusion.ante
-                          if o.formula == phi and o.id != bid]
-                out, _ = _contract(d1, bid, others[0])
-                return out
+                # d1's partner of the axiom's antecedent phi
+                partner = via1[_children(cut, 0)[d0.principal[0]]]
+                out, mc = _contract(d1, bid, partner)
+                return out, {c: mc[x] for c, x in via1.items()}
             if d0.rule == "top":
-                return drop_context(d1, bid)
+                return drop_context(d1, bid), via1
             raise TransformError(
                 f"unexpected succedent principal in leaf {d0.rule}"
             )
-        return _relink(d0, (), (), aid)
+        return _relink(d0, (), (), aid), via0
     if not RULE_SHAPES[d1.rule].premises:
         if bid in d1.principal:
             if d1.rule == "init":
-                others = [o.id for o in d0.conclusion.succ
-                          if o.formula == phi and o.id != aid]
-                out, _ = _contract(d0, aid, others[0])
-                return out
+                # d0's partner of the axiom's succedent phi
+                partner = via0[_children(cut, 1)[d1.principal[1]]]
+                out, mc = _contract(d0, aid, partner)
+                return out, {c: mc[x] for c, x in via0.items()}
             if d1.rule == "bot":
-                return drop_context(d0, aid)
+                return drop_context(d0, aid), via0
             # qg1: the cut formula S(t)=0 must be chased into d0, whose last
             # rule cannot have it principal (it is not a leaf here)
         else:
-            return _relink(d1, (), (), bid)
+            return _relink(d1, (), (), bid), via1
 
     # --- cut formula parametric (non-principal) in one premise ------------
     if aid not in d0.principal:
-        return _push(d0, aid, d1, bid, True, m_allow, fuel)
+        out, m = _push(d0, aid, d1, bid, True, m_allow, fuel)
+        return out, {c: m[x] for c, x in via0.items()}
     if bid not in d1.principal:
-        return _push(d1, bid, d0, aid, False, m_allow, fuel)
+        out, m = _push(d1, bid, d0, aid, False, m_allow, fuel)
+        return out, {c: m[x] for c, x in via1.items()}
 
     # --- principal on both sides ------------------------------------------
-    gamma = d0.conclusion.ante_formulas()
-    delta = [o.formula for o in d0.conclusion.succ if o.id != aid]
-
+    # each case ends in a cut ``out`` one of whose premises keeps the ids of
+    # d0's premise 0; ``new`` maps them to ``out``'s conclusion
     if isinstance(phi, Not) and d0.rule == "negr" and d1.rule == "negl":
         p0 = d0.premises[0]  # psi, Gamma => Delta
         p1 = d1.premises[0]  # Gamma => psi, Delta
-        return _build_cut(p1, d1.actives[0][1], p0, d0.actives[0][1], m_allow)
-    if isinstance(phi, And) and d0.rule == "andr" and d1.rule == "andl":
+        out = _build_cut(p1, d1.actives[0][1], p0, d0.actives[0][1], m_allow)
+        new = _children(out, 1)
+    elif isinstance(phi, And) and d0.rule == "andr" and d1.rule == "andl":
         p0a = d0.premises[0]  # Gamma => psi, Delta
         p0b = d0.premises[1]  # Gamma => chi, Delta
         p1 = d1.premises[0]   # psi, chi, Gamma => Delta
-        w = _weaken(p0b, [phi.left], [])[0]
-        chi_id = next(o.id for o in w.conclusion.succ
-                      if o.formula == phi.right)
-        chi_in_p1 = d1.actives[1][1]
-        inner = _build_cut(w, chi_id, p1, chi_in_p1, m_allow)
-        psi_id0 = d0.actives[0][1]
-        psi_in_inner = next(o.id for o in inner.conclusion.ante
-                            if o.formula == phi.left)
-        outer = _build_cut(p0a, psi_id0, inner, psi_in_inner, m_allow)
-        return _contract_to(outer, gamma, delta)
-    if isinstance(phi, Forall) and d0.rule == "forallr" and d1.rule == "foralll":
+        (_, psi0), (_, chi0) = d0.actives
+        (_, psi1), (_, chi1) = d1.actives
+        w = _weaken(p0b, [phi.left], [])[0]  # Gamma, psi => chi, Delta
+        inner = _build_cut(w, chi0, p1, chi1, m_allow)
+        out = _build_cut(p0a, psi0, inner, _children(inner, 1)[psi1], m_allow)
+        new = _children(out, 0)
+    elif isinstance(phi, Forall) and d0.rule == "forallr" and d1.rule == "foralll":
         p0 = d0.premises[0]   # Gamma => psi(y), Delta
         p1 = d1.premises[0]   # forall x psi, psi(t), Gamma' => Delta
         t = d1.term
@@ -832,19 +835,21 @@ def _reduce(d0, aid, d1, bid, m_allow, fuel) -> Derivation:
         tvars = free_vars(t)
         if tvars & collect_eigenvars(s0):
             s0 = freshen_eigenvariables(s0, tvars & collect_eigenvars(s0))
-        s0 = _subst_tree(s0, y, t)  # Gamma => psi(t), Delta
+        s0 = _subst_tree(s0, y, t)  # Gamma => psi(t), Delta, p0's ids
         # chase the universal into d1's premise: Gamma, psi(t) => Delta
         d0w = _weaken(d0, [inst], [])[0]  # reuses d0's ids
-        kept_id = d1.actives[0][1]
-        rec = _reduce(d0w, aid, p1, kept_id, m_allow, fuel)
-        rec = _contract_to(rec, gamma + [inst], delta)
-        inst_in_s0 = next(o.id for o in s0.conclusion.succ if o.formula == inst)
-        inst_in_rec = next(o.id for o in rec.conclusion.ante if o.formula == inst)
-        outer = _build_cut(s0, inst_in_s0, rec, inst_in_rec, m_allow)
-        return _contract_to(outer, gamma, delta)
-    raise TransformError(
-        f"no reduction for principal pair ({d0.rule}, {d1.rule}) on {phi!r}"
-    )
+        (_, kept), (_, inst1) = d1.actives
+        inner = build_cut(d0w, aid, p1, kept)
+        rec, m = _reduce(inner, m_allow, fuel)
+        inst_in_rec = m[_children(inner, 1)[inst1]]
+        out = _build_cut(s0, d0.actives[0][1], rec, inst_in_rec, m_allow)
+        new = _children(out, 0)
+    else:
+        raise TransformError(
+            f"no reduction for principal pair ({d0.rule}, {d1.rule}) on {phi!r}"
+        )
+    up = _parents(d0, 0)
+    return out, {c: new[up[x]] for c, x in via0.items()}
 
 
 def _missing(have: Sequent, want: Sequent):
@@ -860,15 +865,16 @@ def _missing(have: Sequent, want: Sequent):
 def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
     """The cut formula is a side formula of ``main``'s last rule: one walk up
     its ancestry.  At each top (where it is principal, or at a leaf) the node
-    and a copy of ``other`` are weakened once to one context and the cut is
-    reduced there; each node below is re-linked without the cut formula,
+    and a copy of ``other`` are weakened once to one context and their cut
+    is reduced there; each node below is re-linked without the cut formula,
     carrying the occurrences that came from ``other``; the duplicated
-    context is contracted away once, at the end.
+    context is contracted away once, at the end.  Returns (derivation, map
+    from ``main``'s conclusion ids other than ``main_id`` to the output's).
 
     ``main_is_left`` says whether ``main`` proves the sequent with the cut
     formula on the right (i.e. plays the left role of the cut)."""
     o_ctx = _minus(other.conclusion, other_id)
-    phi = _find_occ(other, other_id)[1].formula
+    b_side, b_pos, _ = other.conclusion.find(other_id)
     unused = [other]  # the first top cuts ``other`` itself, later ones a copy
 
     def step(item, done):
@@ -876,14 +882,14 @@ def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
         if not done:
             p_ctx = _minus(node.conclusion, a)
             oth = unused.pop() if unused else refresh_ids(other)
-            b = next(o.id for o in (oth.conclusion.ante if main_is_left
-                                    else oth.conclusion.succ)
-                     if o.formula == phi)
+            # weakening appends, so the cut occurrence keeps its position
+            b = getattr(oth.conclusion, b_side)[b_pos].id
             tw = _weaken(node, *_missing(p_ctx, o_ctx))[0]
             ow = _weaken(oth, *_missing(o_ctx, p_ctx))[0]
-            pair = (tw, a, ow, b) if main_is_left else (ow, b, tw, a)
-            new = _reduce(*pair, m_allow, fuel)
-            return new, _fallback_map(p_ctx, new.conclusion)
+            top = build_cut(tw, a, ow, b) if main_is_left else build_cut(ow, b, tw, a)
+            new, m = _reduce(top, m_allow, fuel)
+            below = _children(top, 0 if main_is_left else 1)
+            return new, {o.id: m[below[o.id]] for o in p_ctx.all_occurrences()}
         # below a top: what a premise carries is what no old id maps to
         subs, maps = [d for d, _ in done], [m for _, m in done]
         carried = [_minus(d.conclusion, *m.values()) for d, m in done]
@@ -901,9 +907,7 @@ def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
                     for es in pairs]
         return _relink(node, subs, maps, a, add), _same_ids(node, a)
 
-    target = _minus(main.conclusion, main_id)
-    out = _ancestry(main, (main_id,), step)[0]
-    return _contract_to(out, target.ante_formulas(), target.succ_formulas())
+    return _contract_to(*_ancestry(main, (main_id,), step))
 
 
 def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
@@ -912,7 +916,9 @@ def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
     phi, Gamma => Delta produce a proof of Gamma => Delta of length at most
     n0 + n1, cut rank at most max_rank, and proof T-complexity at most the
     maximum of the inputs.  The output may contain cuts on proper
-    subformulas of phi (their rank is strictly below phi's)."""
+    subformulas of phi (their rank is strictly below phi's).  The occurrence
+    map sends each occurrence of ``d0``'s Gamma and Delta to its descendant
+    in the output."""
     side0, oa = _find_occ(d0, aid)
     side1, ob = _find_occ(d1, bid)
     if side0 != "succ" or side1 != "ante":
@@ -940,13 +946,15 @@ def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
     if max(m0.cut_rank, m1.cut_rank) > max_rank:
         raise TransformError("input proofs exceed the allowed cut rank")
     fuel = _Fuel(200_000)
-    out = _reduce(d0, aid, d1, bid, max_rank, fuel)
+    cut = build_cut(d0, aid, d1, bid)
+    out, m = _reduce(cut, max_rank, fuel)
     return _certify(
         out, system, "reduceCut", (m0, m1),
         length=m0.length + m1.length,
         cut_rank=max_rank,
         proof_tau=max(m0.proof_tau, m1.proof_tau),
         expect=(gamma, delta),
+        occ_map={x: m[c] for c, x in _parents(cut, 0).items()},
     )
 
 
@@ -1007,36 +1015,31 @@ def _max_cut_rank(d: Derivation) -> int:
     )
 
 
-def _elim_node(node: Derivation, new_premises, r: int, fuel) -> Derivation:
+def _elim_node(node: Derivation, done, r: int, fuel):
     """Fold step of one rank pass of :func:`eliminate_cuts`: ``node`` over its
-    rebuilt premises, with a cut of rank ``r`` reduced to lower rank."""
-    pms = [
-        _fallback_map(old.conclusion, new.conclusion)
-        for old, new in zip(node.premises, new_premises)
-    ]
+    rebuilt premises, with a cut of rank ``r`` reduced to lower rank.  Returns
+    (derivation, map from ``node``'s conclusion ids to the derivation's)."""
+    new = _relink(node, [d for d, _ in done], [m for _, m in done])
     if node.rule == "cut" and _cut_rank_of(node) == r:
-        (p0i, a_old), (p1i, b_old) = node.actives
-        return _reduce(
-            new_premises[p0i], pms[p0i][a_old],
-            new_premises[p1i], pms[p1i][b_old],
-            r - 1, fuel,
-        )
-    if not node.premises:
-        return node
-    return _relink(node, new_premises, pms)
+        return _reduce(new, r - 1, fuel)
+    return new, _same_ids(node)
 
 
 def eliminate_cuts(d: Derivation, system: str) -> TransformResult:
     """Full cut elimination, topmost maximal-rank cuts first, one rank at a
     time.  The output is cut-free, proves the same end sequent, keeps proof
     T-complexity at most the input's, and has length at most hyperexp(m, n)
-    (where hyperexp(0, n) = n and hyperexp(j+1, n) = 2^hyperexp(j, n))."""
+    (where hyperexp(0, n) = n and hyperexp(j+1, n) = 2^hyperexp(j, n)).
+    The occurrence map sends each end-sequent occurrence to its descendant
+    in the output."""
     im = compute_measures(d)
     out = d
+    occ_map = _same_ids(d)
     fuel = _Fuel(500_000)
     r = _max_cut_rank(out)
     while r > 0:
-        out = fold(out, lambda node, done: _elim_node(node, done, r, fuel))
+        out, m = fold(out, lambda node, done: _elim_node(node, done, r, fuel))
+        occ_map = {k: m[v] for k, v in occ_map.items()}
         r2 = _max_cut_rank(out)
         if r2 >= r:
             raise TransformError(
@@ -1049,4 +1052,5 @@ def eliminate_cuts(d: Derivation, system: str) -> TransformResult:
         cut_rank=0,  # every cut has rank >= 1, so this certifies cut-freeness
         proof_tau=im.proof_tau,
         expect=(d.conclusion.ante_formulas(), d.conclusion.succ_formulas()),
+        occ_map=occ_map,
     )

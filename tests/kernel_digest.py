@@ -18,6 +18,10 @@ reader refuses is recorded as its error text.  The corpus:
   actives and lineage that refer to it), and the principal formula
   replaced.
 
+The occurrence-id counter restarts before each script is read and before
+the mutations of each derivation, so the ids in an item's messages do not
+depend on the items before it.
+
 Run from the repository root::
 
     PYTHONPATH=<checkout>/src:tests python3 tests/kernel_digest.py
@@ -31,11 +35,13 @@ reports moved.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import pathlib
 import random
 import sys
 from dataclasses import replace
 
+from truthcut import deriv
 from truthcut.arith import chain_numeral, prove_equation, refute_equation
 from truthcut.coding import quote
 from truthcut.deriv import Derivation, Occurrence, Sequent, fold, occ
@@ -179,6 +185,7 @@ def items():
     wholes = []
     for name, text in texts:
         for label, variant in _script_variants(text):
+            deriv._ids = itertools.count(1)
             try:
                 d = parse_script(variant)
             except ScriptError as e:
@@ -191,6 +198,8 @@ def items():
         yield "proof", f"proof {k}", d
         wholes.append((f"proof {k}", d))
     for name, d in wholes:
+        deriv._ids = itertools.count(1 + max(
+            o.id for _, n in d.iter_nodes() for o in n.conclusion.all_occurrences()))
         for path, node in d.iter_nodes():
             for label, mutated in _mutations(node):
                 yield label, f"{name} {path}", mutated

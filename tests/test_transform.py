@@ -406,11 +406,24 @@ def test_contract_refuses_a_compositional_principal():
 # Cut reduction
 
 
+def _where(seq, skip=None):
+    return {o.id: (side, o.formula) for side in ("ante", "succ")
+            for o in getattr(seq, side) if o.id != skip}
+
+
+def _assert_exact(occ_map, before, after):
+    """``occ_map`` is a bijection from the occurrences ``before`` onto the
+    end sequent ``after``, keeping each occurrence's side and formula."""
+    assert {k: after[v] for k, v in occ_map.items()} == before
+    assert sorted(occ_map.values()) == sorted(after)
+
+
 def _check_reduction(d0, aid, d1, bid, system="lptn"):
     m0, m1 = compute_measures(d0), compute_measures(d1)
     r = reduce_cut(d0, aid, d1, bid, system)
     out = r.derivation
     assert check_derivation(out, system).ok
+    _assert_exact(r.occ_map, _where(d0.conclusion, aid), _where(out.conclusion))
     m = compute_measures(out)
     assert m.length <= m0.length + m1.length
     assert m.proof_tau <= max(m0.proof_tau, m1.proof_tau)
@@ -517,6 +530,85 @@ def test_push_through_branches_that_carry_different_contexts():
     assert r.certificate.output_measures == (4, 0, 0)
     r = eliminate_cuts(d, "lptn")
     assert r.certificate.output_measures == (4, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Occurrence maps through cut reduction
+
+
+_PREMISE_BUDGET = SearchBudget(max_depth=6, max_term_index=2, max_tau_unfold=3)
+
+
+def _premise(ante, succ):
+    """A kernel-valid cut-free proof of ``ante => succ`` found by search, or
+    None."""
+    d = search_cut_free(ante, succ, _PREMISE_BUDGET, "lptn").derivation
+    if d is None or not check_derivation(d, "lptn").ok:
+        return None
+    if not (deriv.same_multiset(d.conclusion.ante_formulas(), ante)
+            and deriv.same_multiset(d.conclusion.succ_formulas(), succ)):
+        return None
+    return d
+
+
+def _cuts(rng):
+    """(d0, aid, d1, bid): every end-sequent occurrence of random and
+    duplicated-formula proofs cut against a searched proof of the other
+    premise, and the last cut of nested-cut proofs.  Cutting each copy of a
+    duplicated formula makes a premise hold the cut formula twice on the
+    cut side."""
+    for _ in range(30):
+        for d in (random_derivation(rng), duplicated_derivation(rng)[0]):
+            ante, succ = d.conclusion.ante, d.conclusion.succ
+            for o in succ:
+                e = _premise([o.formula] + [x.formula for x in ante],
+                             [x.formula for x in succ if x is not o])
+                if e is not None:
+                    yield d, o.id, e, _ante_id(e, o.formula)
+            for o in ante:
+                e = _premise([x.formula for x in ante if x is not o],
+                             [x.formula for x in succ] + [o.formula])
+                if e is not None:
+                    yield e, _succ_id(e, o.formula), d, o.id
+    for ncuts in (1, 2, 3) * 10:
+        d = nested_cuts(rng, ncuts)
+        if d is not None:
+            (p0, aid), (p1, bid) = d.actives
+            yield d.premises[p0], aid, d.premises[p1], bid
+
+
+def test_cut_reduction_maps_every_occurrence_exactly():
+    # [DERIVED] reduce_cut maps d0's context and eliminate_cuts the end
+    # sequent one to one onto the output, side and formula kept
+    reduced = twice = 0
+    for d0, aid, d1, bid in _cuts(random.Random(47)):
+        phi = d0.conclusion.find(aid)[2].formula
+        twice += max(d0.conclusion.succ_formulas().count(phi),
+                     d1.conclusion.ante_formulas().count(phi)) > 1
+        cut = B.cut(d0, aid, d1, bid)
+        r = reduce_cut(d0, aid, d1, bid, "lptn")
+        e = eliminate_cuts(cut, "lptn")
+        _assert_exact(r.occ_map, _where(d0.conclusion, aid),
+                      _where(r.derivation.conclusion))
+        _assert_exact(e.occ_map, _where(cut.conclusion),
+                      _where(e.derivation.conclusion))
+        reduced += 1
+    assert reduced >= 300 and twice >= 100, (reduced, twice)
+
+
+@pytest.mark.parametrize("named", [(0, 1), (0, 2), (1, 2)])
+def test_contract_to_never_merges_two_named_occurrences(named):
+    # [DERIVED] three copies of PSI, two of them named by the map: only the
+    # unnamed copy is contracted, into the first named one, and both named
+    # copies survive with distinct ids
+    lf = B.init_leaf([PSI, PSI, PSI], PHI, [])
+    d = B.neg_right(lf, _ante_id(lf, PHI))          # PSI, PSI, PSI => PHI, ~PHI
+    unnamed = d.conclusion.ante[3 - sum(named)].id
+    m = {o.id: o.id for o in d.conclusion.all_occurrences() if o.id != unnamed}
+    out, m2 = transform._contract_to(d, m)
+    assert check_derivation(out, "lptn").ok
+    assert out.conclusion.ante_formulas() == [PSI, PSI]
+    _assert_exact(m2, _where(d.conclusion, unnamed), _where(out.conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -714,13 +806,13 @@ def test_eliminate_cuts_certifies_what_the_construction_returns(monkeypatch):
         return max_cut_rank(out)
 
     def broken(node, new_premises, r, fuel):
-        out = elim_node(node, new_premises, r, fuel)
+        out, m = elim_node(node, new_premises, r, fuel)
         if node is not passes[-1] or r != 1:
-            return out
+            return out, m
         # the last rank pass forgets the lineage of one root occurrence
         cid = next(iter(out.lineage))
         return replace(out, lineage={k: v for k, v in out.lineage.items()
-                                     if k != cid})
+                                     if k != cid}), m
 
     monkeypatch.setattr(transform, "_max_cut_rank", spy)
     monkeypatch.setattr(transform, "_elim_node", broken)
