@@ -1,10 +1,15 @@
 """Smart constructors for rule applications.
 
-Each builder takes premise derivations plus the ids of the occurrences the
-rule consumes, and produces a new node whose conclusion occurrences are fresh
-and whose lineage is wired positionally.  An active must sit on the side its
-rule's shape (:data:`.deriv.RULE_SHAPES`) gives it.  Builders only do
-bookkeeping; the kernel re-checks every side condition from scratch.
+Every rule node is built by :func:`_node` from the (premise, occurrence id)
+pairs it consumes: the rule's shape (:data:`.deriv.RULE_SHAPES`) gives its
+premises, the side each active must sit on, and where its principal goes,
+and the conclusion's occurrences are fresh and wired positionally to the
+premises.  :data:`_PRINCIPAL` builds a principal from its actives' formulas.
+Every leaf is built by :func:`leaf`.  Each axiom shape is stated once: which
+formulas a leaf rule's principal may be in :data:`LEAF_AXIOMS`, and the
+instances qg4..qg7 discharge in :data:`AXIOMS`; the kernel checks against
+both, and the script reader, search and ``arith`` build with them.  Builders
+only do bookkeeping; the kernel re-checks every side condition from scratch.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from .deriv import (
     occ,
 )
 from .syntax import (
+    BOT,
+    TOP,
     And,
+    Bot,
     Eq,
     Forall,
     Formula,
@@ -34,9 +42,12 @@ from .syntax import (
     SynApp,
     Term,
     Times,
+    Top,
     Tr,
     Var,
     Zero,
+    is_base_atom,
+    is_zero,
 )
 
 
@@ -53,8 +64,7 @@ def _find(premise: Derivation, occ_id: int) -> tuple[str, int, Occurrence]:
 
 def _actives(rule: str, *consumed) -> list[tuple[str, int, Occurrence]]:
     """Where each (premise, occurrence id) a ``rule`` node consumes sits,
-    checked against the side its rule's shape (:data:`.deriv.RULE_SHAPES`)
-    gives it."""
+    checked against the side its rule's shape gives it."""
     hits = []
     for (premise, occ_id), (_, side) in zip(consumed, RULE_SHAPES[rule].actives):
         hit = _find(premise, occ_id)
@@ -62,25 +72,6 @@ def _actives(rule: str, *consumed) -> list[tuple[str, int, Occurrence]]:
             raise BuildError(f"{rule} active must be in the {SIDE_NAMES[side]}")
         hits.append(hit)
     return hits
-
-
-def _fresh_ctx(
-    premise: Derivation, consumed: set[int], premise_index: int = 0
-) -> tuple[tuple[Occurrence, ...], tuple[Occurrence, ...], dict[int, tuple[tuple[int, int], ...]]]:
-    """Copy the premise contexts (minus consumed occurrences) with fresh ids."""
-    lineage: dict[int, tuple[tuple[int, int], ...]] = {}
-
-    def side(occs):
-        out = []
-        for o in occs:
-            if o.id in consumed:
-                continue
-            c = copy_occ(o)
-            lineage[c.id] = ((premise_index, o.id),)
-            out.append(c)
-        return tuple(out)
-
-    return side(premise.conclusion.ante), side(premise.conclusion.succ), lineage
 
 
 def match_contexts(
@@ -101,9 +92,23 @@ def match_contexts(
     return out
 
 
-def _merge_ctx(
-    p0: Derivation, consumed0: set[int], p1: Derivation, consumed1: set[int]
-) -> tuple[tuple[Occurrence, ...], tuple[Occurrence, ...], dict[int, tuple[tuple[int, int], ...]]]:
+def _fresh_ctx(premise: Derivation, consumed: set[int]):
+    """Copy the premise contexts (minus consumed occurrences) with fresh ids."""
+    lineage: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def side(occs):
+        out = []
+        for o in occs:
+            if o.id not in consumed:
+                c = copy_occ(o)
+                lineage[c.id] = ((0, o.id),)
+                out.append(c)
+        return tuple(out)
+
+    return side(premise.conclusion.ante), side(premise.conclusion.succ), lineage
+
+
+def _merge_ctx(p0: Derivation, consumed0: set[int], p1: Derivation, consumed1: set[int]):
     """Shared-context conclusion occurrences for a two-premise rule."""
     lineage: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -122,181 +127,183 @@ def _merge_ctx(
     return a, s, lineage
 
 
+#: rule -> its principal formula, from its actives' formulas (the caller
+#: names forallr's universal)
+_PRINCIPAL: dict[str, Callable[..., Formula]] = {
+    "Tl": lambda a: Tr(quote(a)),
+    "Tr": lambda a: Tr(quote(a)),
+    "comp": lambda a, b: Tr(SynApp("anddot", (Num(encode(a)), Num(encode(b))))),
+    "negl": Not,
+    "negr": Not,
+    "andl": And,
+    "andr": And,
+    "foralll": lambda kept, inst: kept,
+}
+#: rules whose principal takes its first active's place; any other
+#: principal goes at the end of its side
+_IN_PLACE = ("Tl", "Tr", "foralll")
+
+
+def _node(rule: str, consumed, principal: Formula | None = None, **data) -> Derivation:
+    """The ``rule`` node consuming ``consumed``, one (premise, occurrence id)
+    per active of the rule's shape.  Its context is its premise's unconsumed
+    occurrences, or its two premises' paired by :func:`match_contexts`, each
+    copied with a fresh id; then comes the principal, ``principal`` or built
+    by :data:`_PRINCIPAL`, if the rule has one.  ``data`` is the node's
+    instantiation data."""
+    shape = RULE_SHAPES[rule]
+    hits = _actives(rule, *consumed)
+    if shape.premises == 1:
+        premises = (consumed[0][0],)
+        ante, succ, lineage = _fresh_ctx(premises[0], {oid for _, oid in consumed})
+    else:  # each premise holds one active
+        (p0, id0), (p1, id1) = consumed
+        premises = (p0, p1)
+        ante, succ, lineage = _merge_ctx(p0, {id0}, p1, {id1})
+    sides = {"ante": ante, "succ": succ}
+    ps = ()
+    if shape.principals:
+        [side] = shape.principals
+        if principal is None:
+            principal = _PRINCIPAL[rule](*[o.formula for _, _, o in hits])
+        p = occ(principal)
+        ctx = sides[side]
+        i = hits[0][1] if rule in _IN_PLACE else len(ctx)
+        sides[side] = ctx[:i] + (p,) + ctx[i:]
+        ps = (p.id,)
+    return Derivation(
+        rule, Sequent(sides["ante"], sides["succ"]), premises, principal=ps,
+        actives=tuple([(pi, oid) for (_, oid), (pi, _) in zip(consumed, shape.actives)]),
+        lineage=lineage, **data,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Leaves
 
 
+#: leaf rule -> which formulas its principal may be, in the order search
+#: tries the leaf rules of its system
+LEAF_AXIOMS: dict[str, Callable[[Formula], bool]] = {
+    "top": lambda f: isinstance(f, Top),
+    "bot": lambda f: isinstance(f, Bot),
+    "init": is_base_atom,
+    "qg1": lambda f: isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right),
+}
+
+
+def leaf(rule: str, gamma, phi: Formula, delta) -> Derivation:
+    """The ``rule`` leaf with context ``gamma`` => ``delta`` and ``phi`` as
+    each principal, at the end of the antecedent or the start of the
+    succedent.  Fresh ids go to the principals, then Γ, then Δ."""
+    sides = RULE_SHAPES[rule].principals
+    ps = [occ(phi) for _ in sides]
+    ante, succ = [occ(f) for f in gamma], [occ(f) for f in delta]
+    for side, p in zip(sides, ps):
+        if side == "ante":
+            ante.append(p)
+        else:
+            succ.insert(0, p)
+    return Derivation(rule, Sequent(tuple(ante), tuple(succ)),
+                      principal=tuple([p.id for p in ps]))
+
+
+def leaf_principal(rule: str, ante, succ, admits=None):
+    """``(Γ, φ, Δ)`` such that ``leaf(rule, Γ, φ, Δ)`` concludes ante =>
+    succ, with φ the first formula on its last principal's side that the
+    rule's axiom (or ``admits``) admits and that every principal side holds;
+    None if there is none."""
+    *others, last = RULE_SHAPES[rule].principals
+    fs = {"ante": ante, "succ": succ}
+    admits = admits or LEAF_AXIOMS[rule]
+    for phi in fs[last]:
+        if admits(phi) and all(phi in fs[s] for s in others):
+            fs = {s: list(f) for s, f in fs.items()}
+            for s in (*others, last):
+                fs[s].remove(phi)
+            return fs["ante"], phi, fs["succ"]
+    return None
+
+
 def init_leaf(gamma, phi: Formula, delta) -> Derivation:
-    left = occ(phi)
-    right = occ(phi)
-    concl = Sequent(
-        tuple(occ(f) for f in gamma) + (left,),
-        (right,) + tuple(occ(f) for f in delta),
-    )
-    return Derivation("init", concl, principal=(left.id, right.id))
+    return leaf("init", gamma, phi, delta)
 
 
 def top_leaf(gamma, delta) -> Derivation:
-    from .syntax import TOP
-
-    p = occ(TOP)
-    concl = Sequent(tuple(occ(f) for f in gamma), (p,) + tuple(occ(f) for f in delta))
-    return Derivation("top", concl, principal=(p.id,))
+    return leaf("top", gamma, TOP, delta)
 
 
 def bot_leaf(gamma, delta) -> Derivation:
-    from .syntax import BOT
-
-    p = occ(BOT)
-    concl = Sequent(tuple(occ(f) for f in gamma) + (p,), tuple(occ(f) for f in delta))
-    return Derivation("bot", concl, principal=(p.id,))
+    return leaf("bot", gamma, BOT, delta)
 
 
 def qg1_leaf(gamma, s: Term, delta) -> Derivation:
-    p = occ(Eq(Suc(s), Zero()))
-    concl = Sequent(tuple(occ(f) for f in gamma) + (p,), tuple(occ(f) for f in delta))
-    return Derivation("qg1", concl, principal=(p.id,), term=s)
+    return leaf("qg1", gamma, Eq(Suc(s), Zero()), delta)
 
 
 # ---------------------------------------------------------------------------
-# Truth rules
+# Truth, logical and structural rules
 
 
 def truth_left(premise: Derivation, active_id: int) -> Derivation:
-    [(_, i, a)] = _actives("Tl", (premise, active_id))
-    ante, succ, lineage = _fresh_ctx(premise, {active_id})
-    p = occ(Tr(quote(a.formula)))
-    ante = ante[:i] + (p,) + ante[i:]
-    return Derivation(
-        "Tl", Sequent(ante, succ), (premise,),
-        principal=(p.id,), actives=((0, active_id),), lineage=lineage,
-    )
+    return _node("Tl", ((premise, active_id),))
 
 
 def truth_right(premise: Derivation, active_id: int) -> Derivation:
-    [(_, i, a)] = _actives("Tr", (premise, active_id))
-    ante, succ, lineage = _fresh_ctx(premise, {active_id})
-    p = occ(Tr(quote(a.formula)))
-    succ = succ[:i] + (p,) + succ[i:]
-    return Derivation(
-        "Tr", Sequent(ante, succ), (premise,),
-        principal=(p.id,), actives=((0, active_id),), lineage=lineage,
-    )
+    return _node("Tr", ((premise, active_id),))
 
 
 def comp_node(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
-    (_, _, a0), (_, _, a1) = _actives("comp", (p0, id_phi), (p1, id_psi))
-    ante, succ, lineage = _merge_ctx(p0, {id_phi}, p1, {id_psi})
-    term = SynApp("anddot", (Num(encode(a0.formula)), Num(encode(a1.formula))))
-    p = occ(Tr(term))
-    return Derivation(
-        "comp", Sequent(ante, succ + (p,)), (p0, p1),
-        principal=(p.id,), actives=((0, id_phi), (1, id_psi)), lineage=lineage,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Propositional rules
+    return _node("comp", ((p0, id_phi), (p1, id_psi)))
 
 
 def neg_left(premise: Derivation, active_id: int) -> Derivation:
-    [(_, _, a)] = _actives("negl", (premise, active_id))
-    ante, succ, lineage = _fresh_ctx(premise, {active_id})
-    p = occ(Not(a.formula))
-    return Derivation(
-        "negl", Sequent(ante + (p,), succ), (premise,),
-        principal=(p.id,), actives=((0, active_id),), lineage=lineage,
-    )
+    return _node("negl", ((premise, active_id),))
 
 
 def neg_right(premise: Derivation, active_id: int) -> Derivation:
-    [(_, _, a)] = _actives("negr", (premise, active_id))
-    ante, succ, lineage = _fresh_ctx(premise, {active_id})
-    p = occ(Not(a.formula))
-    return Derivation(
-        "negr", Sequent(ante, succ + (p,)), (premise,),
-        principal=(p.id,), actives=((0, active_id),), lineage=lineage,
-    )
+    return _node("negr", ((premise, active_id),))
 
 
 def and_left(premise: Derivation, id_phi: int, id_psi: int) -> Derivation:
-    (_, _, a0), (_, _, a1) = _actives("andl", (premise, id_phi), (premise, id_psi))
-    ante, succ, lineage = _fresh_ctx(premise, {id_phi, id_psi})
-    p = occ(And(a0.formula, a1.formula))
-    return Derivation(
-        "andl", Sequent(ante + (p,), succ), (premise,),
-        principal=(p.id,), actives=((0, id_phi), (0, id_psi)), lineage=lineage,
-    )
+    return _node("andl", ((premise, id_phi), (premise, id_psi)))
 
 
 def and_right(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
-    (_, _, a0), (_, _, a1) = _actives("andr", (p0, id_phi), (p1, id_psi))
-    ante, succ, lineage = _merge_ctx(p0, {id_phi}, p1, {id_psi})
-    p = occ(And(a0.formula, a1.formula))
-    return Derivation(
-        "andr", Sequent(ante, succ + (p,)), (p0, p1),
-        principal=(p.id,), actives=((0, id_phi), (1, id_psi)), lineage=lineage,
-    )
+    return _node("andr", ((p0, id_phi), (p1, id_psi)))
 
 
 def forall_left(
     premise: Derivation, kept_id: int, inst_id: int, term: Term
 ) -> Derivation:
-    (_, i, kept), _ = _actives("foralll", (premise, kept_id), (premise, inst_id))
+    (_, _, kept), _ = _actives("foralll", (premise, kept_id), (premise, inst_id))
     if not isinstance(kept.formula, Forall):
         raise BuildError("forall-left kept occurrence must be universal")
-    ante, succ, lineage = _fresh_ctx(premise, {kept_id, inst_id})
-    p = occ(kept.formula)
-    ante = ante[:i] + (p,) + ante[i:] if i <= len(ante) else ante + (p,)
-    return Derivation(
-        "foralll", Sequent(ante, succ), (premise,),
-        principal=(p.id,), actives=((0, kept_id), (0, inst_id)),
-        lineage=lineage, term=term,
-    )
+    return _node("foralll", ((premise, kept_id), (premise, inst_id)), term=term)
 
 
 def forall_right(
     premise: Derivation, active_id: int, forall_formula: Forall, eigen: str
 ) -> Derivation:
-    _actives("forallr", (premise, active_id))
-    ante, succ, lineage = _fresh_ctx(premise, {active_id})
-    p = occ(forall_formula)
-    return Derivation(
-        "forallr", Sequent(ante, succ + (p,)), (premise,),
-        principal=(p.id,), actives=((0, active_id),), lineage=lineage,
-        var=eigen,
-    )
+    return _node("forallr", ((premise, active_id),), forall_formula, var=eigen)
 
 
 def cut(p0: Derivation, right_id: int, p1: Derivation, left_id: int) -> Derivation:
     (_, _, a0), (_, _, a1) = _actives("cut", (p0, right_id), (p1, left_id))
     if a0.formula != a1.formula:
         raise BuildError("cut formulas differ")
-    ante, succ, lineage = _merge_ctx(p0, {right_id}, p1, {left_id})
-    return Derivation(
-        "cut", Sequent(ante, succ), (p0, p1),
-        actives=((0, right_id), (1, left_id)), lineage=lineage,
-    )
+    return _node("cut", ((p0, right_id), (p1, left_id)))
 
 
 # ---------------------------------------------------------------------------
 # Geometric rules: each discharges active formulas from premise antecedents.
 
 
-def _discharge(rule: str, premise: Derivation, active_ids: tuple[int, ...], **kw) -> Derivation:
-    _actives(rule, *((premise, aid) for aid in active_ids))
-    ante, succ, lineage = _fresh_ctx(premise, set(active_ids))
-    return Derivation(
-        rule, Sequent(ante, succ), (premise,),
-        actives=tuple((0, aid) for aid in active_ids), lineage=lineage, **kw,
-    )
-
-
 def eq1(premise: Derivation, active_id: int) -> Derivation:
     _, _, a = _find(premise, active_id)
     if not (isinstance(a.formula, Eq) and a.formula.left == a.formula.right):
         raise BuildError("eq1 discharges a reflexive equation")
-    return _discharge("eq1", premise, (active_id,), term=a.formula.left)
+    return _node("eq1", ((premise, active_id),))
 
 
 def eq2(
@@ -307,30 +314,22 @@ def eq2(
     s: Term,
     t: Term,
 ) -> Derivation:
-    return _discharge(
-        "eq2", premise, (discharged_id,),
-        template=(template_var, template), term=s, term2=t,
-    )
+    return _node("eq2", ((premise, discharged_id),),
+                 template=(template_var, template), term=s, term2=t)
 
 
 def qg2(premise: Derivation, active_id: int) -> Derivation:
     _, _, a = _find(premise, active_id)
     if not isinstance(a.formula, Eq):
         raise BuildError("qg2 discharges an equation")
-    return _discharge("qg2", premise, (active_id,), term=a.formula.left, term2=a.formula.right)
+    return _node("qg2", ((premise, active_id),))
 
 
 def qg3(
     p0: Derivation, active0_id: int, p1: Derivation, active1_id: int,
     x: Term, eigen: str,
 ) -> Derivation:
-    _actives("qg3", (p0, active0_id), (p1, active1_id))
-    ante, succ, lineage = _merge_ctx(p0, {active0_id}, p1, {active1_id})
-    return Derivation(
-        "qg3", Sequent(ante, succ), (p0, p1),
-        actives=((0, active0_id), (1, active1_id)), lineage=lineage,
-        term=x, var=eigen,
-    )
+    return _node("qg3", ((p0, active0_id), (p1, active1_id)), term=x, var=eigen)
 
 
 # ---------------------------------------------------------------------------
@@ -373,5 +372,5 @@ def discharge_axiom(rule: str, premise: Derivation, active_id: int,
                     *terms: Term) -> Derivation:
     """``rule`` (qg4..qg7) discharging the axiom instance ``active_id``
     for the instantiating terms ``terms``."""
-    return _discharge(rule, premise, (active_id,),
-                      **dict(zip(("term", "term2"), terms)))
+    return _node(rule, ((premise, active_id),),
+                 **dict(zip(("term", "term2"), terms)))

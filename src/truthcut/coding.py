@@ -279,13 +279,13 @@ def decode(c: int) -> Term | Formula:
             raise DecodeError(f"{code_label(c)} is not a code")
         return Zero()
     if tag == _SUC:
-        return Suc(_decode_term(payload))
+        return Suc(decode_term(payload))
     if tag == _PLUS:
         a, b = unpair(payload)
-        return Plus(_decode_term(a), _decode_term(b))
+        return Plus(decode_term(a), decode_term(b))
     if tag == _TIMES:
         a, b = unpair(payload)
-        return Times(_decode_term(a), _decode_term(b))
+        return Times(decode_term(a), decode_term(b))
     if tag == _NUM:
         return Num(payload)
     if _SYN_BASE <= tag < _SYN_BASE + len(_SYN_ORDER):
@@ -293,56 +293,48 @@ def decode(c: int) -> Term | Formula:
         from .syntax import SYNTAX_FN_ARITY
 
         parts = _unfold(payload, SYNTAX_FN_ARITY[symbol])
-        return SynApp(symbol, tuple(_decode_term(p) for p in parts))
+        return SynApp(symbol, tuple(decode_term(p) for p in parts))
     if tag == _EQ:
         a, b = unpair(payload)
-        return Eq(_decode_term(a), _decode_term(b))
+        return Eq(decode_term(a), decode_term(b))
     if tag == _TR:
-        return Tr(_decode_term(payload))
+        return Tr(decode_term(payload))
     if tag == _TOP:
         return Top()
     if tag == _BOT:
         return Bot()
     if tag == _NEG:
-        return Not(_decode_formula(payload))
+        return Not(decode_formula(payload))
     if tag == _AND:
         a, b = unpair(payload)
-        return And(_decode_formula(a), _decode_formula(b))
+        return And(decode_formula(a), decode_formula(b))
     if tag == _FORALL:
         v, b = unpair(payload)
-        return Forall(_str_decode(v), _decode_formula(b))
+        return Forall(_str_decode(v), decode_formula(b))
     if tag == _DIAG:
         f, v = unpair(payload)
-        phi = _decode_formula(f)
+        phi = decode_formula(f)
         name = _str_decode(v)
         return substitute(phi, name, Num(c))
     raise DecodeError(f"{code_label(c)} is not a code (unknown tag {code_label(tag)})")
 
 
-def _decode_term(c: int) -> Term:
+def decode_term(c: int) -> Term:
     e = decode(c)
     if not isinstance(e, Term):
         raise DecodeError(f"{code_label(c)} codes a formula where a term was expected")
     return e
 
 
-def _decode_formula(c: int) -> Formula:
+def decode_formula(c: int) -> Formula:
     e = decode(c)
     if not isinstance(e, Formula):
         raise DecodeError(f"{code_label(c)} codes a term where a formula was expected")
     return e
 
 
-def decode_term(c: int) -> Term:
-    return _decode_term(c)
-
-
-def decode_formula(c: int) -> Formula:
-    return _decode_formula(c)
-
-
 def decode_sentence(c: int) -> Formula:
-    phi = _decode_formula(c)
+    phi = decode_formula(c)
     if not is_sentence(phi):
         raise DecodeError(f"{code_label(c)} does not code a sentence")
     return phi

@@ -6,14 +6,16 @@ occurrences of the same formula are distinct objects.  Each node's conclusion
 has its own occurrences; the ``lineage`` map links every non-principal
 conclusion occurrence to the corresponding occurrence(s) in the premises.
 The T-complexity of an occurrence is computed from this lineage structure:
-truth rules add one to their principal, one-premise logical rules transfer or
-take maxima over their actives, and two-premise rules take maxima over
-corresponding context occurrences.
+a principal takes the maximum over its rule's actives plus the rule's
+``unquotes`` (one for the truth rules and ``comp``), and a context
+occurrence the maximum over its parents.
 
 Each rule's shape (premise count, principal sides, active premises and
-sides) is stated once, in :data:`RULE_SHAPES`, which the kernel, the
-builders, the script reader and cut reduction read.  It lives here because
-every one of them imports this module and this module imports none of them.
+sides, the truth-rule steps it adds to T-complexity, and the premise above
+which it binds an eigenvariable) is stated once, in :data:`RULE_SHAPES`,
+which the kernel, the builders, the script reader, the measures and the
+transforms read.  It lives here because every one of them imports this
+module and this module imports none of them.
 
 Every walk over a derivation goes through one explicit-stack traversal, so
 no derivation is too tall to walk: :func:`fold` is the post-order walk (the
@@ -104,6 +106,10 @@ class RuleShape(NamedTuple):
     principals: tuple[str, ...]
     #: the (premise index, side) of each active, in ``Derivation.actives`` order
     actives: tuple[tuple[int, str], ...]
+    #: truth-rule applications the principal adds to its actives' tau
+    unquotes: int = 0
+    #: the premise above which the rule binds its eigenvariable, if it has one
+    binds: int | None = None
 
 
 _A, _S = "ante", "succ"
@@ -117,19 +123,19 @@ RULE_SHAPES: dict[str, RuleShape] = {
     "bot": RuleShape(0, (_A,), ()),
     "qg1": RuleShape(0, (_A,), ()),
     "cut": RuleShape(2, (), ((0, _S), (1, _A))),
-    "Tl": RuleShape(1, (_A,), ((0, _A),)),
-    "Tr": RuleShape(1, (_S,), ((0, _S),)),
-    "comp": RuleShape(2, (_S,), ((0, _S), (1, _S))),
+    "Tl": RuleShape(1, (_A,), ((0, _A),), unquotes=1),
+    "Tr": RuleShape(1, (_S,), ((0, _S),), unquotes=1),
+    "comp": RuleShape(2, (_S,), ((0, _S), (1, _S)), unquotes=1),
     "negl": RuleShape(1, (_A,), ((0, _S),)),
     "negr": RuleShape(1, (_S,), ((0, _A),)),
     "andl": RuleShape(1, (_A,), ((0, _A), (0, _A))),
     "andr": RuleShape(2, (_S,), ((0, _S), (1, _S))),
     "foralll": RuleShape(1, (_A,), ((0, _A), (0, _A))),
-    "forallr": RuleShape(1, (_S,), ((0, _S),)),
+    "forallr": RuleShape(1, (_S,), ((0, _S),), binds=0),
     "eq1": RuleShape(1, (), ((0, _A),)),
     "eq2": RuleShape(1, (), ((0, _A),)),
     "qg2": RuleShape(1, (), ((0, _A),)),
-    "qg3": RuleShape(2, (), ((0, _A), (1, _A))),
+    "qg3": RuleShape(2, (), ((0, _A), (1, _A)), binds=1),
     **{r: RuleShape(1, (), ((0, _A),)) for r in ("qg4", "qg5", "qg6", "qg7")},
 }
 
@@ -141,9 +147,11 @@ class Derivation:
     ``principal`` lists conclusion occurrence ids introduced by the rule,
     ``actives`` the premise occurrences ((premise index, occurrence id)) the
     rule consumes, and ``lineage`` maps every other conclusion occurrence id
-    to its ancestors, one per premise it descends from.  ``term``/``term2``/
-    ``var``/``template`` carry rule instantiation data (forall-left witness,
-    eigenvariables, replacement templates).
+    to its ancestors, one per premise it descends from.  ``term``,
+    ``term2``, ``var`` and ``template`` carry the rule instantiation data the
+    kernel checks: the foralll witness, the eq2 equation sides and template,
+    the qg3 case term, the qg4..qg7 instantiating terms, and the forallr and
+    qg3 eigenvariables.
     """
 
     rule: str
@@ -256,24 +264,14 @@ def compute_measures(d: Derivation) -> Measures:
     cut_ranks: list[int] = []
 
     def step(node: Derivation, heights: list[int]) -> int:
-        actives_tau = [tau[oid] for _, oid in node.actives]
         for cid, parents in node.lineage.items():
             try:
                 tau[cid] = max(tau[oid] for _, oid in parents)
             except KeyError as e:
                 raise MeasureError(f"lineage refers to unknown occurrence: {e}")
         for pid in node.principal:
-            if node.rule in ("Tl", "Tr"):
-                tau[pid] = actives_tau[0] + 1
-            elif node.rule == "comp":
-                tau[pid] = max(actives_tau) + 1
-            elif node.rule in ("negl", "negr", "forallr"):
-                tau[pid] = actives_tau[0]
-            elif node.rule in ("andl", "andr", "foralll"):
-                tau[pid] = max(actives_tau)
-            else:
-                # leaf rules and geometric principals
-                tau[pid] = 0
+            tau[pid] = max([tau[oid] for _, oid in node.actives], default=0) \
+                + RULE_SHAPES[node.rule].unquotes
         for o in node.conclusion.all_occurrences():
             if o.id not in tau:
                 if node.premises:
@@ -284,11 +282,8 @@ def compute_measures(d: Derivation) -> Measures:
             if not formula_facts(o.formula)[2]:
                 tau[o.id] = 0
         if node.rule == "cut":
-            cut_formula = node.premises[0].conclusion.find(node.actives[0][1])
-            if cut_formula is None:
-                cut_formula = node.premises[0].conclusion.find(node.actives[1][1])
-            assert cut_formula is not None
-            cut_ranks.append(logical_complexity(cut_formula[2].formula) + 1)
+            _, _, a = node.premises[0].conclusion.find(node.actives[0][1])
+            cut_ranks.append(logical_complexity(a.formula) + 1)
         return 1 + max(heights) if heights else 0
 
     length = fold(d, step)

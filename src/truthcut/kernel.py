@@ -20,19 +20,19 @@ shape against the rule's entry in :data:`.deriv.RULE_SHAPES` (premise count,
 then the side of each principal, then the premise and side of each active),
 where each rule's shape is stated once.  Only then does the rule's own
 ``rule_*`` method run, on the principal and active occurrences, and it checks
-formulas alone.
+formulas alone: the leaf rules against :data:`.build.LEAF_AXIOMS` and qg4..qg7
+against :data:`.build.AXIOMS`, where each axiom shape is stated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import AXIOM_TERMS, AXIOMS
+from .build import AXIOM_TERMS, AXIOMS, LEAF_AXIOMS
 from .coding import DecodeError, code_label, decode_sentence, encode
 from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, Occurrence, RuleShape
 from .syntax import (
     And,
-    Bot,
     CaptureError,
     Eq,
     Forall,
@@ -40,7 +40,6 @@ from .syntax import (
     Num,
     Suc,
     SynApp,
-    Top,
     Tr,
     Var,
     formula_facts,
@@ -103,6 +102,17 @@ class ValidationReport:
 
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
+
+
+def _side(node: Derivation) -> str:
+    """The name of the side ``node``'s rule puts its principal on."""
+    return SIDE_NAMES[RULE_SHAPES[node.rule].principals[0]]
+
+
+def _hand(node: Derivation) -> str:
+    """``left`` or ``right``: the side of ``node``'s principal, as rule
+    names say it."""
+    return "left" if _side(node) == "antecedent" else "right"
 
 
 class _Checker:
@@ -268,20 +278,17 @@ class _Checker:
             self.bad(path, PRINCIPAL_MISMATCH,
                      "initial sequent principal formulas differ")
             return
-        if not is_base_atom(left.formula):
+        if not LEAF_AXIOMS["init"](left.formula):
             self.bad(path, REF_MINUS_T_PRINCIPAL,
                      "initial sequent principal must be an atomic T-free "
                      f"equation, got {left.formula!r}")
 
-    def rule_top(self, path, node, ps, acts) -> None:
-        if not isinstance(ps[0].formula, Top):
-            self.bad(path, MALFORMED_RULE, "top axiom principal must be top "
-                     "in the succedent")
+    def _constant_axiom(self, path, node, ps, acts) -> None:
+        if not LEAF_AXIOMS[node.rule](ps[0].formula):
+            self.bad(path, MALFORMED_RULE, f"{node.rule} axiom principal must "
+                     f"be {node.rule} in the {_side(node)}")
 
-    def rule_bot(self, path, node, ps, acts) -> None:
-        if not isinstance(ps[0].formula, Bot):
-            self.bad(path, MALFORMED_RULE, "bot axiom principal must be bot "
-                     "in the antecedent")
+    rule_top = rule_bot = _constant_axiom
 
     def rule_cut(self, path, node, ps, acts) -> None:
         if acts[0].formula != acts[1].formula:
@@ -290,9 +297,8 @@ class _Checker:
     def _truth_rule(self, path, node, ps, acts) -> None:
         p, a = ps[0], acts[0]
         if not isinstance(p.formula, Tr):
-            side = RULE_SHAPES[node.rule].principals[0]
             self.bad(path, MALFORMED_RULE,
-                     f"truth-rule principal must be a T atom in the {SIDE_NAMES[side]}")
+                     f"truth-rule principal must be a T atom in the {_side(node)}")
             return
         if formula_facts(a.formula)[0]:
             self.bad(path, NOT_A_SENTENCE,
@@ -334,37 +340,25 @@ class _Checker:
             self.bad(path, COMP_TERM_MISMATCH,
                      f"compositional term must be {want!r}, got {p.formula.term!r}")
 
-    def rule_negl(self, path, node, ps, acts) -> None:
+    def _neg_rule(self, path, node, ps, acts) -> None:
         p, a = ps[0], acts[0]
         if not (isinstance(p.formula, Not) and p.formula.body == a.formula):
-            self.bad(path, PRINCIPAL_MISMATCH,
-                     f"neg-left principal {p.formula!r} does not negate the active")
+            self.bad(path, PRINCIPAL_MISMATCH, f"neg-{_hand(node)} principal "
+                     f"{p.formula!r} does not negate the active")
 
-    def rule_negr(self, path, node, ps, acts) -> None:
-        p, a = ps[0], acts[0]
-        if not (isinstance(p.formula, Not) and p.formula.body == a.formula):
-            self.bad(path, PRINCIPAL_MISMATCH,
-                     f"neg-right principal {p.formula!r} does not negate the active")
+    rule_negl = rule_negr = _neg_rule
 
-    def rule_andl(self, path, node, ps, acts) -> None:
+    def _and_rule(self, path, node, ps, acts) -> None:
         p = ps[0]
         if not isinstance(p.formula, And):
-            self.bad(path, MALFORMED_RULE,
-                     "and-left principal must be a conjunction in the antecedent")
+            self.bad(path, MALFORMED_RULE, f"and-{_hand(node)} principal must "
+                     f"be a conjunction in the {_side(node)}")
             return
         if p.formula.left != acts[0].formula or p.formula.right != acts[1].formula:
             self.bad(path, PRINCIPAL_MISMATCH,
-                     "and-left actives do not match the conjuncts")
+                     f"and-{_hand(node)} actives do not match the conjuncts")
 
-    def rule_andr(self, path, node, ps, acts) -> None:
-        p = ps[0]
-        if not isinstance(p.formula, And):
-            self.bad(path, MALFORMED_RULE,
-                     "and-right principal must be a conjunction in the succedent")
-            return
-        if p.formula.left != acts[0].formula or p.formula.right != acts[1].formula:
-            self.bad(path, PRINCIPAL_MISMATCH,
-                     "and-right actives do not match the conjuncts")
+    rule_andl = rule_andr = _and_rule
 
     def rule_foralll(self, path, node, ps, acts) -> None:
         p = ps[0]
@@ -452,7 +446,7 @@ class _Checker:
 
     def rule_qg1(self, path, node, ps, acts) -> None:
         f = ps[0].formula
-        if not (isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right)):
+        if not LEAF_AXIOMS["qg1"](f):
             self.bad(path, PRINCIPAL_MISMATCH,
                      f"qg1 axiom needs S(t)=0 in the antecedent, got {f!r}")
 

@@ -17,7 +17,7 @@ import re
 from functools import reduce
 
 from . import build as B
-from .deriv import RULE_SHAPES, Derivation, fold, same_multiset
+from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, fold, same_multiset
 from .sexpr import ParseError, format_formula, format_sequent, parse_sequent
 from .syntax import (
     And,
@@ -37,7 +37,6 @@ from .syntax import (
     Var,
     Zero,
     formula_facts,
-    is_zero,
 )
 
 
@@ -247,6 +246,22 @@ def _eq2_template(d: Eq, ante):
 # Node reconstruction
 
 
+#: leaf rule -> the refusal when no formula of the line fits its axiom
+_NO_LEAF = {
+    "init": "no formula shared between the two sides",
+    "top": "needs top in the succedent",
+    "bot": "needs bot in the antecedent",
+    "qg1": "needs S(t)=0 in the antecedent",
+}
+
+#: one-premise rule with one active -> its builder from that active's id,
+#: for the rules that need nothing else
+_ONE_ACTIVE = {
+    "Tl": B.truth_left, "Tr": B.truth_right, "negl": B.neg_left,
+    "negr": B.neg_right, "eq1": B.eq1, "qg2": B.qg2,
+}
+
+
 def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
     def err(msg):
         raise ScriptError(f"{rule}: {msg}", line)
@@ -258,51 +273,53 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
         err(("needs no premises", "needs exactly one premise",
              "needs exactly two premises")[shape.premises])
 
-    if rule == "init":
-        for f in succ:
-            if f in ante and isinstance(f, Eq):
-                return B.init_leaf(
-                    _minus(ante, [f]), f, _minus(succ, [f])
-                )
-        for f in succ:
-            if f in ante:
-                return B.init_leaf(_minus(ante, [f]), f, _minus(succ, [f]))
-        err("no formula shared between the two sides")
-    if rule == "top":
-        if Top() not in succ:
-            err("needs top in the succedent")
-        return B.top_leaf(list(ante), _minus(succ, [Top()]))
-    if rule == "bot":
-        if Bot() not in ante:
-            err("needs bot in the antecedent")
-        return B.bot_leaf(_minus(ante, [Bot()]), list(succ))
-    if rule == "qg1":
-        for f in ante:
-            if isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right):
-                return B.qg1_leaf(_minus(ante, [f]), f.left.child, list(succ))
-        err("needs S(t)=0 in the antecedent")
+    if not shape.premises:
+        hit = B.leaf_principal(rule, ante, succ)
+        if hit is None and rule == "init":
+            # any shared formula, so that the kernel names the restriction
+            hit = B.leaf_principal(rule, ante, succ, admits=lambda f: True)
+        if hit is None:
+            err(_NO_LEAF[rule])
+        return B.leaf(rule, *hit)
 
     if shape.premises == 1:
         p = premises[0]
         ra = _removed(p.conclusion.ante_formulas(), ante)
         rs = _removed(p.conclusion.succ_formulas(), succ)
 
-        if rule == "Tl":
-            if len(ra) != 1 or rs:
-                err("discharges exactly one antecedent formula")
-            return B.truth_left(p, _ante_id(p, ra[0]))
-        if rule == "Tr":
-            if len(rs) != 1 or ra:
-                err("discharges exactly one succedent formula")
-            return B.truth_right(p, _succ_id(p, rs[0]))
-        if rule == "negl":
-            if len(rs) != 1 or ra:
-                err("moves exactly one formula from the succedent")
-            return B.neg_left(p, _succ_id(p, rs[0]))
-        if rule == "negr":
-            if len(ra) != 1 or rs:
-                err("moves exactly one formula from the antecedent")
-            return B.neg_right(p, _ante_id(p, ra[0]))
+        if len(shape.actives) == 1:
+            [(_, side)] = shape.actives
+            gone, other = (ra, rs) if side == "ante" else (rs, ra)
+            if len(gone) != 1 or other:
+                err(f"moves exactly one formula from the {SIDE_NAMES[side]}"
+                    if shape.principals and shape.principals[0] != side else
+                    f"discharges exactly one {SIDE_NAMES[side]} formula")
+            [f] = gone
+            aid = (_ante_id if side == "ante" else _succ_id)(p, f)
+            if rule in _ONE_ACTIVE:
+                return _ONE_ACTIVE[rule](p, aid)
+            if rule == "forallr":
+                p_succ = p.conclusion.succ_formulas()
+                for g in succ:
+                    if isinstance(g, Forall) and succ.count(g) > p_succ.count(g):
+                        t = _infer_instance(g, f)
+                        if isinstance(t, Var):
+                            return B.forall_right(p, aid, g, t.name)
+                err("no quantified succedent formula matches the instance")
+            if rule == "eq2":
+                if not isinstance(f, Eq):
+                    err("discharged formula must be an equation")
+                hit = _eq2_template(f, ante)
+                if hit is None:
+                    err("no trigger equation and kept instance fit the discharge")
+                chi, trig = hit
+                return B.eq2(p, aid, "w_", chi, trig.left, trig.right)
+            if rule in B.AXIOMS:
+                try:
+                    terms = [reduce(getattr, path, f) for path in B.AXIOM_TERMS[rule]]
+                except AttributeError:
+                    err("discharged formula does not instantiate the axiom")
+                return B.discharge_axiom(rule, p, aid, *terms)
         if rule == "andl":
             if len(ra) != 2 or rs:
                 err("discharges exactly two antecedent formulas")
@@ -326,45 +343,6 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                         if kept is not None and iid is not None:
                             return B.forall_left(p, kept, iid, t)
             err("no quantified antecedent formula matches the instance")
-        if rule == "forallr":
-            if len(rs) != 1 or ra:
-                err("discharges exactly one succedent formula")
-            inst = rs[0]
-            p_succ = p.conclusion.succ_formulas()
-            for g in succ:
-                if isinstance(g, Forall) and succ.count(g) > p_succ.count(g):
-                    t = _infer_instance(g, inst)
-                    if isinstance(t, Var):
-                        return B.forall_right(p, _succ_id(p, inst), g, t.name)
-            err("no quantified succedent formula matches the instance")
-        if rule == "eq1":
-            if len(ra) != 1 or rs:
-                err("discharges exactly one antecedent formula")
-            return B.eq1(p, _ante_id(p, ra[0]))
-        if rule == "qg2":
-            if len(ra) != 1 or rs:
-                err("discharges exactly one antecedent formula")
-            return B.qg2(p, _ante_id(p, ra[0]))
-        if rule == "eq2":
-            if len(ra) != 1 or rs:
-                err("discharges exactly one antecedent formula")
-            d = ra[0]
-            if not isinstance(d, Eq):
-                err("discharged formula must be an equation")
-            hit = _eq2_template(d, ante)
-            if hit is None:
-                err("no trigger equation and kept instance fit the discharge")
-            chi, trig = hit
-            return B.eq2(p, _ante_id(p, d), "w_", chi, trig.left, trig.right)
-        if rule in B.AXIOMS:
-            if len(ra) != 1 or rs:
-                err("discharges exactly one antecedent formula")
-            try:
-                terms = [reduce(getattr, path, ra[0])
-                         for path in B.AXIOM_TERMS[rule]]
-            except AttributeError:
-                err("discharged formula does not instantiate the axiom")
-            return B.discharge_axiom(rule, p, _ante_id(p, ra[0]), *terms)
 
     p0, p1 = premises
     if rule == "andr":
@@ -403,16 +381,6 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
         except AttributeError:
             err("case equations are malformed")
         return B.qg3(p0, _ante_id(p0, f0), p1, _ante_id(p1, f1), x, y)
-
-
-def _minus(xs, ys):
-    out = list(xs)
-    for y in ys:
-        try:
-            out.remove(y)
-        except ValueError:
-            raise ScriptError("sequent bookkeeping mismatch") from None
-    return out
 
 
 def _removed(premise_formulas, conclusion_formulas):

@@ -25,26 +25,20 @@ from .deriv import Derivation
 from .kernel import SYSTEM_RULES
 from .syntax import (
     And,
-    Bot,
     Eq,
     Forall,
     Formula,
     Not,
-    Plus,
-    Suc,
+    SynApp,
     Term,
-    Times,
-    Top,
     Tr,
     Var,
-    is_closed,
-    is_zero,
+    _children,
     numeral_value,
     substitute,
 )
 
 _GEOMETRIC_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "qg1" in r)
-_TOP_BOT_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "top" in r)
 _TRUTH_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "Tr" in r)
 
 
@@ -99,40 +93,30 @@ def _find_ante_id(d: Derivation, f: Formula) -> int:
 
 
 def _closed_subterms(fs) -> list[Term]:
-    """Closed terms occurring in the goal, in first-seen order."""
+    """Closed terms occurring in the goal, in first-seen pre-order; the
+    arguments of a syntax-function application are not listed.  One walk: a
+    term is closed when no variable is met between entering and leaving it."""
+    rows: list[list] = []  # [term, variables met on entering, ... on leaving]
+    met = 0
+    stack: list = [(f, True) for f in reversed(fs)]
+    while stack:
+        x, listed = stack.pop()
+        if listed is None:  # leaving the term of row x
+            x.append(met)
+            continue
+        if listed and isinstance(x, Term):
+            rows.append([x, met])
+            stack.append((rows[-1], None))
+        if isinstance(x, Var):
+            met += 1
+        listed = listed and not isinstance(x, SynApp)
+        stack += [(c, listed) for c in reversed(_children(x))]
     out: list[Term] = []
     seen = set()
-
-    def walk_term(t: Term):
-        if is_closed(t) and t not in seen:
+    for t, entered, left in rows:
+        if entered == left and t not in seen:
             seen.add(t)
             out.append(t)
-        for c in _term_children(t):
-            walk_term(c)
-
-    def _term_children(t: Term):
-        if isinstance(t, Suc):
-            return (t.child,)
-        if isinstance(t, (Plus, Times)):
-            return (t.left, t.right)
-        return ()
-
-    def walk(phi: Formula):
-        if isinstance(phi, Eq):
-            walk_term(phi.left)
-            walk_term(phi.right)
-        elif isinstance(phi, Tr):
-            walk_term(phi.term)
-        elif isinstance(phi, Not):
-            walk(phi.body)
-        elif isinstance(phi, And):
-            walk(phi.left)
-            walk(phi.right)
-        elif isinstance(phi, Forall):
-            walk(phi.body)
-
-    for f in fs:
-        walk(f)
     return out
 
 
@@ -140,6 +124,8 @@ class _Searcher:
     def __init__(self, budget: SearchBudget, system: str):
         self.budget = budget
         self.system = system
+        #: the system's leaf rules, in the order they are tried
+        self.leaf_rules = [r for r in B.LEAF_AXIOMS if r in SYSTEM_RULES[system]]
         self.frontier: list = []
         self.fail_memo: set = set()
         self._eigen = 0
@@ -151,24 +137,11 @@ class _Searcher:
     # -- closures ----------------------------------------------------------
 
     def close(self, ante, succ) -> Derivation | None:
-        if self.system in _TOP_BOT_SYSTEMS:
-            for f in succ:
-                if isinstance(f, Top):
-                    return B.top_leaf(list(ante), list(_minus_one(succ, f)))
-            for f in ante:
-                if isinstance(f, Bot):
-                    return B.bot_leaf(list(_minus_one(ante, f)), list(succ))
-        for f in succ:
-            if isinstance(f, Eq) and f in ante:
-                return B.init_leaf(
-                    list(_minus_one(ante, f)), f, list(_minus_one(succ, f))
-                )
+        for rule in self.leaf_rules:
+            hit = B.leaf_principal(rule, ante, succ)
+            if hit is not None:
+                return B.leaf(rule, *hit)
         if self.system in _GEOMETRIC_SYSTEMS:
-            for f in ante:
-                if isinstance(f, Eq) and isinstance(f.left, Suc) and is_zero(f.right):
-                    return B.qg1_leaf(
-                        list(_minus_one(ante, f)), f.left.child, list(succ)
-                    )
             for f in ante:
                 if isinstance(f, Eq) and can_refute(f.left, f.right):
                     return refute_equation(

@@ -198,7 +198,7 @@ def collect_eigenvars(d: Derivation) -> set[str]:
     return {
         node.var
         for _, node in d.iter_nodes()
-        if node.rule in ("forallr", "qg3") and node.var is not None
+        if RULE_SHAPES[node.rule].binds is not None and node.var is not None
     }
 
 
@@ -279,10 +279,10 @@ def freshen_eigenvariables(d: Derivation, avoid) -> Derivation:
 
     def step(node: Derivation, premises) -> Derivation:
         node = replace(node, premises=tuple(premises))
-        if node.rule in ("forallr", "qg3") and node.var in avoid:
+        idx = RULE_SHAPES[node.rule].binds
+        if idx is not None and node.var in avoid:
             y2 = fresh_name(node.var, used)
             used.add(y2)
-            idx = 0 if node.rule == "forallr" else 1
             sub = _subst_tree(node.premises[idx], node.var, Var(y2))
             node = replace(_replace_premise(node, idx, sub), var=y2)
         return node
@@ -911,14 +911,14 @@ def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
 
 
 def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
-               system: str, max_rank: int | None = None) -> TransformResult:
+               system: str) -> TransformResult:
     """Eliminate one cut: from proofs of Gamma => Delta, phi and
     phi, Gamma => Delta produce a proof of Gamma => Delta of length at most
-    n0 + n1, cut rank at most max_rank, and proof T-complexity at most the
-    maximum of the inputs.  The output may contain cuts on proper
-    subformulas of phi (their rank is strictly below phi's).  The occurrence
-    map sends each occurrence of ``d0``'s Gamma and Delta to its descendant
-    in the output."""
+    n0 + n1, cut rank at most the larger of the inputs' cut ranks and
+    phi's rank - 1, and proof T-complexity at most the maximum of the
+    inputs.  The output may contain cuts on proper subformulas of phi (their
+    rank is strictly below phi's).  The occurrence map sends each occurrence
+    of ``d0``'s Gamma and Delta to its descendant in the output."""
     side0, oa = _find_occ(d0, aid)
     side1, ob = _find_occ(d1, bid)
     if side0 != "succ" or side1 != "ante":
@@ -936,15 +936,7 @@ def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
         raise TransformError("cut contexts do not match")
     m0 = compute_measures(d0)
     m1 = compute_measures(d1)
-    rank = logical_complexity(phi) + 1
-    if max_rank is None:
-        max_rank = max(m0.cut_rank, m1.cut_rank, rank - 1)
-    if rank > max_rank + 1:
-        raise TransformError(
-            f"cut formula rank {rank} exceeds allowed {max_rank} + 1"
-        )
-    if max(m0.cut_rank, m1.cut_rank) > max_rank:
-        raise TransformError("input proofs exceed the allowed cut rank")
+    max_rank = max(m0.cut_rank, m1.cut_rank, logical_complexity(phi))
     fuel = _Fuel(200_000)
     cut = build_cut(d0, aid, d1, bid)
     out, m = _reduce(cut, max_rank, fuel)

@@ -21,7 +21,8 @@ Run from the repository root::
     PYTHONPATH=<checkout>/src python3 tests/fixpoint_digest.py
 
 It prints the number of seed sets and the digest of all records, then the
-number and digest per kind, so a change shows which kinds moved.
+number and digest per kind, so a change shows which kinds moved.  Its whole
+output is pinned in ``tests/digests/fixpoint.txt``, which CI compares it with.
 """
 
 from __future__ import annotations

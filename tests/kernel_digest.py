@@ -29,7 +29,8 @@ Run from the repository root::
 It prints the number of reports and the digest of all of them, then the
 number and digest per source (``script``, ``proof`` and each mutation), per
 rule (of the item's root) and per system, so a change shows where the
-reports moved.
+reports moved.  Its whole output is pinned in ``tests/digests/kernel.txt``,
+which CI compares it with.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Generates kernel-valid derivations: leaf sequents over closed base atoms,
 grown by randomly chosen logical and truth rules, plus a nested-cut builder
-whose premises are found by bounded proof search.
+whose premises are found by bounded proof search, and cuts whose formula is
+principal in both premises.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from truthcut.search import SearchBudget, search_cut_free
 from truthcut.syntax import (
     And,
     Eq,
+    Forall,
     Formula,
     Not,
     Suc,
     Tr,
+    Var,
     Zero,
     is_sentence,
+    substitute,
 )
 
 ZERO = Zero()
@@ -176,3 +180,47 @@ def nested_cuts(rng: random.Random, ncuts: int) -> Derivation | None:
             return None
 
     return chain(ncuts, gamma)
+
+
+#: bodies over ``x`` of the universals cut in :func:`principal_cuts`
+FORALL_BODIES = [
+    Eq(Var("x"), Var("x")),
+    Not(Eq(Suc(Var("x")), ZERO)),
+    And(Eq(Var("x"), Var("x")), Eq(ONE, ONE)),
+]
+
+
+def principal_cuts(rng: random.Random, rounds: int):
+    """(d0, aid, d1, bid) of cuts whose formula is principal in both
+    premises: per round one negr/negl, andr/andl, forallr/foralll and Tr/Tl
+    (over a base atom) pair.  Every premise of those rules is an initial
+    sequent on a base atom shared by both sides, under a random context."""
+    for _ in range(rounds):
+        theta = rng.choice(BASE_ATOMS)
+        gamma, delta = random_context(rng), random_context(rng)
+
+        def leaf(ante=(), succ=()):
+            return B.init_leaf(list(ante) + gamma, theta, delta + list(succ))
+
+        def pair(d0, d1):
+            return d0, d0.principal[0], d1, d1.principal[0]
+
+        a, b = rng.choice(CUT_FORMULAS), rng.choice(CUT_FORMULAS)
+        l0, l1 = leaf(ante=[a]), leaf(succ=[a])
+        yield pair(B.neg_right(l0, l0.conclusion.ante[0].id),
+                   B.neg_left(l1, l1.conclusion.succ[-1].id))
+        l0, l1, l2 = leaf(succ=[a]), leaf(succ=[b]), leaf(ante=[a, b])
+        yield pair(B.and_right(l0, l0.conclusion.succ[-1].id,
+                               l1, l1.conclusion.succ[-1].id),
+                   B.and_left(l2, l2.conclusion.ante[0].id, l2.conclusion.ante[1].id))
+        body, t = rng.choice(FORALL_BODIES), rng.choice((ZERO, ONE, TWO))
+        phi = Forall("x", body)
+        l0 = leaf(succ=[substitute(body, "x", Var("y"))])
+        l1 = leaf(ante=[phi, substitute(body, "x", t)])
+        yield pair(B.forall_right(l0, l0.conclusion.succ[-1].id, phi, "y"),
+                   B.forall_left(l1, l1.conclusion.ante[0].id,
+                                 l1.conclusion.ante[1].id, t))
+        atom = rng.choice(BASE_ATOMS)
+        l0, l1 = leaf(succ=[atom]), leaf(ante=[atom])
+        yield pair(B.truth_right(l0, l0.conclusion.succ[-1].id),
+                   B.truth_left(l1, l1.conclusion.ante[0].id))

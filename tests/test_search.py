@@ -18,6 +18,7 @@ from truthcut.syntax import (
     Eq,
     Forall,
     Not,
+    Num,
     Plus,
     Suc,
     Times,
@@ -52,6 +53,16 @@ def test_immediate_closures():
                           chain_numeral(4))], "qg").found
     assert _found([Eq(Times(chain_numeral(2), chain_numeral(3)),
                       chain_numeral(5))], [], "qg").found
+
+
+def test_qg1_closes_on_the_goals_own_zero():
+    # [DERIVED] S(0) = 0 written with the numeral literal 0 closes by qg1 on
+    # that very formula, so the proof is of the goal itself
+    f = Eq(Suc(Zero()), Num(0))
+    for ante, succ in (([f], []), ([], [Not(f)])):
+        r = _found(ante, succ, "qg")
+        assert r.derivation.conclusion.ante_formulas() == ante
+        assert r.derivation.conclusion.succ_formulas() == succ
 
 
 def test_propositional_search():

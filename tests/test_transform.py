@@ -41,7 +41,12 @@ from truthcut.transform import (
     weaken,
 )
 
-from proofgen import duplicated_derivation, nested_cuts, random_derivation
+from proofgen import (
+    duplicated_derivation,
+    nested_cuts,
+    principal_cuts,
+    random_derivation,
+)
 
 PHI = Eq(Zero(), Zero())
 PSI = Eq(Suc(Zero()), Suc(Zero()))
@@ -594,6 +599,24 @@ def test_cut_reduction_maps_every_occurrence_exactly():
                       _where(e.derivation.conclusion))
         reduced += 1
     assert reduced >= 300 and twice >= 100, (reduced, twice)
+
+
+def test_principal_cut_reduction_maps_every_occurrence_exactly():
+    # [DERIVED] the exact maps hold where the cut formula is principal in
+    # both premises, and every pair of principal rules is reached
+    pairs = set()
+    for d0, aid, d1, bid in principal_cuts(random.Random(53), 15):
+        cut = B.cut(d0, aid, d1, bid)
+        assert check_derivation(cut, "lptn").ok
+        r = reduce_cut(d0, aid, d1, bid, "lptn")
+        e = eliminate_cuts(cut, "lptn")
+        _assert_exact(r.occ_map, _where(d0.conclusion, aid),
+                      _where(r.derivation.conclusion))
+        _assert_exact(e.occ_map, _where(cut.conclusion),
+                      _where(e.derivation.conclusion))
+        pairs.add((d0.rule, d1.rule))
+    assert pairs == {("negr", "negl"), ("andr", "andl"),
+                     ("forallr", "foralll"), ("Tr", "Tl")}
 
 
 @pytest.mark.parametrize("named", [(0, 1), (0, 2), (1, 2)])

@@ -16,7 +16,8 @@ second digest that also covers the output occurrence ids and occurrence
 maps, which moves when ids are allocated in another order.  Then it prints
 the number of calls and the output digest of each call kind (``invert``,
 ``drop``, ``contract``, ``reduce``, ``elim``), so a change shows which kinds
-moved.
+moved.  Its whole output is pinned in ``tests/digests/transform.txt``, which
+CI compares it with.
 """
 
 from __future__ import annotations
