@@ -69,7 +69,7 @@ def _actives(rule: str, *consumed) -> list[tuple[str, int, Occurrence]]:
     for (premise, occ_id), (_, side) in zip(consumed, RULE_SHAPES[rule].actives):
         hit = _find(premise, occ_id)
         if hit[0] != side:
-            raise BuildError(f"{rule} active must be in the {SIDE_NAMES[side]}")
+            raise BuildError(f"active must be in the {SIDE_NAMES[side]}")
         hits.append(hit)
     return hits
 
@@ -302,7 +302,7 @@ def cut(p0: Derivation, right_id: int, p1: Derivation, left_id: int) -> Derivati
 def eq1(premise: Derivation, active_id: int) -> Derivation:
     _, _, a = _find(premise, active_id)
     if not (isinstance(a.formula, Eq) and a.formula.left == a.formula.right):
-        raise BuildError("eq1 discharges a reflexive equation")
+        raise BuildError("discharges a reflexive equation")
     return _node("eq1", ((premise, active_id),))
 
 
@@ -321,7 +321,7 @@ def eq2(
 def qg2(premise: Derivation, active_id: int) -> Derivation:
     _, _, a = _find(premise, active_id)
     if not isinstance(a.formula, Eq):
-        raise BuildError("qg2 discharges an equation")
+        raise BuildError("discharges an equation")
     return _node("qg2", ((premise, active_id),))
 
 

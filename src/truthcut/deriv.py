@@ -29,7 +29,7 @@ tree (see :mod:`.transform`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .syntax import Formula, Term, formula_facts
@@ -176,6 +176,30 @@ class Derivation:
                 stack.append((path + (i,), node.premises[i]))
 
 
+#: :func:`remake` keeps the instantiation datum passed as this
+_KEEP = object()
+
+
+def remake(node: Derivation, *, conclusion=None, premises=None, principal=None,
+           actives=None, lineage=None, term=_KEEP, term2=_KEEP, var=_KEEP,
+           template=_KEEP) -> Derivation:
+    """``node`` with the given fields replaced and every other one kept.
+    Every rebuild of a node goes through here; it calls the constructor
+    directly, at about half the cost of ``dataclasses.replace``."""
+    return Derivation(
+        node.rule,
+        node.conclusion if conclusion is None else conclusion,
+        node.premises if premises is None else premises,
+        node.principal if principal is None else principal,
+        node.actives if actives is None else actives,
+        node.lineage if lineage is None else lineage,
+        node.term if term is _KEEP else term,
+        node.term2 if term2 is _KEEP else term2,
+        node.var if var is _KEEP else var,
+        node.template if template is _KEEP else template,
+    )
+
+
 R = TypeVar("R")
 
 
@@ -221,7 +245,7 @@ def refresh_ids(d: Derivation) -> Derivation:
             idmap[cid]: tuple((pi, prem_maps[pi][oid]) for pi, oid in parents)
             for cid, parents in node.lineage.items()
         }
-        new = replace(
+        new = remake(
             node, conclusion=concl, premises=tuple(p for p, _ in done),
             principal=tuple(idmap[i] for i in node.principal),
             actives=tuple((pi, prem_maps[pi][oid]) for pi, oid in node.actives),

@@ -17,7 +17,15 @@ import re
 from functools import reduce
 
 from . import build as B
-from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, fold, same_multiset
+from .deriv import (
+    RULE_SHAPES,
+    SIDE_NAMES,
+    Derivation,
+    Sequent,
+    fold,
+    remake,
+    same_multiset,
+)
 from .sexpr import ParseError, format_formula, format_sequent, parse_sequent
 from .syntax import (
     And,
@@ -424,14 +432,10 @@ def _force_side(stated, built):
 
 def _force_conclusion(node: Derivation, ante, succ) -> Derivation:
     """Replace the built conclusion with the script's stated sequent."""
-    from dataclasses import replace
-
-    from .deriv import Sequent
-
     new_ante = _force_side(ante, node.conclusion.ante)
     new_succ = _force_side(succ, node.conclusion.succ)
     surviving = {o.id for o in new_ante + new_succ}
-    return replace(
+    return remake(
         node,
         conclusion=Sequent(new_ante, new_succ),
         principal=tuple(i for i in node.principal if i in surviving),

@@ -23,8 +23,15 @@ Conventions:
   occurrences they follow (:func:`_ancestry`).  ``_reduce`` descends through
   truth-rule principal pairs in a loop, and ``_push`` is a step of the
   ancestry walk of a cut formula that is a side formula: it reduces the cut
-  at each top of that ancestry and re-links the nodes below.
-* Every rebuilt node is re-linked to its new premises by :func:`_relink`.
+  at each top of that ancestry and re-links the nodes below.  Each top
+  weakens the node, and also the cut's other premise (a copy of it after
+  the first such top), unless the top is a leaf that has the cut formula as
+  a side formula: there the reduction keeps the leaf, so the other premise
+  is neither weakened nor copied.
+* Every rebuilt node is re-linked to its new premises by :func:`_relink`
+  and constructed by :func:`~.deriv.remake`.  A rank pass of
+  ``eliminate_cuts`` keeps every node whose premises come back unchanged,
+  so it copies no cut-free subtree.
 * Contraction into a principal occurrence inverts the other copy into the
   formulas of the rule's actives, which is the invertibility the
   cut-elimination argument rests on; only ``foralll``, whose premise keeps
@@ -55,7 +62,7 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .build import match_contexts
 from .build import cut as build_cut
@@ -71,6 +78,7 @@ from .deriv import (
     fold,
     occ,
     refresh_ids,
+    remake,
     same_multiset,
 )
 from .kernel import check_derivation
@@ -216,15 +224,15 @@ def _replace_premise(node: Derivation, idx: int, new_premise: Derivation) -> Der
     premises = tuple(
         new_premise if i == idx else p for i, p in enumerate(node.premises)
     )
-    return replace(node, premises=premises)
+    return remake(node, premises=premises)
 
 
 def _minus(seq: Sequent, *occ_ids: int) -> Sequent:
     """``seq`` without the occurrences ``occ_ids``."""
     drop = set(occ_ids)
     return Sequent(
-        tuple(o for o in seq.ante if o.id not in drop),
-        tuple(o for o in seq.succ if o.id not in drop),
+        tuple([o for o in seq.ante if o.id not in drop]),
+        tuple([o for o in seq.succ if o.id not in drop]),
     )
 
 
@@ -260,7 +268,7 @@ def _subst_tree(d: Derivation, x: str, t: Term) -> Derivation:
                     chi = substitute(chi, v, Var(v2))
                     v = v2
                 template = (v, substitute(chi, x, t))
-        return replace(
+        return remake(
             node, conclusion=concl, premises=tuple(premises), template=template,
             term=None if node.term is None else subst_term(node.term, x, t),
             term2=None if node.term2 is None else subst_term(node.term2, x, t),
@@ -278,13 +286,13 @@ def freshen_eigenvariables(d: Derivation, avoid) -> Derivation:
     used = all_var_names(d) | avoid
 
     def step(node: Derivation, premises) -> Derivation:
-        node = replace(node, premises=tuple(premises))
+        node = remake(node, premises=tuple(premises))
         idx = RULE_SHAPES[node.rule].binds
         if idx is not None and node.var in avoid:
             y2 = fresh_name(node.var, used)
             used.add(y2)
             sub = _subst_tree(node.premises[idx], node.var, Var(y2))
-            node = replace(_replace_premise(node, idx, sub), var=y2)
+            node = remake(_replace_premise(node, idx, sub), var=y2)
         return node
 
     return fold(d, step)
@@ -342,8 +350,8 @@ def _weaken_node(node: Derivation, subs, theta, lam):
                 (pi, subs[pi][2][j].id) for pi in range(len(subs))
             )
     concl = Sequent(node.conclusion.ante + add_a, node.conclusion.succ + add_s)
-    new = replace(node, conclusion=concl, premises=tuple(s[0] for s in subs),
-                  lineage=lineage)
+    new = remake(node, conclusion=concl, premises=tuple(s[0] for s in subs),
+                 lineage=lineage)
     return new, add_a, add_s
 
 
@@ -356,9 +364,10 @@ def _weaken(d: Derivation, theta, lam):
     new_free: set[str] = set()
     for f in (*theta, *lam):
         new_free |= formula_facts(f)[0]
-    clash = new_free & collect_eigenvars(d)
-    if clash:
-        d = freshen_eigenvariables(d, clash)
+    if new_free:  # closed formulas clash with no eigenvariable
+        clash = new_free & collect_eigenvars(d)
+        if clash:
+            d = freshen_eigenvariables(d, clash)
     theta, lam = tuple(theta), tuple(lam)
     return fold(d, lambda node, subs: _weaken_node(node, subs, theta, lam))
 
@@ -435,13 +444,22 @@ def _relink(node: Derivation, premises, premise_maps, drop=None, add=()):
             concl.succ + tuple(o for o, side, _ in add if side == "succ"),
         )
     lineage = {}
-    if premises:
+    if len(premises) == 1:
+        # the usual entry, one parent, is re-pointed without a generator
+        [pm] = premise_maps
         lineage = {
-            cid: tuple((pi, premise_maps[pi][oid]) for pi, oid in parents)
-            for cid, parents in node.lineage.items() if cid != drop
+            cid: ((ps[0][0], pm[ps[0][1]]),) if len(ps) == 1
+            else tuple([(pi, pm[oid]) for pi, oid in ps])
+            for cid, ps in node.lineage.items() if cid != drop
         }
+    elif premises:
+        lineage = {
+            cid: tuple([(pi, premise_maps[pi][oid]) for pi, oid in ps])
+            for cid, ps in node.lineage.items() if cid != drop
+        }
+    if premises:
         lineage.update((o.id, ancestors) for o, _, ancestors in add)
-    return replace(
+    return remake(
         node, conclusion=concl, premises=tuple(premises), lineage=lineage,
         actives=tuple((pi, premise_maps[pi][oid]) for pi, oid in node.actives),
     )
@@ -864,23 +882,35 @@ def _missing(have: Sequent, want: Sequent):
 
 def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
     """The cut formula is a side formula of ``main``'s last rule: one walk up
-    its ancestry.  At each top (where it is principal, or at a leaf) the node
-    and a copy of ``other`` are weakened once to one context and their cut
-    is reduced there; each node below is re-linked without the cut formula,
-    carrying the occurrences that came from ``other``; the duplicated
-    context is contracted away once, at the end.  Returns (derivation, map
-    from ``main``'s conclusion ids other than ``main_id`` to the output's).
+    its ancestry.  At each top (where it is principal, or at a leaf) the cut
+    is reduced.  A leaf top where it is a side formula is kept, weakened to
+    ``other``'s context and without the cut formula, since that is what
+    :func:`_reduce` makes of the cut there: it throws ``other`` away.  At
+    any other top the node and ``other`` are weakened once to one context
+    and their cut is reduced; the first such top cuts ``other`` itself, each
+    later one a copy with fresh ids.  Each node below is re-linked without
+    the cut formula, carrying the occurrences that came from ``other``; the
+    duplicated context is contracted away once, at the end.  Returns
+    (derivation, map from ``main``'s conclusion ids other than ``main_id``
+    to the output's).
 
     ``main_is_left`` says whether ``main`` proves the sequent with the cut
     formula on the right (i.e. plays the left role of the cut)."""
     o_ctx = _minus(other.conclusion, other_id)
     b_side, b_pos, _ = other.conclusion.find(other_id)
     unused = [other]  # the first top cuts ``other`` itself, later ones a copy
+    # _reduce's leaf cases: a cut whose left premise is a leaf keeps that
+    # leaf, so with ``main`` on the right a leaf ``other`` is what is kept
+    drops_other = main_is_left or bool(other.premises)
 
     def step(item, done):
         node, (a,) = item
         if not done:
             p_ctx = _minus(node.conclusion, a)
+            if drops_other and not node.premises and a not in node.principal:
+                fuel.burn()  # as _reduce would, so the guard trips alike
+                tw = _weaken(node, *_missing(p_ctx, o_ctx))[0]
+                return _relink(tw, (), (), a), _same_ids(node, a)
             oth = unused.pop() if unused else refresh_ids(other)
             # weakening appends, so the cut occurrence keeps its position
             b = getattr(oth.conclusion, b_side)[b_pos].id
@@ -1010,8 +1040,13 @@ def _max_cut_rank(d: Derivation) -> int:
 def _elim_node(node: Derivation, done, r: int, fuel):
     """Fold step of one rank pass of :func:`eliminate_cuts`: ``node`` over its
     rebuilt premises, with a cut of rank ``r`` reduced to lower rank.  Returns
-    (derivation, map from ``node``'s conclusion ids to the derivation's)."""
-    new = _relink(node, [d for d, _ in done], [m for _, m in done])
+    (derivation, map from ``node``'s conclusion ids to the derivation's).  A
+    node whose premises all come back as themselves is kept as it is, so a
+    pass copies no subtree it leaves unchanged."""
+    if all(d is p for (d, _), p in zip(done, node.premises)):
+        new = node
+    else:
+        new = _relink(node, [d for d, _ in done], [m for _, m in done])
     if node.rule == "cut" and _cut_rank_of(node) == r:
         return _reduce(new, r - 1, fuel)
     return new, _same_ids(node)

@@ -175,3 +175,40 @@ def test_refresh_ids_preserves_structure():
     old = {o.id for o in d.conclusion.all_occurrences()}
     new = {o.id for o in d2.conclusion.all_occurrences()}
     assert old.isdisjoint(new)
+
+
+def test_remake_keeps_every_field_it_is_not_given():
+    # [TRIVIAL] a field passed is set, even to () or None; the rest stay
+    from dataclasses import fields
+
+    from truthcut.deriv import remake
+
+    lf = B.init_leaf([PHI], PHI, [])
+    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    assert all(getattr(remake(d), f.name) is getattr(d, f.name)
+               for f in fields(d))
+    e = remake(d, term=Zero(), var="y")
+    assert (e.term, e.var, e.premises) == (Zero(), "y", d.premises)
+    e = remake(e, premises=(), principal=(), actives=(), lineage={},
+               term=None, var=None)
+    assert (e.premises, e.principal, e.actives, e.lineage, e.term, e.var) \
+        == ((), (), (), {}, None, None)
+    assert (e.rule, e.conclusion) == (d.rule, d.conclusion)
+
+
+def test_no_module_rebuilds_nodes_with_dataclasses_replace():
+    # [DERIVED] every rebuild goes through deriv.remake, which constructs
+    # the node directly at about half the cost of dataclasses.replace
+    import ast
+    import pathlib
+
+    import truthcut
+
+    for path in pathlib.Path(truthcut.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                assert "replace" not in {a.name for a in node.names}, path.name
+            if isinstance(node, ast.Attribute) and node.attr == "replace":
+                assert not (isinstance(node.value, ast.Name)
+                            and node.value.id == "dataclasses"), path.name

@@ -233,6 +233,29 @@ def test_oversized_numeral_literal_is_a_parse_error():
         parse_script("1: init [] (= 0 0) => (= 0 0)\n2: eq1 [²] =>\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1: init [] (= 00 0) => (= 00 0)\n2: eq1 [1] => (= 00 0)\n",
+     "line 2: eq1: discharges a reflexive equation"),
+    ("1: init [] (not (= 0 0)), (= 0 0) => (= 0 0)\n"
+     "2: qg2 [1] (= 0 0) => (= 0 0)\n",
+     "line 2: qg2: discharges an equation"),
+])
+def test_builder_refusals_name_the_rule_once(text, message):
+    # [DERIVED] parse_script prefixes the rule to a builder's refusal, which
+    # used to name it again ("eq1: eq1 discharges ...")
+    with pytest.raises(ScriptError) as e:
+        parse_script(text)
+    assert str(e.value) == message
+
+
+def test_wrong_side_active_refusal_leaves_the_rule_to_the_caller():
+    # [DERIVED] build._node's side check no longer names the rule, which
+    # parse_script prefixes to every builder refusal
+    lf = B.init_leaf([], Eq(Zero(), Zero()), [])
+    with pytest.raises(B.BuildError, match="^active must be in the succedent$"):
+        B.neg_left(lf, lf.conclusion.ante[0].id)
+
+
 def test_unbuildable_rule_is_a_script_error():
     # [DERIVED] a cut whose premise contexts differ used to escape as
     # BuildError

@@ -865,3 +865,117 @@ def test_weaken_keeps_its_exact_and_pointwise_certificate():
     assert r.certificate.input_measures == (m0.triple(),)
     assert r.certificate.output_measures == m0.triple()
     assert r.occ_map == {i: i for i in old}
+
+
+# ---------------------------------------------------------------------------
+# Cut elimination rebuilds only the nodes it changes
+
+
+def test_eliminate_cuts_keeps_a_cut_free_sibling():
+    # [DERIVED] the rank pass re-links the andr above a reduced cut, but its
+    # cut-free right premise comes back as the same object
+    a = B.init_leaf([], PHI, [PHI])                     # PHI => PHI, PHI
+    b = B.init_leaf([PHI], PHI, [])                     # PHI, PHI => PHI
+    c = B.cut(a, _succ_id(a, PHI), b, _ante_id(b, PHI))  # PHI => PHI
+    x = B.init_leaf([PHI], PSI, [])                     # PHI, PSI => PSI
+    x = B.eq1(x, _ante_id(x, PSI))                      # PHI => PSI
+    d = B.and_right(c, _succ_id(c, PHI), x, _succ_id(x, PSI))
+    out = eliminate_cuts(d, "lptn").derivation
+    assert out.rule == "andr" and out is not d
+    assert out.premises[1] is x
+
+
+def _conjunction_chain(ante, succ, k):
+    """``ante, PHI => X, succ`` with X the conjunction of k copies of PHI,
+    by andr over k init leaves that carry ``ante`` and ``succ`` as side
+    formulas."""
+    d = B.init_leaf(ante, PHI, succ)
+    x = PHI
+    for _ in range(k - 1):
+        lf = B.init_leaf(ante, PHI, succ)
+        d = B.and_right(d, _succ_id(d, x), lf, _succ_id(lf, PHI))
+        x = And(x, PHI)
+    return d
+
+
+def _leaf_top_cuts(k):
+    """Two cuts whose cut formula is a side formula all the way up the one
+    premise to k leaf tops: on PSI with that premise on the left, and on
+    ~PSI with it on the right, against a premise with ~PSI principal."""
+    d0 = _conjunction_chain([], [PSI], k)             # PHI => X, PSI
+    d1 = _conjunction_chain([PSI], [], k)             # PSI, PHI => X
+    yield d0, _succ_id(d0, PSI), d1, _ante_id(d1, PSI)
+    e0 = B.neg_right(d1, _ante_id(d1, PSI))           # PHI => X, ~PSI
+    e1 = _conjunction_chain([Not(PSI)], [], k)        # ~PSI, PHI => X
+    yield e0, _succ_id(e0, Not(PSI)), e1, _ante_id(e1, Not(PSI))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_push_copies_no_premise_it_throws_away(k, monkeypatch):
+    # [DERIVED] at a leaf top where the cut formula is a side formula the
+    # reduction keeps the leaf and drops the other premise, so _push no
+    # longer copies that premise for it (it used to make k - 1 copies)
+    copies = []
+
+    def counted(d):
+        copies.append(d)
+        return deriv.refresh_ids(d)
+
+    monkeypatch.setattr(transform, "refresh_ids", counted)
+    for d0, aid, d1, bid in _leaf_top_cuts(k):
+        r = reduce_cut(d0, aid, d1, bid, "lptn")
+        assert r.certificate.output_measures[1] == 0
+        assert len(list(r.derivation.iter_nodes())) == 2 * k - 1
+    assert copies == []
+
+
+def test_weakening_by_closed_formulas_walks_no_eigenvariables(monkeypatch):
+    # [DERIVED] only a formula with free variables can clash with an
+    # eigenvariable, so weakening by closed ones skips that whole-tree walk
+    walks = []
+    walk = transform.collect_eigenvars
+
+    def counted(d):
+        walks.append(d)
+        return walk(d)
+
+    lf = B.init_leaf([PHI], PHI, [])
+    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    monkeypatch.setattr(transform, "collect_eigenvars", counted)
+    transform._weaken(d, [Not(PSI)], [TPHI])
+    assert walks == []
+    transform._weaken(d, [Eq(Var("x"), Zero())], [])
+    assert walks == [d]
+
+
+#: fuel burned by reduce_cut and eliminate_cuts over the transform digest's
+#: corpus, recorded before tops that drop the other premise stopped copying it
+_DIGEST_FUEL = {"reduce": 1357, "elim": 3057}
+
+
+def test_fuel_on_the_digest_corpus_is_unchanged(monkeypatch):
+    # [DERIVED] a top that keeps its leaf still burns one unit of fuel, so
+    # the guard runs out at the same step as before
+    import pathlib
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+    import transform_digest
+
+    burned = {"reduce": 0, "elim": 0}
+    kind = []
+
+    class Counted(transform._Fuel):
+        def burn(self):
+            burned[kind[-1]] += 1
+            super().burn()
+
+    monkeypatch.setattr(transform, "_Fuel", Counted)
+    for d, system in transform_digest._corpus():
+        for label, call in transform_digest._calls(d, system):
+            if label in burned:
+                kind.append(label)
+                try:
+                    call()
+                except TransformError:
+                    pass
+    assert burned == _DIGEST_FUEL
