@@ -25,7 +25,8 @@ from .syntax import (
     Times,
     Var,
     Zero,
-    _children,
+    children,
+    rebuild,
 )
 from .coding import eval_term
 
@@ -45,29 +46,23 @@ def chain_numeral(k: int) -> Term:
     return t
 
 
+#: the constructors of closed {0, S, +, x} terms
+_CHAIN = (Zero, Suc, Plus, Times)
+
+
 def is_chain_closed(t: Term) -> bool:
     """Closed term over {0, S, +, x} only."""
-    if isinstance(t, Zero):
-        return True
-    if isinstance(t, Suc):
-        return is_chain_closed(t.child)
-    if isinstance(t, (Plus, Times)):
-        return is_chain_closed(t.left) and is_chain_closed(t.right)
-    return False
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) not in _CHAIN:
+            return False
+        stack += children(t)
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Innermost rewriting with the recursion axioms
-
-
-def _rebuild(t: Term, kids) -> Term:
-    if isinstance(t, Suc):
-        return Suc(kids[0])
-    if isinstance(t, Plus):
-        return Plus(kids[0], kids[1])
-    if isinstance(t, Times):
-        return Times(kids[0], kids[1])
-    return t
 
 
 #: (operator, right operand) of a redex -> the axiom that contracts it
@@ -75,9 +70,9 @@ _REDEX_RULE = {(Plus, Zero): "qg4", (Plus, Suc): "qg5",
                (Times, Zero): "qg6", (Times, Suc): "qg7"}
 
 
-def _find_redex(t: Term, path=()):
+def _find_redex(t: Term | Eq, path=()):
     """Innermost-leftmost redex: (path, redex, contractum, axiom_step)."""
-    for i, c in enumerate(_children(t)):
+    for i, c in enumerate(children(t)):
         r = _find_redex(c, path + (i,))
         if r is not None:
             return r
@@ -90,32 +85,13 @@ def _find_redex(t: Term, path=()):
     return (path, t, B.AXIOMS[kind](*args).right, (kind, args))
 
 
-def _replace_at(t: Term, path, new: Term) -> Term:
+def _replace_at(e: Term | Eq, path, new: Term) -> Term | Eq:
+    """``e`` with ``new`` at ``path``, a path of child indices."""
     if not path:
         return new
-    kids = list(_children(t))
+    kids = list(children(e))
     kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
-    return _rebuild(t, kids)
-
-
-def _eq_redex(f: Eq):
-    """First redex inside an equation: (side, path, redex, contractum, step)."""
-    for side, term in (("l", f.left), ("r", f.right)):
-        r = _find_redex(term)
-        if r is not None:
-            path, u, v, step = r
-            return side, path, u, v, step
-    return None
-
-
-def _eq_replace(f: Eq, side, path, new) -> Eq:
-    if side == "l":
-        return Eq(_replace_at(f.left, path, new), f.right)
-    return Eq(f.left, _replace_at(f.right, path, new))
-
-
-def _eq_template(f: Eq, side, path) -> Eq:
-    return _eq_replace(f, side, path, Var(_TEMPLATE_VAR))
+    return rebuild(e, kids)
 
 
 def _rewrite_chain(f0: Eq):
@@ -128,13 +104,13 @@ def _rewrite_chain(f0: Eq):
     triggers = []
     cur = f0
     while True:
-        hit = _eq_redex(cur)
+        hit = _find_redex(cur)
         if hit is None:
             break
-        side, path, u, v, step = hit
-        rw.append((_eq_template(cur, side, path), u, v))
+        path, u, v, step = hit
+        rw.append((_replace_at(cur, path, Var(_TEMPLATE_VAR)), u, v))
         triggers.append(step)
-        cur = _eq_replace(cur, side, path, v)
+        cur = _replace_at(cur, path, v)
         forms.append(cur)
     return forms, rw, triggers
 

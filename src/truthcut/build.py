@@ -14,7 +14,6 @@ only do bookkeeping; the kernel re-checks every side condition from scratch.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Callable
 
 from .coding import encode, quote
@@ -29,6 +28,7 @@ from .deriv import (
 )
 from .syntax import (
     BOT,
+    SIGNATURE,
     TOP,
     And,
     Bot,
@@ -358,8 +358,8 @@ def _term_paths(shape) -> list[tuple[str, ...]]:
         if t in holes:
             found.setdefault(t, path)
         else:
-            stack += reversed([(getattr(t, f.name), path + (f.name,))
-                               for f in fields(t) if f.init])
+            stack += reversed([(getattr(t, f), path + (f,))
+                               for f in SIGNATURE[type(t)].kids])
     return [found[h] for h in holes]
 
 

@@ -3,7 +3,11 @@ evaluation, and diagonal sentences.
 
 The scheme is a deterministic tagged Cantor pairing: every expression gets
 ``pair(tag, payload) + 1`` where the payload folds the children's codes.
-Code 0 is deliberately not in the image, so ``decode(0)`` fails.
+Code 0 is deliberately not in the image, so ``decode(0)`` fails.  The
+payload folds a node's datum code first, when it has one, and then its
+children's codes, in the order ``syntax.SIGNATURE`` gives.  The tag is the
+one name of the node's class here (:data:`_TAGS`, read by both
+:func:`encode` and :func:`decode`), so a new constructor needs only its tag.
 
 Self-reference uses a dedicated DIAG tag.  ``diag_code(f, v)`` is the code of
 the sentence obtained by plugging its *own* numeral into the formula coded by
@@ -25,6 +29,8 @@ from __future__ import annotations
 import math
 
 from .syntax import (
+    SIGNATURE,
+    SYNTAX_FN_ARITY,
     And,
     Bot,
     CaptureError,
@@ -42,7 +48,7 @@ from .syntax import (
     Tr,
     Var,
     Zero,
-    _children,
+    children,
     free_vars,
     is_closed,
     is_sentence,
@@ -127,20 +133,14 @@ def _str_decode(c: int) -> str:
         raise DecodeError(f"{code_label(c)} is not a variable-name code") from e
 
 
-# tags
-_VAR, _ZERO, _SUC, _PLUS, _TIMES, _NUM = 0, 1, 2, 3, 4, 5
-_SYN_BASE = 6  # one tag per syntax-function symbol, in _SYN_ORDER
+#: concrete class -> tag, read by both encode and decode.  A ``SynApp``'s
+#: tag is this one plus its symbol's place in _SYN_ORDER.
+_TAGS = {Var: 0, Zero: 1, Suc: 2, Plus: 3, Times: 4, Num: 5, SynApp: 6,
+         Eq: 15, Tr: 16, Top: 17, Bot: 18, Not: 19, And: 20, Forall: 21}
+_SYN_BASE = _TAGS[SynApp]
 _SYN_ORDER = ("num", "sub", "negdot", "anddot", "alldot", "eqdot", "tdot", "tr", "val")
-_EQ, _TR, _TOP, _BOT, _NEG, _AND, _FORALL, _DIAG = 15, 16, 17, 18, 19, 20, 21, 22
-
-
-def _fold(codes: list[int]) -> int:
-    if not codes:
-        return 0
-    acc = codes[-1]
-    for c in reversed(codes[:-1]):
-        acc = pair(c, acc)
-    return acc
+_DIAG = 22  # a diagonal sentence; see the module docstring
+_CLASSES = {tag: cls for cls, tag in _TAGS.items() if cls is not SynApp}
 
 
 def _unfold(c: int, n: int) -> list[int]:
@@ -187,45 +187,24 @@ def _encode(e: Term | Formula, cap: int | None, cands: list[int]) -> int:
         return code
     mark = len(cands)
     try:
-        # most frequent kinds first
-        if isinstance(e, Suc):
-            tag, payload = _SUC, _encode(e.child, cap, cands)
-        elif isinstance(e, Zero):
-            tag, payload = _ZERO, 0
-        elif isinstance(e, Eq):
-            tag, payload = _EQ, pair(_encode(e.left, cap, cands),
-                                     _encode(e.right, cap, cands))
-        elif isinstance(e, Num):
-            tag, payload = _NUM, e.value
+        cls = type(e)
+        tag = _TAGS[cls]
+        if cls is Num:
+            payload = e.value
             if _is_diag(payload):
                 cands.append(payload)
-        elif isinstance(e, Not):
-            tag, payload = _NEG, _encode(e.body, cap, cands)
-        elif isinstance(e, Tr):
-            tag, payload = _TR, _encode(e.term, cap, cands)
-        elif isinstance(e, And):
-            tag, payload = _AND, pair(_encode(e.left, cap, cands),
-                                      _encode(e.right, cap, cands))
-        elif isinstance(e, Plus):
-            tag, payload = _PLUS, pair(_encode(e.left, cap, cands),
-                                       _encode(e.right, cap, cands))
-        elif isinstance(e, Times):
-            tag, payload = _TIMES, pair(_encode(e.left, cap, cands),
-                                        _encode(e.right, cap, cands))
-        elif isinstance(e, Forall):
-            tag, payload = _FORALL, pair(_str_code(e.var),
-                                         _encode(e.body, cap, cands))
-        elif isinstance(e, Var):
-            tag, payload = _VAR, _str_code(e.name)
-        elif isinstance(e, SynApp):
-            tag = _SYN_BASE + _SYN_ORDER.index(e.symbol)
-            payload = _fold([_encode(a, cap, cands) for a in e.args])
-        elif isinstance(e, Top):
-            tag, payload = _TOP, 0
-        elif isinstance(e, Bot):
-            tag, payload = _BOT, 0
         else:
-            raise TypeError(f"not a term or formula: {e!r}")
+            datum = SIGNATURE[cls].datum
+            codes = []
+            if cls is SynApp:
+                tag += _SYN_ORDER.index(e.symbol)
+            elif datum is not None:
+                codes.append(_str_code(getattr(e, datum)))
+            for c in children(e):
+                codes.append(_encode(c, cap, cands))
+            payload = codes.pop() if codes else 0
+            while codes:
+                payload = pair(codes.pop(), payload)
         if cap is not None and payload.bit_length() > cap:
             raise _oversize(cap)
         code = pair(tag, payload) + 1  # see the module docstring
@@ -251,7 +230,7 @@ def _diag_candidates(e: Term | Formula, out: list[int]) -> list[int]:
     """``out`` with the DIAG numerals in ``e`` appended."""
     if isinstance(e, Num) and _is_diag(e.value):
         out.append(e.value)
-    for c in _children(e):
+    for c in children(e):
         _diag_candidates(c, out)
     return out
 
@@ -272,65 +251,50 @@ def decode(c: int) -> Term | Formula:
     if c < 1:
         raise DecodeError(f"{code_label(c)} is not a code")
     tag, payload = unpair(c - 1)
-    if tag == _VAR:
-        return Var(_str_decode(payload))
-    if tag == _ZERO:
-        if payload != 0:
-            raise DecodeError(f"{code_label(c)} is not a code")
-        return Zero()
-    if tag == _SUC:
-        return Suc(decode_term(payload))
-    if tag == _PLUS:
-        a, b = unpair(payload)
-        return Plus(decode_term(a), decode_term(b))
-    if tag == _TIMES:
-        a, b = unpair(payload)
-        return Times(decode_term(a), decode_term(b))
-    if tag == _NUM:
+    cls = _CLASSES.get(tag)
+    if cls is Num:
         return Num(payload)
+    if cls is not None:
+        shape = SIGNATURE[cls]
+        datum = shape.datum is not None
+        n = datum + len(shape.kids)
+        if not n:
+            if payload:
+                raise DecodeError(f"{code_label(c)} is not a code")
+            return cls()
+        parts = _unfold(payload, n)
+        args = [_str_decode(parts[0])] if datum else []
+        for p in parts[datum:]:
+            args.append(_decode_as(p, shape.kid_sort))
+        return cls(*args)
     if _SYN_BASE <= tag < _SYN_BASE + len(_SYN_ORDER):
         symbol = _SYN_ORDER[tag - _SYN_BASE]
-        from .syntax import SYNTAX_FN_ARITY
-
-        parts = _unfold(payload, SYNTAX_FN_ARITY[symbol])
-        return SynApp(symbol, tuple(decode_term(p) for p in parts))
-    if tag == _EQ:
-        a, b = unpair(payload)
-        return Eq(decode_term(a), decode_term(b))
-    if tag == _TR:
-        return Tr(decode_term(payload))
-    if tag == _TOP:
-        return Top()
-    if tag == _BOT:
-        return Bot()
-    if tag == _NEG:
-        return Not(decode_formula(payload))
-    if tag == _AND:
-        a, b = unpair(payload)
-        return And(decode_formula(a), decode_formula(b))
-    if tag == _FORALL:
-        v, b = unpair(payload)
-        return Forall(_str_decode(v), decode_formula(b))
+        args = []
+        for p in _unfold(payload, SYNTAX_FN_ARITY[symbol]):
+            args.append(_decode_as(p, Term))
+        return SynApp(symbol, tuple(args))
     if tag == _DIAG:
         f, v = unpair(payload)
-        phi = decode_formula(f)
+        phi = _decode_as(f, Formula)
         name = _str_decode(v)
         return substitute(phi, name, Num(c))
     raise DecodeError(f"{code_label(c)} is not a code (unknown tag {code_label(tag)})")
 
 
-def decode_term(c: int) -> Term:
+def _decode_as(c: int, sort: type) -> Term | Formula:
     e = decode(c)
-    if not isinstance(e, Term):
-        raise DecodeError(f"{code_label(c)} codes a formula where a term was expected")
+    if not isinstance(e, sort):
+        have, want = ("formula", "term") if sort is Term else ("term", "formula")
+        raise DecodeError(f"{code_label(c)} codes a {have} where a {want} was expected")
     return e
+
+
+def decode_term(c: int) -> Term:
+    return _decode_as(c, Term)
 
 
 def decode_formula(c: int) -> Formula:
-    e = decode(c)
-    if not isinstance(e, Formula):
-        raise DecodeError(f"{code_label(c)} codes a term where a formula was expected")
-    return e
+    return _decode_as(c, Formula)
 
 
 def decode_sentence(c: int) -> Formula:

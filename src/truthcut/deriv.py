@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .syntax import Formula, Term, formula_facts
+from .syntax import Formula, Term, formula_facts, logical_complexity
 
 
 _ids = itertools.count(1)
@@ -271,6 +271,11 @@ class Measures:
         return (self.length, self.cut_rank, self.proof_tau)
 
 
+def cut_rank(phi: Formula) -> int:
+    """The rank of a cut on ``phi``: its logical complexity plus one."""
+    return logical_complexity(phi) + 1
+
+
 class MeasureError(Exception):
     """The derivation's lineage bookkeeping is broken."""
 
@@ -282,8 +287,6 @@ def compute_measures(d: Derivation) -> Measures:
     is structurally well-formed (kernel-validated); raises
     :class:`MeasureError` on broken lineage.
     """
-    from .syntax import logical_complexity
-
     tau: dict[int, int] = {}
     cut_ranks: list[int] = []
 
@@ -307,7 +310,7 @@ def compute_measures(d: Derivation) -> Measures:
                 tau[o.id] = 0
         if node.rule == "cut":
             _, _, a = node.premises[0].conclusion.find(node.actives[0][1])
-            cut_ranks.append(logical_complexity(a.formula) + 1)
+            cut_ranks.append(cut_rank(a.formula))
         return 1 + max(heights) if heights else 0
 
     length = fold(d, step)

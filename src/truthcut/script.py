@@ -28,23 +28,19 @@ from .deriv import (
 )
 from .sexpr import ParseError, format_formula, format_sequent, parse_sequent
 from .syntax import (
+    SIGNATURE,
     And,
-    Bot,
     Eq,
     Forall,
     Formula,
-    Not,
-    Num,
     Plus,
     Suc,
-    SynApp,
     Term,
     Times,
-    Top,
-    Tr,
     Var,
-    Zero,
+    children,
     formula_facts,
+    rebuild,
 )
 
 
@@ -109,118 +105,82 @@ def _succ_id(p: Derivation, f: Formula, skip=()):
 # Pattern matching (for witness / eigenvariable / template inference)
 
 
-def _match_term(pattern: Term, var: str, inst: Term, binding):
-    if isinstance(pattern, Var) and pattern.name == var:
+def _match(pattern, var: str, inst, binding) -> bool:
+    """Whether ``inst`` is ``pattern`` with one term, kept in ``binding``,
+    for the free occurrences of the variable ``var``."""
+    cls = type(pattern)
+    if cls is Var and pattern.name == var:
         if binding["t"] is None:
             binding["t"] = inst
             return True
         return binding["t"] == inst
-    if type(pattern) is not type(inst):
+    if cls is not type(inst):
         return False
-    if isinstance(pattern, Var):
-        return pattern.name == inst.name
-    if isinstance(pattern, (Zero,)):
-        return True
-    if isinstance(pattern, Num):
-        return pattern.value == inst.value
-    if isinstance(pattern, Suc):
-        return _match_term(pattern.child, var, inst.child, binding)
-    if isinstance(pattern, (Plus, Times)):
-        return _match_term(pattern.left, var, inst.left, binding) and \
-            _match_term(pattern.right, var, inst.right, binding)
-    if isinstance(pattern, SynApp):
-        return pattern.symbol == inst.symbol and all(
-            _match_term(a, var, b, binding)
-            for a, b in zip(pattern.args, inst.args)
-        )
-    return False
-
-
-def _match_formula(pattern: Formula, var: str, inst: Formula, binding):
-    if type(pattern) is not type(inst):
+    datum = SIGNATURE[cls].datum
+    if datum is not None and getattr(pattern, datum) != getattr(inst, datum):
         return False
-    if isinstance(pattern, Eq):
-        return _match_term(pattern.left, var, inst.left, binding) and \
-            _match_term(pattern.right, var, inst.right, binding)
-    if isinstance(pattern, Tr):
-        return _match_term(pattern.term, var, inst.term, binding)
-    if isinstance(pattern, (Top, Bot)):
-        return True
-    if isinstance(pattern, Not):
-        return _match_formula(pattern.body, var, inst.body, binding)
-    if isinstance(pattern, And):
-        return _match_formula(pattern.left, var, inst.left, binding) and \
-            _match_formula(pattern.right, var, inst.right, binding)
-    if isinstance(pattern, Forall):
-        if pattern.var != inst.var:
+    if cls is Forall and pattern.var == var:
+        return pattern.body == inst.body
+    for a, b in zip(children(pattern), children(inst)):
+        if not _match(a, var, b, binding):
             return False
-        if pattern.var == var:
-            return pattern.body == inst.body
-        return _match_formula(pattern.body, var, inst.body, binding)
-    return False
+    return True
 
 
 def _infer_instance(quantified: Forall, inst: Formula) -> Term | None:
     """Term t with inst == quantified.body[var := t], if one exists."""
     binding = {"t": None}
-    if _match_formula(quantified.body, quantified.var, inst, binding):
+    if _match(quantified.body, quantified.var, inst, binding):
         return binding["t"] if binding["t"] is not None else Var(quantified.var)
     return None
 
 
-def _generalize_term(d: Term, k: Term, s: Term, t: Term, var: str):
+#: what template inference descends through, with the child fields of
+#: each: the equation, then S, + and x; never a syntax function, since
+#: the templates scripts infer depend on it
+_THROUGH = {cls: SIGNATURE[cls].kids for cls in (Eq, Suc, Plus, Times)}
+
+
+def _generalize(d, k, s: Term, t: Term, var: str):
+    """``d`` with ``var`` at the positions, reached through :data:`_THROUGH`,
+    where ``d`` holds ``s`` and ``k`` holds ``t``, if ``d`` and ``k`` agree
+    everywhere else; else None."""
     if d == k:
         return d
     if d == s and k == t:
         return Var(var)
-    if type(d) is type(k):
-        if isinstance(d, Suc):
-            c = _generalize_term(d.child, k.child, s, t, var)
-            return None if c is None else Suc(c)
-        if isinstance(d, (Plus, Times)):
-            l = _generalize_term(d.left, k.left, s, t, var)
-            r = _generalize_term(d.right, k.right, s, t, var)
-            if l is None or r is None:
-                return None
-            return type(d)(l, r)
-    return None
-
-
-def _generalize_eq(d: Eq, k: Eq, s: Term, t: Term, var: str) -> Eq | None:
-    l = _generalize_term(d.left, k.left, s, t, var)
-    r = _generalize_term(d.right, k.right, s, t, var)
-    if l is None or r is None:
+    if type(d) is not type(k) or type(d) not in _THROUGH:
         return None
-    return Eq(l, r)
+    kids = []
+    for f in _THROUGH[type(d)]:
+        c = _generalize(getattr(d, f), getattr(k, f), s, t, var)
+        if c is None:
+            return None
+        kids.append(c)
+    return rebuild(d, kids)
 
 
 def _positions(eq: Eq) -> dict:
-    """Each subterm ``_generalize_term`` can reach in ``eq`` (through
-    ``S``, ``+`` and ``*``), mapped to the paths of child indices from the
-    equation where it occurs."""
+    """Each subexpression ``_generalize`` can reach in ``eq``, mapped to the
+    paths of child field names from ``eq`` where it occurs."""
     at: dict = {}
-    stack = [(eq.left, (0,)), (eq.right, (1,))]
+    stack = [(eq, ())]
     while stack:
-        t, path = stack.pop()
-        at.setdefault(t, []).append(path)
-        if isinstance(t, Suc):
-            stack.append((t.child, path + (0,)))
-        elif isinstance(t, (Plus, Times)):
-            stack += ((t.left, path + (0,)), (t.right, path + (1,)))
+        e, path = stack.pop()
+        at.setdefault(e, []).append(path)
+        for f in _THROUGH.get(type(e), ()):
+            stack.append((getattr(e, f), path + (f,)))
     return at
 
 
 def _subterm_at(eq: Eq, path) -> Term | None:
     """The subterm of ``eq`` at a path of ``_positions``, if ``eq`` has one."""
-    t = eq.right if path[0] else eq.left
-    for i in path[1:]:
-        if isinstance(t, Suc) and not i:
-            t = t.child
-        elif isinstance(t, (Plus, Times)):
-            t = t.right if i else t.left
-        else:
+    e = eq
+    for f in path:
+        if f not in _THROUGH.get(type(e), ()):
             return None
-    return t
+        e = getattr(e, f)
+    return e
 
 
 def _eq2_template(d: Eq, ante):
@@ -244,7 +204,7 @@ def _eq2_template(d: Eq, ante):
                 _subterm_at(kept, path) == trig.right for path in paths
             ):
                 continue
-            chi = _generalize_eq(d, kept, trig.left, trig.right, "w_")
+            chi = _generalize(d, kept, trig.left, trig.right, "w_")
             if chi is not None and "w_" in formula_facts(chi)[0]:
                 return chi, trig
     return None

@@ -25,6 +25,7 @@ from .deriv import Derivation
 from .kernel import SYSTEM_RULES
 from .syntax import (
     And,
+    CaptureError,
     Eq,
     Forall,
     Formula,
@@ -33,7 +34,7 @@ from .syntax import (
     Term,
     Tr,
     Var,
-    _children,
+    children,
     numeral_value,
     substitute,
 )
@@ -110,7 +111,7 @@ def _closed_subterms(fs) -> list[Term]:
         if isinstance(x, Var):
             met += 1
         listed = listed and not isinstance(x, SynApp)
-        stack += [(c, listed) for c in reversed(_children(x))]
+        stack += [(c, listed) for c in reversed(children(x))]
     out: list[Term] = []
     seen = set()
     for t, entered, left in rows:
@@ -219,7 +220,7 @@ class _Searcher:
                 for t in self._instances(ante, succ):
                     try:
                         inst = substitute(f.body, f.var, t)
-                    except Exception:
+                    except CaptureError:
                         continue
                     if inst in ante:
                         continue
@@ -264,7 +265,7 @@ class _Searcher:
                 y = self.fresh_eigen()
                 try:
                     inst = substitute(f.body, f.var, Var(y))
-                except Exception:
+                except CaptureError:
                     continue
                 p = self.prove(
                     ante, _minus_one(succ, f) + (inst,), depth - 1, tau, visited

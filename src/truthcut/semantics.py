@@ -50,6 +50,7 @@ from .deriv import Derivation, compute_measures
 from .syntax import (
     And,
     Bot,
+    CaptureError,
     Eq,
     Forall,
     Formula,
@@ -97,7 +98,7 @@ def _instances(phi: Forall, bound: int) -> list[Formula]:
     for k in range(bound + 1):
         try:
             out.append(substitute(phi.body, phi.var, chain_numeral(k)))
-        except Exception:
+        except CaptureError:
             continue
     return out
 

@@ -11,9 +11,16 @@ Grammar (whitespace-separated tokens, ``;`` starts a line comment):
               | "(" "exists" VAR formula ")"
     sequent ::= [formula ("," formula)*] "=>" [formula ("," formula)*]
 
-``NAT`` is a decimal numeral literal (the canonical numeral ``Num``).
+``NAT`` is a decimal numeral literal (the canonical numeral ``Num``); the
+printer writes ``Num(0)`` as ``00``, since ``0`` reads as ``Zero``.
 ``(quote phi)`` abbreviates the numeral of phi's code.  ``or``/``exists``
 expand to their definitions in terms of not/and/forall.
+
+The grammar is :data:`HEADS` read against ``syntax.SIGNATURE``: a
+constructor with children is written ``(head [datum] child...)``, one
+without as its head word or its datum.  The reader and the printer both
+read that one table, so a new constructor needs only its head here; the
+sugar heads ``or``, ``exists`` and ``quote`` are the reader's alone.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import re
 
 from .coding import quote
 from .syntax import (
+    SIGNATURE,
     SYNTAX_FN_ARITY,
     And,
     Bot,
@@ -40,6 +48,7 @@ from .syntax import (
     Var,
     Zero,
     lexists,
+    children,
     lor,
     numeral_text,
 )
@@ -87,71 +96,79 @@ class _Reader:
         return self.i >= len(self.tokens)
 
 
-def _read_term(r: _Reader) -> Term:
+#: concrete class -> its head word, read by both the reader and the printer.
+#: ``None`` for a class written by its datum alone: ``Var`` by its name,
+#: ``Num`` in decimal and ``SynApp`` with its symbol as the head.
+HEADS: dict[type, str | None] = {
+    Var: None, Zero: "0", Num: None, Suc: "S", Plus: "+", Times: "*",
+    SynApp: None, Eq: "=", Tr: "T", Top: "top", Bot: "bot", Not: "not",
+    And: "and", Forall: "forall",
+}
+
+
+def _form(cls: type):
+    shape = SIGNATURE[cls]
+    return (Term if issubclass(cls, Term) else Formula, shape.datum is not None,
+            (shape.kid_sort,) * len(shape.kids), cls)
+
+
+#: head word inside parentheses -> (the sort it makes, whether a variable
+#: name follows the head, the sort of each argument, what builds the value
+#: from the name and the arguments)
+_FORMS = {head: _form(cls) for cls, head in HEADS.items()
+          if head is not None and SIGNATURE[cls].kids}
+_FORMS.update(
+    (symbol, (Term, False, (Term,) * arity, lambda *args, s=symbol: SynApp(s, args)))
+    for symbol, arity in SYNTAX_FN_ARITY.items()
+)
+# sugar, for the reader only
+_FORMS.update({
+    "or": (Formula, False, (Formula, Formula), lor),
+    "exists": (Formula, True, (Formula,), lexists),
+    "quote": (Term, False, (Formula,), quote),
+})
+
+#: bare word -> the class it names ("0", "top", "bot")
+_WORDS = {head: cls for cls, head in HEADS.items()
+          if head is not None and not SIGNATURE[cls].kids}
+
+
+def _read(r: _Reader, sort: type) -> Term | Formula:
+    """One expression of ``sort`` (``Term`` or ``Formula``)."""
     tok = r.next()
-    if tok == "0":
-        return Zero()
-    if tok.isdigit():
-        try:
-            return Num(int(tok))
-        except ValueError:
-            raise ParseError(_bad_numeral(tok), r.i - 1) from None
     if tok == "(":
         head = r.next()
-        if head == "S":
-            t = Suc(_read_term(r))
-        elif head == "+":
-            t = Plus(_read_term(r), _read_term(r))
-        elif head == "*":
-            t = Times(_read_term(r), _read_term(r))
-        elif head == "quote":
-            t = quote(_read_formula(r))
-        elif head in SYNTAX_FN_ARITY:
-            args = tuple(_read_term(r) for _ in range(SYNTAX_FN_ARITY[head]))
-            t = SynApp(head, args)
-        else:
-            raise ParseError(f"unknown term head {head!r}", r.i - 1)
+        form = _FORMS.get(head)
+        if form is None or form[0] is not sort:
+            raise ParseError(f"unknown {sort.__name__.lower()} head {head!r}", r.i - 1)
+        _, named, sorts, build = form
+        parts = []
+        if named:
+            var = r.next()
+            if not _NAME.match(var):
+                raise ParseError(f"bad variable name {var!r}", r.i - 1)
+            parts.append(var)
+        for s in sorts:
+            parts.append(_read(r, s))
         r.expect(")")
-        return t
-    if _NAME.match(tok):
-        return Var(tok)
-    raise ParseError(f"bad term token {tok!r}", r.i - 1)
-
-
-def _read_formula(r: _Reader) -> Formula:
-    tok = r.next()
-    if tok == "top":
-        return Top()
-    if tok == "bot":
-        return Bot()
-    if tok != "(":
-        raise ParseError(f"bad formula token {tok!r}", r.i - 1)
-    head = r.next()
-    if head == "=":
-        phi: Formula = Eq(_read_term(r), _read_term(r))
-    elif head == "T":
-        phi = Tr(_read_term(r))
-    elif head == "not":
-        phi = Not(_read_formula(r))
-    elif head == "and":
-        phi = And(_read_formula(r), _read_formula(r))
-    elif head == "or":
-        phi = lor(_read_formula(r), _read_formula(r))
-    elif head in ("forall", "exists"):
-        var = r.next()
-        if not _NAME.match(var):
-            raise ParseError(f"bad variable name {var!r}", r.i - 1)
-        body = _read_formula(r)
-        phi = Forall(var, body) if head == "forall" else lexists(var, body)
-    else:
-        raise ParseError(f"unknown formula head {head!r}", r.i - 1)
-    r.expect(")")
-    return phi
+        return build(*parts)
+    cls = _WORDS.get(tok)
+    if cls is not None and issubclass(cls, sort):
+        return cls()
+    if sort is Term:
+        if tok.isdigit():
+            try:
+                return Num(int(tok))
+            except ValueError:
+                raise ParseError(_bad_numeral(tok), r.i - 1) from None
+        if _NAME.match(tok):
+            return Var(tok)
+    raise ParseError(f"bad {sort.__name__.lower()} token {tok!r}", r.i - 1)
 
 
 def parse_term(text: str) -> Term:
     r = _Reader(tokenize(text))
-    t = _read_term(r)
+    t = _read(r, Term)
     if not r.done():
         raise ParseError(f"trailing input {r.peek()!r}", r.i)
     return t
@@ -159,7 +176,7 @@ def parse_term(text: str) -> Term:
 
 def parse_formula(text: str) -> Formula:
     r = _Reader(tokenize(text))
-    phi = _read_formula(r)
+    phi = _read(r, Formula)
     if not r.done():
         raise ParseError(f"trailing input {r.peek()!r}", r.i)
     return phi
@@ -196,7 +213,7 @@ def parse_sequent(
         if tok == ",":
             r.next()
             continue
-        side.append(_read_formula(r))
+        side.append(_read(r, Formula))
     if not seen_arrow:
         raise ParseError("sequent is missing '=>'")
     return ante, succ
@@ -225,7 +242,7 @@ def _split_sequent(text: str, memo: dict[str, Formula]):
             if phi is None:
                 r = _Reader(_TOKEN.findall(piece))
                 try:
-                    phi = _read_formula(r)
+                    phi = _read(r, Formula)
                 except ParseError:
                     return None
                 if not r.done():
@@ -243,41 +260,26 @@ def _bad_numeral(tok: str) -> str:
     return f"bad numeral literal {tok!r}"
 
 
-def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Num):
-        return numeral_text(t.value)
-    if isinstance(t, Suc):
-        return f"(S {format_term(t.child)})"
-    if isinstance(t, Plus):
-        return f"(+ {format_term(t.left)} {format_term(t.right)})"
-    if isinstance(t, Times):
-        return f"(* {format_term(t.left)} {format_term(t.right)})"
-    if isinstance(t, SynApp):
-        args = " ".join(format_term(a) for a in t.args)
-        return f"({t.symbol} {args})"
-    raise TypeError(f"not a term: {t!r}")
+def format_formula(e: Term | Formula) -> str:
+    """The text of a term or formula, which :func:`parse_term` or
+    :func:`parse_formula` reads back as ``e``."""
+    cls = type(e)
+    if cls is Num:
+        # "0" would read back as Zero()
+        return numeral_text(e.value) if e.value else "00"
+    head = HEADS[cls]
+    shape = SIGNATURE[cls]
+    words = [] if head is None else [head]
+    if shape.datum is not None:
+        words.append(getattr(e, shape.datum))
+    if not shape.kids:
+        return words[0]
+    for c in children(e):
+        words.append(format_formula(c))
+    return f"({' '.join(words)})"
 
 
-def format_formula(phi: Formula) -> str:
-    if isinstance(phi, Top):
-        return "top"
-    if isinstance(phi, Bot):
-        return "bot"
-    if isinstance(phi, Eq):
-        return f"(= {format_term(phi.left)} {format_term(phi.right)})"
-    if isinstance(phi, Tr):
-        return f"(T {format_term(phi.term)})"
-    if isinstance(phi, Not):
-        return f"(not {format_formula(phi.body)})"
-    if isinstance(phi, And):
-        return f"(and {format_formula(phi.left)} {format_formula(phi.right)})"
-    if isinstance(phi, Forall):
-        return f"(forall {phi.var} {format_formula(phi.body)})"
-    raise TypeError(f"not a formula: {phi!r}")
+format_term = format_formula
 
 
 def format_sequent(ante, succ, fmt=format_formula) -> str:

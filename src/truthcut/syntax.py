@@ -9,11 +9,22 @@ the two spellings are distinct syntactic objects with the same value.
 Formulas are built from =, T, top, bot, not, and, forall.  ``or`` and
 ``exists`` are derived (see :func:`lor`, :func:`lexists`).  top and bot are
 not atomic; equations and truth ascriptions are.
+
+Each constructor's structure is stated once, in :data:`SIGNATURE`: its
+child fields, the sort of its children and its one non-child datum.  The
+walks that only follow structure read it (:func:`children`,
+:func:`rebuild`, :func:`substitute`, the reader and printer of
+:mod:`~.sexpr`, the coding of :mod:`~.coding`).  Adding a constructor
+touches its class, its row in ``SIGNATURE``, its head in
+``sexpr.HEADS``, its tag in ``coding._TAGS``, and the functions that give
+it a meaning (evaluation, the semantics' clauses, the kernel's rules).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class SyntaxError_(Exception):
@@ -234,29 +245,71 @@ def is_base_formula(phi: Formula) -> bool:
     """Formula of the T-free base language (no occurrence of the T predicate)."""
     if isinstance(phi, Tr):
         return False
-    return all(is_base_formula(c) for c in _children(phi) if isinstance(c, Formula))
+    return all(is_base_formula(c) for c in children(phi) if isinstance(c, Formula))
 
 
-def _children(x: Term | Formula):
-    if isinstance(x, (Var, Zero, Num, Top, Bot)):
+# ---------------------------------------------------------------------------
+# The signature
+
+
+class Shape(NamedTuple):
+    """How a constructor is built: its child fields in order, the sort of its
+    children, and its one non-child datum, which comes first among the
+    constructor's arguments."""
+
+    kids: tuple[str, ...]
+    kid_sort: type | None = None
+    datum: str | None = None
+
+
+#: concrete class -> its shape; the one statement of which constructors
+#: exist and what their children are.  A ``SynApp``'s one child field,
+#: ``args``, is the tuple of its children.
+SIGNATURE: dict[type, Shape] = {
+    Var: Shape((), datum="name"),
+    Zero: Shape(()),
+    Num: Shape((), datum="value"),
+    Suc: Shape(("child",), Term),
+    Plus: Shape(("left", "right"), Term),
+    Times: Shape(("left", "right"), Term),
+    SynApp: Shape(("args",), Term, "symbol"),
+    Eq: Shape(("left", "right"), Term),
+    Tr: Shape(("term",), Term),
+    Top: Shape(()),
+    Bot: Shape(()),
+    Not: Shape(("body",), Formula),
+    And: Shape(("left", "right"), Formula),
+    Forall: Shape(("body",), Formula, "var"),
+}
+
+
+#: class -> (an attrgetter of its child fields, or None for a leaf; whether
+#: that getter returns the one child rather than the tuple of children)
+_KIDS = {cls: (attrgetter(*shape.kids) if shape.kids else None,
+               len(shape.kids) == 1 and cls is not SynApp)
+         for cls, shape in SIGNATURE.items()}
+
+
+def children(x: Term | Formula) -> tuple:
+    """The children of a term or formula, in order."""
+    try:
+        get, one = _KIDS[type(x)]
+    except KeyError:
+        raise TypeError(f"not a term or formula: {x!r}") from None
+    if get is None:
         return ()
-    if isinstance(x, Suc):
-        return (x.child,)
-    if isinstance(x, (Plus, Times)):
-        return (x.left, x.right)
-    if isinstance(x, SynApp):
-        return x.args
-    if isinstance(x, Eq):
-        return (x.left, x.right)
-    if isinstance(x, Tr):
-        return (x.term,)
-    if isinstance(x, Not):
-        return (x.body,)
-    if isinstance(x, And):
-        return (x.left, x.right)
-    if isinstance(x, Forall):
-        return (x.body,)
-    raise TypeError(f"not a term or formula: {x!r}")
+    return (get(x),) if one else get(x)
+
+
+def rebuild(x: Term | Formula, kids) -> Term | Formula:
+    """A node like ``x``, with the same constructor and datum, over ``kids``."""
+    cls = type(x)
+    if cls is SynApp:
+        return SynApp(x.symbol, tuple(kids))
+    datum = SIGNATURE[cls].datum
+    if datum is None:
+        return cls(*kids)
+    return cls(getattr(x, datum), *kids)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +322,7 @@ def free_vars(x: Term | Formula) -> frozenset[str]:
     if isinstance(x, Forall):
         return free_vars(x.body) - {x.var}
     out: frozenset[str] = frozenset()
-    for c in _children(x):
+    for c in children(x):
         out |= free_vars(c)
     return out
 
@@ -278,7 +331,7 @@ def bound_vars(phi: Formula) -> frozenset[str]:
     if isinstance(phi, Forall):
         return bound_vars(phi.body) | {phi.var}
     out: frozenset[str] = frozenset()
-    for c in _children(phi):
+    for c in children(phi):
         if isinstance(c, Formula):
             out |= bound_vars(c)
     return out
@@ -324,46 +377,38 @@ def logical_complexity(phi: Formula) -> int:
 # Substitution (capture-avoiding by refusal, not by renaming)
 
 
-def subst_term(t: Term, x: str, s: Term) -> Term:
-    if isinstance(t, Var):
-        return s if t.name == x else t
-    if isinstance(t, (Zero, Num)):
-        return t
-    if isinstance(t, Suc):
-        return Suc(subst_term(t.child, x, s))
-    if isinstance(t, Plus):
-        return Plus(subst_term(t.left, x, s), subst_term(t.right, x, s))
-    if isinstance(t, Times):
-        return Times(subst_term(t.left, x, s), subst_term(t.right, x, s))
-    if isinstance(t, SynApp):
-        return SynApp(t.symbol, tuple(subst_term(a, x, s) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
+def substitute(e: Term | Formula, x: str, t: Term) -> Term | Formula:
+    """``e``, a term or formula, with ``t`` for every free occurrence of
+    the variable ``x``.  A subtree without one comes back as it is: it is
+    walked unless it is a formula whose cached facts exclude ``x``.
 
-
-def substitute(phi: Formula, x: str, t: Term) -> Formula:
-    """Replace all free occurrences of ``x`` in ``phi`` by ``t``.
-
-    Raises :class:`CaptureError` when ``t`` is not free for ``x`` in ``phi``.
+    Raises :class:`CaptureError` when ``t`` is not free for ``x`` in ``e``.
     """
-    if isinstance(phi, Eq):
-        return Eq(subst_term(phi.left, x, t), subst_term(phi.right, x, t))
-    if isinstance(phi, Tr):
-        return Tr(subst_term(phi.term, x, t))
-    if isinstance(phi, (Top, Bot)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(substitute(phi.body, x, t))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, x, t), substitute(phi.right, x, t))
-    if isinstance(phi, Forall):
-        if phi.var == x:
-            return phi
-        if x in free_vars(phi.body) and phi.var in free_vars(t):
-            raise CaptureError(
-                f"substituting {t!r} for {x} under binder of {phi.var} would capture"
-            )
-        return Forall(phi.var, substitute(phi.body, x, t))
-    raise TypeError(f"not a formula: {phi!r}")
+    cls = type(e)
+    if cls is Var:
+        return t if e.name == x else e
+    if isinstance(e, Formula):
+        facts = e._facts
+        if facts is not None and x not in facts[0]:
+            return e
+        if cls is Forall:
+            if e.var == x:
+                return e
+            if x in free_vars(e.body) and e.var in free_vars(t):
+                raise CaptureError(
+                    f"substituting {t!r} for {x} under binder of {e.var} would capture"
+                )
+    new = []
+    same = True
+    for c in children(e):
+        d = substitute(c, x, t)
+        new.append(d)
+        same = same and d is c
+    if same:
+        return e
+    if SIGNATURE[cls].datum is None:
+        return cls(*new)  # rebuild(e, new) without a frame of its own
+    return rebuild(e, new)
 
 
 def rename_var(phi: Formula, old: str, new: str) -> Formula:

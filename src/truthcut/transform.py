@@ -75,6 +75,7 @@ from .deriv import (
     Sequent,
     compute_measures,
     copy_occ,
+    cut_rank,
     fold,
     occ,
     refresh_ids,
@@ -95,9 +96,7 @@ from .syntax import (
     formula_facts,
     free_vars,
     fresh_name,
-    logical_complexity,
     numeral_value,
-    subst_term,
     substitute,
 )
 
@@ -270,8 +269,8 @@ def _subst_tree(d: Derivation, x: str, t: Term) -> Derivation:
                 template = (v, substitute(chi, x, t))
         return remake(
             node, conclusion=concl, premises=tuple(premises), template=template,
-            term=None if node.term is None else subst_term(node.term, x, t),
-            term2=None if node.term2 is None else subst_term(node.term2, x, t),
+            term=None if node.term is None else substitute(node.term, x, t),
+            term2=None if node.term2 is None else substitute(node.term2, x, t),
         )
 
     return fold(d, step)
@@ -735,11 +734,10 @@ def drop_context(d: Derivation, occ_id: int) -> Derivation:
 
 def _build_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
                m_allow: int) -> Derivation:
-    phi = d0.conclusion.find(aid)[2].formula
-    if logical_complexity(phi) + 1 > m_allow:
+    rank = cut_rank(d0.conclusion.find(aid)[2].formula)
+    if rank > m_allow:
         raise TransformError(
-            f"reduction would need a cut of rank {logical_complexity(phi) + 1} "
-            f"> allowed {m_allow}"
+            f"reduction would need a cut of rank {rank} > allowed {m_allow}"
         )
     return build_cut(d0, aid, d1, bid)
 
@@ -966,7 +964,7 @@ def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
         raise TransformError("cut contexts do not match")
     m0 = compute_measures(d0)
     m1 = compute_measures(d1)
-    max_rank = max(m0.cut_rank, m1.cut_rank, logical_complexity(phi))
+    max_rank = max(m0.cut_rank, m1.cut_rank, cut_rank(phi) - 1)
     fuel = _Fuel(200_000)
     cut = build_cut(d0, aid, d1, bid)
     out, m = _reduce(cut, max_rank, fuel)
@@ -1025,9 +1023,7 @@ def _within(actual: int, bound: int | dict) -> bool:
 
 def _cut_rank_of(node: Derivation) -> int:
     pi, oid = node.actives[0]
-    return logical_complexity(
-        node.premises[pi].conclusion.find(oid)[2].formula
-    ) + 1
+    return cut_rank(node.premises[pi].conclusion.find(oid)[2].formula)
 
 
 def _max_cut_rank(d: Derivation) -> int:

@@ -208,3 +208,13 @@ def test_diagonal_codes_pinned():
     for digest, phi in pinned.items():
         code = str(encode(phi)).encode()
         assert hashlib.sha256(code).hexdigest()[:32] == digest, phi
+
+
+def test_constants_have_one_code_each():
+    # [DERIVED] 0, top and bot carry no payload; any other payload under
+    # their tag codes nothing
+    for e in (Zero(), Top(), Bot()):
+        tag, payload = unpair(encode(e) - 1)
+        assert payload == 0 and decode(encode(e)) == e
+        with pytest.raises(DecodeError):
+            decode(pair(tag, 5) + 1)

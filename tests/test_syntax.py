@@ -1,16 +1,22 @@
-"""Syntax trees, substitution, and complexity measures."""
+"""Syntax trees, the signature, substitution, and complexity measures."""
 
 import random
+import sys
 
 import pytest
 
-from truthcut.coding import quote
+from truthcut.coding import _TAGS, decode, encode, quote
+from truthcut import syntax
+from truthcut.sexpr import HEADS, format_formula, parse_formula, parse_term
 from truthcut.syntax import (
+    SIGNATURE,
+    SYNTAX_FN_ARITY,
     And,
     Bot,
     CaptureError,
     Eq,
     Forall,
+    Formula,
     Not,
     Num,
     Plus,
@@ -21,6 +27,7 @@ from truthcut.syntax import (
     Var,
     Zero,
     SynApp,
+    Term,
     bound_vars,
     formula_facts,
     free_vars,
@@ -206,3 +213,77 @@ def test_facts_slot_is_invisible():
     d = init_leaf([phi], Eq(x, ZERO), [])
     for obj in (phi, x, ZERO, Top(), d, d.conclusion, d.conclusion.ante[0]):
         assert not hasattr(obj, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# The signature, and how deep each walk reaches
+
+
+def _subclasses(cls):
+    """The live subclasses of ``cls`` (a slotted dataclass replaces the class
+    its decorator was given, which may linger among the subclasses)."""
+    for sub in cls.__subclasses__():
+        if getattr(syntax, sub.__name__) is sub:
+            yield sub
+            yield from _subclasses(sub)
+
+
+def test_every_constructor_has_a_row_in_each_table():
+    # [DERIVED] the signature, the reader/printer heads and the coding tags
+    # cover exactly the concrete term and formula classes
+    constructors = {*_subclasses(Term), *_subclasses(Formula)}
+    assert len(constructors) == 14
+    for table in (SIGNATURE, HEADS, _TAGS):
+        assert set(table) == constructors
+
+
+def _one_of_each():
+    terms = [x, Zero(), Num(0), Num(7), Suc(x), Plus(x, Zero()), Times(Num(2), y)]
+    terms += [SynApp(s, (x, Num(1), Suc(y))[:n]) for s, n in SYNTAX_FN_ARITY.items()]
+    formulas = [Eq(x, Num(0)), Tr(Suc(x)), Top(), Bot(), Not(Eq(x, y)),
+                And(Top(), Tr(x)), Forall("y", Eq(x, y))]
+    return terms, formulas
+
+
+def test_each_constructor_round_trips():
+    # [DERIVED] for one instance of each constructor (every syntax-function
+    # symbol included): read(print(e)) == e, decode(encode(e)) == e, and
+    # substituting x for x gives e back
+    terms, formulas = _one_of_each()
+    assert {type(e) for e in terms + formulas} == set(SIGNATURE)
+    for parse, exprs in ((parse_term, terms), (parse_formula, formulas)):
+        for e in exprs:
+            assert parse(format_formula(e)) == e
+            assert decode(encode(e)) == e
+            assert substitute(e, "x", Var("x")) == e
+
+
+DEEP = 900
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_walks_reach_900_levels(default_recursion_limit):
+    # [DERIVED] the reader, printer and substitution take one frame per
+    # syntax level, so 900 levels fit under the default recursion limit;
+    # formula_facts takes 300 (is_base_formula recurses inside a generator)
+    text = "(not " * DEEP + "(= x 0)" + ")" * DEEP
+    phi = parse_formula(text)
+    assert format_formula(phi) == text
+    # (== on trees this deep would recurse through the dataclasses' __eq__)
+    assert format_formula(substitute(phi, "x", Num(1))) == text.replace("x", "1")
+    assert logical_complexity(phi) == DEEP
+    term = "(S " * DEEP + "x" + ")" * DEEP
+    t = parse_term(term)
+    assert format_formula(t) == term
+    assert format_formula(substitute(t, "x", Num(1))) == term.replace("x", "1")
+    shallow = parse_formula("(not " * 300 + "(= x 0)" + ")" * 300)
+    assert formula_facts(shallow) == (frozenset({"x"}), frozenset(), False)
