@@ -21,29 +21,29 @@ Conventions:
   each rank pass of ``eliminate_cuts``) fold over premises; ``_invert``,
   ``_contract`` and ``drop_context`` fold over the ancestry of the
   occurrences they follow (:func:`_ancestry`).  ``_reduce`` descends through
-  truth-rule principal pairs in a loop, and ``_push`` is a step of the
-  ancestry walk of a cut formula that is a side formula: it reduces the cut
-  at each top of that ancestry and re-links the nodes below.  Each top
-  weakens the node, and also the cut's other premise (a copy of it after
-  the first such top), unless the top is a leaf that has the cut formula as
-  a side formula: there the reduction keeps the leaf, so the other premise
-  is neither weakened nor copied.
+  truth-rule principal pairs in a loop, and ``_push`` walks the ancestry of
+  a cut formula that is a side formula, carrying the cut's other premise
+  with it: it reduces the cut at each top of that ancestry and re-links the
+  nodes below.  Only the other premise is weakened (a copy of it after the
+  first top), and not at a leaf top that has the cut formula as a side
+  formula: the reduction keeps that leaf.
 * Every rebuilt node is re-linked to its new premises by :func:`_relink`
   and constructed by :func:`~.deriv.remake`.  A rank pass of
   ``eliminate_cuts`` keeps every node whose premises come back unchanged,
   so it copies no cut-free subtree.
-* Contraction into a principal occurrence inverts the other copy into the
-  formulas of the rule's actives, which is the invertibility the
-  cut-elimination argument rests on; only ``foralll``, whose premise keeps
-  the universal, contracts directly.
+* Cut reduction and contraction rest on the rules' invertibility, as the
+  cut-elimination argument does: past a principal, its partner in the other
+  premise, or its other copy, is inverted into the formulas of the rule's
+  actives (``foralll``, whose premise keeps the universal, needs no
+  inversion).  Cut reduction contracts only in its ``init`` axiom cases.
 * ``weaken`` and ``substitute_proof`` reuse occurrence ids, so their
   occurrence maps are identities.
 * Every step returns the exact map from its input's conclusion occurrence
   ids to its output's, read from actives and lineage; no occurrence is
-  relocated by its formula.  Formulas are compared only to pair equal ones:
-  the contexts of a new two-premise node (``build.match_contexts``), the
-  formulas a weakening adds (:func:`_missing`), and the named occurrence a
-  duplicate is contracted into (:func:`_contract_to`).
+  relocated by its formula, and ``_push`` carries the cut's other premise
+  up paired with the main one by lineage.  Formulas are paired only where
+  ``build`` makes a two-premise node (``match_contexts``): the cuts at the
+  tops of ``_push`` and in ``_reduce``'s principal cases.
 * ``invert`` and ``contract`` certify per-occurrence T-complexity bounds
   through their maps pointwise; ``reduce_cut`` and ``eliminate_cuts`` return
   their maps and certify the measure triple only.
@@ -61,10 +61,8 @@ Conventions:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .build import match_contexts
 from .build import cut as build_cut
 from .coding import DecodeError, decode_sentence
 from .deriv import (
@@ -74,7 +72,6 @@ from .deriv import (
     Occurrence,
     Sequent,
     compute_measures,
-    copy_occ,
     cut_rank,
     fold,
     occ,
@@ -688,27 +685,6 @@ def contract(d: Derivation, ida: int, idb: int, system: str) -> TransformResult:
     )
 
 
-def _contract_to(d: Derivation, m: dict[int, int]):
-    """Contract every end-sequent occurrence of ``d`` that no value of ``m``
-    names into the first named occurrence of its formula on its side; two
-    named occurrences are never merged.  Returns (derivation, ``m``
-    re-pointed to the new ids)."""
-    key_of = {v: k for k, v in m.items()}
-    merges = []
-    for occs in (d.conclusion.ante, d.conclusion.succ):
-        first: dict[Formula, int] = {}
-        for o in occs:
-            if o.id in key_of:
-                first.setdefault(o.formula, key_of[o.id])
-        merges += [(first[o.formula], o.id) for o in occs
-                   if o.id not in key_of]
-    for k, extra in merges:
-        # a contraction moves only the ids it merges, so ``extra`` is intact
-        d, mc = _contract(d, m[k], extra)
-        m = {j: mc[v] for j, v in m.items()}
-    return d, m
-
-
 # ---------------------------------------------------------------------------
 # Dropping a never-principal context occurrence (top/bot monotonicity)
 
@@ -817,11 +793,9 @@ def _reduce(cut: Derivation, m_allow, fuel):
 
     # --- cut formula parametric (non-principal) in one premise ------------
     if aid not in d0.principal:
-        out, m = _push(d0, aid, d1, bid, True, m_allow, fuel)
-        return out, {c: m[x] for c, x in via0.items()}
+        return _push(cut, 0, m_allow, fuel)
     if bid not in d1.principal:
-        out, m = _push(d1, bid, d0, aid, False, m_allow, fuel)
-        return out, {c: m[x] for c, x in via1.items()}
+        return _push(cut, 1, m_allow, fuel)
 
     # --- principal on both sides ------------------------------------------
     # each case ends in a cut ``out`` one of whose premises keeps the ids of
@@ -868,74 +842,88 @@ def _reduce(cut: Derivation, m_allow, fuel):
     return out, {c: new[up[x]] for c, x in via0.items()}
 
 
-def _missing(have: Sequent, want: Sequent):
-    """The formulas ``want`` holds more often than ``have``: the antecedent
-    and succedent lists that weaken ``have`` up to ``want``."""
-    return tuple(
-        list((Counter(o.formula for o in w)
-              - Counter(o.formula for o in h)).elements())
-        for h, w in ((have.ante, want.ante), (have.succ, want.succ))
-    )
+def _carry(node: Derivation, pi: int, a: int, oth: Derivation, pair):
+    """The walk item of ``node``'s premise ``pi`` in :func:`_push`: the
+    premise, the cut formula ``a``'s ancestor there, and ``oth`` and ``pair``
+    carried up to it.  A paired principal's partner is inverted in ``oth``
+    into the premise's actives, which take over its pair."""
+    premise = node.premises[pi]
+    actives = [oid for i, oid in node.actives if i == pi]
+    up, moved = {}, None
+    for p in node.principal:
+        if p not in pair:
+            continue  # consumed further down, so ``oth`` never held it
+        if node.rule == "foralll":
+            up[actives[0]] = pair[p]  # the premise keeps the universal
+            continue
+        if node.rule not in _INVERTIBLE:
+            raise TransformError(f"cannot push a cut past a {node.rule!r} principal")
+        repl = [(hit[2].formula, hit[0])
+                for hit in map(premise.conclusion.find, actives)]
+        if node.rule == "forallr" and node.var in collect_eigenvars(oth):
+            oth = freshen_eigenvariables(oth, {node.var})
+        oth, moved, new = _invert(oth, pair[p], node.rule, repl, pi, node.var)
+        up.update(zip(actives, new))
+    for c, oc in pair.items():
+        if c not in node.principal:
+            for i, oid in _ancestors(node, c):
+                if i == pi:
+                    up[oid] = oc if moved is None else moved[oc]
+    a_up = next(oid for i, oid in _ancestors(node, a) if i == pi)
+    return premise, a_up, oth, up
 
 
-def _push(main, main_id, other, other_id, main_is_left, m_allow, fuel):
-    """The cut formula is a side formula of ``main``'s last rule: one walk up
-    its ancestry.  At each top (where it is principal, or at a leaf) the cut
-    is reduced.  A leaf top where it is a side formula is kept, weakened to
-    ``other``'s context and without the cut formula, since that is what
-    :func:`_reduce` makes of the cut there: it throws ``other`` away.  At
-    any other top the node and ``other`` are weakened once to one context
-    and their cut is reduced; the first such top cuts ``other`` itself, each
-    later one a copy with fresh ids.  Each node below is re-linked without
-    the cut formula, carrying the occurrences that came from ``other``; the
-    duplicated context is contracted away once, at the end.  Returns
-    (derivation, map from ``main``'s conclusion ids other than ``main_id``
-    to the output's).
+def _push(cut: Derivation, mi: int, m_allow, fuel):
+    """The cut formula is a side formula of the last rule of ``main``, the
+    cut's premise ``mi``: one walk up its ancestry carries the other premise
+    ``other``, paired with ``main`` by lineage (:func:`_carry`).  At each top
+    (where the cut formula is principal, or at a leaf) the cut is reduced: a
+    leaf top where it is a side formula is kept without it, as :func:`_reduce`
+    keeps it, and any other top is cut against ``other`` weakened by the
+    top's unpaired occurrences (a copy with fresh ids after the first such
+    top).  Each node below is re-linked without the cut formula.  Returns
+    (derivation, map from the cut's conclusion ids to the output's)."""
+    a, b = cut.actives[mi][1], cut.actives[1 - mi][1]
+    via_main, via_other = _parents(cut, mi), _parents(cut, 1 - mi)
+    pair = {x: via_other[c] for c, x in via_main.items()} | {a: b}
+    used = False  # whether a top has cut ``other``'s own ids
 
-    ``main_is_left`` says whether ``main`` proves the sequent with the cut
-    formula on the right (i.e. plays the left role of the cut)."""
-    o_ctx = _minus(other.conclusion, other_id)
-    b_side, b_pos, _ = other.conclusion.find(other_id)
-    unused = [other]  # the first top cuts ``other`` itself, later ones a copy
-    # _reduce's leaf cases: a cut whose left premise is a leaf keeps that
-    # leaf, so with ``main`` on the right a leaf ``other`` is what is kept
-    drops_other = main_is_left or bool(other.premises)
+    def children(item):
+        node, a, oth, pair = item
+        if not node.premises or a in node.principal:
+            return ()
+        return [_carry(node, pi, a, oth, pair)
+                for pi in range(len(node.premises))]
 
     def step(item, done):
-        node, (a,) = item
-        if not done:
-            p_ctx = _minus(node.conclusion, a)
-            if drops_other and not node.premises and a not in node.principal:
-                fuel.burn()  # as _reduce would, so the guard trips alike
-                tw = _weaken(node, *_missing(p_ctx, o_ctx))[0]
-                return _relink(tw, (), (), a), _same_ids(node, a)
-            oth = unused.pop() if unused else refresh_ids(other)
-            # weakening appends, so the cut occurrence keeps its position
-            b = getattr(oth.conclusion, b_side)[b_pos].id
-            tw = _weaken(node, *_missing(p_ctx, o_ctx))[0]
-            ow = _weaken(oth, *_missing(o_ctx, p_ctx))[0]
-            top = build_cut(tw, a, ow, b) if main_is_left else build_cut(ow, b, tw, a)
-            new, m = _reduce(top, m_allow, fuel)
-            below = _children(top, 0 if main_is_left else 1)
-            return new, {o.id: m[below[o.id]] for o in p_ctx.all_occurrences()}
-        # below a top: what a premise carries is what no old id maps to
-        subs, maps = [d for d, _ in done], [m for _, m in done]
-        carried = [_minus(d.conclusion, *m.values()) for d, m in done]
-        if len(done) == 2:
-            # each branch first gets what only the other one carries
-            subs = [_weaken(d, *_missing(c, c2))[0]
-                    for d, c, c2 in zip(subs, carried, carried[::-1])]
-            carried = [_minus(d.conclusion, *m.values())
-                       for d, m in zip(subs, maps)]
-        add = []
-        for side in ("ante", "succ"):
-            extras = [getattr(c, side) for c in carried]
-            pairs = match_contexts(*extras) if len(extras) == 2 else zip(*extras)
-            add += [(copy_occ(es[0]), side, tuple(enumerate(o.id for o in es)))
-                    for es in pairs]
-        return _relink(node, subs, maps, a, add), _same_ids(node, a)
+        nonlocal used
+        node, a, oth, pair = item
+        if done:
+            new = _relink(node, [d for d, _ in done], [m for _, m in done], a)
+            return new, _same_ids(node, a)
+        # _reduce keeps a leaf left premise, so with ``main`` on the right a
+        # leaf ``oth`` is kept instead of the top
+        if (not node.premises and a not in node.principal
+                and (mi == 0 or oth.premises)):
+            fuel.burn()  # as _reduce would, so the guard trips alike
+            return _relink(node, (), (), a), _same_ids(node, a)
+        b = pair[a]
+        if used:  # the cut occurrence keeps its position in the copy
+            i = [o.id for o in oth.conclusion.all_occurrences()].index(b)
+            oth = refresh_ids(oth)
+            b = oth.conclusion.all_occurrences()[i].id
+        used = True
+        ctx = _minus(node.conclusion, a)
+        ow = _weaken(oth, *([o.formula for o in s if o.id not in pair]
+                            for s in (ctx.ante, ctx.succ)))[0]
+        top = build_cut(node, a, ow, b) if mi == 0 else build_cut(ow, b, node, a)
+        new, m = _reduce(top, m_allow, fuel)
+        below = _children(top, mi)
+        return new, {o.id: m[below[o.id]] for o in ctx.all_occurrences()}
 
-    return _contract_to(*_ancestry(main, (main_id,), step))
+    out, m = fold((cut.premises[mi], a, cut.premises[1 - mi], pair),
+                  step, children)
+    return out, {c: m[x] for c, x in via_main.items()}
 
 
 def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -525,9 +526,10 @@ def _branches_carry_different_contexts():
 
 
 def test_push_through_branches_that_carry_different_contexts():
-    # [DERIVED] pushing the cut up both branches of the andr carries ~C down
-    # from the right top only; the left branch is weakened by it before the
-    # andr is re-linked, and the duplicate is contracted away at the end
+    # [DERIVED] the cut is pushed up both branches of the andr, whose tops
+    # differ in context: on the left branch the right premise's ~C is
+    # inverted past the negl that introduces it, so each top is cut against
+    # a premise that fits it
     d0, aid, d1, bid = _branches_carry_different_contexts()
     d = B.cut(d0, aid, d1, bid)
     assert sum(1 for _ in d.iter_nodes()) == 15
@@ -619,19 +621,133 @@ def test_principal_cut_reduction_maps_every_occurrence_exactly():
                      ("forallr", "foralll"), ("Tr", "Tl")}
 
 
-@pytest.mark.parametrize("named", [(0, 1), (0, 2), (1, 2)])
-def test_contract_to_never_merges_two_named_occurrences(named):
-    # [DERIVED] three copies of PSI, two of them named by the map: only the
-    # unnamed copy is contracted, into the first named one, and both named
-    # copies survive with distinct ids
-    lf = B.init_leaf([PSI, PSI, PSI], PHI, [])
-    d = B.neg_right(lf, _ante_id(lf, PHI))          # PSI, PSI, PSI => PHI, ~PHI
-    unnamed = d.conclusion.ante[3 - sum(named)].id
-    m = {o.id: o.id for o in d.conclusion.all_occurrences() if o.id != unnamed}
-    out, m2 = transform._contract_to(d, m)
-    assert check_derivation(out, "lptn").ok
-    assert out.conclusion.ante_formulas() == [PSI, PSI]
-    _assert_exact(m2, _where(d.conclusion, unnamed), _where(out.conclusion))
+def _cut_beside_three_copies():
+    """A cut on ~PHI whose left premise has three copies of ~PSI in its
+    antecedent: one introduced by a negl on the cut formula's path below
+    its top, a negr, and two carried from the leaf.  The right premise
+    holds the same three, one of them introduced by a negl."""
+    n = Not(PSI)
+    lf = B.init_leaf([n, n], PHI, [PSI])              # ~PSI, ~PSI, PHI => PHI, PSI
+    top = B.neg_right(lf, _ante_id(lf, PHI))          # ~PSI, ~PSI => PHI, PSI, ~PHI
+    d0 = B.neg_left(top, _succ_id(top, PSI))          # ~PSI x3 => PHI, ~PHI
+    e = prove_equation([n, n], Zero(), Zero(), [PHI, PSI])
+    e = B.neg_left(e, _succ_id(e, PSI))               # ~PSI x3 => PHI, PHI
+    d1 = B.neg_left(e, _succ_id(e, PHI, 1))           # ~PSI x3, ~PHI => PHI
+    return d0, _succ_id(d0, Not(PHI)), d1, _ante_id(d1, Not(PHI))
+
+
+def test_cut_keeps_three_equal_compound_formulas_apart():
+    # [DERIVED] the partner of the ~PSI the negl introduces is inverted in the
+    # right premise, the other two follow lineage: the maps stay exact
+    # bijections and the output keeps three copies, each with its own id
+    d0, aid, d1, bid = _cut_beside_three_copies()
+    cut = B.cut(d0, aid, d1, bid)
+    assert check_derivation(cut, "lptn").ok
+    r = reduce_cut(d0, aid, d1, bid, "lptn")
+    e = eliminate_cuts(cut, "lptn")
+    _assert_exact(r.occ_map, _where(d0.conclusion, aid),
+                  _where(r.derivation.conclusion))
+    _assert_exact(e.occ_map, _where(cut.conclusion),
+                  _where(e.derivation.conclusion))
+    for out in (r.derivation, e.derivation):
+        copies = [o.id for o in out.conclusion.ante if o.formula == Not(PSI)]
+        assert len(set(copies)) == 3
+
+
+def _cut_past_a_clashing_eigenvariable():
+    """A cut on T<PHI> that is a side formula of a forallr with eigenvariable
+    y in the left premise.  In the right premise the partner universal is
+    introduced by a forallr on z, above which another forallr binds y."""
+    fa = Forall("x", Eq(Var("x"), Var("x")))
+    fc = Forall("x", Eq(Suc(Var("x")), Suc(Var("x"))))
+    yy = Eq(Var("y"), Var("y"))
+    q = prove_equation([], Zero(), Zero(), [yy, fc])  # => PHI, y=y, FC
+    q = B.truth_right(q, _succ_id(q, PHI))            # => T<PHI>, y=y, FC
+    d0 = B.forall_right(q, _succ_id(q, yy), fa, "y")  # => T<PHI>, FC, FA
+    sy = Eq(Suc(Var("y")), Suc(Var("y")))
+    zz = Eq(Var("z"), Var("z"))
+    p = prove_equation([PHI], Suc(Var("y")), Suc(Var("y")), [zz])
+    p = B.forall_right(p, _succ_id(p, sy), fc, "y")   # PHI => z=z, FC
+    p = B.forall_right(p, _succ_id(p, zz), fa, "z")   # PHI => FC, FA
+    d1 = B.truth_left(p, _ante_id(p, PHI))            # T<PHI> => FC, FA
+    return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
+
+
+def test_push_past_forallr_freshens_a_clashing_eigenvariable():
+    # [DERIVED] FA's partner is inverted onto the eigenvariable y of the
+    # forallr it is pushed past; the forallr on y inside the right premise is
+    # renamed first, or the output would bind y twice.  Each premise is valid
+    # on its own; together they bind y twice, so only reduce_cut, which
+    # takes them apart, can be given them
+    d0, aid, d1, bid = _cut_past_a_clashing_eigenvariable()
+    assert check_derivation(d0, "lptn").ok and check_derivation(d1, "lptn").ok
+    r = reduce_cut(d0, aid, d1, bid, "lptn")
+    _assert_exact(r.occ_map, _where(d0.conclusion, aid),
+                  _where(r.derivation.conclusion))
+    eigenvariables = [n.var for _, n in r.derivation.iter_nodes()
+                      if n.rule == "forallr"]
+    assert eigenvariables.count("y") == 1 and len(eigenvariables) == 2
+
+
+def _cut_past_an_unpaired_principal():
+    """A cut on T<PHI> whose left premise ends in a cut on ~PSI: on the cut
+    formula's path a negr and a negl introduce ~PSI, which the lower cut
+    consumes, so the right premise holds no partner for it."""
+    m1 = prove_equation([PSI], Zero(), Zero(), [PHI])   # PSI => PHI, PHI
+    m1 = B.truth_right(m1, _succ_id(m1, PHI))           # PSI => T<PHI>, PHI
+    m1 = B.neg_right(m1, _ante_id(m1, PSI))             # => T<PHI>, PHI, ~PSI
+    m2 = prove_equation([], Suc(Zero()), Suc(Zero()), [PHI, PHI])
+    m2 = B.truth_right(m2, _succ_id(m2, PHI))           # => PSI, T<PHI>, PHI
+    m2 = B.neg_left(m2, _succ_id(m2, PSI))              # ~PSI => T<PHI>, PHI
+    d0 = B.cut(m1, _succ_id(m1, Not(PSI)), m2, _ante_id(m2, Not(PSI)))
+    lf = B.init_leaf([], PHI, [])
+    d1 = B.truth_left(lf, _ante_id(lf, PHI))            # T<PHI> => PHI
+    return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
+
+
+def test_push_past_an_unpaired_principal_inverts_nothing(monkeypatch):
+    # [DERIVED] the ~PSI principals on the path have no partner in the right
+    # premise: nothing is inverted there, and each top weakens the right
+    # premise by PSI instead
+    d0, aid, d1, bid = _cut_past_an_unpaired_principal()
+    cut = B.cut(d0, aid, d1, bid)
+    assert check_derivation(cut, "lptn").ok
+    inversions = []
+    invert_ = transform._invert
+
+    def counted(*args):
+        inversions.append(args[2])
+        return invert_(*args)
+
+    monkeypatch.setattr(transform, "_invert", counted)
+    r = reduce_cut(d0, aid, d1, bid, "lptn")
+    assert inversions == []
+    _assert_exact(r.occ_map, _where(d0.conclusion, aid),
+                  _where(r.derivation.conclusion))
+    e = eliminate_cuts(cut, "lptn")
+    _assert_exact(e.occ_map, _where(cut.conclusion),
+                  _where(e.derivation.conclusion))
+
+
+def test_push_past_a_compositional_principal_is_refused():
+    # [DERIVED] a paired comp principal on the cut formula's path cannot be
+    # inverted in the right premise: a TransformError, not a BuildError or a
+    # result
+    term = SynApp("anddot", (Num(encode(PHI)), Num(encode(PSI))))
+    a = B.init_leaf([PSI], PHI, [PSI])                # PSI, PHI => PHI, PSI
+    b = B.init_leaf([PHI], PSI, [PSI])                # PHI, PSI => PSI, PSI
+    d0 = B.comp_node(a, _succ_id(a, PHI), b, _succ_id(b, PSI))
+    a1 = B.init_leaf([PSI, PSI], PHI, [])             # PSI, PSI, PHI => PHI
+    b1 = B.init_leaf([PHI, PSI], PSI, [])             # PHI, PSI, PSI => PSI
+    d1 = B.comp_node(a1, _succ_id(a1, PHI), b1, _succ_id(b1, PSI))
+    aid, bid = _succ_id(d0, PSI), _ante_id(d1, PSI)
+    cut = B.cut(d0, aid, d1, bid)                     # PSI, PHI => T(term)
+    assert cut.conclusion.succ_formulas() == [Tr(term)]
+    assert check_derivation(cut, "lptn_comp").ok
+    with pytest.raises(TransformError, match="'comp' principal"):
+        reduce_cut(d0, aid, d1, bid, "lptn_comp")
+    with pytest.raises(TransformError, match="'comp' principal"):
+        eliminate_cuts(cut, "lptn_comp")
 
 
 # ---------------------------------------------------------------------------
@@ -948,19 +1064,27 @@ def test_weakening_by_closed_formulas_walks_no_eigenvariables(monkeypatch):
     assert walks == [d]
 
 
-#: fuel burned by reduce_cut and eliminate_cuts over the transform digest's
-#: corpus, recorded before tops that drop the other premise stopped copying it
-_DIGEST_FUEL = {"reduce": 1357, "elim": 3057}
-
-
-def test_fuel_on_the_digest_corpus_is_unchanged(monkeypatch):
-    # [DERIVED] a top that keeps its leaf still burns one unit of fuel, so
-    # the guard runs out at the same step as before
+def _transform_digest(monkeypatch):
+    """The transform digest script, whose corpus the tests below reuse."""
     import pathlib
 
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
     import transform_digest
 
+    return transform_digest
+
+
+#: fuel burned by reduce_cut and eliminate_cuts over the transform digest's
+#: corpus, recorded when a pushed cut started inverting the other premise on
+#: the way up: the premises later pushes walk lose the spliced-out rules, so
+#: they meet fewer leaf tops
+_DIGEST_FUEL = {"reduce": 1353, "elim": 3017}
+
+
+def test_fuel_on_the_digest_corpus_is_unchanged(monkeypatch):
+    # [DERIVED] a top that keeps its leaf still burns one unit of fuel, so
+    # the guard runs out at the same step as before
+    transform_digest = _transform_digest(monkeypatch)
     burned = {"reduce": 0, "elim": 0}
     kind = []
 
@@ -979,3 +1103,25 @@ def test_fuel_on_the_digest_corpus_is_unchanged(monkeypatch):
                 except TransformError:
                     pass
     assert burned == _DIGEST_FUEL
+
+
+def test_pushed_cuts_contract_nothing_on_the_digest_corpus(monkeypatch):
+    # [DERIVED] a pushed cut inverts the other premise on the way up instead
+    # of contracting duplicates afterwards: over the elim inputs of the
+    # transform digest, only _reduce's init cases call _contract
+    transform_digest = _transform_digest(monkeypatch)
+    callers = []
+    contract_ = transform._contract
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code)
+        return contract_(*args)
+
+    monkeypatch.setattr(transform, "_contract", counted)
+    for d, system in transform_digest._corpus():
+        if d.rule == "cut":
+            try:
+                eliminate_cuts(d, system)
+            except TransformError:
+                pass
+    assert callers and set(callers) == {transform._reduce.__code__}

@@ -18,10 +18,21 @@ the number of calls and the output digest of each call kind (``invert``,
 ``drop``, ``contract``, ``reduce``, ``elim``), so a change shows which kinds
 moved.  Its whole output is pinned in ``tests/digests/transform.txt``, which
 CI compares it with.
+
+With ``--dump PATH`` it also writes one JSON line per call to ``PATH``:
+``call`` (the corpus index and label), ``error`` (the error type and text,
+or null), ``nodes`` (the output's node count, a list for an ``invert`` with
+two outputs) and ``output`` (the output's ``print_script`` text).  Two dumps
+compare call by call where the digests only say that something moved::
+
+    PYTHONPATH=<checkout>/src:tests:bench python3 tests/transform_digest.py --dump calls.jsonl
+
+The printed digests are the same with or without the flag.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -88,7 +99,25 @@ def _record(result):
                                (result.occ_map or {}).items())]))
 
 
-def main() -> int:
+def _dump_record(call, result):
+    """The ``--dump`` line of one call: its result, or the error it raised."""
+    if isinstance(result, Exception):
+        return {"call": call, "error": f"{type(result).__name__}: {result}",
+                "nodes": None, "output": None}
+    outs = result if isinstance(result, tuple) else (result,)
+    outs = [r if isinstance(r, deriv.Derivation) else r.derivation for r in outs]
+    nodes = [sum(1 for _ in d.iter_nodes()) for d in outs]
+    return {"call": call, "error": None,
+            "nodes": nodes if len(nodes) > 1 else nodes[0],
+            "output": "".join(print_script(d) for d in outs)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write one JSON line per call to PATH")
+    args = parser.parse_args(argv)
+    dump = open(args.dump, "w") if args.dump else None
     corpus = _corpus()
     start = 1 + max(o.id for d, _ in corpus for _, n in d.iter_nodes()
                     for o in n.conclusion.all_occurrences())
@@ -99,9 +128,13 @@ def main() -> int:
         for label, call in _calls(d, system):
             deriv._ids = itertools.count(start)
             try:
-                text, id_text = _record(call())
+                result = call()
+                text, id_text = _record(result)
             except Exception as e:  # noqa: BLE001 - the error is the record
+                result = e
                 text, id_text = f"{type(e).__name__}: {e}", ""
+            if dump:
+                dump.write(json.dumps(_dump_record(f"{k} {label}", result)) + "\n")
             record = f"{k} {label}\n{text}\n".encode()
             out.update(record)
             ids.update(record + id_text.encode())
@@ -109,6 +142,8 @@ def main() -> int:
             kind[0] += 1
             kind[1].update(record)
             calls += 1
+    if dump:
+        dump.close()
     print(f"calls {calls}\noutput {out.hexdigest()}\nids    {ids.hexdigest()}")
     for name, (n, digest) in kinds.items():
         print(f"{name:<8} {n:>5} {digest.hexdigest()}")
