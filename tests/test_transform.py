@@ -654,6 +654,23 @@ def test_cut_keeps_three_equal_compound_formulas_apart():
         assert len(set(copies)) == 3
 
 
+@pytest.mark.parametrize("named", [(0, 1), (0, 2), (1, 2)])
+def test_contract_to_never_merges_two_named_occurrences(named):
+    # [DERIVED] three copies of PSI, two of them named: contracting the
+    # unnamed copy into the first named one merges only those two, and both
+    # named copies survive with distinct ids
+    lf = B.init_leaf([PSI, PSI, PSI], PHI, [])
+    d = B.neg_right(lf, _ante_id(lf, PHI))          # PSI, PSI, PSI => PHI, ~PHI
+    first, second = (d.conclusion.ante[i].id for i in named)
+    unnamed = d.conclusion.ante[3 - sum(named)].id
+    r = contract(d, first, unnamed, "lptn")
+    out, m = r.derivation, dict(r.occ_map)
+    assert check_derivation(out, "lptn").ok
+    assert out.conclusion.ante_formulas() == [PSI, PSI]
+    assert m.pop(unnamed) == m[first] != m[second]
+    _assert_exact(m, _where(d.conclusion, unnamed), _where(out.conclusion))
+
+
 def _cut_past_a_clashing_eigenvariable():
     """A cut on T<PHI> that is a side formula of a forallr with eigenvariable
     y in the left premise.  In the right premise the partner universal is
