@@ -119,17 +119,10 @@ def _rewrite_chain(f0: Eq):
 # Plan execution
 
 
-def _find_ante(d: Derivation, f: Formula) -> int:
-    for o in d.conclusion.ante:
-        if o.formula == f:
-            return o.id
-    raise ArithError(f"planned hypothesis {f!r} missing from the antecedent")
-
-
 def _apply_axiom(d: Derivation, step) -> Derivation:
     kind, args = step
     axiom = B.AXIOMS[kind](*args)
-    return B.discharge_axiom(kind, d, _find_ante(d, axiom), *args)
+    return B.discharge_axiom(kind, d, d.conclusion.first("ante", axiom), *args)
 
 
 def prove_equation(gamma, s: Term, t: Term, delta) -> Derivation:
@@ -138,7 +131,7 @@ def prove_equation(gamma, s: Term, t: Term, delta) -> Derivation:
     goal = Eq(s, t)
     if s == t:
         leaf = B.init_leaf(list(gamma), goal, list(delta))
-        return B.eq1(leaf, _find_ante(leaf, goal))
+        return B.eq1(leaf, leaf.conclusion.first("ante", goal))
     if not (is_chain_closed(s) and is_chain_closed(t)):
         raise ArithError(
             "non-identical sides must be closed {0,S,+,x} terms"
@@ -151,8 +144,8 @@ def prove_equation(gamma, s: Term, t: Term, delta) -> Derivation:
     hyps = list(forms[1:]) + [Eq(u, v) for _, u, v in rw]
     d = B.init_leaf(list(gamma) + hyps, goal, list(delta))
     for i, (chi, u, v) in enumerate(rw):
-        d = B.eq2(d, _find_ante(d, forms[i]), _TEMPLATE_VAR, chi, u, v)
-    d = B.eq1(d, _find_ante(d, forms[-1]))
+        d = B.eq2(d, d.conclusion.first("ante", forms[i]), _TEMPLATE_VAR, chi, u, v)
+    d = B.eq1(d, d.conclusion.first("ante", forms[-1]))
     for step in triggers:
         d = _apply_axiom(d, step)
     return d
@@ -199,24 +192,24 @@ def refute_equation(gamma, s: Term, t: Term, delta) -> Derivation:
     # phase 1: strip successors (top-down j = q .. 1)
     for j in range(q, 0, -1):
         f = strips[j]
-        d = B.qg2(d, _find_ante(d, f))
+        d = B.qg2(d, d.conclusion.first("ante", f))
     # phase 2: un-flip
     if flip:
         nb = chain_numeral(p)
         na = chain_numeral(q)
         chi = Eq(nb, Var(_TEMPLATE_VAR))
-        d = B.eq2(d, _find_ante(d, strips[0]), _TEMPLATE_VAR, chi, na, nb)
-        d = B.eq1(d, _find_ante(d, Eq(nb, nb)))
+        d = B.eq2(d, d.conclusion.first("ante", strips[0]), _TEMPLATE_VAR, chi, na, nb)
+        d = B.eq1(d, d.conclusion.first("ante", Eq(nb, nb)))
     # phase 3: rewind the rewrite chain with reversed triggers
     for i in range(r - 1, -1, -1):
         chi, u, v = rw[i]
-        d = B.eq2(d, _find_ante(d, forms[i + 1]), _TEMPLATE_VAR, chi, v, u)
+        d = B.eq2(d, d.conclusion.first("ante", forms[i + 1]), _TEMPLATE_VAR, chi, v, u)
     # phase 4: discharge reversed triggers by symmetry, then axioms
     for rvu, auv, evv, step in rev_triggers:
         w2 = "w2_"
         chi = Eq(rvu.left, Var(w2))
-        d = B.eq2(d, _find_ante(d, rvu), w2, chi, auv.left, auv.right)
-        d = B.eq1(d, _find_ante(d, evv))
+        d = B.eq2(d, d.conclusion.first("ante", rvu), w2, chi, auv.left, auv.right)
+        d = B.eq1(d, d.conclusion.first("ante", evv))
         d = _apply_axiom(d, step)
     return d
 

@@ -270,9 +270,11 @@ def _cmd_fixpoint(args) -> int:
         _emit(args, {"verb": "fixpoint", "error": str(e)}, f"UNIVERSE ERROR: {e}")
         return EXIT_FAIL
     fp = least_fixed_point(universe)
-    with _full_codes():
-        payload = {"verb": "fixpoint", **_fixpoint_payload(fp)}
-        _emit(args, payload, "\n".join(_fixpoint_lines(fp)))
+    with _full_codes():  # only the output printed is built
+        if args.json:
+            _emit(args, {"verb": "fixpoint", **_fixpoint_payload(fp)}, "")
+        else:
+            _emit(args, {}, "\n".join(_fixpoint_lines(fp)))
     return EXIT_OK
 
 
@@ -297,7 +299,7 @@ def _cmd_liar(args) -> int:
         "in_fixed_point": in_fp,
         "negation_in_fixed_point": neg_in_fp,
         "grounded": in_fp or neg_in_fp,
-        "fixpoint": _fixpoint_payload(fp),
+        "fixpoint": _fixpoint_payload(fp) if args.json else None,
     }
     lines = [
         f"liar sentence: {format_formula(lam)}",

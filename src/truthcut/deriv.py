@@ -79,6 +79,14 @@ class Sequent:
                 return ("succ", i, o)
         return None
 
+    def first(self, side: str, phi: Formula, skip=()) -> int | None:
+        """The id of the first occurrence of ``phi`` on ``side`` (``ante``
+        or ``succ``) whose id is not in ``skip``, or None."""
+        for o in getattr(self, side):
+            if o.formula == phi and o.id not in skip:
+                return o.id
+        return None
+
 
 def sequent(ante_formulas, succ_formulas) -> Sequent:
     """Fresh-occurrence sequent from plain formula iterables."""
@@ -88,16 +96,21 @@ def sequent(ante_formulas, succ_formulas) -> Sequent:
     )
 
 
-def same_multiset(xs: list[Formula], ys: list[Formula]) -> bool:
-    if len(xs) != len(ys):
-        return False
-    pool = list(ys)
-    for x in xs:
+def minus(xs, ys) -> list:
+    """Multiset difference: a copy of ``xs`` with one equal element removed
+    for each element of ``ys`` that still has one there.  Order is kept, and
+    first copies go first."""
+    out = list(xs)
+    for y in ys:
         try:
-            pool.remove(x)
+            out.remove(y)
         except ValueError:
-            return False
-    return True
+            pass
+    return out
+
+
+def same_multiset(xs, ys) -> bool:
+    return len(xs) == len(ys) and not minus(xs, ys)
 
 
 class RuleShape(NamedTuple):

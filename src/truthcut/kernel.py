@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .build import AXIOM_TERMS, AXIOMS, LEAF_AXIOMS
 from .coding import DecodeError, code_label, decode_sentence, encode
-from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, Occurrence, RuleShape
+from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, Occurrence, RuleShape, fold
 from .syntax import (
     And,
     CaptureError,
@@ -116,25 +116,64 @@ def _hand(node: Derivation) -> str:
 
 
 class _Checker:
+    """Nodes are numbered in pre-order (``at``); a node's path is built only
+    for a reported violation."""
+
     def __init__(self, system: str):
         self.system = system
         self.violations: list[Violation] = []
-        self.eigen_nodes: list[tuple[tuple[int, ...], str]] = []
+        #: OCC_ID_REUSE reports, which come before every other report
+        self.reused: list[Violation] = []
+        #: per node: (its parent's number, its premise index there)
+        self.up: list[tuple[int, int]] = []
+        self.eigen_nodes: list[tuple[int, str]] = []
+        #: node -> the free variables of its sequent, where there are any
+        self.frees: dict[int, set[str]] = {}
+        #: (node, the variables both free and bound in its sequent)
+        self.clashes: list[tuple[int, set[str]]] = []
 
-    def bad(self, path, code, message) -> None:
-        self.violations.append(Violation(tuple(path), code, message))
+    def path(self, at: int) -> tuple[int, ...]:
+        out = []
+        while at:
+            at, i = self.up[at]
+            out.append(i)
+        return tuple(reversed(out))
+
+    def bad(self, at, code, message) -> None:
+        self.violations.append(Violation(self.path(at), code, message))
 
     # -- plumbing ----------------------------------------------------------
 
-    def check_ids(self, d: Derivation) -> None:
+    def walk(self, d: Derivation) -> None:
+        """One pre-order walk on :func:`~.deriv.fold`'s children hook: each
+        node is numbered, its occurrence ids are checked for reuse, its
+        sequent's variables are recorded and the node itself is checked."""
         seen: set[int] = set()
-        for path, node in d.iter_nodes():
+
+        def visit(item):
+            node, parent, pi = item
+            at = len(self.up)
+            self.up.append((parent, pi))
+            frees: set[str] = set()
+            bounds: set[str] = set()
             for o in node.conclusion.all_occurrences():
                 if o.id in seen:
-                    self.bad(path, OCC_ID_REUSE, f"occurrence id {o.id} reused")
+                    self.reused.append(Violation(self.path(at), OCC_ID_REUSE,
+                                                 f"occurrence id {o.id} reused"))
                 seen.add(o.id)
+                f, b, _ = formula_facts(o.formula)
+                frees |= f
+                bounds |= b
+            if frees:
+                self.frees[at] = frees
+                if frees & bounds:
+                    self.clashes.append((at, frees & bounds))
+            self.check_node(at, node)
+            return [(p, at, i) for i, p in enumerate(node.premises)]
 
-    def check_wiring(self, path, node: Derivation) -> bool:
+        fold((d, 0, 0), lambda item, done: None, visit)
+
+    def check_wiring(self, at, node: Derivation) -> bool:
         """Lineage/active bookkeeping: every premise occurrence is consumed
         exactly once; every conclusion occurrence is principal or descends
         from exactly one occurrence per premise; formulas pass through
@@ -152,12 +191,12 @@ class _Checker:
         def consume(pi, oid) -> Occurrence | None:
             nonlocal ok
             if pi >= len(node.premises) or oid not in prem_occ[pi]:
-                self.bad(path, LINEAGE_BROKEN,
+                self.bad(at, LINEAGE_BROKEN,
                          f"reference ({pi},{oid}) is not a premise occurrence")
                 ok = False
                 return None
             if oid in used[pi]:
-                self.bad(path, LINEAGE_BROKEN,
+                self.bad(at, LINEAGE_BROKEN,
                          f"premise occurrence {oid} consumed twice")
                 ok = False
             used[pi].add(oid)
@@ -170,7 +209,7 @@ class _Checker:
         concl_ids = {o.id for o in node.conclusion.all_occurrences()}
         for pid in principal:
             if pid not in concl_ids:
-                self.bad(path, LINEAGE_BROKEN,
+                self.bad(at, LINEAGE_BROKEN,
                          f"principal id {pid} not in conclusion")
                 ok = False
         for o in node.conclusion.all_occurrences():
@@ -179,16 +218,16 @@ class _Checker:
             parents = node.lineage.get(o.id)
             if not node.premises:
                 if parents:
-                    self.bad(path, LINEAGE_BROKEN, "leaf node has lineage")
+                    self.bad(at, LINEAGE_BROKEN, "leaf node has lineage")
                     ok = False
                 continue
             if parents is None:
-                self.bad(path, LINEAGE_BROKEN,
+                self.bad(at, LINEAGE_BROKEN,
                          f"context occurrence {o.id} has no lineage")
                 ok = False
                 continue
             if sorted(pi for pi, _ in parents) != list(range(len(node.premises))):
-                self.bad(path, LINEAGE_BROKEN,
+                self.bad(at, LINEAGE_BROKEN,
                          f"occurrence {o.id} must have one parent per premise")
                 ok = False
             in_ante = o.id in concl_ante
@@ -197,17 +236,17 @@ class _Checker:
                 if parent is None:
                     continue
                 if parent.formula != o.formula:
-                    self.bad(path, LINEAGE_BROKEN,
+                    self.bad(at, LINEAGE_BROKEN,
                              f"context occurrence {o.id} changes formula")
                     ok = False
                 if (oid in prem_ante[pi]) != in_ante:
-                    self.bad(path, LINEAGE_BROKEN,
+                    self.bad(at, LINEAGE_BROKEN,
                              f"context occurrence {o.id} changes side")
                     ok = False
         for pi, p in enumerate(node.premises):
             leftover = set(prem_occ[pi]) - used[pi]
             if leftover:
-                self.bad(path, LINEAGE_BROKEN,
+                self.bad(at, LINEAGE_BROKEN,
                          f"premise {pi} occurrences {sorted(leftover)} not "
                          "carried into the conclusion")
                 ok = False
@@ -215,32 +254,32 @@ class _Checker:
 
     # -- the shape check, then the per-rule formula conditions -------------
 
-    def check_node(self, path, node: Derivation) -> None:
+    def check_node(self, at, node: Derivation) -> None:
         rule = node.rule
         if rule not in SYSTEM_RULES.get(self.system, ()):
             known = any(rule in rules for rules in SYSTEM_RULES.values())
-            self.bad(path, RULE_NOT_IN_SYSTEM if known else UNKNOWN_RULE,
+            self.bad(at, RULE_NOT_IN_SYSTEM if known else UNKNOWN_RULE,
                      f"rule {rule!r} is not part of system {self.system}")
             return
-        if not self.check_wiring(path, node):
+        if not self.check_wiring(at, node):
             return
-        occs = self.check_shape(path, node, RULE_SHAPES[rule])
+        occs = self.check_shape(at, node, RULE_SHAPES[rule])
         if occs is not None:
-            getattr(self, f"rule_{rule}")(path, node, *occs)
+            getattr(self, f"rule_{rule}")(at, node, *occs)
 
-    def check_shape(self, path, node, shape: RuleShape):
+    def check_shape(self, at, node, shape: RuleShape):
         """``node`` against its rule's shape: premise count, then the side of
         each principal, then the premise and side of each active.  Returns
         (principal occurrences, active occurrences), or None once one is
         wrong.  Wiring is checked, so every id is found."""
         rule = node.rule
         if len(node.premises) != shape.premises:
-            self.bad(path, MALFORMED_RULE, f"{rule} takes {shape.premises} "
+            self.bad(at, MALFORMED_RULE, f"{rule} takes {shape.premises} "
                      f"premise(s), got {len(node.premises)}")
             return None
         n = len(shape.principals)
         if len(node.principal) != n:
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      f"{rule} needs {n} principal occurrence(s), got "
                      f"{len(node.principal)}" if n else
                      f"{rule} has no principal formula")
@@ -249,87 +288,87 @@ class _Checker:
         for pid, want in zip(node.principal, shape.principals):
             side, _, o = node.conclusion.find(pid)
             if side != want:
-                self.bad(path, MALFORMED_RULE,
+                self.bad(at, MALFORMED_RULE,
                          f"{rule} principal must be in the {SIDE_NAMES[want]}")
                 return None
             ps.append(o)
         if len(node.actives) != len(shape.actives):
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      f"{rule} needs {len(shape.actives)} active occurrence(s), "
                      f"got {len(node.actives)}")
             return None
         acts = []
         for (want_pi, want), (pi, oid) in zip(shape.actives, node.actives):
             if pi != want_pi:
-                self.bad(path, MALFORMED_RULE,
+                self.bad(at, MALFORMED_RULE,
                          f"{rule} active in wrong premise ({pi})")
                 return None
             side, _, o = node.premises[pi].conclusion.find(oid)
             if side != want:
-                self.bad(path, MALFORMED_RULE,
+                self.bad(at, MALFORMED_RULE,
                          f"{rule} active on wrong side ({side})")
                 return None
             acts.append(o)
         return ps, acts
 
-    def rule_init(self, path, node, ps, acts) -> None:
+    def rule_init(self, at, node, ps, acts) -> None:
         left, right = ps
         if left.formula != right.formula:
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      "initial sequent principal formulas differ")
             return
         if not LEAF_AXIOMS["init"](left.formula):
-            self.bad(path, REF_MINUS_T_PRINCIPAL,
+            self.bad(at, REF_MINUS_T_PRINCIPAL,
                      "initial sequent principal must be an atomic T-free "
                      f"equation, got {left.formula!r}")
 
-    def _constant_axiom(self, path, node, ps, acts) -> None:
+    def _constant_axiom(self, at, node, ps, acts) -> None:
         if not LEAF_AXIOMS[node.rule](ps[0].formula):
-            self.bad(path, MALFORMED_RULE, f"{node.rule} axiom principal must "
+            self.bad(at, MALFORMED_RULE, f"{node.rule} axiom principal must "
                      f"be {node.rule} in the {_side(node)}")
 
     rule_top = rule_bot = _constant_axiom
 
-    def rule_cut(self, path, node, ps, acts) -> None:
+    def rule_cut(self, at, node, ps, acts) -> None:
         if acts[0].formula != acts[1].formula:
-            self.bad(path, PRINCIPAL_MISMATCH, "cut formulas differ")
+            self.bad(at, PRINCIPAL_MISMATCH, "cut formulas differ")
 
-    def _truth_rule(self, path, node, ps, acts) -> None:
+    def _truth_rule(self, at, node, ps, acts) -> None:
         p, a = ps[0], acts[0]
         if not isinstance(p.formula, Tr):
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      f"truth-rule principal must be a T atom in the {_side(node)}")
             return
         if formula_facts(a.formula)[0]:
-            self.bad(path, NOT_A_SENTENCE,
+            self.bad(at, NOT_A_SENTENCE,
                      f"truth rule disquotes a non-sentence: {a.formula!r}")
             return
         n = numeral_value(p.formula.term)
         if n is None:
-            self.bad(path, NUMERAL_DECODE_MISMATCH,
+            self.bad(at, NUMERAL_DECODE_MISMATCH,
                      f"truth-rule principal term {p.formula.term!r} is not a numeral")
             return
         try:
             decoded = decode_sentence(n)
         except DecodeError as e:
-            self.bad(path, NUMERAL_DECODE_MISMATCH, str(e))
+            self.bad(at, NUMERAL_DECODE_MISMATCH, str(e))
             return
         if decoded != a.formula:
-            self.bad(path, NUMERAL_DECODE_MISMATCH,
+            self.bad(at, NUMERAL_DECODE_MISMATCH,
                      f"numeral {code_label(n)} codes {decoded!r}, not the premise active "
                      f"{a.formula!r}")
 
     rule_Tl = rule_Tr = _truth_rule
 
-    def rule_comp(self, path, node, ps, acts) -> None:
+    def rule_comp(self, at, node, ps, acts) -> None:
         p = ps[0]
         if not isinstance(p.formula, Tr):
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      "compositional principal must be a T atom in the succedent")
             return
         for a in acts:
             if formula_facts(a.formula)[0]:
-                self.bad(path, NOT_A_SENTENCE,
+                self.bad(at, NOT_A_SENTENCE,
                          f"compositional rule combines a non-sentence: {a.formula!r}")
                 return
         want = SynApp(
@@ -337,167 +376,167 @@ class _Checker:
             (Num(encode(acts[0].formula)), Num(encode(acts[1].formula))),
         )
         if p.formula.term != want:
-            self.bad(path, COMP_TERM_MISMATCH,
+            self.bad(at, COMP_TERM_MISMATCH,
                      f"compositional term must be {want!r}, got {p.formula.term!r}")
 
-    def _neg_rule(self, path, node, ps, acts) -> None:
+    def _neg_rule(self, at, node, ps, acts) -> None:
         p, a = ps[0], acts[0]
         if not (isinstance(p.formula, Not) and p.formula.body == a.formula):
-            self.bad(path, PRINCIPAL_MISMATCH, f"neg-{_hand(node)} principal "
+            self.bad(at, PRINCIPAL_MISMATCH, f"neg-{_hand(node)} principal "
                      f"{p.formula!r} does not negate the active")
 
     rule_negl = rule_negr = _neg_rule
 
-    def _and_rule(self, path, node, ps, acts) -> None:
+    def _and_rule(self, at, node, ps, acts) -> None:
         p = ps[0]
         if not isinstance(p.formula, And):
-            self.bad(path, MALFORMED_RULE, f"and-{_hand(node)} principal must "
+            self.bad(at, MALFORMED_RULE, f"and-{_hand(node)} principal must "
                      f"be a conjunction in the {_side(node)}")
             return
         if p.formula.left != acts[0].formula or p.formula.right != acts[1].formula:
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"and-{_hand(node)} actives do not match the conjuncts")
 
     rule_andl = rule_andr = _and_rule
 
-    def rule_foralll(self, path, node, ps, acts) -> None:
+    def rule_foralll(self, at, node, ps, acts) -> None:
         p = ps[0]
         if not isinstance(p.formula, Forall):
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      "forall-left principal must be universal in the antecedent")
             return
         kept, inst = acts
         if kept.formula != p.formula:
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      "forall-left must keep the universal formula in the premise")
             return
         if node.term is None:
-            self.bad(path, WITNESS_MISMATCH, "forall-left is missing its witness term")
+            self.bad(at, WITNESS_MISMATCH, "forall-left is missing its witness term")
             return
         try:
             want = substitute(p.formula.body, p.formula.var, node.term)
         except CaptureError as e:
-            self.bad(path, WITNESS_MISMATCH, f"witness capture: {e}")
+            self.bad(at, WITNESS_MISMATCH, f"witness capture: {e}")
             return
         if inst.formula != want:
-            self.bad(path, WITNESS_MISMATCH,
+            self.bad(at, WITNESS_MISMATCH,
                      f"forall-left instance is {inst.formula!r}, "
                      f"expected {want!r}")
 
-    def rule_forallr(self, path, node, ps, acts) -> None:
+    def rule_forallr(self, at, node, ps, acts) -> None:
         p, a = ps[0], acts[0]
         if not isinstance(p.formula, Forall):
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      "forall-right principal must be a universal formula")
             return
         y = node.var
         if y is None:
-            self.bad(path, EIGENVAR_CLASH, "forall-right is missing its eigenvariable")
+            self.bad(at, EIGENVAR_CLASH, "forall-right is missing its eigenvariable")
             return
         try:
             want = substitute(p.formula.body, p.formula.var, Var(y))
         except CaptureError as e:
-            self.bad(path, EIGENVAR_CLASH, f"eigenvariable capture: {e}")
+            self.bad(at, EIGENVAR_CLASH, f"eigenvariable capture: {e}")
             return
         if a.formula != want:
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"forall-right premise active is {a.formula!r}, "
                      f"expected {want!r}")
             return
         for o in node.conclusion.all_occurrences():
             if y in formula_facts(o.formula)[0]:
-                self.bad(path, EIGENVAR_CLASH,
+                self.bad(at, EIGENVAR_CLASH,
                          f"eigenvariable {y} occurs free in the conclusion")
                 return
-        self.eigen_nodes.append((tuple(path), y))
+        self.eigen_nodes.append((at, y))
 
     # geometric rules ------------------------------------------------------
 
-    def rule_eq1(self, path, node, ps, acts) -> None:
+    def rule_eq1(self, at, node, ps, acts) -> None:
         f = acts[0].formula
         if not (isinstance(f, Eq) and f.left == f.right):
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"eq1 discharges a reflexive equation, got {f!r}")
 
-    def rule_eq2(self, path, node, ps, acts) -> None:
+    def rule_eq2(self, at, node, ps, acts) -> None:
         if node.template is None or node.term is None or node.term2 is None:
-            self.bad(path, TEMPLATE_MISMATCH,
+            self.bad(at, TEMPLATE_MISMATCH,
                      "eq2 needs a replacement template and both equation sides")
             return
         v, chi = node.template
         s, t = node.term, node.term2
         if not is_base_atom(chi):
-            self.bad(path, TEMPLATE_MISMATCH,
+            self.bad(at, TEMPLATE_MISMATCH,
                      f"eq2 template must be an atomic T-free equation, got {chi!r}")
             return
         want_discharged = substitute(chi, v, s)
         if acts[0].formula != want_discharged:
-            self.bad(path, TEMPLATE_MISMATCH,
+            self.bad(at, TEMPLATE_MISMATCH,
                      f"eq2 discharges {acts[0].formula!r}, expected {want_discharged!r}")
             return
         ante = node.conclusion.ante_formulas()
         if Eq(s, t) not in ante:
-            self.bad(path, TEMPLATE_MISMATCH,
+            self.bad(at, TEMPLATE_MISMATCH,
                      f"eq2 requires the equation {Eq(s, t)!r} in the antecedent")
             return
         if substitute(chi, v, t) not in ante:
-            self.bad(path, TEMPLATE_MISMATCH,
+            self.bad(at, TEMPLATE_MISMATCH,
                      "eq2 requires the replaced instance in the antecedent")
 
-    def rule_qg1(self, path, node, ps, acts) -> None:
+    def rule_qg1(self, at, node, ps, acts) -> None:
         f = ps[0].formula
         if not LEAF_AXIOMS["qg1"](f):
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"qg1 axiom needs S(t)=0 in the antecedent, got {f!r}")
 
-    def rule_qg2(self, path, node, ps, acts) -> None:
+    def rule_qg2(self, at, node, ps, acts) -> None:
         f = acts[0].formula
         if not isinstance(f, Eq):
-            self.bad(path, PRINCIPAL_MISMATCH, "qg2 discharges an equation")
+            self.bad(at, PRINCIPAL_MISMATCH, "qg2 discharges an equation")
             return
         succ_eq = Eq(Suc(f.left), Suc(f.right))
         if succ_eq not in node.conclusion.ante_formulas():
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"qg2 requires {succ_eq!r} in the conclusion antecedent")
 
-    def rule_qg3(self, path, node, ps, acts) -> None:
+    def rule_qg3(self, at, node, ps, acts) -> None:
         x, y = node.term, node.var
         if x is None or y is None:
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      "qg3 needs its case term and eigenvariable")
             return
         f0, f1 = acts[0].formula, acts[1].formula
         if not (isinstance(f0, Eq) and f0.left == x and is_zero(f0.right)):
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"qg3 zero-case active must be {x!r}=0, got {f0!r}")
             return
         if f1 != Eq(Var(y), Suc(x)):
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"qg3 successor-case active must be {y}=S({x!r}), got {f1!r}")
             return
         if y in formula_facts(f0)[0]:
-            self.bad(path, EIGENVAR_CLASH,
+            self.bad(at, EIGENVAR_CLASH,
                      f"qg3 eigenvariable {y} occurs in the zero case")
             return
         for o in node.conclusion.all_occurrences():
             if y in formula_facts(o.formula)[0]:
-                self.bad(path, EIGENVAR_CLASH,
+                self.bad(at, EIGENVAR_CLASH,
                          f"qg3 eigenvariable {y} occurs free in the conclusion")
                 return
-        self.eigen_nodes.append((tuple(path), y))
+        self.eigen_nodes.append((at, y))
 
-    def _axiom_discharge(self, path, node, ps, acts) -> None:
+    def _axiom_discharge(self, at, node, ps, acts) -> None:
         """qg4..qg7: the one antecedent active is the rule's axiom
         (:data:`.build.AXIOMS`) instantiated with the node's terms."""
         nargs = len(AXIOM_TERMS[node.rule])
         args = (node.term, node.term2)[:nargs]
         if any(a is None for a in args):
-            self.bad(path, MALFORMED_RULE,
+            self.bad(at, MALFORMED_RULE,
                      f"{node.rule} needs {nargs} instantiating term(s)")
             return
         want = AXIOMS[node.rule](*args)
         if acts[0].formula != want:
-            self.bad(path, PRINCIPAL_MISMATCH,
+            self.bad(at, PRINCIPAL_MISMATCH,
                      f"{node.rule} discharges {acts[0].formula!r}, "
                      f"expected {want!r}")
 
@@ -505,52 +544,42 @@ class _Checker:
 
     # global conventions ---------------------------------------------------
 
-    def check_pure_variables(self, d: Derivation) -> None:
+    def check_pure_variables(self) -> None:
         """Pure variable convention: eigenvariables are pairwise distinct and
         confined to the subtree above their node, and no variable occurs both
-        free and bound in one sequent."""
-        seen: dict[str, tuple[int, ...]] = {}
-        for path, y in self.eigen_nodes:
+        free and bound in one sequent.  Node ``at``'s subtree is the nodes
+        numbered from ``at`` up to ``end[at]``."""
+        end = list(range(1, len(self.up) + 1))
+        for at in range(len(end) - 1, 0, -1):
+            p = self.up[at][0]
+            end[p] = max(end[p], end[at])
+        seen: dict[str, int] = {}
+        for at, y in self.eigen_nodes:
             if y in seen:
-                self.bad(path, PURE_VARIABLE_CLASH,
+                self.bad(at, PURE_VARIABLE_CLASH,
                          f"eigenvariable {y} reused (also at node "
-                         f"{'/'.join(map(str, seen[y])) or 'root'})")
+                         f"{'/'.join(map(str, self.path(seen[y]))) or 'root'})")
             else:
-                seen[y] = path
-        # (path, free variables, bound variables) of every sequent
-        sequent_vars = []
-        for path, node in d.iter_nodes():
-            frees: set[str] = set()
-            bounds: set[str] = set()
-            for o in node.conclusion.all_occurrences():
-                f, b, _ = formula_facts(o.formula)
-                frees |= f
-                bounds |= b
-            sequent_vars.append((path, frees, bounds))
-        for path, y in self.eigen_nodes:
-            for other_path, frees, _ in sequent_vars:
-                if other_path[: len(path)] == path:
-                    continue  # inside the eigenvariable's subtree
-                if y in frees:
-                    self.bad(path, PURE_VARIABLE_CLASH,
+                seen[y] = at
+        for at, y in self.eigen_nodes:
+            for other, frees in self.frees.items():
+                if y in frees and not at <= other < end[at]:
+                    where = "/".join(map(str, self.path(other))) or "root"
+                    self.bad(at, PURE_VARIABLE_CLASH,
                              f"eigenvariable {y} occurs outside its subtree "
-                             f"(node {'/'.join(map(str, other_path)) or 'root'})")
+                             f"(node {where})")
                     break
-        for path, frees, bounds in sequent_vars:
-            clash = frees & bounds
-            if clash:
-                self.bad(path, PURE_VARIABLE_CLASH,
-                         f"variable(s) {sorted(clash)} occur both free and "
-                         "bound in one sequent")
+        for at, clash in self.clashes:
+            self.bad(at, PURE_VARIABLE_CLASH,
+                     f"variable(s) {sorted(clash)} occur both free and "
+                     "bound in one sequent")
 
 
 def check_derivation(d: Derivation, system: str) -> ValidationReport:
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     ck = _Checker(system)
-    ck.check_ids(d)
-    for path, node in d.iter_nodes():
-        ck.check_node(path, node)
+    ck.walk(d)
     if system != "lgt":
-        ck.check_pure_variables(d)
-    return ValidationReport(system, tuple(ck.violations))
+        ck.check_pure_variables()
+    return ValidationReport(system, tuple(ck.reused + ck.violations))

@@ -21,8 +21,11 @@ from .deriv import (
     RULE_SHAPES,
     SIDE_NAMES,
     Derivation,
+    Occurrence,
     Sequent,
     fold,
+    fresh_id,
+    minus,
     remake,
     same_multiset,
 )
@@ -81,24 +84,6 @@ def print_script(d: Derivation) -> str:
 
     fold(d, step)
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Multiset helpers
-
-
-def _ante_id(p: Derivation, f: Formula, skip=()):
-    for o in p.conclusion.ante:
-        if o.formula == f and o.id not in skip:
-            return o.id
-    return None
-
-
-def _succ_id(p: Derivation, f: Formula, skip=()):
-    for o in p.conclusion.succ:
-        if o.formula == f and o.id not in skip:
-            return o.id
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +237,8 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
 
     if shape.premises == 1:
         p = premises[0]
-        ra = _removed(p.conclusion.ante_formulas(), ante)
-        rs = _removed(p.conclusion.succ_formulas(), succ)
+        ra = minus(p.conclusion.ante_formulas(), ante)
+        rs = minus(p.conclusion.succ_formulas(), succ)
 
         if len(shape.actives) == 1:
             [(_, side)] = shape.actives
@@ -263,7 +248,7 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                     if shape.principals and shape.principals[0] != side else
                     f"discharges exactly one {SIDE_NAMES[side]} formula")
             [f] = gone
-            aid = (_ante_id if side == "ante" else _succ_id)(p, f)
+            aid = p.conclusion.first(side, f)
             if rule in _ONE_ACTIVE:
                 return _ONE_ACTIVE[rule](p, aid)
             if rule == "forallr":
@@ -293,8 +278,8 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                 err("discharges exactly two antecedent formulas")
             for g in ante:
                 if isinstance(g, And) and same_multiset(ra, [g.left, g.right]):
-                    i0 = _ante_id(p, g.left)
-                    i1 = _ante_id(p, g.right, skip=(i0,))
+                    i0 = p.conclusion.first("ante", g.left)
+                    i1 = p.conclusion.first("ante", g.right, (i0,))
                     if i0 is not None and i1 is not None:
                         return B.and_left(p, i0, i1)
             err("no conjunction in the antecedent matches the discharge")
@@ -306,8 +291,8 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
                 if isinstance(g, Forall):
                     t = _infer_instance(g, inst)
                     if t is not None:
-                        kept = _ante_id(p, g)
-                        iid = _ante_id(p, inst, skip=(kept,))
+                        kept = p.conclusion.first("ante", g)
+                        iid = p.conclusion.first("ante", inst, (kept,))
                         if kept is not None and iid is not None:
                             return B.forall_left(p, kept, iid, t)
             err("no quantified antecedent formula matches the instance")
@@ -316,30 +301,31 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
     if rule == "andr":
         for g in succ:
             if isinstance(g, And):
-                i0 = _succ_id(p0, g.left)
-                i1 = _succ_id(p1, g.right)
+                i0 = p0.conclusion.first("succ", g.left)
+                i1 = p1.conclusion.first("succ", g.right)
                 if i0 is not None and i1 is not None:
                     return B.and_right(p0, i0, p1, i1)
         err("no conjunction in the succedent matches the premises")
     if rule == "cut":
-        rs = _removed(p0.conclusion.succ_formulas(), succ)
+        rs = minus(p0.conclusion.succ_formulas(), succ)
         if len(rs) != 1:
             err("cannot identify the cut formula")
         f = rs[0]
-        i0 = _succ_id(p0, f)
-        i1 = _ante_id(p1, f)
+        i0 = p0.conclusion.first("succ", f)
+        i1 = p1.conclusion.first("ante", f)
         if i1 is None:
             err("cut formula missing from the right premise")
         return B.cut(p0, i0, p1, i1)
     if rule == "comp":
-        rs0 = _removed(p0.conclusion.succ_formulas(), succ)
-        rs1 = _removed(p1.conclusion.succ_formulas(), succ)
+        rs0 = minus(p0.conclusion.succ_formulas(), succ)
+        rs1 = minus(p1.conclusion.succ_formulas(), succ)
         if len(rs0) != 1 or len(rs1) != 1:
             err("each premise discharges one succedent sentence")
-        return B.comp_node(p0, _succ_id(p0, rs0[0]), p1, _succ_id(p1, rs1[0]))
+        return B.comp_node(p0, p0.conclusion.first("succ", rs0[0]),
+                           p1, p1.conclusion.first("succ", rs1[0]))
     if rule == "qg3":
-        ra0 = _removed(p0.conclusion.ante_formulas(), ante)
-        ra1 = _removed(p1.conclusion.ante_formulas(), ante)
+        ra0 = minus(p0.conclusion.ante_formulas(), ante)
+        ra1 = minus(p1.conclusion.ante_formulas(), ante)
         if len(ra0) != 1 or len(ra1) != 1:
             err("each premise discharges one case equation")
         f0, f1 = ra0[0], ra1[0]
@@ -348,52 +334,32 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
             y = f1.left.name
         except AttributeError:
             err("case equations are malformed")
-        return B.qg3(p0, _ante_id(p0, f0), p1, _ante_id(p1, f1), x, y)
+        return B.qg3(p0, p0.conclusion.first("ante", f0),
+                     p1, p1.conclusion.first("ante", f1), x, y)
 
 
-def _removed(premise_formulas, conclusion_formulas):
-    """Formulas of the premise not carried into the conclusion (multiset)."""
-    pool = list(conclusion_formulas)
-    out = []
-    for f in premise_formulas:
-        try:
-            pool.remove(f)
-        except ValueError:
-            out.append(f)
-    return out
-
-
-def _force_side(stated, built):
+def _force_side(concl: Sequent, side: str, stated) -> tuple:
     """Pair the stated formulas of one side with the built occurrences.
 
-    Exact formula matches keep their occurrence; leftover stated formulas are
-    paired positionally with leftover built occurrences (keeping the built
-    occurrence id so rule wiring survives), and any remainder gets fresh,
-    lineage-less occurrences.  The kernel then reports the discrepancy."""
-    from .deriv import Occurrence, occ as mk_occ
-
-    remaining = list(built)
-    out: list = [None] * len(stated)
-    for i, f in enumerate(stated):
-        for o in remaining:
-            if o.formula == f:
-                out[i] = o
-                remaining.remove(o)
-                break
-    for i, f in enumerate(stated):
-        if out[i] is None and remaining:
-            o = remaining.pop(0)
-            out[i] = Occurrence(f, o.id)
-    for i, f in enumerate(stated):
-        if out[i] is None:
-            out[i] = mk_occ(f)
-    return tuple(out)
+    Exact formula matches keep their occurrence's id; leftover stated
+    formulas are paired positionally with leftover built occurrences (keeping
+    the built occurrence id so rule wiring survives), and any remainder gets
+    fresh, lineage-less occurrences.  The kernel then reports the
+    discrepancy."""
+    ids: list = []
+    for f in stated:
+        ids.append(concl.first(side, f, ids))
+    spare = [o.id for o in getattr(concl, side) if o.id not in ids][::-1]
+    return tuple(
+        Occurrence(f, i if i is not None else spare.pop() if spare else fresh_id())
+        for f, i in zip(stated, ids)
+    )
 
 
 def _force_conclusion(node: Derivation, ante, succ) -> Derivation:
     """Replace the built conclusion with the script's stated sequent."""
-    new_ante = _force_side(ante, node.conclusion.ante)
-    new_succ = _force_side(succ, node.conclusion.succ)
+    new_ante = _force_side(node.conclusion, "ante", ante)
+    new_succ = _force_side(node.conclusion, "succ", succ)
     surviving = {o.id for o in new_ante + new_succ}
     return remake(
         node,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import build as B
 from .arith import can_prove, can_refute, chain_numeral, prove_equation, refute_equation
 from .coding import DecodeError, decode_sentence, quoted_sentence
-from .deriv import Derivation
+from .deriv import Derivation, minus
 from .kernel import SYSTEM_RULES
 from .syntax import (
     And,
@@ -71,26 +71,6 @@ def _key(ante, succ):
         frozenset(Counter(ante).items()),
         frozenset(Counter(succ).items()),
     )
-
-
-def _minus_one(fs, f):
-    out = list(fs)
-    out.remove(f)
-    return tuple(out)
-
-
-def _find_succ_id(d: Derivation, f: Formula) -> int:
-    for o in d.conclusion.succ:
-        if o.formula == f:
-            return o.id
-    raise AssertionError("search bookkeeping lost a succedent formula")
-
-
-def _find_ante_id(d: Derivation, f: Formula) -> int:
-    for o in d.conclusion.ante:
-        if o.formula == f:
-            return o.id
-    raise AssertionError("search bookkeeping lost an antecedent formula")
 
 
 def _closed_subterms(fs) -> list[Term]:
@@ -146,12 +126,12 @@ class _Searcher:
             for f in ante:
                 if isinstance(f, Eq) and can_refute(f.left, f.right):
                     return refute_equation(
-                        list(_minus_one(ante, f)), f.left, f.right, list(succ)
+                        minus(ante, [f]), f.left, f.right, list(succ)
                     )
             for f in succ:
                 if isinstance(f, Eq) and can_prove(f.left, f.right):
                     return prove_equation(
-                        list(ante), f.left, f.right, list(_minus_one(succ, f))
+                        list(ante), f.left, f.right, minus(succ, [f])
                     )
         return None
 
@@ -194,28 +174,27 @@ class _Searcher:
         for f in ante:
             if isinstance(f, Not):
                 p = self.prove(
-                    _minus_one(ante, f), succ + (f.body,), depth - 1, tau, visited
+                    tuple(minus(ante, [f])), succ + (f.body,), depth - 1, tau, visited
                 )
                 if p is not None:
-                    return B.neg_left(p, _find_succ_id(p, f.body))
+                    return B.neg_left(p, p.conclusion.first("succ", f.body))
             elif isinstance(f, And):
                 p = self.prove(
-                    _minus_one(ante, f) + (f.left, f.right), succ,
+                    (*minus(ante, [f]), f.left, f.right), succ,
                     depth - 1, tau, visited,
                 )
                 if p is not None:
-                    return B.and_left(
-                        p, _find_ante_id(p, f.left), _find_ante_id(p, f.right)
-                    )
+                    return B.and_left(p, p.conclusion.first("ante", f.left),
+                                      p.conclusion.first("ante", f.right))
             elif isinstance(f, Tr) and truth_ok and tau > 0:
                 phi = self._unquote(f)
                 if phi is not None:
                     p = self.prove(
-                        _minus_one(ante, f) + (phi,), succ,
+                        (*minus(ante, [f]), phi), succ,
                         depth - 1, tau - 1, visited,
                     )
                     if p is not None:
-                        return B.truth_left(p, _find_ante_id(p, phi))
+                        return B.truth_left(p, p.conclusion.first("ante", phi))
             elif isinstance(f, Forall):
                 for t in self._instances(ante, succ):
                     try:
@@ -228,39 +207,37 @@ class _Searcher:
                         ante + (inst,), succ, depth - 1, tau, visited
                     )
                     if p is not None:
-                        return B.forall_left(
-                            p, _find_ante_id(p, f), _find_ante_id(p, inst), t
-                        )
+                        return B.forall_left(p, p.conclusion.first("ante", f),
+                                             p.conclusion.first("ante", inst), t)
         for f in succ:
             if isinstance(f, Not):
                 p = self.prove(
-                    ante + (f.body,), _minus_one(succ, f), depth - 1, tau, visited
+                    ante + (f.body,), tuple(minus(succ, [f])), depth - 1, tau, visited
                 )
                 if p is not None:
-                    return B.neg_right(p, _find_ante_id(p, f.body))
+                    return B.neg_right(p, p.conclusion.first("ante", f.body))
             elif isinstance(f, And):
                 p0 = self.prove(
-                    ante, _minus_one(succ, f) + (f.left,), depth - 1, tau, visited
+                    ante, (*minus(succ, [f]), f.left), depth - 1, tau, visited
                 )
                 if p0 is None:
                     continue
                 p1 = self.prove(
-                    ante, _minus_one(succ, f) + (f.right,), depth - 1, tau, visited
+                    ante, (*minus(succ, [f]), f.right), depth - 1, tau, visited
                 )
                 if p1 is None:
                     continue
-                return B.and_right(
-                    p0, _find_succ_id(p0, f.left), p1, _find_succ_id(p1, f.right)
-                )
+                return B.and_right(p0, p0.conclusion.first("succ", f.left),
+                                   p1, p1.conclusion.first("succ", f.right))
             elif isinstance(f, Tr) and truth_ok and tau > 0:
                 phi = self._unquote(f)
                 if phi is not None:
                     p = self.prove(
-                        ante, _minus_one(succ, f) + (phi,),
+                        ante, (*minus(succ, [f]), phi),
                         depth - 1, tau - 1, visited,
                     )
                     if p is not None:
-                        return B.truth_right(p, _find_succ_id(p, phi))
+                        return B.truth_right(p, p.conclusion.first("succ", phi))
             elif isinstance(f, Forall):
                 y = self.fresh_eigen()
                 try:
@@ -268,10 +245,10 @@ class _Searcher:
                 except CaptureError:
                     continue
                 p = self.prove(
-                    ante, _minus_one(succ, f) + (inst,), depth - 1, tau, visited
+                    ante, (*minus(succ, [f]), inst), depth - 1, tau, visited
                 )
                 if p is not None:
-                    return B.forall_right(p, _find_succ_id(p, inst), f, y)
+                    return B.forall_right(p, p.conclusion.first("succ", inst), f, y)
         return None
 
     def _unquote(self, f: Tr) -> Formula | None:

@@ -273,13 +273,16 @@ def _subst_tree(d: Derivation, x: str, t: Term) -> Derivation:
     return fold(d, step)
 
 
-def freshen_eigenvariables(d: Derivation, avoid) -> Derivation:
+def freshen_eigenvariables(d: Derivation, avoid, used=None) -> Derivation:
     """Rename every eigenvariable in ``avoid`` to a fresh name.  Occurrence
     ids and all measures are untouched (only formulas inside the renamed
     subtrees change).  Premises are renamed before their conclusion, so no
-    eigenvariable in ``avoid`` is left above a node when it renames its own."""
+    eigenvariable in ``avoid`` is left above a node when it renames its own.
+    A fresh name is in no given ``used`` set either, and is added to it, so
+    calls that share one set pick distinct names."""
     avoid = set(avoid)
-    used = all_var_names(d) | avoid
+    used = set() if used is None else used
+    used |= all_var_names(d) | avoid
 
     def step(node: Derivation, premises) -> Derivation:
         node = remake(node, premises=tuple(premises))
@@ -506,6 +509,26 @@ def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
     return _ancestry(d, (tid,), step)
 
 
+def _invert_partner(node: Derivation, pi: int, d: Derivation, tid: int):
+    """Invert ``tid`` in ``d``, the partner of ``node``'s principal, into the
+    formulas of ``node``'s actives in premise ``pi``, a ``forallr`` onto
+    ``node``'s own eigenvariable.  Returns (derivation, map of ``d``'s
+    conclusion ids, {active id: id of its new partner}), or None when
+    ``node``'s rule cannot be inverted.  A ``foralll`` partner is kept as it
+    is: the premise keeps the universal, whose partner it stays."""
+    actives = [oid for i, oid in node.actives if i == pi]
+    if node.rule == "foralll":
+        return d, _same_ids(d), {actives[0]: tid}
+    if node.rule not in _INVERTIBLE:
+        return None
+    repl = [(hit[2].formula, hit[0])
+            for hit in map(node.premises[pi].conclusion.find, actives)]
+    if node.rule == "forallr" and node.var in collect_eigenvars(d):
+        d = freshen_eigenvariables(d, {node.var})
+    d, m, new = _invert(d, tid, node.rule, repl, pi, node.var)
+    return d, m, dict(zip(actives, new))
+
+
 def _inversions(d: Derivation, f: Formula, side: str):
     """How :func:`invert` inverts ``f`` on ``side``: one (rule, selector,
     replacement formulas with their sides, fresh variable) per output."""
@@ -622,36 +645,17 @@ def _contract_principal(node: Derivation, pid: int, cid: int):
     """Merge the context occurrence ``cid`` into the principal ``pid``.  In
     each premise, invert the copy's ancestor into the formulas of the
     node's actives there, then contract each active with its new copy."""
-    rule = node.rule
     parents = dict(_ancestors(node, cid))
-    if rule == "foralll":
-        # the premise still holds the universal: contract the copy into it
-        sub, m = _contract(node.premises[0], node.actives[0][1], parents[0])
-        return _relink(node, [sub], [m], cid), _same_ids(node, cid, pid)
-    if rule == "comp":
-        raise TransformError(
-            "contraction through a pointwise compositional principal is not "
-            "supported"
-        )
-    if rule not in _INVERTIBLE:
-        raise TransformError(f"cannot contract principal of rule {rule!r}")
     subs, maps = [], []
     for pi, premise in enumerate(node.premises):
-        actives = [oid for i, oid in node.actives if i == pi]
-        repl = [(hit[2].formula, hit[0])
-                for hit in map(premise.conclusion.find, actives)]
-        y = None
-        if rule == "forallr":
-            # invert on a fresh instance, then rename it to the eigenvariable
-            f = _find_occ(node, pid)[1].formula
-            y = fresh_name("y", all_var_names(node))
-            repl = [(substitute(f.body, f.var, Var(y)), "succ")]
-        sub, m, copies = _invert(premise, parents[pi], rule, repl, pi, y)
-        if rule == "forallr":
-            if node.var in collect_eigenvars(sub):
-                sub = freshen_eigenvariables(sub, {node.var})
-            sub = _subst_tree(sub, y, Var(node.var))
-        for a, c in zip(actives, copies):
+        inverted = _invert_partner(node, pi, premise, parents[pi])
+        if inverted is None:
+            raise TransformError(
+                "contraction through a pointwise compositional principal is "
+                "not supported" if node.rule == "comp" else
+                f"cannot contract principal of rule {node.rule!r}")
+        sub, m, copies = inverted
+        for a, c in copies.items():
             sub, mc = _contract(sub, m[a], c)
             m = {k: mc[v] for k, v in m.items()}
         subs.append(sub)
@@ -847,30 +851,22 @@ def _carry(node: Derivation, pi: int, a: int, oth: Derivation, pair):
     premise, the cut formula ``a``'s ancestor there, and ``oth`` and ``pair``
     carried up to it.  A paired principal's partner is inverted in ``oth``
     into the premise's actives, which take over its pair."""
-    premise = node.premises[pi]
-    actives = [oid for i, oid in node.actives if i == pi]
     up, moved = {}, None
     for p in node.principal:
         if p not in pair:
             continue  # consumed further down, so ``oth`` never held it
-        if node.rule == "foralll":
-            up[actives[0]] = pair[p]  # the premise keeps the universal
-            continue
-        if node.rule not in _INVERTIBLE:
+        inverted = _invert_partner(node, pi, oth, pair[p])
+        if inverted is None:
             raise TransformError(f"cannot push a cut past a {node.rule!r} principal")
-        repl = [(hit[2].formula, hit[0])
-                for hit in map(premise.conclusion.find, actives)]
-        if node.rule == "forallr" and node.var in collect_eigenvars(oth):
-            oth = freshen_eigenvariables(oth, {node.var})
-        oth, moved, new = _invert(oth, pair[p], node.rule, repl, pi, node.var)
-        up.update(zip(actives, new))
+        oth, moved, new = inverted
+        up.update(new)
     for c, oc in pair.items():
         if c not in node.principal:
             for i, oid in _ancestors(node, c):
                 if i == pi:
                     up[oid] = oc if moved is None else moved[oc]
     a_up = next(oid for i, oid in _ancestors(node, a) if i == pi)
-    return premise, a_up, oth, up
+    return node.premises[pi], a_up, oth, up
 
 
 def _push(cut: Derivation, mi: int, m_allow, fuel):
@@ -887,6 +883,7 @@ def _push(cut: Derivation, mi: int, m_allow, fuel):
     via_main, via_other = _parents(cut, mi), _parents(cut, 1 - mi)
     pair = {x: via_other[c] for c, x in via_main.items()} | {a: b}
     used = False  # whether a top has cut ``other``'s own ids
+    names = None  # every variable name in use, once a copy needs new ones
 
     def children(item):
         node, a, oth, pair = item
@@ -896,7 +893,7 @@ def _push(cut: Derivation, mi: int, m_allow, fuel):
                 for pi in range(len(node.premises))]
 
     def step(item, done):
-        nonlocal used
+        nonlocal used, names
         node, a, oth, pair = item
         if done:
             new = _relink(node, [d for d, _ in done], [m for _, m in done], a)
@@ -912,6 +909,10 @@ def _push(cut: Derivation, mi: int, m_allow, fuel):
             i = [o.id for o in oth.conclusion.all_occurrences()].index(b)
             oth = refresh_ids(oth)
             b = oth.conclusion.all_occurrences()[i].id
+            ev = collect_eigenvars(oth)
+            if ev:  # distinct from every other copy's and the proof's
+                names = all_var_names(cut) if names is None else names
+                oth = freshen_eigenvariables(oth, ev, names)
         used = True
         ctx = _minus(node.conclusion, a)
         ow = _weaken(oth, *([o.formula for o in s if o.id not in pair]

@@ -31,12 +31,23 @@ number and digest per source (``script``, ``proof`` and each mutation), per
 rule (of the item's root) and per system, so a change shows where the
 reports moved.  Its whole output is pinned in ``tests/digests/kernel.txt``,
 which CI compares it with.
+
+With ``--dump PATH`` it also writes one JSON line per item to ``PATH``:
+``item`` (its source and label) and ``reports`` (its report text in each
+system).  Two dumps compare item by item where the digests only say that
+something moved::
+
+    PYTHONPATH=<checkout>/src:tests python3 tests/kernel_digest.py --dump items.jsonl
+
+The printed digests are the same with or without the flag.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
+import json
 import pathlib
 import random
 import sys
@@ -206,15 +217,21 @@ def items():
                 yield label, f"{name} {path}", mutated
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write one JSON line per item to PATH")
+    args = parser.parse_args(argv)
+    dump = open(args.dump, "w") if args.dump else None
     total = hashlib.sha256()
     #: per source, rule and system: key -> [reports, digest]
     groups: tuple[dict, dict, dict] = ({}, {}, {})
     reports = 0
     for source, label, d in items():
         rule = d.rule if isinstance(d, Derivation) else "refused"
+        texts = {}
         for system in SYSTEMS:
-            text = d if isinstance(d, str) else _report(d, system)
+            text = texts[system] = d if isinstance(d, str) else _report(d, system)
             record = f"{source} {label} {system}\n{text}\n".encode()
             total.update(record)
             for group, key in zip(groups, (source, rule, system)):
@@ -222,6 +239,11 @@ def main() -> int:
                 n_digest[0] += 1
                 n_digest[1].update(record)
             reports += 1
+        if dump:
+            dump.write(json.dumps({"item": f"{source} {label}",
+                                   "reports": texts}) + "\n")
+    if dump:
+        dump.close()
     print(f"reports {reports}\ndigest  {total.hexdigest()}")
     for title, group in zip(("source", "rule", "system"), groups):
         for key, (n, digest) in group.items():

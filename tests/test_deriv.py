@@ -7,13 +7,15 @@ maxima across two-premise rules, the pointwise compositional rule (+1), and
 the forcing of T-free occurrences to zero.
 """
 
+import random
+
 import pytest
 
 from truthcut import build as B
 from truthcut.coding import quote
-from truthcut.deriv import compute_measures
+from truthcut.deriv import compute_measures, minus, same_multiset, sequent
 from truthcut.kernel import check_derivation
-from truthcut.syntax import And, Eq, Forall, Not, Tr, Zero
+from truthcut.syntax import And, Eq, Forall, Not, Suc, Tr, Zero
 
 PHI = Eq(Zero(), Zero())
 TPHI = Tr(quote(PHI))
@@ -212,3 +214,56 @@ def test_no_module_rebuilds_nodes_with_dataclasses_replace():
             if isinstance(node, ast.Attribute) and node.attr == "replace":
                 assert not (isinstance(node.value, ast.Name)
                             and node.value.id == "dataclasses"), path.name
+
+
+# ---------------------------------------------------------------------------
+# First-fit matching
+
+
+def test_first_honours_side_and_skip():
+    # [DERIVED] the first occurrence of the formula on the side asked for,
+    # passing over the ids in skip; None when none is left
+    s = sequent([TPHI, PHI, PHI], [PHI, TPHI])
+    a0, a1, a2 = (o.id for o in s.ante)
+    s0, s1 = (o.id for o in s.succ)
+    assert s.first("ante", PHI) == a1
+    assert s.first("ante", PHI, (a1,)) == a2
+    assert s.first("ante", PHI, {a1, a2}) is None
+    assert s.first("succ", PHI) == s0
+    assert s.first("succ", TPHI) == s1
+    assert s.first("succ", PHI, (s0, a1)) is None
+    assert s.first("ante", Not(PHI)) is None
+
+
+def _first_fit_minus(xs, ys):
+    """Reference: for each y in turn, drop the first x equal to it that is
+    still there."""
+    gone = set()
+    for y in ys:
+        for i, x in enumerate(xs):
+            if i not in gone and x == y:
+                gone.add(i)
+                break
+    return [x for i, x in enumerate(xs) if i not in gone]
+
+
+def test_minus_and_same_multiset_match_a_first_fit_loop():
+    # [DERIVED] on 2000 random lists over four formulas, with duplicates and
+    # structurally equal but distinct objects, minus keeps the order and the
+    # very objects the reference loop keeps, and same_multiset is the
+    # multiset equality of sorted texts
+    rng = random.Random(17)
+    makers = [lambda: Eq(Zero(), Zero()), lambda: Tr(quote(PHI)),
+              lambda: Not(PHI), lambda: Eq(Suc(Zero()), Zero())]
+    shared = [make() for make in makers]
+
+    def draw():
+        return [rng.choice(shared) if rng.random() < 0.7
+                else rng.choice(makers)() for _ in range(rng.randrange(7))]
+
+    for _ in range(2000):
+        xs, ys = draw(), draw()
+        got, want = minus(xs, ys), _first_fit_minus(xs, ys)
+        assert got == want and all(g is w for g, w in zip(got, want))
+        assert same_multiset(xs, ys) == (sorted(map(repr, xs)) == sorted(map(repr, ys)))
+        assert same_multiset(xs, rng.sample(xs, len(xs)))

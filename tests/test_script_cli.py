@@ -183,6 +183,29 @@ def test_cli_liar(capsys):
     assert "EXHAUSTED" in out and "grounded: False" in out
 
 
+def test_cli_builds_only_the_fixpoint_output_it_prints(monkeypatch, capsys):
+    # [DERIVED] the human lines and the --json payload each write every code
+    # out in decimal, which dominates at large term bounds; fixpoint and liar
+    # build only the one they print, and fixpoint's stays as pinned
+    import truthcut.cli as cli
+
+    def refuse(fp):
+        raise AssertionError("built an output that is not printed")
+
+    seeds = PINS / "liar.seeds"
+    for flags, suffix, unused in (([], "out", "_fixpoint_payload"),
+                                  (["--json"], "json", "_fixpoint_lines")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, unused, refuse)
+            assert main([*flags, "fixpoint", "--seed", str(seeds),
+                         "--term-bound", "2"]) == 0
+        expected = (PINS / f"liar.{suffix}").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+    monkeypatch.setattr(cli, "_fixpoint_payload", refuse)
+    assert main(["liar", "--depth", "5", "--terms", "2", "--tau", "3"]) == 0
+    assert "grounded: False" in capsys.readouterr().out
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.gp"), "--system", "lgt"]) == 2
     assert main(["check"]) == 2

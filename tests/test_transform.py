@@ -706,6 +706,47 @@ def test_push_past_forallr_freshens_a_clashing_eigenvariable():
     assert eigenvariables.count("y") == 1 and len(eigenvariables) == 2
 
 
+def _cut_against_an_eigenvariable_at_each_top(tops):
+    """A cut on T<PHI> that is a side formula of ``tops`` - 1 nested andr
+    over tops ~FA => T<PHI>, PSI, each from init, eq1 and Tr; the right
+    premise T<PHI>, ~FA => C binds the eigenvariable y (init, eq1, forallr
+    on y, negl, Tl).  Every top but the first is cut against a copy of it."""
+    fa = Forall("x", Eq(Var("x"), Var("x")))
+    yy = Eq(Var("y"), Var("y"))
+    d0 = c = None
+    for _ in range(tops):
+        t = B.init_leaf([Not(fa)], PHI, [PSI])            # ~FA, PHI => PHI, PSI
+        t = B.eq1(t, _ante_id(t, PHI))                    # ~FA => PHI, PSI
+        t = B.truth_right(t, _succ_id(t, PHI))            # ~FA => T<PHI>, PSI
+        if d0 is None:
+            d0, c = t, PSI
+        else:                                             # ~FA => T<PHI>, C&PSI
+            d0 = B.and_right(d0, _succ_id(d0, c), t, _succ_id(t, PSI))
+            c = And(c, PSI)
+    p = B.init_leaf([PHI], yy, [c])                       # PHI, y=y => y=y, C
+    p = B.eq1(p, _ante_id(p, yy))                         # PHI => y=y, C
+    p = B.forall_right(p, _succ_id(p, yy), fa, "y")       # PHI => C, FA
+    p = B.neg_left(p, _succ_id(p, fa))                    # PHI, ~FA => C
+    d1 = B.truth_left(p, _ante_id(p, PHI))                # T<PHI>, ~FA => C
+    return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
+
+
+@pytest.mark.parametrize("tops", [2, 3])
+def test_copies_of_the_other_premise_bind_fresh_eigenvariables(tops):
+    # [DERIVED] each top of the pushed cut gets its own copy of the right
+    # premise, and each copy's forallr a name no other copy and neither
+    # premise uses: with two tops a copy kept y, with three the two copies
+    # both picked the same new name, and the kernel refused the output
+    d0, aid, d1, bid = _cut_against_an_eigenvariable_at_each_top(tops)
+    cut = B.cut(d0, aid, d1, bid)
+    assert check_derivation(cut, "lptn").ok
+    for r in (reduce_cut(d0, aid, d1, bid, "lptn"), eliminate_cuts(cut, "lptn")):
+        assert r.certificate.output_measures[1] == 0
+        eigenvariables = [n.var for _, n in r.derivation.iter_nodes()
+                          if n.rule == "forallr"]
+        assert len(set(eigenvariables)) == len(eigenvariables) == tops
+
+
 def _cut_past_an_unpaired_principal():
     """A cut on T<PHI> whose left premise ends in a cut on ~PSI: on the cut
     formula's path a negr and a negl introduce ~PSI, which the lower cut
