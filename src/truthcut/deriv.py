@@ -20,10 +20,17 @@ module and this module imports none of them.
 Every walk over a derivation goes through one explicit-stack traversal, so
 no derivation is too tall to walk: :func:`fold` is the post-order walk (the
 measures, :func:`refresh_ids`, script printing and the transform rebuilds)
-and :meth:`Derivation.iter_nodes` the pre-order one (the kernel, searches
-over nodes).  Given a children function, :func:`fold` also walks the
-ancestry of chosen occurrences, for the transforms that follow them up the
-tree (see :mod:`.transform`).
+and :meth:`Derivation.iter_nodes` the pre-order one (searches over nodes).
+Given a children function, :func:`fold` also walks the ancestry of chosen
+occurrences, for the transforms that follow them up the tree (see
+:mod:`.transform`); that function sees every item in pre-order, which is
+how the kernel walks a derivation once.
+
+Formulas are matched first-fit, in one place each: :meth:`Sequent.first`
+finds the first occurrence of a formula on one side, and :func:`minus` is
+the multiset difference of two formula lists, on which
+:func:`same_multiset` is stated.  The script reader, search and the
+arithmetic macros build every rule with them.
 """
 
 from __future__ import annotations

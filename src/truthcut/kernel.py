@@ -14,6 +14,13 @@ Systems:
 Validation never raises on bad derivations: every problem becomes a
 :class:`Violation` with a node path and a stable reason code.
 
+The kernel walks a derivation once, in pre-order, on the children hook of
+:func:`.deriv.fold`.  It numbers the nodes, keeps each node's parent and
+premise index, and builds a node's path only for a violation it reports;
+an eigenvariable's subtree is an interval of node numbers.  Occurrence-id
+reuse is reported first, then the node checks in pre-order, then the pure
+variable convention (outside ``lgt``).
+
 Each node is checked in three steps: its rule against the system
 (:data:`SYSTEM_RULES`), its wiring (:meth:`_Checker.check_wiring`), and its
 shape against the rule's entry in :data:`.deriv.RULE_SHAPES` (premise count,
@@ -116,15 +123,13 @@ def _hand(node: Derivation) -> str:
 
 
 class _Checker:
-    """Nodes are numbered in pre-order (``at``); a node's path is built only
-    for a reported violation."""
-
     def __init__(self, system: str):
         self.system = system
         self.violations: list[Violation] = []
         #: OCC_ID_REUSE reports, which come before every other report
         self.reused: list[Violation] = []
-        #: per node: (its parent's number, its premise index there)
+        #: per node, numbered in pre-order (``at``): its parent's number and
+        #: its premise index there
         self.up: list[tuple[int, int]] = []
         self.eigen_nodes: list[tuple[int, str]] = []
         #: node -> the free variables of its sequent, where there are any

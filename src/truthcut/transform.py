@@ -24,9 +24,10 @@ Conventions:
   truth-rule principal pairs in a loop, and ``_push`` walks the ancestry of
   a cut formula that is a side formula, carrying the cut's other premise
   with it: it reduces the cut at each top of that ancestry and re-links the
-  nodes below.  Only the other premise is weakened (a copy of it after the
-  first top), and not at a leaf top that has the cut formula as a side
-  formula: the reduction keeps that leaf.
+  nodes below.  Only the other premise is weakened (after the first top, a
+  copy of it with fresh ids and eigenvariables new to the proof and to
+  every other copy), and not at a leaf top that has the cut formula as a
+  side formula: the reduction keeps that leaf.
 * Every rebuilt node is re-linked to its new premises by :func:`_relink`
   and constructed by :func:`~.deriv.remake`.  A rank pass of
   ``eliminate_cuts`` keeps every node whose premises come back unchanged,
@@ -876,8 +877,8 @@ def _push(cut: Derivation, mi: int, m_allow, fuel):
     (where the cut formula is principal, or at a leaf) the cut is reduced: a
     leaf top where it is a side formula is kept without it, as :func:`_reduce`
     keeps it, and any other top is cut against ``other`` weakened by the
-    top's unpaired occurrences (a copy with fresh ids after the first such
-    top).  Each node below is re-linked without the cut formula.  Returns
+    top's unpaired occurrences (after the first such top, a copy with fresh
+    ids and fresh eigenvariables).  Each node below is re-linked without the cut formula.  Returns
     (derivation, map from the cut's conclusion ids to the output's)."""
     a, b = cut.actives[mi][1], cut.actives[1 - mi][1]
     via_main, via_other = _parents(cut, mi), _parents(cut, 1 - mi)
