@@ -97,7 +97,7 @@ def _cmd_measures(args) -> int:
         return EXIT_FAIL
     m = compute_measures(d)
     nodes = []
-    for path, node in d.iter_nodes():
+    for path, node in d.iter_paths():
         occs = {
             str(o.id): m.tau[o.id]
             for o in node.conclusion.ante + node.conclusion.succ

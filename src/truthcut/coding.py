@@ -16,12 +16,14 @@ decoded fixed point is literal: ``decode(#lam) == substitute(phi, v,
 numeral(#lam))``.  A plain monotone structural coding cannot deliver that
 equation, which is why the tag exists.
 
-Codes are computed once per node: :func:`encode` works bottom-up and keeps
-each node's code in the node's ``_code`` slot, which is sound because a
-node's code depends on that node alone.  A numeral made by :func:`quote`
-keeps the formula it names in its ``_quoted`` slot, so a caller holding one
-need not decode its value.  Syntax functions build codes under
-:data:`MAX_CODE_BITS`, and ``encode`` stops at the first node past it.
+Codes are computed once per distinct term or formula: :func:`encode`
+works bottom-up and keeps each node's code in the node's ``_code`` slot,
+which is sound because a node's code depends on that node alone, and
+equal nodes are one object (:class:`~.syntax.Expr`).  A numeral made by
+:func:`quote` keeps the formula it names in its ``_quoted`` slot, so a
+caller holding one need not decode its value.  Syntax functions build
+codes under :data:`MAX_CODE_BITS`, and ``encode`` stops at the first node
+past it.
 """
 
 from __future__ import annotations
@@ -162,10 +164,11 @@ _keep = object.__setattr__  # fills a cache slot of a frozen node
 def encode(e: Term | Formula, max_bits: int | None = None) -> int:
     """Injective Goedel code of a term or formula.
 
-    Every node keeps its code once it is computed, so a later call on it, or
-    on a tree holding it, reuses it; a node's code depends on that node
-    alone.  With ``max_bits``, raises :class:`CodeSizeError` exactly when the
-    code passes ``max_bits`` bits, and stops building as soon as it knows."""
+    The code is computed once per distinct term or formula and kept on it,
+    so a later call on it, or on a tree holding it, reuses it; a node's code
+    depends on that node alone.  With ``max_bits``, raises
+    :class:`CodeSizeError` exactly when the code passes ``max_bits`` bits,
+    and stops building as soon as it knows."""
     code = e._code
     if code is None:
         code = _encode(e, max_bits, [])
@@ -314,7 +317,9 @@ def codes_sentence(c: int) -> bool:
 
 def quote(phi: Formula) -> Term:
     """The canonical name of ``phi``: the numeral of its code, which
-    remembers ``phi`` (``decode`` of the code gives back an equal formula)."""
+    remembers ``phi`` (``decode`` of the code gives back ``phi``).  Every
+    numeral of that value is this one; a code names one sentence, so it
+    remembers the same ``phi`` whoever quoted it."""
     name = Num(encode(phi))
     _keep(name, "_quoted", phi)
     return name

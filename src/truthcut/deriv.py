@@ -20,7 +20,9 @@ module and this module imports none of them.
 Every walk over a derivation goes through one explicit-stack traversal, so
 no derivation is too tall to walk: :func:`fold` is the post-order walk (the
 measures, :func:`refresh_ids`, script printing and the transform rebuilds)
-and :meth:`Derivation.iter_nodes` the pre-order one (searches over nodes).
+and :meth:`Derivation.iter_nodes` the pre-order one (searches over nodes;
+:meth:`Derivation.iter_paths` adds each node's path, for output that
+prints it).
 Given a children function, :func:`fold` also walks the ancestry of chosen
 occurrences, for the transforms that follow them up the tree (see
 :mod:`.transform`); that function sees every item in pre-order, which is
@@ -185,9 +187,18 @@ class Derivation:
     var: str | None = None
     template: tuple[str, Formula] | None = None
 
-    def iter_nodes(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
-        """Every node with its path of premise indices from this one, in
-        pre-order (a node before its premises, premises left to right)."""
+    def iter_nodes(self) -> Iterator["Derivation"]:
+        """Every node, in pre-order (a node before its premises, premises
+        left to right)."""
+        stack: list[Derivation] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.premises))
+
+    def iter_paths(self) -> Iterator[tuple[tuple[int, ...], "Derivation"]]:
+        """:meth:`iter_nodes` with each node's path of premise indices from
+        this one, for output that prints where a node is."""
         stack: list[tuple[tuple[int, ...], Derivation]] = [((), self)]
         while stack:
             path, node = stack.pop()

@@ -61,16 +61,15 @@ _LINE = re.compile(r"^\s*(\d+)\s*:\s*([A-Za-z0-9_]+)\s*\[([^\]]*)\]\s*(.*)$")
 
 
 def print_script(d: Derivation) -> str:
-    """Nodes in post-order, numbered from 1.  Each distinct formula object is
-    formatted once per call (the tree keeps every object alive, so ``id`` is
-    a sound key while the call runs)."""
+    """Nodes in post-order, numbered from 1.  Each distinct formula is
+    formatted once per call."""
     lines: list[str] = []
-    texts: dict[int, str] = {}
+    texts: dict[Formula, str] = {}
 
     def fmt(f: Formula) -> str:
-        s = texts.get(id(f))
+        s = texts.get(f)
         if s is None:
-            s = texts[id(f)] = format_formula(f)
+            s = texts[f] = format_formula(f)
         return s
 
     def step(node: Derivation, pids: list[int]) -> int:
@@ -386,9 +385,8 @@ def parse_script(text: str) -> Derivation:
     """The root of the script's derivation.
 
     Lines restate their premises' contexts, so one memo, kept for this call
-    only, reads each distinct formula text once; repeated formulas share one
-    object, which also lets the multiset bookkeeping in ``_rebuild`` compare
-    them by identity."""
+    only, reads each distinct formula text once: it saves reading, since
+    equal formulas are one object whatever text they were read from."""
     nodes: dict[int, Derivation] = {}
     used: set[int] = set()
     order: list[int] = []

@@ -21,10 +21,12 @@ All thirteen cases are stated once, in :func:`_clause`, as a *clause*
 are ``TRUE = (False, ())`` and ``FALSE = (True, ())``.  ``_clause`` gives
 each dependency with its sentence wherever that is at hand: conjuncts,
 instances, their negations, the body of a double negation, and the sentence
-a ``quote`` numeral remembers.  ``build_universe`` decodes only codes that
-arrive as bare integers (values of syntax-function terms, numerals written
-out, such as the liar's) and keeps each code's sentence and clause, so the
-dependency graph is built once.  ``least_fixed_point`` iterates
+a ``quote`` numeral remembers (equal numerals are one object, so a numeral
+written out remembers it too once anything quoted that sentence).
+``build_universe`` decodes only codes that arrive as bare integers (values
+of syntax-function terms, numerals no quote made, such as the liar's) and
+keeps each code's sentence and clause, so the dependency graph is built
+once.  ``least_fixed_point`` iterates
 semi-naively (Bancilhon & Ramakrishnan, 1986): after the first stage it
 re-decides only the sentences that depend on a code that entered at the
 previous stage, which gives the same stages as applying :func:`kripke_step`

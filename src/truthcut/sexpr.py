@@ -190,9 +190,8 @@ def parse_sequent(
     A sequent that splits cleanly at ``=>`` and ``,`` is read piece by piece
     through ``memo``, which maps formula source texts to the formulas already
     read from them (a caller reading many sequents passes one memo to all,
-    so equal texts are read once and share one ``Formula`` object).  Any
-    other text is tokenized whole, so what is returned or raised does not
-    depend on the memo."""
+    so equal texts are read once).  Any other text is tokenized whole, so
+    what is returned or raised does not depend on the memo."""
     split = _split_sequent(text, {} if memo is None else memo)
     if split is not None:
         return split

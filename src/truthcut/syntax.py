@@ -12,19 +12,25 @@ not atomic; equations and truth ascriptions are.
 
 Each constructor's structure is stated once, in :data:`SIGNATURE`: its
 child fields, the sort of its children and its one non-child datum.  The
-walks that only follow structure read it (:func:`children`,
-:func:`rebuild`, :func:`substitute`, the reader and printer of
-:mod:`~.sexpr`, the coding of :mod:`~.coding`).  Adding a constructor
-touches its class, its row in ``SIGNATURE``, its head in
-``sexpr.HEADS``, its tag in ``coding._TAGS``, and the functions that give
-it a meaning (evaluation, the semantics' clauses, the kernel's rules).
+classes take their fields from it, and the walks that only follow
+structure read it (:func:`children`, :func:`rebuild`, :func:`substitute`,
+the reader and printer of :mod:`~.sexpr`, the coding of :mod:`~.coding`).
+Adding a constructor touches its class, its row in ``SIGNATURE``, its head
+in ``sexpr.HEADS``, its tag in ``coding._TAGS``, and the functions that
+give it a meaning (evaluation, the semantics' clauses, the kernel's rules).
+
+Terms and formulas are hash-consed (:class:`Expr`): a constructor returns
+the one live node with its fields, so equal trees are one object, ``==``
+is identity and the hash is stored.  What is cached on a node (its
+:func:`formula_facts`, its code, the sentence a quoted numeral names) is
+computed once per distinct term or formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class SyntaxError_(Exception):
@@ -36,59 +42,160 @@ class CaptureError(SyntaxError_):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+
+
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a node, with the node's hash."""
+
+    __slots__ = ("hash",)
+
+
+def _dropper(table: dict):
+    """The callback that forgets a dead node's entry in ``table``."""
+
+    def drop(entry: _Entry) -> None:
+        found = table.get(entry.hash)
+        if found is entry:
+            del table[entry.hash]
+        elif type(found) is list:
+            found.remove(entry)  # a dead entry equals only itself
+            if not found:
+                del table[entry.hash]
+
+    return drop
+
+
+class Expr:
+    """A term or formula, hash-consed (Filliatre & Conchon, 2006).
+
+    ``cls(*fields)`` returns the one live node of class ``cls`` with those
+    fields, building it only if there is none, so structurally equal nodes
+    are the same object: ``==`` is identity.  The hash is that of the
+    field tuple, computed once from the children's stored hashes.  Neither
+    recurses.  A class's fields are named by its :data:`SIGNATURE` row,
+    datum first and then children, and live in the slots ``_f0`` and
+    ``_f1``.  A class's ``_check`` refuses fields that make no node before
+    the node enters the table, so a node found there has passed it.
+
+    Each class's table maps a hash to weak references to the live nodes
+    with that hash (one, or a list on a collision), and a node is found by
+    comparing its fields with ``==``, which is identity on children.  So
+    the table refers to no node strongly: a node lives exactly as long as
+    the program holds it, even when a cache slot closes a cycle (a quoted
+    diagonal sentence's numeral remembers the sentence that holds it).
+    Nodes are immutable; the cache slots (``_code`` here, ``_facts`` on
+    formulas, ``_quoted`` on numerals) are None until filled through
+    ``object.__setattr__``."""
+
+    __slots__ = ("_f0", "_f1", "_hash", "_code", "__weakref__")
+
+    #: field names, from the class's SIGNATURE row
+    _fields: tuple[str, ...] = ()
+    #: setters of the class's cache slots, each None in a new node
+    _caches: tuple = ()
+    _check = None
+    #: hash -> the entry, or a list of the entries, of the class's live
+    #: nodes with that hash; ``_drop`` forgets a dead node's entry
+    _table: dict
+    _drop: Callable[[_Entry], None]
+
+    def __new__(cls, *args):
+        h = hash(args)
+        found = cls._table.get(h)
+        if found is not None:
+            n = len(args)
+            for entry in (found,) if type(found) is _Entry else found:
+                node = entry()
+                # children compare by identity, a datum by value
+                if node is not None and (n == 0 or node._f0 == args[0] and (
+                        n == 1 or node._f1 == args[1])):
+                    return node
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} "
+                            f"argument(s), got {len(args)}")
+        if cls._check is not None:
+            cls._check(*args)
+        node = _new(cls)
+        if args:
+            _set_f0(node, args[0])
+            if len(args) == 2:
+                _set_f1(node, args[1])
+        _set_hash(node, h)
+        for fill in cls._caches:
+            fill(node, None)
+        entry = _Entry(node, cls._drop)
+        entry.hash = h
+        if found is None:
+            cls._table[h] = entry
+        elif type(found) is _Entry:
+            cls._table[h] = [found, entry]
+        else:
+            found.append(entry)
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+_new = object.__new__
+_set_f0, _set_f1, _set_hash = Expr._f0.__set__, Expr._f1.__set__, Expr._hash.__set__
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    #: Goedel code, filled on first use by :func:`~.coding.encode`
-    _code: int | None = field(default=None, init=False, compare=False, repr=False)
+class Term(Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Suc(Term):
-    child: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Plus(Term):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Times(Term):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Num(Term):
     """Numeral literal: the canonical name of the natural number ``value``."""
 
-    value: int
     #: the formula this numeral names, set by :func:`~.coding.quote`
-    _quoted: Formula | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    __slots__ = ("_quoted",)
 
-    def __post_init__(self):
-        if self.value < 0:
-            raise SyntaxError_(f"numeral value must be a natural: {self.value}")
+    @staticmethod
+    def _check(value):
+        if value < 0:
+            raise SyntaxError_(f"numeral value must be a natural: {value}")
 
     def __repr__(self) -> str:
-        # dataclass keeps this over its generated repr: a message that shows
-        # a formula never hits the int-to-str digit limit
+        # a message that shows a formula never hits the int-to-str digit limit
         return f"Num(value={numeral_text(self.value)})"
 
 
@@ -117,22 +224,18 @@ SYNTAX_FN_ARITY = {
 }
 
 
-@dataclass(frozen=True, slots=True)
 class SynApp(Term):
-    symbol: str
-    args: tuple[Term, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        arity = SYNTAX_FN_ARITY.get(self.symbol)
+    @staticmethod
+    def _check(symbol, args):
+        arity = SYNTAX_FN_ARITY.get(symbol)
         if arity is None:
-            raise SyntaxError_(f"unknown syntax function symbol: {self.symbol}")
-        if len(self.args) != arity:
+            raise SyntaxError_(f"unknown syntax function symbol: {symbol}")
+        if len(args) != arity:
             raise SyntaxError_(
-                f"{self.symbol} expects {arity} argument(s), got {len(self.args)}"
+                f"{symbol} expects {arity} argument(s), got {len(args)}"
             )
-
-
-ZERO = Zero()
 
 
 def numeral(n: int) -> Term:
@@ -166,56 +269,37 @@ def is_zero(t: Term) -> bool:
 # Formulas
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
+class Formula(Expr):
     #: (free_vars, bound_vars, has_T), filled on first use by formula_facts
-    _facts: tuple[frozenset[str], frozenset[str], bool] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    #: Goedel code, filled on first use by :func:`~.coding.encode`
-    _code: int | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("_facts",)
 
 
-@dataclass(frozen=True, slots=True)
 class Eq(Formula):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Tr(Formula):
-    term: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Forall(Formula):
-    var: str
-    body: Formula
-
-
-TOP = Top()
-BOT = Bot()
+    __slots__ = ()
 
 
 def lor(a: Formula, b: Formula) -> Formula:
@@ -261,6 +345,11 @@ class Shape(NamedTuple):
     kid_sort: type | None = None
     datum: str | None = None
 
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """The constructor's arguments in order: the datum, then the kids."""
+        return self.kids if self.datum is None else (self.datum, *self.kids)
+
 
 #: concrete class -> its shape; the one statement of which constructors
 #: exist and what their children are.  A ``SynApp``'s one child field,
@@ -281,6 +370,21 @@ SIGNATURE: dict[type, Shape] = {
     And: Shape(("left", "right"), Formula),
     Forall: Shape(("body",), Formula, "var"),
 }
+
+# each class's named fields, cache slots and intern table, from its row
+for _cls, _shape in SIGNATURE.items():
+    _cls._fields = _shape.fields
+    for _slot, _name in zip((Expr._f0, Expr._f1), _cls._fields):
+        setattr(_cls, _name, _slot)
+    _cls._caches = tuple(getattr(_cls, name).__set__ for name in
+                         ("_code", "_facts", "_quoted") if hasattr(_cls, name))
+    _cls._table = {}
+    _cls._drop = _dropper(_cls._table)
+del _cls, _shape, _slot, _name
+
+ZERO = Zero()
+TOP = Top()
+BOT = Bot()
 
 
 #: class -> (an attrgetter of its child fields, or None for a leaf; whether
@@ -339,8 +443,8 @@ def bound_vars(phi: Formula) -> frozenset[str]:
 
 def formula_facts(phi: Formula) -> tuple[frozenset[str], frozenset[str], bool]:
     """``(free_vars(phi), bound_vars(phi), not is_base_formula(phi))``,
-    computed on first use and cached on ``phi`` (formulas are immutable, so
-    the facts never go stale)."""
+    computed once per distinct formula and cached on it (formulas are
+    immutable, so the facts never go stale)."""
     facts = phi._facts
     if facts is None:
         facts = (free_vars(phi), bound_vars(phi), not is_base_formula(phi))

@@ -202,14 +202,14 @@ def _certify(
 def collect_eigenvars(d: Derivation) -> set[str]:
     return {
         node.var
-        for _, node in d.iter_nodes()
+        for node in d.iter_nodes()
         if RULE_SHAPES[node.rule].binds is not None and node.var is not None
     }
 
 
 def all_var_names(d: Derivation) -> set[str]:
     names: set[str] = set(collect_eigenvars(d))
-    for _, node in d.iter_nodes():
+    for node in d.iter_nodes():
         for o in node.conclusion.all_occurrences():
             f, b, _ = formula_facts(o.formula)
             names |= f
@@ -1018,7 +1018,7 @@ def _cut_rank_of(node: Derivation) -> int:
 
 def _max_cut_rank(d: Derivation) -> int:
     return max(
-        (_cut_rank_of(node) for _, node in d.iter_nodes() if node.rule == "cut"),
+        (_cut_rank_of(node) for node in d.iter_nodes() if node.rule == "cut"),
         default=0,
     )
 

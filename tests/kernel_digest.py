@@ -211,8 +211,8 @@ def items():
         wholes.append((f"proof {k}", d))
     for name, d in wholes:
         deriv._ids = itertools.count(1 + max(
-            o.id for _, n in d.iter_nodes() for o in n.conclusion.all_occurrences()))
-        for path, node in d.iter_nodes():
+            o.id for n in d.iter_nodes() for o in n.conclusion.all_occurrences()))
+        for path, node in d.iter_paths():
             for label, mutated in _mutations(node):
                 yield label, f"{name} {path}", mutated
 

@@ -263,7 +263,7 @@ def test_cut_elimination_bulk():
         r = eliminate_cuts(d, "lptn")
         out = r.derivation
         assert check_derivation(out, "lptn").ok
-        assert all(n.rule != "cut" for _, n in out.iter_nodes())
+        assert all(n.rule != "cut" for n in out.iter_nodes())
         mo = compute_measures(out)
         assert sorted(map(repr, out.conclusion.ante_formulas())) == \
             sorted(map(repr, d.conclusion.ante_formulas()))

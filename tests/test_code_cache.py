@@ -5,28 +5,36 @@ nothing."""
 import pathlib
 import random
 import time
-from dataclasses import fields
 
 import pytest
 
 from truthcut.arith import chain_numeral
 from truthcut.cli import _read_seed_file
 from truthcut.coding import (
+    _DIAG,
+    _SYN_ORDER,
+    _TAGS,
     CodeSizeError,
     DecodeError,
     EvalError,
+    _str_code,
+    _str_decode,
     decode,
     decode_sentence,
+    diag_code,
     encode,
     eval_term,
     liar,
+    pair,
     quote,
     truth_teller,
+    unpair,
 )
 from truthcut.search import SearchBudget, _Searcher
 from truthcut.semantics import build_universe
 from truthcut.sexpr import parse_formula
 from truthcut.syntax import (
+    SIGNATURE,
     And,
     Bot,
     CaptureError,
@@ -38,13 +46,14 @@ from truthcut.syntax import (
     Plus,
     Suc,
     SynApp,
-    Term,
     Times,
     Top,
     Tr,
     Var,
     Zero,
+    children,
     is_sentence,
+    rebuild,
     substitute,
 )
 
@@ -54,28 +63,83 @@ PINS = pathlib.Path(__file__).parent / "fixpoint_pins"
 LIAR, TELLER = liar(), truth_teller()
 
 
-def _fresh(x):
-    """A structurally equal copy of ``x`` that keeps no code and no quoted
-    sentence."""
-    if isinstance(x, tuple):
-        return tuple(_fresh(a) for a in x)
-    if isinstance(x, (Term, Formula)):
-        return type(x)(*(_fresh(getattr(x, f.name)) for f in fields(x) if f.init))
-    return x
-
-
 def _nodes(x):
     """Every term and formula node of ``x``, ``x`` included."""
     out, todo = [], [x]
     while todo:
         e = todo.pop()
         out.append(e)
-        for f in fields(e):
-            if f.init:
-                v = getattr(e, f.name)
-                todo.extend(v if isinstance(v, tuple) else
-                            [v] if isinstance(v, (Term, Formula)) else [])
+        todo.extend(children(e))
     return out
+
+
+def _swap(e, old, new):
+    """``e`` with ``new`` for every subtree ``old``."""
+    if e is old:
+        return new
+    kids = children(e)
+    return rebuild(e, [_swap(c, old, new) for c in kids]) if kids else e
+
+
+def _subst(e, x, t):
+    """``e`` with the closed term ``t`` for the free occurrences of ``x``."""
+    if type(e) is Var:
+        return t if e.name == x else e
+    kids = children(e)
+    if not kids or (type(e) is Forall and e.var == x):
+        return e
+    return rebuild(e, [_subst(c, x, t) for c in kids])
+
+
+def _ref_code(e, memo=None):
+    """The code of ``e`` by the coding's definition, computed afresh over
+    ``children`` and ``SIGNATURE``; it reads no cache slot of any node.  A
+    formula gets the smallest DIAG code among its numerals whose diagonal
+    sentence it is (``e`` is the formula that code's body codes, with that
+    numeral for the body's variable), else its tagged structural code."""
+    if memo is not None and e in memo:
+        return memo[e]
+    cls = type(e)
+    tag = _TAGS[cls]
+    if cls is Num:
+        payload = e.value
+    else:
+        codes = [_ref_code(c, memo) for c in children(e)]
+        datum = SIGNATURE[cls].datum
+        if cls is SynApp:
+            tag += _SYN_ORDER.index(e.symbol)
+        elif datum is not None:
+            codes.insert(0, _str_code(getattr(e, datum)))
+        payload = codes.pop() if codes else 0
+        while codes:
+            payload = pair(codes.pop(), payload)
+    code = pair(tag, payload) + 1
+    if isinstance(e, Formula):
+        nums = {n.value for n in _nodes(e) if type(n) is Num and n.value >= 1}
+        for c in sorted(nums):
+            tag_c, body = unpair(c - 1)
+            if tag_c != _DIAG:
+                continue
+            f, v = unpair(body)
+            name = _str_decode(v)
+            phi = _swap(e, Num(c), Var(name))
+            if _ref_code(phi, memo) == f and _subst(phi, name, Num(c)) is e:
+                code = c
+                break
+    if memo is not None:
+        memo[e] = code
+    return code
+
+
+def _unencoded_diagonal(make, v):
+    """The diagonal sentence of ``make(Var(v))`` at ``v``, built without
+    encoding it; ``v`` is a name no other test uses, so no live node is
+    this one."""
+    body = make(Var(v))
+    c = diag_code(body, v)
+    lam = substitute(body, v, Num(c))
+    assert lam._code is None and _ref_code(lam) == c
+    return lam
 
 
 def _term(rng, depth):
@@ -122,7 +186,7 @@ def _tower(phi, height):
 
 def test_cached_codes_match_fresh_copies():
     # [DERIVED] whatever order the subnodes are encoded in, every node keeps
-    # the code that a fresh, structurally equal copy gets, and the liar and
+    # the code that an uncached reference encoder gives it, and the liar and
     # truth-teller rebuilt from scratch get their DIAG codes
     rng = random.Random(61)
     for _ in range(300):
@@ -132,12 +196,12 @@ def test_cached_codes_match_fresh_copies():
         for e in nodes[: rng.randrange(len(nodes) + 1)]:
             encode(e)
         code = encode(phi)
-        assert code == encode(_fresh(phi)) == encode(phi)
+        assert code == _ref_code(phi) == encode(phi)
         for e in _nodes(phi):  # below a DIAG match nothing is encoded
-            assert e._code in (None, encode(_fresh(e)))
-            assert encode(e) == encode(_fresh(e))
-    assert encode(Not(Tr(Num(encode(LIAR))))) == encode(LIAR)
-    assert encode(Tr(Num(encode(TELLER)))) == encode(TELLER)
+            assert e._code in (None, _ref_code(e))
+            assert encode(e) == _ref_code(e)
+    assert encode(Not(Tr(Num(encode(LIAR))))) == encode(LIAR) == _ref_code(LIAR)
+    assert encode(Tr(Num(encode(TELLER)))) == encode(TELLER) == _ref_code(TELLER)
 
 
 def test_decode_inverts_encode_and_quote_remembers():
@@ -157,28 +221,34 @@ def test_decode_inverts_encode_and_quote_remembers():
 def test_aborted_encode_keeps_no_code():
     # [DERIVED] a node whose code passes the cap raises and keeps no code;
     # the subnodes that stayed under it keep their true codes
-    phi = Eq(Suc(Suc(Num(2**1000))), Zero())
-    whole = encode(_fresh(phi))
+    phi = Eq(Suc(Suc(Num(2**1000 + 61))), Zero())
     low = phi.left.child
-    cap = encode(_fresh(low)).bit_length()
+    assert all(e._code is None for e in (phi, phi.left, low, low.child))
+    whole = _ref_code(phi)
+    cap = _ref_code(low).bit_length()
     with pytest.raises(CodeSizeError):
         encode(phi, cap)
     assert phi._code is None and phi.left._code is None
-    assert low._code == encode(_fresh(low)) and low.child._code is not None
+    assert low._code == _ref_code(low) and low.child._code is not None
     assert encode(phi) == whole
 
 
 def test_cap_measures_a_diagonal_sentence_by_its_own_code():
-    # [DERIVED] the numeral inside the liar or the truth-teller has a longer
+    # [DERIVED] the numeral inside a liar or a truth-teller has a longer
     # code than the sentence itself; under a cap the sentence still gets its
-    # DIAG code, as the code of the whole decides
-    for lam in (LIAR, TELLER):
-        bits = encode(lam).bit_length()
-        assert encode(_fresh(lam), bits) == encode(lam)
+    # DIAG code, as the code of the whole decides.  Each sentence is encoded
+    # from scratch: a capped encode that fails keeps no code on it.
+    for make, v in ((lambda x: Not(Tr(x)), "cap_l"), (Tr, "cap_t")):
+        lam = _unencoded_diagonal(make, v)
+        bits = _ref_code(lam).bit_length()
+        assert _ref_code(lam.term if type(lam) is Tr else lam.body.term).bit_length() > bits
         with pytest.raises(CodeSizeError):
-            encode(_fresh(lam), bits - 1)
-        phi = Not(Not(lam))
-        assert encode(_fresh(phi), encode(phi).bit_length()) == encode(phi)
+            encode(lam, bits - 1)
+        assert lam._code is None
+        assert encode(lam, bits) == _ref_code(lam)
+        phi = Not(Not(_unencoded_diagonal(make, v + "2")))
+        assert phi._code is None
+        assert encode(phi, _ref_code(phi).bit_length()) == _ref_code(phi)
 
 
 def test_sub_past_the_cap_stops_early():
@@ -229,7 +299,7 @@ def _ref_identity(phi, holds_if_equal):
     return (False, ()) if equal == holds_if_equal else (True, ())
 
 
-def _ref_clause(phi, bound):
+def _ref_clause(phi, bound, memo):
     false = (True, ())
     if isinstance(phi, Eq):
         return _ref_identity(phi, True)
@@ -241,10 +311,10 @@ def _ref_clause(phi, bound):
         except EvalError:
             return false
     if isinstance(phi, And):
-        return (False, (encode(phi.left), encode(phi.right)))
+        return (False, (_ref_code(phi.left, memo), _ref_code(phi.right, memo)))
     if isinstance(phi, Forall):
         insts = _ref_instances(phi, bound)
-        return (False, tuple(encode(i) for i in insts)) if insts else false
+        return (False, tuple(_ref_code(i, memo) for i in insts)) if insts else false
     if isinstance(phi, Not):
         inner = phi.body
         if isinstance(inner, Eq):
@@ -253,24 +323,26 @@ def _ref_clause(phi, bound):
             return (False, ())
         if isinstance(inner, Tr):
             try:
-                return (False, (encode(Not(decode_sentence(eval_term(inner.term)))),))
+                phi = Not(decode_sentence(eval_term(inner.term)))
+                return (False, (_ref_code(phi, memo),))
             except (EvalError, DecodeError):
                 return false
         if isinstance(inner, Not):
-            return (False, (encode(inner.body),))
+            return (False, (_ref_code(inner.body, memo),))
         if isinstance(inner, And):
-            return (True, (encode(Not(inner.left)), encode(Not(inner.right))))
+            return (True, (_ref_code(Not(inner.left), memo),
+                           _ref_code(Not(inner.right), memo)))
         if isinstance(inner, Forall):
-            return (True, tuple(encode(Not(i))
+            return (True, tuple(_ref_code(Not(i), memo)
                                 for i in _ref_instances(inner, bound)))
     return false
 
 
 def _ref_universe(seeds, bound):
     """(codes, sentences, clauses) of the closure that decodes every code;
-    the sentences it decodes keep no code beforehand."""
-    sentences, clauses = {}, {}
-    work = [encode(_fresh(s)) for s in seeds]
+    its codes come from the uncached reference encoder."""
+    sentences, clauses, memo = {}, {}, {}
+    work = [_ref_code(s, memo) for s in seeds]
     while work:
         c = work.pop()
         if c in sentences:
@@ -280,7 +352,7 @@ def _ref_universe(seeds, bound):
         except DecodeError:
             continue
         sentences[c] = phi
-        clauses[c] = _ref_clause(phi, bound)
+        clauses[c] = _ref_clause(phi, bound, memo)
         work.extend(clauses[c][1])
     return frozenset(sentences), sentences, clauses
 

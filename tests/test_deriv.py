@@ -249,7 +249,7 @@ def _first_fit_minus(xs, ys):
 
 def test_minus_and_same_multiset_match_a_first_fit_loop():
     # [DERIVED] on 2000 random lists over four formulas, with duplicates and
-    # structurally equal but distinct objects, minus keeps the order and the
+    # equal formulas built apart, minus keeps the order and the
     # very objects the reference loop keeps, and same_multiset is the
     # multiset equality of sorted texts
     rng = random.Random(17)

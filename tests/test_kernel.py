@@ -217,7 +217,7 @@ def _samples():
     one, three = chain_numeral(1), chain_numeral(3)
     for d in (prove_equation([], Times(one, one), one, []),
               refute_equation([], one, three, [])):
-        for _, node in d.iter_nodes():
+        for node in d.iter_nodes():
             out.setdefault(node.rule, node)
     return out
 
@@ -227,7 +227,7 @@ SAMPLES = _samples()
 
 def _system_of(rule):
     """The first system with every rule of the sample for ``rule``."""
-    used = {node.rule for _, node in SAMPLES[rule].iter_nodes()}
+    used = {node.rule for node in SAMPLES[rule].iter_nodes()}
     return next(s for s in SYSTEMS if used <= set(SYSTEM_RULES[s]))
 
 

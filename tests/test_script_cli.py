@@ -139,7 +139,7 @@ def test_cli_elim(cut_file, tmp_path, capsys):
     assert "CUT-FREE" in capsys.readouterr().out
     d = parse_script(open(out_file).read())
     assert check_derivation(d, "qg").ok
-    assert all(n.rule != "cut" for _, n in d.iter_nodes())
+    assert all(n.rule != "cut" for n in d.iter_nodes())
 
 
 def test_cli_search_found(capsys):

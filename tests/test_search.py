@@ -35,7 +35,7 @@ def _found(ante, succ, system="lptn", budget=BUD):
     r = search_cut_free(ante, succ, budget, system)
     if r.found:
         assert check_derivation(r.derivation, system).ok
-        assert all(n.rule != "cut" for _, n in r.derivation.iter_nodes())
+        assert all(n.rule != "cut" for n in r.derivation.iter_nodes())
     return r
 
 

@@ -1,5 +1,8 @@
 """Syntax trees, the signature, substitution, and complexity measures."""
 
+import copy
+import gc
+import pickle
 import random
 import sys
 
@@ -199,20 +202,116 @@ def test_formula_facts_match_the_walkers():
 
 
 def test_facts_slot_is_invisible():
-    # [DERIVED] filling the cache changes neither equality, hash nor repr;
-    # slotted syntax and derivation objects carry no instance dict
+    # [DERIVED] filling the cache changes neither identity, hash nor repr,
+    # and fills it with what the uncached walkers give; a formula built
+    # again is the same object; slotted syntax and derivation objects carry
+    # no instance dict
     from truthcut.build import init_leaf
 
-    phi = Forall("x", And(Eq(x, y), Not(Tr(z))))
-    twin = Forall("x", And(Eq(x, y), Not(Tr(z))))
+    phi = Forall("x", And(Eq(x, y), Not(Tr(Var("z_facts")))))
+    assert phi._facts is None
     before = (hash(phi), repr(phi))
-    formula_facts(phi)
+    facts = formula_facts(phi)
     assert (hash(phi), repr(phi)) == before
-    assert phi == twin and hash(phi) == hash(twin)
-    assert twin._facts is None and phi._facts is not None
+    assert facts == (free_vars(phi), bound_vars(phi), not is_base_formula(phi))
+    twin = Forall("x", And(Eq(x, y), Not(Tr(Var("z_facts")))))
+    assert twin is phi and twin == phi and hash(twin) == hash(phi)
     d = init_leaf([phi], Eq(x, ZERO), [])
     for obj in (phi, x, ZERO, Top(), d, d.conclusion, d.conclusion.ante[0]):
         assert not hasattr(obj, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+
+def test_hash_is_the_hash_of_the_field_tuple():
+    # [DERIVED] for one node of every class, the stored hash is that of its
+    # fields in SIGNATURE order, the value a frozen dataclass's hash gave
+    terms, formulas = _one_of_each()
+    for e in terms + formulas:
+        fields = tuple(getattr(e, f) for f in SIGNATURE[type(e)].fields)
+        assert hash(e) == hash(fields)
+        assert type(e)(*fields) is e
+
+
+def test_nodes_are_immutable_and_checked_before_interning():
+    # [DERIVED] a field cannot be assigned or deleted, a copy or a pickled
+    # round trip is the node itself, and a bad numeral or syntax-function
+    # application is refused and never enters the table
+    phi = Eq(x, Num(3))
+    with pytest.raises(AttributeError):
+        phi.left = y
+    with pytest.raises(AttributeError):
+        del phi.right
+    assert copy.copy(phi) is copy.deepcopy(phi) is pickle.loads(pickle.dumps(phi)) is phi
+    size = _table_size()
+    with pytest.raises(syntax.SyntaxError_):
+        Num(-1)
+    with pytest.raises(syntax.SyntaxError_):
+        SynApp("num", (x, y))
+    with pytest.raises(TypeError):
+        Eq(x)
+    assert _table_size() == size
+
+
+def _table_size():
+    """Live entries in the intern tables of all classes."""
+    return sum(len(v) if isinstance(v, list) else 1
+               for cls in SIGNATURE for v in list(cls._table.values()))
+
+
+def test_intern_table_holds_no_dead_nodes():
+    # [DERIVED] once the last reference to a batch of new nodes is gone, the
+    # table is back to its size before the batch, also when a quoted
+    # diagonal sentence's numeral remembers the sentence that holds it
+    from truthcut.coding import diagonalize
+
+    gc.collect()
+    size = _table_size()
+    batch = [Forall("t_batch", Eq(Suc(Num(k)), Plus(Var("t_batch"), Num(k))))
+             for k in range(500)]
+    batch.append(quote(Tr(quote(Eq(Num(10**40), Zero())))))
+    teller = diagonalize(Tr(Var("t_batch")))
+    assert quote(teller) is teller.term and teller.term._quoted is teller
+    batch.append(teller)
+    del teller
+    assert _table_size() > size + 2000
+    del batch
+    gc.collect()
+    assert _table_size() == size
+    # numerals whose values differ by the modulus of int hashing collide:
+    # each is still found as itself, and each entry goes when its node does
+    m = sys.hash_info.modulus
+    low, high = Num(m + 7), Num(2 * m + 7)
+    assert hash(low) == hash(high) and low is not high
+    assert Num(m + 7) is low and Num(2 * m + 7) is high
+    assert _table_size() == size + 2
+    del low
+    assert Num(2 * m + 7) is high and _table_size() == size + 1
+    del high
+    assert _table_size() == size
+
+
+def test_deep_towers_compare_and_hash_without_recursion(default_recursion_limit):
+    # [DERIVED] two 5000-deep (not (= x 0)) towers built apart are one
+    # object, and ==, hash, Counter and same_multiset on them succeed at
+    # the default recursion limit
+    from collections import Counter
+
+    from truthcut.deriv import same_multiset
+
+    towers = []
+    for _ in range(2):
+        phi = Eq(x, ZERO)
+        for _ in range(5000):
+            phi = Not(phi)
+        towers.append(phi)
+    a, b = towers
+    assert a is b and a == b and hash(a) == hash(b)
+    assert Counter([a, b, Not(a)]) == Counter({a: 2, Not(b): 1})
+    assert same_multiset([a, Not(a)], [Not(b), b])
+    assert not same_multiset([a, a], [a, Not(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +319,7 @@ def test_facts_slot_is_invisible():
 
 
 def _subclasses(cls):
-    """The live subclasses of ``cls`` (a slotted dataclass replaces the class
-    its decorator was given, which may linger among the subclasses)."""
+    """The subclasses of ``cls`` that the syntax module defines."""
     for sub in cls.__subclasses__():
         if getattr(syntax, sub.__name__) is sub:
             yield sub
@@ -278,12 +376,11 @@ def test_walks_reach_900_levels(default_recursion_limit):
     text = "(not " * DEEP + "(= x 0)" + ")" * DEEP
     phi = parse_formula(text)
     assert format_formula(phi) == text
-    # (== on trees this deep would recurse through the dataclasses' __eq__)
-    assert format_formula(substitute(phi, "x", Num(1))) == text.replace("x", "1")
+    assert substitute(phi, "x", Num(1)) is parse_formula(text.replace("x", "1"))
     assert logical_complexity(phi) == DEEP
     term = "(S " * DEEP + "x" + ")" * DEEP
     t = parse_term(term)
     assert format_formula(t) == term
-    assert format_formula(substitute(t, "x", Num(1))) == term.replace("x", "1")
+    assert substitute(t, "x", Num(1)) is parse_term(term.replace("x", "1"))
     shallow = parse_formula("(not " * 300 + "(= x 0)" + ")" * 300)
     assert formula_facts(shallow) == (frozenset({"x"}), frozenset(), False)

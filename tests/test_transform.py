@@ -77,7 +77,7 @@ def test_weaken_adds_context_everywhere():
     assert m1.triple() == m0.triple()
     assert Not(PSI) in r.derivation.conclusion.ante_formulas()
     assert TPHI in r.derivation.conclusion.succ_formulas()
-    for _, node in r.derivation.iter_nodes():
+    for node in r.derivation.iter_nodes():
         assert Not(PSI) in node.conclusion.ante_formulas()
     assert all(c[2] <= c[1] for c in r.certificate.checks)
 
@@ -246,7 +246,7 @@ def test_drop_context_checks_its_occurrence():
     # leaf came back unchanged and a larger proof raised a lineage fault
     lf = B.init_leaf([PSI], PHI, [])
     d = B.truth_left(lf, _ante_id(lf, PHI))
-    missing = 1 + max(o.id for _, n in d.iter_nodes()
+    missing = 1 + max(o.id for n in d.iter_nodes()
                       for o in n.conclusion.all_occurrences())
     for proof in (lf, d):
         with pytest.raises(TransformError,
@@ -701,7 +701,7 @@ def test_push_past_forallr_freshens_a_clashing_eigenvariable():
     r = reduce_cut(d0, aid, d1, bid, "lptn")
     _assert_exact(r.occ_map, _where(d0.conclusion, aid),
                   _where(r.derivation.conclusion))
-    eigenvariables = [n.var for _, n in r.derivation.iter_nodes()
+    eigenvariables = [n.var for n in r.derivation.iter_nodes()
                       if n.rule == "forallr"]
     assert eigenvariables.count("y") == 1 and len(eigenvariables) == 2
 
@@ -742,7 +742,7 @@ def test_copies_of_the_other_premise_bind_fresh_eigenvariables(tops):
     assert check_derivation(cut, "lptn").ok
     for r in (reduce_cut(d0, aid, d1, bid, "lptn"), eliminate_cuts(cut, "lptn")):
         assert r.certificate.output_measures[1] == 0
-        eigenvariables = [n.var for _, n in r.derivation.iter_nodes()
+        eigenvariables = [n.var for n in r.derivation.iter_nodes()
                           if n.rule == "forallr"]
         assert len(set(eigenvariables)) == len(eigenvariables) == tops
 
@@ -836,7 +836,7 @@ def test_eliminate_cuts_nested():
         assert check_derivation(out, "lptn").ok
         m1 = compute_measures(out)
         assert m1.cut_rank == 0
-        assert all(n.rule != "cut" for _, n in out.iter_nodes())
+        assert all(n.rule != "cut" for n in out.iter_nodes())
         assert m1.proof_tau <= m0.proof_tau
         assert m1.length <= hyperexp(m0.cut_rank, m0.length)
         from truthcut.deriv import same_multiset

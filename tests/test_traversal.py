@@ -73,15 +73,16 @@ def _recursive_post_order(d):
 
 
 def test_walk_orders():
-    # [DERIVED] iter_nodes keeps the recursive pre-order (path, node)
-    # sequence; fold visits in recursive post-order and hands each node its
+    # [DERIVED] iter_paths keeps the recursive pre-order (path, node)
+    # sequence and iter_nodes its nodes; fold visits in recursive post-order and hands each node its
     # premises' results left to right
     rng = random.Random(11)
     for _ in range(20):
         d = None
         while d is None:
             d = nested_cuts(rng, 3)
-        assert list(d.iter_nodes()) == list(_recursive_pre_order(d))
+        assert list(d.iter_paths()) == list(_recursive_pre_order(d))
+        assert list(d.iter_nodes()) == [n for _, n in _recursive_pre_order(d)]
         seen = []
 
         def step(node, done):
@@ -95,7 +96,7 @@ def test_walk_orders():
 
 WALKS = {
     "iter_nodes": (lambda: [len(n.conclusion.all_occurrences())
-                            for _, n in TALL.iter_nodes()],
+                            for n in TALL.iter_nodes()],
                    lambda widths: len(widths) == TR_STEPS + 3
                    and set(widths) == {3, 4}),
     "check_derivation": (lambda: check_derivation(TALL, "lptn"),

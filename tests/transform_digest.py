@@ -82,7 +82,7 @@ def _calls(d, system):
 
 def _ids(d):
     return [[o.id for o in n.conclusion.all_occurrences()]
-            for _, n in d.iter_nodes()]
+            for n in d.iter_nodes()]
 
 
 def _record(result):
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     dump = open(args.dump, "w") if args.dump else None
     corpus = _corpus()
-    start = 1 + max(o.id for d, _ in corpus for _, n in d.iter_nodes()
+    start = 1 + max(o.id for d, _ in corpus for n in d.iter_nodes()
                     for o in n.conclusion.all_occurrences())
     out, ids = hashlib.sha256(), hashlib.sha256()
     kinds: dict[str, list] = {}
