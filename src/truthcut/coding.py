@@ -404,7 +404,7 @@ def _eval_syn(symbol: str, args: list[int]) -> int:
             if value.bit_length() > cap:
                 raise _oversize(cap)
             return value
-    except DecodeError as e:
+    except (DecodeError, CaptureError) as e:
         raise NonCodeArgumentError(str(e)) from e
     raise TypeError(f"unknown syntax function: {symbol}")
 

@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .syntax import Formula, Term, formula_facts, logical_complexity
+from .syntax import Formula, Term, is_base_formula, logical_complexity
 
 
 _ids = itertools.count(1)
@@ -337,7 +337,7 @@ def compute_measures(d: Derivation) -> Measures:
                         f"occurrence {o.id} at rule {node.rule} has no lineage"
                     )
                 tau[o.id] = 0
-            if not formula_facts(o.formula)[2]:
+            if is_base_formula(o.formula):
                 tau[o.id] = 0
         if node.rule == "cut":
             _, _, a = node.premises[0].conclusion.find(node.actives[0][1])

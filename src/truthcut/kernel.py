@@ -49,8 +49,10 @@ from .syntax import (
     SynApp,
     Tr,
     Var,
-    formula_facts,
+    bound_vars,
+    free_vars,
     is_base_atom,
+    is_sentence,
     is_zero,
     numeral_value,
     substitute,
@@ -166,9 +168,8 @@ class _Checker:
                     self.reused.append(Violation(self.path(at), OCC_ID_REUSE,
                                                  f"occurrence id {o.id} reused"))
                 seen.add(o.id)
-                f, b, _ = formula_facts(o.formula)
-                frees |= f
-                bounds |= b
+                frees |= free_vars(o.formula)
+                bounds |= bound_vars(o.formula)
             if frees:
                 self.frees[at] = frees
                 if frees & bounds:
@@ -344,7 +345,7 @@ class _Checker:
             self.bad(at, MALFORMED_RULE,
                      f"truth-rule principal must be a T atom in the {_side(node)}")
             return
-        if formula_facts(a.formula)[0]:
+        if not is_sentence(a.formula):
             self.bad(at, NOT_A_SENTENCE,
                      f"truth rule disquotes a non-sentence: {a.formula!r}")
             return
@@ -372,7 +373,7 @@ class _Checker:
                      "compositional principal must be a T atom in the succedent")
             return
         for a in acts:
-            if formula_facts(a.formula)[0]:
+            if not is_sentence(a.formula):
                 self.bad(at, NOT_A_SENTENCE,
                          f"compositional rule combines a non-sentence: {a.formula!r}")
                 return
@@ -449,7 +450,7 @@ class _Checker:
                      f"expected {want!r}")
             return
         for o in node.conclusion.all_occurrences():
-            if y in formula_facts(o.formula)[0]:
+            if y in free_vars(o.formula):
                 self.bad(at, EIGENVAR_CLASH,
                          f"eigenvariable {y} occurs free in the conclusion")
                 return
@@ -519,12 +520,12 @@ class _Checker:
             self.bad(at, PRINCIPAL_MISMATCH,
                      f"qg3 successor-case active must be {y}=S({x!r}), got {f1!r}")
             return
-        if y in formula_facts(f0)[0]:
+        if y in free_vars(f0):
             self.bad(at, EIGENVAR_CLASH,
                      f"qg3 eigenvariable {y} occurs in the zero case")
             return
         for o in node.conclusion.all_occurrences():
-            if y in formula_facts(o.formula)[0]:
+            if y in free_vars(o.formula):
                 self.bad(at, EIGENVAR_CLASH,
                          f"qg3 eigenvariable {y} occurs free in the conclusion")
                 return

@@ -42,7 +42,7 @@ from .syntax import (
     Times,
     Var,
     children,
-    formula_facts,
+    free_vars,
     rebuild,
 )
 
@@ -175,7 +175,7 @@ def _eq2_template(d: Eq, ante):
     at a position where ``d`` holds the trigger's left side and ``kept`` its
     right side, so only those pairs are generalized."""
     eqs = [f for f in ante if isinstance(f, Eq)]
-    where = None if "w_" in formula_facts(d)[0] else _positions(d)
+    where = None if "w_" in free_vars(d) else _positions(d)
     for trig in eqs:
         if trig.left == trig.right:
             continue
@@ -189,7 +189,7 @@ def _eq2_template(d: Eq, ante):
             ):
                 continue
             chi = _generalize(d, kept, trig.left, trig.right, "w_")
-            if chi is not None and "w_" in formula_facts(chi)[0]:
+            if chi is not None and "w_" in free_vars(chi):
                 return chi, trig
     return None
 

@@ -35,6 +35,7 @@ from .syntax import (
     Tr,
     Var,
     children,
+    is_closed,
     numeral_value,
     substitute,
 )
@@ -75,30 +76,18 @@ def _key(ante, succ):
 
 def _closed_subterms(fs) -> list[Term]:
     """Closed terms occurring in the goal, in first-seen pre-order; the
-    arguments of a syntax-function application are not listed.  One walk: a
-    term is closed when no variable is met between entering and leaving it."""
-    rows: list[list] = []  # [term, variables met on entering, ... on leaving]
-    met = 0
-    stack: list = [(f, True) for f in reversed(fs)]
+    arguments of a syntax-function application are not listed."""
+    out: dict[Term, None] = {}
+    stack: list = list(reversed(fs))
     while stack:
-        x, listed = stack.pop()
-        if listed is None:  # leaving the term of row x
-            x.append(met)
-            continue
-        if listed and isinstance(x, Term):
-            rows.append([x, met])
-            stack.append((rows[-1], None))
-        if isinstance(x, Var):
-            met += 1
-        listed = listed and not isinstance(x, SynApp)
-        stack += [(c, listed) for c in reversed(children(x))]
-    out: list[Term] = []
-    seen = set()
-    for t, entered, left in rows:
-        if entered == left and t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+        x = stack.pop()
+        if isinstance(x, Term):
+            if is_closed(x):
+                out[x] = None  # a key set again keeps its first place
+            if isinstance(x, SynApp):
+                continue
+        stack += reversed(children(x))
+    return list(out)
 
 
 class _Searcher:

@@ -59,7 +59,7 @@ from .syntax import (
     Not,
     Top,
     Tr,
-    formula_facts,
+    bound_vars,
     is_sentence,
     substitute,
 )
@@ -320,7 +320,7 @@ def check_completeness(phi: Formula, fp: FixedPoint, budget) -> CompletenessVerd
     refutable) by bounded cut-free search."""
     from .search import search_cut_free
 
-    if formula_facts(phi)[1]:  # a bound variable, so a quantifier
+    if bound_vars(phi):  # a bound variable, so a quantifier
         return CompletenessVerdict("vacuous")
     c = encode(phi)
     cn = encode(Not(phi))

@@ -21,9 +21,10 @@ give it a meaning (evaluation, the semantics' clauses, the kernel's rules).
 
 Terms and formulas are hash-consed (:class:`Expr`): a constructor returns
 the one live node with its fields, so equal trees are one object, ``==``
-is identity and the hash is stored.  What is cached on a node (its
-:func:`formula_facts`, its code, the sentence a quoted numeral names) is
-computed once per distinct term or formula.
+is identity and the hash is stored.  A node's syntax facts (free and bound
+variables, whether it contains ``T``, logical complexity) are set when it
+is built, from its children's, so no reader of them walks the tree.  Its
+code and the sentence a quoted numeral names are cached on it once.
 """
 
 from __future__ import annotations
@@ -84,17 +85,19 @@ class Expr:
     the table refers to no node strongly: a node lives exactly as long as
     the program holds it, even when a cache slot closes a cycle (a quoted
     diagonal sentence's numeral remembers the sentence that holds it).
-    Nodes are immutable; the cache slots (``_code`` here, ``_facts`` on
-    formulas, ``_quoted`` on numerals) are None until filled through
-    ``object.__setattr__``."""
+    A new node's ``_facts`` are set by its class's ``_derive`` rule.  Nodes
+    are immutable; the cache slots (``_code`` here, ``_quoted`` on
+    numerals) are None until filled through ``object.__setattr__``."""
 
-    __slots__ = ("_f0", "_f1", "_hash", "_code", "__weakref__")
+    __slots__ = ("_f0", "_f1", "_hash", "_facts", "_code", "__weakref__")
 
     #: field names, from the class's SIGNATURE row
     _fields: tuple[str, ...] = ()
     #: setters of the class's cache slots, each None in a new node
     _caches: tuple = ()
     _check = None
+    #: fields -> the new node's facts
+    _derive: Callable[..., tuple]
     #: hash -> the entry, or a list of the entries, of the class's live
     #: nodes with that hash; ``_drop`` forgets a dead node's entry
     _table: dict
@@ -122,6 +125,7 @@ class Expr:
             if len(args) == 2:
                 _set_f1(node, args[1])
         _set_hash(node, h)
+        _set_facts(node, cls._derive(*args))
         for fill in cls._caches:
             fill(node, None)
         entry = _Entry(node, cls._drop)
@@ -152,7 +156,8 @@ class Expr:
 
 
 _new = object.__new__
-_set_f0, _set_f1, _set_hash = Expr._f0.__set__, Expr._f1.__set__, Expr._hash.__set__
+_set_f0, _set_f1, _set_hash, _set_facts = (
+    Expr._f0.__set__, Expr._f1.__set__, Expr._hash.__set__, Expr._facts.__set__)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +275,7 @@ def is_zero(t: Term) -> bool:
 
 
 class Formula(Expr):
-    #: (free_vars, bound_vars, has_T), filled on first use by formula_facts
-    __slots__ = ("_facts",)
+    __slots__ = ()
 
 
 class Eq(Formula):
@@ -312,24 +316,12 @@ def lexists(x: str, body: Formula) -> Formula:
     return Not(Forall(x, Not(body)))
 
 
-def is_atomic(phi: Formula) -> bool:
-    """Atomic formulas are equations and truth ascriptions; top/bot are not."""
-    return isinstance(phi, (Eq, Tr))
-
-
 def is_base_atom(phi: Formula) -> bool:
     """Atomic formula of the T-free base language: an equation.  All terms
     (including syntax-function applications) belong to the base language; only
     the truth predicate does not.  These are the only admissible principal
     formulas of restricted initial sequents."""
     return isinstance(phi, Eq)
-
-
-def is_base_formula(phi: Formula) -> bool:
-    """Formula of the T-free base language (no occurrence of the T predicate)."""
-    if isinstance(phi, Tr):
-        return False
-    return all(is_base_formula(c) for c in children(phi) if isinstance(c, Formula))
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +363,73 @@ SIGNATURE: dict[type, Shape] = {
     Forall: Shape(("body",), Formula, "var"),
 }
 
-# each class's named fields, cache slots and intern table, from its row
+
+# ---------------------------------------------------------------------------
+# Syntax facts: (free variables, bound variables, contains T, logical
+# complexity), where logical complexity is the depth of the maximal branch
+# of the syntax tree, counting only logical constants.  Records are shared
+# where equal, which keeps the memory they take small.
+
+_NONE: frozenset[str] = frozenset()
+#: the facts of every variable-free, T-free node of complexity 0
+_PLAIN = (_NONE, _NONE, False, 0)
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """``a | b``: ``a`` or ``b`` itself when it is that union."""
+    return a if b <= a else b if a <= b else a | b
+
+
+def _over_terms(*kids: Term) -> tuple:
+    """The facts of a node over terms that neither binds nor contains T (a
+    compound term, an equation): a child's own when its free variables
+    hold all the others'."""
+    facts = _PLAIN
+    for k in kids:
+        kf = k._facts
+        if not kf[0] <= facts[0]:
+            facts = kf if facts[0] <= kf[0] else (facts[0] | kf[0], _NONE, False, 0)
+    return facts
+
+
+def _not(body: Formula) -> tuple:
+    free, bound, has_t, depth = body._facts
+    return free, bound, has_t, depth + 1
+
+
+def _and(left: Formula, right: Formula) -> tuple:
+    lf, rf = left._facts, right._facts
+    return (_union(lf[0], rf[0]), _union(lf[1], rf[1]), lf[2] or rf[2],
+            max(lf[3], rf[3]) + 1)
+
+
+def _forall(var: str, body: Formula) -> tuple:
+    free, bound, has_t, depth = body._facts
+    return (free - {var} if var in free else free,
+            bound if var in bound else bound | {var}, has_t, depth + 1)
+
+
+#: class -> its facts rule, where its shape does not give it: a leaf's
+#: facts are _PLAIN, and other nodes over terms take _over_terms
+_RULES: dict[type, Callable[..., tuple]] = {
+    Var: lambda name: (frozenset((name,)), _NONE, False, 0),
+    SynApp: lambda symbol, args: _over_terms(*args),
+    Tr: lambda term: (term._facts[0], _NONE, True, 0),
+    Not: _not,
+    And: _and,
+    Forall: _forall,
+}
+
+# each class's named fields, facts rule, cache slots and intern table,
+# from its row
 for _cls, _shape in SIGNATURE.items():
     _cls._fields = _shape.fields
     for _slot, _name in zip((Expr._f0, Expr._f1), _cls._fields):
         setattr(_cls, _name, _slot)
+    _cls._derive = staticmethod(_RULES.get(_cls) or (
+        _over_terms if _shape.kids else lambda *datum: _PLAIN))
     _cls._caches = tuple(getattr(_cls, name).__set__ for name in
-                         ("_code", "_facts", "_quoted") if hasattr(_cls, name))
+                         ("_code", "_quoted") if hasattr(_cls, name))
     _cls._table = {}
     _cls._drop = _dropper(_cls._table)
 del _cls, _shape, _slot, _name
@@ -417,64 +469,33 @@ def rebuild(x: Term | Formula, kids) -> Term | Formula:
 
 
 # ---------------------------------------------------------------------------
-# Free variables, closedness
+# Reading the facts
 
 
 def free_vars(x: Term | Formula) -> frozenset[str]:
-    if isinstance(x, Var):
-        return frozenset((x.name,))
-    if isinstance(x, Forall):
-        return free_vars(x.body) - {x.var}
-    out: frozenset[str] = frozenset()
-    for c in children(x):
-        out |= free_vars(c)
-    return out
+    return x._facts[0]
 
 
-def bound_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Forall):
-        return bound_vars(phi.body) | {phi.var}
-    out: frozenset[str] = frozenset()
-    for c in children(phi):
-        if isinstance(c, Formula):
-            out |= bound_vars(c)
-    return out
+def bound_vars(x: Term | Formula) -> frozenset[str]:
+    return x._facts[1]
 
 
-def formula_facts(phi: Formula) -> tuple[frozenset[str], frozenset[str], bool]:
-    """``(free_vars(phi), bound_vars(phi), not is_base_formula(phi))``,
-    computed once per distinct formula and cached on it (formulas are
-    immutable, so the facts never go stale)."""
-    facts = phi._facts
-    if facts is None:
-        facts = (free_vars(phi), bound_vars(phi), not is_base_formula(phi))
-        object.__setattr__(phi, "_facts", facts)
-    return facts
+def is_base_formula(x: Term | Formula) -> bool:
+    """Formula of the T-free base language (no occurrence of the T predicate)."""
+    return not x._facts[2]
+
+
+def logical_complexity(x: Term | Formula) -> int:
+    """0 on terms, atoms, top and bot; else one more than its deepest child."""
+    return x._facts[3]
 
 
 def is_closed(x: Term | Formula) -> bool:
-    return not free_vars(x)
+    return not x._facts[0]
 
 
 def is_sentence(phi: Formula) -> bool:
-    return is_closed(phi)
-
-
-# ---------------------------------------------------------------------------
-# Logical complexity: depth of the maximal branch of the syntax tree,
-# counting only logical constants.
-
-
-def logical_complexity(phi: Formula) -> int:
-    if is_atomic(phi) or isinstance(phi, (Top, Bot)):
-        return 0
-    if isinstance(phi, Not):
-        return logical_complexity(phi.body) + 1
-    if isinstance(phi, Forall):
-        return logical_complexity(phi.body) + 1
-    if isinstance(phi, And):
-        return max(logical_complexity(phi.left), logical_complexity(phi.right)) + 1
-    raise TypeError(f"not a formula: {phi!r}")
+    return not phi._facts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,33 +504,22 @@ def logical_complexity(phi: Formula) -> int:
 
 def substitute(e: Term | Formula, x: str, t: Term) -> Term | Formula:
     """``e``, a term or formula, with ``t`` for every free occurrence of
-    the variable ``x``.  A subtree without one comes back as it is: it is
-    walked unless it is a formula whose cached facts exclude ``x``.
+    the variable ``x``.  A subtree without one comes back as it is.
 
     Raises :class:`CaptureError` when ``t`` is not free for ``x`` in ``e``.
     """
+    if x not in e._facts[0]:
+        return e
     cls = type(e)
     if cls is Var:
-        return t if e.name == x else e
-    if isinstance(e, Formula):
-        facts = e._facts
-        if facts is not None and x not in facts[0]:
-            return e
-        if cls is Forall:
-            if e.var == x:
-                return e
-            if x in free_vars(e.body) and e.var in free_vars(t):
-                raise CaptureError(
-                    f"substituting {t!r} for {x} under binder of {e.var} would capture"
-                )
+        return t
+    if cls is Forall and e.var in t._facts[0]:
+        raise CaptureError(
+            f"substituting {t!r} for {x} under binder of {e.var} would capture"
+        )
     new = []
-    same = True
     for c in children(e):
-        d = substitute(c, x, t)
-        new.append(d)
-        same = same and d is c
-    if same:
-        return e
+        new.append(substitute(c, x, t))
     if SIGNATURE[cls].datum is None:
         return cls(*new)  # rebuild(e, new) without a frame of its own
     return rebuild(e, new)

@@ -51,10 +51,10 @@ Conventions:
 * ``reduce_cut`` output may contain cuts of strictly smaller rank (the
   compound-connective cases build them deliberately); only the truth-rule
   case reduces again, driven by the decrease of T-complexity.
-* Each formula's free variables, bound variables and T-occurrence are
-  computed once and cached on the formula (:func:`~.syntax.formula_facts`),
-  so the kernel and measure passes of the final certification read them
-  instead of walking the formula again.
+* Each formula's free variables, bound variables, T-occurrence and logical
+  complexity are set when the formula is built (:mod:`~.syntax`), so the
+  transforms and the kernel and measure passes of the final certification
+  read them instead of walking the formula.
 * The ``eliminate_cuts`` length bound hyperexp(m, n) is an int below 2**64
   and the symbolic ``{"hyperexp": [m, n]}`` above; either way it is checked
   against the actual length without building a number larger than that.
@@ -91,7 +91,6 @@ from .syntax import (
     Tr,
     Var,
     bound_vars,
-    formula_facts,
     free_vars,
     fresh_name,
     numeral_value,
@@ -211,9 +210,8 @@ def all_var_names(d: Derivation) -> set[str]:
     names: set[str] = set(collect_eigenvars(d))
     for node in d.iter_nodes():
         for o in node.conclusion.all_occurrences():
-            f, b, _ = formula_facts(o.formula)
-            names |= f
-            names |= b
+            names |= free_vars(o.formula)
+            names |= bound_vars(o.formula)
     return names
 
 
@@ -363,7 +361,7 @@ def _weaken(d: Derivation, theta, lam):
         return d, (), ()
     new_free: set[str] = set()
     for f in (*theta, *lam):
-        new_free |= formula_facts(f)[0]
+        new_free |= free_vars(f)
     if new_free:  # closed formulas clash with no eigenvariable
         clash = new_free & collect_eigenvars(d)
         if clash:
@@ -827,9 +825,9 @@ def _reduce(cut: Derivation, m_allow, fuel):
         y = d0.var
         inst = substitute(phi.body, phi.var, t)
         s0 = p0
-        tvars = free_vars(t)
-        if tvars & collect_eigenvars(s0):
-            s0 = freshen_eigenvariables(s0, tvars & collect_eigenvars(s0))
+        clash = free_vars(t) & collect_eigenvars(s0)
+        if clash:
+            s0 = freshen_eigenvariables(s0, clash)
         s0 = _subst_tree(s0, y, t)  # Gamma => psi(t), Delta, p0's ids
         # chase the universal into d1's premise: Gamma, psi(t) => Delta
         d0w = _weaken(d0, [inst], [])[0]  # reuses d0's ids

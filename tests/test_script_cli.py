@@ -21,7 +21,7 @@ from truthcut.script import (
     print_script,
 )
 from truthcut.sexpr import format_formula, parse_formula
-from truthcut.syntax import Eq, Plus, Times, Zero
+from truthcut.syntax import Eq, Forall, Plus, Times, Var, Zero
 
 from proofgen import nested_cuts, random_derivation
 
@@ -172,6 +172,18 @@ def test_cli_fixpoint_code_size_cap(tmp_path, capsys):
     # evaluation leaves the seed ungrounded and the verb exits 0
     seeds = tmp_path / "tower.txt"
     seeds.write_text("(T (tr (quote (= 0 0)) 30))\n")
+    assert main(["fixpoint", "--seed", str(seeds)]) == 0
+    out = capsys.readouterr().out
+    assert "stage 0: 0 members" in out and "ungrounded:" in out
+
+
+def test_cli_fixpoint_capturing_sub(tmp_path, capsys):
+    # [DERIVED] a `sub` whose substitution would capture used to end the
+    # verb in a CaptureError traceback; now the seed is ungrounded, exit 0
+    codes = [encode(Forall("y", Eq(Var("x"), Var("y")))), encode(Var("x")),
+             encode(Var("y"))]
+    seeds = tmp_path / "capture.txt"
+    seeds.write_text("(= (sub {} {} {}) 0)\n".format(*codes))
     assert main(["fixpoint", "--seed", str(seeds)]) == 0
     out = capsys.readouterr().out
     assert "stage 0: 0 members" in out and "ungrounded:" in out

@@ -4,6 +4,7 @@ import pytest
 
 from truthcut.coding import (
     CodeSizeError,
+    NonCodeArgumentError,
     encode,
     eval_term,
     liar,
@@ -23,7 +24,7 @@ from truthcut.semantics import (
     least_fixed_point,
 )
 from truthcut.sexpr import parse_formula
-from truthcut.syntax import And, Eq, Forall, Not, Plus, Suc, Times, Tr, Var, Zero
+from truthcut.syntax import And, Eq, Forall, Not, Num, Plus, Suc, SynApp, Times, Tr, Var, Zero
 
 PHI = Eq(Zero(), Zero())
 BAD = Eq(Zero(), Suc(Zero()))
@@ -221,3 +222,20 @@ def test_code_size_cap_leaves_tower_ungrounded():
     fp = least_fixed_point(build_universe([phi], 2))
     assert fp.members == frozenset()
     assert not fp.grounded(phi)
+
+
+def test_capturing_sub_is_not_a_code():
+    # [DERIVED] (sub #(forall y (= x y)) #x #y) would capture y, so it is
+    # refused as a non-code argument: its equation is false and its
+    # ascription does not enter; the universe, the fixed point and
+    # transparency all finish
+    codes = (encode(Forall("y", Eq(Var("x"), Var("y")))), encode(Var("x")),
+             encode(Var("y")))
+    t = SynApp("sub", tuple(Num(c) for c in codes))
+    with pytest.raises(NonCodeArgumentError):
+        eval_term(t)
+    eq, tr = Eq(t, Zero()), Tr(t)
+    fp = least_fixed_point(build_universe([eq, tr], 2))
+    assert fp.members == frozenset()
+    assert not fp.grounded(eq) and not fp.grounded(tr)
+    assert check_transparency(fp) == []

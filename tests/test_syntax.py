@@ -32,7 +32,6 @@ from truthcut.syntax import (
     SynApp,
     Term,
     bound_vars,
-    formula_facts,
     free_vars,
     is_base_atom,
     is_base_formula,
@@ -157,12 +156,31 @@ def test_formula_kinds_disjoint():
     assert Times(ZERO, ZERO) != Plus(ZERO, ZERO)
 
 
+def _random_term(rng, depth):
+    """Terms over x, y, z, numerals and every syntax function."""
+    kind = rng.randrange(7) if depth > 0 else rng.randrange(3)
+    if kind == 0:
+        return rng.choice([x, y, z])
+    if kind == 1:
+        return ZERO
+    if kind == 2:
+        return Num(rng.randrange(4))
+    if kind == 3:
+        return Suc(_random_term(rng, depth - 1))
+    if kind == 4:
+        return Plus(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    if kind == 5:
+        return Times(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    symbol, arity = rng.choice(sorted(SYNTAX_FN_ARITY.items()))
+    return SynApp(symbol, tuple(_random_term(rng, depth - 1) for _ in range(arity)))
+
+
 def _random_formula(rng, depth):
     """Formulas over x, y, z with shadowed binders and truth ascriptions of
     quoted, possibly truth-iterated, formulas."""
     def term():
         return rng.choice([x, y, z, ZERO, Suc(x), Plus(y, ZERO), Num(2),
-                           SynApp("tdot", (z,))])
+                           SynApp("tdot", (z,)), _random_term(rng, 2)])
 
     kind = rng.randrange(8) if depth > 0 else rng.randrange(3)
     if kind == 0:
@@ -185,37 +203,67 @@ def _random_formula(rng, depth):
                   if rng.random() < 0.4 else _random_formula(rng, depth - 1))
 
 
-def test_formula_facts_match_the_walkers():
-    # [DERIVED] the cached facts equal the uncached walkers, before and after
-    # the cache is filled, for shadowed binders and truth-iterated formulas
+def _reference_facts(e):
+    """(free variables, bound variables, contains T, logical complexity) of
+    a term or formula, by an uncached recursive walk over its children."""
+    if isinstance(e, Var):
+        return frozenset({e.name}), frozenset(), False, 0
+    kids = [_reference_facts(c) for c in syntax.children(e)]
+    free = frozenset().union(*(k[0] for k in kids))
+    bound = frozenset().union(*(k[1] for k in kids))
+    has_t = isinstance(e, Tr) or any(k[2] for k in kids)
+    depth = 0
+    if isinstance(e, (Not, And, Forall)):
+        depth = max(k[3] for k in kids) + 1
+    if isinstance(e, Forall):
+        free, bound = free - {e.var}, bound | {e.var}
+    return free, bound, has_t, depth
+
+
+def _facts(e):
+    return free_vars(e), bound_vars(e), not is_base_formula(e), logical_complexity(e)
+
+
+def test_syntax_facts_match_a_reference_walker():
+    # [DERIVED] the facts set at construction equal the uncached walker's,
+    # on terms (syntax-function applications included), shadowed binders
+    # and truth-iterated formulas; closedness reads the free variables
     rng = random.Random(23)
     shadowed = Forall("x", And(Eq(x, y), Forall("x", Tr(x))))
     iterated = Tr(Num(0))
     for _ in range(3):
         iterated = Tr(quote(Not(iterated)))
-    cases = [shadowed, iterated] + [_random_formula(rng, 4) for _ in range(300)]
-    for phi in cases:
-        want = (free_vars(phi), bound_vars(phi), not is_base_formula(phi))
-        assert formula_facts(phi) == want
-        assert formula_facts(phi) == want
-    assert formula_facts(shadowed) == (frozenset({"y"}), frozenset({"x"}), True)
+    cases = [shadowed, iterated, SynApp("sub", (x, Suc(y), Plus(z, x)))]
+    cases += [_random_term(rng, 4) for _ in range(300)]
+    cases += [_random_formula(rng, 4) for _ in range(300)]
+    for e in cases:
+        want = _reference_facts(e)
+        assert _facts(e) == want
+        assert is_closed(e) == (not want[0])
+    assert _facts(shadowed) == (frozenset({"y"}), frozenset({"x"}), True, 3)
 
 
 def test_facts_slot_is_invisible():
-    # [DERIVED] filling the cache changes neither identity, hash nor repr,
-    # and fills it with what the uncached walkers give; a formula built
-    # again is the same object; slotted syntax and derivation objects carry
-    # no instance dict
+    # [DERIVED] a node's facts are set when it is built, show in neither its
+    # hash nor its repr, and are shared where equal: every variable-free,
+    # T-free atom or term has one record, and a parent whose facts equal a
+    # child's holds that child's record; a formula built again is the same
+    # object; slotted syntax and derivation objects carry no instance dict
     from truthcut.build import init_leaf
 
     phi = Forall("x", And(Eq(x, y), Not(Tr(Var("z_facts")))))
-    assert phi._facts is None
-    before = (hash(phi), repr(phi))
-    facts = formula_facts(phi)
-    assert (hash(phi), repr(phi)) == before
-    assert facts == (free_vars(phi), bound_vars(phi), not is_base_formula(phi))
+    assert _facts(phi) == _reference_facts(phi)
+    assert hash(phi) == hash(("x", phi.body))
+    assert repr(phi) == f"Forall(var='x', body={phi.body!r})"
     twin = Forall("x", And(Eq(x, y), Not(Tr(Var("z_facts")))))
     assert twin is phi and twin == phi and hash(twin) == hash(phi)
+    assert twin._facts is phi._facts
+    plain = [ZERO, Num(9), Top(), Bot(), Suc(ZERO), Eq(ZERO, Num(1)),
+             SynApp("num", (ZERO,))]
+    assert len({id(e._facts) for e in plain}) == 1
+    assert Suc(Plus(x, ZERO))._facts is x._facts
+    xy = Plus(x, y)
+    assert Eq(xy, Times(y, x))._facts is xy._facts
     d = init_leaf([phi], Eq(x, ZERO), [])
     for obj in (phi, x, ZERO, Top(), d, d.conclusion, d.conclusion.ante[0]):
         assert not hasattr(obj, "__dict__")
@@ -371,8 +419,7 @@ def default_recursion_limit():
 
 def test_walks_reach_900_levels(default_recursion_limit):
     # [DERIVED] the reader, printer and substitution take one frame per
-    # syntax level, so 900 levels fit under the default recursion limit;
-    # formula_facts takes 300 (is_base_formula recurses inside a generator)
+    # syntax level, so 900 levels fit under the default recursion limit
     text = "(not " * DEEP + "(= x 0)" + ")" * DEEP
     phi = parse_formula(text)
     assert format_formula(phi) == text
@@ -382,5 +429,20 @@ def test_walks_reach_900_levels(default_recursion_limit):
     t = parse_term(term)
     assert format_formula(t) == term
     assert substitute(t, "x", Num(1)) is parse_term(term.replace("x", "1"))
-    shallow = parse_formula("(not " * 300 + "(= x 0)" + ")" * 300)
-    assert formula_facts(shallow) == (frozenset({"x"}), frozenset(), False)
+
+
+def test_facts_reach_any_depth(default_recursion_limit):
+    # [DERIVED] facts are read, not walked: on 5000-deep towers built
+    # iteratively, the readers answer at the default recursion limit, and
+    # substituting for a variable absent from a tower returns it unchanged
+    phi, base, term = Eq(x, ZERO), Eq(x, ZERO), x
+    for k in range(5000):
+        phi = (Not(phi) if k % 3 == 0 else And(Tr(y), phi) if k % 3 == 1
+               else Forall("x", phi))
+        base, term = Not(base), Suc(term)
+    assert _facts(phi) == (frozenset({"y"}), frozenset({"x"}), True, 5000)
+    assert _facts(base) == (frozenset({"x"}), frozenset(), False, 5000)
+    assert _facts(term) == (frozenset({"x"}), frozenset(), False, 0)
+    assert not is_closed(term) and not is_sentence(phi)
+    for tower in (phi, base, term):
+        assert substitute(tower, "z", Num(1)) is tower
