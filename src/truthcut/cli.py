@@ -247,13 +247,13 @@ def _fixpoint_lines(fp):
     ]
     for i, s in enumerate(fp.stages):
         lines.append(f"stage {i}: {len(s)} members")
-    sentences = fp.universe.sentences
+    sentences, code_of = fp.universe.sentences, fp.universe.code_of
     lines.append("norms:")
     for c in sorted(fp.members):
         lines.append(f"  {fp.norms[c]:3d}  #{c}  {format_formula(sentences[c])}")
     ungrounded = sorted(
         c for c in fp.universe.codes
-        if c not in fp.members and encode(Not(sentences[c])) not in fp.members
+        if c not in fp.members and code_of.get(Not(sentences[c])) not in fp.members
     )
     if ungrounded:
         lines.append("ungrounded:")
@@ -289,7 +289,7 @@ def _cmd_liar(args) -> int:
     universe = build_universe([lam], args.term_bound)
     fp = least_fixed_point(universe)
     in_fp = code in fp.members
-    neg_in_fp = encode(Not(lam)) in fp.members
+    neg_in_fp = universe.code_of.get(Not(lam)) in fp.members
     payload = {
         "verb": "liar",
         "code": code,

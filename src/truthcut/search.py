@@ -11,11 +11,21 @@ depth (they are axiom-level decisions, not search steps).
 
 ``exhausted`` results carry the frontier of unproved leaves.  A returned
 derivation always validates in the kernel and contains no cut.
+
+Terms and formulas are interned, so equal ones are one object, and one
+search keeps memos keyed by those objects: each closed equation's
+refutability and provability, each truth ascription's unquoted sentence,
+each formula's closed subterms, and the numerals ``0..max_term_index``.
+A goal's key for the loop check and the failure memo is its two sides, each
+sorted by object identity: equal formulas have one identity, and the key
+keeps them alive, so this is exact for multisets.  The key only looks goals
+up; proofs and frontiers are built in the order the goal lists its
+formulas.  Every memo lives on one ``_Searcher``, so nothing outlives one
+call of :func:`search_cut_free`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import build as B
@@ -68,17 +78,17 @@ class SearchResult:
 
 
 def _key(ante, succ):
-    return (
-        frozenset(Counter(ante).items()),
-        frozenset(Counter(succ).items()),
-    )
+    """The goal as a pair of multisets: each side sorted by identity, which
+    is exact because equal formulas are one object and the key keeps them
+    alive.  Used only to look goals up, never to order output."""
+    return tuple(sorted(ante, key=id)), tuple(sorted(succ, key=id))
 
 
-def _closed_subterms(fs) -> list[Term]:
-    """Closed terms occurring in the goal, in first-seen pre-order; the
+def _closed_subterms(phi: Formula) -> list[Term]:
+    """Closed terms occurring in ``phi``, in first-seen pre-order; the
     arguments of a syntax-function application are not listed."""
     out: dict[Term, None] = {}
-    stack: list = list(reversed(fs))
+    stack: list = [phi]
     while stack:
         x = stack.pop()
         if isinstance(x, Term):
@@ -99,6 +109,14 @@ class _Searcher:
         self.frontier: list = []
         self.fail_memo: set = set()
         self._eigen = 0
+        #: per-call memos keyed by interned nodes: an equation's
+        #: refutability and provability, a truth ascription's unquoted
+        #: sentence, a formula's closed subterms
+        self._refutable: dict[Eq, bool] = {}
+        self._provable: dict[Eq, bool] = {}
+        self._unquoted: dict[Tr, Formula | None] = {}
+        self._closed: dict[Formula, list[Term]] = {}
+        self._numerals = [chain_numeral(k) for k in range(budget.max_term_index + 1)]
 
     def fresh_eigen(self) -> str:
         self._eigen += 1
@@ -113,16 +131,23 @@ class _Searcher:
                 return B.leaf(rule, *hit)
         if self.system in _GEOMETRIC_SYSTEMS:
             for f in ante:
-                if isinstance(f, Eq) and can_refute(f.left, f.right):
+                if isinstance(f, Eq) and self._decide(self._refutable, can_refute, f):
                     return refute_equation(
                         minus(ante, [f]), f.left, f.right, list(succ)
                     )
             for f in succ:
-                if isinstance(f, Eq) and can_prove(f.left, f.right):
+                if isinstance(f, Eq) and self._decide(self._provable, can_prove, f):
                     return prove_equation(
                         list(ante), f.left, f.right, minus(succ, [f])
                     )
         return None
+
+    @staticmethod
+    def _decide(memo: dict, decide, f: Eq) -> bool:
+        verdict = memo.get(f)
+        if verdict is None:
+            verdict = memo[f] = decide(f.left, f.right)
+        return verdict
 
     # -- expansion ---------------------------------------------------------
 
@@ -186,10 +211,8 @@ class _Searcher:
                         return B.truth_left(p, p.conclusion.first("ante", phi))
             elif isinstance(f, Forall):
                 for t in self._instances(ante, succ):
-                    try:
-                        inst = substitute(f.body, f.var, t)
-                    except CaptureError:
-                        continue
+                    # a closed term is never captured
+                    inst = substitute(f.body, f.var, t)
                     if inst in ante:
                         continue
                     p = self.prove(
@@ -241,24 +264,30 @@ class _Searcher:
         return None
 
     def _unquote(self, f: Tr) -> Formula | None:
+        if f in self._unquoted:
+            return self._unquoted[f]
         phi = quoted_sentence(f.term)
-        if phi is not None:
-            return phi
-        n = numeral_value(f.term)
-        if n is None:
-            return None
-        try:
-            return decode_sentence(n)
-        except DecodeError:
-            return None
+        if phi is None:
+            n = numeral_value(f.term)
+            if n is not None:
+                try:
+                    phi = decode_sentence(n)
+                except DecodeError:
+                    pass
+        self._unquoted[f] = phi
+        return phi
 
     def _instances(self, ante, succ) -> list[Term]:
-        out = [chain_numeral(k) for k in range(self.budget.max_term_index + 1)]
+        out = list(self._numerals)
         seen = set(out)
-        for t in _closed_subterms(ante + succ):
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
+        for f in ante + succ:
+            closed = self._closed.get(f)
+            if closed is None:
+                closed = self._closed[f] = _closed_subterms(f)
+            for t in closed:
+                if t not in seen:
+                    seen.add(t)
+                    out.append(t)
         return out
 
 

@@ -26,7 +26,10 @@ written out remembers it too once anything quoted that sentence).
 ``build_universe`` decodes only codes that arrive as bare integers (values
 of syntax-function terms, numerals no quote made, such as the liar's) and
 keeps each code's sentence and clause, so the dependency graph is built
-once.  ``least_fixed_point`` iterates
+once.  It also keeps each sentence's code (``code_of``): equal sentences
+are one object, so whether a sentence or its negation is in the fixed point
+is a lookup there, with no code built to ask, and a sentence that has no
+entry is not in the universe.  ``least_fixed_point`` iterates
 semi-naively (Bancilhon & Ramakrishnan, 1986): after the first stage it
 re-decides only the sentences that depend on a code that entered at the
 previous stage, which gives the same stages as applying :func:`kripke_step`
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import chain_numeral
 from .coding import (
     DecodeError,
     EvalError,
@@ -52,13 +54,15 @@ from .deriv import Derivation, compute_measures
 from .syntax import (
     And,
     Bot,
-    CaptureError,
     Eq,
     Forall,
     Formula,
     Not,
+    Suc,
+    Term,
     Top,
     Tr,
+    Zero,
     bound_vars,
     is_sentence,
     substitute,
@@ -88,6 +92,8 @@ class SentenceUniverse:
     term_bound: int
     #: code -> the sentence it decodes to
     sentences: dict[int, Formula] = field(compare=False, repr=False)
+    #: sentence -> its code; the inverse of ``sentences``
+    code_of: dict[Formula, int] = field(compare=False, repr=False)
     #: code -> the clause under which its sentence enters the fixed point
     clauses: dict[int, Clause] = field(compare=False, repr=False)
 
@@ -96,12 +102,13 @@ class SentenceUniverse:
 
 
 def _instances(phi: Forall, bound: int) -> list[Formula]:
+    """``phi``'s body at S^k(0) for k = 0..bound; a closed numeral is never
+    captured."""
     out = []
-    for k in range(bound + 1):
-        try:
-            out.append(substitute(phi.body, phi.var, chain_numeral(k)))
-        except CaptureError:
-            continue
+    numeral: Term = Zero()
+    for _ in range(bound + 1):
+        out.append(substitute(phi.body, phi.var, numeral))
+        numeral = Suc(numeral)
     return out
 
 
@@ -188,6 +195,7 @@ def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniv
     # order, and the correspondence checks report in ``codes`` order.
     codes: set[int] = set()
     sentences: dict[int, Formula] = {}
+    code_of: dict[Formula, int] = {}
     clauses: dict[int, Clause] = {}
     work = [_dep(s) for s in seeds]
     while work:
@@ -205,10 +213,13 @@ def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniv
                 f"universe closure exceeded the size cap {max_size}"
             )
         sentences[c] = phi
+        code_of[phi] = c
         any_, deps = _clause(phi, term_bound)
         clauses[c] = (any_, tuple(d for d, _ in deps))
         work.extend(deps)
-    return SentenceUniverse(frozenset(codes), seeds, term_bound, sentences, clauses)
+    return SentenceUniverse(
+        frozenset(codes), seeds, term_bound, sentences, code_of, clauses
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +245,9 @@ class FixedPoint:
         return self.norms.get(code)
 
     def grounded(self, phi: Formula) -> bool:
-        return encode(phi) in self.members or encode(Not(phi)) in self.members
+        code_of = self.universe.code_of
+        return (code_of.get(phi) in self.members
+                or code_of.get(Not(phi)) in self.members)
 
 
 def least_fixed_point(universe: SentenceUniverse) -> FixedPoint:
@@ -284,18 +297,19 @@ def check_soundness(d: Derivation, fp: FixedPoint) -> SoundnessVerdict:
     antecedent member's negation, or some succedent member, is grounded with
     norm at most the derivation's length."""
     alpha = compute_measures(d).length
+    code_of = fp.universe.code_of
     missing = []
     for o in d.conclusion.ante:
-        c = encode(Not(o.formula))
-        if c not in fp.universe:
+        c = code_of.get(Not(o.formula))
+        if c is None:
             missing.append(Not(o.formula))
             continue
         n = fp.norm(c)
         if n is not None and n <= alpha:
             return SoundnessVerdict(True, alpha, "ante", o.formula, n)
     for o in d.conclusion.succ:
-        c = encode(o.formula)
-        if c not in fp.universe:
+        c = code_of.get(o.formula)
+        if c is None:
             missing.append(o.formula)
             continue
         n = fp.norm(c)
@@ -322,8 +336,8 @@ def check_completeness(phi: Formula, fp: FixedPoint, budget) -> CompletenessVerd
 
     if bound_vars(phi):  # a bound variable, so a quantifier
         return CompletenessVerdict("vacuous")
-    c = encode(phi)
-    cn = encode(Not(phi))
+    c = fp.universe.code_of.get(phi)
+    cn = fp.universe.code_of.get(Not(phi))
     if c in fp.members:
         r = search_cut_free([], [phi], budget, "lptn")
         if r.found:
@@ -361,8 +375,8 @@ def check_transparency(fp: FixedPoint) -> list[tuple[int, int]]:
 def check_consistency(fp: FixedPoint) -> list[int]:
     """Codes whose sentence and negated sentence are both in the fixed point
     (must be empty)."""
-    sentences = fp.universe.sentences
+    sentences, code_of = fp.universe.sentences, fp.universe.code_of
     return [
         c for c in fp.universe.codes
-        if c in fp.members and encode(Not(sentences[c])) in fp.members
+        if c in fp.members and code_of.get(Not(sentences[c])) in fp.members
     ]

@@ -8,11 +8,14 @@ from truthcut.arith import chain_numeral
 from truthcut.coding import liar, quote, truth_teller
 from truthcut.deriv import compute_measures
 from truthcut.kernel import check_derivation
+from truthcut.script import print_script
 from truthcut.search import (
     SearchBudget,
+    _key,
     check_conservativity,
     search_cut_free,
 )
+from truthcut.sexpr import format_sequent
 from truthcut.syntax import (
     And,
     Eq,
@@ -148,3 +151,41 @@ def test_conservativity_sample():
             seqs.append(([goal], []))
     report = check_conservativity(seqs, BUD)
     assert report.symmetric, report.asymmetries()
+
+
+def test_goal_key_is_a_pair_of_multisets():
+    # [TRIVIAL] a repeated formula counts, order within a side does not,
+    # and the sides are kept apart
+    a, b = PHI, Not(PHI)
+    assert _key((a, a), ()) != _key((a,), ())
+    assert _key((a, b), (b, a)) == _key((b, a), (a, b))
+    assert _key((a,), ()) != _key((), (a,))
+    assert _key((a, a, b), ()) != _key((a, b, b), ())
+
+
+def _outcome(ante, succ, budget):
+    r = search_cut_free(ante, succ, budget, "lptn")
+    if r.found:
+        return print_script(r.derivation)
+    return [format_sequent(a, s) for a, s in r.frontier]
+
+
+def test_search_shares_nothing_between_calls():
+    # [DERIVED] a search's proof and frontier do not depend on the searches
+    # made before it: the memos live for one call
+    x = Var("x")
+    small = SearchBudget(max_depth=6, max_term_index=2, max_tau_unfold=3)
+    goals = [
+        ((), (Tr(quote(Not(Eq(Zero(), Suc(Zero()))))),)),
+        ((Forall("x", Eq(Suc(x), Zero())),), ()),
+        ((), (Forall("x", Eq(Plus(x, Zero()), x)),)),
+        ((liar(),), ()),
+        ((Eq(Times(chain_numeral(2), chain_numeral(2)), chain_numeral(3)),), ()),
+    ]
+    alone = [_outcome(a, s, small) for a, s in goals]
+    assert any(isinstance(o, str) for o in alone)
+    assert any(isinstance(o, list) for o in alone)
+    for i, (a, s) in enumerate(goals):
+        for b, t in goals[i + 1:] + goals[:i]:
+            _outcome(b, t, small)
+        assert _outcome(a, s, small) == alone[i]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from truthcut import cli, semantics
 from truthcut.coding import (
     CodeSizeError,
     NonCodeArgumentError,
@@ -14,6 +15,7 @@ from truthcut.coding import (
 )
 from truthcut.search import SearchBudget, search_cut_free
 from truthcut.semantics import (
+    CoverageError,
     UniverseError,
     build_universe,
     check_completeness,
@@ -207,10 +209,53 @@ def test_semi_naive_iteration_matches_naive():
 
 
 def test_universe_keeps_sentences_out_of_equality():
-    # [TRIVIAL] the stored sentences and clauses do not take part in == or repr
+    # [TRIVIAL] the stored sentences, codes and clauses do not take part in
+    # == or repr
     u = build_universe([truth_of(PHI)], 2)
     assert u.sentences[encode(PHI)] == PHI
-    assert "sentences" not in repr(u) and "clauses" not in repr(u)
+    assert u.code_of[PHI] == encode(PHI)
+    assert all(u.code_of[phi] == c for c, phi in u.sentences.items())
+    assert len(u.code_of) == len(u.codes)
+    for name in ("sentences", "code_of", "clauses"):
+        assert name not in repr(u)
+
+
+@pytest.mark.parametrize("seeds", [
+    [liar()],
+    [*_towers(PHI, 3), *_towers(BAD, 2), liar(), truth_teller()],
+], ids=["liar", "wrapped"])
+def test_fixed_point_lookups_encode_nothing(seeds, monkeypatch):
+    # [DERIVED] once the universe is built, "is phi or not-phi in the fixed
+    # point" is read from ``code_of``: with encode refused, the checks and
+    # the CLI listing give the answers that encoding gives
+    u = build_universe(seeds, 2)
+    fp = least_fixed_point(u)
+    codes = sorted(u.codes)
+    inconsistent = [c for c in codes if c in fp.members
+                    and encode(Not(u.sentences[c])) in fp.members]
+    grounded = [encode(u.sentences[c]) in fp.members
+                or encode(Not(u.sentences[c])) in fp.members for c in codes]
+    ungrounded = [f"#{c}" for c, g in zip(codes, grounded) if not g]
+    proof = search_cut_free([], [truth_of(PHI)], SearchBudget(6, 3, 3), "lptn")
+    covered = encode(truth_of(PHI)) in u.codes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("encode called after the universe was built")
+
+    monkeypatch.setattr(semantics, "encode", refuse)
+    monkeypatch.setattr(cli, "encode", refuse)
+    assert sorted(check_consistency(fp)) == inconsistent
+    assert [fp.grounded(u.sentences[c]) for c in codes] == grounded
+    lines = cli._fixpoint_lines(fp)
+    listed = lines[lines.index("ungrounded:") + 1:] if ungrounded else []
+    assert [line.split()[0] for line in listed] == ungrounded
+    for phi in seeds:
+        check_completeness(phi, fp, SearchBudget(4, 2, 2))
+    if covered:
+        assert check_soundness(proof.derivation, fp).holds
+    else:
+        with pytest.raises(CoverageError, match=r"\[Tr\("):
+            check_soundness(proof.derivation, fp)
 
 
 def test_code_size_cap_leaves_tower_ungrounded():
