@@ -324,7 +324,10 @@ def compute_measures(d: Derivation) -> Measures:
     def step(node: Derivation, heights: list[int]) -> int:
         for cid, parents in node.lineage.items():
             try:
-                tau[cid] = max(tau[oid] for _, oid in parents)
+                if len(parents) == 1:  # one premise: tau passes unchanged
+                    tau[cid] = tau[parents[0][1]]
+                else:
+                    tau[cid] = max(tau[oid] for _, oid in parents)
             except KeyError as e:
                 raise MeasureError(f"lineage refers to unknown occurrence: {e}")
         for pid in node.principal:

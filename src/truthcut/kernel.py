@@ -183,80 +183,101 @@ class _Checker:
         """Lineage/active bookkeeping: every premise occurrence is consumed
         exactly once; every conclusion occurrence is principal or descends
         from exactly one occurrence per premise; formulas pass through
-        contexts unchanged.  Returns False if too broken to rule-check."""
-        ok = True
-        prem_occ: list[dict[int, Occurrence]] = [
-            {o.id: o for o in p.conclusion.all_occurrences()} for p in node.premises
-        ]
-        prem_ante: list[set[int]] = [
-            {o.id for o in p.conclusion.ante} for p in node.premises
-        ]
-        concl_ante = {o.id for o in node.conclusion.ante}
-        used: list[set[int]] = [set() for _ in node.premises]
+        contexts unchanged.  Returns False, having reported why, if too
+        broken to rule-check.
 
-        def consume(pi, oid) -> Occurrence | None:
-            nonlocal ok
-            if pi >= len(node.premises) or oid not in prem_occ[pi]:
-                self.bad(at, LINEAGE_BROKEN,
-                         f"reference ({pi},{oid}) is not a premise occurrence")
-                ok = False
-                return None
-            if oid in used[pi]:
-                self.bad(at, LINEAGE_BROKEN,
-                         f"premise occurrence {oid} consumed twice")
-                ok = False
-            used[pi].add(oid)
-            return prem_occ[pi][oid]
+        Each premise's occurrences are indexed by id once, and a consumed
+        one is popped from a copy of that index, so the copy ends up holding
+        exactly the occurrences not carried into the conclusion.  One loop
+        over the conclusion follows each context occurrence's parents,
+        comparing their premise indices with 0, 1, ... as it goes and
+        sorting them only if that fails.  An occurrence counts as in the
+        antecedent when its id is there, also for a copy in the succedent
+        that reuses the id."""
+        start = len(self.violations)
+        premises = node.premises
+        n = len(premises)
+        occ_of: list[dict[int, Occurrence]] = []
+        ante_ids: list[set[int]] = []
+        for p in premises:
+            c = p.conclusion
+            occ_of.append({o.id: o for o in c.ante + c.succ})
+            ante_ids.append({o.id for o in c.ante})
+        unconsumed = [m.copy() for m in occ_of]
 
         for pi, oid in node.actives:
-            consume(pi, oid)
+            if pi >= n or unconsumed[pi].pop(oid, None) is None:
+                self.bad_reference(at, occ_of, pi, oid)
 
-        principal = set(node.principal)
-        concl_ids = {o.id for o in node.conclusion.all_occurrences()}
-        for pid in principal:
-            if pid not in concl_ids:
-                self.bad(at, LINEAGE_BROKEN,
-                         f"principal id {pid} not in conclusion")
-                ok = False
-        for o in node.conclusion.all_occurrences():
-            if o.id in principal:
+        principal = node.principal
+        concl = node.conclusion
+        if principal:
+            principal = set(principal)
+            concl_ids = {o.id for o in concl.all_occurrences()}
+            for pid in principal:
+                if pid not in concl_ids:
+                    self.bad(at, LINEAGE_BROKEN,
+                             f"principal id {pid} not in conclusion")
+        lineage = node.lineage
+        if not premises:
+            if lineage:
+                for o in concl.all_occurrences():
+                    if o.id not in principal and lineage.get(o.id):
+                        self.bad(at, LINEAGE_BROKEN, "leaf node has lineage")
+            return len(self.violations) == start
+
+        concl_ante = {o.id for o in concl.ante}
+        for o in concl.all_occurrences():
+            cid = o.id
+            if cid in principal:
                 continue
-            parents = node.lineage.get(o.id)
-            if not node.premises:
-                if parents:
-                    self.bad(at, LINEAGE_BROKEN, "leaf node has lineage")
-                    ok = False
-                continue
+            parents = lineage.get(cid)
             if parents is None:
                 self.bad(at, LINEAGE_BROKEN,
-                         f"context occurrence {o.id} has no lineage")
-                ok = False
+                         f"context occurrence {cid} has no lineage")
                 continue
-            if sorted(pi for pi, _ in parents) != list(range(len(node.premises))):
-                self.bad(at, LINEAGE_BROKEN,
-                         f"occurrence {o.id} must have one parent per premise")
-                ok = False
-            in_ante = o.id in concl_ante
+            mark = len(self.violations)
+            in_order = len(parents) == n
+            in_ante = cid in concl_ante
+            k = 0
             for pi, oid in parents:
-                parent = consume(pi, oid)
+                if pi != k:
+                    in_order = False
+                k += 1
+                parent = unconsumed[pi].pop(oid, None) if pi < n else None
                 if parent is None:
-                    continue
+                    parent = self.bad_reference(at, occ_of, pi, oid)
+                    if parent is None:
+                        continue
                 if parent.formula != o.formula:
                     self.bad(at, LINEAGE_BROKEN,
-                             f"context occurrence {o.id} changes formula")
-                    ok = False
-                if (oid in prem_ante[pi]) != in_ante:
+                             f"context occurrence {cid} changes formula")
+                if (oid in ante_ids[pi]) != in_ante:
                     self.bad(at, LINEAGE_BROKEN,
-                             f"context occurrence {o.id} changes side")
-                    ok = False
-        for pi, p in enumerate(node.premises):
-            leftover = set(prem_occ[pi]) - used[pi]
-            if leftover:
+                             f"context occurrence {cid} changes side")
+            if not in_order and sorted(pi for pi, _ in parents) != list(range(n)):
+                # reported before what the parents' own checks found
+                self.violations.insert(mark, Violation(
+                    self.path(at), LINEAGE_BROKEN,
+                    f"occurrence {cid} must have one parent per premise"))
+        for pi, rest in enumerate(unconsumed):
+            if rest:
                 self.bad(at, LINEAGE_BROKEN,
-                         f"premise {pi} occurrences {sorted(leftover)} not "
+                         f"premise {pi} occurrences {sorted(rest)} not "
                          "carried into the conclusion")
-                ok = False
-        return ok
+        return len(self.violations) == start
+
+    def bad_reference(self, at, occ_of, pi, oid) -> Occurrence | None:
+        """Report a (premise, id) reference with no unconsumed occurrence
+        behind it: a premise occurrence consumed twice, which is returned,
+        or no premise occurrence at all."""
+        if pi < len(occ_of) and oid in occ_of[pi]:
+            self.bad(at, LINEAGE_BROKEN,
+                     f"premise occurrence {oid} consumed twice")
+            return occ_of[pi][oid]
+        self.bad(at, LINEAGE_BROKEN,
+                 f"reference ({pi},{oid}) is not a premise occurrence")
+        return None
 
     # -- the shape check, then the per-rule formula conditions -------------
 

@@ -144,27 +144,16 @@ def _generalize(d, k, s: Term, t: Term, var: str):
     return rebuild(d, kids)
 
 
-def _positions(eq: Eq) -> dict:
-    """Each subexpression ``_generalize`` can reach in ``eq``, mapped to the
-    paths of child field names from ``eq`` where it occurs."""
-    at: dict = {}
-    stack = [(eq, ())]
+def _reach(eq: Eq) -> set:
+    """Each subexpression ``_generalize`` can reach in ``eq``."""
+    seen = set()
+    stack = [eq]
     while stack:
-        e, path = stack.pop()
-        at.setdefault(e, []).append(path)
+        e = stack.pop()
+        seen.add(e)
         for f in _THROUGH.get(type(e), ()):
-            stack.append((getattr(e, f), path + (f,)))
-    return at
-
-
-def _subterm_at(eq: Eq, path) -> Term | None:
-    """The subterm of ``eq`` at a path of ``_positions``, if ``eq`` has one."""
-    e = eq
-    for f in path:
-        if f not in _THROUGH.get(type(e), ()):
-            return None
-        e = getattr(e, f)
-    return e
+            stack.append(getattr(e, f))
+    return seen
 
 
 def _eq2_template(d: Eq, ante):
@@ -172,22 +161,15 @@ def _eq2_template(d: Eq, ante):
     order, whose generalization of ``d`` against ``kept`` mentions ``w_``.
 
     Unless ``w_`` is already free in ``d``, the template can mention it only
-    at a position where ``d`` holds the trigger's left side and ``kept`` its
-    right side, so only those pairs are generalized."""
+    where ``d`` holds the trigger's left side, so only the triggers whose
+    left side ``d`` holds are tried."""
     eqs = [f for f in ante if isinstance(f, Eq)]
-    where = None if "w_" in free_vars(d) else _positions(d)
+    reach = None if "w_" in free_vars(d) else _reach(d)
     for trig in eqs:
-        if trig.left == trig.right:
+        if trig.left == trig.right or (
+                reach is not None and trig.left not in reach):
             continue
-        if where is not None:
-            paths = where.get(trig.left)
-            if paths is None:
-                continue
         for kept in eqs:
-            if where is not None and not any(
-                _subterm_at(kept, path) == trig.right for path in paths
-            ):
-                continue
             chi = _generalize(d, kept, trig.left, trig.right, "w_")
             if chi is not None and "w_" in free_vars(chi):
                 return chi, trig

@@ -261,10 +261,6 @@ def numeral_value(t: Term) -> int | None:
     return None
 
 
-def is_numeral(t: Term) -> bool:
-    return numeral_value(t) is not None
-
-
 def is_zero(t: Term) -> bool:
     """``t`` is the numeral 0: ``0`` or the literal ``Num(0)``."""
     return isinstance(t, Zero) or (isinstance(t, Num) and t.value == 0)
@@ -523,11 +519,6 @@ def substitute(e: Term | Formula, x: str, t: Term) -> Term | Formula:
     if SIGNATURE[cls].datum is None:
         return cls(*new)  # rebuild(e, new) without a frame of its own
     return rebuild(e, new)
-
-
-def rename_var(phi: Formula, old: str, new: str) -> Formula:
-    """Rename free occurrences of variable ``old`` to ``new``."""
-    return substitute(phi, old, Var(new))
 
 
 def fresh_name(base: str, avoid) -> str:

@@ -13,7 +13,14 @@ import pytest
 
 from truthcut import build as B
 from truthcut.coding import quote
-from truthcut.deriv import compute_measures, minus, same_multiset, sequent
+from truthcut.deriv import (
+    MeasureError,
+    compute_measures,
+    minus,
+    remake,
+    same_multiset,
+    sequent,
+)
 from truthcut.kernel import check_derivation
 from truthcut.syntax import And, Eq, Forall, Not, Suc, Tr, Zero
 
@@ -154,6 +161,33 @@ def test_tau_compositional_plus_one():
     principal = [o for o in d.conclusion.succ if isinstance(o.formula, Tr)][0]
     assert m.tau[principal.id] == 2
     assert m.proof_tau == 2
+
+
+def _negl():
+    """A negl node over an init leaf with a context occurrence each side."""
+    leaf = B.init_leaf([PHI], PHI, [TPHI])
+    return B.neg_left(leaf, leaf.conclusion.succ[0].id)
+
+
+def test_measures_refuse_lineage_to_an_unknown_occurrence():
+    # [DERIVED] a lineage entry whose parent no premise holds
+    d = _negl()
+    cid = d.conclusion.ante[0].id
+    bad = remake(d, lineage={**d.lineage, cid: ((0, 99_999_999),)})
+    with pytest.raises(MeasureError) as e:
+        compute_measures(bad)
+    assert str(e.value) == "lineage refers to unknown occurrence: 99999999"
+
+
+def test_measures_refuse_a_context_occurrence_without_lineage():
+    # [DERIVED]
+    d = _negl()
+    cid = d.conclusion.succ[0].id
+    lineage = dict(d.lineage)
+    del lineage[cid]
+    with pytest.raises(MeasureError) as e:
+        compute_measures(remake(d, lineage=lineage))
+    assert str(e.value) == f"occurrence {cid} at rule negl has no lineage"
 
 
 def test_length_is_tree_height():

@@ -8,7 +8,7 @@ import pytest
 from truthcut.arith import chain_numeral, prove_equation, refute_equation
 from truthcut import build as B
 from truthcut.coding import quote
-from truthcut.deriv import RULE_SHAPES, Sequent, occ
+from truthcut.deriv import RULE_SHAPES, Sequent, occ, remake
 from truthcut.kernel import (
     SYSTEM_RULES,
     SYSTEMS,
@@ -309,3 +309,146 @@ def test_active_on_the_wrong_side(rule):
     bad = replace(d, premises=tuple(premises))
     assert _root_report(bad, rule) == [
         ("MALFORMED_RULE", f"{rule} active on wrong side ({other})")]
+
+
+# -- wiring: one test per check_wiring message ------------------------------
+
+PSI = Eq(Suc(Zero()), Zero())
+CHI = Eq(Zero(), Suc(Zero()))
+
+
+def _wired():
+    """A negr node over an init leaf: antecedent ψ, χ; succedent φ, ψ, ¬φ.
+    The leaf has ψ, χ, φ => φ, ψ, so ψ is a context formula on both
+    sides."""
+    leaf = B.init_leaf([PSI, CHI], PHI, [PSI])
+    return B.neg_right(leaf, leaf.conclusion.ante[-1].id)
+
+
+def _wiring_report(node):
+    """The violations of ``node`` as the premise of a sound negl node, so
+    each is reported at path (0,)."""
+    outer = B.neg_left(node, node.conclusion.succ[-1].id)
+    return list(check_derivation(outer, "lgt").violations)
+
+
+def _broken(*messages):
+    return [Violation((0,), "LINEAGE_BROKEN", m) for m in messages]
+
+
+def _parent(node, o):
+    """The premise occurrence id that conclusion occurrence ``o`` comes from."""
+    [(_, oid)] = node.lineage[o.id]
+    return oid
+
+
+def test_wiring_reference_to_a_non_premise_occurrence():
+    # [DERIVED] an active id the premise does not hold; the premise
+    # occurrence that was the active is then left over
+    d = _wired()
+    [(_, aid)] = d.actives
+    bad = remake(d, actives=((0, 99_999_999),))
+    assert _wiring_report(bad) == _broken(
+        "reference (0,99999999) is not a premise occurrence",
+        f"premise 0 occurrences [{aid}] not carried into the conclusion")
+
+
+def test_wiring_premise_occurrence_consumed_twice():
+    # [DERIVED]
+    d = _wired()
+    bad = remake(d, actives=d.actives * 2)
+    assert _wiring_report(bad) == _broken(
+        f"premise occurrence {d.actives[0][1]} consumed twice")
+
+
+def test_wiring_principal_not_in_conclusion():
+    # [DERIVED]
+    d = _wired()
+    bad = remake(d, principal=d.principal + (99_999_999,))
+    assert _wiring_report(bad) == _broken(
+        "principal id 99999999 not in conclusion")
+
+
+def test_wiring_leaf_with_lineage():
+    # [DERIVED]
+    leaf = B.init_leaf([PSI], PHI, [])
+    psi = leaf.conclusion.ante[0]
+    bad = remake(leaf, lineage={psi.id: ((0, psi.id),)})
+    outer = B.neg_right(bad, bad.conclusion.ante[-1].id)
+    assert list(check_derivation(outer, "lgt").violations) == _broken(
+        "leaf node has lineage")
+
+
+def test_wiring_context_occurrence_without_lineage():
+    # [DERIVED] the occurrence's parent is then left over
+    d = _wired()
+    chi = d.conclusion.ante[1]
+    lineage = dict(d.lineage)
+    del lineage[chi.id]
+    bad = remake(d, lineage=lineage)
+    assert _wiring_report(bad) == _broken(
+        f"context occurrence {chi.id} has no lineage",
+        f"premise 0 occurrences [{_parent(d, chi)}] not carried into the "
+        "conclusion")
+
+
+def test_wiring_not_one_parent_per_premise():
+    # [DERIVED] no parent at all in a one-premise node
+    d = _wired()
+    chi = d.conclusion.ante[1]
+    bad = remake(d, lineage={**d.lineage, chi.id: ()})
+    assert _wiring_report(bad) == _broken(
+        f"occurrence {chi.id} must have one parent per premise",
+        f"premise 0 occurrences [{_parent(d, chi)}] not carried into the "
+        "conclusion")
+
+
+def test_wiring_context_occurrence_changes_formula():
+    # [DERIVED] ψ and χ swap parents: both stay in the antecedent
+    d = _wired()
+    psi, chi = d.conclusion.ante
+    bad = remake(d, lineage={**d.lineage, psi.id: d.lineage[chi.id],
+                              chi.id: d.lineage[psi.id]})
+    assert _wiring_report(bad) == _broken(
+        f"context occurrence {psi.id} changes formula",
+        f"context occurrence {chi.id} changes formula")
+
+
+def test_wiring_context_occurrence_changes_side():
+    # [DERIVED] the two ψ swap parents: same formula, other side
+    d = _wired()
+    psi_a = d.conclusion.ante[0]
+    psi_s = d.conclusion.succ[1]
+    bad = remake(d, lineage={**d.lineage, psi_a.id: d.lineage[psi_s.id],
+                              psi_s.id: d.lineage[psi_a.id]})
+    assert _wiring_report(bad) == _broken(
+        f"context occurrence {psi_a.id} changes side",
+        f"context occurrence {psi_s.id} changes side")
+
+
+def test_wiring_premise_occurrences_not_carried():
+    # [DERIVED] χ dropped from the conclusion along with its lineage
+    d = _wired()
+    psi, chi = d.conclusion.ante
+    lineage = dict(d.lineage)
+    del lineage[chi.id]
+    bad = remake(d, conclusion=Sequent((psi,), d.conclusion.succ),
+                  lineage=lineage)
+    assert _wiring_report(bad) == _broken(
+        f"premise 0 occurrences [{_parent(d, chi)}] not carried into "
+        "the conclusion")
+
+
+def test_wiring_judges_an_id_on_both_sides_by_the_antecedent():
+    # [DERIVED] (checked at the root) an occurrence repeated in the
+    # succedent under its antecedent id is reused and consumes its parent
+    # twice; as the id is in the antecedent, the copy is not reported as
+    # changing side
+    d = _wired()
+    psi = d.conclusion.ante[0]
+    bad = remake(d, conclusion=Sequent(d.conclusion.ante,
+                                       (psi,) + d.conclusion.succ))
+    assert list(check_derivation(bad, "lgt").violations) == [
+        Violation((), "OCC_ID_REUSE", f"occurrence id {psi.id} reused"),
+        Violation((), "LINEAGE_BROKEN",
+                  f"premise occurrence {_parent(d, psi)} consumed twice")]
