@@ -40,10 +40,16 @@ _TEMPLATE_VAR = "w_"
 
 def chain_numeral(k: int) -> Term:
     """S^k(0) as an explicit successor chain."""
-    t: Term = Zero()
+    return chain_numerals(k)[k]
+
+
+def chain_numerals(k: int) -> list[Term]:
+    """S^0(0), ..., S^k(0) as explicit successor chains, one ``Suc`` per
+    step."""
+    out: list[Term] = [Zero()]
     for _ in range(k):
-        t = Suc(t)
-    return t
+        out.append(Suc(out[-1]))
+    return out
 
 
 #: the constructors of closed {0, S, +, x} terms
@@ -165,11 +171,10 @@ def refute_equation(gamma, s: Term, t: Term, delta) -> Derivation:
     # forms[-1] == Eq(chain(a), chain(b))
     flip = a < b
     p, q = (b, a) if flip else (a, b)
-    strips = [
-        Eq(chain_numeral(p - j), chain_numeral(q - j)) for j in range(q + 1)
-    ]
+    chain = chain_numerals(p)
+    strips = [Eq(chain[p - j], chain[q - j]) for j in range(q + 1)]
     if flip:
-        strips[0] = Eq(chain_numeral(p), chain_numeral(q))  # == flipped form
+        strips[0] = Eq(chain[p], chain[q])  # == flipped form
     principal = strips[q]  # Eq(S(chain(p-q-1)), 0)
 
     # hypothesis multiset (everything discharged above the root)
@@ -177,7 +182,7 @@ def refute_equation(gamma, s: Term, t: Term, delta) -> Derivation:
     hyps += strips[1:q + 1]
     if flip:
         hyps.append(strips[0])
-        hyps.append(Eq(chain_numeral(p), chain_numeral(p)))
+        hyps.append(Eq(chain[p], chain[p]))
     hyps += forms[1:]
     rev_triggers = [(Eq(v, u), Eq(u, v), Eq(v, v), step)
                     for (chi, u, v), step in zip(rw, _triggers)]
@@ -187,7 +192,7 @@ def refute_equation(gamma, s: Term, t: Term, delta) -> Derivation:
     gamma_leaf = list(gamma) + [goal] + hyps
     gamma_leaf.remove(principal)
 
-    d = B.qg1_leaf(gamma_leaf, chain_numeral(p - q - 1), list(delta))
+    d = B.qg1_leaf(gamma_leaf, chain[p - q - 1], list(delta))
 
     # phase 1: strip successors (top-down j = q .. 1)
     for j in range(q, 0, -1):
@@ -195,8 +200,7 @@ def refute_equation(gamma, s: Term, t: Term, delta) -> Derivation:
         d = B.qg2(d, d.conclusion.first("ante", f))
     # phase 2: un-flip
     if flip:
-        nb = chain_numeral(p)
-        na = chain_numeral(q)
+        nb, na = chain[p], chain[q]
         chi = Eq(nb, Var(_TEMPLATE_VAR))
         d = B.eq2(d, d.conclusion.first("ante", strips[0]), _TEMPLATE_VAR, chi, na, nb)
         d = B.eq1(d, d.conclusion.first("ante", Eq(nb, nb)))

@@ -85,16 +85,25 @@ def _cmd_check(args) -> int:
     return EXIT_FAIL
 
 
-def _cmd_measures(args) -> int:
+def _load_valid(args, verb: str):
+    """The script's derivation and system, or None after reporting it
+    INVALID, for a verb that needs a valid derivation."""
     d = _load_script(args.file)
     system = _system(args)
     report = check_derivation(d, system)
-    if not report.ok:
-        _emit(args, {
-            "verb": "measures", "system": system, "valid": False,
-            "violations": [str(v) for v in report.violations],
-        }, "INVALID\n" + "\n".join(str(v) for v in report.violations))
+    if report.ok:
+        return d, system
+    violations = [str(v) for v in report.violations]
+    _emit(args, {"verb": verb, "system": system, "valid": False,
+                 "violations": violations}, "\n".join(["INVALID"] + violations))
+    return None
+
+
+def _cmd_measures(args) -> int:
+    loaded = _load_valid(args, "measures")
+    if loaded is None:
         return EXIT_FAIL
+    d, system = loaded
     m = compute_measures(d)
     nodes = []
     for path, node in d.iter_paths():
@@ -132,15 +141,10 @@ def _cmd_measures(args) -> int:
 
 
 def _cmd_elim(args) -> int:
-    d = _load_script(args.file)
-    system = _system(args)
-    report = check_derivation(d, system)
-    if not report.ok:
-        _emit(args, {
-            "verb": "elim", "system": system, "valid": False,
-            "violations": [str(v) for v in report.violations],
-        }, "INVALID\n" + "\n".join(str(v) for v in report.violations))
+    loaded = _load_valid(args, "elim")
+    if loaded is None:
         return EXIT_FAIL
+    d, system = loaded
     try:
         result = eliminate_cuts(d, system)
     except (TransformError, CertificateError) as e:

@@ -11,19 +11,22 @@ one name of the node's class here (:data:`_TAGS`, read by both
 
 Self-reference uses a dedicated DIAG tag.  ``diag_code(f, v)`` is the code of
 the sentence obtained by plugging its *own* numeral into the formula coded by
-``f`` at variable ``v``; encode recognises the resulting pattern, so the
-decoded fixed point is literal: ``decode(#lam) == substitute(phi, v,
-numeral(#lam))``.  A plain monotone structural coding cannot deliver that
-equation, which is why the tag exists.
+``f`` at variable ``v``, so the decoded fixed point is literal:
+``decode(#lam) == substitute(phi, v, numeral(#lam))``.  A plain monotone
+structural coding cannot deliver that equation, which is why the tag exists.
+The sentence gets its DIAG code when its numeral is built: ``Num``'s
+interning hook (:func:`_name_diagonal`) decodes a DIAG value once, and the
+numeral and its sentence then hold each other, so every formula equal to
+the sentence is that one coded node while either lives.
 
 Codes are computed once per distinct term or formula: :func:`encode`
 works bottom-up and keeps each node's code in the node's ``_code`` slot,
 which is sound because a node's code depends on that node alone, and
 equal nodes are one object (:class:`~.syntax.Expr`).  A numeral made by
-:func:`quote` keeps the formula it names in its ``_quoted`` slot, so a
-caller holding one need not decode its value.  Syntax functions build
-codes under :data:`MAX_CODE_BITS`, and ``encode`` stops at the first node
-past it.
+:func:`quote`, and a numeral of a DIAG code, keeps the formula it names in
+its ``_quoted`` slot, so a caller holding one need not decode its value.
+Syntax functions build codes under :data:`MAX_CODE_BITS`, and ``encode``
+stops at the first node past it.
 """
 
 from __future__ import annotations
@@ -136,11 +139,11 @@ def _str_decode(c: int) -> str:
 
 
 #: concrete class -> tag, read by both encode and decode.  A ``SynApp``'s
-#: tag is this one plus its symbol's place in _SYN_ORDER.
+#: tag is this one plus its symbol's place in ``SYNTAX_FN_ARITY``.
 _TAGS = {Var: 0, Zero: 1, Suc: 2, Plus: 3, Times: 4, Num: 5, SynApp: 6,
          Eq: 15, Tr: 16, Top: 17, Bot: 18, Not: 19, And: 20, Forall: 21}
 _SYN_BASE = _TAGS[SynApp]
-_SYN_ORDER = ("num", "sub", "negdot", "anddot", "alldot", "eqdot", "tdot", "tr", "val")
+_SYN_ORDER = tuple(SYNTAX_FN_ARITY)
 _DIAG = 22  # a diagonal sentence; see the module docstring
 _CLASSES = {tag: cls for cls, tag in _TAGS.items() if cls is not SynApp}
 
@@ -162,40 +165,20 @@ _keep = object.__setattr__  # fills a cache slot of a frozen node
 
 
 def encode(e: Term | Formula, max_bits: int | None = None) -> int:
-    """Injective Goedel code of a term or formula.
+    """Injective Goedel code of a term or formula, built bottom-up.
 
     The code is computed once per distinct term or formula and kept on it,
     so a later call on it, or on a tree holding it, reuses it; a node's code
     depends on that node alone.  With ``max_bits``, raises
     :class:`CodeSizeError` exactly when the code passes ``max_bits`` bits,
-    and stops building as soon as it knows."""
+    and stops building as soon as it knows; the node where it stops keeps
+    no code."""
     code = e._code
     if code is None:
-        code = _encode(e, max_bits, [])
-    elif max_bits is not None and code.bit_length() > max_bits:
-        raise _oversize(max_bits)
-    return code
-
-
-def _encode(e: Term | Formula, cap: int | None, cands: list[int]) -> int:
-    """The code of ``e``, built bottom-up; appends the DIAG numerals in ``e``
-    to ``cands``, since a formula holding one may be the diagonal sentence
-    it codes.  A node whose code passes ``cap`` raises and keeps no code,
-    unless it is such a sentence with a code under ``cap``."""
-    code = e._code
-    if code is not None:
-        _diag_candidates(e, cands)
-        if cap is not None and code.bit_length() > cap:
-            raise _oversize(cap)
-        return code
-    mark = len(cands)
-    try:
         cls = type(e)
         tag = _TAGS[cls]
         if cls is Num:
             payload = e.value
-            if _is_diag(payload):
-                cands.append(payload)
         else:
             datum = SIGNATURE[cls].datum
             codes = []
@@ -204,49 +187,43 @@ def _encode(e: Term | Formula, cap: int | None, cands: list[int]) -> int:
             elif datum is not None:
                 codes.append(_str_code(getattr(e, datum)))
             for c in children(e):
-                codes.append(_encode(c, cap, cands))
+                codes.append(encode(c, max_bits))
             payload = codes.pop() if codes else 0
             while codes:
                 payload = pair(codes.pop(), payload)
-        if cap is not None and payload.bit_length() > cap:
-            raise _oversize(cap)
+        if max_bits is not None and payload.bit_length() > max_bits:
+            raise _oversize(max_bits)
         code = pair(tag, payload) + 1  # see the module docstring
-        if cap is not None and code.bit_length() > cap:
-            raise _oversize(cap)
-    except CodeSizeError:
-        # a diagonal sentence's code is shorter than its numeral's
-        code = _diag_match(e, _diag_candidates(e, [])) if isinstance(e, Formula) else None
-        if code is None or code.bit_length() > cap:
-            raise
-    else:
-        if len(cands) > mark and isinstance(e, Formula):
-            code = _diag_match(e, cands[mark:]) or code
-    _keep(e, "_code", code)
+        if max_bits is None or code.bit_length() <= max_bits:
+            _keep(e, "_code", code)
+    if max_bits is not None and code.bit_length() > max_bits:
+        raise _oversize(max_bits)
     return code
 
 
-def _is_diag(n: int) -> bool:
-    return n >= 1 and unpair(n - 1)[0] == _DIAG
+def _name_diagonal(name: Num) -> None:
+    """``Num``'s interning hook: a new numeral whose value is the DIAG code
+    of a diagonal sentence remembers that sentence, which keeps the code.
+    The sentence holds the numeral, so it cannot be built before it, and no
+    node equal to it is ever coded otherwise."""
+    c = name.value
+    if c < 1:
+        return
+    tag, payload = unpair(c - 1)
+    if tag != _DIAG:
+        return
+    f, v = unpair(payload)
+    try:
+        phi, var = _decode_as(f, Formula), _str_decode(v)
+    except DecodeError:
+        return
+    if var in free_vars(phi):  # else the code names no fixed point
+        lam = substitute(phi, var, name)
+        _keep(name, "_quoted", lam)
+        _keep(lam, "_code", c)
 
 
-def _diag_candidates(e: Term | Formula, out: list[int]) -> list[int]:
-    """``out`` with the DIAG numerals in ``e`` appended."""
-    if isinstance(e, Num) and _is_diag(e.value):
-        out.append(e.value)
-    for c in children(e):
-        _diag_candidates(c, out)
-    return out
-
-
-def _diag_match(phi: Formula, cands: list[int]) -> int | None:
-    """Smallest DIAG code in ``cands`` whose decoding is exactly ``phi``."""
-    for c in sorted(set(cands)):
-        try:
-            if decode(c) == phi:
-                return c
-        except (DecodeError, CaptureError):
-            continue
-    return None
+Num._interned = _name_diagonal
 
 
 def decode(c: int) -> Term | Formula:
@@ -319,15 +296,17 @@ def quote(phi: Formula) -> Term:
     """The canonical name of ``phi``: the numeral of its code, which
     remembers ``phi`` (``decode`` of the code gives back ``phi``).  Every
     numeral of that value is this one; a code names one sentence, so it
-    remembers the same ``phi`` whoever quoted it."""
+    remembers the same ``phi`` whoever quoted it.  A diagonal sentence's
+    numeral remembers it from the moment it is built."""
     name = Num(encode(phi))
     _keep(name, "_quoted", phi)
     return name
 
 
 def quoted_sentence(t: Term) -> Formula | None:
-    """The sentence ``t`` names, if ``t`` is a numeral :func:`quote` made of
-    a sentence."""
+    """The sentence ``t`` names, if ``t`` is a numeral of a sentence's code
+    that remembers it: one :func:`quote` made, or the numeral of a diagonal
+    sentence, however it was built."""
     if isinstance(t, Num) and t._quoted is not None and is_sentence(t._quoted):
         return t._quoted
     return None

@@ -206,7 +206,7 @@ class _Checker:
         unconsumed = [m.copy() for m in occ_of]
 
         for pi, oid in node.actives:
-            if pi >= n or unconsumed[pi].pop(oid, None) is None:
+            if not 0 <= pi < n or unconsumed[pi].pop(oid, None) is None:
                 self.bad_reference(at, occ_of, pi, oid)
 
         principal = node.principal
@@ -244,7 +244,7 @@ class _Checker:
                 if pi != k:
                     in_order = False
                 k += 1
-                parent = unconsumed[pi].pop(oid, None) if pi < n else None
+                parent = unconsumed[pi].pop(oid, None) if 0 <= pi < n else None
                 if parent is None:
                     parent = self.bad_reference(at, occ_of, pi, oid)
                     if parent is None:
@@ -271,7 +271,7 @@ class _Checker:
         """Report a (premise, id) reference with no unconsumed occurrence
         behind it: a premise occurrence consumed twice, which is returned,
         or no premise occurrence at all."""
-        if pi < len(occ_of) and oid in occ_of[pi]:
+        if 0 <= pi < len(occ_of) and oid in occ_of[pi]:
             self.bad(at, LINEAGE_BROKEN,
                      f"premise occurrence {oid} consumed twice")
             return occ_of[pi][oid]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import build as B
-from .arith import can_prove, can_refute, chain_numeral, prove_equation, refute_equation
+from .arith import can_prove, can_refute, chain_numerals, prove_equation, refute_equation
 from .coding import DecodeError, decode_sentence, quoted_sentence
 from .deriv import Derivation, minus
 from .kernel import SYSTEM_RULES
@@ -116,7 +116,7 @@ class _Searcher:
         self._provable: dict[Eq, bool] = {}
         self._unquoted: dict[Tr, Formula | None] = {}
         self._closed: dict[Formula, list[Term]] = {}
-        self._numerals = [chain_numeral(k) for k in range(budget.max_term_index + 1)]
+        self._numerals = chain_numerals(budget.max_term_index)
 
     def fresh_eigen(self) -> str:
         self._eigen += 1

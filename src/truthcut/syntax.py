@@ -24,7 +24,10 @@ the one live node with its fields, so equal trees are one object, ``==``
 is identity and the hash is stored.  A node's syntax facts (free and bound
 variables, whether it contains ``T``, logical complexity) are set when it
 is built, from its children's, so no reader of them walks the tree.  Its
-code and the sentence a quoted numeral names are cached on it once.
+code and the sentence a quoted numeral names are cached on it once.  A
+class may have a hook that runs on each of its new nodes; only ``Num`` has
+one, set by :mod:`~.coding`: a numeral whose value is the code of a
+diagonal sentence names that sentence, and the sentence gets that code.
 """
 
 from __future__ import annotations
@@ -83,11 +86,13 @@ class Expr:
     with that hash (one, or a list on a collision), and a node is found by
     comparing its fields with ``==``, which is identity on children.  So
     the table refers to no node strongly: a node lives exactly as long as
-    the program holds it, even when a cache slot closes a cycle (a quoted
-    diagonal sentence's numeral remembers the sentence that holds it).
-    A new node's ``_facts`` are set by its class's ``_derive`` rule.  Nodes
-    are immutable; the cache slots (``_code`` here, ``_quoted`` on
-    numerals) are None until filled through ``object.__setattr__``."""
+    the program holds it, even when a cache slot closes a cycle (a diagonal
+    sentence's numeral remembers the sentence that holds it).
+    A new node's ``_facts`` are set by its class's ``_derive`` rule, and
+    once it is in the table its class's ``_interned`` hook, where set, runs
+    on it (:mod:`~.coding` sets the one on ``Num``).  Nodes are immutable;
+    the cache slots (``_code`` here, ``_quoted`` on numerals) are None
+    until filled through ``object.__setattr__``."""
 
     __slots__ = ("_f0", "_f1", "_hash", "_facts", "_code", "__weakref__")
 
@@ -96,6 +101,8 @@ class Expr:
     #: setters of the class's cache slots, each None in a new node
     _caches: tuple = ()
     _check = None
+    #: run on each new node of the class once it is in the table
+    _interned: Callable[["Expr"], None] | None = None
     #: fields -> the new node's facts
     _derive: Callable[..., tuple]
     #: hash -> the entry, or a list of the entries, of the class's live
@@ -136,6 +143,8 @@ class Expr:
             cls._table[h] = [found, entry]
         else:
             found.append(entry)
+        if cls._interned is not None:
+            cls._interned(node)
         return node
 
     def __hash__(self) -> int:
@@ -191,7 +200,8 @@ class Times(Term):
 class Num(Term):
     """Numeral literal: the canonical name of the natural number ``value``."""
 
-    #: the formula this numeral names, set by :func:`~.coding.quote`
+    #: the formula this numeral names, set by :func:`~.coding.quote` and,
+    #: for a DIAG code, when the numeral is built
     __slots__ = ("_quoted",)
 
     @staticmethod

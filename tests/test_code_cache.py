@@ -22,6 +22,7 @@ from truthcut.coding import (
     decode,
     decode_sentence,
     diag_code,
+    diagonalize,
     encode,
     eval_term,
     liar,
@@ -32,7 +33,7 @@ from truthcut.coding import (
 )
 from truthcut.search import SearchBudget, _Searcher
 from truthcut.semantics import build_universe
-from truthcut.sexpr import parse_formula
+from truthcut.sexpr import format_formula, parse_formula
 from truthcut.syntax import (
     SIGNATURE,
     And,
@@ -134,11 +135,11 @@ def _ref_code(e, memo=None):
 def _unencoded_diagonal(make, v):
     """The diagonal sentence of ``make(Var(v))`` at ``v``, built without
     encoding it; ``v`` is a name no other test uses, so no live node is
-    this one."""
+    this one.  It has its DIAG code from the moment its numeral is built."""
     body = make(Var(v))
     c = diag_code(body, v)
     lam = substitute(body, v, Num(c))
-    assert lam._code is None and _ref_code(lam) == c
+    assert lam._code == c == _ref_code(lam)
     return lam
 
 
@@ -236,19 +237,67 @@ def test_aborted_encode_keeps_no_code():
 def test_cap_measures_a_diagonal_sentence_by_its_own_code():
     # [DERIVED] the numeral inside a liar or a truth-teller has a longer
     # code than the sentence itself; under a cap the sentence still gets its
-    # DIAG code, as the code of the whole decides.  Each sentence is encoded
-    # from scratch: a capped encode that fails keeps no code on it.
+    # DIAG code, as the code of the whole decides.  Each sentence is built
+    # from scratch; a capped encode that fails leaves its code as it was.
     for make, v in ((lambda x: Not(Tr(x)), "cap_l"), (Tr, "cap_t")):
         lam = _unencoded_diagonal(make, v)
         bits = _ref_code(lam).bit_length()
         assert _ref_code(lam.term if type(lam) is Tr else lam.body.term).bit_length() > bits
         with pytest.raises(CodeSizeError):
             encode(lam, bits - 1)
-        assert lam._code is None
+        assert lam._code == _ref_code(lam)
         assert encode(lam, bits) == _ref_code(lam)
         phi = Not(Not(_unencoded_diagonal(make, v + "2")))
         assert phi._code is None
         assert encode(phi, _ref_code(phi).bit_length()) == _ref_code(phi)
+
+
+def test_encode_over_coded_children_reads_one_node(monkeypatch):
+    # [DERIVED] encoding a node whose children have codes reads only that
+    # node's children, however large they are and whatever DIAG numerals
+    # they hold.  (Each level of a formula at least doubles its code's bit
+    # length, so a coded formula is large by width, not depth.)
+    import truthcut.coding as coding
+
+    parts = [LIAR] + [Eq(Num(k), Zero()) for k in range(15)]
+    while len(parts) > 1:
+        parts = [And(a, b) for a, b in zip(parts[::2], parts[1::2])]
+    phi = parts[0]
+    encode(phi)
+    top = Not(phi)
+    read = []
+    real = coding.children
+    monkeypatch.setattr(coding, "children", lambda e: read.append(e) or real(e))
+    code = encode(top)
+    monkeypatch.undo()
+    assert read == [top]
+    assert code == _ref_code(top, {})
+
+
+def test_a_diagonal_sentence_has_its_code_however_its_numeral_is_built():
+    # [DERIVED] a diagonal sentence has its DIAG code, and its numeral
+    # names it, from the moment the numeral is built: by the reader, by
+    # decode, by syntax-function evaluation or by diagonalize.  Each way
+    # uses a variable no other test uses, so its numeral is new.
+    def fresh(v):
+        body = Not(Tr(Var(v)))
+        return body, diag_code(body, v)
+
+    def coded(lam, c):
+        assert lam._code == c == _ref_code(lam)
+        assert lam.body.term._quoted is lam and decode(c) is lam
+
+    body, c = fresh("by_reader")
+    coded(parse_formula(format_formula(body).replace("by_reader", str(c))), c)
+    _, c = fresh("by_decode")
+    coded(decode(c), c)
+    body, c = fresh("by_num")
+    # sub(#body, #v, num(c)): num builds the numeral, sub the sentence
+    made = SynApp("num", (Suc(Num(c - 1)),))
+    assert eval_term(SynApp("sub", (quote(body), Num(encode(Var("by_num"))), made))) == c
+    coded(substitute(body, "by_num", Num(c)), c)
+    body, c = fresh("by_diagonalize")
+    coded(diagonalize(body), c)
 
 
 def test_sub_past_the_cap_stops_early():

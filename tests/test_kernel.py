@@ -353,6 +353,31 @@ def test_wiring_reference_to_a_non_premise_occurrence():
         f"premise 0 occurrences [{aid}] not carried into the conclusion")
 
 
+@pytest.mark.parametrize("pi", [-1, -2])
+def test_wiring_negative_active_premise_index(pi):
+    # [DERIVED] a premise index below 0 names no premise: it is reported,
+    # not read from the end of the premise list or raised as IndexError
+    d = _wired()
+    [(_, aid)] = d.actives
+    bad = remake(d, actives=((pi, aid),))
+    assert _wiring_report(bad) == _broken(
+        f"reference ({pi},{aid}) is not a premise occurrence",
+        f"premise 0 occurrences [{aid}] not carried into the conclusion")
+
+
+def test_wiring_negative_lineage_premise_index():
+    # [DERIVED] as for an active; the occurrence then has no parent in
+    # premise 0, and that parent is left over
+    d = _wired()
+    chi = d.conclusion.ante[1]
+    oid = _parent(d, chi)
+    bad = remake(d, lineage={**d.lineage, chi.id: ((-2, oid),)})
+    assert _wiring_report(bad) == _broken(
+        f"occurrence {chi.id} must have one parent per premise",
+        f"reference (-2,{oid}) is not a premise occurrence",
+        f"premise 0 occurrences [{oid}] not carried into the conclusion")
+
+
 def test_wiring_premise_occurrence_consumed_twice():
     # [DERIVED]
     d = _wired()

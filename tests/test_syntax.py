@@ -302,9 +302,10 @@ def _table_size():
 
 def test_intern_table_holds_no_dead_nodes():
     # [DERIVED] once the last reference to a batch of new nodes is gone, the
-    # table is back to its size before the batch, also when a quoted
-    # diagonal sentence's numeral remembers the sentence that holds it
-    from truthcut.coding import diagonalize
+    # table is back to its size before the batch, also when a diagonal
+    # sentence's numeral remembers the sentence that holds it, and when
+    # that numeral was built alone
+    from truthcut.coding import diag_code, diagonalize
 
     gc.collect()
     size = _table_size()
@@ -314,7 +315,10 @@ def test_intern_table_holds_no_dead_nodes():
     teller = diagonalize(Tr(Var("t_batch")))
     assert quote(teller) is teller.term and teller.term._quoted is teller
     batch.append(teller)
-    del teller
+    alone = Num(diag_code(Not(Tr(Var("t_batch"))), "t_batch"))
+    assert alone._quoted.body.term is alone and alone._quoted._code == alone.value
+    batch.append(alone)
+    del teller, alone
     assert _table_size() > size + 2000
     del batch
     gc.collect()
