@@ -3,6 +3,9 @@ evaluation, and diagonal sentences.
 
 The scheme is a deterministic tagged Cantor pairing: every expression gets
 ``pair(tag, payload) + 1`` where the payload folds the children's codes.
+:func:`pair` computes Cantor's ``s*(s+1)//2 + b`` as ``((s*s + s) >> 1) + b``,
+the same number: CPython squares a large integer faster than it multiplies
+two different ones.
 Code 0 is deliberately not in the image, so ``decode(0)`` fails.  The
 payload folds a node's datum code first, when it has one, and then its
 children's codes, in the order ``syntax.SIGNATURE`` gives.  The tag is the
@@ -14,6 +17,8 @@ the sentence obtained by plugging its *own* numeral into the formula coded by
 ``f`` at variable ``v``, so the decoded fixed point is literal:
 ``decode(#lam) == substitute(phi, v, numeral(#lam))``.  A plain monotone
 structural coding cannot deliver that equation, which is why the tag exists.
+A DIAG code whose ``v`` is not free in ``f`` codes nothing: its sentence
+would be ``f`` itself, which has its own code.
 The sentence gets its DIAG code when its numeral is built: ``Num``'s
 interning hook (:func:`_name_diagonal`) decodes a DIAG value once, and the
 numeral and its sentence then hold each other, so every formula equal to
@@ -112,7 +117,7 @@ def code_label(c: int) -> str:
 
 def pair(a: int, b: int) -> int:
     s = a + b
-    return s * (s + 1) // 2 + b
+    return ((s * s + s) >> 1) + b  # s*(s+1)//2 + b; see the module docstring
 
 
 def unpair(c: int) -> tuple[int, int]:
@@ -257,6 +262,11 @@ def decode(c: int) -> Term | Formula:
         f, v = unpair(payload)
         phi = _decode_as(f, Formula)
         name = _str_decode(v)
+        if name not in free_vars(phi):
+            # the body itself would come back, and its code is another
+            raise DecodeError(
+                f"{code_label(c)} is not a code (diagonal variable not free)"
+            )
         return substitute(phi, name, Num(c))
     raise DecodeError(f"{code_label(c)} is not a code (unknown tag {code_label(tag)})")
 

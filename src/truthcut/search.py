@@ -15,13 +15,18 @@ derivation always validates in the kernel and contains no cut.
 Terms and formulas are interned, so equal ones are one object, and one
 search keeps memos keyed by those objects: each closed equation's
 refutability and provability, each truth ascription's unquoted sentence,
-each formula's closed subterms, and the numerals ``0..max_term_index``.
+each formula's closed subterms, each universal's instance at each closed
+term (the instance memo, so ``foralll`` builds an instance once per search
+however many goals try it), and the numerals ``0..max_term_index``.
 A goal's key for the loop check and the failure memo is its two sides, each
 sorted by object identity: equal formulas have one identity, and the key
 keeps them alive, so this is exact for multisets.  The key only looks goals
 up; proofs and frontiers are built in the order the goal lists its
-formulas.  Every memo lives on one ``_Searcher``, so nothing outlives one
-call of :func:`search_cut_free`.
+formulas.  A goal is answered in this order: the loop check, then the
+failure memo, then the closures, then expansion.  A goal either check
+answers failed to close when it was first met, so checking them first
+changes no proof or frontier.  Every memo lives on one ``_Searcher``, so
+nothing outlives one call of :func:`search_cut_free`.
 """
 
 from __future__ import annotations
@@ -111,11 +116,13 @@ class _Searcher:
         self._eigen = 0
         #: per-call memos keyed by interned nodes: an equation's
         #: refutability and provability, a truth ascription's unquoted
-        #: sentence, a formula's closed subterms
+        #: sentence, a formula's closed subterms, a universal's instance
+        #: at a closed term
         self._refutable: dict[Eq, bool] = {}
         self._provable: dict[Eq, bool] = {}
         self._unquoted: dict[Tr, Formula | None] = {}
         self._closed: dict[Formula, list[Term]] = {}
+        self._inst: dict[tuple[Forall, Term], Formula] = {}
         self._numerals = chain_numerals(budget.max_term_index)
 
     def fresh_eigen(self) -> str:
@@ -152,9 +159,8 @@ class _Searcher:
     # -- expansion ---------------------------------------------------------
 
     def prove(self, ante, succ, depth, tau, visited) -> Derivation | None:
-        d = self.close(ante, succ)
-        if d is not None:
-            return d
+        # a goal open on this branch or in the failure memo failed to close
+        # when first met, so both checks come before the closures
         key = _key(ante, succ)
         if key in visited:
             # loop check: an identical goal is already open on this branch
@@ -162,6 +168,9 @@ class _Searcher:
             return None
         if (key, depth, tau) in self.fail_memo:
             return None
+        d = self.close(ante, succ)
+        if d is not None:
+            return d
         if depth == 0:
             self.frontier.append((tuple(ante), tuple(succ)))
             self.fail_memo.add((key, depth, tau))
@@ -211,8 +220,7 @@ class _Searcher:
                         return B.truth_left(p, p.conclusion.first("ante", phi))
             elif isinstance(f, Forall):
                 for t in self._instances(ante, succ):
-                    # a closed term is never captured
-                    inst = substitute(f.body, f.var, t)
+                    inst = self._instance(f, t)
                     if inst in ante:
                         continue
                     p = self.prove(
@@ -276,6 +284,13 @@ class _Searcher:
                     pass
         self._unquoted[f] = phi
         return phi
+
+    def _instance(self, f: Forall, t: Term) -> Formula:
+        inst = self._inst.get((f, t))
+        if inst is None:
+            # a closed term is never captured
+            inst = self._inst[f, t] = substitute(f.body, f.var, t)
+        return inst
 
     def _instances(self, ante, succ) -> list[Term]:
         out = list(self._numerals)

@@ -12,6 +12,7 @@ from truthcut.coding import (
     codes_sentence,
     decode,
     decode_sentence,
+    diag_code,
     diagonalize,
     encode,
     eval_term,
@@ -50,6 +51,24 @@ def test_pairing_bijective():
             assert c not in seen
             seen[c] = (a, b)
             assert unpair(c) == (a, b)
+
+
+def test_pairing_is_cantors_on_large_values():
+    # [DERIVED] pair squares its sum instead of multiplying s by s + 1; the
+    # number is Cantor's, and unpair inverts it, for values of 0 to 2^20 bits
+    # one width per octave up to 2^17 bits, then 2^20 bits once: unpair's
+    # isqrt takes seconds there
+    rng = random.Random(20261019)
+    widths = [0, 1] + [rng.randrange(2**k, 2**(k + 1)) for k in range(17)] + [2**20]
+    for w in widths:
+        a = rng.getrandbits(w)
+        b = rng.getrandbits(rng.randrange(w + 1))
+        if rng.random() < 0.5:
+            a, b = b, a
+        s = a + b
+        c = pair(a, b)
+        assert c == s * (s + 1) // 2 + b
+        assert unpair(c) == (a, b)
 
 
 def _random_term(rng, depth):
@@ -185,6 +204,18 @@ def test_distinct_diagonal_sentences():
     b = diagonalize(Tr(Var("v")), "v")
     c = diagonalize(And(Tr(Var("v")), Eq(Zero(), Zero())), "v")
     assert len({encode(a), encode(b), encode(c)}) == 3
+
+
+def test_decode_refuses_a_diagonal_code_whose_variable_is_not_free():
+    # [DERIVED] such a code used to decode to its body, whose own code is
+    # another, so two numerals named one sentence
+    c = diag_code(Eq(Zero(), Zero()), "v")
+    assert c == 43039579506 and encode(Eq(Zero(), Zero())) == 391
+    with pytest.raises(DecodeError, match="^43039579506 is not a code"):
+        decode(c)
+    assert not codes_sentence(c)
+    assert Num(c)._quoted is None
+    assert decode(diag_code(Not(Tr(Var("v"))), "v")) == liar()
 
 
 def test_diagonal_codes_pinned():

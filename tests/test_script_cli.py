@@ -189,6 +189,35 @@ def test_cli_fixpoint_capturing_sub(tmp_path, capsys):
     assert "stage 0: 0 members" in out and "ungrounded:" in out
 
 
+#: diag_code((= 0 0), "v"): a DIAG code whose variable is not free
+_VACUOUS_DIAG = 43039579506
+
+
+def test_cli_check_refuses_a_vacuous_diagonal_numeral(tmp_path, capsys):
+    # [DERIVED] the code used to decode to (= 0 0), whose code is 391, so
+    # Tr accepted (T 43039579506) as the truth of (= 0 0)
+    p = tmp_path / "vacuous.gp"
+    p.write_text("1: init [] (= 0 0) => (= 0 0)\n"
+                 f"2: Tr [1] (= 0 0) => (T {_VACUOUS_DIAG})\n")
+    assert main(["check", str(p), "--system", "lptn"]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and "NUMERAL_DECODE_MISMATCH" in out
+
+
+def test_cli_fixpoint_leaves_a_vacuous_diagonal_numeral_ungrounded(tmp_path, capsys):
+    # [DERIVED] the norms used to list (= 0 0) under #43039579506
+    seeds = tmp_path / "vacuous.txt"
+    seeds.write_text(f"(T {_VACUOUS_DIAG})\n(not (T {_VACUOUS_DIAG}))\n")
+    assert main(["fixpoint", "--seed", str(seeds)]) == 0
+    out = capsys.readouterr().out
+    norms, ungrounded = out.split("norms:\n")[1].split("ungrounded:\n")
+    assert out.startswith("universe: 2 sentence codes\n")
+    assert norms == "" and "(= 0 0)" not in out
+    assert ungrounded.count("\n") == 2
+    assert f"  (T {_VACUOUS_DIAG})\n" in ungrounded
+    assert f"  (not (T {_VACUOUS_DIAG}))\n" in ungrounded
+
+
 def test_cli_liar(capsys):
     assert main(["liar", "--depth", "5", "--terms", "2", "--tau", "3"]) == 0
     out = capsys.readouterr().out

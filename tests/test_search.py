@@ -1,9 +1,12 @@
 """Bounded backward cut-free proof search."""
 
+import collections
+import hashlib
 import random
 
 import pytest
 
+from truthcut import search
 from truthcut.arith import chain_numeral
 from truthcut.coding import liar, quote, truth_teller
 from truthcut.deriv import compute_measures
@@ -15,7 +18,7 @@ from truthcut.search import (
     check_conservativity,
     search_cut_free,
 )
-from truthcut.sexpr import format_sequent
+from truthcut.sexpr import format_sequent, parse_formula
 from truthcut.syntax import (
     And,
     Eq,
@@ -189,3 +192,64 @@ def test_search_shares_nothing_between_calls():
         for b, t in goals[i + 1:] + goals[:i]:
             _outcome(b, t, small)
         assert _outcome(a, s, small) == alone[i]
+
+
+#: the ``fixpoint`` benchmark workload's budget
+FIXPOINT_BUDGET = SearchBudget(max_depth=4, max_term_index=1, max_tau_unfold=3)
+
+
+def _digest(outcome):
+    text = outcome if isinstance(outcome, str) else "\n".join(outcome)
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+def test_each_universal_is_instantiated_once_per_term(monkeypatch):
+    # [DERIVED] the foralll branch used to build the same instance again at
+    # every goal; the searcher's instance memo builds it once, and the
+    # frontier is the one pinned before the memo
+    calls = collections.Counter()
+    substitute = search.substitute
+
+    def counting(phi, var, t):
+        calls[phi, var, t] += 1
+        return substitute(phi, var, t)
+
+    monkeypatch.setattr(search, "substitute", counting)
+    phi = parse_formula("(forall x (= (+ x (S 0)) (S x)))")
+    outcome = _outcome([phi], [], FIXPOINT_BUDGET)
+    assert isinstance(outcome, list) and len(outcome) == 28
+    assert _digest(outcome) == "e6ee902dfdb6cd24dd7cb72c9f339bf3"
+    assert calls and max(calls.values()) == 1
+
+
+def test_a_memoized_goal_is_answered_before_any_closure(monkeypatch):
+    # [DERIVED] a goal open on its branch or in the failure memo failed to
+    # close when first met; prove answers it without trying the closures
+    # again, and every proof and frontier is the one pinned before
+    counts = collections.Counter()
+    prove, close = search._Searcher.prove, search._Searcher.close
+
+    def counting_prove(self, ante, succ, depth, tau, visited):
+        key = _key(ante, succ)
+        counts["prove"] += 1
+        counts["loop"] += key in visited
+        counts["memo"] += key not in visited and (key, depth, tau) in self.fail_memo
+        return prove(self, ante, succ, depth, tau, visited)
+
+    def counting_close(self, ante, succ):
+        counts["close"] += 1
+        return close(self, ante, succ)
+
+    monkeypatch.setattr(search._Searcher, "prove", counting_prove)
+    monkeypatch.setattr(search._Searcher, "close", counting_close)
+    pinned = [
+        ([parse_formula("(forall x (= (+ x (S 0)) (S x)))")], [],
+         "e6ee902dfdb6cd24dd7cb72c9f339bf3"),
+        ([], [parse_formula("(not (and (T (quote (= 0 0))) (not (= 0 0))))")],
+         "adac6dd292bb5b84fb5fe4963027cfa9"),
+        ([truth_teller()], [], "99ab76d2304783c239ef288b531040fc"),
+    ]
+    for ante, succ, digest in pinned:
+        assert _digest(_outcome(ante, succ, FIXPOINT_BUDGET)) == digest
+    assert counts["memo"] > 0 and counts["loop"] > 0
+    assert counts["close"] == counts["prove"] - counts["loop"] - counts["memo"]
