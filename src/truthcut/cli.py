@@ -2,7 +2,8 @@
 
 Verbs: ``check``, ``measures``, ``elim``, ``search``, ``fixpoint``, ``liar``.
 Exit status: 0 on success/valid, 1 on violations/exhausted/bound failures
-and on inputs too deep or too large to process, 2 on usage or parse errors.
+and on inputs too deep or too large to process, 2 on usage or parse errors
+and when a named file cannot be read or written.
 ``--json`` switches every verb to structured output on stdout.
 """
 
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except (ScriptError, ParseError) as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:  # reading or writing a file
         sys.stderr.write(f"file error: {e}\n")
         return EXIT_USAGE
     except RecursionError:

@@ -22,7 +22,10 @@ would be ``f`` itself, which has its own code.
 The sentence gets its DIAG code when its numeral is built: ``Num``'s
 interning hook (:func:`_name_diagonal`) decodes a DIAG value once, and the
 numeral and its sentence then hold each other, so every formula equal to
-the sentence is that one coded node while either lives.
+the sentence is that one coded node while either lives.  A DIAG code is
+decoded only there: :func:`decode` returns the sentence its numeral
+remembers, and runs the hook's checks itself only to raise the
+``DecodeError`` of a code that names nothing.
 
 Codes are computed once per distinct term or formula: :func:`encode`
 works bottom-up and keeps each node's code in the node's ``_code`` slot,
@@ -206,26 +209,37 @@ def encode(e: Term | Formula, max_bits: int | None = None) -> int:
     return code
 
 
+def _diagonal(name: Num, payload: int) -> Formula:
+    """The diagonal sentence named by ``name``, whose value is the DIAG code
+    with ``payload``; the numeral remembers the sentence, which keeps the
+    code.  Raises DecodeError when the code names no fixed point."""
+    f, v = unpair(payload)
+    phi, var = _decode_as(f, Formula), _str_decode(v)
+    if var not in free_vars(phi):
+        # the body itself would come back, and its code is another
+        raise DecodeError(
+            f"{code_label(name.value)} is not a code (diagonal variable not free)"
+        )
+    lam = substitute(phi, var, name)
+    _keep(name, "_quoted", lam)
+    _keep(lam, "_code", name.value)
+    return lam
+
+
 def _name_diagonal(name: Num) -> None:
     """``Num``'s interning hook: a new numeral whose value is the DIAG code
-    of a diagonal sentence remembers that sentence, which keeps the code.
+    of a diagonal sentence remembers that sentence (:func:`_diagonal`).
     The sentence holds the numeral, so it cannot be built before it, and no
     node equal to it is ever coded otherwise."""
     c = name.value
     if c < 1:
         return
     tag, payload = unpair(c - 1)
-    if tag != _DIAG:
-        return
-    f, v = unpair(payload)
-    try:
-        phi, var = _decode_as(f, Formula), _str_decode(v)
-    except DecodeError:
-        return
-    if var in free_vars(phi):  # else the code names no fixed point
-        lam = substitute(phi, var, name)
-        _keep(name, "_quoted", lam)
-        _keep(lam, "_code", c)
+    if tag == _DIAG:
+        try:
+            _diagonal(name, payload)
+        except DecodeError:
+            pass  # the numeral names nothing
 
 
 Num._interned = _name_diagonal
@@ -259,15 +273,9 @@ def decode(c: int) -> Term | Formula:
             args.append(_decode_as(p, Term))
         return SynApp(symbol, tuple(args))
     if tag == _DIAG:
-        f, v = unpair(payload)
-        phi = _decode_as(f, Formula)
-        name = _str_decode(v)
-        if name not in free_vars(phi):
-            # the body itself would come back, and its code is another
-            raise DecodeError(
-                f"{code_label(c)} is not a code (diagonal variable not free)"
-            )
-        return substitute(phi, name, Num(c))
+        name = Num(c)  # a new numeral's hook decodes the sentence it names
+        lam = name._quoted
+        return _diagonal(name, payload) if lam is None else lam
     raise DecodeError(f"{code_label(c)} is not a code (unknown tag {code_label(tag)})")
 
 

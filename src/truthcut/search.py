@@ -178,23 +178,17 @@ class _Searcher:
         visited = visited | {key}
         d = self._expand(ante, succ, depth, tau, visited)
         if d is None:
-            if not self._has_expansion(ante, succ, tau):
-                self.frontier.append((tuple(ante), tuple(succ)))
             self.fail_memo.add((key, depth, tau))
         return d
 
-    def _has_expansion(self, ante, succ, tau) -> bool:
-        truth_ok = self.system in _TRUTH_SYSTEMS
-        for f in ante + succ:
-            if isinstance(f, (Not, And, Forall)):
-                return True
-            if isinstance(f, Tr) and truth_ok and tau > 0 and self._unquote(f):
-                return True
-        return False
-
     def _expand(self, ante, succ, depth, tau, visited) -> Derivation | None:
+        """A proof of the goal by a backward rule, or None; a goal no
+        backward rule applies to is a frontier leaf."""
         truth_ok = self.system in _TRUTH_SYSTEMS
+        applied = False
         for f in ante:
+            if isinstance(f, (Not, And, Forall)):
+                applied = True
             if isinstance(f, Not):
                 p = self.prove(
                     tuple(minus(ante, [f])), succ + (f.body,), depth - 1, tau, visited
@@ -212,6 +206,7 @@ class _Searcher:
             elif isinstance(f, Tr) and truth_ok and tau > 0:
                 phi = self._unquote(f)
                 if phi is not None:
+                    applied = True
                     p = self.prove(
                         (*minus(ante, [f]), phi), succ,
                         depth - 1, tau - 1, visited,
@@ -230,6 +225,8 @@ class _Searcher:
                         return B.forall_left(p, p.conclusion.first("ante", f),
                                              p.conclusion.first("ante", inst), t)
         for f in succ:
+            if isinstance(f, (Not, And, Forall)):
+                applied = True
             if isinstance(f, Not):
                 p = self.prove(
                     ante + (f.body,), tuple(minus(succ, [f])), depth - 1, tau, visited
@@ -252,6 +249,7 @@ class _Searcher:
             elif isinstance(f, Tr) and truth_ok and tau > 0:
                 phi = self._unquote(f)
                 if phi is not None:
+                    applied = True
                     p = self.prove(
                         ante, (*minus(succ, [f]), phi),
                         depth - 1, tau - 1, visited,
@@ -269,6 +267,8 @@ class _Searcher:
                 )
                 if p is not None:
                     return B.forall_right(p, p.conclusion.first("succ", inst), f, y)
+        if not applied:
+            self.frontier.append((tuple(ante), tuple(succ)))
         return None
 
     def _unquote(self, f: Tr) -> Formula | None:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arith import chain_numerals
 from .coding import (
     DecodeError,
     EvalError,
@@ -58,11 +59,8 @@ from .syntax import (
     Forall,
     Formula,
     Not,
-    Suc,
-    Term,
     Top,
     Tr,
-    Zero,
     bound_vars,
     is_sentence,
     substitute,
@@ -104,12 +102,7 @@ class SentenceUniverse:
 def _instances(phi: Forall, bound: int) -> list[Formula]:
     """``phi``'s body at S^k(0) for k = 0..bound; a closed numeral is never
     captured."""
-    out = []
-    numeral: Term = Zero()
-    for _ in range(bound + 1):
-        out.append(substitute(phi.body, phi.var, numeral))
-        numeral = Suc(numeral)
-    return out
+    return [substitute(phi.body, phi.var, n) for n in chain_numerals(bound)]
 
 
 def _dep(phi: Formula) -> Dep:
@@ -299,22 +292,16 @@ def check_soundness(d: Derivation, fp: FixedPoint) -> SoundnessVerdict:
     alpha = compute_measures(d).length
     code_of = fp.universe.code_of
     missing = []
-    for o in d.conclusion.ante:
-        c = code_of.get(Not(o.formula))
-        if c is None:
-            missing.append(Not(o.formula))
-            continue
-        n = fp.norm(c)
-        if n is not None and n <= alpha:
-            return SoundnessVerdict(True, alpha, "ante", o.formula, n)
-    for o in d.conclusion.succ:
-        c = code_of.get(o.formula)
-        if c is None:
-            missing.append(o.formula)
-            continue
-        n = fp.norm(c)
-        if n is not None and n <= alpha:
-            return SoundnessVerdict(True, alpha, "succ", o.formula, n)
+    for side, occs in (("ante", d.conclusion.ante), ("succ", d.conclusion.succ)):
+        for o in occs:
+            backer = Not(o.formula) if side == "ante" else o.formula
+            c = code_of.get(backer)
+            if c is None:
+                missing.append(backer)
+                continue
+            n = fp.norm(c)
+            if n is not None and n <= alpha:
+                return SoundnessVerdict(True, alpha, side, o.formula, n)
     if missing:
         raise CoverageError(
             f"end-sequent formulas not covered by the universe: {missing!r}"
@@ -336,22 +323,17 @@ def check_completeness(phi: Formula, fp: FixedPoint, budget) -> CompletenessVerd
 
     if bound_vars(phi):  # a bound variable, so a quantifier
         return CompletenessVerdict("vacuous")
-    c = fp.universe.code_of.get(phi)
-    cn = fp.universe.code_of.get(Not(phi))
-    if c in fp.members:
-        r = search_cut_free([], [phi], budget, "lptn")
-        if r.found:
-            return CompletenessVerdict(
-                "proved", fp.norm(c), compute_measures(r.derivation).length
-            )
-        return CompletenessVerdict("budget_failure", fp.norm(c))
-    if cn in fp.members:
-        r = search_cut_free([phi], [], budget, "lptn")
-        if r.found:
-            return CompletenessVerdict(
-                "refuted", fp.norm(cn), compute_measures(r.derivation).length
-            )
-        return CompletenessVerdict("budget_failure", fp.norm(cn))
+    code_of = fp.universe.code_of
+    for status, member, ante, succ in (("proved", phi, [], [phi]),
+                                       ("refuted", Not(phi), [phi], [])):
+        c = code_of.get(member)
+        if c in fp.members:
+            r = search_cut_free(ante, succ, budget, "lptn")
+            if r.found:
+                return CompletenessVerdict(
+                    status, fp.norm(c), compute_measures(r.derivation).length
+                )
+            return CompletenessVerdict("budget_failure", fp.norm(c))
     return CompletenessVerdict("vacuous")
 
 

@@ -21,6 +21,9 @@ constructor with children is written ``(head [datum] child...)``, one
 without as its head word or its datum.  The reader and the printer both
 read that one table, so a new constructor needs only its head here; the
 sugar heads ``or``, ``exists`` and ``quote`` are the reader's alone.
+The reader, :func:`_read`, takes a token list and an index and gives back
+the next index; :func:`_read_whole` reads a term, a formula or one formula
+of a sequent as exactly one expression.
 """
 
 from __future__ import annotations
@@ -72,30 +75,6 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-class _Reader:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.i)
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.i - 1)
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
-
-
 #: concrete class -> its head word, read by both the reader and the printer.
 #: ``None`` for a class written by its datum alone: ``Var`` by its name,
 #: ``Num`` in decimal and ``SynApp`` with its symbol as the head.
@@ -133,53 +112,63 @@ _WORDS = {head: cls for cls, head in HEADS.items()
           if head is not None and not SIGNATURE[cls].kids}
 
 
-def _read(r: _Reader, sort: type) -> Term | Formula:
-    """One expression of ``sort`` (``Term`` or ``Formula``)."""
-    tok = r.next()
+def _read(tokens: list[str], i: int, sort: type) -> tuple[Term | Formula, int]:
+    """The expression of ``sort`` (``Term`` or ``Formula``) at ``tokens[i]``
+    and the index after it.  An error names its token's index."""
+    try:
+        tok = tokens[i]
+        if tok == "(":
+            head = tokens[i + 1]
+            form = _FORMS.get(head)
+            if form is None or form[0] is not sort:
+                raise ParseError(f"unknown {sort.__name__.lower()} head {head!r}", i + 1)
+            _, named, sorts, build = form
+            i += 2
+            parts = []
+            if named:
+                var = tokens[i]
+                if not _NAME.match(var):
+                    raise ParseError(f"bad variable name {var!r}", i)
+                parts.append(var)
+                i += 1
+            for s in sorts:
+                part, i = _read(tokens, i, s)
+                parts.append(part)
+            close = tokens[i]
+    except IndexError:
+        raise ParseError("unexpected end of input", len(tokens)) from None
     if tok == "(":
-        head = r.next()
-        form = _FORMS.get(head)
-        if form is None or form[0] is not sort:
-            raise ParseError(f"unknown {sort.__name__.lower()} head {head!r}", r.i - 1)
-        _, named, sorts, build = form
-        parts = []
-        if named:
-            var = r.next()
-            if not _NAME.match(var):
-                raise ParseError(f"bad variable name {var!r}", r.i - 1)
-            parts.append(var)
-        for s in sorts:
-            parts.append(_read(r, s))
-        r.expect(")")
-        return build(*parts)
+        if close != ")":
+            raise ParseError(f"expected ')', got {close!r}", i)
+        return build(*parts), i + 1
     cls = _WORDS.get(tok)
     if cls is not None and issubclass(cls, sort):
-        return cls()
+        return cls(), i + 1
     if sort is Term:
         if tok.isdigit():
             try:
-                return Num(int(tok))
+                return Num(int(tok)), i + 1
             except ValueError:
-                raise ParseError(_bad_numeral(tok), r.i - 1) from None
+                raise ParseError(_bad_numeral(tok), i) from None
         if _NAME.match(tok):
-            return Var(tok)
-    raise ParseError(f"bad {sort.__name__.lower()} token {tok!r}", r.i - 1)
+            return Var(tok), i + 1
+    raise ParseError(f"bad {sort.__name__.lower()} token {tok!r}", i)
+
+
+def _read_whole(tokens: list[str], sort: type) -> Term | Formula:
+    """The one expression of ``sort`` that ``tokens`` spell, no token left."""
+    e, i = _read(tokens, 0, sort)
+    if i < len(tokens):
+        raise ParseError(f"trailing input {tokens[i]!r}", i)
+    return e
 
 
 def parse_term(text: str) -> Term:
-    r = _Reader(tokenize(text))
-    t = _read(r, Term)
-    if not r.done():
-        raise ParseError(f"trailing input {r.peek()!r}", r.i)
-    return t
+    return _read_whole(tokenize(text), Term)
 
 
 def parse_formula(text: str) -> Formula:
-    r = _Reader(tokenize(text))
-    phi = _read(r, Formula)
-    if not r.done():
-        raise ParseError(f"trailing input {r.peek()!r}", r.i)
-    return phi
+    return _read_whole(tokenize(text), Formula)
 
 
 def parse_sequent(
@@ -195,24 +184,25 @@ def parse_sequent(
     split = _split_sequent(text, {} if memo is None else memo)
     if split is not None:
         return split
-    r = _Reader(tokenize(text))
+    tokens = tokenize(text)
     ante: list[Formula] = []
     succ: list[Formula] = []
     side = ante
     seen_arrow = False
-    while not r.done():
-        tok = r.peek()
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
         if tok == "=>":
             if seen_arrow:
-                raise ParseError("more than one '=>'", r.i)
-            r.next()
+                raise ParseError("more than one '=>'", i)
+            i += 1
             seen_arrow = True
             side = succ
-            continue
-        if tok == ",":
-            r.next()
-            continue
-        side.append(_read(r, Formula))
+        elif tok == ",":
+            i += 1
+        else:
+            phi, i = _read(tokens, i, Formula)
+            side.append(phi)
     if not seen_arrow:
         raise ParseError("sequent is missing '=>'")
     return ante, succ
@@ -239,12 +229,9 @@ def _split_sequent(text: str, memo: dict[str, Formula]):
                 continue
             phi = memo.get(piece)
             if phi is None:
-                r = _Reader(_TOKEN.findall(piece))
                 try:
-                    phi = _read(r, Formula)
+                    phi = _read_whole(_TOKEN.findall(piece), Formula)
                 except ParseError:
-                    return None
-                if not r.done():
                     return None
                 memo[piece] = phi
             side.append(phi)

@@ -18,13 +18,14 @@ Conventions:
 * Walks run on the one explicit-stack traversal :func:`~.deriv.fold`, so
   proof height is not limited by Python's recursion limit there.  The
   whole-tree rebuilds (substitution, eigenvariable freshening, weakening and
-  each rank pass of ``eliminate_cuts``) fold over premises; ``_invert``,
-  ``_contract`` and ``drop_context`` fold over the ancestry of the
-  occurrences they follow (:func:`_ancestry`).  ``_reduce`` descends through
-  truth-rule principal pairs in a loop, and ``_push`` walks the ancestry of
-  a cut formula that is a side formula, carrying the cut's other premise
-  with it: it reduces the cut at each top of that ancestry and re-links the
-  nodes below.  Only the other premise is weakened (after the first top, a
+  each rank pass of ``eliminate_cuts``) fold over premises; ``_invert``
+  and ``_contract`` fold over the ancestry of the occurrences they follow
+  (:func:`_ancestry`).  ``drop_context`` is an inversion into no formulas.
+  ``_reduce`` descends through truth-rule principal pairs in a loop,
+  handles a leaf premise on either side in one case, and ``_push`` walks the
+  ancestry of a cut formula that is a side formula, carrying the cut's
+  other premise with it: it reduces the cut at each top of that ancestry
+  and re-links the nodes below.  Only the other premise is weakened (after the first top, a
   copy of it with fresh ids and eigenvariables new to the proof and to
   every other copy), and not at a leaf top that has the cut formula as a
   side formula: the reduction keeps that leaf.
@@ -215,11 +216,20 @@ def all_var_names(d: Derivation) -> set[str]:
     return names
 
 
-def _replace_premise(node: Derivation, idx: int, new_premise: Derivation) -> Derivation:
-    premises = tuple(
-        new_premise if i == idx else p for i, p in enumerate(node.premises)
-    )
-    return remake(node, premises=premises)
+def _same_ids(node, drop_id=None, keep_id=None):
+    """The identity on ``node``'s conclusion ids, except that ``drop_id``
+    goes to ``keep_id`` (or nowhere, without one)."""
+    m = {o.id: o.id for o in node.conclusion.all_occurrences() if o.id != drop_id}
+    if keep_id is not None:
+        m[drop_id] = keep_id
+    return m
+
+
+def _kept_tau(d: Derivation, im: Measures, occ_map, skip=()):
+    """The pointwise checks that each end-sequent occurrence of ``d`` not in
+    ``skip`` keeps its T-complexity ``im.tau`` at its image in ``occ_map``."""
+    return [(f"{o.id}", occ_map[o.id], im.tau[o.id])
+            for o in d.conclusion.all_occurrences() if o.id not in skip]
 
 
 def _minus(seq: Sequent, *occ_ids: int) -> Sequent:
@@ -290,7 +300,8 @@ def freshen_eigenvariables(d: Derivation, avoid, used=None) -> Derivation:
             y2 = fresh_name(node.var, used)
             used.add(y2)
             sub = _subst_tree(node.premises[idx], node.var, Var(y2))
-            node = remake(_replace_premise(node, idx, sub), var=y2)
+            premises = node.premises[:idx] + (sub,) + node.premises[idx + 1:]
+            node = remake(node, premises=premises, var=y2)
         return node
 
     return fold(d, step)
@@ -315,15 +326,11 @@ def substitute_proof(d: Derivation, x: str, t: Term, system: str) -> TransformRe
         out = _subst_tree(d, x, t)
     except CaptureError as e:
         raise TransformError(f"substitution not capture-free: {e}") from e
-    pointwise = [
-        (f"{o.id}", o.id, im.tau[o.id])
-        for o in d.conclusion.all_occurrences()
-    ]
+    ids = _same_ids(d)
     return _certify(
         out, system, f"substitute {x}", (im,),
         length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
-        pointwise=pointwise, exact_triple=True,
-        occ_map={o.id: o.id for o in d.conclusion.all_occurrences()},
+        pointwise=_kept_tau(d, im, ids), exact_triple=True, occ_map=ids,
     )
 
 
@@ -378,17 +385,16 @@ def weaken(d: Derivation, theta, lam, system: str) -> TransformResult:
     lam = list(lam)
     im = compute_measures(d)
     out, add_a, add_s = _weaken(d, theta, lam)
-    pointwise = [
-        (f"{o.id}", o.id, im.tau[o.id]) for o in d.conclusion.all_occurrences()
-    ] + [(f"new:{o.id}", o.id, 0) for o in add_a + add_s]
-    occ_map = {o.id: o.id for o in d.conclusion.all_occurrences()}
+    ids = _same_ids(d)
+    pointwise = _kept_tau(d, im, ids) + [
+        (f"new:{o.id}", o.id, 0) for o in add_a + add_s]
     return _certify(
         out, system, "weaken", (im,),
         length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
         pointwise=pointwise, exact_triple=True,
         expect=(d.conclusion.ante_formulas() + theta,
                 d.conclusion.succ_formulas() + lam),
-        occ_map=occ_map,
+        occ_map=ids,
     )
 
 
@@ -471,6 +477,7 @@ def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
     """Core inversion: replace the target occurrence (and its whole ancestry)
     by the replacement occurrences in ``repl`` ([(formula, side), ...]),
     splicing out the introducing ``rule`` node when the target is principal.
+    With no ``rule`` and no ``repl`` it drops a never-principal target.
 
     Returns (derivation, map old-conclusion-occ-id -> new id for every other
     occurrence, ids of the replacement occurrences)."""
@@ -486,6 +493,8 @@ def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
             new = _relink(node, [r[0] for r in done], [r[1] for r in done],
                           t, add)
             return new, _same_ids(node, t), tuple(o.id for o in new_occs)
+        if rule is None:
+            raise TransformError("cannot drop a principal occurrence")
         if node.rule != rule:
             raise TransformError(
                 f"target introduced by {node.rule!r}, cannot invert as {rule!r}"
@@ -580,10 +589,7 @@ def invert(d: Derivation, target_id: int, system: str):
     results = []
     for rule, selector, repl, fresh_var in _inversions(d, o.formula, side):
         out, ctx, new = _invert(d, target_id, rule, repl, selector, fresh_var)
-        pointwise = [
-            (f"{old.id}", ctx[old.id], im.tau[old.id])
-            for old in d.conclusion.all_occurrences() if old.id != target_id
-        ]
+        pointwise = _kept_tau(d, im, ctx, (target_id,))
         bound = max(tau_t - 1, 0) if rule in ("Tl", "Tr") else tau_t
         labels = ("target.left", "target.right") if rule == "andl" else ("target",)
         pointwise += [(label, nid, bound) for label, nid in zip(labels, new)]
@@ -599,19 +605,6 @@ def invert(d: Derivation, target_id: int, system: str):
 
 # ---------------------------------------------------------------------------
 # Contraction
-
-
-def _same_ids(node, drop_id=None, keep_id=None):
-    """The identity on ``node``'s conclusion ids, except that ``drop_id``
-    goes to ``keep_id`` (or nowhere, without one)."""
-    m = {
-        o.id: o.id
-        for o in node.conclusion.all_occurrences()
-        if o.id != drop_id
-    }
-    if keep_id is not None:
-        m[drop_id] = keep_id
-    return m
 
 
 def _contract(d: Derivation, ida: int, idb: int):
@@ -668,12 +661,8 @@ def contract(d: Derivation, ida: int, idb: int, system: str) -> TransformResult:
     the merged occurrence's T-complexity is at most the maximum of the two."""
     im = compute_measures(d)
     out, m = _contract(d, ida, idb)
-    merged = m[ida]
-    pointwise = [("merged", merged, max(im.tau[ida], im.tau[idb]))]
-    for o in d.conclusion.all_occurrences():
-        if o.id in (ida, idb):
-            continue
-        pointwise.append((f"{o.id}", m[o.id], im.tau[o.id]))
+    pointwise = [("merged", m[ida], max(im.tau[ida], im.tau[idb]))]
+    pointwise += _kept_tau(d, im, m, (ida, idb))
     side, oa = _find_occ(d, ida)
     expect_ante = d.conclusion.ante_formulas()
     expect_succ = d.conclusion.succ_formulas()
@@ -694,17 +683,10 @@ def contract(d: Derivation, ida: int, idb: int, system: str) -> TransformResult:
 
 def drop_context(d: Derivation, occ_id: int) -> Derivation:
     """Remove an occurrence whose entire ancestry consists of side formulas
-    (as is always the case for top in antecedents and bot in succedents)."""
+    (as is always the case for top in antecedents and bot in succedents):
+    an inversion of it into no formulas."""
     _find_occ(d, occ_id)
-
-    def step(item, done):
-        node, (oid,) = item
-        if oid in node.principal:
-            raise TransformError("cannot drop a principal occurrence")
-        same = [_same_ids(p) for p in node.premises]
-        return _relink(node, done, same, oid)
-
-    return _ancestry(d, (occ_id,), step)
+    return _invert(d, occ_id, None, (), None, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -764,35 +746,30 @@ def _reduce(cut: Derivation, m_allow, fuel):
         ])
         fuel.burn()
     phi = d0.conclusion.find(aid)[2].formula
-    via0, via1 = _parents(cut, 0), _parents(cut, 1)
+    vias = _parents(cut, 0), _parents(cut, 1)
 
-    # --- axiom cases ------------------------------------------------------
-    if not RULE_SHAPES[d0.rule].premises:
-        if aid in d0.principal:
-            if d0.rule == "init":
-                # d1's partner of the axiom's antecedent phi
-                partner = via1[_children(cut, 0)[d0.principal[0]]]
-                out, mc = _contract(d1, bid, partner)
-                return out, {c: mc[x] for c, x in via1.items()}
-            if d0.rule == "top":
-                return drop_context(d1, bid), via1
+    # --- axiom cases: a leaf premise, the left one first ------------------
+    for i, dropped in enumerate(("top", "bot")):
+        leaf, other = cut.premises[i], cut.premises[1 - i]
+        own, other_id = cut.actives[i][1], cut.actives[1 - i][1]
+        if RULE_SHAPES[leaf.rule].premises:
+            continue
+        if own not in leaf.principal:  # the leaf proves the conclusion
+            return _relink(leaf, (), (), own), vias[i]
+        via = vias[1 - i]
+        if leaf.rule == "init":
+            # the other premise's partner of the axiom's other copy of phi
+            partner = via[_children(cut, i)[leaf.principal[i]]]
+            out, mc = _contract(other, other_id, partner)
+            return out, {c: mc[x] for c, x in via.items()}
+        if leaf.rule == dropped:
+            return drop_context(other, other_id), via
+        if i == 0:
             raise TransformError(
-                f"unexpected succedent principal in leaf {d0.rule}"
+                f"unexpected succedent principal in leaf {leaf.rule}"
             )
-        return _relink(d0, (), (), aid), via0
-    if not RULE_SHAPES[d1.rule].premises:
-        if bid in d1.principal:
-            if d1.rule == "init":
-                # d0's partner of the axiom's succedent phi
-                partner = via0[_children(cut, 1)[d1.principal[1]]]
-                out, mc = _contract(d0, aid, partner)
-                return out, {c: mc[x] for c, x in via0.items()}
-            if d1.rule == "bot":
-                return drop_context(d0, aid), via0
-            # qg1: the cut formula S(t)=0 must be chased into d0, whose last
-            # rule cannot have it principal (it is not a leaf here)
-        else:
-            return _relink(d1, (), (), bid), via1
+        # a right qg1 leaf: the cut formula S(t)=0 must be chased into d0,
+        # whose last rule cannot have it principal (it is not a leaf here)
 
     # --- cut formula parametric (non-principal) in one premise ------------
     if aid not in d0.principal:
@@ -842,7 +819,7 @@ def _reduce(cut: Derivation, m_allow, fuel):
             f"no reduction for principal pair ({d0.rule}, {d1.rule}) on {phi!r}"
         )
     up = _parents(d0, 0)
-    return out, {c: new[up[x]] for c, x in via0.items()}
+    return out, {c: new[up[x]] for c, x in vias[0].items()}
 
 
 def _carry(node: Derivation, pi: int, a: int, oth: Derivation, pair):

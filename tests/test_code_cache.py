@@ -300,6 +300,20 @@ def test_a_diagonal_sentence_has_its_code_however_its_numeral_is_built():
     coded(diagonalize(body), c)
 
 
+def test_decoding_a_live_diagonal_numeral_decodes_nothing(monkeypatch):
+    # [DERIVED] the liar's numeral, alive with the liar, remembers it, so
+    # decoding the liar's code decodes no part of it again
+    import truthcut.coding as coding
+
+    c = encode(LIAR)
+    calls = []
+    real = coding._decode_as
+    monkeypatch.setattr(coding, "_decode_as",
+                        lambda *args: calls.append(args) or real(*args))
+    assert decode(c) is LIAR
+    assert calls == []
+
+
 def test_sub_past_the_cap_stops_early():
     # [DERIVED] substituting a 31k-bit numeral under six successors used to
     # build a 4M-bit code, about 6.5 s, before the cap was checked; encode

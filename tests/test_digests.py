@@ -1,8 +1,9 @@
-"""The search and fixpoint digests equal their pins in ``tests/digests``.
+"""Each of the four digests equals its pin in ``tests/digests``.
 
-CI diffs all four digests, under two hash seeds too; these two are cheap
-enough (a few seconds together) to run with the rest of the tests, so a
-moved proof, frontier or fixed point fails here before it reaches CI.
+The search and fixpoint digests take a few seconds together, the transform
+and kernel digests about ten, so a moved proof, frontier, fixed point,
+transform output (with its occurrence ids) or kernel report fails here
+before it reaches CI, which also diffs them under two hash seeds.
 """
 
 import os
@@ -15,7 +16,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["search", "fixpoint"])
+@pytest.mark.parametrize("name", ["search", "fixpoint", "transform", "kernel"])
 def test_digest_equals_its_pin(name):
     # [DERIVED] the script's whole output is the pinned file
     env = dict(os.environ)

@@ -134,9 +134,9 @@ def test_each_distinct_formula_text_read_once(monkeypatch):
     calls = []
     read = sexpr._read
 
-    def counting(r, sort):
-        calls.append(r.i)
-        return read(r, sort)
+    def counting(tokens, i, sort):
+        calls.append(i)
+        return read(tokens, i, sort)
 
     monkeypatch.setattr(sexpr, "_read", counting)
     for p in distinct:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from truthcut import build as B
 from truthcut import cli, semantics
 from truthcut.coding import (
     CodeSizeError,
@@ -15,7 +16,9 @@ from truthcut.coding import (
 )
 from truthcut.search import SearchBudget, search_cut_free
 from truthcut.semantics import (
+    CompletenessVerdict,
     CoverageError,
+    SoundnessVerdict,
     UniverseError,
     build_universe,
     check_completeness,
@@ -284,3 +287,66 @@ def test_capturing_sub_is_not_a_code():
     assert fp.members == frozenset()
     assert not fp.grounded(eq) and not fp.grounded(tr)
     assert check_transparency(fp) == []
+
+
+def _fixed_point(seeds):
+    return least_fixed_point(build_universe(seeds, 2))
+
+
+def test_soundness_witness_in_the_antecedent_is_the_formula_itself():
+    # [DERIVED] an antecedent formula is backed by its negation's norm, and
+    # the verdict names the antecedent formula, not the negation
+    proof = search_cut_free([BAD], [], SearchBudget(6, 3, 3), "lptn")
+    fp = _fixed_point([Not(BAD)])
+    assert check_soundness(proof.derivation, fp) == SoundnessVerdict(
+        True, 2, "ante", BAD, 0)
+
+
+def test_soundness_witness_in_the_succedent():
+    # [DERIVED] T(T(phi)) enters at stage 2, within its proof's length 3
+    goal = truth_of(truth_of(PHI))
+    proof = search_cut_free([], [goal], SearchBudget(6, 3, 3), "lptn")
+    fp = _fixed_point([goal])
+    assert check_soundness(proof.derivation, fp) == SoundnessVerdict(
+        True, 3, "succ", goal, 2)
+
+
+def test_soundness_fails_past_the_length():
+    # [DERIVED] a leaf has length 0; the only backed formula, T(T(phi)),
+    # enters at stage 2, and the antecedent's negation never enters
+    goal = truth_of(truth_of(PHI))
+    d = B.leaf("init", [], goal, [])
+    fp = _fixed_point([goal, Not(goal)])
+    assert check_soundness(d, fp) == SoundnessVerdict(False, 0)
+
+
+def test_soundness_lists_uncovered_formulas_in_order():
+    # [DERIVED] antecedent negations first, then succedent formulas, each
+    # side in end-sequent order
+    ante, succ = [BAD, truth_of(BAD)], [truth_of(PHI), BAD]
+    d = search_cut_free(ante, succ, SearchBudget(6, 3, 3), "lptn").derivation
+    fp = _fixed_point([PHI])
+    end = d.conclusion
+    assert set(end.ante_formulas()) == set(ante) and len(end.succ) == 2
+    missing = [Not(f) for f in end.ante_formulas()] + end.succ_formulas()
+    with pytest.raises(CoverageError) as e:
+        check_soundness(d, fp)
+    assert str(e.value) == (
+        f"end-sequent formulas not covered by the universe: {missing!r}")
+
+
+def test_completeness_verdicts_on_each_side():
+    # [DERIVED] a member is proved, a member's negation refuted, each with
+    # its norm and proof length; with no depth each is a budget failure
+    # with the norm of the side it came from
+    proved, refuted = truth_of(truth_of(PHI)), truth_of(BAD)
+    fp = _fixed_point([proved, Not(refuted)])
+    enough, none = SearchBudget(8, 3, 4), SearchBudget(0, 0, 0)
+    assert check_completeness(proved, fp, enough) == CompletenessVerdict(
+        "proved", 2, 3)
+    assert check_completeness(refuted, fp, enough) == CompletenessVerdict(
+        "refuted", 1, 3)
+    assert check_completeness(proved, fp, none) == CompletenessVerdict(
+        "budget_failure", 2)
+    assert check_completeness(refuted, fp, none) == CompletenessVerdict(
+        "budget_failure", 1)

@@ -17,12 +17,14 @@ from truthcut.script import print_script
 from truthcut.search import SearchBudget, search_cut_free
 from truthcut.syntax import (
     And,
+    Bot,
     Eq,
     Forall,
     Not,
     Num,
     Suc,
     SynApp,
+    Top,
     Tr,
     Var,
     Zero,
@@ -500,6 +502,37 @@ def test_reduce_cut_context_mismatch_rejected():
     d1 = B.init_leaf([PSI], PHI, [])
     with pytest.raises(TransformError):
         reduce_cut(d0, _succ_id(d0, PHI, 0), d1, _ante_id(d1, PHI), "lptn")
+
+
+def test_reduce_cut_leaf_premise_cases(monkeypatch):
+    # [DERIVED] a leaf premise is one case for either side.  A left leaf
+    # with the cut formula principal that is neither init nor top is
+    # refused; a right qg1 leaf sends the cut up the left premise
+    odd = replace(B.leaf("top", [Bot()], Top(), []), rule="qg1")  # bot => top
+    d1 = B.leaf("bot", [Top()], Bot(), [])                        # top, bot =>
+    with pytest.raises(TransformError,
+                       match="^unexpected succedent principal in leaf qg1$"):
+        reduce_cut(odd, _succ_id(odd, Top()), d1, _ante_id(d1, Top()), "lptn")
+    bad = Eq(Suc(Zero()), Zero())
+    d0 = prove_equation([], Zero(), Zero(), [bad])  # => 0=0, S0=0 by eq1
+    qg1 = B.leaf("qg1", [], bad, [PHI])             # S0=0 => 0=0
+    pushed = []
+    push = transform._push
+    monkeypatch.setattr(transform, "_push",
+                        lambda cut, mi, *a: pushed.append(mi) or push(cut, mi, *a))
+    out = _check_reduction(d0, _succ_id(d0, bad), qg1, _ante_id(qg1, bad))
+    assert pushed == [0] and out.conclusion.succ_formulas() == [PHI]
+
+
+def test_drop_context_refuses_a_principal_occurrence():
+    # [DERIVED] only an occurrence that is a side formula all the way up
+    # can be dropped
+    top = B.leaf("top", [PHI], Top(), [])          # PHI => top
+    above = B.truth_left(top, _ante_id(top, PHI))  # T(PHI) => top
+    for d in (top, above):
+        with pytest.raises(TransformError,
+                           match="^cannot drop a principal occurrence$"):
+            drop_context(d, _succ_id(d, Top()))
 
 
 def _branches_carry_different_contexts():
