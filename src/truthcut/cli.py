@@ -41,9 +41,19 @@ def _emit(args, payload: dict, human: str) -> None:
         sys.stdout.write(human + "\n")
 
 
+def _read_text(path: str) -> str:
+    """The text of the input file ``path``.  Every named input is read here,
+    so a file that is not UTF-8 is a file error that names it, as the
+    ``OSError`` of a missing or unreadable one does."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path!r}: {e}") from None
+
+
 def _load_script(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_script(fh.read())
+    return parse_script(_read_text(path))
 
 
 def _system(args) -> str:
@@ -211,11 +221,10 @@ def _cmd_search(args) -> int:
 
 def _read_seed_file(path: str):
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split(";", 1)[0].strip()
-            if line:
-                out.append(parse_formula(line))
+    for raw in _read_text(path).split("\n"):
+        line = raw.split(";", 1)[0].strip()
+        if line:
+            out.append(parse_formula(line))
     return out
 
 
@@ -408,7 +417,7 @@ def main(argv=None) -> int:
     except (ScriptError, ParseError) as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as e:  # reading or writing a file
+    except OSError as e:  # reading or writing a file
         sys.stderr.write(f"file error: {e}\n")
         return EXIT_USAGE
     except RecursionError:

@@ -25,10 +25,12 @@ Conventions:
   handles a leaf premise on either side in one case, and ``_push`` walks the
   ancestry of a cut formula that is a side formula, carrying the cut's
   other premise with it: it reduces the cut at each top of that ancestry
-  and re-links the nodes below.  Only the other premise is weakened (after the first top, a
-  copy of it with fresh ids and eigenvariables new to the proof and to
-  every other copy), and not at a leaf top that has the cut formula as a
-  side formula: the reduction keeps that leaf.
+  and re-links the nodes below.  Only the other premise is weakened (after
+  the first top, a copy of it with fresh ids and eigenvariables new to the
+  proof and to every other copy), and not at a leaf top that has the cut
+  formula as a side formula: the reduction keeps that leaf.  The other
+  premise is carried into, and inverted on, only the branches with a top
+  that cuts it; refusals stay per rule, on every branch.
 * Every rebuilt node is re-linked to its new premises by :func:`_relink`
   and constructed by :func:`~.deriv.remake`.  A rank pass of
   ``eliminate_cuts`` keeps every node whose premises come back unchanged,
@@ -517,6 +519,16 @@ def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
     return _ancestry(d, (tid,), step)
 
 
+def _partner_actives(node: Derivation, pi: int):
+    """The actives in ``node``'s premise ``pi`` that take over the partner
+    of its principal, or None when its rule cannot be inverted.  A
+    ``foralll`` premise keeps the universal, which alone takes it over."""
+    if node.rule != "foralll" and node.rule not in _INVERTIBLE:
+        return None
+    actives = [oid for i, oid in node.actives if i == pi]
+    return actives[:1] if node.rule == "foralll" else actives
+
+
 def _invert_partner(node: Derivation, pi: int, d: Derivation, tid: int):
     """Invert ``tid`` in ``d``, the partner of ``node``'s principal, into the
     formulas of ``node``'s actives in premise ``pi``, a ``forallr`` onto
@@ -524,11 +536,11 @@ def _invert_partner(node: Derivation, pi: int, d: Derivation, tid: int):
     conclusion ids, {active id: id of its new partner}), or None when
     ``node``'s rule cannot be inverted.  A ``foralll`` partner is kept as it
     is: the premise keeps the universal, whose partner it stays."""
-    actives = [oid for i, oid in node.actives if i == pi]
+    actives = _partner_actives(node, pi)
+    if actives is None:
+        return None
     if node.rule == "foralll":
         return d, _same_ids(d), {actives[0]: tid}
-    if node.rule not in _INVERTIBLE:
-        return None
     repl = [(hit[2].formula, hit[0])
             for hit in map(node.premises[pi].conclusion.find, actives)]
     if node.rule == "forallr" and node.var in collect_eigenvars(d):
@@ -822,16 +834,23 @@ def _reduce(cut: Derivation, m_allow, fuel):
     return out, {c: new[up[x]] for c, x in vias[0].items()}
 
 
-def _carry(node: Derivation, pi: int, a: int, oth: Derivation, pair):
-    """The walk item of ``node``'s premise ``pi`` in :func:`_push`: the
-    premise, the cut formula ``a``'s ancestor there, and ``oth`` and ``pair``
-    carried up to it.  A paired principal's partner is inverted in ``oth``
-    into the premise's actives, which take over its pair."""
+def _carry(node: Derivation, pi: int, oth, pair):
+    """``oth`` and ``pair`` carried up to ``node``'s premise ``pi`` in
+    :func:`_push`.  A paired principal's partner is inverted in ``oth`` into
+    the premise's actives, which take over its pair.  With no ``oth`` only
+    which ids are paired is carried up (the values of ``pair`` are not read
+    then): nothing is inverted, and a paired principal whose rule has no
+    inversion is refused all the same."""
     up, moved = {}, None
     for p in node.principal:
         if p not in pair:
             continue  # consumed further down, so ``oth`` never held it
-        inverted = _invert_partner(node, pi, oth, pair[p])
+        if oth is None:
+            actives = _partner_actives(node, pi)
+            inverted = actives if actives is None else (
+                None, None, dict.fromkeys(actives))
+        else:
+            inverted = _invert_partner(node, pi, oth, pair[p])
         if inverted is None:
             raise TransformError(f"cannot push a cut past a {node.rule!r} principal")
         oth, moved, new = inverted
@@ -841,8 +860,7 @@ def _carry(node: Derivation, pi: int, a: int, oth: Derivation, pair):
             for i, oid in _ancestors(node, c):
                 if i == pi:
                     up[oid] = oc if moved is None else moved[oc]
-    a_up = next(oid for i, oid in _ancestors(node, a) if i == pi)
-    return node.premises[pi], a_up, oth, up
+    return oth, up
 
 
 def _push(cut: Derivation, mi: int, m_allow, fuel):
@@ -853,24 +871,36 @@ def _push(cut: Derivation, mi: int, m_allow, fuel):
     leaf top where it is a side formula is kept without it, as :func:`_reduce`
     keeps it, and any other top is cut against ``other`` weakened by the
     top's unpaired occurrences (after the first such top, a copy with fresh
-    ids and fresh eigenvariables).  Each node below is re-linked without the cut formula.  Returns
-    (derivation, map from the cut's conclusion ids to the output's)."""
+    ids and fresh eigenvariables).  Each node below is re-linked without the
+    cut formula.  ``other`` is carried into, and inverted on, only the
+    branches with a top that cuts it, which one pass over the ancestry marks
+    first: with ``main`` on the left a kept leaf top does not, and with
+    ``main`` on the right every top may (where ``other`` ends a leaf,
+    :func:`_reduce` keeps it instead of the top).  A branch without one
+    carries only which ids are paired, so a paired principal is refused
+    there by its rule as on any other branch.  Returns (derivation, map from
+    the cut's conclusion ids to the output's)."""
     a, b = cut.actives[mi][1], cut.actives[1 - mi][1]
     via_main, via_other = _parents(cut, mi), _parents(cut, 1 - mi)
     pair = {x: via_other[c] for c, x in via_main.items()} | {a: b}
     used = False  # whether a top has cut ``other``'s own ids
     names = None  # every variable name in use, once a copy needs new ones
 
+    def mark(item, done):
+        # (node, the cut formula's id there, whether a top above it cuts,
+        # the same for each premise on the ancestry)
+        node, (a,) = item
+        cuts = any(p[2] for p in done) if done else mi == 1 or a in node.principal
+        return node, a, cuts, done
+
     def children(item):
-        node, a, oth, pair = item
-        if not node.premises or a in node.principal:
-            return ()
-        return [_carry(node, pi, a, oth, pair)
-                for pi in range(len(node.premises))]
+        (node, _, _, above), oth, pair = item
+        return [(p, *_carry(node, pi, oth if p[2] else None, pair))
+                for pi, p in enumerate(above)]
 
     def step(item, done):
         nonlocal used, names
-        node, a, oth, pair = item
+        (node, a, _, _), oth, pair = item
         if done:
             new = _relink(node, [d for d, _ in done], [m for _, m in done], a)
             return new, _same_ids(node, a)
@@ -898,8 +928,8 @@ def _push(cut: Derivation, mi: int, m_allow, fuel):
         below = _children(top, mi)
         return new, {o.id: m[below[o.id]] for o in ctx.all_occurrences()}
 
-    out, m = fold((cut.premises[mi], a, cut.premises[1 - mi], pair),
-                  step, children)
+    marks = _ancestry(cut.premises[mi], (a,), mark)
+    out, m = fold((marks, cut.premises[1 - mi], pair), step, children)
     return out, {c: m[x] for c, x in via_main.items()}
 
 

@@ -265,13 +265,15 @@ def test_cli_usage_errors(tmp_path, capsys):
 def test_cli_file_errors_are_one_line(argv, cut_file, tmp_path, capsys):
     # [DERIVED] a directory or a file of non-UTF-8 bytes, named as an input
     # or an output, ended in an IsADirectoryError or UnicodeDecodeError
-    # traceback with exit 1; each is now one file error line with exit 2
+    # traceback with exit 1; each is now one file error line with exit 2,
+    # which names the file (a non-UTF-8 one was not named)
     raw = tmp_path / "raw.gp"
     raw.write_bytes(b"1: init [] \xff\xfe => \n")
     names = {"DIR": str(tmp_path), "BYTES": str(raw), "CUT": cut_file}
     assert main([names.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1
+    assert repr(names[[a for a in argv if a in names][-1]]) in err
 
 
 @pytest.mark.parametrize("argv", [

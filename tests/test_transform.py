@@ -1136,6 +1136,106 @@ def test_push_copies_no_premise_it_throws_away(k, monkeypatch):
     assert copies == []
 
 
+def _count_partner_inversions(monkeypatch):
+    """The premise index of every _invert_partner call, as they happen."""
+    calls = []
+    invert_partner = transform._invert_partner
+
+    def counted(node, pi, *args):
+        calls.append(pi)
+        return invert_partner(node, pi, *args)
+
+    monkeypatch.setattr(transform, "_invert_partner", counted)
+    return calls
+
+
+#: print_script of either reduction of _leaf_top_cuts(3), measured before
+#: a pushed cut stopped inverting the other premise on branches that do not
+#: cut it
+_LEAF_TOP_OUTPUT = (
+    "1: init [] (= 0 0) => (= 0 0)\n"
+    "2: init [] (= 0 0) => (= 0 0)\n"
+    "3: andr [1, 2] (= 0 0) => (and (= 0 0) (= 0 0))\n"
+    "4: init [] (= 0 0) => (= 0 0)\n"
+    "5: andr [3, 4] (= 0 0) => (and (and (= 0 0) (= 0 0)) (= 0 0))\n"
+)
+
+
+def test_push_inverts_nothing_for_tops_that_keep_themselves(monkeypatch):
+    # [DERIVED] with the pushed premise on the left, a leaf top where the
+    # cut formula is a side formula keeps itself and drops the other
+    # premise, so no branch up to one inverts the other premise (it used to
+    # be inverted at each of the 2 andr principals, once per premise).  With
+    # it on the right, every top may cut, and the other premise is inverted
+    # as before.  The output is unchanged either way
+    calls = _count_partner_inversions(monkeypatch)
+    counts = []
+    for d0, aid, d1, bid in _leaf_top_cuts(3):
+        del calls[:]
+        r = reduce_cut(d0, aid, d1, bid, "lptn")
+        assert print_script(r.derivation) == _LEAF_TOP_OUTPUT
+        counts.append(len(calls))
+    assert counts == [0, 4]
+
+
+def _cut_on_one_cutting_branch(rule):
+    """A cut on T<PHI> that is a side formula of the ``rule`` node (andr or
+    comp) ending the left premise: on its left branch a Tr introduces
+    T<PHI>, on its right one a leaf has it as a side formula.  The node's
+    principal is paired with the right premise's copy of it."""
+    build = B.and_right if rule == "andr" else B.comp_node
+    a = B.init_leaf([PSI], PHI, [PHI])                # PSI, PHI => PHI, PHI
+    a = B.truth_right(a, _succ_id(a, PHI, 1))         # PSI, PHI => PHI, T<PHI>
+    b = B.init_leaf([PHI], PSI, [TPHI])               # PHI, PSI => PSI, T<PHI>
+    d0 = build(a, _succ_id(a, PHI), b, _succ_id(b, PSI))
+    x = B.init_leaf([TPHI, PSI], PHI, [])             # T<PHI>, PSI, PHI => PHI
+    y = B.init_leaf([TPHI, PHI], PSI, [])             # T<PHI>, PHI, PSI => PSI
+    d1 = build(x, _succ_id(x, PHI), y, _succ_id(y, PSI))
+    return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
+
+
+#: print_script of the andr case's reduction, measured as _LEAF_TOP_OUTPUT
+_ONE_CUTTING_BRANCH_OUTPUT = (
+    "1: init [] (= (S 0) (S 0)), (= 0 0) => (= 0 0)\n"
+    "2: init [] (= 0 0), (= (S 0) (S 0)) => (= (S 0) (S 0))\n"
+    "3: andr [1, 2] (= (S 0) (S 0)), (= 0 0) => (and (= 0 0) (= (S 0) (S 0)))\n"
+)
+
+
+def test_push_inverts_only_on_the_branch_that_cuts(monkeypatch):
+    # [DERIVED] the andr's left branch ends in a Tr top that cuts T<PHI>,
+    # its right one in a leaf that keeps itself: the right premise's PHI&PSI
+    # is inverted for the left branch only (it used to be for both)
+    d0, aid, d1, bid = _cut_on_one_cutting_branch("andr")
+    cut = B.cut(d0, aid, d1, bid)
+    assert check_derivation(cut, "lptn").ok
+    calls = _count_partner_inversions(monkeypatch)
+    r = reduce_cut(d0, aid, d1, bid, "lptn")
+    assert calls == [0]
+    assert print_script(r.derivation) == _ONE_CUTTING_BRANCH_OUTPUT
+    _assert_exact(r.occ_map, _where(d0.conclusion, aid),
+                  _where(r.derivation.conclusion))
+    del calls[:]
+    e = eliminate_cuts(cut, "lptn")
+    assert calls == [0]
+    assert print_script(e.derivation) == _ONE_CUTTING_BRANCH_OUTPUT
+
+
+def test_push_past_a_compositional_principal_on_a_cutting_branch_is_refused():
+    # [DERIVED] the mirror of test_push_past_a_compositional_principal_is_refused,
+    # whose tops are both side leaves: here the paired comp principal lies on
+    # a branch whose top cuts, and the refusal is the same
+    d0, aid, d1, bid = _cut_on_one_cutting_branch("comp")
+    cut = B.cut(d0, aid, d1, bid)
+    assert check_derivation(cut, "lptn_comp").ok
+    with pytest.raises(TransformError,
+                       match="^cannot push a cut past a 'comp' principal$"):
+        reduce_cut(d0, aid, d1, bid, "lptn_comp")
+    with pytest.raises(TransformError,
+                       match="^cannot push a cut past a 'comp' principal$"):
+        eliminate_cuts(cut, "lptn_comp")
+
+
 def test_weakening_by_closed_formulas_walks_no_eigenvariables(monkeypatch):
     # [DERIVED] only a formula with free variables can clash with an
     # eigenvariable, so weakening by closed ones skips that whole-tree walk

@@ -15,9 +15,10 @@ It prints the number of calls, the digest of the recorded outputs, and a
 second digest that also covers the output occurrence ids and occurrence
 maps, which moves when ids are allocated in another order.  Then it prints
 the number of calls and the output digest of each call kind (``invert``,
-``drop``, ``contract``, ``reduce``, ``elim``), so a change shows which kinds
-moved.  Its whole output is pinned in ``tests/digests/transform.txt``, which
-CI compares it with.
+``drop``, ``contract``, ``reduce``, ``elim``), and after them one ``ids``
+line per kind with that kind's second digest, so a change shows which kinds
+moved and whether only their ids did.  Its whole output is pinned in
+``tests/digests/transform.txt``, which CI compares it with.
 
 With ``--dump PATH`` it also writes one JSON line per call to ``PATH``:
 ``call`` (the corpus index and label), ``error`` (the error type and text,
@@ -138,15 +139,19 @@ def main(argv=None) -> int:
             record = f"{k} {label}\n{text}\n".encode()
             out.update(record)
             ids.update(record + id_text.encode())
-            kind = kinds.setdefault(label.split()[0], [0, hashlib.sha256()])
+            kind = kinds.setdefault(label.split()[0],
+                                    [0, hashlib.sha256(), hashlib.sha256()])
             kind[0] += 1
             kind[1].update(record)
+            kind[2].update(record + id_text.encode())
             calls += 1
     if dump:
         dump.close()
     print(f"calls {calls}\noutput {out.hexdigest()}\nids    {ids.hexdigest()}")
-    for name, (n, digest) in kinds.items():
+    for name, (n, digest, _) in kinds.items():
         print(f"{name:<8} {n:>5} {digest.hexdigest()}")
+    for name, (_, _, id_digest) in kinds.items():
+        print(f"ids {name:<8} {id_digest.hexdigest()}")
     return 0
 
 
