@@ -4,19 +4,24 @@ Every rule node is built by :func:`_node` from the (premise, occurrence id)
 pairs it consumes: the rule's shape (:data:`.deriv.RULE_SHAPES`) gives its
 premises, the side each active must sit on, and where its principal goes,
 and the conclusion's occurrences are fresh and wired positionally to the
-premises.  :data:`_PRINCIPAL` builds a principal from its actives' formulas.
-Every leaf is built by :func:`leaf`.  Each axiom shape is stated once: which
-formulas a leaf rule's principal may be in :data:`LEAF_AXIOMS`, and the
-instances qg4..qg7 discharge in :data:`AXIOMS`; the kernel checks against
-both, and the script reader, search and ``arith`` build with them.  Builders
-only do bookkeeping; the kernel re-checks every side condition from scratch.
+premises.  Each logical rule's formula relation is stated once, in
+:data:`LOGICAL_RULES`: ``_node`` makes principals by it, the kernel,
+``invert`` and the script reader break principals into its parts, and
+:func:`logical` finds the parts in the premises.  Search alone still
+restates it, because on the table its actives for a conjunction of equal
+conjuncts, and with them the benchmark's inputs, would change.  Every leaf
+is built by :func:`leaf`.  Each axiom shape is stated once: which formulas
+a leaf rule's principal may be in :data:`LEAF_AXIOMS`, and the instances
+qg4..qg7 discharge in :data:`AXIOMS`; the kernel checks against both, and
+the script reader, search and ``arith`` build with them.  Builders only do
+bookkeeping; the kernel re-checks every side condition from scratch.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .coding import encode, quote
+from .coding import DecodeError, decode_sentence, encode, quote
 from .deriv import (
     RULE_SHAPES,
     SIDE_NAMES,
@@ -48,6 +53,8 @@ from .syntax import (
     Zero,
     is_base_atom,
     is_zero,
+    numeral_value,
+    substitute,
 )
 
 
@@ -127,18 +134,102 @@ def _merge_ctx(p0: Derivation, consumed0: set[int], p1: Derivation, consumed1: s
     return a, s, lineage
 
 
-#: rule -> its principal formula, from its actives' formulas (the caller
-#: names forallr's universal)
-_PRINCIPAL: dict[str, Callable[..., Formula]] = {
-    "Tl": lambda a: Tr(quote(a)),
-    "Tr": lambda a: Tr(quote(a)),
-    "comp": lambda a, b: Tr(SynApp("anddot", (Num(encode(a)), Num(encode(b))))),
-    "negl": Not,
-    "negr": Not,
-    "andl": And,
-    "andr": And,
-    "foralll": lambda kept, inst: kept,
+# ---------------------------------------------------------------------------
+# The logical rules' formula relation, each stated once
+
+
+class LogicalRule(NamedTuple):
+    """One logical rule's formula relation.  ``make`` makes a principal of
+    class ``principal`` from the actives' formulas (forallr has none: its
+    caller names the universal), and ``parts(principal, instance)`` gives
+    them back in the order of the rule's shape, which says their premises
+    and sides; the instance is a universal's witness term or eigenvariable.
+    ``parts`` raises DecodeError for a T atom that names no sentence and
+    CaptureError for an instance the universal would capture.  The kernel
+    reports a principal of another class with the (reason code, message) of
+    ``malformed``, and an active that is not its part with its entry in
+    ``mismatch``; a message may name the principal ``p``, the active ``a``
+    and the part ``want``.  ``keeps``: the premise keeps the principal, as
+    its first active."""
+
+    principal: type
+    make: Callable[..., Formula] | None
+    parts: Callable[[Formula, Term | None], tuple[Formula, ...]]
+    malformed: tuple[str, str]
+    mismatch: tuple[tuple[str, str], ...]
+    keeps: bool = False
+
+
+def _disquote(p: Tr, _) -> tuple[Formula]:
+    n = numeral_value(p.term)
+    if n is None:
+        raise DecodeError(f"truth-rule principal term {p.term!r} is not a numeral")
+    return (decode_sentence(n),)
+
+
+#: the kernel's report of a truth rule's active that its numeral does not code
+_UNCODED = (("NUMERAL_DECODE_MISMATCH",
+             "numeral {label} codes {want!r}, not the premise active {a!r}"),)
+
+
+#: logical rule -> its formula relation, which the kernel checks, ``invert``
+#: and cut reduction invert into, and the script reader reads lines by
+LOGICAL_RULES: dict[str, LogicalRule] = {
+    "Tl": LogicalRule(
+        Tr, lambda a: Tr(quote(a)), _disquote,
+        ("MALFORMED_RULE", "truth-rule principal must be a T atom in the antecedent"),
+        _UNCODED),
+    "Tr": LogicalRule(
+        Tr, lambda a: Tr(quote(a)), _disquote,
+        ("MALFORMED_RULE", "truth-rule principal must be a T atom in the succedent"),
+        _UNCODED),
+    "negl": LogicalRule(
+        Not, Not, lambda p, _: (p.body,),
+        ("PRINCIPAL_MISMATCH", "neg-left principal {p!r} does not negate the active"),
+        (("PRINCIPAL_MISMATCH", "neg-left principal {p!r} does not negate the active"),)),
+    "negr": LogicalRule(
+        Not, Not, lambda p, _: (p.body,),
+        ("PRINCIPAL_MISMATCH", "neg-right principal {p!r} does not negate the active"),
+        (("PRINCIPAL_MISMATCH", "neg-right principal {p!r} does not negate the active"),)),
+    "andl": LogicalRule(
+        And, And, lambda p, _: (p.left, p.right),
+        ("MALFORMED_RULE", "and-left principal must be a conjunction in the antecedent"),
+        (("PRINCIPAL_MISMATCH", "and-left actives do not match the conjuncts"),) * 2),
+    "andr": LogicalRule(
+        And, And, lambda p, _: (p.left, p.right),
+        ("MALFORMED_RULE", "and-right principal must be a conjunction in the succedent"),
+        (("PRINCIPAL_MISMATCH", "and-right actives do not match the conjuncts"),) * 2),
+    "foralll": LogicalRule(
+        Forall, lambda kept, inst: kept, lambda p, t: (p, substitute(p.body, p.var, t)),
+        ("MALFORMED_RULE", "forall-left principal must be universal in the antecedent"),
+        (("PRINCIPAL_MISMATCH", "forall-left must keep the universal formula in the premise"),
+         ("WITNESS_MISMATCH", "forall-left instance is {a!r}, expected {want!r}")),
+        keeps=True),
+    "forallr": LogicalRule(
+        Forall, None, lambda p, y: (substitute(p.body, p.var, y),),
+        ("MALFORMED_RULE", "forall-right principal must be a universal formula"),
+        (("PRINCIPAL_MISMATCH", "forall-right premise active is {a!r}, expected {want!r}"),)),
 }
+
+
+def logical(rule: str, premises, parts, principal: Formula | None = None,
+            instance: Term | None = None) -> Derivation | None:
+    """The ``rule`` node over ``premises`` with ``principal`` (else made)
+    and a universal's term or eigenvariable ``instance``, whose actives are
+    the first occurrences of ``parts`` on their premise and side, each not
+    picked already; None if a part is missing."""
+    shape, ids = RULE_SHAPES[rule], []
+    for f, (pi, side) in zip(parts, shape.actives):
+        ids.append(premises[pi].conclusion.first(side, f, ids))
+        if ids[-1] is None:
+            return None
+    data = {}
+    if instance is not None:  # forallr binds an eigenvariable, foralll a term
+        data = {"var": instance.name} if shape.binds is not None else {"term": instance}
+    return _node(rule, [(premises[pi], i) for (pi, _), i in zip(shape.actives, ids)],
+                 principal, **data)
+
+
 #: rules whose principal takes its first active's place; any other
 #: principal goes at the end of its side
 _IN_PLACE = ("Tl", "Tr", "foralll")
@@ -148,8 +239,8 @@ def _node(rule: str, consumed, principal: Formula | None = None, **data) -> Deri
     """The ``rule`` node consuming ``consumed``, one (premise, occurrence id)
     per active of the rule's shape.  Its context is its premise's unconsumed
     occurrences, or its two premises' paired by :func:`match_contexts`, each
-    copied with a fresh id; then comes the principal, ``principal`` or built
-    by :data:`_PRINCIPAL`, if the rule has one.  ``data`` is the node's
+    copied with a fresh id; then comes the principal, ``principal`` or made
+    by :data:`LOGICAL_RULES`, if the rule has one.  ``data`` is the node's
     instantiation data."""
     shape = RULE_SHAPES[rule]
     hits = _actives(rule, *consumed)
@@ -165,7 +256,7 @@ def _node(rule: str, consumed, principal: Formula | None = None, **data) -> Deri
     if shape.principals:
         [side] = shape.principals
         if principal is None:
-            principal = _PRINCIPAL[rule](*[o.formula for _, _, o in hits])
+            principal = LOGICAL_RULES[rule].make(*[o.formula for _, _, o in hits])
         p = occ(principal)
         ctx = sides[side]
         i = hits[0][1] if rule in _IN_PLACE else len(ctx)
@@ -254,7 +345,9 @@ def truth_right(premise: Derivation, active_id: int) -> Derivation:
 
 
 def comp_node(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
-    return _node("comp", ((p0, id_phi), (p1, id_psi)))
+    (_, _, a), (_, _, b) = _actives("comp", (p0, id_phi), (p1, id_psi))
+    principal = Tr(SynApp("anddot", (Num(encode(a.formula)), Num(encode(b.formula)))))
+    return _node("comp", ((p0, id_phi), (p1, id_psi)), principal)
 
 
 def neg_left(premise: Derivation, active_id: int) -> Derivation:
@@ -276,9 +369,6 @@ def and_right(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Deriv
 def forall_left(
     premise: Derivation, kept_id: int, inst_id: int, term: Term
 ) -> Derivation:
-    (_, _, kept), _ = _actives("foralll", (premise, kept_id), (premise, inst_id))
-    if not isinstance(kept.formula, Forall):
-        raise BuildError("forall-left kept occurrence must be universal")
     return _node("foralll", ((premise, kept_id), (premise, inst_id)), term=term)
 
 

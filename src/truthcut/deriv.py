@@ -15,7 +15,10 @@ sides, the truth-rule steps it adds to T-complexity, and the premise above
 which it binds an eigenvariable) is stated once, in :data:`RULE_SHAPES`,
 which the kernel, the builders, the script reader, the measures and the
 transforms read.  It lives here because every one of them imports this
-module and this module imports none of them.
+module and this module imports none of them.  Which formulas a logical
+rule's actives hold is its formula relation, stated once beside the
+builders, in :data:`.build.LOGICAL_RULES`; the actives' premises and sides
+stay here.
 
 Every walk over a derivation goes through one explicit-stack traversal, so
 no derivation is too tall to walk: :func:`fold` is the post-order walk (the

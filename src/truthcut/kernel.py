@@ -25,25 +25,26 @@ Each node is checked in three steps: its rule against the system
 (:data:`SYSTEM_RULES`), its wiring (:meth:`_Checker.check_wiring`), and its
 shape against the rule's entry in :data:`.deriv.RULE_SHAPES` (premise count,
 then the side of each principal, then the premise and side of each active),
-where each rule's shape is stated once.  Only then does the rule's own
+where each rule's shape is stated once.  A logical rule's principal is then
+checked against its class in :data:`.build.LOGICAL_RULES`, where each logical
+rule's formula relation is stated once.  Only then does the rule's own
 ``rule_*`` method run, on the principal and active occurrences, and it checks
-formulas alone: the leaf rules against :data:`.build.LEAF_AXIOMS` and qg4..qg7
-against :data:`.build.AXIOMS`, where each axiom shape is stated once.
+formulas alone: a logical rule's actives against the parts of its principal
+(after its own preconditions), the leaf rules against
+:data:`.build.LEAF_AXIOMS` and qg4..qg7 against :data:`.build.AXIOMS`, where
+each axiom shape is stated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import AXIOM_TERMS, AXIOMS, LEAF_AXIOMS
-from .coding import DecodeError, code_label, decode_sentence, encode
+from .build import AXIOM_TERMS, AXIOMS, LEAF_AXIOMS, LOGICAL_RULES
+from .coding import DecodeError, code_label, encode
 from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, Occurrence, RuleShape, fold
 from .syntax import (
-    And,
     CaptureError,
     Eq,
-    Forall,
-    Not,
     Num,
     Suc,
     SynApp,
@@ -111,17 +112,6 @@ class ValidationReport:
 
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
-
-
-def _side(node: Derivation) -> str:
-    """The name of the side ``node``'s rule puts its principal on."""
-    return SIDE_NAMES[RULE_SHAPES[node.rule].principals[0]]
-
-
-def _hand(node: Derivation) -> str:
-    """``left`` or ``right``: the side of ``node``'s principal, as rule
-    names say it."""
-    return "left" if _side(node) == "antecedent" else "right"
 
 
 class _Checker:
@@ -291,8 +281,15 @@ class _Checker:
         if not self.check_wiring(at, node):
             return
         occs = self.check_shape(at, node, RULE_SHAPES[rule])
-        if occs is not None:
-            getattr(self, f"rule_{rule}")(at, node, *occs)
+        if occs is None:
+            return
+        ps, acts = occs
+        logical = LOGICAL_RULES.get(rule)
+        if logical and not isinstance(ps[0].formula, logical.principal):
+            code, message = logical.malformed
+            self.bad(at, code, message.format(p=ps[0].formula))
+            return
+        getattr(self, f"rule_{rule}")(at, node, ps, acts)
 
     def check_shape(self, at, node, shape: RuleShape):
         """``node`` against its rule's shape: premise count, then the side of
@@ -351,8 +348,9 @@ class _Checker:
 
     def _constant_axiom(self, at, node, ps, acts) -> None:
         if not LEAF_AXIOMS[node.rule](ps[0].formula):
+            side = SIDE_NAMES[RULE_SHAPES[node.rule].principals[0]]
             self.bad(at, MALFORMED_RULE, f"{node.rule} axiom principal must "
-                     f"be {node.rule} in the {_side(node)}")
+                     f"be {node.rule} in the {side}")
 
     rule_top = rule_bot = _constant_axiom
 
@@ -360,30 +358,31 @@ class _Checker:
         if acts[0].formula != acts[1].formula:
             self.bad(at, PRINCIPAL_MISMATCH, "cut formulas differ")
 
+    def _parts_fit(self, at, node, ps, acts, instance=None, **fields) -> bool:
+        """Whether the actives are the principal's parts, for a universal's
+        ``instance``; if not, the first that is not is reported."""
+        p, rule = ps[0].formula, LOGICAL_RULES[node.rule]
+        for a, want, (code, message) in zip(acts, rule.parts(p, instance),
+                                            rule.mismatch):
+            if a.formula != want:
+                self.bad(at, code, message.format(p=p, a=a.formula, want=want,
+                                                  **fields))
+                return False
+        return True
+
+    rule_negl = rule_negr = rule_andl = rule_andr = _parts_fit
+
     def _truth_rule(self, at, node, ps, acts) -> None:
-        p, a = ps[0], acts[0]
-        if not isinstance(p.formula, Tr):
-            self.bad(at, MALFORMED_RULE,
-                     f"truth-rule principal must be a T atom in the {_side(node)}")
-            return
-        if not is_sentence(a.formula):
+        if not is_sentence(acts[0].formula):
             self.bad(at, NOT_A_SENTENCE,
-                     f"truth rule disquotes a non-sentence: {a.formula!r}")
+                     f"truth rule disquotes a non-sentence: {acts[0].formula!r}")
             return
-        n = numeral_value(p.formula.term)
-        if n is None:
-            self.bad(at, NUMERAL_DECODE_MISMATCH,
-                     f"truth-rule principal term {p.formula.term!r} is not a numeral")
-            return
+        n = numeral_value(ps[0].formula.term)  # its code names the mismatch
         try:
-            decoded = decode_sentence(n)
+            self._parts_fit(at, node, ps, acts,
+                            label=None if n is None else code_label(n))
         except DecodeError as e:
             self.bad(at, NUMERAL_DECODE_MISMATCH, str(e))
-            return
-        if decoded != a.formula:
-            self.bad(at, NUMERAL_DECODE_MISMATCH,
-                     f"numeral {code_label(n)} codes {decoded!r}, not the premise active "
-                     f"{a.formula!r}")
 
     rule_Tl = rule_Tr = _truth_rule
 
@@ -406,76 +405,35 @@ class _Checker:
             self.bad(at, COMP_TERM_MISMATCH,
                      f"compositional term must be {want!r}, got {p.formula.term!r}")
 
-    def _neg_rule(self, at, node, ps, acts) -> None:
-        p, a = ps[0], acts[0]
-        if not (isinstance(p.formula, Not) and p.formula.body == a.formula):
-            self.bad(at, PRINCIPAL_MISMATCH, f"neg-{_hand(node)} principal "
-                     f"{p.formula!r} does not negate the active")
-
-    rule_negl = rule_negr = _neg_rule
-
-    def _and_rule(self, at, node, ps, acts) -> None:
-        p = ps[0]
-        if not isinstance(p.formula, And):
-            self.bad(at, MALFORMED_RULE, f"and-{_hand(node)} principal must "
-                     f"be a conjunction in the {_side(node)}")
-            return
-        if p.formula.left != acts[0].formula or p.formula.right != acts[1].formula:
-            self.bad(at, PRINCIPAL_MISMATCH,
-                     f"and-{_hand(node)} actives do not match the conjuncts")
-
-    rule_andl = rule_andr = _and_rule
-
     def rule_foralll(self, at, node, ps, acts) -> None:
-        p = ps[0]
-        if not isinstance(p.formula, Forall):
-            self.bad(at, MALFORMED_RULE,
-                     "forall-left principal must be universal in the antecedent")
-            return
-        kept, inst = acts
-        if kept.formula != p.formula:
-            self.bad(at, PRINCIPAL_MISMATCH,
-                     "forall-left must keep the universal formula in the premise")
-            return
         if node.term is None:
             self.bad(at, WITNESS_MISMATCH, "forall-left is missing its witness term")
             return
         try:
-            want = substitute(p.formula.body, p.formula.var, node.term)
+            self._parts_fit(at, node, ps, acts, node.term)
         except CaptureError as e:
             self.bad(at, WITNESS_MISMATCH, f"witness capture: {e}")
-            return
-        if inst.formula != want:
-            self.bad(at, WITNESS_MISMATCH,
-                     f"forall-left instance is {inst.formula!r}, "
-                     f"expected {want!r}")
 
     def rule_forallr(self, at, node, ps, acts) -> None:
-        p, a = ps[0], acts[0]
-        if not isinstance(p.formula, Forall):
-            self.bad(at, MALFORMED_RULE,
-                     "forall-right principal must be a universal formula")
-            return
         y = node.var
         if y is None:
             self.bad(at, EIGENVAR_CLASH, "forall-right is missing its eigenvariable")
             return
         try:
-            want = substitute(p.formula.body, p.formula.var, Var(y))
+            if not self._parts_fit(at, node, ps, acts, Var(y)):
+                return
         except CaptureError as e:
             self.bad(at, EIGENVAR_CLASH, f"eigenvariable capture: {e}")
             return
-        if a.formula != want:
-            self.bad(at, PRINCIPAL_MISMATCH,
-                     f"forall-right premise active is {a.formula!r}, "
-                     f"expected {want!r}")
-            return
-        for o in node.conclusion.all_occurrences():
-            if y in free_vars(o.formula):
-                self.bad(at, EIGENVAR_CLASH,
-                         f"eigenvariable {y} occurs free in the conclusion")
-                return
-        self.eigen_nodes.append((at, y))
+        self._bind(at, y, "eigenvariable")
+
+    def _bind(self, at, y, name) -> None:
+        """Record ``y`` as node ``at``'s eigenvariable, unless it is free in
+        the node's conclusion, which is reported instead."""
+        if y in self.frees.get(at, ()):
+            self.bad(at, EIGENVAR_CLASH, f"{name} {y} occurs free in the conclusion")
+        else:
+            self.eigen_nodes.append((at, y))
 
     # geometric rules ------------------------------------------------------
 
@@ -545,12 +503,7 @@ class _Checker:
             self.bad(at, EIGENVAR_CLASH,
                      f"qg3 eigenvariable {y} occurs in the zero case")
             return
-        for o in node.conclusion.all_occurrences():
-            if y in free_vars(o.formula):
-                self.bad(at, EIGENVAR_CLASH,
-                         f"qg3 eigenvariable {y} occurs free in the conclusion")
-                return
-        self.eigen_nodes.append((at, y))
+        self._bind(at, y, "qg3 eigenvariable")
 
     def _axiom_discharge(self, at, node, ps, acts) -> None:
         """qg4..qg7: the one antecedent active is the rule's axiom

@@ -32,7 +32,7 @@ from .deriv import (
 from .sexpr import ParseError, format_formula, format_sequent, parse_sequent
 from .syntax import (
     SIGNATURE,
-    And,
+    CaptureError,
     Eq,
     Forall,
     Formula,
@@ -188,12 +188,64 @@ _NO_LEAF = {
     "qg1": "needs S(t)=0 in the antecedent",
 }
 
-#: one-premise rule with one active -> its builder from that active's id,
-#: for the rules that need nothing else
-_ONE_ACTIVE = {
-    "Tl": B.truth_left, "Tr": B.truth_right, "negl": B.neg_left,
-    "negr": B.neg_right, "eq1": B.eq1, "qg2": B.qg2,
+#: one-premise geometric rule with one active -> its builder from that
+#: active's id, for the rules that need nothing else
+_ONE_ACTIVE = {"eq1": B.eq1, "qg2": B.qg2}
+
+#: one-premise rule with two actives -> the refusal of a line that does
+#: not drop them from the premise
+_MISFIT = {
+    "andl": "discharges exactly two antecedent formulas",
+    "foralll": "adds exactly one instance in the premise",
 }
+
+#: logical rule whose line states its principal -> the refusal when no
+#: formula of the line is one
+_UNMATCHED = {
+    "andl": "no conjunction in the antecedent matches the discharge",
+    "andr": "no conjunction in the succedent matches the premises",
+    "foralll": "no quantified antecedent formula matches the instance",
+    "forallr": "no quantified succedent formula matches the instance",
+}
+
+
+def _logical(rule: str, premises, stated, gone, err) -> Derivation:
+    """The node of the logical ``rule`` (:data:`.build.LOGICAL_RULES`) over
+    ``premises`` for a line stating ``stated`` (side -> formulas); over one
+    premise, ``gone`` are the formulas the line drops from it.
+
+    A rule with one active makes its principal from the dropped formula, so
+    the line need not state it (where it states another, the kernel names
+    the mismatch).  Otherwise the principal is the first formula on its side
+    of the line that is of the rule's class and whose parts the premises
+    hold (:func:`.build.logical`), a universal's term or eigenvariable
+    inferred from the dropped instance.  Over one premise, the parts but a
+    principal the premise keeps must be the dropped formulas, and a
+    universal, which its instance does not make, must be new in the line."""
+    entry, shape = B.LOGICAL_RULES[rule], RULE_SHAPES[rule]
+    if entry.make is not None and len(shape.actives) == 1:
+        return B.logical(rule, premises, gone)
+    [side] = shape.principals
+    for g in stated[side]:
+        if not isinstance(g, entry.principal):
+            continue
+        t = None
+        if entry.principal is Forall:
+            t = _infer_instance(g, gone[-1])
+            if t is None or (shape.binds is not None and not isinstance(t, Var)):
+                continue
+        try:
+            parts = entry.parts(g, t)
+        except CaptureError:  # the kernel names the capture
+            parts = (g,) * entry.keeps + tuple(gone)
+        if gone is not None and not same_multiset(gone, parts[entry.keeps:]) or (
+                entry.make is None and stated[side].count(g) <= sum(
+                    o.formula == g for o in getattr(premises[0].conclusion, side))):
+            continue
+        node = B.logical(rule, premises, parts, g, t)
+        if node is not None:
+            return node
+    err(_UNMATCHED[rule])
 
 
 def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
@@ -216,77 +268,45 @@ def _rebuild(rule: str, premises, ante, succ, line: int) -> Derivation:
             err(_NO_LEAF[rule])
         return B.leaf(rule, *hit)
 
+    stated = {"ante": ante, "succ": succ}
+    logical = B.LOGICAL_RULES.get(rule)
     if shape.premises == 1:
         p = premises[0]
-        ra = minus(p.conclusion.ante_formulas(), ante)
-        rs = minus(p.conclusion.succ_formulas(), succ)
+        # every active is on one side; the line drops one formula there per
+        # active but a principal the premise keeps, and none elsewhere
+        [side] = {s for _, s in shape.actives}
+        gone = {s: minus([o.formula for o in getattr(p.conclusion, s)], fs)
+                for s, fs in stated.items()}
+        if (len(gone[side]) != len(shape.actives) - bool(logical and logical.keeps)
+                or any(fs for s, fs in gone.items() if s != side)):
+            err(_MISFIT.get(rule) or (
+                f"moves exactly one formula from the {SIDE_NAMES[side]}"
+                if shape.principals and shape.principals[0] != side else
+                f"discharges exactly one {SIDE_NAMES[side]} formula"))
+        gone = gone[side]
+        if logical:
+            return _logical(rule, premises, stated, gone, err)
+        [f] = gone
+        aid = p.conclusion.first(side, f)
+        if rule in _ONE_ACTIVE:
+            return _ONE_ACTIVE[rule](p, aid)
+        if rule == "eq2":
+            if not isinstance(f, Eq):
+                err("discharged formula must be an equation")
+            hit = _eq2_template(f, ante)
+            if hit is None:
+                err("no trigger equation and kept instance fit the discharge")
+            chi, trig = hit
+            return B.eq2(p, aid, "w_", chi, trig.left, trig.right)
+        try:
+            terms = [reduce(getattr, path, f) for path in B.AXIOM_TERMS[rule]]
+        except AttributeError:
+            err("discharged formula does not instantiate the axiom")
+        return B.discharge_axiom(rule, p, aid, *terms)
 
-        if len(shape.actives) == 1:
-            [(_, side)] = shape.actives
-            gone, other = (ra, rs) if side == "ante" else (rs, ra)
-            if len(gone) != 1 or other:
-                err(f"moves exactly one formula from the {SIDE_NAMES[side]}"
-                    if shape.principals and shape.principals[0] != side else
-                    f"discharges exactly one {SIDE_NAMES[side]} formula")
-            [f] = gone
-            aid = p.conclusion.first(side, f)
-            if rule in _ONE_ACTIVE:
-                return _ONE_ACTIVE[rule](p, aid)
-            if rule == "forallr":
-                p_succ = p.conclusion.succ_formulas()
-                for g in succ:
-                    if isinstance(g, Forall) and succ.count(g) > p_succ.count(g):
-                        t = _infer_instance(g, f)
-                        if isinstance(t, Var):
-                            return B.forall_right(p, aid, g, t.name)
-                err("no quantified succedent formula matches the instance")
-            if rule == "eq2":
-                if not isinstance(f, Eq):
-                    err("discharged formula must be an equation")
-                hit = _eq2_template(f, ante)
-                if hit is None:
-                    err("no trigger equation and kept instance fit the discharge")
-                chi, trig = hit
-                return B.eq2(p, aid, "w_", chi, trig.left, trig.right)
-            if rule in B.AXIOMS:
-                try:
-                    terms = [reduce(getattr, path, f) for path in B.AXIOM_TERMS[rule]]
-                except AttributeError:
-                    err("discharged formula does not instantiate the axiom")
-                return B.discharge_axiom(rule, p, aid, *terms)
-        if rule == "andl":
-            if len(ra) != 2 or rs:
-                err("discharges exactly two antecedent formulas")
-            for g in ante:
-                if isinstance(g, And) and same_multiset(ra, [g.left, g.right]):
-                    i0 = p.conclusion.first("ante", g.left)
-                    i1 = p.conclusion.first("ante", g.right, (i0,))
-                    if i0 is not None and i1 is not None:
-                        return B.and_left(p, i0, i1)
-            err("no conjunction in the antecedent matches the discharge")
-        if rule == "foralll":
-            if len(ra) != 1 or rs:
-                err("adds exactly one instance in the premise")
-            inst = ra[0]
-            for g in ante:
-                if isinstance(g, Forall):
-                    t = _infer_instance(g, inst)
-                    if t is not None:
-                        kept = p.conclusion.first("ante", g)
-                        iid = p.conclusion.first("ante", inst, (kept,))
-                        if kept is not None and iid is not None:
-                            return B.forall_left(p, kept, iid, t)
-            err("no quantified antecedent formula matches the instance")
-
+    if logical:
+        return _logical(rule, premises, stated, None, err)
     p0, p1 = premises
-    if rule == "andr":
-        for g in succ:
-            if isinstance(g, And):
-                i0 = p0.conclusion.first("succ", g.left)
-                i1 = p1.conclusion.first("succ", g.right)
-                if i0 is not None and i1 is not None:
-                    return B.and_right(p0, i0, p1, i1)
-        err("no conjunction in the succedent matches the premises")
     if rule == "cut":
         rs = minus(p0.conclusion.succ_formulas(), succ)
         if len(rs) != 1:

@@ -37,9 +37,11 @@ Conventions:
   so it copies no cut-free subtree.
 * Cut reduction and contraction rest on the rules' invertibility, as the
   cut-elimination argument does: past a principal, its partner in the other
-  premise, or its other copy, is inverted into the formulas of the rule's
-  actives (``foralll``, whose premise keeps the universal, needs no
-  inversion).  Cut reduction contracts only in its ``init`` axiom cases.
+  premise, or its other copy, is inverted into the principal's parts in
+  :data:`~.build.LOGICAL_RULES`, where each logical rule's formula relation
+  is stated once; ``invert`` reads its targets' parts there too
+  (``foralll``, whose premise keeps the universal, needs no inversion).
+  Cut reduction contracts only in its ``init`` axiom cases.
 * ``weaken`` and ``substitute_proof`` reuse occurrence ids, so their
   occurrence maps are identities.
 * Every step returns the exact map from its input's conclusion occurrence
@@ -67,8 +69,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .build import LOGICAL_RULES
 from .build import cut as build_cut
-from .coding import DecodeError, decode_sentence
+from .coding import DecodeError
 from .deriv import (
     RULE_SHAPES,
     Derivation,
@@ -471,18 +474,18 @@ def _relink(node: Derivation, premises, premise_maps, drop=None, add=()):
     )
 
 
-#: the rules whose principal :func:`_invert` can splice out
-_INVERTIBLE = ("Tl", "Tr", "negl", "negr", "andl", "andr", "forallr")
-
-
-def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
+def _invert(d: Derivation, tid: int, rule: str, parts, selector, fresh_var):
     """Core inversion: replace the target occurrence (and its whole ancestry)
-    by the replacement occurrences in ``repl`` ([(formula, side), ...]),
-    splicing out the introducing ``rule`` node when the target is principal.
-    With no ``rule`` and no ``repl`` it drops a never-principal target.
+    by new occurrences of the ``parts`` (:data:`~.build.LOGICAL_RULES`) that
+    the ``rule`` puts in its premise ``selector``, splicing out the
+    introducing ``rule`` node when the target is principal.  With no
+    ``rule`` and no ``parts`` it drops a never-principal target.
 
     Returns (derivation, map old-conclusion-occ-id -> new id for every other
     occurrence, ids of the replacement occurrences)."""
+
+    repl = [(f, side) for f, (i, side) in zip(parts, RULE_SHAPES[rule].actives)
+            if i == selector] if rule else ()
 
     def step(item, done):
         node, (t,) = item
@@ -501,11 +504,9 @@ def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
             raise TransformError(
                 f"target introduced by {node.rule!r}, cannot invert as {rule!r}"
             )
-        if rule not in _INVERTIBLE:
-            raise TransformError(f"no inversion for rule {rule!r}")
-        # splice the node out: the premise it keeps (the selected one for
-        # andr) proves the target's components and every context occurrence
-        pi = selector if rule == "andr" else 0
+        # splice the node out: the premise it keeps (the selected one of
+        # two) proves the target's components and every context occurrence
+        pi = selector
         premise = node.premises[pi]
         if rule == "forallr" and fresh_var != node.var:
             z = node.var
@@ -519,67 +520,39 @@ def _invert(d: Derivation, tid: int, rule: str, repl, selector, fresh_var):
     return _ancestry(d, (tid,), step)
 
 
-def _partner_actives(node: Derivation, pi: int):
+def _takers(node: Derivation, pi: int):
     """The actives in ``node``'s premise ``pi`` that take over the partner
-    of its principal, or None when its rule cannot be inverted.  A
-    ``foralll`` premise keeps the universal, which alone takes it over."""
-    if node.rule != "foralll" and node.rule not in _INVERTIBLE:
+    of its principal: all of them, or the first where the premise keeps the
+    principal (:data:`~.build.LOGICAL_RULES`); None when its rule is not a
+    logical one."""
+    rule = LOGICAL_RULES.get(node.rule)
+    if rule is None:
         return None
     actives = [oid for i, oid in node.actives if i == pi]
-    return actives[:1] if node.rule == "foralll" else actives
+    return actives[:1] if rule.keeps else actives
 
 
 def _invert_partner(node: Derivation, pi: int, d: Derivation, tid: int):
-    """Invert ``tid`` in ``d``, the partner of ``node``'s principal, into the
-    formulas of ``node``'s actives in premise ``pi``, a ``forallr`` onto
-    ``node``'s own eigenvariable.  Returns (derivation, map of ``d``'s
+    """Invert ``tid`` in ``d``, the partner of ``node``'s principal, into
+    ``node``'s parts in premise ``pi`` (:data:`~.build.LOGICAL_RULES`), a
+    ``forallr`` onto ``node``'s own eigenvariable.  The parts are read off
+    ``node``'s actives, which hold them in a checked proof, so no truth
+    principal is decoded again.  Returns (derivation, map of ``d``'s
     conclusion ids, {active id: id of its new partner}), or None when
-    ``node``'s rule cannot be inverted.  A ``foralll`` partner is kept as it
-    is: the premise keeps the universal, whose partner it stays."""
-    actives = _partner_actives(node, pi)
-    if actives is None:
+    ``node``'s rule is not a logical one.  A partner of a principal the
+    premise keeps (``foralll``) is kept as it is, the partner of the kept
+    active."""
+    takers = _takers(node, pi)
+    if takers is None:
         return None
-    if node.rule == "foralll":
-        return d, _same_ids(d), {actives[0]: tid}
-    repl = [(hit[2].formula, hit[0])
-            for hit in map(node.premises[pi].conclusion.find, actives)]
+    if LOGICAL_RULES[node.rule].keeps:
+        return d, _same_ids(d), {takers[0]: tid}
+    parts = [node.premises[i].conclusion.find(oid)[2].formula
+             for i, oid in node.actives]
     if node.rule == "forallr" and node.var in collect_eigenvars(d):
         d = freshen_eigenvariables(d, {node.var})
-    d, m, new = _invert(d, tid, node.rule, repl, pi, node.var)
-    return d, m, dict(zip(actives, new))
-
-
-def _inversions(d: Derivation, f: Formula, side: str):
-    """How :func:`invert` inverts ``f`` on ``side``: one (rule, selector,
-    replacement formulas with their sides, fresh variable) per output."""
-    if isinstance(f, Tr):
-        n = numeral_value(f.term)
-        if n is None:
-            raise TransformError(
-                "truth inversion requires a numeral term (pointwise "
-                "compositional principals cannot be inverted)"
-            )
-        try:
-            phi = decode_sentence(n)
-        except DecodeError as e:
-            raise TransformError(f"target numeral decodes to nothing: {e}") from e
-        return [("Tl" if side == "ante" else "Tr", None, ((phi, side),), None)]
-    if isinstance(f, Not):
-        flip = "succ" if side == "ante" else "ante"
-        return [("negl" if side == "ante" else "negr", None,
-                 ((f.body, flip),), None)]
-    if isinstance(f, And) and side == "ante":
-        return [("andl", None, ((f.left, "ante"), (f.right, "ante")), None)]
-    if isinstance(f, And):
-        return [("andr", i, ((conj, "succ"),), None)
-                for i, conj in enumerate((f.left, f.right))]
-    if isinstance(f, Forall) and side == "succ":
-        y = fresh_name("y", all_var_names(d))
-        return [("forallr", None,
-                 ((substitute(f.body, f.var, Var(y)), "succ"),), y)]
-    raise TransformError(
-        f"target mismatch: cannot invert {f!r} in the {side}cedent"
-    )
+    d, m, new = _invert(d, tid, node.rule, parts, pi, node.var)
+    return d, m, dict(zip(takers, new))
 
 
 def invert(d: Derivation, target_id: int, system: str):
@@ -597,15 +570,32 @@ def invert(d: Derivation, target_id: int, system: str):
     """
     side, o = _find_occ(d, target_id)
     im = compute_measures(d)
-    tau_t = im.tau[target_id]
+    f = o.formula
+    rule = next((r for r, entry in LOGICAL_RULES.items() if not entry.keeps
+                 and isinstance(f, entry.principal)
+                 and RULE_SHAPES[r].principals == (side,)), None)
+    if rule is None:
+        raise TransformError(
+            f"target mismatch: cannot invert {f!r} in the {side}cedent")
+    shape = RULE_SHAPES[rule]
+    y = None if shape.binds is None else fresh_name("y", all_var_names(d))
+    if isinstance(f, Tr) and numeral_value(f.term) is None:
+        raise TransformError(
+            "truth inversion requires a numeral term (pointwise "
+            "compositional principals cannot be inverted)"
+        )
+    try:
+        parts = LOGICAL_RULES[rule].parts(f, None if y is None else Var(y))
+    except DecodeError as e:
+        raise TransformError(f"target numeral decodes to nothing: {e}") from e
+    bound = max(im.tau[target_id] - shape.unquotes, 0)
     results = []
-    for rule, selector, repl, fresh_var in _inversions(d, o.formula, side):
-        out, ctx, new = _invert(d, target_id, rule, repl, selector, fresh_var)
+    for pi in range(shape.premises):
+        out, ctx, new = _invert(d, target_id, rule, parts, pi, y)
         pointwise = _kept_tau(d, im, ctx, (target_id,))
-        bound = max(tau_t - 1, 0) if rule in ("Tl", "Tr") else tau_t
-        labels = ("target.left", "target.right") if rule == "andl" else ("target",)
+        labels = ("target.left", "target.right") if len(new) == 2 else ("target",)
         pointwise += [(label, nid, bound) for label, nid in zip(labels, new)]
-        name = rule if selector is None else f"{rule}[{selector}]"
+        name = rule if shape.premises == 1 else f"{rule}[{pi}]"
         results.append(_certify(
             out, system, f"invert {name}", (im,),
             length=im.length, cut_rank=im.cut_rank, proof_tau=im.proof_tau,
@@ -846,9 +836,9 @@ def _carry(node: Derivation, pi: int, oth, pair):
         if p not in pair:
             continue  # consumed further down, so ``oth`` never held it
         if oth is None:
-            actives = _partner_actives(node, pi)
-            inverted = actives if actives is None else (
-                None, None, dict.fromkeys(actives))
+            takers = _takers(node, pi)
+            inverted = takers if takers is None else (
+                None, None, dict.fromkeys(takers))
         else:
             inverted = _invert_partner(node, pi, oth, pair[p])
         if inverted is None:

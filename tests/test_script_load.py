@@ -346,3 +346,36 @@ def test_eq2_index_keeps_the_plain_search_choice():
         assert want == got and (want is None or want[1] is got[1])
         hits += want is not None
     assert hits > 1000
+
+
+def test_equal_conjuncts_read_with_distinct_actives():
+    # [DERIVED] the reader's andl takes both copies of A from its premise,
+    # and its andr one from each premise, as build.logical picks them
+    text = ("1: init [] (= 0 0), (= 0 0) => (= 0 0)\n"
+            "2: andl [1] (and (= 0 0) (= 0 0)) => (= 0 0)\n"
+            "3: init [] (= 0 0), (= 0 0) => (= 0 0)\n"
+            "4: andl [3] (and (= 0 0) (= 0 0)) => (= 0 0)\n"
+            "5: andr [2, 4] (and (= 0 0) (= 0 0)) => (and (= 0 0) (= 0 0))\n")
+    d = parse_script(text)
+    for andl in d.premises:
+        assert len({oid for _, oid in andl.actives}) == 2
+    assert [pi for pi, _ in d.actives] == [0, 1]
+    assert check_derivation(d, "lptn").ok
+    assert print_script(d) == text
+
+
+@pytest.mark.parametrize("text, code", [
+    ("1: init [] (forall x (forall y (= x y))), (forall y (= y y)), (= 0 0) => (= 0 0)\n"
+     "2: foralll [1] (forall x (forall y (= x y))), (= 0 0) => (= 0 0)\n",
+     "WITNESS_MISMATCH"),
+    ("1: init [] (= 0 0) => (= 0 0), (forall y (= y y))\n"
+     "2: forallr [1] (= 0 0) => (= 0 0), (forall x (forall y (= x y)))\n",
+     "EIGENVAR_CLASH"),
+])
+def test_capturing_instance_reads_and_the_kernel_names_it(text, code):
+    # [DERIVED] the instance matches the universal's body only by capturing
+    # y; the reader still builds the node, so the kernel reports the capture
+    # instead of the reader refusing the line
+    report = check_derivation(parse_script(text), "lgt")
+    assert report.codes() == {code}
+    assert "capture" in report.violations[0].message

@@ -8,8 +8,9 @@ import pytest
 
 from truthcut import search
 from truthcut.arith import chain_numeral
+from truthcut.cli import main
 from truthcut.coding import liar, quote, truth_teller
-from truthcut.deriv import compute_measures
+from truthcut.deriv import compute_measures, same_multiset
 from truthcut.kernel import check_derivation
 from truthcut.script import print_script
 from truthcut.search import (
@@ -18,7 +19,7 @@ from truthcut.search import (
     check_conservativity,
     search_cut_free,
 )
-from truthcut.sexpr import format_sequent, parse_formula
+from truthcut.sexpr import format_sequent, parse_formula, parse_sequent
 from truthcut.syntax import (
     And,
     Eq,
@@ -253,3 +254,35 @@ def test_a_memoized_goal_is_answered_before_any_closure(monkeypatch):
         assert _digest(_outcome(ante, succ, FIXPOINT_BUDGET)) == digest
     assert counts["memo"] > 0 and counts["loop"] > 0
     assert counts["close"] == counts["prove"] - counts["loop"] - counts["memo"]
+
+
+#: search's andl takes both actives by formula without skipping the first
+#: one's id, so for two equal conjuncts it consumes one occurrence twice and
+#: leaves the other in the conclusion; the fix is the ``skip`` that
+#: ``build.logical`` passes.  Whoever lands it removes the marks
+_EQUAL_CONJUNCTS = pytest.mark.xfail(
+    strict=True, reason="search's andl picks one id for two equal conjuncts")
+
+
+@_EQUAL_CONJUNCTS
+def test_cli_search_proves_its_own_goal_with_equal_conjuncts(capsys):
+    # [DERIVED] the proof's last line is its end sequent, which must be the
+    # goal as a multiset; today it has an extra (not (= 0 0))
+    goal = "(and (not (= 0 0)) (not (= 0 0))) =>"
+    assert main(["search", "--system", "lptn", goal]) == 0
+    last = capsys.readouterr().out.rstrip("\n").splitlines()[-1]
+    ante, succ = parse_sequent(last.split("] ", 1)[1])
+    want_ante, want_succ = parse_sequent(goal)
+    assert same_multiset(ante, want_ante) and same_multiset(succ, want_succ)
+
+
+@_EQUAL_CONJUNCTS
+def test_search_proves_x_implies_x_for_equal_conjuncts():
+    # [DERIVED] today the proof concludes 0=0, X => X and consumes one
+    # premise occurrence twice
+    x = parse_formula("(and (= 0 0) (= 0 0))")
+    r = search_cut_free([x], [x], BUD, "lptn")
+    assert r.found
+    c = r.derivation.conclusion
+    assert c.ante_formulas() == [x] and c.succ_formulas() == [x]
+    assert check_derivation(r.derivation, "lptn").ok

@@ -11,7 +11,10 @@ duplicated-formula and nested-cut proofs.  Run from the repository root::
 
     PYTHONPATH=<checkout>/src:tests:bench python3 tests/transform_digest.py
 
-It prints the number of calls, the digest of the recorded outputs, and a
+It first prints a ``corpus`` line, the digest of the inputs' ``print_script``
+texts and systems in corpus order, so that a moved call digest is put down
+to the inputs (that line moved too) or to the transforms (it did not).
+Then it prints the number of calls, the digest of the recorded outputs, and a
 second digest that also covers the output occurrence ids and occurrence
 maps, which moves when ids are allocated in another order.  Then it prints
 the number of calls and the output digest of each call kind (``invert``,
@@ -120,6 +123,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     dump = open(args.dump, "w") if args.dump else None
     corpus = _corpus()
+    inputs = hashlib.sha256()
+    for d, system in corpus:
+        inputs.update(f"{system}\n{print_script(d)}".encode())
+    print(f"corpus {inputs.hexdigest()}")
     start = 1 + max(o.id for d, _ in corpus for n in d.iter_nodes()
                     for o in n.conclusion.all_occurrences())
     out, ids = hashlib.sha256(), hashlib.sha256()
