@@ -17,6 +17,7 @@ from __future__ import annotations
 from . import build as B
 from .deriv import Derivation
 from .syntax import (
+    _CHAIN,
     Eq,
     Formula,
     Plus,
@@ -52,19 +53,10 @@ def chain_numerals(k: int) -> list[Term]:
     return out
 
 
-#: the constructors of closed {0, S, +, x} terms
-_CHAIN = (Zero, Suc, Plus, Times)
-
-
 def is_chain_closed(t: Term) -> bool:
-    """Closed term over {0, S, +, x} only."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if type(t) not in _CHAIN:
-            return False
-        stack += children(t)
-    return True
+    """Closed term over {0, S, +, x} only: a syntax fact set when the node
+    is built."""
+    return t._facts is _CHAIN
 
 
 # ---------------------------------------------------------------------------

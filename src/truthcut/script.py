@@ -386,13 +386,15 @@ def _read_id(text: str, what: str, line: int) -> int:
 def parse_script(text: str) -> Derivation:
     """The root of the script's derivation.
 
-    Lines restate their premises' contexts, so one memo, kept for this call
-    only, reads each distinct formula text once: it saves reading, since
-    equal formulas are one object whatever text they were read from."""
+    Lines restate their premises' contexts, and many scripts share
+    formulas, so each sequent is read through :func:`~.sexpr.parse_sequent`'s
+    per-process formula-text cache: a formula text is read once, not once
+    per line or per script.  The cache keeps recently read formulas alive,
+    up to 2^20 characters of text; what is returned or raised does not
+    depend on it."""
     nodes: dict[int, Derivation] = {}
     used: set[int] = set()
     order: list[int] = []
-    memo: dict[str, Formula] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split(";", 1)[0].strip()
         if not stripped:
@@ -422,7 +424,7 @@ def parse_script(text: str) -> Derivation:
             if pid in used:
                 raise ScriptError(f"premise {pid} used twice", lineno)
         try:
-            ante, succ = parse_sequent(m.group(4), memo)
+            ante, succ = parse_sequent(m.group(4))
         except ParseError as e:
             raise ScriptError(str(e), lineno) from e
         premises = [nodes[pid] for pid in pids]

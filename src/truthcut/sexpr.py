@@ -24,6 +24,12 @@ sugar heads ``or``, ``exists`` and ``quote`` are the reader's alone.
 The reader, :func:`_read`, takes a token list and an index and gives back
 the next index; :func:`_read_whole` reads a term, a formula or one formula
 of a sequent as exactly one expression.
+
+:func:`parse_sequent` keeps one cache per process from each formula text it
+has read cleanly to the formula read from it, so a text is read once however
+many sequents and scripts restate it.  The cache keeps the formulas of
+recently read texts alive; it holds at most ``_CACHE_CHARS`` (2^20)
+characters of text and is emptied before a new text would pass that.
 """
 
 from __future__ import annotations
@@ -171,17 +177,17 @@ def parse_formula(text: str) -> Formula:
     return _read_whole(tokenize(text), Formula)
 
 
-def parse_sequent(
-    text: str, memo: dict[str, Formula] | None = None
-) -> tuple[list[Formula], list[Formula]]:
+def parse_sequent(text: str) -> tuple[list[Formula], list[Formula]]:
     """Parse ``gamma => delta`` into (antecedent, succedent) formula lists.
 
     A sequent that splits cleanly at ``=>`` and ``,`` is read piece by piece
-    through ``memo``, which maps formula source texts to the formulas already
-    read from them (a caller reading many sequents passes one memo to all,
-    so equal texts are read once).  Any other text is tokenized whole, so
-    what is returned or raised does not depend on the memo."""
-    split = _split_sequent(text, {} if memo is None else memo)
+    through the module's formula-text cache, so a piece read before, by any
+    call, is not read again; the cache keeps recently read formulas alive,
+    up to ``_CACHE_CHARS`` (2^20) characters of text.  Any other text is
+    tokenized whole.  Reading is a pure function of the text and equal
+    formulas are one object, so what is returned or raised does not depend
+    on the cache."""
+    split = _split_sequent(text)
     if split is not None:
         return split
     tokens = tokenize(text)
@@ -208,7 +214,30 @@ def parse_sequent(
     return ante, succ
 
 
-def _split_sequent(text: str, memo: dict[str, Formula]):
+#: the most characters of formula text the cache holds
+_CACHE_CHARS = 1 << 20
+#: formula source text -> the formula read from it, for texts that read
+#: cleanly as one whole formula; ``_cached_chars`` is their total length
+_cache: dict[str, Formula] = {}
+_cached_chars = 0
+
+
+def _read_piece(piece: str) -> Formula:
+    """The one formula ``piece`` spells, through the cache."""
+    global _cached_chars
+    phi = _cache.get(piece)
+    if phi is None:
+        phi = _read_whole(_TOKEN.findall(piece), Formula)
+        if len(piece) <= _CACHE_CHARS:
+            if _cached_chars + len(piece) > _CACHE_CHARS:
+                _cache.clear()
+                _cached_chars = 0
+            _cache[piece] = phi
+            _cached_chars += len(piece)
+    return phi
+
+
+def _split_sequent(text: str):
     """(ante, succ) read piecewise, or None when the text does not split
     into one whole formula per ``,``-separated piece around one ``=>``.
 
@@ -225,16 +254,11 @@ def _split_sequent(text: str, memo: dict[str, Formula]):
     for side, part in zip(sides, (left, right)):
         for piece in part.split(","):
             piece = piece.strip()
-            if not piece:
-                continue
-            phi = memo.get(piece)
-            if phi is None:
+            if piece:
                 try:
-                    phi = _read_whole(_TOKEN.findall(piece), Formula)
+                    side.append(_read_piece(piece))
                 except ParseError:
                     return None
-                memo[piece] = phi
-            side.append(phi)
     return sides
 
 

@@ -87,7 +87,10 @@ class Expr:
     comparing its fields with ``==``, which is identity on children.  So
     the table refers to no node strongly: a node lives exactly as long as
     the program holds it, even when a cache slot closes a cycle (a diagonal
-    sentence's numeral remembers the sentence that holds it).
+    sentence's numeral remembers the sentence that holds it).  The program
+    includes the script reader's formula-text cache (:mod:`~.sexpr`), which
+    keeps the formulas of recently read texts alive, up to 2^20 characters
+    of text.
     A new node's ``_facts`` are set by its class's ``_derive`` rule, and
     once it is in the table its class's ``_interned`` hook, where set, runs
     on it (:mod:`~.coding` sets the one on ``Num``).  Nodes are immutable;
@@ -377,8 +380,12 @@ SIGNATURE: dict[type, Shape] = {
 # where equal, which keeps the memory they take small.
 
 _NONE: frozenset[str] = frozenset()
-#: the facts of every variable-free, T-free node of complexity 0
+#: the facts of every variable-free, T-free node of complexity 0 that is
+#: not a closed {0, S, +, x} term
 _PLAIN = (_NONE, _NONE, False, 0)
+#: the facts of every closed term over {0, S, +, x}: equal to _PLAIN but
+#: its own object, so that ``t._facts is _CHAIN`` says the term is one
+_CHAIN = (_NONE, _NONE, False, 0)
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -396,6 +403,16 @@ def _over_terms(*kids: Term) -> tuple:
         if not kf[0] <= facts[0]:
             facts = kf if facts[0] <= kf[0] else (facts[0] | kf[0], _NONE, False, 0)
     return facts
+
+
+def _chain(*kids: Term) -> tuple:
+    """The facts of a successor, sum or product: _CHAIN when every child
+    has it.  _over_terms returns a child's record only when it has free
+    variables, so _CHAIN reaches no other node."""
+    for k in kids:
+        if k._facts is not _CHAIN:
+            return _over_terms(*kids)
+    return _CHAIN
 
 
 def _not(body: Formula) -> tuple:
@@ -419,6 +436,10 @@ def _forall(var: str, body: Formula) -> tuple:
 #: facts are _PLAIN, and other nodes over terms take _over_terms
 _RULES: dict[type, Callable[..., tuple]] = {
     Var: lambda name: (frozenset((name,)), _NONE, False, 0),
+    Zero: lambda: _CHAIN,
+    Suc: _chain,
+    Plus: _chain,
+    Times: _chain,
     SynApp: lambda symbol, args: _over_terms(*args),
     Tr: lambda term: (term._facts[0], _NONE, True, 0),
     Not: _not,

@@ -16,7 +16,7 @@ from truthcut.arith import (
 from truthcut.coding import eval_term
 from truthcut.deriv import compute_measures
 from truthcut.kernel import check_derivation
-from truthcut.syntax import Eq, Num, Plus, Suc, Times, Tr, Var, Zero
+from truthcut.syntax import Eq, Num, Plus, Suc, SynApp, Times, Tr, Var, Zero, children
 
 
 def _random_chain_term(rng, depth):
@@ -39,6 +39,50 @@ def test_chain_numeral():
     assert is_chain_closed(Plus(chain_numeral(2), chain_numeral(1)))
     assert not is_chain_closed(Num(2))
     assert not is_chain_closed(Var("x"))
+
+
+def _walk_chain_closed(t):
+    """Closed term over {0, S, +, x} only, by a walk over the whole term."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) not in (Zero, Suc, Plus, Times):
+            return False
+        stack += children(t)
+    return True
+
+
+def _random_mixed_term(rng, depth, leaves):
+    k = rng.randrange(5 if depth > 0 else 1)
+    if k == 0:
+        return rng.choice(leaves)()
+    if k == 1:
+        return Suc(_random_mixed_term(rng, depth - 1, leaves))
+    if k == 4:
+        return SynApp("num", (_random_mixed_term(rng, depth - 1, leaves),))
+    return (Plus, Times)[k - 2](_random_mixed_term(rng, depth - 1, leaves),
+                                _random_mixed_term(rng, depth - 1, leaves))
+
+
+def test_chain_closed_fact_matches_a_walk():
+    # [DERIVED] the fact set when a term is built agrees with a walk over
+    # the term, on random closed and open terms whose leaves are 0, numeral
+    # literals, syntax-function applications and variables
+    rng = random.Random(28)
+    leaf_sets = [
+        (Zero,),
+        (Zero, lambda: Num(rng.randrange(3))),
+        (Zero, lambda: SynApp("num", (Zero(),))),
+        (Zero, lambda: Var(rng.choice("xy"))),
+        (Zero, lambda: Num(1), lambda: Var("x")),
+    ]
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        t = _random_mixed_term(rng, rng.randrange(5), rng.choice(leaf_sets))
+        want = _walk_chain_closed(t)
+        assert is_chain_closed(t) is want
+        seen[want] += 1
+    assert min(seen.values()) > 500
 
 
 def test_prove_true_equations_randomized():

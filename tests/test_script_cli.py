@@ -134,10 +134,10 @@ def test_cli_measures(proof_file, capsys):
 
 
 def test_cli_elim(cut_file, tmp_path, capsys):
-    out_file = str(tmp_path / "free.gp")
-    assert main(["elim", cut_file, "--system", "qg", "--out", out_file]) == 0
+    out_file = tmp_path / "free.gp"
+    assert main(["elim", cut_file, "--system", "qg", "--out", str(out_file)]) == 0
     assert "CUT-FREE" in capsys.readouterr().out
-    d = parse_script(open(out_file).read())
+    d = parse_script(out_file.read_text(encoding="utf-8"))
     assert check_derivation(d, "qg").ok
     assert all(n.rule != "cut" for n in d.iter_nodes())
 

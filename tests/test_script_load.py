@@ -1,11 +1,13 @@
 """Loading and printing proof scripts: shared formula reads, eq2 template
 choice, error texts, and inputs that used to end in a traceback."""
 
+import gc
 import hashlib
 import json
 import pathlib
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -121,16 +123,17 @@ def test_unusual_separators_still_parse():
             parse_sequent(seq)
 
 
-def test_each_distinct_formula_text_read_once(monkeypatch):
-    # [DERIVED] every line restates its premises' contexts, yet the loader
-    # reads each distinct formula text once
-    d = refute_equation([], Times(chain_numeral(2), chain_numeral(2)), chain_numeral(3), [])
-    text = print_script(d)
-    pieces = [p.strip() for line in text.splitlines()
-              for side in line.split("] ", 1)[1].split("=>")
-              for p in side.split(",") if p.strip()]
-    distinct = set(pieces)
-    assert text.count("\n") > 20 and len(pieces) > 5 * len(distinct)
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """The reader's formula-text cache, emptied for this test and put back
+    after it."""
+    monkeypatch.setattr(sexpr, "_cache", {})
+    monkeypatch.setattr(sexpr, "_cached_chars", 0)
+    return sexpr._cache
+
+
+def _count_reads(monkeypatch) -> list:
+    """A list that gets one entry per ``sexpr._read`` call from now on."""
     calls = []
     read = sexpr._read
 
@@ -139,6 +142,21 @@ def test_each_distinct_formula_text_read_once(monkeypatch):
         return read(tokens, i, sort)
 
     monkeypatch.setattr(sexpr, "_read", counting)
+    return calls
+
+
+def test_each_distinct_formula_text_read_once(monkeypatch, empty_cache):
+    # [DERIVED] every line restates its premises' contexts, yet the loader
+    # reads each distinct formula text once, and a second load of the same
+    # script reads none
+    d = refute_equation([], Times(chain_numeral(2), chain_numeral(2)), chain_numeral(3), [])
+    text = print_script(d)
+    pieces = [p.strip() for line in text.splitlines()
+              for side in line.split("] ", 1)[1].split("=>")
+              for p in side.split(",") if p.strip()]
+    distinct = set(pieces)
+    assert text.count("\n") > 20 and len(pieces) > 5 * len(distinct)
+    calls = _count_reads(monkeypatch)
     for p in distinct:
         parse_formula(p)
     once = len(calls)
@@ -146,6 +164,10 @@ def test_each_distinct_formula_text_read_once(monkeypatch):
     d2 = parse_script(text)
     assert len(calls) == once
     assert fingerprint(d2) == fingerprint(d)
+    calls.clear()
+    d3 = parse_script(text)
+    assert calls == []
+    assert fingerprint(d3) == fingerprint(d)
 
 
 def test_numeral_literal_zero_round_trips():
@@ -159,13 +181,134 @@ def test_numeral_literal_zero_round_trips():
     assert fingerprint(back) != fingerprint(parse_script(text.replace("00", "0")))
 
 
-def test_repeated_formula_texts_share_one_object():
+def test_repeated_formula_texts_share_one_object(empty_cache):
     # [DERIVED]
-    memo = {}
-    ante, succ = parse_sequent("(= 0 0), (not (= 0 0)) => (= 0 0)", memo)
-    ante2, _ = parse_sequent("(not (= 0 0)) =>", memo)
+    ante, succ = parse_sequent("(= 0 0), (not (= 0 0)) => (= 0 0)")
+    ante2, _ = parse_sequent("(not (= 0 0)) =>")
     assert ante[0] is succ[0] and ante[1] is ante2[0]
-    assert set(memo) == {"(= 0 0)", "(not (= 0 0))"}
+    assert set(empty_cache) == {"(= 0 0)", "(not (= 0 0))"}
+    assert empty_cache["(= 0 0)"] is ante[0] and empty_cache["(not (= 0 0))"] is ante[1]
+    assert sexpr._cached_chars == len("(= 0 0)") + len("(not (= 0 0))")
+
+
+def test_formula_read_by_one_call_is_the_same_object_in_the_next(monkeypatch, empty_cache):
+    # [DERIVED] the cache outlives a parse_script call and keeps what it
+    # read alive, so a later script restating a formula text gets the same
+    # object without reading it
+    phi = "(forall x (not (= (S x) 0)))"
+    d = parse_script(f"1: init [] {phi} => {phi}\n")
+    ref = weakref.ref(d.conclusion.succ_formulas()[0])
+    del d
+    gc.collect()
+    assert ref() is not None
+    calls = _count_reads(monkeypatch)
+    parse_formula("(= 0 0)")
+    fresh = len(calls)
+    calls.clear()
+    d2 = parse_script(f"1: init [] (= 0 0), {phi} => {phi}\n")
+    assert d2.conclusion.succ_formulas()[0] is ref()
+    assert d2.conclusion.ante_formulas()[1] is ref()
+    assert len(calls) == fresh
+
+
+def _outcome(text):
+    """What a load of ``text`` gives: its fingerprint and its kernel codes
+    in lgt, qg and lptn, or the exception's type and text."""
+    try:
+        d = parse_script(text)
+        return fingerprint(d), tuple(
+            sorted(check_derivation(d, system).codes()) for system in ("lgt", "qg", "lptn"))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _golden_texts():
+    return [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.gp"))]
+
+
+def test_cache_never_holds_more_text_than_its_bound(monkeypatch, empty_cache):
+    # [DERIVED] with the bound patched small, the cache is emptied before a
+    # new text would pass it and a longer text is not kept, and every golden
+    # script loads as with the real bound
+    texts = _golden_texts()
+    want = [_outcome(text) for text in texts]
+    empty_cache.clear()
+    monkeypatch.setattr(sexpr, "_cached_chars", 0)
+    bound = 64
+    monkeypatch.setattr(sexpr, "_CACHE_CHARS", bound)
+    held, long_pieces = [], []
+    read_piece = sexpr._read_piece
+
+    def checked(piece):
+        phi = read_piece(piece)
+        total = sum(map(len, empty_cache))
+        assert total == sexpr._cached_chars <= bound
+        if len(piece) > bound:
+            long_pieces.append(piece)
+            assert piece not in empty_cache
+        held.append(total)
+        return phi
+
+    monkeypatch.setattr(sexpr, "_read_piece", checked)
+    assert [_outcome(text) for text in texts] == want
+    assert long_pieces and max(held) > bound // 2
+    assert any(b < a for a, b in zip(held, held[1:]))
+
+
+@pytest.mark.parametrize("text, message", ERRORS)
+def test_malformed_lines_keep_their_messages_after_a_warm_read(text, message, empty_cache):
+    # [DERIVED] the messages stay those of the tokenizing reader when an
+    # earlier call read well-formed copies of the line's formulas
+    parse_script("1: init [] (= 0 0), (= 0 x) => (= 0 0), top\n"
+                 "2: negl [1] (not (= 0 0)), (= 0 0), (= 0 x) => top\n")
+    for line in text.splitlines():
+        for piece in line.split("] ", 1)[1].replace("=>", ",").split(","):
+            try:
+                parse_sequent(f"{piece} =>")
+            except ParseError:
+                pass
+    assert "(= 0 0)" in empty_cache and "(not (= 0 0))" in empty_cache
+    with pytest.raises(ScriptError) as e:
+        parse_script(text)
+    assert str(e.value) == message
+
+
+_MUTATIONS = ["(", ")", "=", ">", "=>", ",", ";", " ", "\n", "0", "00", "1", "S", "x",
+              "T", "not", "forall", "[", "]", ":", "1: "]
+
+
+def _mutant(rng, text):
+    """``text`` with one seeded character-level edit: a deletion, an
+    insertion, a replacement or a repeated span."""
+    i = rng.randrange(len(text))
+    k = rng.randrange(4)
+    if k == 0:
+        return text[:i] + text[i + 1:]
+    if k == 1:
+        return text[:i] + rng.choice(_MUTATIONS) + text[i:]
+    if k == 2:
+        return text[:i] + rng.choice(_MUTATIONS) + text[i + 1:]
+    j = min(len(text), i + rng.randrange(1, 40))
+    return text[:j] + text[i:j] + text[j:]
+
+
+def test_warm_cache_reads_like_an_empty_one(empty_cache):
+    # [DERIVED] every golden script and 500 seeded mutations of them load to
+    # the same fingerprint and kernel codes, or the same error, with an
+    # empty cache and with one warmed by every text first
+    rng = random.Random(28)
+    golden = _golden_texts()
+    texts = golden + [_mutant(rng, rng.choice(golden)) for _ in range(500)]
+    cold = []
+    for text in texts:
+        empty_cache.clear()
+        sexpr._cached_chars = 0
+        cold.append(_outcome(text))
+    for text in texts:
+        _outcome(text)
+    assert [_outcome(text) for text in texts] == cold
+    assert sum(type(o[0]) is tuple for o in cold) > 50
+    assert sum(o[0] is ScriptError for o in cold) > 300
 
 
 LEAF_SEQUENTS = {"init": "(= 0 0) => (= 0 0)", "top": "=> top", "bot": "bot =>",

@@ -236,10 +236,11 @@ def test_syntax_facts_match_a_reference_walker():
 
 def test_facts_slot_is_invisible():
     # [DERIVED] a node's facts are set when it is built, show in neither its
-    # hash nor its repr, and are shared where equal: every variable-free,
-    # T-free atom or term has one record, and a parent whose facts equal a
-    # child's holds that child's record; a formula built again is the same
-    # object; slotted syntax and derivation objects carry no instance dict
+    # hash nor its repr, and are shared where equal: every closed {0, S, +,
+    # x} term has one record, every other variable-free, T-free atom or term
+    # another, equal to it, and a parent whose facts equal a child's holds
+    # that child's record; a formula built again is the same object;
+    # slotted syntax and derivation objects carry no instance dict
     from truthcut.build import init_leaf
 
     phi = Forall("x", And(Eq(x, y), Not(Tr(Var("z_facts")))))
@@ -249,9 +250,12 @@ def test_facts_slot_is_invisible():
     twin = Forall("x", And(Eq(x, y), Not(Tr(Var("z_facts")))))
     assert twin is phi and twin == phi and hash(twin) == hash(phi)
     assert twin._facts is phi._facts
-    plain = [ZERO, Num(9), Top(), Bot(), Suc(ZERO), Eq(ZERO, Num(1)),
-             SynApp("num", (ZERO,))]
+    plain = [Num(9), Top(), Bot(), Suc(Num(1)), Eq(ZERO, Num(1)), Eq(ZERO, ZERO),
+             SynApp("num", (ZERO,)), Plus(ZERO, SynApp("num", (ZERO,)))]
+    chain = [ZERO, Suc(ZERO), Plus(ZERO, Suc(ZERO)), Times(Suc(ZERO), ZERO)]
     assert len({id(e._facts) for e in plain}) == 1
+    assert len({id(e._facts) for e in chain}) == 1
+    assert chain[0]._facts == plain[0]._facts and chain[0]._facts is not plain[0]._facts
     assert Suc(Plus(x, ZERO))._facts is x._facts
     xy = Plus(x, y)
     assert Eq(xy, Times(y, x))._facts is xy._facts
