@@ -17,7 +17,6 @@ from __future__ import annotations
 from . import build as B
 from .deriv import Derivation
 from .syntax import (
-    _CHAIN,
     Eq,
     Formula,
     Plus,
@@ -27,6 +26,7 @@ from .syntax import (
     Var,
     Zero,
     children,
+    is_chain_closed,
     rebuild,
 )
 from .coding import eval_term
@@ -51,12 +51,6 @@ def chain_numerals(k: int) -> list[Term]:
     for _ in range(k):
         out.append(Suc(out[-1]))
     return out
-
-
-def is_chain_closed(t: Term) -> bool:
-    """Closed term over {0, S, +, x} only: a syntax fact set when the node
-    is built."""
-    return t._facts is _CHAIN
 
 
 # ---------------------------------------------------------------------------

@@ -75,25 +75,45 @@ class SystemExit2(Exception):
 # Verbs
 
 
+def _violations(report) -> list[dict]:
+    return [{"path": list(v.path), "code": v.code, "message": v.message}
+            for v in report.violations]
+
+
 def _cmd_check(args) -> int:
-    d = _load_script(args.file)
+    """Check each named script in turn, in one process, so that formulas the
+    scripts share are read once (:mod:`~.sexpr`'s formula-text cache).  One
+    file prints its verdict alone; several print one verdict per file, and
+    a file that cannot be read or parsed stops the verb, naming it."""
     system = _system(args)
-    report = check_derivation(d, system)
-    payload = {
-        "verb": "check",
-        "system": system,
-        "valid": report.ok,
-        "violations": [
-            {"path": list(v.path), "code": v.code, "message": v.message}
-            for v in report.violations
-        ],
-    }
-    if report.ok:
-        _emit(args, payload, "VALID")
-        return EXIT_OK
-    lines = ["INVALID"] + [str(v) for v in report.violations]
+    several = len(args.files) > 1
+    reports = []
+    for path in args.files:
+        try:
+            d = _load_script(path)
+        except (ScriptError, ParseError) as e:
+            if not several:
+                raise
+            raise ScriptError(f"{path}: {e}") from None
+        reports.append((path, check_derivation(d, system)))
+    valid = all(report.ok for _, report in reports)
+    if several:
+        payload = {"verb": "check", "system": system, "valid": valid,
+                   "files": [{"file": path, "valid": report.ok,
+                              "violations": _violations(report)}
+                             for path, report in reports]}
+        lines = []
+        for path, report in reports:
+            lines.append(f"{path}: {'VALID' if report.ok else 'INVALID'}")
+            lines.extend(f"  {v}" for v in report.violations)
+    else:
+        ((_, report),) = reports
+        payload = {"verb": "check", "system": system, "valid": valid,
+                   "violations": _violations(report)}
+        lines = ["VALID" if valid else "INVALID"]
+        lines.extend(str(v) for v in report.violations)
     _emit(args, payload, "\n".join(lines))
-    return EXIT_FAIL
+    return EXIT_OK if valid else EXIT_FAIL
 
 
 def _load_valid(args, verb: str):
@@ -370,8 +390,8 @@ def _make_parser() -> _Parser:
         sp.add_argument("--terms", type=_count, default=8)
         sp.add_argument("--tau", type=_count, default=6)
 
-    sp = sub.add_parser("check", help="validate a proof script")
-    sp.add_argument("file")
+    sp = sub.add_parser("check", help="validate proof scripts")
+    sp.add_argument("files", nargs="+", metavar="file")
     add_system(sp)
     sp.set_defaults(func=_cmd_check)
 

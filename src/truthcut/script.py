@@ -386,12 +386,12 @@ def _read_id(text: str, what: str, line: int) -> int:
 def parse_script(text: str) -> Derivation:
     """The root of the script's derivation.
 
-    Lines restate their premises' contexts, and many scripts share
-    formulas, so each sequent is read through :func:`~.sexpr.parse_sequent`'s
-    per-process formula-text cache: a formula text is read once, not once
-    per line or per script.  The cache keeps recently read formulas alive,
-    up to 2^20 characters of text; what is returned or raised does not
-    depend on it."""
+    Lines restate their premises' contexts, so each sequent is read through
+    :func:`~.sexpr.parse_sequent`'s per-process formula-text cache: a
+    formula text is read once, not once per line, nor once per script when
+    one process reads several that share it.  The cache keeps recently read
+    formulas alive, up to 2^20 characters of text; what is returned or
+    raised does not depend on it."""
     nodes: dict[int, Derivation] = {}
     used: set[int] = set()
     order: list[int] = []

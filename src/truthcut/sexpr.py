@@ -27,9 +27,11 @@ of a sequent as exactly one expression.
 
 :func:`parse_sequent` keeps one cache per process from each formula text it
 has read cleanly to the formula read from it, so a text is read once however
-many sequents and scripts restate it.  The cache keeps the formulas of
-recently read texts alive; it holds at most ``_CACHE_CHARS`` (2^20)
-characters of text and is emptied before a new text would pass that.
+many sequents restate it: within one script, whose lines restate their
+premises' contexts, and across the scripts one process reads (``truthcut
+check`` over several files).  The cache keeps the formulas of recently read
+texts alive; it holds at most ``_CACHE_CHARS`` (2^20) characters of text and
+is emptied before a new text would pass that.
 """
 
 from __future__ import annotations

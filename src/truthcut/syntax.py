@@ -521,6 +521,12 @@ def is_closed(x: Term | Formula) -> bool:
     return not x._facts[0]
 
 
+def is_chain_closed(t: Term) -> bool:
+    """Closed term over {0, S, +, x} only (no numeral literal, no syntax
+    function)."""
+    return t._facts is _CHAIN
+
+
 def is_sentence(phi: Formula) -> bool:
     return not phi._facts[0]
 

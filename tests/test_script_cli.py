@@ -10,6 +10,7 @@ import time
 import pytest
 
 from truthcut import build as B
+from truthcut import sexpr
 from truthcut.arith import chain_numeral, prove_equation, refute_equation
 from truthcut.cli import main
 from truthcut.coding import encode
@@ -125,6 +126,61 @@ def test_cli_check_json(proof_file, capsys):
     assert main(["--json", "check", proof_file, "--system", "qg"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["valid"] is True
+
+
+def test_cli_check_several_files(proof_file, tmp_path, capsys):
+    # [DERIVED] several scripts get one verdict each, in order; the verb
+    # fails when any is invalid
+    good, bad = tmp_path / "good.gp", tmp_path / "bad.gp"
+    good.write_text("1: init [] (= 0 0) => (= 0 0)\n")
+    bad.write_text("1: init [] (T (quote (= 0 0))) => (T (quote (= 0 0)))\n")
+    assert main(["check", proof_file, proof_file, "--system", "qg"]) == 0
+    assert capsys.readouterr().out == f"{proof_file}: VALID\n" * 2
+    assert main(["check", str(good), str(bad), "--system", "lgt"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"{good}: VALID", f"{bad}: INVALID"]
+    assert lines[2].startswith("  [REF_MINUS_T_PRINCIPAL]") and len(lines) == 3
+    assert main(["--json", "check", str(good), str(bad), "--system", "lgt"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert [(f["file"], f["valid"]) for f in payload["files"]] == \
+        [(str(good), True), (str(bad), False)]
+    assert payload["files"][1]["violations"][0]["code"] == "REF_MINUS_T_PRINCIPAL"
+
+
+def test_cli_check_names_the_script_it_cannot_read(proof_file, tmp_path, capsys):
+    # [DERIVED] among several scripts, a parse error names its file
+    bad = tmp_path / "bad.gp"
+    bad.write_text("1: init [] (= 0 0) => (= 0 0)\n2: nope\n")
+    assert main(["check", proof_file, str(bad)]) == 2
+    assert capsys.readouterr().err == f"parse error: {bad}: line 2: malformed line: '2: nope'\n"
+
+
+def test_cli_check_reads_a_text_shared_by_several_scripts_once(monkeypatch, tmp_path, capsys):
+    # [DERIVED] one check of several scripts reads each distinct formula
+    # text once, however many scripts restate it
+    monkeypatch.setattr(sexpr, "_cache", {})
+    monkeypatch.setattr(sexpr, "_cached_chars", 0)
+    files, per_file, corpus = [], 0, set()
+    for k in range(3):
+        d = prove_equation([], Plus(chain_numeral(2), chain_numeral(k)),
+                           chain_numeral(2 + k), [])
+        text = print_script(d)
+        p = tmp_path / f"sum{k}.gp"
+        p.write_text(text)
+        files.append(str(p))
+        texts = {piece.strip() for line in text.splitlines()
+                 for side in line.split("] ", 1)[1].split("=>")
+                 for piece in side.split(",") if piece.strip()}
+        per_file += len(texts)
+        corpus |= texts
+    assert per_file > len(corpus)
+    reads = []
+    read_whole = sexpr._read_whole
+    monkeypatch.setattr(sexpr, "_read_whole",
+                        lambda tokens, sort: reads.append(tokens) or read_whole(tokens, sort))
+    assert main(["check", *files, "--system", "qg"]) == 0
+    assert len(reads) == len(corpus)
 
 
 def test_cli_measures(proof_file, capsys):
