@@ -6,11 +6,9 @@ premises, the side each active must sit on, and where its principal goes,
 and the conclusion's occurrences are fresh and wired positionally to the
 premises.  Each logical rule's formula relation is stated once, in
 :data:`LOGICAL_RULES`: ``_node`` makes principals by it, the kernel,
-``invert`` and the script reader break principals into its parts, and
-:func:`logical` finds the parts in the premises.  Search alone still
-restates it, because on the table its actives for a conjunction of equal
-conjuncts, and with them the benchmark's inputs, would change.  Every leaf
-is built by :func:`leaf`.  Each axiom shape is stated once: which formulas
+``invert``, the script reader and search break principals into its parts,
+and :func:`logical` finds the parts in the premises.  Every leaf is built
+by :func:`leaf`.  Each axiom shape is stated once: which formulas
 a leaf rule's principal may be in :data:`LEAF_AXIOMS`, and the instances
 qg4..qg7 discharge in :data:`AXIOMS`; the kernel checks against both, and
 the script reader, search and ``arith`` build with them.  Builders only do
@@ -173,7 +171,8 @@ _UNCODED = (("NUMERAL_DECODE_MISMATCH",
 
 
 #: logical rule -> its formula relation, which the kernel checks, ``invert``
-#: and cut reduction invert into, and the script reader reads lines by
+#: and cut reduction invert into, the script reader reads lines by and
+#: search expands goals by
 LOGICAL_RULES: dict[str, LogicalRule] = {
     "Tl": LogicalRule(
         Tr, lambda a: Tr(quote(a)), _disquote,

@@ -83,36 +83,37 @@ def _violations(report) -> list[dict]:
 def _cmd_check(args) -> int:
     """Check each named script in turn, in one process, so that formulas the
     scripts share are read once (:mod:`~.sexpr`'s formula-text cache).  One
-    file prints its verdict alone; several print one verdict per file, and
-    a file that cannot be read or parsed stops the verb, naming it."""
+    file prints its verdict alone; several print one verdict per file.  Among
+    several, a file that cannot be read or parsed gets its one error line on
+    stderr, naming it, and the verb goes on; it then exits 2."""
     system = _system(args)
-    several = len(args.files) > 1
-    reports = []
+    if len(args.files) == 1:
+        report = check_derivation(_load_script(args.files[0]), system)
+        _emit(args, {"verb": "check", "system": system, "valid": report.ok,
+                     "violations": _violations(report)},
+              "\n".join(["VALID" if report.ok else "INVALID", *map(str, report.violations)]))
+        return EXIT_OK if report.ok else EXIT_FAIL
+    files, lines = [], []
     for path in args.files:
         try:
-            d = _load_script(path)
+            report = check_derivation(_load_script(path), system)
         except (ScriptError, ParseError) as e:
-            if not several:
-                raise
-            raise ScriptError(f"{path}: {e}") from None
-        reports.append((path, check_derivation(d, system)))
-    valid = all(report.ok for _, report in reports)
-    if several:
-        payload = {"verb": "check", "system": system, "valid": valid,
-                   "files": [{"file": path, "valid": report.ok,
-                              "violations": _violations(report)}
-                             for path, report in reports]}
-        lines = []
-        for path, report in reports:
+            error = f"parse error: {path}: {e}"
+        except OSError as e:
+            error = f"file error: {e}"
+        else:
+            files.append({"file": path, "valid": report.ok,
+                          "violations": _violations(report)})
             lines.append(f"{path}: {'VALID' if report.ok else 'INVALID'}")
             lines.extend(f"  {v}" for v in report.violations)
-    else:
-        ((_, report),) = reports
-        payload = {"verb": "check", "system": system, "valid": valid,
-                   "violations": _violations(report)}
-        lines = ["VALID" if valid else "INVALID"]
-        lines.extend(str(v) for v in report.violations)
-    _emit(args, payload, "\n".join(lines))
+            continue
+        sys.stderr.write(error + "\n")
+        files.append({"file": path, "error": error})
+    valid = all(f.get("valid") for f in files)
+    _emit(args, {"verb": "check", "system": system, "valid": valid,
+                 "files": files}, "\n".join(lines))
+    if any("error" in f for f in files):
+        return EXIT_USAGE
     return EXIT_OK if valid else EXIT_FAIL
 
 

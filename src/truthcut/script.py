@@ -390,7 +390,7 @@ def parse_script(text: str) -> Derivation:
     :func:`~.sexpr.parse_sequent`'s per-process formula-text cache: a
     formula text is read once, not once per line, nor once per script when
     one process reads several that share it.  The cache keeps recently read
-    formulas alive, up to 2^20 characters of text; what is returned or
+    formulas alive, up to its bound on their text; what is returned or
     raised does not depend on it."""
     nodes: dict[int, Derivation] = {}
     used: set[int] = set()

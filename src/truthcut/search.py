@@ -9,8 +9,11 @@ zero-successor axiom, and — in the systems with geometric rules — by the
 closed-equation macros of :mod:`truthcut.arith`; macro closures consume no
 depth (they are axiom-level decisions, not search steps).
 
-``exhausted`` results carry the frontier of unproved leaves.  A returned
-derivation always validates in the kernel and contains no cut.
+Expansion is one loop over the goal's formulas, each expanded by its rule
+in :data:`_RULES` (read off :data:`.build.LOGICAL_RULES`), and
+:func:`.build.logical` builds the node, so two equal parts take two
+occurrences.  A returned derivation validates in the kernel, contains no
+cut and concludes its goal; ``exhausted`` results carry the frontier.
 
 Terms and formulas are interned, so equal ones are one object, and one
 search keeps memos keyed by those objects: each closed equation's
@@ -32,22 +35,19 @@ nothing outlives one call of :func:`search_cut_free`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import build as B
 from .arith import can_prove, can_refute, chain_numerals, prove_equation, refute_equation
 from .coding import DecodeError, decode_sentence, quoted_sentence
-from .deriv import Derivation, minus
+from .deriv import RULE_SHAPES, Derivation, minus
 from .kernel import SYSTEM_RULES
 from .syntax import (
-    And,
     CaptureError,
     Eq,
-    Forall,
     Formula,
-    Not,
     SynApp,
     Term,
-    Tr,
     Var,
     children,
     is_closed,
@@ -56,7 +56,44 @@ from .syntax import (
 )
 
 _GEOMETRIC_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "qg1" in r)
-_TRUTH_SYSTEMS = tuple(s for s, r in SYSTEM_RULES.items() if "Tr" in r)
+_SIDES = ("ante", "succ")
+
+
+class _Rule(NamedTuple):
+    """A logical rule as search applies it backward."""
+
+    name: str
+    parts: Callable[[Formula, Term | None], tuple[Formula, ...]]
+    keeps: bool
+    unquotes: int
+    binds: bool
+    #: per premise, the slices of the parts its antecedent and succedent gain
+    plan: tuple[tuple[slice, slice], ...]
+
+
+def _rule(name: str) -> _Rule:
+    """``name``'s formula relation and shape, read for search.  Each part
+    goes where the shape puts its active, except a kept principal, which
+    stays where it is.  A premise's parts on one side are adjacent in shape
+    order, in every logical rule, so a slice takes them."""
+    shape, spec = RULE_SHAPES[name], B.LOGICAL_RULES[name]
+    plan = []
+    for pi in range(shape.premises):
+        ix = [[i for i, a in enumerate(shape.actives) if i >= spec.keeps and a == (pi, side)]
+              for side in _SIDES]
+        plan.append(tuple(slice(x[0], x[-1] + 1) if x else slice(0) for x in ix))
+    return _Rule(name, spec.parts, spec.keeps, shape.unquotes, shape.binds is not None,
+                 tuple(plan))
+
+
+#: system -> side -> principal class -> the rule that expands a formula of
+#: that class on that side
+_RULES: dict[str, dict[str, dict[type, _Rule]]] = {
+    system: {side: {spec.principal: _rule(r) for r, spec in B.LOGICAL_RULES.items()
+                    if r in rules and RULE_SHAPES[r].principals == (side,)}
+             for side in _SIDES}
+    for system, rules in SYSTEM_RULES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -107,7 +144,6 @@ def _closed_subterms(phi: Formula) -> list[Term]:
 
 class _Searcher:
     def __init__(self, budget: SearchBudget, system: str):
-        self.budget = budget
         self.system = system
         #: the system's leaf rules, in the order they are tried
         self.leaf_rules = [r for r in B.LEAF_AXIOMS if r in SYSTEM_RULES[system]]
@@ -120,14 +156,10 @@ class _Searcher:
         #: at a closed term
         self._refutable: dict[Eq, bool] = {}
         self._provable: dict[Eq, bool] = {}
-        self._unquoted: dict[Tr, Formula | None] = {}
+        self._unquoted: dict[Formula, Formula | None] = {}
         self._closed: dict[Formula, list[Term]] = {}
-        self._inst: dict[tuple[Forall, Term], Formula] = {}
+        self._inst: dict[tuple[Formula, Term], Formula] = {}
         self._numerals = chain_numerals(budget.max_term_index)
-
-    def fresh_eigen(self) -> str:
-        self._eigen += 1
-        return f"ev{self._eigen}"
 
     # -- closures ----------------------------------------------------------
 
@@ -182,96 +214,66 @@ class _Searcher:
         return d
 
     def _expand(self, ante, succ, depth, tau, visited) -> Derivation | None:
-        """A proof of the goal by a backward rule, or None; a goal no
-        backward rule applies to is a frontier leaf."""
-        truth_ok = self.system in _TRUTH_SYSTEMS
+        """A proof of the goal by a backward logical or truth rule, or None;
+        a goal no rule applies to is a frontier leaf.  Each formula,
+        antecedent first and in goal order, is tried by its rule in
+        :data:`_RULES`.  Each premise goal drops the formula, unless the rule
+        keeps it, and gains the parts by the rule's plan."""
         applied = False
-        for f in ante:
-            if isinstance(f, (Not, And, Forall)):
-                applied = True
-            if isinstance(f, Not):
-                p = self.prove(
-                    tuple(minus(ante, [f])), succ + (f.body,), depth - 1, tau, visited
-                )
-                if p is not None:
-                    return B.neg_left(p, p.conclusion.first("succ", f.body))
-            elif isinstance(f, And):
-                p = self.prove(
-                    (*minus(ante, [f]), f.left, f.right), succ,
-                    depth - 1, tau, visited,
-                )
-                if p is not None:
-                    return B.and_left(p, p.conclusion.first("ante", f.left),
-                                      p.conclusion.first("ante", f.right))
-            elif isinstance(f, Tr) and truth_ok and tau > 0:
-                phi = self._unquote(f)
-                if phi is not None:
-                    applied = True
-                    p = self.prove(
-                        (*minus(ante, [f]), phi), succ,
-                        depth - 1, tau - 1, visited,
-                    )
-                    if p is not None:
-                        return B.truth_left(p, p.conclusion.first("ante", phi))
-            elif isinstance(f, Forall):
-                for t in self._instances(ante, succ):
-                    inst = self._instance(f, t)
-                    if inst in ante:
+        for side, formulas in zip(_SIDES, (ante, succ)):
+            rules = _RULES[self.system][side]
+            for f in formulas:
+                r = rules.get(type(f))
+                if r is None:
+                    continue
+                if r.unquotes:  # the memoized unquoting, not decoding
+                    phi = self._unquote(f) if tau else None
+                    if phi is None:
                         continue
-                    p = self.prove(
-                        ante + (inst,), succ, depth - 1, tau, visited
-                    )
-                    if p is not None:
-                        return B.forall_left(p, p.conclusion.first("ante", f),
-                                             p.conclusion.first("ante", inst), t)
-        for f in succ:
-            if isinstance(f, (Not, And, Forall)):
+                    tries = (((phi,), None),)
+                elif r.keeps:
+                    tries = self._instance_tries(f, ante, succ)
+                elif r.binds:  # a fresh eigenvariable
+                    self._eigen += 1
+                    y = Var(f"ev{self._eigen}")
+                    try:
+                        tries = ((r.parts(f, y), y),)
+                    except CaptureError:
+                        tries = ()
+                else:
+                    tries = ((r.parts(f, None), None),)
                 applied = True
-            if isinstance(f, Not):
-                p = self.prove(
-                    ante + (f.body,), tuple(minus(succ, [f])), depth - 1, tau, visited
-                )
-                if p is not None:
-                    return B.neg_right(p, p.conclusion.first("ante", f.body))
-            elif isinstance(f, And):
-                p0 = self.prove(
-                    ante, (*minus(succ, [f]), f.left), depth - 1, tau, visited
-                )
-                if p0 is None:
-                    continue
-                p1 = self.prove(
-                    ante, (*minus(succ, [f]), f.right), depth - 1, tau, visited
-                )
-                if p1 is None:
-                    continue
-                return B.and_right(p0, p0.conclusion.first("succ", f.left),
-                                   p1, p1.conclusion.first("succ", f.right))
-            elif isinstance(f, Tr) and truth_ok and tau > 0:
-                phi = self._unquote(f)
-                if phi is not None:
-                    applied = True
-                    p = self.prove(
-                        ante, (*minus(succ, [f]), phi),
-                        depth - 1, tau - 1, visited,
-                    )
-                    if p is not None:
-                        return B.truth_right(p, p.conclusion.first("succ", phi))
-            elif isinstance(f, Forall):
-                y = self.fresh_eigen()
-                try:
-                    inst = substitute(f.body, f.var, Var(y))
-                except CaptureError:
-                    continue
-                p = self.prove(
-                    ante, (*minus(succ, [f]), inst), depth - 1, tau, visited
-                )
-                if p is not None:
-                    return B.forall_right(p, p.conclusion.first("succ", inst), f, y)
+                a, s = ante, succ
+                if not r.keeps:
+                    if side == "ante":
+                        a = tuple(minus(ante, [f]))
+                    else:
+                        s = tuple(minus(succ, [f]))
+                for parts, instance in tries:
+                    premises = []
+                    for to_ante, to_succ in r.plan:
+                        p = self.prove(a + parts[to_ante], s + parts[to_succ],
+                                       depth - 1, tau - r.unquotes, visited)
+                        if p is None:
+                            break
+                        premises.append(p)
+                    else:
+                        return B.logical(r.name, premises, parts, f, instance)
         if not applied:
             self.frontier.append((tuple(ante), tuple(succ)))
         return None
 
-    def _unquote(self, f: Tr) -> Formula | None:
+    def _instance_tries(self, f, ante, succ):
+        """(parts, term) of each ``foralll`` instance of ``f`` not already
+        in ``ante``, built lazily, once per search (the instance memo)."""
+        for t in self._instances(ante, succ):
+            inst = self._inst.get((f, t))
+            if inst is None:  # a closed term is never captured
+                inst = self._inst[f, t] = substitute(f.body, f.var, t)
+            if inst not in ante:
+                yield (f, inst), t
+
+    def _unquote(self, f: Formula) -> Formula | None:
         if f in self._unquoted:
             return self._unquoted[f]
         phi = quoted_sentence(f.term)
@@ -284,13 +286,6 @@ class _Searcher:
                     pass
         self._unquoted[f] = phi
         return phi
-
-    def _instance(self, f: Forall, t: Term) -> Formula:
-        inst = self._inst.get((f, t))
-        if inst is None:
-            # a closed term is never captured
-            inst = self._inst[f, t] = substitute(f.body, f.var, t)
-        return inst
 
     def _instances(self, ante, succ) -> list[Term]:
         out = list(self._numerals)
@@ -313,15 +308,11 @@ def search_cut_free(ante, succ, budget: SearchBudget, system: str) -> SearchResu
         tuple(ante), tuple(succ), budget.max_depth, budget.max_tau_unfold,
         frozenset(),
     )
-    if d is None:
-        frontier = []
-        seen = set()
+    if d is None:  # the frontier's first goal of each multiset key
+        first: dict = {}
         for goal in searcher.frontier:
-            k = _key(goal[0], goal[1])
-            if k not in seen:
-                seen.add(k)
-                frontier.append(goal)
-        return SearchResult(None, frontier)
+            first.setdefault(_key(*goal), goal)
+        return SearchResult(None, list(first.values()))
     return SearchResult(d, [])
 
 

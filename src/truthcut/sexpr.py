@@ -30,8 +30,8 @@ has read cleanly to the formula read from it, so a text is read once however
 many sequents restate it: within one script, whose lines restate their
 premises' contexts, and across the scripts one process reads (``truthcut
 check`` over several files).  The cache keeps the formulas of recently read
-texts alive; it holds at most ``_CACHE_CHARS`` (2^20) characters of text and
-is emptied before a new text would pass that.
+texts alive; it holds at most ``_CACHE_CHARS`` characters of text and is
+emptied before a new text would pass that.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def parse_sequent(text: str) -> tuple[list[Formula], list[Formula]]:
     A sequent that splits cleanly at ``=>`` and ``,`` is read piece by piece
     through the module's formula-text cache, so a piece read before, by any
     call, is not read again; the cache keeps recently read formulas alive,
-    up to ``_CACHE_CHARS`` (2^20) characters of text.  Any other text is
+    up to ``_CACHE_CHARS`` characters of text.  Any other text is
     tokenized whole.  Reading is a pure function of the text and equal
     formulas are one object, so what is returned or raised does not depend
     on the cache."""
@@ -216,8 +216,8 @@ def parse_sequent(text: str) -> tuple[list[Formula], list[Formula]]:
     return ante, succ
 
 
-#: the most characters of formula text the cache holds
-_CACHE_CHARS = 1 << 20
+#: the most characters of formula text the cache holds (a few MB of formulas)
+_CACHE_CHARS = 1 << 16
 #: formula source text -> the formula read from it, for texts that read
 #: cleanly as one whole formula; ``_cached_chars`` is their total length
 _cache: dict[str, Formula] = {}

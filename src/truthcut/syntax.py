@@ -89,8 +89,8 @@ class Expr:
     the program holds it, even when a cache slot closes a cycle (a diagonal
     sentence's numeral remembers the sentence that holds it).  The program
     includes the script reader's formula-text cache (:mod:`~.sexpr`), which
-    keeps the formulas of recently read texts alive, up to 2^20 characters
-    of text.
+    keeps the formulas of recently read texts alive, up to its bound on
+    their text.
     A new node's ``_facts`` are set by its class's ``_derive`` rule, and
     once it is in the table its class's ``_interned`` hook, where set, runs
     on it (:mod:`~.coding` sets the one on ``Num``).  Nodes are immutable;

@@ -53,9 +53,12 @@ Conventions:
 * ``invert`` and ``contract`` certify per-occurrence T-complexity bounds
   through their maps pointwise; ``reduce_cut`` and ``eliminate_cuts`` return
   their maps and certify the measure triple only.
-* ``reduce_cut`` output may contain cuts of strictly smaller rank (the
-  compound-connective cases build them deliberately); only the truth-rule
-  case reduces again, driven by the decrease of T-complexity.
+* Cut reduction is an induction on (tau of the cut formula, rank), in
+  lexicographic order: a truth-rule principal pair peels T off the cut
+  formula and lowers its tau, though the unquoted sentence may have any
+  rank; a compound pair cuts on its parts and lowers the rank.  Every cut a
+  reduction builds goes through :func:`_cut`, which reduces it at once when
+  its rank is above the allowed one.
 * Each formula's free variables, bound variables, T-occurrence and logical
   complexity are set when the formula is built (:mod:`~.syntax`), so the
   transforms and the kernel and measure passes of the final certification
@@ -695,16 +698,6 @@ def drop_context(d: Derivation, occ_id: int) -> Derivation:
 # Cut reduction
 
 
-def _build_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
-               m_allow: int) -> Derivation:
-    rank = cut_rank(d0.conclusion.find(aid)[2].formula)
-    if rank > m_allow:
-        raise TransformError(
-            f"reduction would need a cut of rank {rank} > allowed {m_allow}"
-        )
-    return build_cut(d0, aid, d1, bid)
-
-
 class _Fuel:
     def __init__(self, amount: int):
         self.left = amount
@@ -727,6 +720,18 @@ def _children(node: Derivation, pi: int) -> dict[int, int]:
     """Premise ``pi``'s ids -> ``node``'s conclusion ids descending from
     them (one each, as in a cut)."""
     return {oid: cid for cid, oid in _parents(node, pi).items()}
+
+
+def _cut(d0: Derivation, aid: int, d1: Derivation, bid: int, m_allow, fuel):
+    """The cut of ``aid`` against ``bid``, reduced at once by :func:`_reduce`
+    when its rank is above ``m_allow``.  Returns (derivation, and for each
+    premise the map from its conclusion ids to the derivation's)."""
+    out = build_cut(d0, aid, d1, bid)
+    maps = _children(out, 0), _children(out, 1)
+    if cut_rank(d0.conclusion.find(aid)[2].formula) > m_allow:
+        out, m = _reduce(out, m_allow, fuel)
+        maps = tuple({x: m[c] for x, c in mp.items()} for mp in maps)
+    return out, maps
 
 
 def _reduce(cut: Derivation, m_allow, fuel):
@@ -785,8 +790,8 @@ def _reduce(cut: Derivation, m_allow, fuel):
     if isinstance(phi, Not) and d0.rule == "negr" and d1.rule == "negl":
         p0 = d0.premises[0]  # psi, Gamma => Delta
         p1 = d1.premises[0]  # Gamma => psi, Delta
-        out = _build_cut(p1, d1.actives[0][1], p0, d0.actives[0][1], m_allow)
-        new = _children(out, 1)
+        out, (_, new) = _cut(p1, d1.actives[0][1], p0, d0.actives[0][1],
+                             m_allow, fuel)
     elif isinstance(phi, And) and d0.rule == "andr" and d1.rule == "andl":
         p0a = d0.premises[0]  # Gamma => psi, Delta
         p0b = d0.premises[1]  # Gamma => chi, Delta
@@ -794,9 +799,8 @@ def _reduce(cut: Derivation, m_allow, fuel):
         (_, psi0), (_, chi0) = d0.actives
         (_, psi1), (_, chi1) = d1.actives
         w = _weaken(p0b, [phi.left], [])[0]  # Gamma, psi => chi, Delta
-        inner = _build_cut(w, chi0, p1, chi1, m_allow)
-        out = _build_cut(p0a, psi0, inner, _children(inner, 1)[psi1], m_allow)
-        new = _children(out, 0)
+        inner, (_, up1) = _cut(w, chi0, p1, chi1, m_allow, fuel)
+        out, (new, _) = _cut(p0a, psi0, inner, up1[psi1], m_allow, fuel)
     elif isinstance(phi, Forall) and d0.rule == "forallr" and d1.rule == "foralll":
         p0 = d0.premises[0]   # Gamma => psi(y), Delta
         p1 = d1.premises[0]   # forall x psi, psi(t), Gamma' => Delta
@@ -814,8 +818,8 @@ def _reduce(cut: Derivation, m_allow, fuel):
         inner = build_cut(d0w, aid, p1, kept)
         rec, m = _reduce(inner, m_allow, fuel)
         inst_in_rec = m[_children(inner, 1)[inst1]]
-        out = _build_cut(s0, d0.actives[0][1], rec, inst_in_rec, m_allow)
-        new = _children(out, 0)
+        out, (new, _) = _cut(s0, d0.actives[0][1], rec, inst_in_rec,
+                             m_allow, fuel)
     else:
         raise TransformError(
             f"no reduction for principal pair ({d0.rule}, {d1.rule}) on {phi!r}"
@@ -930,8 +934,10 @@ def reduce_cut(d0: Derivation, aid: int, d1: Derivation, bid: int,
     n0 + n1, cut rank at most the larger of the inputs' cut ranks and
     phi's rank - 1, and proof T-complexity at most the maximum of the
     inputs.  The output may contain cuts on proper subformulas of phi (their
-    rank is strictly below phi's).  The occurrence map sends each occurrence
-    of ``d0``'s Gamma and Delta to its descendant in the output."""
+    rank is strictly below phi's); a cut that peeling T off phi exposes
+    above that rank is reduced in turn, by induction on (tau of the cut
+    formula, rank).  The occurrence map sends each occurrence of ``d0``'s
+    Gamma and Delta to its descendant in the output."""
     side0, oa = _find_occ(d0, aid)
     side1, ob = _find_occ(d1, bid)
     if side0 != "succ" or side1 != "ante":
@@ -1038,8 +1044,10 @@ def eliminate_cuts(d: Derivation, system: str) -> TransformResult:
     time.  The output is cut-free, proves the same end sequent, keeps proof
     T-complexity at most the input's, and has length at most hyperexp(m, n)
     (where hyperexp(0, n) = n and hyperexp(j+1, n) = 2^hyperexp(j, n)).
-    The occurrence map sends each end-sequent occurrence to its descendant
-    in the output."""
+    Each cut is reduced by induction on (tau of the cut formula, rank), so
+    a T-cut whose unquoted sentence outranks the pass is reduced too.  The
+    occurrence map sends each end-sequent occurrence to its descendant in
+    the output."""
     im = compute_measures(d)
     out = d
     occ_map = _same_ids(d)

@@ -156,6 +156,27 @@ def test_cli_check_names_the_script_it_cannot_read(proof_file, tmp_path, capsys)
     assert capsys.readouterr().err == f"parse error: {bad}: line 2: malformed line: '2: nope'\n"
 
 
+def test_cli_check_goes_on_past_a_file_it_cannot_read(proof_file, tmp_path, capsys):
+    # [DERIVED] each unreadable or unparsable file gets its one error line
+    # and an error entry; the files after it are still checked, and the
+    # verb exits 2
+    bad, missing = tmp_path / "bad.gp", tmp_path / "missing.gp"
+    bad.write_text("2: nope\n")
+    files = [str(bad), proof_file, str(missing), proof_file]
+    assert main(["check", *files, "--system", "qg"]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"{proof_file}: VALID\n" * 2
+    errors = err.splitlines()
+    assert errors[0] == f"parse error: {bad}: line 1: malformed line: '2: nope'"
+    assert errors[1].startswith("file error: ") and str(missing) in errors[1]
+    assert len(errors) == 2
+    assert main(["--json", "check", *files, "--system", "qg"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert [f.get("error") for f in payload["files"]] == [errors[0], None, errors[1], None]
+    assert [f["file"] for f in payload["files"]] == files
+
+
 def test_cli_check_reads_a_text_shared_by_several_scripts_once(monkeypatch, tmp_path, capsys):
     # [DERIVED] one check of several scripts reads each distinct formula
     # text once, however many scripts restate it

@@ -256,33 +256,84 @@ def test_a_memoized_goal_is_answered_before_any_closure(monkeypatch):
     assert counts["close"] == counts["prove"] - counts["loop"] - counts["memo"]
 
 
-#: search's andl takes both actives by formula without skipping the first
-#: one's id, so for two equal conjuncts it consumes one occurrence twice and
-#: leaves the other in the conclusion; the fix is the ``skip`` that
-#: ``build.logical`` passes.  Whoever lands it removes the marks
-_EQUAL_CONJUNCTS = pytest.mark.xfail(
-    strict=True, reason="search's andl picks one id for two equal conjuncts")
-
-
-@_EQUAL_CONJUNCTS
 def test_cli_search_proves_its_own_goal_with_equal_conjuncts(capsys):
     # [DERIVED] the proof's last line is its end sequent, which must be the
-    # goal as a multiset; today it has an extra (not (= 0 0))
+    # goal as a multiset: andl takes one occurrence of each equal conjunct
     goal = "(and (not (= 0 0)) (not (= 0 0))) =>"
     assert main(["search", "--system", "lptn", goal]) == 0
     last = capsys.readouterr().out.rstrip("\n").splitlines()[-1]
+    assert last.endswith("andl [3] (and (not (= 0 0)) (not (= 0 0))) =>")
     ante, succ = parse_sequent(last.split("] ", 1)[1])
     want_ante, want_succ = parse_sequent(goal)
     assert same_multiset(ante, want_ante) and same_multiset(succ, want_succ)
 
 
-@_EQUAL_CONJUNCTS
 def test_search_proves_x_implies_x_for_equal_conjuncts():
-    # [DERIVED] today the proof concludes 0=0, X => X and consumes one
-    # premise occurrence twice
+    # [DERIVED] andl consumes two occurrences of 0=0, so the proof concludes
+    # X => X, not 0=0, X => X
     x = parse_formula("(and (= 0 0) (= 0 0))")
     r = search_cut_free([x], [x], BUD, "lptn")
     assert r.found
     c = r.derivation.conclusion
     assert c.ante_formulas() == [x] and c.succ_formulas() == [x]
     assert check_derivation(r.derivation, "lptn").ok
+
+
+def test_search_keeps_the_sides_apart_when_given_one_tuple_twice():
+    # [DERIVED] forallr drops its principal from the succedent even when the
+    # goal's two sides are one tuple object
+    x = parse_formula("(forall x (= x x))")
+    sides = (x,)
+    r = search_cut_free(sides, sides, SearchBudget(max_depth=1), "qg")
+    c = r.derivation.conclusion
+    assert c.ante_formulas() == [x] and c.succ_formulas() == [x]
+    assert check_derivation(r.derivation, "qg").ok
+
+
+def _random_formula(rng, depth, truth):
+    """A closed formula over small equations, with conjunctions of equal
+    conjuncts among them, and truth atoms when ``truth``."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        eq = Eq(chain_numeral(rng.randrange(3)), chain_numeral(rng.randrange(3)))
+        return Tr(quote(eq)) if truth and rng.random() < 0.25 else eq
+    sub = _random_formula(rng, depth - 1, truth)
+    if roll < 0.5:
+        return Not(sub)
+    if roll < 0.75:
+        return And(sub, sub)  # equal conjuncts
+    if roll < 0.9:
+        return And(sub, _random_formula(rng, depth - 1, truth))
+    return Forall("x", Not(Eq(Suc(Var("x")), Zero())))
+
+
+def test_every_proof_search_returns_proves_its_goal():
+    # [DERIVED] on a fixed seed: each found proof is kernel-valid, cut-free
+    # and concludes its goal as multisets, conjunctions of equal conjuncts
+    # (on either side, and beside copies of their conjunct) included
+    rng = random.Random(29)
+    budget = SearchBudget(max_depth=5, max_term_index=2, max_tau_unfold=2)
+    found = equal_andl = 0
+    for k in range(300):
+        system = ("lptn", "qg")[k % 2]
+        pick = [_random_formula(rng, 3, system == "lptn")
+                for _ in range(rng.randrange(1, 4))]
+        ante, succ = [], []
+        for f in pick:
+            (ante if rng.random() < 0.5 else succ).append(f)
+            if isinstance(f, And) and rng.random() < 0.5:
+                ante.append(f.left)  # a copy of a conjunct beside it
+        r = search_cut_free(ante, succ, budget, system)
+        if not r.found:
+            continue
+        found += 1
+        d = r.derivation
+        assert check_derivation(d, system).ok, format_sequent(ante, succ)
+        assert all(n.rule != "cut" for n in d.iter_nodes())
+        assert same_multiset(d.conclusion.ante_formulas(), ante)
+        assert same_multiset(d.conclusion.succ_formulas(), succ)
+        for n in d.iter_nodes():
+            if n.rule == "andl":
+                p = n.conclusion.find(n.principal[0])[2].formula
+                equal_andl += p.left is p.right
+    assert found >= 150 and equal_andl >= 50

@@ -24,10 +24,14 @@ moved and whether only their ids did.  Its whole output is pinned in
 ``tests/digests/transform.txt``, which CI compares it with.
 
 With ``--dump PATH`` it also writes one JSON line per call to ``PATH``:
-``call`` (the corpus index and label), ``error`` (the error type and text,
-or null), ``nodes`` (the output's node count, a list for an ``invert`` with
-two outputs) and ``output`` (the output's ``print_script`` text).  Two dumps
-compare call by call where the digests only say that something moved::
+``call`` (the corpus index and label), ``input`` (the sha256 of the input's
+system and ``print_script`` text, as the ``corpus`` line hashes them),
+``error`` (the error type and text, or null), ``nodes`` (the output's node
+count, a list for an ``invert`` with two outputs) and ``output`` (the
+output's ``print_script`` text).  Two dumps compare call by call where the
+digests only say that something moved.  When the corpora differ, they join
+over the inputs both share on ``input`` and each call's place among that
+input's calls, not on the label, whose occurrence ids depend on the corpus::
 
     PYTHONPATH=<checkout>/src:tests:bench python3 tests/transform_digest.py --dump calls.jsonl
 
@@ -103,15 +107,17 @@ def _record(result):
                                (result.occ_map or {}).items())]))
 
 
-def _dump_record(call, result):
-    """The ``--dump`` line of one call: its result, or the error it raised."""
+def _dump_record(call, key, result):
+    """The ``--dump`` line of one call on the input hashed to ``key``: its
+    result, or the error it raised."""
     if isinstance(result, Exception):
-        return {"call": call, "error": f"{type(result).__name__}: {result}",
+        return {"call": call, "input": key,
+                "error": f"{type(result).__name__}: {result}",
                 "nodes": None, "output": None}
     outs = result if isinstance(result, tuple) else (result,)
     outs = [r if isinstance(r, deriv.Derivation) else r.derivation for r in outs]
     nodes = [sum(1 for _ in d.iter_nodes()) for d in outs]
-    return {"call": call, "error": None,
+    return {"call": call, "input": key, "error": None,
             "nodes": nodes if len(nodes) > 1 else nodes[0],
             "output": "".join(print_script(d) for d in outs)}
 
@@ -124,8 +130,11 @@ def main(argv=None) -> int:
     dump = open(args.dump, "w") if args.dump else None
     corpus = _corpus()
     inputs = hashlib.sha256()
+    keys = []
     for d, system in corpus:
-        inputs.update(f"{system}\n{print_script(d)}".encode())
+        text = f"{system}\n{print_script(d)}".encode()
+        inputs.update(text)
+        keys.append(hashlib.sha256(text).hexdigest())
     print(f"corpus {inputs.hexdigest()}")
     start = 1 + max(o.id for d, _ in corpus for n in d.iter_nodes()
                     for o in n.conclusion.all_occurrences())
@@ -142,7 +151,8 @@ def main(argv=None) -> int:
                 result = e
                 text, id_text = f"{type(e).__name__}: {e}", ""
             if dump:
-                dump.write(json.dumps(_dump_record(f"{k} {label}", result)) + "\n")
+                dump.write(json.dumps(
+                    _dump_record(f"{k} {label}", keys[k], result)) + "\n")
             record = f"{k} {label}\n{text}\n".encode()
             out.update(record)
             ids.update(record + id_text.encode())
