@@ -323,8 +323,8 @@ def _cmd_liar(args) -> int:
     r_left = search_cut_free([lam], [], budget, "lptn")
     universe = build_universe([lam], args.term_bound)
     fp = least_fixed_point(universe)
-    in_fp = code in fp.members
-    neg_in_fp = universe.code_of.get(Not(lam)) in fp.members
+    in_fp = fp.is_member(lam)
+    neg_in_fp = fp.is_member(Not(lam))
     payload = {
         "verb": "liar",
         "code": code,

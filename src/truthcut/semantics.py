@@ -1,10 +1,10 @@
 """Finite-stage fixed-point semantics of self-applicable truth.
 
-A monotone step operator over sets of sentence codes is evaluated on a
-finite, dependency-closed universe.  Its clauses mirror the positive
-inductive definition of grounded truth: true/false closed identities enter
-unconditionally, a truth ascription enters when the ascribed code is in, a
-negated truth ascription when the negated ascribed sentence's code is in,
+A monotone step operator over sets of sentences is evaluated on a finite,
+dependency-closed universe.  Its clauses mirror the positive inductive
+definition of grounded truth: true/false closed identities enter
+unconditionally, a truth ascription enters when the ascribed sentence is
+in, a negated truth ascription when the negated ascribed sentence is in,
 double negations and (negated) conjunctions decompose, and universal
 sentences are finitized to successor-chain numeral instances up to the
 universe's term bound.  Iterating from the empty set saturates in at most
@@ -17,23 +17,33 @@ not-bot enter at the first stage; bot and not-top never enter).
 
 All thirteen cases are stated once, in :func:`_clause`, as a *clause*
 ``(any_, deps)``: the sentence enters S when any (``any_``) or all (not
-``any_``) of the dependency codes ``deps`` are in S, so the constant clauses
-are ``TRUE = (False, ())`` and ``FALSE = (True, ())``.  ``_clause`` gives
-each dependency with its sentence wherever that is at hand: conjuncts,
-instances, their negations, the body of a double negation, and the sentence
-a ``quote`` numeral remembers (equal numerals are one object, so a numeral
-written out remembers it too once anything quoted that sentence).
-``build_universe`` decodes only codes that arrive as bare integers (values
-of syntax-function terms, numerals no quote made, such as the liar's) and
-keeps each code's sentence and clause, so the dependency graph is built
-once.  It also keeps each sentence's code (``code_of``): equal sentences
-are one object, so whether a sentence or its negation is in the fixed point
-is a lookup there, with no code built to ask, and a sentence that has no
-entry is not in the universe.  ``least_fixed_point`` iterates
-semi-naively (Bancilhon & Ramakrishnan, 1986): after the first stage it
-re-decides only the sentences that depend on a code that entered at the
-previous stage, which gives the same stages as applying :func:`kripke_step`
-from the empty set.  A term whose evaluation would build a code longer than
+``any_``) of its dependencies ``deps`` are in S, so the constant clauses
+are ``TRUE = (False, ())`` and ``FALSE = (True, ())``.  A dependency is a
+sentence: a conjunct, an instance, their negations, the body of a double
+negation, or the sentence an ascribed term names.  A ``quote`` numeral
+remembers that sentence (equal numerals are one object, so a numeral
+written out remembers it too once anything quoted that sentence); any other
+ascribed term is evaluated and its value decoded.  A value that codes no
+sentence stays a bare int dependency, which never enters.
+
+The universe, its clauses and the semi-naive iteration are keyed by
+sentence, not by Goedel code: equal sentences are one object, so
+``build_universe`` numbers each sentence of the closure once, in closure
+order, and ``least_fixed_point`` records the stage at which each one
+entered.  Quantifier instances, negations and conjuncts get no code.
+``least_fixed_point`` iterates semi-naively (Bancilhon & Ramakrishnan,
+1986): after the first stage it re-decides only the sentences that depend
+on a sentence that entered at the previous stage, which gives the same
+stages as applying :func:`kripke_step` from the empty set.
+
+The code-keyed fields (``SentenceUniverse.codes``, ``sentences``,
+``code_of`` and ``clauses``; ``FixedPoint.stages``, ``members`` and
+``norms``) are built from the sentences the first time a caller reads one.
+Each code is built once per universe, through this module's ``encode``.
+:meth:`FixedPoint.grounded`, :meth:`FixedPoint.is_member` and the
+correspondence checks decide by sentence and build a code only to report
+it.  :func:`kripke_step`, the reference operator, reads the code fields.
+A term whose evaluation would build a code longer than
 ``coding.MAX_CODE_BITS`` bits raises ``CodeSizeError``, an ``EvalError``, and
 an ``EvalError`` makes a clause false.
 """
@@ -41,6 +51,7 @@ an ``EvalError`` makes a clause false.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arith import chain_numerals
 from .coding import (
@@ -77,26 +88,80 @@ class CoverageError(Exception):
 
 #: ``(any_, deps)``: holds of S when any (``any_``) or all of ``deps`` are in S
 Clause = tuple[bool, tuple[int, ...]]
-#: a dependency's code, with its sentence where that is at hand (else None)
-Dep = tuple[int, Formula | None]
+#: a dependency: a sentence, or the value of a term that names no sentence
+Dep = Formula | int
 TRUE: Clause = (False, ())
 FALSE: Clause = (True, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SentenceUniverse:
-    codes: frozenset[int]
+    """A dependency-closed set of sentences, keyed by sentence; its
+    code-keyed fields are built on first read."""
+
     seeds: tuple[Formula, ...]
     term_bound: int
-    #: code -> the sentence it decodes to
-    sentences: dict[int, Formula] = field(compare=False, repr=False)
-    #: sentence -> its code; the inverse of ``sentences``
-    code_of: dict[Formula, int] = field(compare=False, repr=False)
-    #: code -> the clause under which its sentence enters the fixed point
-    clauses: dict[int, Clause] = field(compare=False, repr=False)
+    #: the sentences of the closure, in the order it reached them
+    order: tuple[Formula, ...] = field(repr=False)
+    #: sentence -> its place in ``order``
+    index: dict[Formula, int] = field(compare=False, repr=False)
+    #: per place, the sentence's clause over dependencies (:data:`Dep`)
+    deps: tuple[tuple[bool, tuple[Dep, ...]], ...] = field(
+        compare=False, repr=False)
+    #: per place, the sentence's code once built
+    _codes: list[int | None] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_codes", [None] * len(self.order))
+
+    def code(self, i: int) -> int:
+        """The code of ``order[i]``, built on the first call."""
+        c = self._codes[i]
+        if c is None:
+            c = self._codes[i] = encode(self.order[i])
+        return c
+
+    @cached_property
+    def codes(self) -> frozenset[int]:
+        # a set filled in closure order, then frozen: the order it iterates
+        # in, which the checks report in, follows from the closure's
+        return frozenset(set(map(self.code, range(len(self.order)))))
+
+    @cached_property
+    def sentences(self) -> dict[int, Formula]:
+        """code -> the sentence it decodes to"""
+        return {self.code(i): phi for i, phi in enumerate(self.order)}
+
+    @cached_property
+    def code_of(self) -> dict[Formula, int]:
+        """sentence -> its code; the inverse of ``sentences``"""
+        return {phi: self.code(i) for i, phi in enumerate(self.order)}
+
+    @cached_property
+    def clauses(self) -> dict[int, Clause]:
+        """code -> the clause under which its sentence enters the fixed
+        point, over dependency codes"""
+        index = self.index
+        return {
+            self.code(i): (any_, tuple(d if type(d) is int else self.code(index[d])
+                                       for d in deps))
+            for i, (any_, deps) in enumerate(self.deps)
+        }
 
     def __contains__(self, code: int) -> bool:
         return code in self.codes
+
+    def __repr__(self) -> str:
+        return (f"SentenceUniverse(codes={self.codes!r}, seeds={self.seeds!r}, "
+                f"term_bound={self.term_bound!r})")
+
+    def _in_codes_order(self, places) -> list[int]:
+        """``places`` sorted as their codes iterate in ``codes``; builds the
+        codes only when there is a place to sort."""
+        if not places:
+            return []
+        rank = {c: k for k, c in enumerate(self.codes)}
+        return sorted(places, key=lambda i: rank[self.code(i)])
 
 
 def _instances(phi: Forall, bound: int) -> list[Formula]:
@@ -105,25 +170,16 @@ def _instances(phi: Forall, bound: int) -> list[Formula]:
     return [substitute(phi.body, phi.var, n) for n in chain_numerals(bound)]
 
 
-def _dep(phi: Formula) -> Dep:
-    return encode(phi), phi
-
-
 def _ascribed(t) -> Dep:
-    """The value of ``t`` and the sentence it names, if it remembers one;
-    raises ``EvalError``."""
-    return eval_term(t), quoted_sentence(t)
-
-
-def _negated_ascribed(t) -> Dep | None:
-    """The negation of the sentence named by ``t``, if any."""
+    """The sentence ``t`` names, else its value; raises ``EvalError``."""
+    phi = quoted_sentence(t)
+    if phi is not None:
+        return phi
+    c = eval_term(t)
     try:
-        c, phi = _ascribed(t)
-        if phi is None:
-            phi = decode_sentence(c)
-    except (EvalError, DecodeError):
-        return None
-    return _dep(Not(phi))
+        return decode_sentence(c)
+    except DecodeError:
+        return c
 
 
 def _identity(phi: Eq, holds_if_equal: bool) -> Clause:
@@ -135,8 +191,8 @@ def _identity(phi: Eq, holds_if_equal: bool) -> Clause:
 
 
 def _clause(phi: Formula, bound: int) -> tuple[bool, tuple[Dep, ...]]:
-    """When ``phi`` enters a stage, with each dependency as a ``(code,
-    sentence)`` pair; listed in the order the universe closure visits them."""
+    """When ``phi`` enters a stage, with its dependencies listed in the
+    order the universe closure visits them."""
     if isinstance(phi, Eq):
         return _identity(phi, True)
     if isinstance(phi, Top):
@@ -147,10 +203,10 @@ def _clause(phi: Formula, bound: int) -> tuple[bool, tuple[Dep, ...]]:
         except EvalError:
             return FALSE
     if isinstance(phi, And):
-        return (False, (_dep(phi.left), _dep(phi.right)))
+        return (False, (phi.left, phi.right))
     if isinstance(phi, Forall):
         insts = _instances(phi, bound)
-        return (False, tuple(_dep(i) for i in insts)) if insts else FALSE
+        return (False, tuple(insts)) if insts else FALSE
     if isinstance(phi, Not):
         inner = phi.body
         if isinstance(inner, Eq):
@@ -158,14 +214,17 @@ def _clause(phi: Formula, bound: int) -> tuple[bool, tuple[Dep, ...]]:
         if isinstance(inner, Bot):
             return TRUE
         if isinstance(inner, Tr):
-            dep = _negated_ascribed(inner.term)
-            return FALSE if dep is None else (False, (dep,))
+            try:
+                named = _ascribed(inner.term)
+            except EvalError:
+                return FALSE
+            return FALSE if type(named) is int else (False, (Not(named),))
         if isinstance(inner, Not):
-            return (False, (_dep(inner.body),))
+            return (False, (inner.body,))
         if isinstance(inner, And):
-            return (True, (_dep(Not(inner.left)), _dep(Not(inner.right))))
+            return (True, (Not(inner.left), Not(inner.right)))
         if isinstance(inner, Forall):
-            return (True, tuple(_dep(Not(i)) for i in _instances(inner, bound)))
+            return (True, tuple(Not(i) for i in _instances(inner, bound)))
     return FALSE  # bot, not-top
 
 
@@ -177,42 +236,30 @@ def _holds(clause: Clause, S) -> bool:
 
 
 def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniverse:
-    """Dependency-closed finite universe of sentence codes, with each code's
-    sentence and clause."""
+    """Dependency-closed finite universe of sentences, with each sentence's
+    clause."""
     seeds = tuple(seeds)
     for s in seeds:
         if not is_sentence(s):
             raise UniverseError(f"seed is not a sentence: {s!r}")
-    # A set of its own rather than the keys of ``sentences``: a frozenset
-    # built from either holds the same codes but may iterate them in another
-    # order, and the correspondence checks report in ``codes`` order.
-    codes: set[int] = set()
-    sentences: dict[int, Formula] = {}
-    code_of: dict[Formula, int] = {}
-    clauses: dict[int, Clause] = {}
-    work = [_dep(s) for s in seeds]
+    order: list[Formula] = []
+    index: dict[Formula, int] = {}
+    deps: list[tuple[bool, tuple[Dep, ...]]] = []
+    work = list(seeds)
     while work:
-        c, phi = work.pop()
-        if c in codes:
+        phi = work.pop()
+        if phi in index:
             continue
-        if phi is None:  # a bare code: a term's value, not a quoted sentence
-            try:
-                phi = decode_sentence(c)
-            except DecodeError:
-                continue  # e.g. a truth ascription naming a non-sentence
-        codes.add(c)
-        if len(codes) > max_size:
+        index[phi] = len(order)
+        order.append(phi)
+        if len(order) > max_size:
             raise UniverseError(
                 f"universe closure exceeded the size cap {max_size}"
             )
-        sentences[c] = phi
-        code_of[phi] = c
-        any_, deps = _clause(phi, term_bound)
-        clauses[c] = (any_, tuple(d for d, _ in deps))
-        work.extend(deps)
-    return SentenceUniverse(
-        frozenset(codes), seeds, term_bound, sentences, code_of, clauses
-    )
+        clause = _clause(phi, term_bound)
+        deps.append(clause)
+        work.extend(d for d in clause[1] if type(d) is not int)
+    return SentenceUniverse(seeds, term_bound, tuple(order), index, tuple(deps))
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +267,67 @@ def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniv
 
 
 def kripke_step(S, universe: SentenceUniverse) -> frozenset:
-    """One application of the positive step operator; monotone in S."""
+    """One application of the positive step operator on sets of codes;
+    monotone in S.  The reference that ``least_fixed_point`` is tested
+    against."""
     S = frozenset(S)
     clauses = universe.clauses
     return frozenset(c for c in universe.codes if _holds(clauses[c], S))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FixedPoint:
+    """The least fixed point, keyed by sentence; its code-keyed fields are
+    built on first read."""
+
     universe: SentenceUniverse
-    stages: tuple[frozenset, ...]  # stages[i] = operator iterated i+1 times
-    members: frozenset
     saturation_index: int
-    norms: dict[int, int] = field(compare=False)
+    #: per place in ``universe.order``, the stage its sentence entered at
+    #: (None: never)
+    stage_of: tuple[int | None, ...]
+    #: per stage, the places of the sentences that entered at it
+    entered: tuple[tuple[int, ...], ...] = field(compare=False)
+
+    @cached_property
+    def stages(self) -> tuple[frozenset, ...]:
+        """stages[i] = the codes of the operator iterated i+1 times"""
+        code, S, out = self.universe.code, [], []
+        for places in self.entered:
+            S.extend(map(code, places))
+            out.append(frozenset(S))
+        return tuple(out)
+
+    @cached_property
+    def members(self) -> frozenset:
+        code = self.universe.code
+        return frozenset(code(i) for places in self.entered for i in places)
+
+    @cached_property
+    def norms(self) -> dict[int, int]:
+        """code of each member -> the first stage containing it"""
+        code = self.universe.code
+        return {code(i): n for n, places in enumerate(self.entered)
+                for i in places}
 
     def norm(self, code: int) -> int | None:
         return self.norms.get(code)
 
+    def _norm_of(self, phi: Formula) -> int | None:
+        i = self.universe.index.get(phi)
+        return None if i is None else self.stage_of[i]
+
+    def is_member(self, phi: Formula) -> bool:
+        """Whether the sentence ``phi`` is in the fixed point."""
+        return self._norm_of(phi) is not None
+
     def grounded(self, phi: Formula) -> bool:
-        code_of = self.universe.code_of
-        return (code_of.get(phi) in self.members
-                or code_of.get(Not(phi)) in self.members)
+        return self.is_member(phi) or self.is_member(Not(phi))
+
+    def __repr__(self) -> str:
+        return (f"FixedPoint(universe={self.universe!r}, stages={self.stages!r}, "
+                f"members={self.members!r}, "
+                f"saturation_index={self.saturation_index!r}, "
+                f"norms={self.norms!r})")
 
 
 def least_fixed_point(universe: SentenceUniverse) -> FixedPoint:
@@ -251,25 +338,30 @@ def least_fixed_point(universe: SentenceUniverse) -> FixedPoint:
     before it.  A sentence outside S_i can enter S_{i+1} only if a
     dependency of it entered at stage i, so after stage 0 only those
     sentences are re-decided."""
-    clauses = universe.clauses
-    users: dict[int, list[int]] = {}
-    for c, (_, deps) in clauses.items():
-        for d in deps:
-            users.setdefault(d, []).append(c)
-    stages: list[frozenset] = []
-    norms: dict[int, int] = {}
-    S: frozenset = frozenset()
-    todo = universe.codes
+    index, n = universe.index, len(universe.order)
+    clauses: list[Clause] = []
+    users: list[list[int]] = [[] for _ in range(n)]
+    for i, (any_, deps) in enumerate(universe.deps):
+        places = tuple(index[d] for d in deps if type(d) is not int)
+        if not any_ and len(places) < len(deps):
+            any_, places = FALSE  # a bare int never enters, so nor does i
+        clauses.append((any_, places))
+        for d in places:
+            users[d].append(i)
+    S: set[int] = set()  # the places of the last stage's sentences
+    stage_of: list[int | None] = [None] * n
+    entered: list[tuple[int, ...]] = []
+    todo = range(n)
     while True:
-        entered = {c for c in todo if c not in S and _holds(clauses[c], S)}
-        for c in entered:
-            norms[c] = len(stages)
-        stages.append(S | entered)
-        if not entered:
+        new = [i for i in todo if i not in S and _holds(clauses[i], S)]
+        for i in new:
+            stage_of[i] = len(entered)
+        S.update(new)
+        entered.append(tuple(new))
+        if not new:
             break
-        S = stages[-1]
-        todo = {u for d in entered for u in users.get(d, ())}
-    return FixedPoint(universe, tuple(stages), S, len(stages) - 1, norms)
+        todo = sorted({u for d in new for u in users[d]})
+    return FixedPoint(universe, len(entered) - 1, tuple(stage_of), tuple(entered))
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +382,16 @@ def check_soundness(d: Derivation, fp: FixedPoint) -> SoundnessVerdict:
     antecedent member's negation, or some succedent member, is grounded with
     norm at most the derivation's length."""
     alpha = compute_measures(d).length
-    code_of = fp.universe.code_of
+    index = fp.universe.index
     missing = []
     for side, occs in (("ante", d.conclusion.ante), ("succ", d.conclusion.succ)):
         for o in occs:
             backer = Not(o.formula) if side == "ante" else o.formula
-            c = code_of.get(backer)
-            if c is None:
+            i = index.get(backer)
+            if i is None:
                 missing.append(backer)
                 continue
-            n = fp.norm(c)
+            n = fp.stage_of[i]
             if n is not None and n <= alpha:
                 return SoundnessVerdict(True, alpha, side, o.formula, n)
     if missing:
@@ -323,42 +415,44 @@ def check_completeness(phi: Formula, fp: FixedPoint, budget) -> CompletenessVerd
 
     if bound_vars(phi):  # a bound variable, so a quantifier
         return CompletenessVerdict("vacuous")
-    code_of = fp.universe.code_of
     for status, member, ante, succ in (("proved", phi, [], [phi]),
                                        ("refuted", Not(phi), [phi], [])):
-        c = code_of.get(member)
-        if c in fp.members:
+        n = fp._norm_of(member)
+        if n is not None:
             r = search_cut_free(ante, succ, budget, "lptn")
             if r.found:
                 return CompletenessVerdict(
-                    status, fp.norm(c), compute_measures(r.derivation).length
+                    status, n, compute_measures(r.derivation).length
                 )
-            return CompletenessVerdict("budget_failure", fp.norm(c))
+            return CompletenessVerdict("budget_failure", n)
     return CompletenessVerdict("vacuous")
 
 
 def check_transparency(fp: FixedPoint) -> list[tuple[int, int]]:
     """Pairs (code of T-ascription, ascribed code) violating transparency;
     empty means the fixed point is transparent on in-universe pairs."""
-    bad = []
-    for c in fp.universe.codes:
-        phi = fp.universe.sentences[c]
+    u, stage_of = fp.universe, fp.stage_of
+    bad = {}
+    for i, phi in enumerate(u.order):
         if isinstance(phi, Tr):
-            try:
-                inner = eval_term(phi.term)
-            except EvalError:
-                continue
-            if inner in fp.universe.codes:
-                if (c in fp.members) != (inner in fp.members):
-                    bad.append((c, inner))
-    return bad
+            # its one dependency: the ascribed sentence, in the universe, or
+            # a value naming none; none at all when the term has no value
+            deps = u.deps[i][1]
+            if deps and type(deps[0]) is not int:
+                j = u.index[deps[0]]
+                if (stage_of[i] is None) != (stage_of[j] is None):
+                    bad[i] = j
+    return [(u.code(i), u.code(bad[i])) for i in u._in_codes_order(bad)]
 
 
 def check_consistency(fp: FixedPoint) -> list[int]:
     """Codes whose sentence and negated sentence are both in the fixed point
     (must be empty)."""
-    sentences, code_of = fp.universe.sentences, fp.universe.code_of
-    return [
-        c for c in fp.universe.codes
-        if c in fp.members and code_of.get(Not(sentences[c])) in fp.members
-    ]
+    u, stage_of = fp.universe, fp.stage_of
+    bad = []
+    for j, phi in enumerate(u.order):  # j is a negation, i its body
+        if isinstance(phi, Not) and stage_of[j] is not None:
+            i = u.index.get(phi.body)
+            if i is not None and stage_of[i] is not None:
+                bad.append(i)
+    return [u.code(i) for i in u._in_codes_order(bad)]

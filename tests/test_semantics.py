@@ -1,11 +1,14 @@
 """Finite-stage fixed-point semantics and correspondence checks."""
 
+import pathlib
+
 import pytest
 
 from truthcut import build as B
 from truthcut import cli, semantics
 from truthcut.coding import (
     CodeSizeError,
+    EvalError,
     NonCodeArgumentError,
     encode,
     eval_term,
@@ -228,9 +231,12 @@ def test_universe_keeps_sentences_out_of_equality():
     [*_towers(PHI, 3), *_towers(BAD, 2), liar(), truth_teller()],
 ], ids=["liar", "wrapped"])
 def test_fixed_point_lookups_encode_nothing(seeds, monkeypatch):
-    # [DERIVED] once the universe is built, "is phi or not-phi in the fixed
-    # point" is read from ``code_of``: with encode refused, the checks and
-    # the CLI listing give the answers that encoding gives
+    # [DERIVED] the universe and the fixed point are keyed by sentence, and
+    # "is phi or not-phi in the fixed point" is a lookup by sentence; the
+    # code fields are built the first time a caller reads one (here
+    # ``u.codes`` and ``fp.members`` below), each code once: after that,
+    # with encode refused, the checks and the CLI listing give the answers
+    # that encoding gives
     u = build_universe(seeds, 2)
     fp = least_fixed_point(u)
     codes = sorted(u.codes)
@@ -259,6 +265,100 @@ def test_fixed_point_lookups_encode_nothing(seeds, monkeypatch):
     else:
         with pytest.raises(CoverageError, match=r"\[Tr\("):
             check_soundness(proof.derivation, fp)
+
+
+PINS = pathlib.Path(__file__).parent / "fixpoint_pins"
+
+
+def _pinned_seed_sets():
+    yield from _seed_sets()
+    for name in ("liar", "truth"):
+        yield cli._read_seed_file(str(PINS / f"{name}.seeds"))
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The expressions passed to ``semantics.encode``, in call order."""
+    calls = []
+    real = semantics.encode
+
+    def counting(e, *args, **kwargs):
+        calls.append(e)
+        return real(e, *args, **kwargs)
+
+    monkeypatch.setattr(semantics, "encode", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_codes_are_built_only_when_read(bound, encoded):
+    # [DERIVED] the universe, the fixed point, grounded and the checks
+    # decide by sentence and encode nothing; reading the members encodes
+    # each member at most once, and reading the codes each sentence once,
+    # in closure order; after that no code field encodes again
+    budget = SearchBudget(4, 2, 2)
+    for seeds in _pinned_seed_sets():
+        u = build_universe(seeds, bound)
+        fp = least_fixed_point(u)
+        assert check_transparency(fp) == [] and check_consistency(fp) == []
+        for phi in u.order:
+            fp.grounded(phi)
+        for phi in seeds:
+            check_completeness(phi, fp, budget)
+            try:
+                check_soundness(B.leaf("init", [], phi, []), fp)
+            except CoverageError:
+                pass
+        assert encoded == []
+        members = fp.members
+        assert len(encoded) == len(set(encoded)) <= len(members)
+        assert all(fp.is_member(e) for e in encoded)
+        assert len(u.codes) == len(u.order)
+        assert sorted(u.index[e] for e in encoded) == list(range(len(u.order)))
+        encoded.clear()
+        repr(fp), u.sentences, u.code_of, u.clauses, fp.norm(0)
+        assert encoded == []
+        fresh = build_universe(seeds, bound)
+        assert fresh == u and least_fixed_point(fresh) == fp
+        assert hash(least_fixed_point(fresh)) == hash(fp)
+        assert fresh.codes == u.codes
+        assert encoded == list(fresh.order)
+        encoded.clear()
+
+
+def _marked(u, places):
+    """A fixed point over ``u`` whose members, all at stage 0, are the
+    sentences at ``places``, whether or not the operator would put them
+    there."""
+    stage_of = tuple(0 if i in places else None for i in range(len(u.order)))
+    return semantics.FixedPoint(u, 1, stage_of, (tuple(sorted(places)), ()))
+
+
+def test_checks_report_in_codes_order():
+    # [DERIVED] on member sets that break consistency and transparency, the
+    # checks report what their code-keyed definitions give, in the order
+    # ``codes`` iterates
+    seeds = [*_towers(PHI, 3), *_towers(BAD, 3), liar(), truth_teller()]
+    u = build_universe(seeds, 2)
+    everything = _marked(u, set(range(len(u.order))))
+    truths = _marked(u, {i for i, phi in enumerate(u.order) if isinstance(phi, Tr)})
+    for fp in (everything, truths):
+        members, sentences = fp.members, u.sentences
+        assert check_consistency(fp) == [
+            c for c in u.codes if c in members
+            and u.code_of.get(Not(sentences[c])) in members]
+        opaque = []
+        for c in u.codes:
+            if isinstance(sentences[c], Tr):
+                try:
+                    inner = eval_term(sentences[c].term)
+                except EvalError:
+                    continue
+                if inner in u.codes and (c in members) != (inner in members):
+                    opaque.append((c, inner))
+        assert check_transparency(fp) == opaque
+    assert len(check_consistency(everything)) > 1
+    assert len(check_transparency(truths)) > 1
 
 
 def test_code_size_cap_leaves_tower_ungrounded():
