@@ -62,7 +62,6 @@ from .transform import (  # noqa: F401
 from .search import (  # noqa: F401
     SearchBudget,
     SearchResult,
-    check_conservativity,
     search_cut_free,
 )
 from .semantics import (  # noqa: F401
@@ -73,7 +72,6 @@ from .semantics import (  # noqa: F401
     check_consistency,
     check_soundness,
     check_transparency,
-    kripke_step,
     least_fixed_point,
 )
 from .script import (  # noqa: F401

@@ -39,11 +39,6 @@ class ArithError(Exception):
 _TEMPLATE_VAR = "w_"
 
 
-def chain_numeral(k: int) -> Term:
-    """S^k(0) as an explicit successor chain."""
-    return chain_numerals(k)[k]
-
-
 def chain_numerals(k: int) -> list[Term]:
     """S^0(0), ..., S^k(0) as explicit successor chains, one ``Suc`` per
     step."""

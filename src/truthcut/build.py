@@ -30,9 +30,7 @@ from .deriv import (
     occ,
 )
 from .syntax import (
-    BOT,
     SIGNATURE,
-    TOP,
     And,
     Bot,
     Eq,
@@ -319,62 +317,23 @@ def init_leaf(gamma, phi: Formula, delta) -> Derivation:
     return leaf("init", gamma, phi, delta)
 
 
-def top_leaf(gamma, delta) -> Derivation:
-    return leaf("top", gamma, TOP, delta)
-
-
-def bot_leaf(gamma, delta) -> Derivation:
-    return leaf("bot", gamma, BOT, delta)
-
-
 def qg1_leaf(gamma, s: Term, delta) -> Derivation:
     return leaf("qg1", gamma, Eq(Suc(s), Zero()), delta)
 
 
 # ---------------------------------------------------------------------------
-# Truth, logical and structural rules
+# Truth and structural rules
 
 
-def truth_left(premise: Derivation, active_id: int) -> Derivation:
-    return _node("Tl", ((premise, active_id),))
-
-
-def truth_right(premise: Derivation, active_id: int) -> Derivation:
-    return _node("Tr", ((premise, active_id),))
+def comp_term(phi: Formula, psi: Formula) -> Term:
+    """The term whose truth the comp rule concludes from ``phi`` and
+    ``psi``: ``anddot`` of their codes.  The kernel checks against it."""
+    return SynApp("anddot", (Num(encode(phi)), Num(encode(psi))))
 
 
 def comp_node(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
     (_, _, a), (_, _, b) = _actives("comp", (p0, id_phi), (p1, id_psi))
-    principal = Tr(SynApp("anddot", (Num(encode(a.formula)), Num(encode(b.formula)))))
-    return _node("comp", ((p0, id_phi), (p1, id_psi)), principal)
-
-
-def neg_left(premise: Derivation, active_id: int) -> Derivation:
-    return _node("negl", ((premise, active_id),))
-
-
-def neg_right(premise: Derivation, active_id: int) -> Derivation:
-    return _node("negr", ((premise, active_id),))
-
-
-def and_left(premise: Derivation, id_phi: int, id_psi: int) -> Derivation:
-    return _node("andl", ((premise, id_phi), (premise, id_psi)))
-
-
-def and_right(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
-    return _node("andr", ((p0, id_phi), (p1, id_psi)))
-
-
-def forall_left(
-    premise: Derivation, kept_id: int, inst_id: int, term: Term
-) -> Derivation:
-    return _node("foralll", ((premise, kept_id), (premise, inst_id)), term=term)
-
-
-def forall_right(
-    premise: Derivation, active_id: int, forall_formula: Forall, eigen: str
-) -> Derivation:
-    return _node("forallr", ((premise, active_id),), forall_formula, var=eigen)
+    return _node("comp", ((p0, id_phi), (p1, id_psi)), Tr(comp_term(a.formula, b.formula)))
 
 
 def cut(p0: Derivation, right_id: int, p1: Derivation, left_id: int) -> Derivation:

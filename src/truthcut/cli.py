@@ -282,14 +282,11 @@ def _fixpoint_lines(fp):
     ]
     for i, s in enumerate(fp.stages):
         lines.append(f"stage {i}: {len(s)} members")
-    sentences, code_of = fp.universe.sentences, fp.universe.code_of
+    sentences = fp.universe.sentences
     lines.append("norms:")
     for c in sorted(fp.members):
         lines.append(f"  {fp.norms[c]:3d}  #{c}  {format_formula(sentences[c])}")
-    ungrounded = sorted(
-        c for c in fp.universe.codes
-        if c not in fp.members and code_of.get(Not(sentences[c])) not in fp.members
-    )
+    ungrounded = sorted(c for c in fp.universe.codes if not fp.grounded(sentences[c]))
     if ungrounded:
         lines.append("ungrounded:")
         for c in ungrounded:

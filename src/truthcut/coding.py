@@ -302,14 +302,6 @@ def decode_sentence(c: int) -> Formula:
     return phi
 
 
-def codes_sentence(c: int) -> bool:
-    try:
-        decode_sentence(c)
-        return True
-    except DecodeError:
-        return False
-
-
 def quote(phi: Formula) -> Term:
     """The canonical name of ``phi``: the numeral of its code, which
     remembers ``phi`` (``decode`` of the code gives back ``phi``).  Every
@@ -328,11 +320,6 @@ def quoted_sentence(t: Term) -> Formula | None:
     if isinstance(t, Num) and t._quoted is not None and is_sentence(t._quoted):
         return t._quoted
     return None
-
-
-def truth_of(phi: Formula) -> Formula:
-    """T applied to the canonical name of ``phi``."""
-    return Tr(quote(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import AXIOM_TERMS, AXIOMS, LEAF_AXIOMS, LOGICAL_RULES
-from .coding import DecodeError, code_label, encode
+from .build import AXIOM_TERMS, AXIOMS, LEAF_AXIOMS, LOGICAL_RULES, comp_term
+from .coding import DecodeError, code_label
 from .deriv import RULE_SHAPES, SIDE_NAMES, Derivation, Occurrence, RuleShape, fold
 from .syntax import (
     CaptureError,
     Eq,
-    Num,
     Suc,
-    SynApp,
     Tr,
     Var,
     bound_vars,
@@ -397,10 +395,7 @@ class _Checker:
                 self.bad(at, NOT_A_SENTENCE,
                          f"compositional rule combines a non-sentence: {a.formula!r}")
                 return
-        want = SynApp(
-            "anddot",
-            (Num(encode(acts[0].formula)), Num(encode(acts[1].formula))),
-        )
+        want = comp_term(acts[0].formula, acts[1].formula)
         if p.formula.term != want:
             self.bad(at, COMP_TERM_MISMATCH,
                      f"compositional term must be {want!r}, got {p.formula.term!r}")

@@ -387,11 +387,12 @@ def parse_script(text: str) -> Derivation:
     """The root of the script's derivation.
 
     Lines restate their premises' contexts, so each sequent is read through
-    :func:`~.sexpr.parse_sequent`'s per-process formula-text cache: a
-    formula text is read once, not once per line, nor once per script when
-    one process reads several that share it.  The cache keeps recently read
-    formulas alive, up to its bound on their text; what is returned or
-    raised does not depend on it."""
+    one memo for the whole script and :func:`~.sexpr.parse_sequent`'s
+    per-process formula-text cache: a formula text is read once, not once
+    per line, nor once per script when one process reads several that share
+    it.  The cache keeps recently read formulas alive, up to its bound on
+    their text; what is returned or raised depends on neither."""
+    memo: dict = {}
     nodes: dict[int, Derivation] = {}
     used: set[int] = set()
     order: list[int] = []
@@ -424,7 +425,7 @@ def parse_script(text: str) -> Derivation:
             if pid in used:
                 raise ScriptError(f"premise {pid} used twice", lineno)
         try:
-            ante, succ = parse_sequent(m.group(4))
+            ante, succ = parse_sequent(m.group(4), memo)
         except ParseError as e:
             raise ScriptError(str(e), lineno) from e
         premises = [nodes[pid] for pid in pids]

@@ -314,31 +314,3 @@ def search_cut_free(ante, succ, budget: SearchBudget, system: str) -> SearchResu
             first.setdefault(_key(*goal), goal)
         return SearchResult(None, list(first.values()))
     return SearchResult(d, [])
-
-
-@dataclass
-class ConservativityReport:
-    entries: list[dict]
-
-    @property
-    def symmetric(self) -> bool:
-        return all(e["lptn"] == e["qg"] for e in self.entries)
-
-    def asymmetries(self) -> list[dict]:
-        return [e for e in self.entries if e["lptn"] != e["qg"]]
-
-
-def check_conservativity(sequents, budget: SearchBudget) -> ConservativityReport:
-    """For T-free sequents, provability-within-budget must coincide between
-    the truth system and its arithmetical base."""
-    entries = []
-    for ante, succ in sequents:
-        r_lptn = search_cut_free(ante, succ, budget, "lptn")
-        r_qg = search_cut_free(ante, succ, budget, "qg")
-        entries.append({
-            "ante": tuple(ante),
-            "succ": tuple(succ),
-            "lptn": r_lptn.found,
-            "qg": r_qg.found,
-        })
-    return ConservativityReport(entries)

@@ -34,7 +34,8 @@ entered.  Quantifier instances, negations and conjuncts get no code.
 ``least_fixed_point`` iterates semi-naively (Bancilhon & Ramakrishnan,
 1986): after the first stage it re-decides only the sentences that depend
 on a sentence that entered at the previous stage, which gives the same
-stages as applying :func:`kripke_step` from the empty set.
+stages as applying the step operator to every sentence from the empty set
+(``tests/test_semantics.py`` checks this against a reference operator).
 
 The code-keyed fields (``SentenceUniverse.codes``, ``sentences``,
 ``code_of`` and ``clauses``; ``FixedPoint.stages``, ``members`` and
@@ -42,7 +43,7 @@ The code-keyed fields (``SentenceUniverse.codes``, ``sentences``,
 Each code is built once per universe, through this module's ``encode``.
 :meth:`FixedPoint.grounded`, :meth:`FixedPoint.is_member` and the
 correspondence checks decide by sentence and build a code only to report
-it.  :func:`kripke_step`, the reference operator, reads the code fields.
+it.  The tests' reference operator reads the code fields.
 A term whose evaluation would build a code longer than
 ``coding.MAX_CODE_BITS`` bits raises ``CodeSizeError``, an ``EvalError``, and
 an ``EvalError`` makes a clause false.
@@ -263,16 +264,7 @@ def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniv
 
 
 # ---------------------------------------------------------------------------
-# Step operator and fixed point
-
-
-def kripke_step(S, universe: SentenceUniverse) -> frozenset:
-    """One application of the positive step operator on sets of codes;
-    monotone in S.  The reference that ``least_fixed_point`` is tested
-    against."""
-    S = frozenset(S)
-    clauses = universe.clauses
-    return frozenset(c for c in universe.codes if _holds(clauses[c], S))
+# Fixed point
 
 
 @dataclass(frozen=True, repr=False)

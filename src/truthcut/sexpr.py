@@ -27,11 +27,13 @@ of a sequent as exactly one expression.
 
 :func:`parse_sequent` keeps one cache per process from each formula text it
 has read cleanly to the formula read from it, so a text is read once however
-many sequents restate it: within one script, whose lines restate their
-premises' contexts, and across the scripts one process reads (``truthcut
+many sequents restate it across the scripts one process reads (``truthcut
 check`` over several files).  The cache keeps the formulas of recently read
 texts alive; it holds at most ``_CACHE_CHARS`` characters of text and is
-emptied before a new text would pass that.
+emptied before a new text would pass that.  Within one script, whose lines
+restate their premises' contexts, a text is read once whatever the cache
+holds: ``parse_script`` passes every line the same ``memo``, which keeps each
+text the script has read.
 """
 
 from __future__ import annotations
@@ -179,17 +181,19 @@ def parse_formula(text: str) -> Formula:
     return _read_whole(tokenize(text), Formula)
 
 
-def parse_sequent(text: str) -> tuple[list[Formula], list[Formula]]:
+def parse_sequent(text: str, memo: dict[str, Formula] | None = None
+                  ) -> tuple[list[Formula], list[Formula]]:
     """Parse ``gamma => delta`` into (antecedent, succedent) formula lists.
 
     A sequent that splits cleanly at ``=>`` and ``,`` is read piece by piece
-    through the module's formula-text cache, so a piece read before, by any
-    call, is not read again; the cache keeps recently read formulas alive,
-    up to ``_CACHE_CHARS`` characters of text.  Any other text is
-    tokenized whole.  Reading is a pure function of the text and equal
-    formulas are one object, so what is returned or raised does not depend
-    on the cache."""
-    split = _split_sequent(text)
+    through ``memo`` (text -> formula, filled by this call) and then the
+    module's formula-text cache, so a piece read before is not read again:
+    one in ``memo``, whatever the cache holds, or one read by any call while
+    the cache kept it (it keeps recently read formulas alive, up to
+    ``_CACHE_CHARS`` characters of text).  Any other text is tokenized
+    whole.  Reading is a pure function of the text and equal formulas are
+    one object, so what is returned or raised depends on neither."""
+    split = _split_sequent(text, {} if memo is None else memo)
     if split is not None:
         return split
     tokens = tokenize(text)
@@ -224,22 +228,25 @@ _cache: dict[str, Formula] = {}
 _cached_chars = 0
 
 
-def _read_piece(piece: str) -> Formula:
-    """The one formula ``piece`` spells, through the cache."""
+def _read_piece(piece: str, memo: dict[str, Formula]) -> Formula:
+    """The one formula ``piece`` spells, through ``memo`` and the cache."""
     global _cached_chars
-    phi = _cache.get(piece)
+    phi = memo.get(piece)
     if phi is None:
-        phi = _read_whole(_TOKEN.findall(piece), Formula)
-        if len(piece) <= _CACHE_CHARS:
-            if _cached_chars + len(piece) > _CACHE_CHARS:
-                _cache.clear()
-                _cached_chars = 0
-            _cache[piece] = phi
-            _cached_chars += len(piece)
+        phi = _cache.get(piece)
+        if phi is None:
+            phi = _read_whole(_TOKEN.findall(piece), Formula)
+            if len(piece) <= _CACHE_CHARS:
+                if _cached_chars + len(piece) > _CACHE_CHARS:
+                    _cache.clear()
+                    _cached_chars = 0
+                _cache[piece] = phi
+                _cached_chars += len(piece)
+        memo[piece] = phi
     return phi
 
 
-def _split_sequent(text: str):
+def _split_sequent(text: str, memo: dict[str, Formula]):
     """(ante, succ) read piecewise, or None when the text does not split
     into one whole formula per ``,``-separated piece around one ``=>``.
 
@@ -258,7 +265,7 @@ def _split_sequent(text: str):
             piece = piece.strip()
             if piece:
                 try:
-                    side.append(_read_piece(piece))
+                    side.append(_read_piece(piece, memo))
                 except ParseError:
                     return None
     return sides
@@ -289,9 +296,6 @@ def format_formula(e: Term | Formula) -> str:
     for c in children(e):
         words.append(format_formula(c))
     return f"({' '.join(words)})"
-
-
-format_term = format_formula
 
 
 def format_sequent(ante, succ, fmt=format_formula) -> str:

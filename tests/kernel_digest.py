@@ -54,7 +54,7 @@ import sys
 from dataclasses import replace
 
 from truthcut import deriv
-from truthcut.arith import chain_numeral, prove_equation, refute_equation
+from truthcut.arith import prove_equation, refute_equation
 from truthcut.coding import quote
 from truthcut.deriv import Derivation, Occurrence, Sequent, fold, occ
 from truthcut.kernel import SYSTEMS, check_derivation
@@ -62,7 +62,7 @@ from truthcut.script import ScriptError, parse_script, print_script
 from truthcut.sexpr import format_sequent
 from truthcut.syntax import Eq, Plus, Suc, Times, Tr, Zero
 
-from proofgen import duplicated_derivation, random_derivation
+from proofgen import chain_numeral, duplicated_derivation, random_derivation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -1,32 +1,131 @@
-"""Deterministic random derivation generator for the transformation corpora.
+"""Deterministic random derivation generator for the transformation corpora,
+and the helpers only tests use.
 
 Generates kernel-valid derivations: leaf sequents over closed base atoms,
 grown by randomly chosen logical and truth rules, plus a nested-cut builder
 whose premises are found by bounded proof search, and cuts whose formula is
 principal in both premises.
+
+The helpers: one builder per logical and truth rule that takes the ids of
+the occurrences it consumes (each one call of ``build._node``), the ``top``
+and ``bot`` leaves, ``truth_of``, ``chain_numeral`` and the conservativity
+check of T-free sequents between ``lptn`` and ``qg``.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from truthcut import build as B
+from truthcut.arith import chain_numerals
 from truthcut.coding import quote
 from truthcut.deriv import Derivation
 from truthcut.search import SearchBudget, search_cut_free
 from truthcut.syntax import (
+    BOT,
+    TOP,
     And,
     Eq,
     Forall,
     Formula,
     Not,
     Suc,
+    Term,
     Tr,
     Var,
     Zero,
     is_sentence,
     substitute,
 )
+
+
+# ---------------------------------------------------------------------------
+# Builders by occurrence id: each passes the ids its caller gives to
+# ``build._node``, so the node is wired as the script reader and search
+# wire theirs
+
+
+def top_leaf(gamma, delta) -> Derivation:
+    return B.leaf("top", gamma, TOP, delta)
+
+
+def bot_leaf(gamma, delta) -> Derivation:
+    return B.leaf("bot", gamma, BOT, delta)
+
+
+def truth_left(premise: Derivation, active_id: int) -> Derivation:
+    return B._node("Tl", ((premise, active_id),))
+
+
+def truth_right(premise: Derivation, active_id: int) -> Derivation:
+    return B._node("Tr", ((premise, active_id),))
+
+
+def neg_left(premise: Derivation, active_id: int) -> Derivation:
+    return B._node("negl", ((premise, active_id),))
+
+
+def neg_right(premise: Derivation, active_id: int) -> Derivation:
+    return B._node("negr", ((premise, active_id),))
+
+
+def and_left(premise: Derivation, id_phi: int, id_psi: int) -> Derivation:
+    return B._node("andl", ((premise, id_phi), (premise, id_psi)))
+
+
+def and_right(p0: Derivation, id_phi: int, p1: Derivation, id_psi: int) -> Derivation:
+    return B._node("andr", ((p0, id_phi), (p1, id_psi)))
+
+
+def forall_left(
+    premise: Derivation, kept_id: int, inst_id: int, term: Term
+) -> Derivation:
+    return B._node("foralll", ((premise, kept_id), (premise, inst_id)), term=term)
+
+
+def forall_right(
+    premise: Derivation, active_id: int, forall_formula: Forall, eigen: str
+) -> Derivation:
+    return B._node("forallr", ((premise, active_id),), forall_formula, var=eigen)
+
+
+def truth_of(phi: Formula) -> Formula:
+    """T applied to the canonical name of ``phi``."""
+    return Tr(quote(phi))
+
+
+def chain_numeral(k: int) -> Term:
+    """S^k(0) as an explicit successor chain."""
+    return chain_numerals(k)[k]
+
+
+@dataclass
+class ConservativityReport:
+    entries: list[dict]
+
+    @property
+    def symmetric(self) -> bool:
+        return all(e["lptn"] == e["qg"] for e in self.entries)
+
+    def asymmetries(self) -> list[dict]:
+        return [e for e in self.entries if e["lptn"] != e["qg"]]
+
+
+def check_conservativity(sequents, budget: SearchBudget) -> ConservativityReport:
+    """For T-free sequents, provability-within-budget must coincide between
+    the truth system and its arithmetical base."""
+    entries = []
+    for ante, succ in sequents:
+        r_lptn = search_cut_free(ante, succ, budget, "lptn")
+        r_qg = search_cut_free(ante, succ, budget, "qg")
+        entries.append({
+            "ante": tuple(ante),
+            "succ": tuple(succ),
+            "lptn": r_lptn.found,
+            "qg": r_qg.found,
+        })
+    return ConservativityReport(entries)
 
 ZERO = Zero()
 ONE = Suc(ZERO)
@@ -60,8 +159,8 @@ def random_leaf(rng: random.Random, system: str = "lptn") -> Derivation:
     gamma, delta = random_context(rng), random_context(rng)
     if system == "lgt" and kind >= 0.7:
         if kind < 0.85:
-            return B.top_leaf(gamma, delta)
-        return B.bot_leaf(gamma, delta)
+            return top_leaf(gamma, delta)
+        return bot_leaf(gamma, delta)
     if system in ("qg", "lptn", "lptn_comp") and kind >= 0.85:
         return B.qg1_leaf(gamma, rng.choice((ZERO, ONE, TWO)), delta)
     return B.init_leaf(gamma, rng.choice(BASE_ATOMS), delta)
@@ -91,16 +190,16 @@ def grow(rng: random.Random, d: Derivation, steps: int,
             break
         move = rng.choice(moves)
         if move == "negl":
-            d = B.neg_left(d, rng.choice(succ).id)
+            d = neg_left(d, rng.choice(succ).id)
         elif move == "negr":
-            d = B.neg_right(d, rng.choice(ante).id)
+            d = neg_right(d, rng.choice(ante).id)
         elif move == "andl":
             a, b = rng.sample(list(ante), 2)
-            d = B.and_left(d, a.id, b.id)
+            d = and_left(d, a.id, b.id)
         elif move == "Tl":
-            d = B.truth_left(d, rng.choice(_closed_sentence_occ(ante)).id)
+            d = truth_left(d, rng.choice(_closed_sentence_occ(ante)).id)
         else:
-            d = B.truth_right(d, rng.choice(_closed_sentence_occ(succ)).id)
+            d = truth_right(d, rng.choice(_closed_sentence_occ(succ)).id)
     return d
 
 
@@ -207,20 +306,20 @@ def principal_cuts(rng: random.Random, rounds: int):
 
         a, b = rng.choice(CUT_FORMULAS), rng.choice(CUT_FORMULAS)
         l0, l1 = leaf(ante=[a]), leaf(succ=[a])
-        yield pair(B.neg_right(l0, l0.conclusion.ante[0].id),
-                   B.neg_left(l1, l1.conclusion.succ[-1].id))
+        yield pair(neg_right(l0, l0.conclusion.ante[0].id),
+                   neg_left(l1, l1.conclusion.succ[-1].id))
         l0, l1, l2 = leaf(succ=[a]), leaf(succ=[b]), leaf(ante=[a, b])
-        yield pair(B.and_right(l0, l0.conclusion.succ[-1].id,
-                               l1, l1.conclusion.succ[-1].id),
-                   B.and_left(l2, l2.conclusion.ante[0].id, l2.conclusion.ante[1].id))
+        yield pair(and_right(l0, l0.conclusion.succ[-1].id,
+                             l1, l1.conclusion.succ[-1].id),
+                   and_left(l2, l2.conclusion.ante[0].id, l2.conclusion.ante[1].id))
         body, t = rng.choice(FORALL_BODIES), rng.choice((ZERO, ONE, TWO))
         phi = Forall("x", body)
         l0 = leaf(succ=[substitute(body, "x", Var("y"))])
         l1 = leaf(ante=[phi, substitute(body, "x", t)])
-        yield pair(B.forall_right(l0, l0.conclusion.succ[-1].id, phi, "y"),
-                   B.forall_left(l1, l1.conclusion.ante[0].id,
-                                 l1.conclusion.ante[1].id, t))
+        yield pair(forall_right(l0, l0.conclusion.succ[-1].id, phi, "y"),
+                   forall_left(l1, l1.conclusion.ante[0].id,
+                               l1.conclusion.ante[1].id, t))
         atom = rng.choice(BASE_ATOMS)
         l0, l1 = leaf(succ=[atom]), leaf(ante=[atom])
-        yield pair(B.truth_right(l0, l0.conclusion.succ[-1].id),
-                   B.truth_left(l1, l1.conclusion.ante[0].id))
+        yield pair(truth_right(l0, l0.conclusion.succ[-1].id),
+                   truth_left(l1, l1.conclusion.ante[0].id))

@@ -21,11 +21,15 @@ It prints the number of goals and the digest of all records, then the
 number of goals, the number found and the digest per part, so a change
 shows which part moved.  Its whole output is pinned in
 ``tests/digests/search.txt``, which CI compares it with.
+
+:func:`sample_proofs` gives what search proves on a fixed sample of the
+corpus, which the soundness law and the id-free checker's tests run on.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 
 from truthcut.script import print_script
@@ -62,6 +66,22 @@ def corpus():
     out += [("elim", ante, succ, elim.budget, elim.system)
             for ante, succ in elim.goals]
     return out
+
+
+#: how many of :func:`corpus`'s goals :func:`sample_proofs` searches, and
+#: the seed it draws them with
+SAMPLE_SIZE, SAMPLE_SEED = 800, 30
+
+
+def sample_proofs():
+    """(k, system, derivation) for each goal of a fixed-seed sample of
+    :func:`corpus` that search proves, ``k`` being the goal's place in it."""
+    goals = corpus()
+    for k in sorted(random.Random(SAMPLE_SEED).sample(range(len(goals)), SAMPLE_SIZE)):
+        _, ante, succ, budget, system = goals[k]
+        r = search_cut_free(ante, succ, budget, system)
+        if r.found:
+            yield k, system, r.derivation
 
 
 def _record(ante, succ, budget, system) -> tuple[bool, str]:

@@ -15,12 +15,11 @@ import time
 import pytest
 
 from truthcut import build as B
-from truthcut.arith import chain_numeral
 from truthcut.coding import decode_sentence, encode, liar, quote, truth_teller
 from truthcut.deriv import compute_measures
 from truthcut.kernel import check_derivation
 from truthcut.script import ScriptError, parse_script
-from truthcut.search import SearchBudget, check_conservativity, search_cut_free
+from truthcut.search import SearchBudget, search_cut_free
 from truthcut.semantics import (
     build_universe,
     check_completeness,
@@ -41,7 +40,20 @@ from truthcut.syntax import (
 )
 from truthcut.transform import contract, eliminate_cuts, hyperexp, invert
 
-from proofgen import duplicated_derivation, nested_cuts, random_derivation
+from proofgen import (
+    and_left,
+    and_right,
+    bot_leaf,
+    chain_numeral,
+    check_conservativity,
+    duplicated_derivation,
+    forall_right,
+    neg_right,
+    nested_cuts,
+    random_derivation,
+    truth_left,
+    truth_right,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -110,40 +122,40 @@ def test_hand_annotated_tau():
 
     # 2. truth-left principal: content tau 0 plus one
     d = B.init_leaf([], PHI, [])
-    d2 = B.truth_left(d, d.conclusion.ante[0].id)
+    d2 = truth_left(d, d.conclusion.ante[0].id)
     cases.append((d2, {"ante": [(TPHI, 1)], "succ": [(PHI, 0)]}))
 
     # 3. truth-right principal
     d = B.init_leaf([], PHI, [])
-    d3 = B.truth_right(d, d.conclusion.succ[0].id)
+    d3 = truth_right(d, d.conclusion.succ[0].id)
     cases.append((d3, {"ante": [(PHI, 0)], "succ": [(TPHI, 1)]}))
 
     # 4. iterated truth-right: one more than the inner ascription
-    d4 = B.truth_right(d3, d3.conclusion.succ[0].id)
+    d4 = truth_right(d3, d3.conclusion.succ[0].id)
     cases.append((d4, {"ante": [(PHI, 0)], "succ": [(TTPHI, 2)]}))
 
     # 5. negation transfers the body's tau
-    d5 = B.neg_right(d2, d2.conclusion.ante[0].id)
+    d5 = neg_right(d2, d2.conclusion.ante[0].id)
     cases.append((d5, {"ante": [], "succ": [(PHI, 0), (Not(TPHI), 1)]}))
 
     # 6. conjunction-left takes the max of the conjuncts
     leaf = B.init_leaf([PHI], PHI, [])
-    da = B.truth_left(leaf, leaf.conclusion.ante[0].id)
+    da = truth_left(leaf, leaf.conclusion.ante[0].id)
     tid = next(o.id for o in da.conclusion.ante if o.formula == TPHI)
     pid = next(o.id for o in da.conclusion.ante if o.formula == PHI)
-    d6 = B.and_left(da, tid, pid)
+    d6 = and_left(da, tid, pid)
     cases.append((d6, {"ante": [(And(TPHI, PHI), 1)], "succ": [(PHI, 0)]}))
 
     # 7. conjunction-right takes the max over the premise actives
     a0 = B.init_leaf([], PHI, [])
-    a = B.truth_right(a0, a0.conclusion.succ[0].id)
+    a = truth_right(a0, a0.conclusion.succ[0].id)
     b = B.init_leaf([], PHI, [])
-    d7 = B.and_right(a, a.conclusion.succ[0].id, b, b.conclusion.succ[0].id)
+    d7 = and_right(a, a.conclusion.succ[0].id, b, b.conclusion.succ[0].id)
     cases.append((d7, {"ante": [(PHI, 0)], "succ": [(And(TPHI, PHI), 1)]}))
 
     # 8. forall-right transfers the active's tau
     fa = Forall("x", TPHI)
-    d8 = B.forall_right(d3, d3.conclusion.succ[0].id, fa, "x")
+    d8 = forall_right(d3, d3.conclusion.succ[0].id, fa, "x")
     cases.append((d8, {"ante": [(PHI, 0)], "succ": [(fa, 1)]}))
 
     # 9. compositional rule: max of the actives plus one
@@ -158,8 +170,8 @@ def test_hand_annotated_tau():
     # truth-left principal, 0 from the plain context copy)
     a0 = B.init_leaf([Bot()], PHI, [])
     pid = next(o.id for o in a0.conclusion.ante if o.formula == PHI)
-    a1 = B.truth_left(a0, pid)
-    b = B.bot_leaf([PHI, TPHI], [])
+    a1 = truth_left(a0, pid)
+    b = bot_leaf([PHI, TPHI], [])
     d10 = B.cut(
         a1, next(o.id for o in a1.conclusion.succ if o.formula == PHI),
         b, next(o.id for o in b.conclusion.ante if o.formula == PHI),

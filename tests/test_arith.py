@@ -8,7 +8,6 @@ from truthcut.arith import (
     ArithError,
     can_prove,
     can_refute,
-    chain_numeral,
     is_chain_closed,
     prove_equation,
     refute_equation,
@@ -17,6 +16,8 @@ from truthcut.coding import eval_term
 from truthcut.deriv import compute_measures
 from truthcut.kernel import check_derivation
 from truthcut.syntax import Eq, Num, Plus, Suc, SynApp, Times, Tr, Var, Zero, children
+
+from proofgen import chain_numeral
 
 
 def _random_chain_term(rng, depth):

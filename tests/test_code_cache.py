@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from truthcut.arith import chain_numeral
 from truthcut.cli import _read_seed_file
 from truthcut.coding import (
     _DIAG,
@@ -57,6 +56,8 @@ from truthcut.syntax import (
     rebuild,
     substitute,
 )
+
+from proofgen import chain_numeral
 
 from fixpoint_digest import corpus
 

@@ -9,7 +9,6 @@ import pytest
 from truthcut.coding import (
     DecodeError,
     EvalError,
-    codes_sentence,
     decode,
     decode_sentence,
     diag_code,
@@ -19,7 +18,6 @@ from truthcut.coding import (
     liar,
     pair,
     quote,
-    truth_of,
     truth_teller,
     unpair,
 )
@@ -40,6 +38,16 @@ from truthcut.syntax import (
     Zero,
     numeral,
 )
+
+from proofgen import truth_of
+
+
+def codes_sentence(c: int) -> bool:
+    try:
+        decode_sentence(c)
+        return True
+    except DecodeError:
+        return False
 
 
 def test_pairing_bijective():

@@ -24,6 +24,18 @@ from truthcut.deriv import (
 from truthcut.kernel import check_derivation
 from truthcut.syntax import And, Eq, Forall, Not, Suc, Tr, Zero
 
+from proofgen import (
+    and_left,
+    and_right,
+    bot_leaf,
+    forall_left,
+    forall_right,
+    neg_left,
+    neg_right,
+    truth_left,
+    truth_right,
+)
+
 PHI = Eq(Zero(), Zero())
 TPHI = Tr(quote(PHI))
 
@@ -55,7 +67,7 @@ def test_tau_leaf_all_zero():
 def test_tau_truth_left():
     # [DERIVED] annotation: T-left principal gets active's tau + 1 = 1
     lf = B.init_leaf([PHI], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     m = _check(d)
     assert m.tau[_ante(d, TPHI).id] == 1
     assert m.tau[_succ(d, PHI).id] == 0  # T-free, clause forces 0
@@ -65,7 +77,7 @@ def test_tau_truth_left():
 def test_tau_truth_right():
     # [DERIVED] annotation: T-right principal gets active's tau + 1 = 1
     lf = B.init_leaf([PHI], PHI, [])
-    d = B.truth_right(lf, lf.conclusion.succ[0].id)
+    d = truth_right(lf, lf.conclusion.succ[0].id)
     m = _check(d)
     assert m.tau[_succ(d, TPHI).id] == 1
     assert m.triple() == (1, 0, 1)
@@ -74,8 +86,8 @@ def test_tau_truth_right():
 def test_tau_iterated_truth():
     # [DERIVED] annotation: two stacked T-lefts give tau 2
     lf = B.init_leaf([PHI], PHI, [])
-    d1 = B.truth_left(lf, lf.conclusion.ante[0].id)
-    d2 = B.truth_left(d1, _ante(d1, TPHI).id)
+    d1 = truth_left(lf, lf.conclusion.ante[0].id)
+    d2 = truth_left(d1, _ante(d1, TPHI).id)
     m = _check(d2)
     ttphi = Tr(quote(TPHI))
     assert m.tau[_ante(d2, ttphi).id] == 2
@@ -85,11 +97,11 @@ def test_tau_iterated_truth():
 def test_tau_negation_transfer():
     # [DERIVED] annotation: neg-left and neg-right transfer the active's tau
     lf = B.init_leaf([PHI], PHI, [])
-    d1 = B.truth_right(lf, lf.conclusion.succ[0].id)  # PHI => T<PHI>, tau 1
-    d2 = B.neg_left(d1, _succ(d1, TPHI).id)           # not T<PHI>, PHI =>
+    d1 = truth_right(lf, lf.conclusion.succ[0].id)  # PHI => T<PHI>, tau 1
+    d2 = neg_left(d1, _succ(d1, TPHI).id)           # not T<PHI>, PHI =>
     m = _check(d2)
     assert m.tau[_ante(d2, Not(TPHI)).id] == 1
-    d3 = B.neg_right(d2, _ante(d2, PHI).id)           # not T<PHI> => not PHI
+    d3 = neg_right(d2, _ante(d2, PHI).id)           # not T<PHI> => not PHI
     m = _check(d3)
     assert m.tau[_succ(d3, Not(PHI)).id] == 0  # T-free
     assert m.tau[_ante(d3, Not(TPHI)).id] == 1
@@ -98,8 +110,8 @@ def test_tau_negation_transfer():
 def test_tau_and_left_max():
     # [DERIVED] annotation: conjunction principal takes the max (1, 0) = 1
     lf = B.init_leaf([PHI, PHI], PHI, [])
-    d1 = B.truth_left(lf, lf.conclusion.ante[0].id)  # T<PHI>, PHI, PHI => PHI
-    d2 = B.and_left(d1, _ante(d1, TPHI).id, _ante(d1, PHI, 0).id)
+    d1 = truth_left(lf, lf.conclusion.ante[0].id)  # T<PHI>, PHI, PHI => PHI
+    d2 = and_left(d1, _ante(d1, TPHI).id, _ante(d1, PHI, 0).id)
     m = _check(d2)
     assert m.tau[_ante(d2, And(TPHI, PHI)).id] == 1
 
@@ -107,9 +119,9 @@ def test_tau_and_left_max():
 def test_tau_and_right_max():
     # [DERIVED] annotation: right conjunction takes max of premise actives
     a0 = B.init_leaf([], PHI, [])
-    a1 = B.truth_right(a0, a0.conclusion.succ[0].id)  # PHI => T<PHI>
+    a1 = truth_right(a0, a0.conclusion.succ[0].id)  # PHI => T<PHI>
     b = B.init_leaf([], PHI, [])                      # PHI => PHI
-    d = B.and_right(a1, _succ(a1, TPHI).id, b, b.conclusion.succ[0].id)
+    d = and_right(a1, _succ(a1, TPHI).id, b, b.conclusion.succ[0].id)
     m = _check(d)
     assert m.tau[_succ(d, And(TPHI, PHI)).id] == 1
 
@@ -121,8 +133,8 @@ def test_tau_cut_context_max_and_rank():
     from truthcut.syntax import Bot
 
     a0 = B.init_leaf([Bot()], PHI, [])
-    a1 = B.truth_left(a0, _ante(a0, PHI).id)          # bot, T<PHI> => PHI
-    b = B.bot_leaf([PHI, TPHI], [])                   # PHI, T<PHI>, bot =>
+    a1 = truth_left(a0, _ante(a0, PHI).id)          # bot, T<PHI> => PHI
+    b = bot_leaf([PHI, TPHI], [])                   # PHI, T<PHI>, bot =>
     d = B.cut(a1, _succ(a1, PHI).id, b, _ante(b, PHI).id)
     m = _check(d, "lgt")
     assert m.tau[_ante(d, TPHI).id] == 1
@@ -133,9 +145,9 @@ def test_tau_cut_context_max_and_rank():
 def test_tau_forall_right_transfer():
     # [DERIVED] annotation: universal-right principal transfers the active's 1
     lf = B.init_leaf([PHI], PHI, [])
-    d1 = B.truth_right(lf, lf.conclusion.succ[0].id)  # PHI => T<PHI>
+    d1 = truth_right(lf, lf.conclusion.succ[0].id)  # PHI => T<PHI>
     fa = Forall("x", TPHI)
-    d2 = B.forall_right(d1, _succ(d1, TPHI).id, fa, "x")
+    d2 = forall_right(d1, _succ(d1, TPHI).id, fa, "x")
     m = _check(d2)
     assert m.tau[_succ(d2, fa).id] == 1
 
@@ -145,8 +157,8 @@ def test_tau_forall_left_max():
     # kept quantified occurrence (0) and the instance (1)
     fa = Forall("x", TPHI)
     lf = B.init_leaf([fa, PHI], PHI, [])
-    d1 = B.truth_left(lf, _ante(lf, PHI, 0).id)       # fa, T<PHI>, PHI => PHI
-    d2 = B.forall_left(d1, _ante(d1, fa).id, _ante(d1, TPHI).id, Zero())
+    d1 = truth_left(lf, _ante(lf, PHI, 0).id)       # fa, T<PHI>, PHI => PHI
+    d2 = forall_left(d1, _ante(d1, fa).id, _ante(d1, TPHI).id, Zero())
     m = _check(d2)
     assert m.tau[_ante(d2, fa).id] == 1
 
@@ -154,7 +166,7 @@ def test_tau_forall_left_max():
 def test_tau_compositional_plus_one():
     # [DERIVED] annotation: compositional principal = max(1, 0) + 1 = 2
     a0 = B.init_leaf([], PHI, [])
-    a1 = B.truth_right(a0, a0.conclusion.succ[0].id)  # PHI => T<PHI>
+    a1 = truth_right(a0, a0.conclusion.succ[0].id)  # PHI => T<PHI>
     b = B.init_leaf([], PHI, [])                      # PHI => PHI
     d = B.comp_node(a1, _succ(a1, TPHI).id, b, b.conclusion.succ[0].id)
     m = _check(d, "lptn_comp")
@@ -166,7 +178,7 @@ def test_tau_compositional_plus_one():
 def _negl():
     """A negl node over an init leaf with a context occurrence each side."""
     leaf = B.init_leaf([PHI], PHI, [TPHI])
-    return B.neg_left(leaf, leaf.conclusion.succ[0].id)
+    return neg_left(leaf, leaf.conclusion.succ[0].id)
 
 
 def test_measures_refuse_lineage_to_an_unknown_occurrence():
@@ -193,9 +205,9 @@ def test_measures_refuse_a_context_occurrence_without_lineage():
 def test_length_is_tree_height():
     # [TRIVIAL] length counts rule applications on the longest branch
     lf = B.init_leaf([PHI, PHI], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
-    d = B.truth_left(d, _ante(d, PHI, 0).id)
-    d = B.neg_right(d, _ante(d, PHI).id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(d, _ante(d, PHI, 0).id)
+    d = neg_right(d, _ante(d, PHI).id)
     assert compute_measures(d).length == 3
 
 
@@ -204,7 +216,7 @@ def test_refresh_ids_preserves_structure():
     from truthcut.deriv import refresh_ids
 
     lf = B.init_leaf([PHI], PHI, [TPHI])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     d2 = refresh_ids(d)
     assert check_derivation(d2, "lptn").ok
     assert d2.conclusion.ante_formulas() == d.conclusion.ante_formulas()
@@ -220,7 +232,7 @@ def test_remake_keeps_every_field_it_is_not_given():
     from truthcut.deriv import remake
 
     lf = B.init_leaf([PHI], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     assert all(getattr(remake(d), f.name) is getattr(d, f.name)
                for f in fields(d))
     e = remake(d, term=Zero(), var="y")

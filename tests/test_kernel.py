@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from truthcut.arith import chain_numeral, prove_equation, refute_equation
+from truthcut.arith import prove_equation, refute_equation
 from truthcut import build as B
 from truthcut.coding import quote
-from truthcut.deriv import RULE_SHAPES, Sequent, occ, remake
+from truthcut.deriv import RULE_SHAPES, Sequent, occ, refresh_ids, remake
 from truthcut.kernel import (
     SYSTEM_RULES,
     SYSTEMS,
@@ -18,7 +18,20 @@ from truthcut.kernel import (
 from truthcut.script import parse_script
 from truthcut.syntax import Eq, Forall, Not, Plus, Suc, Times, Tr, Var, Zero
 
-from proofgen import random_derivation
+from proofgen import (
+    and_left,
+    and_right,
+    bot_leaf,
+    chain_numeral,
+    forall_left,
+    forall_right,
+    neg_left,
+    neg_right,
+    random_derivation,
+    top_leaf,
+    truth_left,
+    truth_right,
+)
 
 PHI = Eq(Zero(), Zero())
 
@@ -62,11 +75,11 @@ def test_rule_gating_by_system():
     # top/bot leaves are absent outside the logical system; the pointwise
     # compositional rule needs its own system
     lf = B.init_leaf([PHI], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     assert check_derivation(d, "lptn").ok
     assert check_derivation(d, "qg").codes() == {"RULE_NOT_IN_SYSTEM"}
 
-    top = B.top_leaf([], [])
+    top = top_leaf([], [])
     assert check_derivation(top, "lgt").ok
     assert "RULE_NOT_IN_SYSTEM" in check_derivation(top, "lptn").codes()
 
@@ -143,7 +156,7 @@ def _sharing_proofs(forall_xx, x_is_0):
     ev = Var("ev1")
     leaf = B.init_leaf([], Eq(ev, ev), [])
     refl = B.eq1(leaf, leaf.conclusion.ante[0].id)
-    ok = B.forall_right(refl, refl.conclusion.succ[0].id, forall_xx, "ev1")
+    ok = forall_right(refl, refl.conclusion.succ[0].id, forall_xx, "ev1")
     bad = B.init_leaf([forall_xx], x_is_0, [])
     return ok, bad
 
@@ -194,23 +207,23 @@ def _samples():
     refl = B.eq1(ev, ev.conclusion.ante[0].id)
     out = {
         "init": leaf,
-        "top": B.top_leaf([], []),
-        "bot": B.bot_leaf([], []),
+        "top": top_leaf([], []),
+        "bot": bot_leaf([], []),
         "qg1": B.qg1_leaf([], Zero(), []),
         "cut": B.cut(wide, wide.conclusion.succ[0].id,
                      deep, deep.conclusion.ante[0].id),
-        "Tl": B.truth_left(leaf, leaf.conclusion.ante[0].id),
-        "Tr": B.truth_right(leaf, leaf.conclusion.succ[0].id),
+        "Tl": truth_left(leaf, leaf.conclusion.ante[0].id),
+        "Tr": truth_right(leaf, leaf.conclusion.succ[0].id),
         "comp": B.comp_node(leaf, leaf.conclusion.succ[0].id,
                             other, other.conclusion.succ[0].id),
-        "negl": B.neg_left(leaf, leaf.conclusion.succ[0].id),
-        "negr": B.neg_right(leaf, leaf.conclusion.ante[0].id),
-        "andl": B.and_left(pair, *(o.id for o in pair.conclusion.ante)),
-        "andr": B.and_right(leaf, leaf.conclusion.succ[0].id,
-                            other, other.conclusion.succ[0].id),
-        "foralll": B.forall_left(inst, *(o.id for o in inst.conclusion.ante),
-                                 Zero()),
-        "forallr": B.forall_right(refl, refl.conclusion.succ[0].id, fa, "ev1"),
+        "negl": neg_left(leaf, leaf.conclusion.succ[0].id),
+        "negr": neg_right(leaf, leaf.conclusion.ante[0].id),
+        "andl": and_left(pair, *(o.id for o in pair.conclusion.ante)),
+        "andr": and_right(leaf, leaf.conclusion.succ[0].id,
+                          other, other.conclusion.succ[0].id),
+        "foralll": forall_left(inst, *(o.id for o in inst.conclusion.ante),
+                               Zero()),
+        "forallr": forall_right(refl, refl.conclusion.succ[0].id, fa, "ev1"),
         "eq1": refl,
         "qg3": parse_script(QG3_SCRIPT),
     }
@@ -322,13 +335,13 @@ def _wired():
     The leaf has ψ, χ, φ => φ, ψ, so ψ is a context formula on both
     sides."""
     leaf = B.init_leaf([PSI, CHI], PHI, [PSI])
-    return B.neg_right(leaf, leaf.conclusion.ante[-1].id)
+    return neg_right(leaf, leaf.conclusion.ante[-1].id)
 
 
 def _wiring_report(node):
     """The violations of ``node`` as the premise of a sound negl node, so
     each is reported at path (0,)."""
-    outer = B.neg_left(node, node.conclusion.succ[-1].id)
+    outer = neg_left(node, node.conclusion.succ[-1].id)
     return list(check_derivation(outer, "lgt").violations)
 
 
@@ -399,7 +412,7 @@ def test_wiring_leaf_with_lineage():
     leaf = B.init_leaf([PSI], PHI, [])
     psi = leaf.conclusion.ante[0]
     bad = remake(leaf, lineage={psi.id: ((0, psi.id),)})
-    outer = B.neg_right(bad, bad.conclusion.ante[-1].id)
+    outer = neg_right(bad, bad.conclusion.ante[-1].id)
     assert list(check_derivation(outer, "lgt").violations) == _broken(
         "leaf node has lineage")
 
@@ -477,3 +490,185 @@ def test_wiring_judges_an_id_on_both_sides_by_the_antecedent():
         Violation((), "OCC_ID_REUSE", f"occurrence id {psi.id} reused"),
         Violation((), "LINEAGE_BROKEN",
                   f"premise occurrence {_parent(d, psi)} consumed twice")]
+
+
+# -- refusals: one hand-built node per branch a rule check refuses by -------
+
+X, Y = Var("x"), Var("y")
+
+
+def _relabelled_andl():
+    # an andl node read as negl: its wiring holds, its shape has one active
+    pair = B.init_leaf([Not(PHI)], PHI, [])
+    d = and_left(pair, *(o.id for o in pair.conclusion.ante))
+    return replace(d, rule="negl"), "lgt", [
+        ((), "MALFORMED_RULE", "negl needs 1 active occurrence(s), got 2")]
+
+
+def _cut_actives_swapped():
+    d = SAMPLES["cut"]
+    return replace(d, actives=tuple(reversed(d.actives))), "lgt", [
+        ((), "MALFORMED_RULE", "cut active in wrong premise (1)")]
+
+
+def _cut_formulas_differ():
+    d0 = B.init_leaf([], PHI, [PSI])  # PHI => PHI, PSI
+    d1 = B.init_leaf([CHI], PHI, [])  # CHI, PHI => PHI
+    d = B._node("cut", ((d0, d0.conclusion.succ[1].id), (d1, d1.conclusion.ante[0].id)))
+    return d, "lgt", [((), "PRINCIPAL_MISMATCH", "cut formulas differ")]
+
+
+def _comp_of_an_open_formula():
+    x_is_x = Eq(X, X)
+    d0 = B.init_leaf([PHI], x_is_x, [])  # PHI, x=x => x=x
+    d1 = B.init_leaf([x_is_x], PHI, [])  # x=x, PHI => PHI
+    d = B.comp_node(d0, d0.conclusion.succ[0].id, d1, d1.conclusion.succ[0].id)
+    return d, "lptn_comp", [
+        ((), "NOT_A_SENTENCE", f"compositional rule combines a non-sentence: {x_is_x!r}")]
+
+
+def _foralll_without_witness():
+    return replace(SAMPLES["foralll"], term=None), "lgt", [
+        ((), "WITNESS_MISMATCH", "forall-left is missing its witness term")]
+
+
+def _forallr_without_eigenvariable():
+    return replace(SAMPLES["forallr"], var=None), "qg", [
+        ((), "EIGENVAR_CLASH", "forall-right is missing its eigenvariable")]
+
+
+def _forallr_of_another_variable():
+    d = SAMPLES["forallr"]  # => forall x (x = x) from => ev1 = ev1
+    a, want = d.premises[0].conclusion.succ[0].formula, Eq(Var("ev2"), Var("ev2"))
+    return replace(d, var="ev2"), "qg", [
+        ((), "PRINCIPAL_MISMATCH",
+         f"forall-right premise active is {a!r}, expected {want!r}")]
+
+
+def _eq1_of_an_equation_not_reflexive():
+    leaf = B.init_leaf([], PSI, [])
+    d = B._node("eq1", ((leaf, leaf.conclusion.ante[0].id),))
+    return d, "qg", [
+        ((), "PRINCIPAL_MISMATCH", f"eq1 discharges a reflexive equation, got {PSI!r}")]
+
+
+def _eq2(*triggers):
+    """eq2 discharging x=0 by the template w=0 from x to y, over a leaf whose
+    antecedent also holds ``triggers``."""
+    leaf = B.init_leaf([*triggers, Eq(X, Zero())], PHI, [])
+    return B.eq2(leaf, leaf.conclusion.ante[len(triggers)].id, "w",
+                 Eq(Var("w"), Zero()), X, Y)
+
+
+def _eq2_without_template():
+    return replace(_eq2(Eq(X, Y), Eq(Y, Zero())), template=None), "qg", [
+        ((), "TEMPLATE_MISMATCH", "eq2 needs a replacement template and both equation sides")]
+
+
+def _eq2_template_not_atomic():
+    chi = Not(Eq(Var("w"), Zero()))
+    return replace(_eq2(Eq(X, Y), Eq(Y, Zero())), template=("w", chi)), "qg", [
+        ((), "TEMPLATE_MISMATCH", f"eq2 template must be an atomic T-free equation, got {chi!r}")]
+
+
+def _eq2_without_its_equation():
+    return _eq2(Eq(Y, Zero())), "qg", [
+        ((), "TEMPLATE_MISMATCH", f"eq2 requires the equation {Eq(X, Y)!r} in the antecedent")]
+
+
+def _eq2_without_the_replaced_instance():
+    return _eq2(Eq(X, Y)), "qg", [
+        ((), "TEMPLATE_MISMATCH", "eq2 requires the replaced instance in the antecedent")]
+
+
+def _qg2_of_a_negation():
+    leaf = B.init_leaf([Not(PHI)], PHI, [])
+    d = B._node("qg2", ((leaf, leaf.conclusion.ante[0].id),))
+    return d, "qg", [((), "PRINCIPAL_MISMATCH", "qg2 discharges an equation")]
+
+
+def _qg2_without_the_successor_equation():
+    leaf = B.init_leaf([CHI], PHI, [])
+    d = B._node("qg2", ((leaf, leaf.conclusion.ante[0].id),))
+    succ_eq = Eq(Suc(Zero()), Suc(Suc(Zero())))
+    return d, "qg", [((), "PRINCIPAL_MISMATCH",
+                      f"qg2 requires {succ_eq!r} in the conclusion antecedent")]
+
+
+def _qg3_without_case_term():
+    return replace(SAMPLES["qg3"], term=None), "qg", [
+        ((), "MALFORMED_RULE", "qg3 needs its case term and eigenvariable")]
+
+
+def _qg3_zero_case_of_another_term():
+    z = Var("z")
+    return replace(SAMPLES["qg3"], term=z), "qg", [
+        ((), "PRINCIPAL_MISMATCH", f"qg3 zero-case active must be {z!r}=0, got {Eq(X, Zero())!r}")]
+
+
+def _qg3_successor_case_of_another_variable():
+    return replace(SAMPLES["qg3"], var="w"), "qg", [
+        ((), "PRINCIPAL_MISMATCH",
+         f"qg3 successor-case active must be w=S({X!r}), got {Eq(Y, Suc(X))!r}")]
+
+
+def _qg3_eigenvariable_in_the_zero_case():
+    l0 = B.init_leaf([Eq(Y, Zero())], PHI, [])
+    l1 = B.init_leaf([Eq(Y, Suc(Y))], PHI, [])
+    d = B.qg3(l0, l0.conclusion.ante[0].id, l1, l1.conclusion.ante[0].id, Y, "y")
+    return d, "qg", [((), "EIGENVAR_CLASH", "qg3 eigenvariable y occurs in the zero case")]
+
+
+def _qg5_without_its_second_term():
+    return replace(SAMPLES["qg5"], term2=None), "qg", [
+        ((), "MALFORMED_RULE", "qg5 needs 2 instantiating term(s)")]
+
+
+def _qg4_of_another_term():
+    d = SAMPLES["qg4"]
+    one = Suc(Zero())
+    a, want = d.premises[0].conclusion.find(d.actives[0][1])[2].formula, Eq(Plus(one, Zero()), one)
+    return replace(d, term=one), "qg", [
+        ((), "PRINCIPAL_MISMATCH", f"qg4 discharges {a!r}, expected {want!r}")]
+
+
+def _eigenvariable_reused():
+    # two x=x universals, each by forallr with eigenvariable ev1 over ev1=ev1
+    d0 = SAMPLES["forallr"]
+    d1 = refresh_ids(d0)
+    d = and_right(d0, d0.conclusion.succ[0].id, d1, d1.conclusion.succ[0].id)
+    return d, "qg", [
+        ((1,), "PURE_VARIABLE_CLASH", "eigenvariable ev1 reused (also at node 0)"),
+        ((0,), "PURE_VARIABLE_CLASH", "eigenvariable ev1 occurs outside its subtree (node 1/0)"),
+        ((1,), "PURE_VARIABLE_CLASH", "eigenvariable ev1 occurs outside its subtree (node 0/0)")]
+
+
+def _eigenvariable_outside_its_subtree():
+    # forallr with eigenvariable ev1 beside a branch where ev1 is free
+    d0 = SAMPLES["forallr"]
+    leaf = B.init_leaf([], Eq(Var("ev1"), Var("ev1")), [])
+    d1 = B.eq1(leaf, leaf.conclusion.ante[0].id)
+    d = and_right(d0, d0.conclusion.succ[0].id, d1, d1.conclusion.succ[0].id)
+    return d, "qg", [
+        ((0,), "PURE_VARIABLE_CLASH", "eigenvariable ev1 occurs outside its subtree (node root)")]
+
+
+REFUSALS = [
+    _relabelled_andl, _cut_actives_swapped, _cut_formulas_differ, _comp_of_an_open_formula,
+    _foralll_without_witness, _forallr_without_eigenvariable, _forallr_of_another_variable,
+    _eq1_of_an_equation_not_reflexive, _eq2_without_template, _eq2_template_not_atomic,
+    _eq2_without_its_equation, _eq2_without_the_replaced_instance, _qg2_of_a_negation,
+    _qg2_without_the_successor_equation, _qg3_without_case_term,
+    _qg3_zero_case_of_another_term, _qg3_successor_case_of_another_variable,
+    _qg3_eigenvariable_in_the_zero_case, _qg5_without_its_second_term, _qg4_of_another_term,
+    _eigenvariable_reused, _eigenvariable_outside_its_subtree,
+]
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=lambda f: f.__name__.lstrip("_"))
+def test_refusal(case):
+    # [DERIVED] every refusal branch of the rule checks and of the pure
+    # variable convention, each on one node built to reach it, reports its
+    # reason code and message, and nothing else
+    d, system, want = case()
+    assert list(check_derivation(d, system).violations) == [Violation(*v) for v in want]

@@ -11,7 +11,7 @@ import pytest
 
 from truthcut import build as B
 from truthcut import sexpr
-from truthcut.arith import chain_numeral, prove_equation, refute_equation
+from truthcut.arith import prove_equation, refute_equation
 from truthcut.cli import main
 from truthcut.coding import encode
 from truthcut.kernel import check_derivation
@@ -24,7 +24,7 @@ from truthcut.script import (
 from truthcut.sexpr import format_formula, parse_formula
 from truthcut.syntax import Eq, Forall, Plus, Times, Var, Zero
 
-from proofgen import nested_cuts, random_derivation
+from proofgen import chain_numeral, nested_cuts, random_derivation
 
 PINS = pathlib.Path(__file__).parent / "fixpoint_pins"
 

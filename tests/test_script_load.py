@@ -13,11 +13,13 @@ import pytest
 
 from truthcut import build as B
 from truthcut import script, sexpr
-from truthcut.arith import chain_numeral, refute_equation
+from truthcut.arith import refute_equation
 from truthcut.kernel import check_derivation
 from truthcut.script import ScriptError, fingerprint, parse_script, print_script
-from truthcut.sexpr import ParseError, format_formula, format_term, parse_formula, parse_sequent
+from truthcut.sexpr import ParseError, format_formula, parse_formula, parse_sequent
 from truthcut.syntax import Eq, Not, Num, Plus, Suc, SynApp, Times, Var, Zero, free_vars
+
+from proofgen import chain_numeral, neg_left
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -32,7 +34,7 @@ def _eq2_choice(premise_ante, conclusion_ante):
     var, chi = d.template
     assert var == "w_"
     codes = sorted(check_derivation(d, "qg").codes())
-    return format_formula(chi), format_term(d.term), format_term(d.term2), codes
+    return format_formula(chi), format_formula(d.term), format_formula(d.term2), codes
 
 
 def test_eq2_first_trigger_in_antecedent_order_wins():
@@ -145,17 +147,32 @@ def _count_reads(monkeypatch) -> list:
     return calls
 
 
-def test_each_distinct_formula_text_read_once(monkeypatch, empty_cache):
-    # [DERIVED] every line restates its premises' contexts, yet the loader
-    # reads each distinct formula text once, and a second load of the same
-    # script reads none
-    d = refute_equation([], Times(chain_numeral(2), chain_numeral(2)), chain_numeral(3), [])
+def _refutation_text(k: int) -> tuple:
+    """The qg refutation of k*k = k*k+1, its script and its distinct
+    formula texts."""
+    d = refute_equation([], Times(chain_numeral(k), chain_numeral(k)),
+                        chain_numeral(k * k + 1), [])
     text = print_script(d)
     pieces = [p.strip() for line in text.splitlines()
               for side in line.split("] ", 1)[1].split("=>")
               for p in side.split(",") if p.strip()]
     distinct = set(pieces)
     assert text.count("\n") > 20 and len(pieces) > 5 * len(distinct)
+    return d, text, distinct
+
+
+@pytest.mark.parametrize("k, bound, fits",
+                         [(2, sexpr._CACHE_CHARS, True), (6, 1 << 12, False)])
+def test_each_distinct_formula_text_read_once(monkeypatch, empty_cache, k, bound, fits):
+    # [DERIVED] every line restates its premises' contexts, yet the loader
+    # reads each distinct formula text once, also when the texts pass the
+    # cache's bound and the cache is emptied mid-script (the loader's memo
+    # keeps what the cache lost; before it, the k = 8 refutation's load took
+    # 14x its linear time); a second load of the same script reads none
+    # when the cache kept every text
+    d, text, distinct = _refutation_text(k)
+    assert (sum(map(len, distinct)) <= bound) == fits
+    monkeypatch.setattr(sexpr, "_CACHE_CHARS", bound)
     calls = _count_reads(monkeypatch)
     for p in distinct:
         parse_formula(p)
@@ -164,10 +181,11 @@ def test_each_distinct_formula_text_read_once(monkeypatch, empty_cache):
     d2 = parse_script(text)
     assert len(calls) == once
     assert fingerprint(d2) == fingerprint(d)
-    calls.clear()
-    d3 = parse_script(text)
-    assert calls == []
-    assert fingerprint(d3) == fingerprint(d)
+    if fits:
+        calls.clear()
+        d3 = parse_script(text)
+        assert calls == []
+        assert fingerprint(d3) == fingerprint(d)
 
 
 def test_numeral_literal_zero_round_trips():
@@ -239,8 +257,8 @@ def test_cache_never_holds_more_text_than_its_bound(monkeypatch, empty_cache):
     held, long_pieces = [], []
     read_piece = sexpr._read_piece
 
-    def checked(piece):
-        phi = read_piece(piece)
+    def checked(piece, memo):
+        phi = read_piece(piece, memo)
         total = sum(map(len, empty_cache))
         assert total == sexpr._cached_chars <= bound
         if len(piece) > bound:
@@ -407,7 +425,7 @@ def test_wrong_side_active_refusal_leaves_the_rule_to_the_caller():
     # parse_script prefixes to every builder refusal
     lf = B.init_leaf([], Eq(Zero(), Zero()), [])
     with pytest.raises(B.BuildError, match="^active must be in the succedent$"):
-        B.neg_left(lf, lf.conclusion.ante[0].id)
+        neg_left(lf, lf.conclusion.ante[0].id)
 
 
 def test_unbuildable_rule_is_a_script_error():

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from truthcut import search
-from truthcut.arith import chain_numeral
 from truthcut.cli import main
 from truthcut.coding import liar, quote, truth_teller
 from truthcut.deriv import compute_measures, same_multiset
@@ -16,7 +15,6 @@ from truthcut.script import print_script
 from truthcut.search import (
     SearchBudget,
     _key,
-    check_conservativity,
     search_cut_free,
 )
 from truthcut.sexpr import format_sequent, parse_formula, parse_sequent
@@ -33,6 +31,8 @@ from truthcut.syntax import (
     Var,
     Zero,
 )
+
+from proofgen import chain_numeral, check_conservativity
 
 BUD = SearchBudget(max_depth=8, max_term_index=4, max_tau_unfold=4)
 PHI = Eq(Zero(), Zero())

@@ -14,7 +14,6 @@ from truthcut.coding import (
     eval_term,
     liar,
     quote,
-    truth_of,
     truth_teller,
 )
 from truthcut.search import SearchBudget, search_cut_free
@@ -28,14 +27,26 @@ from truthcut.semantics import (
     check_consistency,
     check_soundness,
     check_transparency,
-    kripke_step,
+    SentenceUniverse,
+    _holds,
     least_fixed_point,
 )
 from truthcut.sexpr import parse_formula
 from truthcut.syntax import And, Eq, Forall, Not, Num, Plus, Suc, SynApp, Times, Tr, Var, Zero
 
+from proofgen import truth_of
+
 PHI = Eq(Zero(), Zero())
 BAD = Eq(Zero(), Suc(Zero()))
+
+
+def kripke_step(S, universe: SentenceUniverse) -> frozenset:
+    """One application of the positive step operator on sets of codes;
+    monotone in S.  The reference that ``least_fixed_point`` is tested
+    against."""
+    S = frozenset(S)
+    clauses = universe.clauses
+    return frozenset(c for c in universe.codes if _holds(clauses[c], S))
 
 
 def test_universe_closure():

@@ -4,8 +4,10 @@ Every kernel-VALID derivation fits the checker's schemas, and a derivation
 that fits them is refused by the kernel for an id-only reason at most
 (``OCC_ID_REUSE``, ``LINEAGE_BROKEN``), which the checker cannot see by
 design.  The corpus: the golden scripts in every system, ``proofgen``'s
-random, duplicated-formula, nested-cut and principal-cut derivations, and
-``eliminate_cuts`` on the nested cuts and the principal cuts.
+random, duplicated-formula, nested-cut and principal-cut derivations,
+``eliminate_cuts`` on the nested cuts and the principal cuts, and what
+search proves on the search digest's fixed goal sample (the one the
+soundness law checks).
 
 A second test runs a fixed-seed sample of ``kernel_digest``'s per-node
 mutations in every system.  There a leaf's principal marks may be wrong
@@ -20,6 +22,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 
 import kernel_digest
 import proofgen
@@ -30,6 +33,9 @@ from truthcut.deriv import RULE_SHAPES
 from truthcut.kernel import SYSTEMS, check_derivation
 from truthcut.script import ScriptError, parse_script
 from truthcut.transform import eliminate_cuts
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import search_digest  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ID_ONLY = {"OCC_ID_REUSE", "LINEAGE_BROKEN"}
@@ -86,6 +92,8 @@ def _corpus():
     for k, d in enumerate(cuts):
         yield f"cut {k}", d, "lptn"
         yield f"elim {k}", eliminate_cuts(d, "lptn").derivation, "lptn"
+    for k, system, d in search_digest.sample_proofs():
+        yield f"search {k}", d, system
 
 
 def _disagreements(items, unexplained):

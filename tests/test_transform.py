@@ -22,6 +22,7 @@ from truthcut.syntax import (
     Forall,
     Not,
     Num,
+    Plus,
     Suc,
     SynApp,
     Top,
@@ -45,10 +46,20 @@ from truthcut.transform import (
 )
 
 from proofgen import (
+    and_left,
+    and_right,
+    bot_leaf,
     duplicated_derivation,
+    forall_left,
+    forall_right,
+    neg_left,
+    neg_right,
     nested_cuts,
     principal_cuts,
     random_derivation,
+    top_leaf,
+    truth_left,
+    truth_right,
 )
 
 PHI = Eq(Zero(), Zero())
@@ -71,7 +82,7 @@ def _succ_id(d, f, nth=0):
 def test_weaken_adds_context_everywhere():
     # [DERIVED] weakening extends every sequent and leaves (n, m, k) fixed
     lf = B.init_leaf([PHI], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     m0 = compute_measures(d)
     r = weaken(d, [Not(PSI)], [TPHI], "lptn")
     assert check_derivation(r.derivation, "lptn").ok
@@ -110,7 +121,7 @@ def test_substitute_rejects_eigenvariable():
     # [DERIVED] substituting for or into an eigenvariable is refused
     p0 = prove_equation([], Var("y"), Var("y"), [])
     fa = Forall("x", Eq(Var("x"), Var("x")))
-    d = B.forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
+    d = forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
     assert check_derivation(d, "qg").ok
     with pytest.raises(TransformError):
         substitute_proof(d, "y", Zero(), "qg")
@@ -123,8 +134,8 @@ def test_substitute_rejects_eigenvariable():
 def test_invert_negation_right():
     # [DERIVED] inverting a succedent negation moves the body left
     lf = B.init_leaf([PHI], PHI, [])
-    nl = B.neg_left(lf, lf.conclusion.succ[0].id)
-    d = B.neg_right(nl, _ante_id(nl, PHI))
+    nl = neg_left(lf, lf.conclusion.succ[0].id)
+    d = neg_right(nl, _ante_id(nl, PHI))
     r = invert(d, _succ_id(d, Not(PHI)), "lgt")
     out = r.derivation
     assert check_derivation(out, "lgt").ok
@@ -137,8 +148,8 @@ def test_invert_negation_right():
 def test_invert_truth_strict_tau_decrease():
     # [DERIVED] inverting a truth ascription strictly lowers its tau
     lf = B.init_leaf([PHI], PHI, [])
-    d1 = B.truth_left(lf, lf.conclusion.ante[0].id)
-    d2 = B.truth_left(d1, _ante_id(d1, TPHI))
+    d1 = truth_left(lf, lf.conclusion.ante[0].id)
+    d2 = truth_left(d1, _ante_id(d1, TPHI))
     ttphi = Tr(quote(TPHI))
     tid = _ante_id(d2, ttphi)
     m0 = compute_measures(d2)
@@ -155,7 +166,7 @@ def test_invert_conjunction_antecedent():
     # [DERIVED] one output containing both conjuncts
     conj = And(PHI, PSI)
     lf = B.init_leaf([PHI, PSI], PHI, [])
-    d = B.and_left(lf, _ante_id(lf, PHI, 0), _ante_id(lf, PSI))
+    d = and_left(lf, _ante_id(lf, PHI, 0), _ante_id(lf, PSI))
     r = invert(d, _ante_id(d, conj), "lgt")
     out = r.derivation
     assert check_derivation(out, "lgt").ok
@@ -168,7 +179,7 @@ def test_invert_conjunction_succedent_two_results():
     # [DERIVED] succedent conjunction inverts to two proofs
     a = B.init_leaf([PSI], PHI, [])   # PSI, PHI => PHI
     b = B.init_leaf([PHI], PSI, [])   # PHI, PSI => PSI
-    d = B.and_right(a, _succ_id(a, PHI), b, _succ_id(b, PSI))
+    d = and_right(a, _succ_id(a, PHI), b, _succ_id(b, PSI))
     results = invert(d, _succ_id(d, And(PHI, PSI)), "lgt")
     assert isinstance(results, tuple) and len(results) == 2
     left, right = results
@@ -182,7 +193,7 @@ def test_invert_universal_succedent():
     # [DERIVED] a succedent universal inverts to a fresh-variable instance
     p0 = prove_equation([], Var("y"), Var("y"), [])
     fa = Forall("x", Eq(Var("x"), Var("x")))
-    d = B.forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
+    d = forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
     r = invert(d, _succ_id(d, fa), "qg")
     out = r.derivation
     assert check_derivation(out, "qg").ok
@@ -195,7 +206,7 @@ def test_invert_context_occurrence():
     # [DERIVED] inversion also applies to occurrences never introduced by a
     # rule (pure context): the formula is replaced throughout the lineage
     lf = B.init_leaf([Not(PHI)], PHI, [])
-    d = B.truth_left(lf, _ante_id(lf, PHI))
+    d = truth_left(lf, _ante_id(lf, PHI))
     r = invert(d, _ante_id(d, Not(PHI)), "lptn")
     out = r.derivation
     assert check_derivation(out, "lptn").ok
@@ -236,7 +247,7 @@ def test_contract_refuses_one_occurrence_twice():
     # [DERIVED] two equal ids name one occurrence, not two copies; this was
     # a bare KeyError
     lf = B.init_leaf([], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     for proof in (lf, d):
         oid = proof.conclusion.ante[0].id
         with pytest.raises(TransformError, match="two distinct occurrences"):
@@ -247,7 +258,7 @@ def test_drop_context_checks_its_occurrence():
     # [DERIVED] an id outside the end sequent is refused before any walk; a
     # leaf came back unchanged and a larger proof raised a lineage fault
     lf = B.init_leaf([PSI], PHI, [])
-    d = B.truth_left(lf, _ante_id(lf, PHI))
+    d = truth_left(lf, _ante_id(lf, PHI))
     missing = 1 + max(o.id for n in d.iter_nodes()
                       for o in n.conclusion.all_occurrences())
     for proof in (lf, d):
@@ -262,35 +273,35 @@ def test_drop_context_checks_its_occurrence():
 
 def _contract_tl():
     lf = B.init_leaf([PHI], PHI, [])          # PHI, PHI => PHI
-    d1 = B.truth_left(lf, lf.conclusion.ante[0].id)
-    d = B.truth_left(d1, _ante_id(d1, PHI))   # TPHI, TPHI => PHI
+    d1 = truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(d1, _ante_id(d1, PHI))   # TPHI, TPHI => PHI
     return d, "lptn"
 
 
 def _contract_tr():
     lf = B.init_leaf([], PHI, [PHI])          # PHI => PHI, PHI
-    d1 = B.truth_right(lf, lf.conclusion.succ[1].id)
-    d = B.truth_right(d1, _succ_id(d1, PHI))  # PHI => TPHI, TPHI
+    d1 = truth_right(lf, lf.conclusion.succ[1].id)
+    d = truth_right(d1, _succ_id(d1, PHI))  # PHI => TPHI, TPHI
     return d, "lptn"
 
 
 def _contract_negl():
     lf = B.init_leaf([Not(PHI)], PHI, [])     # ~PHI, PHI => PHI
-    d = B.neg_left(lf, lf.conclusion.succ[0].id)
+    d = neg_left(lf, lf.conclusion.succ[0].id)
     return d, "lptn"
 
 
 def _contract_negr():
     lf = B.init_leaf([PHI], PHI, [])          # PHI, PHI => PHI
-    d1 = B.neg_right(lf, lf.conclusion.ante[0].id)
-    d = B.neg_right(d1, _ante_id(d1, PHI))    # => PHI, ~PHI, ~PHI
+    d1 = neg_right(lf, lf.conclusion.ante[0].id)
+    d = neg_right(d1, _ante_id(d1, PHI))    # => PHI, ~PHI, ~PHI
     return d, "lptn"
 
 
 def _contract_andl(right):
     conj = And(PHI, right)
     lf = B.init_leaf([PHI, conj], right, [])  # PHI, conj, right => right
-    d = B.and_left(lf, lf.conclusion.ante[0].id, lf.conclusion.ante[2].id)
+    d = and_left(lf, lf.conclusion.ante[0].id, lf.conclusion.ante[2].id)
     return d, "lptn"
 
 
@@ -298,7 +309,7 @@ def _contract_andr():
     conj = And(PHI, PSI)
     a = B.init_leaf([PSI], PHI, [conj])       # PSI, PHI => PHI, conj
     b = B.init_leaf([PHI], PSI, [conj])       # PHI, PSI => PSI, conj
-    d = B.and_right(a, a.conclusion.succ[0].id, b, b.conclusion.succ[0].id)
+    d = and_right(a, a.conclusion.succ[0].id, b, b.conclusion.succ[0].id)
     return d, "lptn"
 
 
@@ -307,16 +318,16 @@ FA = Forall("x", Eq(Var("x"), Var("x")))
 
 def _contract_foralll():
     lf = B.init_leaf([FA, FA], PHI, [])       # FA, FA, PHI => PHI
-    d = B.forall_left(lf, lf.conclusion.ante[0].id, lf.conclusion.ante[2].id,
-                      Zero())
+    d = forall_left(lf, lf.conclusion.ante[0].id, lf.conclusion.ante[2].id,
+                    Zero())
     return d, "qg"
 
 
 def _contract_forallr():
     y, z = Var("y"), Var("z")
     p = prove_equation([], y, y, [Eq(z, z)])  # => y=y, z=z
-    d1 = B.forall_right(p, _succ_id(p, Eq(z, z)), FA, "z")
-    d = B.forall_right(d1, _succ_id(d1, Eq(y, y)), FA, "y")  # => FA, FA
+    d1 = forall_right(p, _succ_id(p, Eq(z, z)), FA, "z")
+    d = forall_right(d1, _succ_id(d1, Eq(y, y)), FA, "y")  # => FA, FA
     return d, "qg"
 
 
@@ -450,9 +461,9 @@ def test_reduce_cut_negation_principal():
     # [DERIVED] principal negation on both sides swaps the premises
     neg = Not(PHI)
     p = B.init_leaf([PHI], PSI, [])
-    d0 = B.neg_right(p, _ante_id(p, PHI))              # PSI => PSI, not PHI
+    d0 = neg_right(p, _ante_id(p, PHI))              # PSI => PSI, not PHI
     q = B.init_leaf([], PSI, [PHI])
-    d1 = B.neg_left(q, _succ_id(q, PHI))               # not PHI, PSI => PSI
+    d1 = neg_left(q, _succ_id(q, PHI))               # not PHI, PSI => PSI
     out = _check_reduction(d0, _succ_id(d0, neg), d1, _ante_id(d1, neg))
     assert out.conclusion.ante_formulas() == [PSI]
     assert out.conclusion.succ_formulas() == [PSI]
@@ -464,9 +475,9 @@ def test_reduce_cut_conjunction_principal():
     ga = [PHI, PSI]
     a0 = B.init_leaf([PSI], PHI, [PHI])                # gamma => PHI, PHI
     a1 = B.init_leaf([PHI], PSI, [PHI])                # gamma => PHI, PSI
-    d0 = B.and_right(a0, _succ_id(a0, PHI, 1), a1, _succ_id(a1, PSI))
+    d0 = and_right(a0, _succ_id(a0, PHI, 1), a1, _succ_id(a1, PSI))
     b = B.init_leaf([PSI, PHI, PSI], PHI, [])
-    d1 = B.and_left(b, _ante_id(b, PHI, 0), _ante_id(b, PSI, 0))
+    d1 = and_left(b, _ante_id(b, PHI, 0), _ante_id(b, PSI, 0))
     out = _check_reduction(d0, _succ_id(d0, conj), d1, _ante_id(d1, conj))
     assert sorted(map(repr, out.conclusion.ante_formulas())) == \
         sorted(map(repr, ga))
@@ -475,9 +486,9 @@ def test_reduce_cut_conjunction_principal():
 def test_reduce_cut_truth_principal():
     # [DERIVED] principal truth ascription: recurse on the unquoted sentence
     a = B.init_leaf([], PHI, [PHI])
-    d0 = B.truth_right(a, _succ_id(a, PHI, 0))          # PHI => PHI, T<PHI>
+    d0 = truth_right(a, _succ_id(a, PHI, 0))          # PHI => PHI, T<PHI>
     b = B.init_leaf([PHI], PHI, [])
-    d1 = B.truth_left(b, _ante_id(b, PHI, 0))           # T<PHI>, PHI => PHI
+    d1 = truth_left(b, _ante_id(b, PHI, 0))           # T<PHI>, PHI => PHI
     out = _check_reduction(d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI))
     assert out.conclusion.ante_formulas() == [PHI]
     assert out.conclusion.succ_formulas() == [PHI]
@@ -489,11 +500,11 @@ def _peeled_negation_cut():
     eq = Eq(Zero(), Suc(Zero()))
     neg = Not(eq)
     r = refute_equation([eq], Zero(), Suc(Zero()), [])      # 0=S0, 0=S0 =>
-    n = B.neg_right(r, _ante_id(r, eq, 1))                  # 0=S0 => not 0=S0
-    d0 = B.truth_right(n, _succ_id(n, neg))                 # 0=S0 => T<..>
+    n = neg_right(r, _ante_id(r, eq, 1))                  # 0=S0 => not 0=S0
+    d0 = truth_right(n, _succ_id(n, neg))                 # 0=S0 => T<..>
     i = B.init_leaf([], eq, [])                             # 0=S0 => 0=S0
-    nl = B.neg_left(i, _succ_id(i, eq))                     # 0=S0, not 0=S0 =>
-    d1 = B.truth_left(nl, _ante_id(nl, neg))                # 0=S0, T<..> =>
+    nl = neg_left(i, _succ_id(i, eq))                     # 0=S0, not 0=S0 =>
+    d1 = truth_left(nl, _ante_id(nl, neg))                # 0=S0, T<..> =>
     aid, bid = _succ_id(d0, Tr(quote(neg))), _ante_id(d1, Tr(quote(neg)))
     return d0, aid, d1, bid, B.cut(d0, aid, d1, bid)
 
@@ -527,9 +538,9 @@ def test_reduce_cut_universal_principal():
     fa = Forall("x", Eq(Var("x"), Var("x")))
     inst = Eq(Zero(), Zero())
     p0 = prove_equation([], Var("y"), Var("y"), [inst])
-    d0 = B.forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
+    d0 = forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
     p1 = B.init_leaf([fa], inst, [])
-    d1 = B.forall_left(p1, _ante_id(p1, fa), _ante_id(p1, inst), Zero())
+    d1 = forall_left(p1, _ante_id(p1, fa), _ante_id(p1, inst), Zero())
     out = _check_reduction(d0, _succ_id(d0, fa), d1, _ante_id(d1, fa), "qg")
     assert out.conclusion.succ_formulas() == [inst]
 
@@ -566,7 +577,7 @@ def test_drop_context_refuses_a_principal_occurrence():
     # [DERIVED] only an occurrence that is a side formula all the way up
     # can be dropped
     top = B.leaf("top", [PHI], Top(), [])          # PHI => top
-    above = B.truth_left(top, _ante_id(top, PHI))  # T(PHI) => top
+    above = truth_left(top, _ante_id(top, PHI))  # T(PHI) => top
     for d in (top, above):
         with pytest.raises(TransformError,
                            match="^cannot drop a principal occurrence$"):
@@ -581,18 +592,18 @@ def _branches_carry_different_contexts():
     r = PSI
     a = B.init_leaf([], PHI, [c, r])                   # PHI => PHI, C, R
     a = B.eq1(a, _ante_id(a, PHI))                     # => PHI, C, R
-    a = B.truth_right(a, _succ_id(a, PHI))             # => T<PHI>, C, R
-    a = B.neg_left(a, _succ_id(a, c))                  # ~C => T<PHI>, R
+    a = truth_right(a, _succ_id(a, PHI))             # => T<PHI>, C, R
+    a = neg_left(a, _succ_id(a, c))                  # ~C => T<PHI>, R
     b = B.init_leaf([Not(c)], PHI, [r])                # ~C, PHI => PHI, R
     b = B.eq1(b, _ante_id(b, PHI))                     # ~C => PHI, R
-    b = B.truth_right(b, _succ_id(b, PHI))             # ~C => T<PHI>, R
-    d0 = B.and_right(a, _succ_id(a, r), b, _succ_id(b, r))  # ~C => T<PHI>, R&R
+    b = truth_right(b, _succ_id(b, PHI))             # ~C => T<PHI>, R
+    d0 = and_right(a, _succ_id(a, r), b, _succ_id(b, r))  # ~C => T<PHI>, R&R
     e = []
     for _ in range(2):
         x = B.init_leaf([PHI, Not(c)], r, [])          # PHI, ~C, R => R
         e.append(B.eq1(x, _ante_id(x, r)))             # PHI, ~C => R
-    d1 = B.and_right(e[0], _succ_id(e[0], r), e[1], _succ_id(e[1], r))
-    d1 = B.truth_left(d1, _ante_id(d1, PHI))           # T<PHI>, ~C => R&R
+    d1 = and_right(e[0], _succ_id(e[0], r), e[1], _succ_id(e[1], r))
+    d1 = truth_left(d1, _ante_id(d1, PHI))           # T<PHI>, ~C => R&R
     return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
 
 
@@ -699,11 +710,11 @@ def _cut_beside_three_copies():
     holds the same three, one of them introduced by a negl."""
     n = Not(PSI)
     lf = B.init_leaf([n, n], PHI, [PSI])              # ~PSI, ~PSI, PHI => PHI, PSI
-    top = B.neg_right(lf, _ante_id(lf, PHI))          # ~PSI, ~PSI => PHI, PSI, ~PHI
-    d0 = B.neg_left(top, _succ_id(top, PSI))          # ~PSI x3 => PHI, ~PHI
+    top = neg_right(lf, _ante_id(lf, PHI))          # ~PSI, ~PSI => PHI, PSI, ~PHI
+    d0 = neg_left(top, _succ_id(top, PSI))          # ~PSI x3 => PHI, ~PHI
     e = prove_equation([n, n], Zero(), Zero(), [PHI, PSI])
-    e = B.neg_left(e, _succ_id(e, PSI))               # ~PSI x3 => PHI, PHI
-    d1 = B.neg_left(e, _succ_id(e, PHI, 1))           # ~PSI x3, ~PHI => PHI
+    e = neg_left(e, _succ_id(e, PSI))               # ~PSI x3 => PHI, PHI
+    d1 = neg_left(e, _succ_id(e, PHI, 1))           # ~PSI x3, ~PHI => PHI
     return d0, _succ_id(d0, Not(PHI)), d1, _ante_id(d1, Not(PHI))
 
 
@@ -731,7 +742,7 @@ def test_contract_to_never_merges_two_named_occurrences(named):
     # unnamed copy into the first named one merges only those two, and both
     # named copies survive with distinct ids
     lf = B.init_leaf([PSI, PSI, PSI], PHI, [])
-    d = B.neg_right(lf, _ante_id(lf, PHI))          # PSI, PSI, PSI => PHI, ~PHI
+    d = neg_right(lf, _ante_id(lf, PHI))          # PSI, PSI, PSI => PHI, ~PHI
     first, second = (d.conclusion.ante[i].id for i in named)
     unnamed = d.conclusion.ante[3 - sum(named)].id
     r = contract(d, first, unnamed, "lptn")
@@ -750,14 +761,14 @@ def _cut_past_a_clashing_eigenvariable():
     fc = Forall("x", Eq(Suc(Var("x")), Suc(Var("x"))))
     yy = Eq(Var("y"), Var("y"))
     q = prove_equation([], Zero(), Zero(), [yy, fc])  # => PHI, y=y, FC
-    q = B.truth_right(q, _succ_id(q, PHI))            # => T<PHI>, y=y, FC
-    d0 = B.forall_right(q, _succ_id(q, yy), fa, "y")  # => T<PHI>, FC, FA
+    q = truth_right(q, _succ_id(q, PHI))            # => T<PHI>, y=y, FC
+    d0 = forall_right(q, _succ_id(q, yy), fa, "y")  # => T<PHI>, FC, FA
     sy = Eq(Suc(Var("y")), Suc(Var("y")))
     zz = Eq(Var("z"), Var("z"))
     p = prove_equation([PHI], Suc(Var("y")), Suc(Var("y")), [zz])
-    p = B.forall_right(p, _succ_id(p, sy), fc, "y")   # PHI => z=z, FC
-    p = B.forall_right(p, _succ_id(p, zz), fa, "z")   # PHI => FC, FA
-    d1 = B.truth_left(p, _ante_id(p, PHI))            # T<PHI> => FC, FA
+    p = forall_right(p, _succ_id(p, sy), fc, "y")   # PHI => z=z, FC
+    p = forall_right(p, _succ_id(p, zz), fa, "z")   # PHI => FC, FA
+    d1 = truth_left(p, _ante_id(p, PHI))            # T<PHI> => FC, FA
     return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
 
 
@@ -788,17 +799,17 @@ def _cut_against_an_eigenvariable_at_each_top(tops):
     for _ in range(tops):
         t = B.init_leaf([Not(fa)], PHI, [PSI])            # ~FA, PHI => PHI, PSI
         t = B.eq1(t, _ante_id(t, PHI))                    # ~FA => PHI, PSI
-        t = B.truth_right(t, _succ_id(t, PHI))            # ~FA => T<PHI>, PSI
+        t = truth_right(t, _succ_id(t, PHI))            # ~FA => T<PHI>, PSI
         if d0 is None:
             d0, c = t, PSI
         else:                                             # ~FA => T<PHI>, C&PSI
-            d0 = B.and_right(d0, _succ_id(d0, c), t, _succ_id(t, PSI))
+            d0 = and_right(d0, _succ_id(d0, c), t, _succ_id(t, PSI))
             c = And(c, PSI)
     p = B.init_leaf([PHI], yy, [c])                       # PHI, y=y => y=y, C
     p = B.eq1(p, _ante_id(p, yy))                         # PHI => y=y, C
-    p = B.forall_right(p, _succ_id(p, yy), fa, "y")       # PHI => C, FA
-    p = B.neg_left(p, _succ_id(p, fa))                    # PHI, ~FA => C
-    d1 = B.truth_left(p, _ante_id(p, PHI))                # T<PHI>, ~FA => C
+    p = forall_right(p, _succ_id(p, yy), fa, "y")       # PHI => C, FA
+    p = neg_left(p, _succ_id(p, fa))                    # PHI, ~FA => C
+    d1 = truth_left(p, _ante_id(p, PHI))                # T<PHI>, ~FA => C
     return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
 
 
@@ -823,14 +834,14 @@ def _cut_past_an_unpaired_principal():
     formula's path a negr and a negl introduce ~PSI, which the lower cut
     consumes, so the right premise holds no partner for it."""
     m1 = prove_equation([PSI], Zero(), Zero(), [PHI])   # PSI => PHI, PHI
-    m1 = B.truth_right(m1, _succ_id(m1, PHI))           # PSI => T<PHI>, PHI
-    m1 = B.neg_right(m1, _ante_id(m1, PSI))             # => T<PHI>, PHI, ~PSI
+    m1 = truth_right(m1, _succ_id(m1, PHI))           # PSI => T<PHI>, PHI
+    m1 = neg_right(m1, _ante_id(m1, PSI))             # => T<PHI>, PHI, ~PSI
     m2 = prove_equation([], Suc(Zero()), Suc(Zero()), [PHI, PHI])
-    m2 = B.truth_right(m2, _succ_id(m2, PHI))           # => PSI, T<PHI>, PHI
-    m2 = B.neg_left(m2, _succ_id(m2, PSI))              # ~PSI => T<PHI>, PHI
+    m2 = truth_right(m2, _succ_id(m2, PHI))           # => PSI, T<PHI>, PHI
+    m2 = neg_left(m2, _succ_id(m2, PSI))              # ~PSI => T<PHI>, PHI
     d0 = B.cut(m1, _succ_id(m1, Not(PSI)), m2, _ante_id(m2, Not(PSI)))
     lf = B.init_leaf([], PHI, [])
-    d1 = B.truth_left(lf, _ante_id(lf, PHI))            # T<PHI> => PHI
+    d1 = truth_left(lf, _ante_id(lf, PHI))            # T<PHI> => PHI
     return d0, _succ_id(d0, TPHI), d1, _ante_id(d1, TPHI)
 
 
@@ -979,9 +990,9 @@ def _conjunction_cut():
     conj = And(PHI, PSI)
     a0 = prove_equation([], Zero(), Zero(), [PHI])              # => PHI, PHI
     a1 = prove_equation([], Suc(Zero()), Suc(Zero()), [PHI])    # => PSI, PHI
-    d0 = B.and_right(a0, _succ_id(a0, PHI, 0), a1, _succ_id(a1, PSI))
+    d0 = and_right(a0, _succ_id(a0, PHI, 0), a1, _succ_id(a1, PSI))
     b = prove_equation([PHI, PSI], Zero(), Zero(), [])          # PHI, PSI => PHI
-    d1 = B.and_left(b, _ante_id(b, PHI, 0), _ante_id(b, PSI))
+    d1 = and_left(b, _ante_id(b, PHI, 0), _ante_id(b, PSI))
     return d0, _succ_id(d0, conj), d1, _ante_id(d1, conj)
 
 
@@ -989,9 +1000,9 @@ def _universal_cut():
     fa = Forall("x", Eq(Var("x"), Var("x")))
     inst = Eq(Zero(), Zero())
     p0 = prove_equation([], Var("y"), Var("y"), [inst])
-    d0 = B.forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
+    d0 = forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
     p1 = B.init_leaf([fa], inst, [])
-    d1 = B.forall_left(p1, _ante_id(p1, fa), _ante_id(p1, inst), Zero())
+    d1 = forall_left(p1, _ante_id(p1, fa), _ante_id(p1, inst), Zero())
     return d0, _succ_id(d0, fa), d1, _ante_id(d1, fa)
 
 
@@ -1092,7 +1103,7 @@ def test_weaken_keeps_its_exact_and_pointwise_certificate():
     # [DERIVED] the public weaken still certifies the unchanged triple, every
     # old occurrence's tau and tau = 0 for every new occurrence
     lf = B.init_leaf([PHI], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     m0 = compute_measures(d)
     r = weaken(d, [Not(PSI)], [TPHI], "lptn")
     old = [o.id for o in d.conclusion.all_occurrences()]
@@ -1124,7 +1135,7 @@ def test_eliminate_cuts_keeps_a_cut_free_sibling():
     c = B.cut(a, _succ_id(a, PHI), b, _ante_id(b, PHI))  # PHI => PHI
     x = B.init_leaf([PHI], PSI, [])                     # PHI, PSI => PSI
     x = B.eq1(x, _ante_id(x, PSI))                      # PHI => PSI
-    d = B.and_right(c, _succ_id(c, PHI), x, _succ_id(x, PSI))
+    d = and_right(c, _succ_id(c, PHI), x, _succ_id(x, PSI))
     out = eliminate_cuts(d, "lptn").derivation
     assert out.rule == "andr" and out is not d
     assert out.premises[1] is x
@@ -1138,7 +1149,7 @@ def _conjunction_chain(ante, succ, k):
     x = PHI
     for _ in range(k - 1):
         lf = B.init_leaf(ante, PHI, succ)
-        d = B.and_right(d, _succ_id(d, x), lf, _succ_id(lf, PHI))
+        d = and_right(d, _succ_id(d, x), lf, _succ_id(lf, PHI))
         x = And(x, PHI)
     return d
 
@@ -1150,7 +1161,7 @@ def _leaf_top_cuts(k):
     d0 = _conjunction_chain([], [PSI], k)             # PHI => X, PSI
     d1 = _conjunction_chain([PSI], [], k)             # PSI, PHI => X
     yield d0, _succ_id(d0, PSI), d1, _ante_id(d1, PSI)
-    e0 = B.neg_right(d1, _ante_id(d1, PSI))           # PHI => X, ~PSI
+    e0 = neg_right(d1, _ante_id(d1, PSI))           # PHI => X, ~PSI
     e1 = _conjunction_chain([Not(PSI)], [], k)        # ~PSI, PHI => X
     yield e0, _succ_id(e0, Not(PSI)), e1, _ante_id(e1, Not(PSI))
 
@@ -1221,9 +1232,9 @@ def _cut_on_one_cutting_branch(rule):
     comp) ending the left premise: on its left branch a Tr introduces
     T<PHI>, on its right one a leaf has it as a side formula.  The node's
     principal is paired with the right premise's copy of it."""
-    build = B.and_right if rule == "andr" else B.comp_node
+    build = and_right if rule == "andr" else B.comp_node
     a = B.init_leaf([PSI], PHI, [PHI])                # PSI, PHI => PHI, PHI
-    a = B.truth_right(a, _succ_id(a, PHI, 1))         # PSI, PHI => PHI, T<PHI>
+    a = truth_right(a, _succ_id(a, PHI, 1))         # PSI, PHI => PHI, T<PHI>
     b = B.init_leaf([PHI], PSI, [TPHI])               # PHI, PSI => PSI, T<PHI>
     d0 = build(a, _succ_id(a, PHI), b, _succ_id(b, PSI))
     x = B.init_leaf([TPHI, PSI], PHI, [])             # T<PHI>, PSI, PHI => PHI
@@ -1285,7 +1296,7 @@ def test_weakening_by_closed_formulas_walks_no_eigenvariables(monkeypatch):
         return walk(d)
 
     lf = B.init_leaf([PHI], PHI, [])
-    d = B.truth_left(lf, lf.conclusion.ante[0].id)
+    d = truth_left(lf, lf.conclusion.ante[0].id)
     monkeypatch.setattr(transform, "collect_eigenvars", counted)
     transform._weaken(d, [Not(PSI)], [TPHI])
     assert walks == []
@@ -1356,3 +1367,87 @@ def test_pushed_cuts_contract_nothing_on_the_digest_corpus(monkeypatch):
             except TransformError:
                 pass
     assert callers and set(callers) == {transform._reduce.__code__}
+
+
+# -- branches that renames and leaf cases take ------------------------------
+
+
+@pytest.mark.parametrize("t, renamed", [(Suc(Zero()), False), (Var("w_"), True)])
+def test_substitution_carries_eq2_templates(t, renamed):
+    # [DERIVED] substituting into a proof through eq2 carries each
+    # template; its variable is renamed when the substituted term holds it
+    z = Var("z")
+    one = Suc(Zero())
+    d = prove_equation([Eq(z, Zero())], Plus(one, one), Suc(one), [])
+    assert {n.template[0] for n in d.iter_nodes() if n.rule == "eq2"} == {"w_"}
+    r = substitute_proof(d, "z", t, "qg")
+    assert r.derivation.conclusion.ante_formulas() == [Eq(t, Zero())]
+    names = {n.template[0] for n in r.derivation.iter_nodes() if n.rule == "eq2"}
+    assert ("w_" not in names) == renamed and len(names) == 1
+
+
+@pytest.mark.parametrize("rule", ["top", "bot"])
+def test_cut_on_a_constant_axiom_drops_the_other_copy(rule):
+    # [DERIVED] cutting top against its axiom (or bot against its axiom)
+    # drops the cut formula from the other premise, where it is never
+    # principal
+    side = B.init_leaf([Top()] if rule == "top" else [], PHI,
+                       [] if rule == "top" else [Bot()])
+    other = neg_right(side, side.conclusion.ante[-1].id)  # [top] => PHI, [bot], not PHI
+    rest = [PHI, Not(PHI)]
+    if rule == "top":
+        d0, d1 = top_leaf([], rest), other
+    else:
+        d0, d1 = other, bot_leaf([], rest)
+    aid = next(o.id for o in d0.conclusion.succ if o.formula in (Top(), Bot()))
+    bid = next(o.id for o in d1.conclusion.ante if o.formula in (Top(), Bot()))
+    r = reduce_cut(d0, aid, d1, bid, "lgt")
+    assert r.derivation.rule == "negr"
+    assert r.derivation.conclusion.ante_formulas() == []
+    assert r.derivation.conclusion.succ_formulas() == rest
+
+
+def test_weakening_by_a_formula_free_in_an_eigenvariable_renames_it():
+    # [DERIVED] the new formula's free variable is the proof's eigenvariable,
+    # so the eigenvariable is renamed before the formula is added
+    leaf = B.init_leaf([], Eq(Var("ev1"), Var("ev1")), [])
+    refl = B.eq1(leaf, leaf.conclusion.ante[0].id)
+    d = forall_right(refl, refl.conclusion.succ[0].id,
+                     Forall("x", Eq(Var("x"), Var("x"))), "ev1")
+    new = Eq(Var("ev1"), Zero())
+    r = weaken(d, [new], [], "qg")
+    assert r.derivation.conclusion.ante_formulas() == [new]
+    assert transform.collect_eigenvars(r.derivation) == {"ev11"}
+
+
+def test_inverting_a_universal_renames_its_eigenvariable_in_the_premise():
+    # [DERIVED] in lgt, where an eigenvariable may be bound twice, the
+    # inverted universal's eigenvariable z is also the premise's; that one
+    # is renamed before z becomes the fresh instance variable
+    top = Forall("x", Top())
+    leaf = top_leaf([], [])
+    inner = forall_right(leaf, leaf.conclusion.succ[0].id, top, "z")  # => forall x top
+    d = forall_right(inner, inner.conclusion.succ[0].id, Forall("u", top), "z")
+    r = invert(d, d.principal[0], "lgt")
+    assert r.derivation.conclusion.succ_formulas() == [top]
+    assert transform.collect_eigenvars(r.derivation) == {"z1"}
+
+
+def test_universal_cut_renames_an_eigenvariable_its_witness_names():
+    # [DERIVED] the witness w of the foralll side is an eigenvariable of the
+    # forallr side's premise, so that one is renamed before w is put in for
+    # the instance variable; the vacuous bodies keep w out of every sequent,
+    # so the input obeys the pure variable convention
+    inst = Forall("v", PHI)
+    phi = Forall("x", inst)
+    leaf = B.init_leaf([], PHI, [PHI])
+    refl = B.eq1(leaf, leaf.conclusion.ante[0].id)                # => PHI, PHI
+    p0 = forall_right(refl, refl.conclusion.succ[0].id, inst, "w")  # => PHI, inst
+    d0 = forall_right(p0, p0.conclusion.succ[-1].id, phi, "y")    # => PHI, phi
+    leaf = B.init_leaf([phi, inst], PHI, [])
+    p1 = B.eq1(leaf, leaf.conclusion.ante[-1].id)                 # phi, inst => PHI
+    d1 = forall_left(p1, *(o.id for o in p1.conclusion.ante), Var("w"))  # phi => PHI
+    assert check_derivation(d0, "qg").ok and check_derivation(d1, "qg").ok
+    r = reduce_cut(d0, d0.principal[0], d1, d1.principal[0], "qg")
+    assert r.derivation.conclusion.succ_formulas() == [PHI]
+    assert transform.collect_eigenvars(r.derivation) == {"w1"}

@@ -24,7 +24,7 @@ from truthcut.transform import (
     weaken,
 )
 
-from proofgen import nested_cuts
+from proofgen import nested_cuts, truth_left, truth_right
 
 X = Var("x")
 E = Eq(X, X)
@@ -40,7 +40,7 @@ def _tall_proof():
     d1 = B.init_leaf([E], E, [TAU])        # E, E => E, tau
     d = B.cut(d0, d0.conclusion.succ[0].id, d1, d1.conclusion.ante[1].id)
     for _ in range(TR_STEPS):
-        d = B.truth_right(d, d.conclusion.succ[-1].id)
+        d = truth_right(d, d.conclusion.succ[-1].id)
     return d
 
 
@@ -135,10 +135,10 @@ def _tower(d, left=False):
     for _ in range(TR_STEPS):
         if left:
             tau = next(o for o in d.conclusion.ante if o.formula == TAU)
-            d = B.truth_left(d, tau.id)
+            d = truth_left(d, tau.id)
         else:
             tau = next(o for o in d.conclusion.succ if o.formula == TAU)
-            d = B.truth_right(d, tau.id)
+            d = truth_right(d, tau.id)
     return d
 
 
@@ -156,7 +156,7 @@ def _tall_push():
     that the right premise is not an axiom."""
     d0 = _tower(B.init_leaf([], E, [E, TAU]))    # E => E, E, tau
     d1 = B.init_leaf([E], E, [TAU])              # E, E => E, tau
-    d1 = B.truth_right(d1, d1.conclusion.succ[-1].id)
+    d1 = truth_right(d1, d1.conclusion.succ[-1].id)
     return d0, d0.conclusion.succ[1].id, d1, d1.conclusion.ante[1].id
 
 
@@ -225,7 +225,7 @@ def test_kernel_memory_is_linear_in_proof_height():
     # 37 MB, growing with the square of the height)
     d = TALL
     for _ in range(3000 - TR_STEPS):
-        d = B.truth_right(d, d.conclusion.succ[-1].id)
+        d = truth_right(d, d.conclusion.succ[-1].id)
     tracemalloc.start()
     try:
         assert check_derivation(d, "lptn").ok
