@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 
@@ -220,10 +221,7 @@ def _cmd_elim(args) -> int:
 def _cmd_search(args) -> int:
     ante, succ = parse_sequent(args.sequent)
     system = _system(args)
-    budget = SearchBudget(
-        max_depth=args.depth, max_term_index=args.terms, max_tau_unfold=args.tau
-    )
-    result = search_cut_free(ante, succ, budget, system)
+    result = search_cut_free(ante, succ, _budget(args), system)
     if result.found:
         m = compute_measures(result.derivation)
         text = print_script(result.derivation)
@@ -264,33 +262,41 @@ def _full_codes():
         sys.set_int_max_str_digits(limit)
 
 
+def _fixpoint_rows(fp):
+    """(code, sentence, norm) of each sentence of the universe, by code."""
+    u = fp.universe
+    return sorted(((u.code(i), phi, fp.stage_of[i]) for i, phi in enumerate(u.order)),
+                  key=lambda row: row[0])
+
+
 def _fixpoint_payload(fp):
-    stages = [sorted(s) for s in fp.stages]
+    rows = _fixpoint_rows(fp)
     return {
-        "universe_size": len(fp.universe.codes),
+        "universe_size": len(rows),
         "saturation_index": fp.saturation_index,
-        "stages": stages,
-        "members": sorted(fp.members),
-        "norms": {str(c): n for c, n in sorted(fp.norms.items())},
+        "stages": [sorted(s) for s in fp.stages],
+        "members": [c for c, _, n in rows if n is not None],
+        "norms": {str(c): n for c, _, n in rows if n is not None},
     }
 
 
 def _fixpoint_lines(fp):
+    rows = _fixpoint_rows(fp)
     lines = [
-        f"universe: {len(fp.universe.codes)} sentence codes",
+        f"universe: {len(rows)} sentence codes",
         f"saturated after stage {fp.saturation_index}",
     ]
-    for i, s in enumerate(fp.stages):
-        lines.append(f"stage {i}: {len(s)} members")
-    sentences = fp.universe.sentences
+    for i, size in enumerate(itertools.accumulate(map(len, fp.entered))):
+        lines.append(f"stage {i}: {size} members")
     lines.append("norms:")
-    for c in sorted(fp.members):
-        lines.append(f"  {fp.norms[c]:3d}  #{c}  {format_formula(sentences[c])}")
-    ungrounded = sorted(c for c in fp.universe.codes if not fp.grounded(sentences[c]))
+    for c, phi, n in rows:
+        if n is not None:
+            lines.append(f"  {n:3d}  #{c}  {format_formula(phi)}")
+    ungrounded = [(c, phi) for c, phi, _ in rows if not fp.grounded(phi)]
     if ungrounded:
         lines.append("ungrounded:")
-        for c in ungrounded:
-            lines.append(f"       #{c}  {format_formula(sentences[c])}")
+        for c, phi in ungrounded:
+            lines.append(f"       #{c}  {format_formula(phi)}")
     return lines
 
 
@@ -313,9 +319,7 @@ def _cmd_fixpoint(args) -> int:
 def _cmd_liar(args) -> int:
     lam = liar()
     code = encode(lam)
-    budget = SearchBudget(
-        max_depth=args.depth, max_term_index=args.terms, max_tau_unfold=args.tau
-    )
+    budget = _budget(args)
     r_right = search_cut_free([], [lam], budget, "lptn")
     r_left = search_cut_free([lam], [], budget, "lptn")
     universe = build_universe([lam], args.term_bound)
@@ -369,6 +373,13 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return n
+
+
+def _budget(args) -> SearchBudget:
+    """The search budget of the options ``add_budget`` adds."""
+    return SearchBudget(
+        max_depth=args.depth, max_term_index=args.terms, max_tau_unfold=args.tau
+    )
 
 
 def _make_parser() -> _Parser:

@@ -100,14 +100,6 @@ class Sequent:
         return None
 
 
-def sequent(ante_formulas, succ_formulas) -> Sequent:
-    """Fresh-occurrence sequent from plain formula iterables."""
-    return Sequent(
-        tuple(o if isinstance(o, Occurrence) else occ(o) for o in ante_formulas),
-        tuple(o if isinstance(o, Occurrence) else occ(o) for o in succ_formulas),
-    )
-
-
 def minus(xs, ys) -> list:
     """Multiset difference: a copy of ``xs`` with one equal element removed
     for each element of ``ys`` that still has one there.  Order is kept, and

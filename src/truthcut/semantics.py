@@ -37,13 +37,14 @@ on a sentence that entered at the previous stage, which gives the same
 stages as applying the step operator to every sentence from the empty set
 (``tests/test_semantics.py`` checks this against a reference operator).
 
-The code-keyed fields (``SentenceUniverse.codes``, ``sentences``,
-``code_of`` and ``clauses``; ``FixedPoint.stages``, ``members`` and
-``norms``) are built from the sentences the first time a caller reads one.
-Each code is built once per universe, through this module's ``encode``.
+Codes are built only to report: ``SentenceUniverse.code(i)`` builds the
+code of one sentence, once per universe, through this module's ``encode``,
+and ``SentenceUniverse.codes``, ``FixedPoint.stages`` and
+``FixedPoint.members`` (read by the benchmark and the ``fixpoint`` verb)
+are built from it on first read.  :meth:`FixedPoint.norm`,
 :meth:`FixedPoint.grounded`, :meth:`FixedPoint.is_member` and the
-correspondence checks decide by sentence and build a code only to report
-it.  The tests' reference operator reads the code fields.
+correspondence checks decide by sentence; the checks report violations by
+code, sorted, and build codes only for the violations.
 A term whose evaluation would build a code longer than
 ``coding.MAX_CODE_BITS`` bits raises ``CodeSizeError``, an ``EvalError``, and
 an ``EvalError`` makes a clause false.
@@ -95,10 +96,10 @@ TRUE: Clause = (False, ())
 FALSE: Clause = (True, ())
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SentenceUniverse:
-    """A dependency-closed set of sentences, keyed by sentence; its
-    code-keyed fields are built on first read."""
+    """A dependency-closed set of sentences, keyed by sentence; codes are
+    built on first read."""
 
     seeds: tuple[Formula, ...]
     term_bound: int
@@ -124,45 +125,7 @@ class SentenceUniverse:
 
     @cached_property
     def codes(self) -> frozenset[int]:
-        # a set filled in closure order, then frozen: the order it iterates
-        # in, which the checks report in, follows from the closure's
-        return frozenset(set(map(self.code, range(len(self.order)))))
-
-    @cached_property
-    def sentences(self) -> dict[int, Formula]:
-        """code -> the sentence it decodes to"""
-        return {self.code(i): phi for i, phi in enumerate(self.order)}
-
-    @cached_property
-    def code_of(self) -> dict[Formula, int]:
-        """sentence -> its code; the inverse of ``sentences``"""
-        return {phi: self.code(i) for i, phi in enumerate(self.order)}
-
-    @cached_property
-    def clauses(self) -> dict[int, Clause]:
-        """code -> the clause under which its sentence enters the fixed
-        point, over dependency codes"""
-        index = self.index
-        return {
-            self.code(i): (any_, tuple(d if type(d) is int else self.code(index[d])
-                                       for d in deps))
-            for i, (any_, deps) in enumerate(self.deps)
-        }
-
-    def __contains__(self, code: int) -> bool:
-        return code in self.codes
-
-    def __repr__(self) -> str:
-        return (f"SentenceUniverse(codes={self.codes!r}, seeds={self.seeds!r}, "
-                f"term_bound={self.term_bound!r})")
-
-    def _in_codes_order(self, places) -> list[int]:
-        """``places`` sorted as their codes iterate in ``codes``; builds the
-        codes only when there is a place to sort."""
-        if not places:
-            return []
-        rank = {c: k for k, c in enumerate(self.codes)}
-        return sorted(places, key=lambda i: rank[self.code(i)])
+        return frozenset(map(self.code, range(len(self.order))))
 
 
 def _instances(phi: Forall, bound: int) -> list[Formula]:
@@ -267,10 +230,10 @@ def build_universe(seeds, term_bound: int, max_size: int = 5000) -> SentenceUniv
 # Fixed point
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class FixedPoint:
-    """The least fixed point, keyed by sentence; its code-keyed fields are
-    built on first read."""
+    """The least fixed point, keyed by sentence; its code sets are built on
+    first read."""
 
     universe: SentenceUniverse
     saturation_index: int
@@ -294,32 +257,17 @@ class FixedPoint:
         code = self.universe.code
         return frozenset(code(i) for places in self.entered for i in places)
 
-    @cached_property
-    def norms(self) -> dict[int, int]:
-        """code of each member -> the first stage containing it"""
-        code = self.universe.code
-        return {code(i): n for n, places in enumerate(self.entered)
-                for i in places}
-
-    def norm(self, code: int) -> int | None:
-        return self.norms.get(code)
-
-    def _norm_of(self, phi: Formula) -> int | None:
+    def norm(self, phi: Formula) -> int | None:
+        """The first stage containing the sentence ``phi`` (None: none)."""
         i = self.universe.index.get(phi)
         return None if i is None else self.stage_of[i]
 
     def is_member(self, phi: Formula) -> bool:
         """Whether the sentence ``phi`` is in the fixed point."""
-        return self._norm_of(phi) is not None
+        return self.norm(phi) is not None
 
     def grounded(self, phi: Formula) -> bool:
         return self.is_member(phi) or self.is_member(Not(phi))
-
-    def __repr__(self) -> str:
-        return (f"FixedPoint(universe={self.universe!r}, stages={self.stages!r}, "
-                f"members={self.members!r}, "
-                f"saturation_index={self.saturation_index!r}, "
-                f"norms={self.norms!r})")
 
 
 def least_fixed_point(universe: SentenceUniverse) -> FixedPoint:
@@ -409,7 +357,7 @@ def check_completeness(phi: Formula, fp: FixedPoint, budget) -> CompletenessVerd
         return CompletenessVerdict("vacuous")
     for status, member, ante, succ in (("proved", phi, [], [phi]),
                                        ("refuted", Not(phi), [phi], [])):
-        n = fp._norm_of(member)
+        n = fp.norm(member)
         if n is not None:
             r = search_cut_free(ante, succ, budget, "lptn")
             if r.found:
@@ -421,10 +369,11 @@ def check_completeness(phi: Formula, fp: FixedPoint, budget) -> CompletenessVerd
 
 
 def check_transparency(fp: FixedPoint) -> list[tuple[int, int]]:
-    """Pairs (code of T-ascription, ascribed code) violating transparency;
-    empty means the fixed point is transparent on in-universe pairs."""
+    """Pairs (code of T-ascription, ascribed code) violating transparency,
+    sorted by code; empty means the fixed point is transparent on
+    in-universe pairs."""
     u, stage_of = fp.universe, fp.stage_of
-    bad = {}
+    bad = []
     for i, phi in enumerate(u.order):
         if isinstance(phi, Tr):
             # its one dependency: the ascribed sentence, in the universe, or
@@ -433,18 +382,18 @@ def check_transparency(fp: FixedPoint) -> list[tuple[int, int]]:
             if deps and type(deps[0]) is not int:
                 j = u.index[deps[0]]
                 if (stage_of[i] is None) != (stage_of[j] is None):
-                    bad[i] = j
-    return [(u.code(i), u.code(bad[i])) for i in u._in_codes_order(bad)]
+                    bad.append((u.code(i), u.code(j)))
+    return sorted(bad)
 
 
 def check_consistency(fp: FixedPoint) -> list[int]:
-    """Codes whose sentence and negated sentence are both in the fixed point
-    (must be empty)."""
+    """Codes, sorted, whose sentence and negated sentence are both in the
+    fixed point (must be empty)."""
     u, stage_of = fp.universe, fp.stage_of
     bad = []
     for j, phi in enumerate(u.order):  # j is a negation, i its body
         if isinstance(phi, Not) and stage_of[j] is not None:
             i = u.index.get(phi.body)
             if i is not None and stage_of[i] is not None:
-                bad.append(i)
-    return [u.code(i) for i in u._in_codes_order(bad)]
+                bad.append(u.code(i))
+    return sorted(bad)

@@ -8,8 +8,10 @@ principal in both premises.
 
 The helpers: one builder per logical and truth rule that takes the ids of
 the occurrences it consumes (each one call of ``build._node``), the ``top``
-and ``bot`` leaves, ``truth_of``, ``chain_numeral`` and the conservativity
-check of T-free sequents between ``lptn`` and ``qg``.
+and ``bot`` leaves, ``truth_of``, ``chain_numeral``, the conservativity
+check of T-free sequents between ``lptn`` and ``qg``, and ``code_keyed``,
+the code-keyed view of a fixed-point universe that reference operators
+read.
 """
 
 from __future__ import annotations
@@ -98,6 +100,18 @@ def truth_of(phi: Formula) -> Formula:
 def chain_numeral(k: int) -> Term:
     """S^k(0) as an explicit successor chain."""
     return chain_numerals(k)[k]
+
+
+def code_keyed(u) -> tuple[dict, dict]:
+    """(code -> sentence, code -> clause over dependency codes) of the
+    universe ``u``, built from ``u.order`` and ``u.deps``."""
+    def code(d):
+        return d if type(d) is int else u.code(u.index[d])
+
+    sentences = {u.code(i): phi for i, phi in enumerate(u.order)}
+    clauses = {u.code(i): (any_, tuple(map(code, deps)))
+               for i, (any_, deps) in enumerate(u.deps)}
+    return sentences, clauses
 
 
 @dataclass

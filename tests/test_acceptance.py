@@ -362,9 +362,9 @@ def test_fixed_point_on_standard_seeds():
     # stages; both self-referential sentences and their negations stay out
     fp = _standard_fixed_point()
     assert fp.stages[fp.saturation_index] == fp.members
-    assert fp.norm(encode(PHI)) == 0
-    assert fp.norm(encode(TPHI)) == 1
-    assert fp.norm(encode(TTPHI)) == 2
+    assert fp.norm(PHI) == 0
+    assert fp.norm(TPHI) == 1
+    assert fp.norm(TTPHI) == 2
     lam, tt = liar(), truth_teller()
     for s in (lam, Not(lam), tt, Not(tt)):
         assert encode(s) not in fp.members
@@ -415,7 +415,7 @@ def test_grounded_members_provable_within_norm_slack():
     tested = 0
     for c in sorted(fp.members):
         phi = decode_sentence(c)
-        nu = fp.norm(c)
+        nu = fp.norm(phi)
         budget = SearchBudget(max_depth=nu + 4, max_term_index=4,
                               max_tau_unfold=nu + 4)
         v = check_completeness(phi, fp, budget)

@@ -57,7 +57,7 @@ from truthcut.syntax import (
     substitute,
 )
 
-from proofgen import chain_numeral
+from proofgen import chain_numeral, code_keyed
 
 from fixpoint_digest import corpus
 
@@ -441,6 +441,5 @@ def test_universe_matches_decoding_reference():
         u = build_universe(seeds, bound)
         codes, sentences, clauses = _ref_universe(seeds, bound)
         assert u.codes == codes
-        assert u.clauses == clauses
-        assert u.sentences == sentences
-        assert all(is_sentence(phi) for phi in u.sentences.values())
+        assert code_keyed(u) == (sentences, clauses)
+        assert all(is_sentence(phi) for phi in u.order)

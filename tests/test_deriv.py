@@ -15,11 +15,12 @@ from truthcut import build as B
 from truthcut.coding import quote
 from truthcut.deriv import (
     MeasureError,
+    Sequent,
     compute_measures,
     minus,
+    occ,
     remake,
     same_multiset,
-    sequent,
 )
 from truthcut.kernel import check_derivation
 from truthcut.syntax import And, Eq, Forall, Not, Suc, Tr, Zero
@@ -264,6 +265,11 @@ def test_no_module_rebuilds_nodes_with_dataclasses_replace():
 
 # ---------------------------------------------------------------------------
 # First-fit matching
+
+
+def sequent(ante_formulas, succ_formulas) -> Sequent:
+    """Fresh-occurrence sequent from plain formula iterables."""
+    return Sequent(tuple(map(occ, ante_formulas)), tuple(map(occ, succ_formulas)))
 
 
 def test_first_honours_side_and_skip():

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every top-level function and class of the package is run by more than the
-tests.
+every top-level function and class of the package, and every method and
+property of its classes, is run by more than the tests.
 
 ``__init__.py`` is skipped: its imports are the package's API.
 """
@@ -11,6 +11,8 @@ import pathlib
 import re
 
 import pytest
+
+from truthcut.deriv import RULE_SHAPES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "truthcut"
@@ -43,17 +45,22 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _named(node: ast.AST) -> set[str]:
-    """The names ``node`` reads, reads as an attribute or imports."""
-    out = set()
+def _names(node: ast.AST) -> collections.Counter:
+    """How often ``node`` reads, reads as an attribute or imports each name."""
+    out = collections.Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.alias):
-            out.add(n.name.rsplit(".", 1)[-1])
+            out[n.name.rsplit(".", 1)[-1]] += 1
     return out
+
+
+def _named(node: ast.AST) -> set[str]:
+    """The names ``node`` reads, reads as an attribute or imports."""
+    return set(_names(node))
 
 
 def unreached_definitions(modules: dict[str, str], elsewhere: set[str]) -> list[str]:
@@ -102,3 +109,54 @@ def test_package_defines_nothing_only_tests_run():
     # package holds what its verbs, the benchmark and its API run
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unreached_definitions(modules, _named_outside_the_package(ROOT)) == []
+
+
+def unreached_members(modules: dict[str, str], elsewhere: set[str],
+                      exempt: set[str]) -> list[str]:
+    """``module.Class.name`` of each method and property of a top-level
+    class of ``modules`` (module name -> source) whose name the code of
+    ``modules`` holds nowhere outside the member's own definition and
+    ``elsewhere`` does not hold.  Dunder methods, which Python calls, and
+    the names in ``exempt`` are skipped."""
+    trees = {m: ast.parse(source) for m, source in modules.items()}
+    count = sum((_names(tree) for tree in trees.values()), collections.Counter())
+    out = []
+    for m, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                name = member.name
+                if name.startswith("__") or name in exempt or name in elsewhere:
+                    continue
+                if count[name] == _names(member)[name]:
+                    out.append(f"{m}.{cls.name}.{name}")
+    return out
+
+
+def test_the_check_sees_a_member_only_tests_name():
+    # [TRIVIAL]
+    modules = {
+        "a": "class C:\n"
+             "    def __repr__(self): return self.alone()\n"
+             "    def used(self): return self.used()\n"
+             "    def alone(self): return self.alone()\n"
+             "    @property\n"
+             "    def prop(self): return 0\n"
+             "    def rule_x(self): pass\n"
+             "    def doc(self): pass\n",
+        "b": "def f(c): return c.used() + c.prop\n",
+    }
+    assert unreached_members(modules, {"doc"}, {"rule_x"}) == []
+    del modules["b"]
+    assert unreached_members(modules, {"doc"}, {"rule_x"}) == ["a.C.used", "a.C.prop"]
+
+
+def test_package_classes_have_no_member_only_tests_run():
+    # [DERIVED] a method or property that only tests call belongs in tests/;
+    # the kernel dispatches ``rule_<name>`` by name, one per rule shape
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    exempt = {f"rule_{name}" for name in RULE_SHAPES}
+    assert unreached_members(modules, _named_outside_the_package(ROOT), exempt) == []

@@ -135,16 +135,26 @@ def empty_cache(monkeypatch):
 
 
 def _count_reads(monkeypatch) -> list:
-    """A list that gets one entry per ``sexpr._read`` call from now on."""
+    """A list that gets the tokens of each text read whole (one
+    ``sexpr._read_whole`` call each) from now on."""
     calls = []
-    read = sexpr._read
+    read = sexpr._read_whole
 
-    def counting(tokens, i, sort):
-        calls.append(i)
-        return read(tokens, i, sort)
+    def counting(tokens, sort):
+        calls.append(tuple(tokens))
+        return read(tokens, sort)
 
-    monkeypatch.setattr(sexpr, "_read", counting)
+    monkeypatch.setattr(sexpr, "_read_whole", counting)
     return calls
+
+
+def _refuse_tokenize(monkeypatch):
+    """Fail the test if a text is tokenized whole from now on, as a line
+    that does not split cleanly is."""
+    def refuse(text):
+        raise AssertionError(f"tokenized whole: {text[:60]!r}")
+
+    monkeypatch.setattr(sexpr, "tokenize", refuse)
 
 
 def _refutation_text(k: int) -> tuple:
@@ -169,17 +179,15 @@ def test_each_distinct_formula_text_read_once(monkeypatch, empty_cache, k, bound
     # cache's bound and the cache is emptied mid-script (the loader's memo
     # keeps what the cache lost; before it, the k = 8 refutation's load took
     # 14x its linear time); a second load of the same script reads none
-    # when the cache kept every text
+    # when the cache kept every text; no line is tokenized whole
     d, text, distinct = _refutation_text(k)
     assert (sum(map(len, distinct)) <= bound) == fits
     monkeypatch.setattr(sexpr, "_CACHE_CHARS", bound)
+    once = sorted(tuple(sexpr.tokenize(p)) for p in distinct)
     calls = _count_reads(monkeypatch)
-    for p in distinct:
-        parse_formula(p)
-    once = len(calls)
-    calls.clear()
+    _refuse_tokenize(monkeypatch)
     d2 = parse_script(text)
-    assert len(calls) == once
+    assert sorted(calls) == once
     assert fingerprint(d2) == fingerprint(d)
     if fits:
         calls.clear()

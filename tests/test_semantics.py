@@ -34,7 +34,7 @@ from truthcut.semantics import (
 from truthcut.sexpr import parse_formula
 from truthcut.syntax import And, Eq, Forall, Not, Num, Plus, Suc, SynApp, Times, Tr, Var, Zero
 
-from proofgen import truth_of
+from proofgen import code_keyed, truth_of
 
 PHI = Eq(Zero(), Zero())
 BAD = Eq(Zero(), Suc(Zero()))
@@ -45,15 +45,15 @@ def kripke_step(S, universe: SentenceUniverse) -> frozenset:
     monotone in S.  The reference that ``least_fixed_point`` is tested
     against."""
     S = frozenset(S)
-    clauses = universe.clauses
+    _, clauses = code_keyed(universe)
     return frozenset(c for c in universe.codes if _holds(clauses[c], S))
 
 
 def test_universe_closure():
     # [DERIVED] dependencies of a truth ascription include the ascribed code
     u = build_universe([truth_of(PHI)], term_bound=2)
-    assert encode(truth_of(PHI)) in u
-    assert encode(PHI) in u
+    assert truth_of(PHI) in u.index
+    assert PHI in u.index
 
 
 def test_universe_rejects_open_seeds():
@@ -86,9 +86,9 @@ def test_norms_count_truth_iterations():
     t2 = truth_of(t1)
     u = build_universe([t2], 2)
     fp = least_fixed_point(u)
-    assert fp.norm(encode(PHI)) == 0
-    assert fp.norm(encode(t1)) == 1
-    assert fp.norm(encode(t2)) == 2
+    assert fp.norm(PHI) == 0
+    assert fp.norm(t1) == 1
+    assert fp.norm(t2) == 2
     assert fp.grounded(PHI) and fp.grounded(t2)
 
 
@@ -100,7 +100,7 @@ def test_negated_ascription_and_falsehoods():
     fp = least_fixed_point(u)
     assert encode(na) in fp.members
     assert encode(BAD) not in fp.members
-    assert fp.norm(encode(Not(BAD))) == 0
+    assert fp.norm(Not(BAD)) == 0
 
 
 def test_quantified_sentences_finitized():
@@ -214,7 +214,9 @@ def test_semi_naive_iteration_matches_naive():
                 S = S2
             fp = least_fixed_point(u)
             assert fp.stages == tuple(stages)
-            assert fp.norms == norms
+            sentences, _ = code_keyed(u)
+            assert {c: fp.norm(phi) for c, phi in sentences.items()
+                    if fp.is_member(phi)} == norms
             assert fp.members == S
             assert fp.saturation_index == len(stages) - 1
             n = len(u.codes)
@@ -229,11 +231,12 @@ def test_universe_keeps_sentences_out_of_equality():
     # [TRIVIAL] the stored sentences, codes and clauses do not take part in
     # == or repr
     u = build_universe([truth_of(PHI)], 2)
-    assert u.sentences[encode(PHI)] == PHI
-    assert u.code_of[PHI] == encode(PHI)
-    assert all(u.code_of[phi] == c for c, phi in u.sentences.items())
-    assert len(u.code_of) == len(u.codes)
-    for name in ("sentences", "code_of", "clauses"):
+    sentences, _ = code_keyed(u)
+    assert sentences[encode(PHI)] == PHI
+    assert u.code(u.index[PHI]) == encode(PHI)
+    assert all(u.code(u.index[phi]) == c for c, phi in sentences.items())
+    assert len(u.index) == len(u.codes)
+    for name in ("order", "index", "deps", "codes"):
         assert name not in repr(u)
 
 
@@ -251,10 +254,11 @@ def test_fixed_point_lookups_encode_nothing(seeds, monkeypatch):
     u = build_universe(seeds, 2)
     fp = least_fixed_point(u)
     codes = sorted(u.codes)
+    sentences, _ = code_keyed(u)
     inconsistent = [c for c in codes if c in fp.members
-                    and encode(Not(u.sentences[c])) in fp.members]
-    grounded = [encode(u.sentences[c]) in fp.members
-                or encode(Not(u.sentences[c])) in fp.members for c in codes]
+                    and encode(Not(sentences[c])) in fp.members]
+    grounded = [encode(sentences[c]) in fp.members
+                or encode(Not(sentences[c])) in fp.members for c in codes]
     ungrounded = [f"#{c}" for c, g in zip(codes, grounded) if not g]
     proof = search_cut_free([], [truth_of(PHI)], SearchBudget(6, 3, 3), "lptn")
     covered = encode(truth_of(PHI)) in u.codes
@@ -265,7 +269,7 @@ def test_fixed_point_lookups_encode_nothing(seeds, monkeypatch):
     monkeypatch.setattr(semantics, "encode", refuse)
     monkeypatch.setattr(cli, "encode", refuse)
     assert sorted(check_consistency(fp)) == inconsistent
-    assert [fp.grounded(u.sentences[c]) for c in codes] == grounded
+    assert [fp.grounded(sentences[c]) for c in codes] == grounded
     lines = cli._fixpoint_lines(fp)
     listed = lines[lines.index("ungrounded:") + 1:] if ungrounded else []
     assert [line.split()[0] for line in listed] == ungrounded
@@ -327,7 +331,7 @@ def test_codes_are_built_only_when_read(bound, encoded):
         assert len(u.codes) == len(u.order)
         assert sorted(u.index[e] for e in encoded) == list(range(len(u.order)))
         encoded.clear()
-        repr(fp), u.sentences, u.code_of, u.clauses, fp.norm(0)
+        repr(fp), u.codes, fp.stages, fp.members, code_keyed(u), fp.norm(PHI)
         assert encoded == []
         fresh = build_universe(seeds, bound)
         assert fresh == u and least_fixed_point(fresh) == fp
@@ -347,19 +351,19 @@ def _marked(u, places):
 
 def test_checks_report_in_codes_order():
     # [DERIVED] on member sets that break consistency and transparency, the
-    # checks report what their code-keyed definitions give, in the order
-    # ``codes`` iterates
+    # checks report what their code-keyed definitions give, sorted by code
     seeds = [*_towers(PHI, 3), *_towers(BAD, 3), liar(), truth_teller()]
     u = build_universe(seeds, 2)
     everything = _marked(u, set(range(len(u.order))))
     truths = _marked(u, {i for i, phi in enumerate(u.order) if isinstance(phi, Tr)})
     for fp in (everything, truths):
-        members, sentences = fp.members, u.sentences
+        members, (sentences, _) = fp.members, code_keyed(u)
+        code_of = {phi: c for c, phi in sentences.items()}
         assert check_consistency(fp) == [
-            c for c in u.codes if c in members
-            and u.code_of.get(Not(sentences[c])) in members]
+            c for c in sorted(u.codes) if c in members
+            and code_of.get(Not(sentences[c])) in members]
         opaque = []
-        for c in u.codes:
+        for c in sorted(u.codes):
             if isinstance(sentences[c], Tr):
                 try:
                     inner = eval_term(sentences[c].term)

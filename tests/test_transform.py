@@ -123,7 +123,7 @@ def test_substitute_rejects_eigenvariable():
     fa = Forall("x", Eq(Var("x"), Var("x")))
     d = forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
     assert check_derivation(d, "qg").ok
-    with pytest.raises(TransformError):
+    with pytest.raises(TransformError, match="^cannot substitute for eigenvariable y$"):
         substitute_proof(d, "y", Zero(), "qg")
 
 
@@ -1451,3 +1451,124 @@ def test_universal_cut_renames_an_eigenvariable_its_witness_names():
     r = reduce_cut(d0, d0.principal[0], d1, d1.principal[0], "qg")
     assert r.derivation.conclusion.succ_formulas() == [PHI]
     assert transform.collect_eigenvars(r.derivation) == {"w1"}
+
+
+# ---------------------------------------------------------------------------
+# Refusals: the message of each refusal that an input reaches
+
+
+def _refusal(call) -> str:
+    with pytest.raises(TransformError) as e:
+        call()
+    return str(e.value)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"length": 0}, "probe: length bound violated: 1 > 0"),
+    ({"length": 2, "exact_triple": True},
+     "probe: measures changed: (1, 0, 0) != (2, 0, 0)"),
+    ({"expect": ([], [PHI])}, "probe: end sequent mismatch"),
+], ids=["bound", "exact", "expect"])
+def test_certify_refuses_what_its_bounds_do_not_admit(over, message):
+    # [DERIVED] the trust boundary refuses a kernel-valid output whose
+    # measures pass a bound, differ from an exact triple, or whose end
+    # sequent is not the expected one, and says which
+    d = prove_equation([], Suc(Zero()), Suc(Zero()), [])  # => S0=S0
+    m = compute_measures(d)
+    assert check_derivation(d, "qg").ok and m.triple() == (1, 0, 0)
+    bounds = {"length": 1, "cut_rank": 0, "proof_tau": 0} | over
+
+    def certify():
+        transform._certify(d, "qg", "probe", (m,), occ_map={}, **bounds)
+
+    with pytest.raises(CertificateError) as e:
+        certify()
+    assert str(e.value) == message
+
+
+def test_substitute_refuses_a_term_naming_an_eigenvariable():
+    # [DERIVED]
+    p0 = prove_equation([], Var("y"), Var("y"), [])
+    fa = Forall("x", Eq(Var("x"), Var("x")))
+    d = forall_right(p0, _succ_id(p0, Eq(Var("y"), Var("y"))), fa, "y")
+    assert _refusal(lambda: substitute_proof(d, "x", Suc(Var("y")), "qg")) == \
+        "substituted term contains eigenvariable(s) ['y']"
+
+
+def test_substitute_refuses_a_capture():
+    # [DERIVED] z put in for x under the binder of z would be captured
+    d = B.leaf("top", [Forall("z", Eq(Var("x"), Var("z")))], Top(), [])
+    assert check_derivation(d, "lgt").ok
+    assert _refusal(lambda: substitute_proof(d, "x", Var("z"), "lgt")) == (
+        "substitution not capture-free: substituting Var(name='z') for x "
+        "under binder of z would capture")
+
+
+def test_invert_refuses_a_compositional_principal():
+    # [DERIVED] comp's principal ascribes truth to a syntax-function term,
+    # not to a numeral
+    a = B.init_leaf([PSI], PHI, [])                   # PSI, PHI => PHI
+    b = B.init_leaf([PHI], PSI, [])                   # PHI, PSI => PSI
+    d = B.comp_node(a, _succ_id(a, PHI), b, _succ_id(b, PSI))
+    assert check_derivation(d, "lptn_comp").ok
+    assert _refusal(lambda: invert(d, d.principal[0], "lptn_comp")) == (
+        "truth inversion requires a numeral term (pointwise compositional "
+        "principals cannot be inverted)")
+
+
+def test_invert_refuses_a_numeral_that_codes_no_sentence():
+    # [DERIVED] T(5) is a context formula all the way up, but 5 codes
+    # nothing, so its parts cannot be named
+    d = B.init_leaf([], PHI, [Tr(Num(5))])            # PHI => PHI, T(5)
+    assert check_derivation(d, "lptn").ok
+    assert _refusal(lambda: invert(d, _succ_id(d, Tr(Num(5))), "lptn")) == \
+        "target numeral decodes to nothing: 5 is not a code"
+
+
+def test_invert_refuses_a_target_another_rule_introduced():
+    # [DERIVED] an init leaf on T<0=0> (which the kernel refuses: initial
+    # sequents are T-free) has the target as its principal
+    d = B.leaf("init", [], TPHI, [])                  # T<PHI> => T<PHI>
+    assert _refusal(lambda: invert(d, _succ_id(d, TPHI), "lptn")) == \
+        "target introduced by 'init', cannot invert as 'Tr'"
+
+
+def test_reduce_cut_refuses_a_cut_formula_on_the_wrong_side():
+    # [TRIVIAL]
+    d = B.init_leaf([], PHI, [])
+    assert _refusal(lambda: reduce_cut(d, _ante_id(d, PHI), d, _ante_id(d, PHI),
+                                       "lptn")) == \
+        "cut formula must be right in d0 and left in d1"
+
+
+def test_reduce_cut_refuses_differing_cut_formulas():
+    # [TRIVIAL]
+    d0, d1 = B.init_leaf([], PHI, []), B.init_leaf([], PSI, [])
+    assert _refusal(lambda: reduce_cut(d0, _succ_id(d0, PHI), d1, _ante_id(d1, PSI),
+                                       "lptn")) == "cut formulas differ"
+
+
+def test_reduce_cut_refuses_a_principal_pair_it_has_no_case_for():
+    # [DERIVED] no kernel-valid proof has a truth-left principal over comp's
+    # syntax-function term, since the truth rules need a numeral; a
+    # premise-less node relabelled Tl has one, and the pair is refused
+    term = SynApp("anddot", (Num(encode(PHI)), Num(encode(PSI))))
+    a = B.init_leaf([PSI], PHI, [])
+    b = B.init_leaf([PHI], PSI, [])
+    d0 = B.comp_node(a, _succ_id(a, PHI), b, _succ_id(b, PSI))  # PSI, PHI => T(term)
+    d1 = replace(B.leaf("bot", [PSI, PHI], Tr(term), []), rule="Tl")
+    assert _refusal(lambda: reduce_cut(d0, d0.principal[0], d1, d1.principal[0],
+                                       "lptn_comp")) == \
+        f"no reduction for principal pair (comp, Tl) on {Tr(term)!r}"
+
+
+def test_cut_reduction_stops_when_its_fuel_runs_out():
+    # [DERIVED] each reduction step burns one unit; the last unit stops it
+    d0 = B.leaf("top", [], Top(), [Top()])            # => top, top
+    d1 = B.leaf("top", [Top()], Top(), [])            # top => top
+    cut = B.cut(d0, d0.principal[0], d1, _ante_id(d1, Top()))
+    assert _refusal(lambda: transform._reduce(cut, 0, transform._Fuel(1))) == \
+        "cut reduction fuel exhausted (termination guard)"
+    out, _ = transform._reduce(cut, 0, transform._Fuel(2))
+    assert check_derivation(out, "lgt").ok
+    assert out.conclusion.succ_formulas() == [Top()]
