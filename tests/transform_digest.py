@@ -5,8 +5,8 @@ Each call of ``eliminate_cuts``, ``reduce_cut``, ``invert`` (on every end
 sequent occurrence), ``contract`` (on every same-side pair of equal
 formulas) and ``drop_context`` (on every end sequent occurrence) is recorded
 as its ``print_script`` output and certificate, or as its error type and
-text.  The occurrence-id counter restarts above every input id before each
-call.  The corpus is two passes of ``elim`` benchmark inputs plus random,
+text.  The inputs' occurrence ids are renumbered from 1 in corpus order, and
+the occurrence-id counter restarts above every input id before each call.  The corpus is two passes of ``elim`` benchmark inputs plus random,
 duplicated-formula and nested-cut proofs.  Run from the repository root::
 
     PYTHONPATH=<checkout>/src:tests:bench python3 tests/transform_digest.py
@@ -55,7 +55,9 @@ from workloads import Elim
 
 
 def _corpus():
-    """[(proof, system)] built before any transform runs."""
+    """[(proof, system)] built before any transform runs.  Each proof's ids
+    are made again from 1, in corpus order, so no input's ids depend on how
+    many ids the code that built the corpus took."""
     elim = Elim()
     seen: set = set()
     out = [(d, "lptn") for i in range(2) for d in elim.generate(7, i, seen)]
@@ -67,7 +69,8 @@ def _corpus():
         d = nested_cuts(rng, ncuts)
         if d is not None:
             out.append((d, "lptn"))
-    return out
+    deriv._ids = itertools.count(1)
+    return [(deriv.refresh_ids(d), system) for d, system in out]
 
 
 def _calls(d, system):
