@@ -77,6 +77,7 @@ from .build import cut as build_cut
 from .coding import DecodeError
 from .deriv import (
     RULE_SHAPES,
+    SIDE_NAMES,
     Derivation,
     Measures,
     Occurrence,
@@ -579,7 +580,7 @@ def invert(d: Derivation, target_id: int, system: str):
                  and RULE_SHAPES[r].principals == (side,)), None)
     if rule is None:
         raise TransformError(
-            f"target mismatch: cannot invert {f!r} in the {side}cedent")
+            f"target mismatch: cannot invert {f!r} in the {SIDE_NAMES[side]}")
     shape = RULE_SHAPES[rule]
     y = None if shape.binds is None else fresh_name("y", all_var_names(d))
     if isinstance(f, Tr) and numeral_value(f.term) is None:

@@ -1525,6 +1525,16 @@ def test_invert_refuses_a_numeral_that_codes_no_sentence():
         "target numeral decodes to nothing: 5 is not a code"
 
 
+@pytest.mark.parametrize("side, find", [("antecedent", _ante_id), ("succedent", _succ_id)],
+                         ids=["antecedent", "succedent"])
+def test_invert_refuses_a_target_no_rule_inverts(side, find):
+    # [DERIVED] no logical rule introduces an equation, on either side, and
+    # the refusal names the side in full
+    d = B.init_leaf([], PHI, [])                      # PHI => PHI
+    assert _refusal(lambda: invert(d, find(d, PHI), "lptn")) == \
+        f"target mismatch: cannot invert {PHI!r} in the {side}"
+
+
 def test_invert_refuses_a_target_another_rule_introduced():
     # [DERIVED] an init leaf on T<0=0> (which the kernel refuses: initial
     # sequents are T-free) has the target as its principal
