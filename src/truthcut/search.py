@@ -10,10 +10,16 @@ closed-equation macros of :mod:`truthcut.arith`; macro closures consume no
 depth (they are axiom-level decisions, not search steps).
 
 Expansion is one loop over the goal's formulas, each expanded by its rule
-in :data:`_RULES` (read off :data:`.build.LOGICAL_RULES`), and
-:func:`.build.logical` builds the node, so two equal parts take two
-occurrences.  A returned derivation validates in the kernel, contains no
-cut and concludes its goal; ``exhausted`` results carry the frontier.
+in :data:`_RULES` (read off :data:`.build.LOGICAL_RULES`).  Search decides
+goals and builds no proof: a closed goal records a plan, the builder call
+that makes its node (:func:`.build.leaf`, :func:`.build.logical`,
+:func:`.arith.refute_equation` or :func:`.arith.prove_equation`) with its
+arguments and the plans of its premises.  ``found`` reads the plan and
+builds nothing; ``derivation`` builds the proof from it on first read, by
+one :func:`.deriv.fold`, and keeps it.  :func:`.build.logical` builds each
+logical node, so two equal parts take two occurrences.  A built derivation
+validates in the kernel, contains no cut and concludes its goal;
+``exhausted`` results carry the frontier.
 
 Terms and formulas are interned, so equal ones are one object, and one
 search keeps memos keyed by those objects: each closed equation's
@@ -35,12 +41,13 @@ nothing outlives one call of :func:`search_cut_free`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import build as B
 from .arith import can_prove, can_refute, chain_numerals, prove_equation, refute_equation
 from .coding import DecodeError, decode_sentence, quoted_sentence
-from .deriv import RULE_SHAPES, Derivation, minus
+from .deriv import RULE_SHAPES, fold, minus
 from .kernel import SYSTEM_RULES
 from .syntax import (
     CaptureError,
@@ -68,7 +75,7 @@ class _Rule(NamedTuple):
     unquotes: int
     binds: bool
     #: per premise, the slices of the parts its antecedent and succedent gain
-    plan: tuple[tuple[slice, slice], ...]
+    gains: tuple[tuple[slice, slice], ...]
 
 
 def _rule(name: str) -> _Rule:
@@ -77,13 +84,13 @@ def _rule(name: str) -> _Rule:
     stays where it is.  A premise's parts on one side are adjacent in shape
     order, in every logical rule, so a slice takes them."""
     shape, spec = RULE_SHAPES[name], B.LOGICAL_RULES[name]
-    plan = []
+    gains = []
     for pi in range(shape.premises):
         ix = [[i for i, a in enumerate(shape.actives) if i >= spec.keeps and a == (pi, side)]
               for side in _SIDES]
-        plan.append(tuple(slice(x[0], x[-1] + 1) if x else slice(0) for x in ix))
+        gains.append(tuple(slice(x[0], x[-1] + 1) if x else slice(0) for x in ix))
     return _Rule(name, spec.parts, spec.keeps, shape.unquotes, shape.binds is not None,
-                 tuple(plan))
+                 tuple(gains))
 
 
 #: system -> side -> principal class -> the rule that expands a formula of
@@ -107,16 +114,45 @@ class SearchBudget:
             raise ValueError("budgets must be non-negative")
 
 
+class _Plan(NamedTuple):
+    """A found proof's node, not yet built: the builder that makes it, its
+    arguments, and the plans of its premises.  A logical node's builder,
+    :func:`.build.logical`, takes the built premises after its rule name."""
+
+    build: Callable
+    args: tuple
+    premises: tuple["_Plan", ...] = ()
+
+
+def _build(plan: _Plan, premises: list):
+    """The node ``plan`` names, over its premises as built."""
+    if not premises:
+        return plan.build(*plan.args)
+    rule, *rest = plan.args
+    d = plan.build(rule, premises, *rest)
+    if d is None:  # a premise proof lacks a part its goal was given
+        raise B.BuildError(f"{rule}: a premise lacks one of {rest[0]!r}")
+    return d
+
+
 @dataclass
 class SearchResult:
-    derivation: Derivation | None
+    """The plan of the proof found, or None and the frontier."""
+
+    plan: _Plan | None
     frontier: list[tuple[tuple[Formula, ...], tuple[Formula, ...]]] = field(
         default_factory=list
     )
 
     @property
     def found(self) -> bool:
-        return self.derivation is not None
+        return self.plan is not None
+
+    @cached_property
+    def derivation(self):
+        """The proof found, built from the plan on first read and kept; None
+        when the search is exhausted."""
+        return None if self.plan is None else fold(self.plan, _build)
 
 
 def _key(ante, succ):
@@ -163,22 +199,20 @@ class _Searcher:
 
     # -- closures ----------------------------------------------------------
 
-    def close(self, ante, succ) -> Derivation | None:
+    def close(self, ante, succ) -> _Plan | None:
         for rule in self.leaf_rules:
             hit = B.leaf_principal(rule, ante, succ)
             if hit is not None:
-                return B.leaf(rule, *hit)
+                return _Plan(B.leaf, (rule, *hit))
         if self.system in _GEOMETRIC_SYSTEMS:
             for f in ante:
                 if isinstance(f, Eq) and self._decide(self._refutable, can_refute, f):
-                    return refute_equation(
-                        minus(ante, [f]), f.left, f.right, list(succ)
-                    )
+                    return _Plan(refute_equation,
+                                 (minus(ante, [f]), f.left, f.right, list(succ)))
             for f in succ:
                 if isinstance(f, Eq) and self._decide(self._provable, can_prove, f):
-                    return prove_equation(
-                        list(ante), f.left, f.right, minus(succ, [f])
-                    )
+                    return _Plan(prove_equation,
+                                 (list(ante), f.left, f.right, minus(succ, [f])))
         return None
 
     @staticmethod
@@ -190,7 +224,7 @@ class _Searcher:
 
     # -- expansion ---------------------------------------------------------
 
-    def prove(self, ante, succ, depth, tau, visited) -> Derivation | None:
+    def prove(self, ante, succ, depth, tau, visited) -> _Plan | None:
         # a goal open on this branch or in the failure memo failed to close
         # when first met, so both checks come before the closures
         key = _key(ante, succ)
@@ -200,25 +234,25 @@ class _Searcher:
             return None
         if (key, depth, tau) in self.fail_memo:
             return None
-        d = self.close(ante, succ)
-        if d is not None:
-            return d
+        plan = self.close(ante, succ)
+        if plan is not None:
+            return plan
         if depth == 0:
             self.frontier.append((tuple(ante), tuple(succ)))
             self.fail_memo.add((key, depth, tau))
             return None
         visited = visited | {key}
-        d = self._expand(ante, succ, depth, tau, visited)
-        if d is None:
+        plan = self._expand(ante, succ, depth, tau, visited)
+        if plan is None:
             self.fail_memo.add((key, depth, tau))
-        return d
+        return plan
 
-    def _expand(self, ante, succ, depth, tau, visited) -> Derivation | None:
-        """A proof of the goal by a backward logical or truth rule, or None;
-        a goal no rule applies to is a frontier leaf.  Each formula,
-        antecedent first and in goal order, is tried by its rule in
+    def _expand(self, ante, succ, depth, tau, visited) -> _Plan | None:
+        """The plan of a proof of the goal by a backward logical or truth
+        rule, or None; a goal no rule applies to is a frontier leaf.  Each
+        formula, antecedent first and in goal order, is tried by its rule in
         :data:`_RULES`.  Each premise goal drops the formula, unless the rule
-        keeps it, and gains the parts by the rule's plan."""
+        keeps it, and gains the parts the rule's ``gains`` slices take."""
         applied = False
         for side, formulas in zip(_SIDES, (ante, succ)):
             rules = _RULES[self.system][side]
@@ -251,14 +285,15 @@ class _Searcher:
                         s = tuple(minus(succ, [f]))
                 for parts, instance in tries:
                     premises = []
-                    for to_ante, to_succ in r.plan:
+                    for to_ante, to_succ in r.gains:
                         p = self.prove(a + parts[to_ante], s + parts[to_succ],
                                        depth - 1, tau - r.unquotes, visited)
                         if p is None:
                             break
                         premises.append(p)
                     else:
-                        return B.logical(r.name, premises, parts, f, instance)
+                        return _Plan(B.logical, (r.name, parts, f, instance),
+                                     tuple(premises))
         if not applied:
             self.frontier.append((tuple(ante), tuple(succ)))
         return None
@@ -304,13 +339,13 @@ class _Searcher:
 def search_cut_free(ante, succ, budget: SearchBudget, system: str) -> SearchResult:
     """Backward search for a cut-free derivation of ante => succ."""
     searcher = _Searcher(budget, system)
-    d = searcher.prove(
+    plan = searcher.prove(
         tuple(ante), tuple(succ), budget.max_depth, budget.max_tau_unfold,
         frozenset(),
     )
-    if d is None:  # the frontier's first goal of each multiset key
+    if plan is None:  # the frontier's first goal of each multiset key
         first: dict = {}
         for goal in searcher.frontier:
             first.setdefault(_key(*goal), goal)
         return SearchResult(None, list(first.values()))
-    return SearchResult(d, [])
+    return SearchResult(plan, [])

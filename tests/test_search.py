@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from truthcut import search
+from truthcut import build, search
 from truthcut.cli import main
 from truthcut.coding import liar, quote, truth_teller
 from truthcut.deriv import compute_measures, same_multiset
@@ -254,6 +254,44 @@ def test_a_memoized_goal_is_answered_before_any_closure(monkeypatch):
         assert _digest(_outcome(ante, succ, FIXPOINT_BUDGET)) == digest
     assert counts["memo"] > 0 and counts["loop"] > 0
     assert counts["close"] == counts["prove"] - counts["loop"] - counts["memo"]
+
+
+def _count_builds(monkeypatch):
+    """A counter of the nodes ``build`` makes from now on: every node is
+    made by ``build._node`` or ``build.leaf``."""
+    calls = collections.Counter()
+    for name in ("_node", "leaf"):
+        def counting(*args, _real=getattr(build, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(build, name, counting)
+    return calls
+
+
+def test_found_builds_nothing_and_derivation_builds_the_proof_once(monkeypatch):
+    # [DERIVED] PHI => PHI and (not 2*2=3) takes andr over an init leaf and
+    # a negr over the arith refutation of 2*2 = 3; search decides the goal
+    # without building a node, and the first read of the proof builds
+    # exactly its nodes
+    calls = _count_builds(monkeypatch)
+    false = Eq(Times(chain_numeral(2), chain_numeral(2)), chain_numeral(3))
+    r = search_cut_free([PHI], [And(PHI, Not(false))], BUD, "qg")
+    assert r.found and not calls
+    d = r.derivation
+    rules = [n.rule for n in d.iter_nodes()]
+    assert rules[:3] == ["andr", "init", "negr"] and "qg1" in rules
+    assert sum(calls.values()) == len(rules)
+    assert check_derivation(d, "qg").ok
+    calls.clear()
+    assert r.derivation is d and not calls
+
+
+def test_an_exhausted_search_builds_nothing(monkeypatch):
+    # [DERIVED]
+    calls = _count_builds(monkeypatch)
+    r = search_cut_free([liar()], [], BUD, "lptn")
+    assert not r.found and r.frontier
+    assert r.derivation is None and not calls
 
 
 def test_cli_search_proves_its_own_goal_with_equal_conjuncts(capsys):
