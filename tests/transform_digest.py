@@ -6,7 +6,8 @@ sequent occurrence), ``contract`` (on every same-side pair of equal
 formulas) and ``drop_context`` (on every end sequent occurrence) is recorded
 as its ``print_script`` output and certificate, or as its error type and
 text.  The inputs' occurrence ids are renumbered from 1 in corpus order, and
-the occurrence-id counter restarts above every input id before each call.  The corpus is two passes of ``elim`` benchmark inputs plus random,
+the occurrence-id counter restarts above every input id before each call.
+The corpus is two passes of ``elim`` benchmark inputs plus random,
 duplicated-formula and nested-cut proofs.  Run from the repository root::
 
     PYTHONPATH=<checkout>/src:tests:bench python3 tests/transform_digest.py
